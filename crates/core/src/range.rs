@@ -194,11 +194,11 @@ impl DerefMut for CyberRange {
 /// Configures and instantiates a [`CyberRange`] — the front door of the
 /// SG-ML Processor pipeline.
 ///
-/// [`RangeBuilder::from_model`] is the multi-tenant path: it reuses an
-/// already-compiled model, so building a range costs one power-model clone
-/// and some virtual-device setup (no XML or ST parsing). The builder is how
-/// a step interval override, a [`Telemetry`] handle, a fault seed, or
-/// different retention bounds are attached:
+/// [`RangeBuilder::from_model`] reuses an already-compiled model, so
+/// building a range costs one power-model clone and some virtual-device
+/// setup (no XML or ST parsing). The builder is how a step interval
+/// override, a [`Telemetry`] handle, a fault seed, or different retention
+/// bounds are attached:
 ///
 /// ```no_run
 /// use sgcr_core::{CompiledModel, RangeBuilder, SgmlBundle};
@@ -219,19 +219,12 @@ impl DerefMut for CyberRange {
 /// # }
 /// ```
 pub struct RangeBuilder {
-    source: Source,
+    model: Arc<CompiledModel>,
     interval: Option<SimDuration>,
     telemetry: Telemetry,
     step_stats_capacity: usize,
     solve_errors_capacity: usize,
     fault_seed: Option<u64>,
-}
-
-enum Source {
-    /// Compile this bundle first (deprecated single-tenant path).
-    Bundle(Box<SgmlBundle>),
-    /// Instantiate straight from a shared compiled model.
-    Model(Arc<CompiledModel>),
 }
 
 impl RangeBuilder {
@@ -241,24 +234,7 @@ impl RangeBuilder {
     /// [default](DEFAULT_STEP_STATS_CAPACITY) retention bounds.
     pub fn from_model(model: Arc<CompiledModel>) -> RangeBuilder {
         RangeBuilder {
-            source: Source::Model(model),
-            interval: None,
-            telemetry: Telemetry::disabled(),
-            step_stats_capacity: DEFAULT_STEP_STATS_CAPACITY,
-            solve_errors_capacity: DEFAULT_SOLVE_ERRORS_CAPACITY,
-            fault_seed: None,
-        }
-    }
-
-    /// Starts a builder over a model bundle. The bundle is cloned and
-    /// compiled privately inside [`build`](RangeBuilder::build) — every
-    /// range built this way pays the full XML/ST compilation cost.
-    #[deprecated(
-        note = "compile once with `CompiledModel::shared(&bundle)` and use `RangeBuilder::from_model` so ranges share the artifact"
-    )]
-    pub fn new(bundle: &SgmlBundle) -> RangeBuilder {
-        RangeBuilder {
-            source: Source::Bundle(Box::new(bundle.clone())),
+            model,
             interval: None,
             telemetry: Telemetry::disabled(),
             step_stats_capacity: DEFAULT_STEP_STATS_CAPACITY,
@@ -307,28 +283,22 @@ impl RangeBuilder {
         self
     }
 
-    /// Builds the operational cyber range. From a shared model this is the
-    /// cheap per-tenant path; from a bundle it runs the complete SG-ML
-    /// Processor pipeline of the paper's Figures 2–3 first.
+    /// Builds the operational cyber range: the cheap per-tenant path over
+    /// the shared model.
     ///
     /// # Errors
     ///
-    /// Returns [`RangeError`] when compilation fails (bundle path only) or
-    /// the initial power flow cannot be solved.
+    /// Returns [`RangeError`] when the initial power flow cannot be solved.
     pub fn build(self) -> Result<CyberRange, RangeError> {
-        let model = match self.source {
-            Source::Model(model) => model,
-            Source::Bundle(bundle) => CompiledModel::shared(&bundle)?,
-        };
         let settings = RangeSettings {
             interval: self.interval,
             step_stats_capacity: self.step_stats_capacity,
             solve_errors_capacity: self.solve_errors_capacity,
             fault_seed: self.fault_seed,
         };
-        let state = RangeState::instantiate(&model, &settings, self.telemetry)?;
+        let state = RangeState::instantiate(&self.model, &settings, self.telemetry)?;
         Ok(CyberRange {
-            model,
+            model: self.model,
             settings,
             state,
         })
@@ -345,20 +315,6 @@ impl CyberRange {
     /// See [`RangeBuilder::build`].
     pub fn instantiate(model: Arc<CompiledModel>) -> Result<CyberRange, RangeError> {
         RangeBuilder::from_model(model).build()
-    }
-
-    /// Generates an operational cyber range from an SG-ML model bundle with
-    /// default settings, compiling the bundle privately.
-    ///
-    /// # Errors
-    ///
-    /// See [`RangeBuilder::build`].
-    #[deprecated(
-        note = "compile once with `CompiledModel::shared(&bundle)` and use `CyberRange::instantiate` so ranges share the artifact"
-    )]
-    pub fn generate(bundle: &SgmlBundle) -> Result<CyberRange, RangeError> {
-        let model = CompiledModel::shared(bundle)?;
-        CyberRange::instantiate(model)
     }
 
     /// The `Arc`-shared compiled model this range was instantiated from.

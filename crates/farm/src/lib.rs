@@ -123,7 +123,7 @@ fn clamped_step_quantiles(h: Option<&HistogramSnapshot>, max_step_seconds: f64) 
 }
 
 /// Configuration of one farm run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FarmConfig {
     /// Number of independent tenant ranges to instantiate and run.
     pub tenants: usize,

@@ -382,14 +382,17 @@ END_PROGRAM
         let cache = dir.join("cache");
         write_bundle(&dir);
         let _ = lint_dir_incremental(&dir, &cache).unwrap();
-        for entry in fs::read_dir(&cache).unwrap() {
-            fs::write(entry.unwrap().path(), "{ not json").unwrap();
-        }
-        let rerun = lint_dir_incremental(&dir, &cache).unwrap();
-        assert_eq!(rerun.stats.reused, 0);
-        assert_eq!(rerun.stats.recomputed, 3);
         let full = lint_bundle(&LoadedBundle::from_dir(&dir).unwrap());
-        assert_eq!(rerun.report, full);
+        // Garbage, and nesting deep enough to overflow a recursive parser.
+        for corrupt in [String::from("{ not json"), "[".repeat(200_000)] {
+            for entry in fs::read_dir(&cache).unwrap() {
+                fs::write(entry.unwrap().path(), &corrupt).unwrap();
+            }
+            let rerun = lint_dir_incremental(&dir, &cache).unwrap();
+            assert_eq!(rerun.stats.reused, 0);
+            assert_eq!(rerun.stats.recomputed, 3);
+            assert_eq!(rerun.report, full);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,9 +3,10 @@
 //! so string escaping exists exactly once.
 //!
 //! This is intentionally *not* a general JSON library: the two primitives a
-//! writer needs — quoting a string and formatting a float — plus a small
-//! recursive-descent [`parse`] used by the farm status endpoint's `watch`
-//! client and its tests (the only in-tree JSON *consumers*).
+//! writer needs — quoting a string and formatting a float — plus one small,
+//! depth-bounded recursive-descent [`parse`] that every in-tree reader
+//! shares: checkpoint resume, the `watch` dashboard over `/status`, and
+//! lint's report decoder and incremental cache.
 
 use std::fmt::Write as _;
 

@@ -2,25 +2,9 @@
 //! bundle directory of SG-ML model files, compiles it into an operational
 //! cyber range, reports the generated inventory, and optionally runs it.
 //!
-//! ```text
-//! sgml_processor build <bundle-dir> [--dot]
-//! sgml_processor run   <bundle-dir> [--seconds <n>] [--dot] [--no-check]
-//!                      [--metrics <file>] [--journal <file>]
-//!                      [--trace <file>] [--spans <file>] [--fault-seed <n>]
-//! sgml_processor lint  <bundle-dir> [--format text|json|sarif]
-//!                      [--cache <dir>] [--deny-warnings]
-//! sgml_processor exercise <bundle-dir> [--scenario <file>] [--report <file>]
-//!                      [--journal <file>] [--trace <file>] [--fault-seed <n>]
-//!                      [--no-check]
-//! sgml_processor serve <bundle-dir> [--tenants <n>] [--threads <n>]
-//!                      [--seconds <n>] [--scenario <file>] [--out <dir>]
-//!                      [--report <file>] [--step-budget-ms <n>]
-//!                      [--max-overruns <n>] [--max-restarts <n>]
-//!                      [--restart-backoff-ms <n>] [--admit-max <n>]
-//!                      [--fault-seed <n>] [--status-addr <host:port>]
-//!                      [--no-check]
-//! sgml_processor watch <host:port> [--interval-ms <n>] [--iterations <n>]
-//! ```
+//! One table, `COMMANDS`, declares every subcommand with its positional
+//! argument and its flags. It validates the command line, turns it into a
+//! typed `Cmd`, and generates the synopsis `sgml_processor help` prints.
 //!
 //! `build` compiles the bundle and prints the generated inventory without
 //! advancing simulated time. `run` additionally co-simulates `--seconds` of
@@ -43,9 +27,9 @@
 //! disk behind content fingerprints, reuse statistics go to stderr, and
 //! stdout stays byte-identical to the uncached run.
 //!
-//! `run` and `exercise` front-gate the bundle through the same analyzer:
-//! lint *errors* abort before the range starts (exit 2), warnings are
-//! reported on stderr but do not block. `--no-check` skips the gate.
+//! `run`, `exercise` and `serve` front-gate the bundle through the same
+//! analyzer: lint *errors* abort before the range starts (exit 2), warnings
+//! are reported on stderr but do not block. `--no-check` skips the gate.
 //!
 //! `exercise` compiles the bundle and runs a declarative exercise scenario
 //! (`*.scenario.xml`) against it via `sgcr-scenario`: stages fire on
@@ -89,11 +73,9 @@
 //! retried with capped exponential backoff instead of killing the
 //! dashboard; only repeated consecutive failures end it.
 //!
-//! The pre-subcommand invocation forms (`sgml_processor <bundle-dir>
-//! [--run <seconds>] [--validate-only] …`) keep working as deprecated
-//! aliases and print a one-line migration hint on stderr.
+//! `attack-graph` derives the adversary plane's attack graph from the
+//! compiled model and prints it as JSON or Graphviz DOT.
 
-use sgcr_adversary::AttackGraph;
 use sgcr_core::{CompiledModel, RangeBuilder, SgmlBundle};
 use sgcr_farm::{run_farm, FarmConfig};
 use sgcr_lint::source::LoadedBundle;
@@ -101,28 +83,12 @@ use sgcr_lint::{engine, json, lint_bundle, report, sarif};
 use sgcr_net::SimDuration;
 use sgcr_obs::Telemetry;
 use sgcr_scenario::{run_exercise, Scenario};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
-
-const USAGE: &str = "usage: sgml_processor build <bundle-dir> [--dot]\n       \
-                     sgml_processor run <bundle-dir> [--seconds <n>] [--dot] \
-                     [--no-check] [--metrics <file>] [--journal <file>] \
-                     [--trace <file>] [--spans <file>] [--fault-seed <n>]\n       \
-                     sgml_processor lint <bundle-dir> [--format text|json|sarif] \
-                     [--cache <dir>] [--deny-warnings]\n       \
-                     sgml_processor exercise <bundle-dir> [--scenario <file>] \
-                     [--report <file>] [--journal <file>] [--trace <file>] \
-                     [--fault-seed <n>] [--no-check]\n       \
-                     sgml_processor attack-graph <bundle-dir> \
-                     [--format json|dot]\n       \
-                     sgml_processor serve <bundle-dir> [--tenants <n>] \
-                     [--threads <n>] [--seconds <n>] [--scenario <file>] \
-                     [--out <dir>] [--report <file>] [--step-budget-ms <n>] \
-                     [--max-overruns <n>] [--max-restarts <n>] \
-                     [--restart-backoff-ms <n>] [--admit-max <n>] \
-                     [--fault-seed <n>] [--status-addr <host:port>] \
-                     [--no-check]\n       \
-                     sgml_processor watch <host:port> [--interval-ms <n>] \
-                     [--iterations <n>]";
+use std::str::FromStr;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Default co-simulated duration for `run` when `--seconds` is omitted.
 const DEFAULT_RUN_SECONDS: u64 = 10;
@@ -133,6 +99,301 @@ const DEFAULT_SERVE_TENANTS: usize = 8;
 /// Default co-simulated seconds per tenant for `serve`.
 const DEFAULT_SERVE_SECONDS: u64 = 10;
 
+/// Default `watch` poll interval when `--interval-ms` is omitted.
+const DEFAULT_WATCH_INTERVAL_MS: u64 = 1000;
+
+/// One subcommand: its positional argument, its flags, and how a command
+/// line checked against them becomes a typed [`Cmd`].
+struct Command {
+    name: &'static str,
+    arg: &'static str,
+    /// Each flag with the placeholder of its value, or `None` for a switch.
+    /// `<n>` is an unsigned integer and `a|b` one of the alternatives.
+    flags: &'static [(&'static str, Option<&'static str>)],
+    parse: fn(&Matches<'_>) -> Result<Cmd, String>,
+}
+
+impl Command {
+    /// `name`'s entry in this subcommand's flag list.
+    fn flag(&self, name: &str) -> Option<(&'static str, Option<&'static str>)> {
+        self.flags.iter().copied().find(|(flag, _)| *flag == name)
+    }
+}
+
+const SWITCH: Option<&str> = None;
+const N: Option<&str> = Some("<n>");
+const FILE: Option<&str> = Some("<file>");
+const DIR: Option<&str> = Some("<dir>");
+
+/// Every subcommand. Parsing, the usage text and the docs-drift test all
+/// read this table: a flag exists exactly when it is listed here.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "build",
+        arg: "<bundle-dir>",
+        flags: &[("--dot", SWITCH)],
+        // `build` never runs the range, so it is not front-gated.
+        parse: |m| {
+            Ok(Cmd::Generate(Generate {
+                dir: m.arg.into(),
+                seconds: None,
+                dot: m.switch("--dot"),
+                no_check: true,
+                sinks: Sinks::default(),
+                fault_seed: None,
+            }))
+        },
+    },
+    Command {
+        name: "run",
+        arg: "<bundle-dir>",
+        flags: &[
+            ("--seconds", N),
+            ("--dot", SWITCH),
+            ("--no-check", SWITCH),
+            ("--metrics", FILE),
+            ("--journal", FILE),
+            ("--trace", FILE),
+            ("--spans", FILE),
+            ("--fault-seed", N),
+        ],
+        parse: |m| {
+            Ok(Cmd::Generate(Generate {
+                dir: m.arg.into(),
+                seconds: Some(m.value("--seconds")?.unwrap_or(DEFAULT_RUN_SECONDS)),
+                dot: m.switch("--dot"),
+                no_check: m.switch("--no-check"),
+                sinks: Sinks {
+                    metrics: m.value("--metrics")?,
+                    journal: m.value("--journal")?,
+                    trace: m.value("--trace")?,
+                    spans: m.value("--spans")?,
+                },
+                fault_seed: m.value("--fault-seed")?,
+            }))
+        },
+    },
+    Command {
+        name: "lint",
+        arg: "<bundle-dir>",
+        flags: &[
+            ("--format", Some("text|json|sarif")),
+            ("--cache", DIR),
+            ("--deny-warnings", SWITCH),
+        ],
+        parse: |m| {
+            Ok(Cmd::Lint(Lint {
+                dir: m.arg.into(),
+                format: m.value("--format")?.unwrap_or(Format::Text),
+                cache: m.value("--cache")?,
+                deny_warnings: m.switch("--deny-warnings"),
+            }))
+        },
+    },
+    Command {
+        name: "exercise",
+        arg: "<bundle-dir>",
+        flags: &[
+            ("--scenario", FILE),
+            ("--report", FILE),
+            ("--journal", FILE),
+            ("--trace", FILE),
+            ("--fault-seed", N),
+            ("--no-check", SWITCH),
+        ],
+        parse: |m| {
+            Ok(Cmd::Exercise(Exercise {
+                dir: m.arg.into(),
+                scenario: m.value("--scenario")?,
+                report: m.value("--report")?,
+                sinks: Sinks {
+                    journal: m.value("--journal")?,
+                    trace: m.value("--trace")?,
+                    ..Sinks::default()
+                },
+                fault_seed: m.value("--fault-seed")?,
+                no_check: m.switch("--no-check"),
+            }))
+        },
+    },
+    Command {
+        name: "attack-graph",
+        arg: "<bundle-dir>",
+        flags: &[("--format", Some("json|dot"))],
+        parse: |m| {
+            Ok(Cmd::AttackGraph(AttackGraph {
+                dir: m.arg.into(),
+                format: m.value("--format")?.unwrap_or(GraphFormat::Json),
+            }))
+        },
+    },
+    Command {
+        name: "serve",
+        arg: "<bundle-dir>",
+        flags: &[
+            ("--tenants", N),
+            ("--threads", N),
+            ("--seconds", N),
+            ("--scenario", FILE),
+            ("--out", DIR),
+            ("--report", FILE),
+            ("--step-budget-ms", N),
+            ("--max-overruns", N),
+            ("--max-restarts", N),
+            ("--restart-backoff-ms", N),
+            ("--admit-max", N),
+            ("--fault-seed", N),
+            ("--status-addr", Some("<host:port>")),
+            ("--no-check", SWITCH),
+        ],
+        parse: |m| {
+            let farm = FarmConfig {
+                tenants: m.value("--tenants")?.unwrap_or(DEFAULT_SERVE_TENANTS),
+                threads: m.value("--threads")?.unwrap_or_default(),
+                sim_seconds: m.value("--seconds")?.unwrap_or(DEFAULT_SERVE_SECONDS),
+                out_dir: m.value("--out")?,
+                step_budget_ms: m.value("--step-budget-ms")?,
+                max_overruns: m.value("--max-overruns")?.unwrap_or_default(),
+                restart_max: m.value("--max-restarts")?.unwrap_or_default(),
+                restart_backoff_ms: m.value("--restart-backoff-ms")?.unwrap_or_default(),
+                admit_max: m.value("--admit-max")?.unwrap_or_default(),
+                base_fault_seed: m.value("--fault-seed")?.unwrap_or_default(),
+                status_addr: m.value("--status-addr")?,
+                ..FarmConfig::default()
+            };
+            if farm.tenants == 0 {
+                return Err(String::from("`--tenants` must be at least 1"));
+            }
+            Ok(Cmd::Serve(Box::new(Serve {
+                dir: m.arg.into(),
+                scenario: m.value("--scenario")?,
+                report: m.value("--report")?,
+                no_check: m.switch("--no-check"),
+                farm,
+            })))
+        },
+    },
+    Command {
+        name: "watch",
+        arg: "<host:port>",
+        flags: &[("--interval-ms", N), ("--iterations", N)],
+        parse: |m| {
+            Ok(Cmd::Watch(Watch {
+                addr: m.arg.into(),
+                interval_ms: m
+                    .value("--interval-ms")?
+                    .unwrap_or(DEFAULT_WATCH_INTERVAL_MS),
+                iterations: m.value("--iterations")?,
+            }))
+        },
+    },
+];
+
+/// A command line checked against its [`Command`].
+struct Matches<'a> {
+    command: &'static Command,
+    arg: &'a str,
+    /// Each flag given, with its value (`None` for a switch); a repeated
+    /// flag keeps its last value.
+    given: BTreeMap<&'static str, Option<&'a str>>,
+}
+
+impl Matches<'_> {
+    fn given(&self, flag: &str) -> Option<Option<&str>> {
+        debug_assert!(
+            self.command.flag(flag).is_some(),
+            "`{flag}` is not a `{}` flag in COMMANDS",
+            self.command.name
+        );
+        self.given.get(flag).copied()
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.given(flag).is_some()
+    }
+
+    /// The value given for `flag`, parsed into the type its handler consumes.
+    fn value<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let Some(Some(text)) = self.given(flag) else {
+            return Ok(None);
+        };
+        text.parse().map(Some).map_err(|_| {
+            let placeholder = self.command.flag(flag).and_then(|(_, p)| p);
+            let expected = match placeholder.unwrap_or_default() {
+                "<n>" => "an unsigned integer",
+                alternatives => alternatives,
+            };
+            format!("`{flag}` expects {expected}, found `{text}`")
+        })
+    }
+}
+
+/// Parses command-line arguments (without the program name) against
+/// [`COMMANDS`]. Pure, so the whole surface is unit-testable.
+fn parse_args(args: &[String]) -> Result<Cmd, String> {
+    let (name, rest) = args.split_first().ok_or("missing subcommand")?;
+    if matches!(name.as_str(), "help" | "-h" | "--help") {
+        return Ok(Cmd::Help);
+    }
+    let command = COMMANDS
+        .iter()
+        .find(|command| command.name == name)
+        .ok_or_else(|| format!("unknown subcommand `{name}`"))?;
+    let (arg, rest) = match rest.split_first() {
+        Some((arg, rest)) if !arg.starts_with('-') => (arg, rest),
+        Some((flag, _)) => return Err(format!("expected {}, found `{flag}`", command.arg)),
+        None => return Err(format!("missing {}", command.arg)),
+    };
+    let mut given = BTreeMap::new();
+    let mut rest = rest.iter();
+    while let Some(word) = rest.next() {
+        let (flag, placeholder) = command
+            .flag(word)
+            .ok_or_else(|| format!("unknown argument `{word}` for `{name}`"))?;
+        let value = match placeholder {
+            Some(_) => Some(
+                rest.next()
+                    .ok_or_else(|| format!("`{flag}` requires a value"))?
+                    .as_str(),
+            ),
+            None => None,
+        };
+        given.insert(flag, value);
+    }
+    (command.parse)(&Matches {
+        command,
+        arg,
+        given,
+    })
+}
+
+/// The synopsis of every subcommand, generated from [`COMMANDS`] and
+/// wrapped at 80 columns.
+fn usage() -> String {
+    let mut out = String::new();
+    for (i, command) in COMMANDS.iter().enumerate() {
+        let lead = if i == 0 { "usage:" } else { "      " };
+        let mut line = format!("{lead} sgml_processor {} {}", command.name, command.arg);
+        for (flag, placeholder) in command.flags {
+            let item = match placeholder {
+                Some(placeholder) => format!(" [{flag} {placeholder}]"),
+                None => format!(" [{flag}]"),
+            };
+            if line.len() + item.len() > 80 {
+                out.push_str(&line);
+                out.push('\n');
+                line = " ".repeat(10);
+            }
+            line.push_str(&item);
+        }
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str("       sgml_processor help\n");
+    out
+}
+
+/// `lint --format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     Text,
@@ -140,615 +401,134 @@ enum Format {
     Sarif,
 }
 
-/// Output format for `attack-graph` (no SARIF — it is a graph, not a
-/// diagnostic list).
+impl FromStr for Format {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Format, ()> {
+        match s {
+            "text" => Ok(Format::Text),
+            "json" => Ok(Format::Json),
+            "sarif" => Ok(Format::Sarif),
+            _ => Err(()),
+        }
+    }
+}
+
+/// `attack-graph --format` (no SARIF — it is a graph, not a diagnostic
+/// list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GraphFormat {
     Json,
     Dot,
 }
 
-/// A fully parsed invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl FromStr for GraphFormat {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<GraphFormat, ()> {
+        match s {
+            "json" => Ok(GraphFormat::Json),
+            "dot" => Ok(GraphFormat::Dot),
+            _ => Err(()),
+        }
+    }
+}
+
+/// A parsed invocation: one subcommand with every flag already in the type
+/// its handler consumes.
+#[derive(Debug, PartialEq)]
 enum Cmd {
-    Build {
-        dir: String,
-        dot: bool,
-    },
-    Run {
-        dir: String,
-        seconds: u64,
-        dot: bool,
-        no_check: bool,
-        metrics: Option<String>,
-        journal: Option<String>,
-        trace: Option<String>,
-        spans: Option<String>,
-        fault_seed: Option<u64>,
-    },
-    Lint {
-        dir: String,
-        format: Format,
-        cache: Option<String>,
-        deny_warnings: bool,
-    },
-    Exercise {
-        dir: String,
-        scenario: Option<String>,
-        report: Option<String>,
-        journal: Option<String>,
-        trace: Option<String>,
-        fault_seed: Option<u64>,
-        no_check: bool,
-    },
-    Serve {
-        dir: String,
-        tenants: usize,
-        threads: usize,
-        seconds: u64,
-        scenario: Option<String>,
-        out: Option<String>,
-        report: Option<String>,
-        step_budget_ms: Option<u64>,
-        max_overruns: u64,
-        max_restarts: u64,
-        restart_backoff_ms: u64,
-        admit_max: usize,
-        fault_seed: u64,
-        status_addr: Option<String>,
-        no_check: bool,
-    },
-    Watch {
-        addr: String,
-        interval_ms: u64,
-        iterations: Option<u64>,
-    },
-    AttackGraph {
-        dir: String,
-        format: GraphFormat,
-    },
+    Help,
+    Generate(Generate),
+    Lint(Lint),
+    Exercise(Exercise),
+    AttackGraph(AttackGraph),
+    Serve(Box<Serve>),
+    Watch(Watch),
 }
 
-/// Parse result: the command plus an optional deprecation notice to print
-/// on stderr (set when a legacy pre-subcommand form was used).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Parsed {
-    cmd: Cmd,
-    deprecation: Option<String>,
+/// `build`, or `run` when `seconds` is set.
+#[derive(Debug, PartialEq)]
+struct Generate {
+    dir: String,
+    seconds: Option<u64>,
+    dot: bool,
+    no_check: bool,
+    sinks: Sinks,
+    fault_seed: Option<u64>,
 }
 
-/// Parses command-line arguments (without the program name). Pure so the
-/// whole surface — subcommands, flags, and legacy aliases — is unit-testable.
-fn parse_args(args: &[String]) -> Result<Parsed, String> {
-    let Some(first) = args.first().map(String::as_str) else {
-        return Err(String::from("missing <bundle-dir> or subcommand"));
-    };
-    match first {
-        "build" => parse_build(&args[1..]),
-        "run" => parse_run(&args[1..]),
-        "lint" => parse_lint(&args[1..]),
-        "exercise" => parse_exercise(&args[1..]),
-        "serve" => parse_serve(&args[1..]),
-        "watch" => parse_watch(&args[1..]),
-        "attack-graph" => parse_attack_graph(&args[1..]),
-        "-h" | "--help" | "help" => Err(String::new()),
-        _ => parse_legacy(args),
-    }
+#[derive(Debug, PartialEq)]
+struct Lint {
+    dir: String,
+    format: Format,
+    cache: Option<PathBuf>,
+    deny_warnings: bool,
 }
 
-fn take_dir(args: &[String]) -> Result<(String, &[String]), String> {
-    match args.first() {
-        Some(dir) if !dir.starts_with('-') => Ok((dir.clone(), &args[1..])),
-        Some(flag) => Err(format!("expected <bundle-dir>, found `{flag}`")),
-        None => Err(String::from("missing <bundle-dir>")),
-    }
+#[derive(Debug, PartialEq)]
+struct Exercise {
+    dir: String,
+    scenario: Option<String>,
+    report: Option<String>,
+    sinks: Sinks,
+    fault_seed: Option<u64>,
+    no_check: bool,
 }
 
-/// Returns the value of a `--flag <value>` pair at `args[i]`, advancing `i`.
-fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| format!("`{flag}` requires a value"))
+#[derive(Debug, PartialEq)]
+struct AttackGraph {
+    dir: String,
+    format: GraphFormat,
 }
 
-fn parse_build(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut dot = false;
-    for arg in rest {
-        match arg.as_str() {
-            "--dot" => dot = true,
-            other => return Err(format!("unknown argument `{other}` for `build`")),
-        }
-    }
-    Ok(Parsed {
-        cmd: Cmd::Build { dir, dot },
-        deprecation: None,
-    })
+/// `serve`. `farm.scenario` stays unset until the handler reads `scenario`.
+#[derive(Debug, PartialEq)]
+struct Serve {
+    dir: String,
+    scenario: Option<String>,
+    report: Option<String>,
+    no_check: bool,
+    farm: FarmConfig,
 }
 
-/// Parses the value of `--fault-seed` as an unsigned 64-bit integer.
-fn parse_fault_seed(value: &str) -> Result<u64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("`--fault-seed` expects an unsigned integer, found `{value}`"))
+#[derive(Debug, PartialEq)]
+struct Watch {
+    addr: String,
+    interval_ms: u64,
+    iterations: Option<u64>,
 }
 
-fn parse_run(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut seconds = DEFAULT_RUN_SECONDS;
-    let mut dot = false;
-    let mut no_check = false;
-    let mut metrics = None;
-    let mut journal = None;
-    let mut trace = None;
-    let mut spans = None;
-    let mut fault_seed = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--seconds" => {
-                let value = flag_value(rest, &mut i, "--seconds")?;
-                seconds = value
-                    .parse()
-                    .map_err(|_| format!("`--seconds` expects an integer, found `{value}`"))?;
-            }
-            "--dot" => dot = true,
-            "--no-check" => no_check = true,
-            "--metrics" => metrics = Some(flag_value(rest, &mut i, "--metrics")?.to_string()),
-            "--journal" => journal = Some(flag_value(rest, &mut i, "--journal")?.to_string()),
-            "--trace" => trace = Some(flag_value(rest, &mut i, "--trace")?.to_string()),
-            "--spans" => spans = Some(flag_value(rest, &mut i, "--spans")?.to_string()),
-            "--fault-seed" => {
-                fault_seed = Some(parse_fault_seed(flag_value(rest, &mut i, "--fault-seed")?)?);
-            }
-            other => return Err(format!("unknown argument `{other}` for `run`")),
-        }
-        i += 1;
-    }
-    Ok(Parsed {
-        cmd: Cmd::Run {
-            dir,
-            seconds,
-            dot,
-            no_check,
-            metrics,
-            journal,
-            trace,
-            spans,
-            fault_seed,
-        },
-        deprecation: None,
-    })
-}
-
-fn parse_format(value: &str) -> Result<Format, String> {
-    match value {
-        "text" => Ok(Format::Text),
-        "json" => Ok(Format::Json),
-        "sarif" => Ok(Format::Sarif),
-        other => Err(format!(
-            "`--format` expects text|json|sarif, found `{other}`"
-        )),
-    }
-}
-
-fn parse_lint(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut format = Format::Text;
-    let mut cache = None;
-    let mut deny_warnings = false;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--format" => format = parse_format(flag_value(rest, &mut i, "--format")?)?,
-            "--cache" => cache = Some(flag_value(rest, &mut i, "--cache")?.to_string()),
-            "--deny-warnings" => deny_warnings = true,
-            other => return Err(format!("unknown argument `{other}` for `lint`")),
-        }
-        i += 1;
-    }
-    Ok(Parsed {
-        cmd: Cmd::Lint {
-            dir,
-            format,
-            cache,
-            deny_warnings,
-        },
-        deprecation: None,
-    })
-}
-
-fn parse_exercise(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut scenario = None;
-    let mut report = None;
-    let mut journal = None;
-    let mut trace = None;
-    let mut fault_seed = None;
-    let mut no_check = false;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--scenario" => scenario = Some(flag_value(rest, &mut i, "--scenario")?.to_string()),
-            "--report" => report = Some(flag_value(rest, &mut i, "--report")?.to_string()),
-            "--journal" => journal = Some(flag_value(rest, &mut i, "--journal")?.to_string()),
-            "--trace" => trace = Some(flag_value(rest, &mut i, "--trace")?.to_string()),
-            "--fault-seed" => {
-                fault_seed = Some(parse_fault_seed(flag_value(rest, &mut i, "--fault-seed")?)?);
-            }
-            "--no-check" => no_check = true,
-            other => return Err(format!("unknown argument `{other}` for `exercise`")),
-        }
-        i += 1;
-    }
-    Ok(Parsed {
-        cmd: Cmd::Exercise {
-            dir,
-            scenario,
-            report,
-            journal,
-            trace,
-            fault_seed,
-            no_check,
-        },
-        deprecation: None,
-    })
-}
-
-/// Parses a `--flag <n>` unsigned integer value.
-fn parse_uint(flag: &str, value: &str) -> Result<u64, String> {
-    value
-        .parse()
-        .map_err(|_| format!("`{flag}` expects an unsigned integer, found `{value}`"))
-}
-
-fn parse_serve(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut tenants = DEFAULT_SERVE_TENANTS;
-    let mut threads = 0;
-    let mut seconds = DEFAULT_SERVE_SECONDS;
-    let mut scenario = None;
-    let mut out = None;
-    let mut report = None;
-    let mut step_budget_ms = None;
-    let mut max_overruns = 0;
-    let mut max_restarts = 0;
-    let mut restart_backoff_ms = 0;
-    let mut admit_max = 0;
-    let mut fault_seed = 0;
-    let mut status_addr = None;
-    let mut no_check = false;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--tenants" => {
-                tenants = parse_uint("--tenants", flag_value(rest, &mut i, "--tenants")?)? as usize;
-            }
-            "--threads" => {
-                threads = parse_uint("--threads", flag_value(rest, &mut i, "--threads")?)? as usize;
-            }
-            "--seconds" => {
-                seconds = parse_uint("--seconds", flag_value(rest, &mut i, "--seconds")?)?;
-            }
-            "--scenario" => scenario = Some(flag_value(rest, &mut i, "--scenario")?.to_string()),
-            "--out" => out = Some(flag_value(rest, &mut i, "--out")?.to_string()),
-            "--report" => report = Some(flag_value(rest, &mut i, "--report")?.to_string()),
-            "--step-budget-ms" => {
-                step_budget_ms = Some(parse_uint(
-                    "--step-budget-ms",
-                    flag_value(rest, &mut i, "--step-budget-ms")?,
-                )?);
-            }
-            "--max-overruns" => {
-                max_overruns = parse_uint(
-                    "--max-overruns",
-                    flag_value(rest, &mut i, "--max-overruns")?,
-                )?;
-            }
-            "--max-restarts" => {
-                max_restarts = parse_uint(
-                    "--max-restarts",
-                    flag_value(rest, &mut i, "--max-restarts")?,
-                )?;
-            }
-            "--restart-backoff-ms" => {
-                restart_backoff_ms = parse_uint(
-                    "--restart-backoff-ms",
-                    flag_value(rest, &mut i, "--restart-backoff-ms")?,
-                )?;
-            }
-            "--admit-max" => {
-                admit_max =
-                    parse_uint("--admit-max", flag_value(rest, &mut i, "--admit-max")?)? as usize;
-            }
-            "--fault-seed" => {
-                fault_seed = parse_fault_seed(flag_value(rest, &mut i, "--fault-seed")?)?;
-            }
-            "--status-addr" => {
-                status_addr = Some(flag_value(rest, &mut i, "--status-addr")?.to_string());
-            }
-            "--no-check" => no_check = true,
-            other => return Err(format!("unknown argument `{other}` for `serve`")),
-        }
-        i += 1;
-    }
-    if tenants == 0 {
-        return Err(String::from("`--tenants` must be at least 1"));
-    }
-    Ok(Parsed {
-        cmd: Cmd::Serve {
-            dir,
-            tenants,
-            threads,
-            seconds,
-            scenario,
-            out,
-            report,
-            step_budget_ms,
-            max_overruns,
-            max_restarts,
-            restart_backoff_ms,
-            admit_max,
-            fault_seed,
-            status_addr,
-            no_check,
-        },
-        deprecation: None,
-    })
-}
-
-fn parse_watch(args: &[String]) -> Result<Parsed, String> {
-    let (addr, rest) = take_dir(args).map_err(|e| e.replace("<bundle-dir>", "<host:port>"))?;
-    let mut interval_ms = 1000;
-    let mut iterations = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--interval-ms" => {
-                interval_ms =
-                    parse_uint("--interval-ms", flag_value(rest, &mut i, "--interval-ms")?)?;
-            }
-            "--iterations" => {
-                iterations = Some(parse_uint(
-                    "--iterations",
-                    flag_value(rest, &mut i, "--iterations")?,
-                )?);
-            }
-            other => return Err(format!("unknown argument `{other}` for `watch`")),
-        }
-        i += 1;
-    }
-    Ok(Parsed {
-        cmd: Cmd::Watch {
-            addr,
-            interval_ms,
-            iterations,
-        },
-        deprecation: None,
-    })
-}
-
-fn parse_attack_graph(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut format = GraphFormat::Json;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--format" => {
-                format = match flag_value(rest, &mut i, "--format")? {
-                    "json" => GraphFormat::Json,
-                    "dot" => GraphFormat::Dot,
-                    other => {
-                        return Err(format!("`--format` expects json|dot, found `{other}`"));
-                    }
-                };
-            }
-            other => return Err(format!("unknown argument `{other}` for `attack-graph`")),
-        }
-        i += 1;
-    }
-    Ok(Parsed {
-        cmd: Cmd::AttackGraph { dir, format },
-        deprecation: None,
-    })
-}
-
-/// The pre-subcommand form: `<bundle-dir> [--run <seconds>] [--dot]
-/// [--validate-only] [--format text|json]`. Mapped onto the subcommands
-/// with a one-line deprecation notice.
-fn parse_legacy(args: &[String]) -> Result<Parsed, String> {
-    let (dir, rest) = take_dir(args)?;
-    let mut run_seconds: Option<u64> = None;
-    let mut dot = false;
-    let mut validate_only = false;
-    let mut format = Format::Text;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--run" => {
-                let value = flag_value(rest, &mut i, "--run")?;
-                run_seconds = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("`--run` expects an integer, found `{value}`"))?,
-                );
-            }
-            "--dot" => dot = true,
-            "--validate-only" => validate_only = true,
-            "--format" => format = parse_format(flag_value(rest, &mut i, "--format")?)?,
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    let (cmd, replacement) = if validate_only {
-        (
-            Cmd::Lint {
-                dir: dir.clone(),
-                format,
-                cache: None,
-                deny_warnings: false,
-            },
-            format!("lint {dir}"),
-        )
-    } else if let Some(seconds) = run_seconds {
-        (
-            Cmd::Run {
-                dir: dir.clone(),
-                seconds,
-                dot,
-                no_check: false,
-                metrics: None,
-                journal: None,
-                trace: None,
-                spans: None,
-                fault_seed: None,
-            },
-            format!("run {dir} --seconds {seconds}"),
-        )
-    } else {
-        (
-            Cmd::Build {
-                dir: dir.clone(),
-                dot,
-            },
-            format!("build {dir}"),
-        )
-    };
-    Ok(Parsed {
-        cmd,
-        deprecation: Some(format!(
-            "warning: bare `sgml_processor <bundle-dir>` forms are deprecated; \
-             use `sgml_processor {replacement}`"
-        )),
-    })
-}
+/// A handler's exit code, or the message of a failure that exits 1.
+type Outcome = Result<ExitCode, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(parsed) => parsed,
+    let outcome = match parse_args(&args) {
         Err(message) => {
-            if !message.is_empty() {
-                eprintln!("error: {message}");
-            }
-            eprintln!("{USAGE}");
+            eprint!("error: {message}\n{}", usage());
             return ExitCode::from(2);
         }
+        Ok(Cmd::Help) => {
+            print!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Ok(Cmd::Generate(cmd)) => generate(cmd),
+        Ok(Cmd::Lint(cmd)) => lint(cmd),
+        Ok(Cmd::Exercise(cmd)) => exercise(cmd),
+        Ok(Cmd::AttackGraph(cmd)) => attack_graph(cmd),
+        Ok(Cmd::Serve(cmd)) => serve(*cmd),
+        Ok(Cmd::Watch(cmd)) => watch(cmd),
     };
-    if let Some(notice) = &parsed.deprecation {
-        eprintln!("{notice}");
-    }
-    match parsed.cmd {
-        Cmd::Build { dir, dot } => generate(&dir, None, dot, &Sinks::default(), None),
-        Cmd::Run {
-            dir,
-            seconds,
-            dot,
-            no_check,
-            metrics,
-            journal,
-            trace,
-            spans,
-            fault_seed,
-        } => {
-            if let Some(code) = front_gate(&dir, no_check) {
-                return code;
-            }
-            generate(
-                &dir,
-                Some(seconds),
-                dot,
-                &Sinks {
-                    metrics,
-                    journal,
-                    trace,
-                    spans,
-                },
-                fault_seed,
-            )
-        }
-        Cmd::Lint {
-            dir,
-            format,
-            cache,
-            deny_warnings,
-        } => lint(&dir, format, cache.as_deref(), deny_warnings),
-        Cmd::Exercise {
-            dir,
-            scenario,
-            report,
-            journal,
-            trace,
-            fault_seed,
-            no_check,
-        } => {
-            if let Some(code) = front_gate(&dir, no_check) {
-                return code;
-            }
-            exercise(
-                &dir,
-                scenario.as_deref(),
-                report.as_deref(),
-                &Sinks {
-                    journal,
-                    trace,
-                    ..Sinks::default()
-                },
-                fault_seed,
-            )
-        }
-        Cmd::Serve {
-            dir,
-            tenants,
-            threads,
-            seconds,
-            scenario,
-            out,
-            report,
-            step_budget_ms,
-            max_overruns,
-            max_restarts,
-            restart_backoff_ms,
-            admit_max,
-            fault_seed,
-            status_addr,
-            no_check,
-        } => {
-            if let Some(code) = front_gate(&dir, no_check) {
-                return code;
-            }
-            serve(
-                &dir,
-                ServeOptions {
-                    tenants,
-                    threads,
-                    seconds,
-                    scenario,
-                    out,
-                    report,
-                    step_budget_ms,
-                    max_overruns,
-                    max_restarts,
-                    restart_backoff_ms,
-                    admit_max,
-                    fault_seed,
-                    status_addr,
-                },
-            )
-        }
-        Cmd::Watch {
-            addr,
-            interval_ms,
-            iterations,
-        } => watch(&addr, interval_ms, iterations),
-        Cmd::AttackGraph { dir, format } => attack_graph(&dir, format),
-    }
+    outcome.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        ExitCode::FAILURE
+    })
 }
 
-/// Output files requested for a `run`: each enables the corresponding part of
-/// the observability subsystem only when set.
-#[derive(Debug, Default)]
+/// Output files requested for a `run` or `exercise`: each enables the
+/// corresponding part of the observability subsystem only when set.
+#[derive(Debug, Default, PartialEq)]
 struct Sinks {
     metrics: Option<String>,
     journal: Option<String>,
@@ -757,15 +537,84 @@ struct Sinks {
 }
 
 impl Sinks {
-    /// True when any telemetry sink (metrics or journal) was requested.
-    fn wants_telemetry(&self) -> bool {
-        self.metrics.is_some() || self.journal.is_some()
+    /// A telemetry handle that records what the sinks need: spans for a
+    /// trace or span log, metrics and journal for those sinks or when
+    /// `always` is set, and otherwise the zero-overhead disabled handle.
+    fn telemetry(&self, always: bool) -> Telemetry {
+        if self.trace.is_some() || self.spans.is_some() {
+            Telemetry::with_tracing()
+        } else if always || self.metrics.is_some() || self.journal.is_some() {
+            Telemetry::new()
+        } else {
+            Telemetry::disabled()
+        }
     }
 
-    /// True when any tracing sink (Chrome trace or span log) was requested.
-    fn wants_tracing(&self) -> bool {
-        self.trace.is_some() || self.spans.is_some()
+    /// Writes whichever sinks were requested.
+    fn write(&self, telemetry: &Telemetry) -> Result<(), String> {
+        if let Some(path) = &self.metrics {
+            write_file(path, "metrics", telemetry.snapshot().to_json())?;
+            eprintln!("metrics snapshot written to {path}");
+        }
+        if let Some(path) = &self.journal {
+            write_file(path, "journal", telemetry.journal_jsonl())?;
+            eprintln!(
+                "event journal written to {path} ({} events, {} evicted)",
+                telemetry.events().len(),
+                telemetry.events_dropped()
+            );
+        }
+        if let Some(path) = &self.trace {
+            write_file(path, "trace", telemetry.tracer().chrome_trace_json())?;
+            eprintln!(
+                "Chrome trace written to {path} ({} spans, {} evicted) — open in ui.perfetto.dev",
+                telemetry.spans().len(),
+                telemetry.spans_dropped()
+            );
+        }
+        if let Some(path) = &self.spans {
+            write_file(path, "span log", telemetry.tracer().spans_jsonl())?;
+            eprintln!("span log written to {path}");
+        }
+        Ok(())
     }
+}
+
+fn write_file(path: &str, what: &str, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {what} to {path}: {e}"))
+}
+
+fn parse_scenario(xml: &str) -> Result<Scenario, String> {
+    Scenario::parse(xml).map_err(|e| format!("invalid scenario: {e}"))
+}
+
+fn read_scenario(path: &str) -> Result<Scenario, String> {
+    parse_scenario(&std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?)
+}
+
+/// Loads and compiles the bundle, reporting what was loaded and the
+/// compiler's diagnostics on stderr — the preamble of every subcommand
+/// that builds a model.
+fn compile(dir: &str) -> Result<(SgmlBundle, Arc<CompiledModel>), String> {
+    let bundle = SgmlBundle::from_dir(dir).map_err(|e| e.to_string())?;
+    eprintln!(
+        "loaded {}: {} SSD, {} SCD, {} ICD, {} SED, supplementary: ied={} scada={} plc={} power={}",
+        dir,
+        bundle.ssds.len(),
+        bundle.scds.len(),
+        bundle.icds.len(),
+        bundle.seds.len(),
+        bundle.ied_config.is_some(),
+        bundle.scada_config.is_some(),
+        bundle.plc_config.is_some(),
+        bundle.power_extra.is_some(),
+    );
+    let model =
+        CompiledModel::shared(&bundle).map_err(|e| format!("model set does not compile:\n{e}"))?;
+    for d in &model.diagnostics {
+        eprintln!("  {d}");
+    }
+    Ok((bundle, model))
 }
 
 /// Lint exit code for a finished report under the documented contract:
@@ -785,45 +634,35 @@ fn lint_exit_code(lint_report: &sgcr_lint::LintReport, deny_warnings: bool) -> E
 /// With `--cache <dir>` the incremental query engine answers from memoized
 /// per-file results where file contents are unchanged; reuse statistics go
 /// to stderr so stdout stays byte-identical to an uncached run.
-fn lint(dir: &str, format: Format, cache: Option<&str>, deny_warnings: bool) -> ExitCode {
-    let (lint_report, bundle) = if let Some(cache_dir) = cache {
-        match engine::lint_dir_incremental(dir, std::path::Path::new(cache_dir)) {
-            Ok(outcome) => {
-                eprintln!(
-                    "lint cache: {} reused, {} recomputed queries",
-                    outcome.stats.reused, outcome.stats.recomputed
-                );
-                (outcome.report, outcome.bundle)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+fn lint(cmd: Lint) -> Outcome {
+    let (lint_report, bundle) = match &cmd.cache {
+        Some(cache_dir) => {
+            let outcome =
+                engine::lint_dir_incremental(&cmd.dir, cache_dir).map_err(|e| e.to_string())?;
+            eprintln!(
+                "lint cache: {} reused, {} recomputed queries",
+                outcome.stats.reused, outcome.stats.recomputed
+            );
+            (outcome.report, outcome.bundle)
         }
-    } else {
-        let bundle = match LoadedBundle::from_dir(dir) {
-            Ok(bundle) => bundle,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let lint_report = lint_bundle(&bundle);
-        (lint_report, bundle)
+        None => {
+            let bundle = LoadedBundle::from_dir(&cmd.dir).map_err(|e| e.to_string())?;
+            (lint_bundle(&bundle), bundle)
+        }
     };
-    match format {
+    match cmd.format {
         Format::Text => print!("{}", report::render_text(&lint_report, &bundle)),
         Format::Json => print!("{}", json::to_json(&lint_report)),
         Format::Sarif => print!("{}", sarif::to_sarif(&lint_report)),
     }
-    lint_exit_code(&lint_report, deny_warnings)
+    Ok(lint_exit_code(&lint_report, cmd.deny_warnings))
 }
 
-/// The pre-flight static check `run` and `exercise` perform before building
-/// the range. Lint errors abort with exit 2 and the findings on stderr;
-/// warnings are reported but do not block. Returns `None` when the range
-/// may start. `--no-check` (or an unreadable directory, which the builder
-/// will report properly) skips the gate.
+/// The pre-flight static check of every subcommand that starts a range.
+/// Lint errors abort with exit 2 and the findings on stderr; warnings are
+/// reported but do not block. Returns `None` when the range may start:
+/// with `--no-check`, or for an unreadable directory, which compiling it
+/// reports properly.
 fn front_gate(dir: &str, no_check: bool) -> Option<ExitCode> {
     if no_check {
         return None;
@@ -847,80 +686,37 @@ fn front_gate(dir: &str, no_check: bool) -> Option<ExitCode> {
 
 /// Runs a declarative exercise scenario against a freshly generated range
 /// and prints the scored after-action report.
-fn exercise(
-    dir: &str,
-    scenario_path: Option<&str>,
-    report_path: Option<&str>,
-    sinks: &Sinks,
-    fault_seed: Option<u64>,
-) -> ExitCode {
-    let bundle = match SgmlBundle::from_dir(dir) {
-        Ok(bundle) => bundle,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+fn exercise(cmd: Exercise) -> Outcome {
+    if let Some(code) = front_gate(&cmd.dir, cmd.no_check) {
+        return Ok(code);
+    }
+    let dir = &cmd.dir;
+    let (bundle, model) = compile(dir)?;
+    let mut scenario = match (&cmd.scenario, bundle.scenarios.as_slice()) {
+        (Some(path), _) => read_scenario(path)?,
+        (None, [only]) => parse_scenario(only)?,
+        (None, []) => {
+            return Err(format!(
+                "{dir} ships no *.scenario.xml; pass --scenario <file>"
+            ))
         }
-    };
-    let xml = match scenario_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match bundle.scenarios.as_slice() {
-            [only] => only.clone(),
-            [] => {
-                eprintln!("error: {dir} ships no *.scenario.xml; pass --scenario <file>");
-                return ExitCode::FAILURE;
-            }
-            many => {
-                eprintln!(
-                    "error: {dir} ships {} scenario files; pass --scenario <file>",
-                    many.len()
-                );
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let mut scenario = match Scenario::parse(&xml) {
-        Ok(scenario) => scenario,
-        Err(e) => {
-            eprintln!("error: invalid scenario: {e}");
-            return ExitCode::FAILURE;
+        (None, many) => {
+            return Err(format!(
+                "{dir} ships {} scenario files; pass --scenario <file>",
+                many.len()
+            ))
         }
     };
     // The command line wins over the scenario's own faultSeed= attribute.
-    if fault_seed.is_some() {
-        scenario.fault_seed = fault_seed;
+    if cmd.fault_seed.is_some() {
+        scenario.fault_seed = cmd.fault_seed;
     }
 
-    let telemetry = if sinks.wants_tracing() {
-        Telemetry::with_tracing()
-    } else {
-        Telemetry::new()
-    };
-    let model = match CompiledModel::shared(&bundle) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: model set does not compile:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for d in &model.diagnostics {
-        eprintln!("  {d}");
-    }
-    let mut range = match RangeBuilder::from_model(model)
+    let telemetry = cmd.sinks.telemetry(true);
+    let mut range = RangeBuilder::from_model(model)
         .telemetry(telemetry.clone())
         .build()
-    {
-        Ok(range) => range,
-        Err(e) => {
-            eprintln!("error: range cannot be instantiated:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        .map_err(|e| format!("range cannot be instantiated:\n{e}"))?;
     eprintln!(
         "running exercise {:?} ({} stages, {} objectives, {} ms)…",
         scenario.name,
@@ -928,186 +724,82 @@ fn exercise(
         scenario.objectives.len(),
         scenario.duration_ms
     );
-    let exercise_report = match run_exercise(&mut range, &scenario) {
-        Ok(exercise_report) => exercise_report,
-        Err(e) => {
-            eprintln!("error: exercise cannot run: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let exercise_report =
+        run_exercise(&mut range, &scenario).map_err(|e| format!("exercise cannot run: {e}"))?;
     print!("{}", exercise_report.to_text());
-    if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(path, exercise_report.to_json()) {
-            eprintln!("error: cannot write report to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &cmd.report {
+        write_file(path, "report", exercise_report.to_json())?;
         eprintln!("JSON report written to {path}");
     }
-    if !write_sinks(sinks, &telemetry) {
-        return ExitCode::FAILURE;
-    }
+    cmd.sinks.write(&telemetry)?;
     // Failed objectives are scored results, not tool failures.
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Derives the attack graph from the compiled model and prints it — the
 /// adversary plane's view of the bundle, for inspection and tooling.
-fn attack_graph(dir: &str, format: GraphFormat) -> ExitCode {
-    let bundle = match SgmlBundle::from_dir(dir) {
-        Ok(bundle) => bundle,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let model = match CompiledModel::compile(&bundle) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: model set does not compile:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let graph = AttackGraph::derive(&model);
-    match format {
+fn attack_graph(cmd: AttackGraph) -> Outcome {
+    let (_, model) = compile(&cmd.dir)?;
+    let graph = sgcr_adversary::AttackGraph::derive(&model);
+    match cmd.format {
         GraphFormat::Json => println!("{}", graph.to_json()),
         GraphFormat::Dot => print!("{}", graph.to_dot()),
     }
-    ExitCode::SUCCESS
-}
-
-/// The `serve` subcommand's flag surface, bundled so it can grow without
-/// the function signature sprawling.
-struct ServeOptions {
-    tenants: usize,
-    threads: usize,
-    seconds: u64,
-    scenario: Option<String>,
-    out: Option<String>,
-    report: Option<String>,
-    step_budget_ms: Option<u64>,
-    max_overruns: u64,
-    max_restarts: u64,
-    restart_backoff_ms: u64,
-    admit_max: usize,
-    fault_seed: u64,
-    status_addr: Option<String>,
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The multi-tenant range farm: compiles the bundle once, then multiplexes
-/// `tenants` independent ranges (or exercises) across a worker pool via
-/// `sgcr-farm`, streaming per-tenant journals/metrics and reporting farm
-/// throughput and step-latency percentiles.
-fn serve(dir: &str, opts: ServeOptions) -> ExitCode {
-    let ServeOptions {
-        tenants,
-        threads,
-        seconds,
-        scenario,
-        out,
-        report,
-        step_budget_ms,
-        max_overruns,
-        max_restarts,
-        restart_backoff_ms,
-        admit_max,
-        fault_seed,
-        status_addr,
-    } = opts;
-    let (scenario_path, out, report_path) =
-        (scenario.as_deref(), out.as_deref(), report.as_deref());
-    let bundle = match SgmlBundle::from_dir(dir) {
-        Ok(bundle) => bundle,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scenario = match scenario_path {
-        Some(path) => {
-            let xml = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("error: reading {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match Scenario::parse(&xml) {
-                Ok(scenario) => Some(scenario),
-                Err(e) => {
-                    eprintln!("error: invalid scenario: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-
-    let compile_start = std::time::Instant::now();
-    let model = match CompiledModel::shared(&bundle) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: model set does not compile:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for d in &model.diagnostics {
-        eprintln!("  {d}");
+/// `farm.tenants` independent ranges (or exercises) across a worker pool
+/// via `sgcr-farm`, streaming per-tenant journals/metrics and reporting
+/// farm throughput and step-latency percentiles.
+fn serve(cmd: Serve) -> Outcome {
+    if let Some(code) = front_gate(&cmd.dir, cmd.no_check) {
+        return Ok(code);
     }
+    let mut farm = cmd.farm;
+    farm.scenario = cmd.scenario.as_deref().map(read_scenario).transpose()?;
+    let compile_start = Instant::now();
+    let (_, model) = compile(&cmd.dir)?;
     eprintln!(
         "compiled once in {:.1} ms: {}",
         compile_start.elapsed().as_secs_f64() * 1e3,
         model.summary()
     );
     eprintln!(
-        "serving {tenants} tenants x {seconds} s{}…",
-        match &scenario {
+        "serving {} tenants x {} s{}…",
+        farm.tenants,
+        farm.sim_seconds,
+        match &farm.scenario {
             Some(s) => format!(" of exercise {:?}", s.name),
             None => String::new(),
         }
     );
-    if let Some(addr) = &status_addr {
+    if let Some(addr) = &farm.status_addr {
         eprintln!(
             "live status endpoint on http://{addr}/ (/metrics /status /healthz; \
              POST /tenants, DELETE /tenants/<id>)"
         );
     }
-    if max_restarts > 0 {
-        eprintln!("supervisor on: up to {max_restarts} restart(s)/tenant from mid-run checkpoints");
+    if farm.restart_max > 0 {
+        eprintln!(
+            "supervisor on: up to {} restart(s)/tenant from mid-run checkpoints",
+            farm.restart_max
+        );
     }
 
-    let config = FarmConfig {
-        tenants,
-        threads,
-        sim_seconds: seconds,
-        step_budget_ms,
-        max_overruns,
-        base_fault_seed: fault_seed,
-        interval: None,
-        scenario,
-        out_dir: out.map(std::path::PathBuf::from),
-        status_addr,
-        collect_interval_ms: 0,
-        restart_max: max_restarts,
-        restart_backoff_ms,
-        admit_max,
-    };
-    let farm_report = run_farm(model, &config);
+    let farm_report = run_farm(model, &farm);
     print!("{}", farm_report.to_text());
-    if let Some(dir) = out {
-        eprintln!("per-tenant journals/metrics written to {dir}/");
+    if let Some(out) = &farm.out_dir {
+        eprintln!("per-tenant journals/metrics written to {}/", out.display());
     }
-    if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(path, farm_report.to_json()) {
-            eprintln!("error: cannot write report to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &cmd.report {
+        write_file(path, "report", farm_report.to_json())?;
         eprintln!("farm report written to {path}");
     }
     if farm_report.tenants_failed > 0 {
-        eprintln!("error: {} tenant(s) failed", farm_report.tenants_failed);
-        return ExitCode::FAILURE;
+        return Err(format!("{} tenant(s) failed", farm_report.tenants_failed));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// How many consecutive failed scrapes `watch` tolerates (each retried
@@ -1116,8 +808,8 @@ const WATCH_MAX_FAILURES: u32 = 6;
 
 /// The `watch` retry backoff before attempt number `failures`: doubling
 /// from 100 ms, capped at 2 s.
-fn watch_backoff(failures: u32) -> std::time::Duration {
-    std::time::Duration::from_millis((100u64 << failures.saturating_sub(1).min(5)).min(2000))
+fn watch_backoff(failures: u32) -> Duration {
+    Duration::from_millis((100u64 << failures.saturating_sub(1).min(5)).min(2000))
 }
 
 /// Polls a running farm's `--status-addr` endpoint and redraws a per-tenant
@@ -1128,7 +820,8 @@ fn watch_backoff(failures: u32) -> std::time::Duration {
 /// exponential backoff, and only [`WATCH_MAX_FAILURES`] consecutive
 /// failures end the session — success if the farm was ever reached (it
 /// finished and closed the endpoint), failure if it never was.
-fn watch(addr: &str, interval_ms: u64, iterations: Option<u64>) -> ExitCode {
+fn watch(cmd: Watch) -> Outcome {
+    let addr = &cmd.addr;
     let mut polled = 0u64;
     let mut ever_connected = false;
     let mut failures = 0u32;
@@ -1137,28 +830,23 @@ fn watch(addr: &str, interval_ms: u64, iterations: Option<u64>) -> ExitCode {
             Ok(body) => {
                 ever_connected = true;
                 failures = 0;
-                match render_watch(&body) {
-                    Ok(frame) => {
-                        // ANSI clear-screen + cursor-home, then the frame.
-                        print!("\x1b[2J\x1b[H{frame}");
-                        use std::io::Write as _;
-                        let _ = std::io::stdout().flush();
-                    }
-                    Err(e) => {
-                        eprintln!("error: malformed /status response from {addr}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
+                let frame = render_watch(&body)
+                    .map_err(|e| format!("malformed /status response from {addr}: {e}"))?;
+                // ANSI clear-screen + cursor-home, then the frame.
+                print!("\x1b[2J\x1b[H{frame}");
+                use std::io::Write as _;
+                let _ = std::io::stdout().flush();
             }
             Err(e) => {
                 failures += 1;
                 if failures >= WATCH_MAX_FAILURES {
                     if ever_connected {
                         println!("status endpoint {addr} closed — farm finished");
-                        return ExitCode::SUCCESS;
+                        return Ok(ExitCode::SUCCESS);
                     }
-                    eprintln!("error: cannot reach {addr} after {failures} attempts: {e}");
-                    return ExitCode::FAILURE;
+                    return Err(format!(
+                        "cannot reach {addr} after {failures} attempts: {e}"
+                    ));
                 }
                 let backoff = watch_backoff(failures);
                 eprintln!(
@@ -1171,12 +859,10 @@ fn watch(addr: &str, interval_ms: u64, iterations: Option<u64>) -> ExitCode {
             }
         }
         polled += 1;
-        if let Some(max) = iterations {
-            if polled >= max {
-                return ExitCode::SUCCESS;
-            }
+        if cmd.iterations.is_some_and(|max| polled >= max) {
+            return Ok(ExitCode::SUCCESS);
         }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(50)));
+        std::thread::sleep(Duration::from_millis(cmd.interval_ms.max(50)));
     }
 }
 
@@ -1233,113 +919,30 @@ fn render_watch(body: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Writes whichever observability sinks were requested; false on I/O error.
-fn write_sinks(sinks: &Sinks, telemetry: &Telemetry) -> bool {
-    if let Some(path) = &sinks.metrics {
-        if let Err(e) = std::fs::write(path, telemetry.snapshot().to_json()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            return false;
-        }
-        eprintln!("metrics snapshot written to {path}");
-    }
-    if let Some(path) = &sinks.journal {
-        if let Err(e) = std::fs::write(path, telemetry.journal_jsonl()) {
-            eprintln!("error: cannot write journal to {path}: {e}");
-            return false;
-        }
-        eprintln!(
-            "event journal written to {path} ({} events, {} evicted)",
-            telemetry.events().len(),
-            telemetry.events_dropped()
-        );
-    }
-    if let Some(path) = &sinks.trace {
-        if let Err(e) = std::fs::write(path, telemetry.tracer().chrome_trace_json()) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            return false;
-        }
-        eprintln!(
-            "Chrome trace written to {path} ({} spans, {} evicted) — open in ui.perfetto.dev",
-            telemetry.spans().len(),
-            telemetry.spans_dropped()
-        );
-    }
-    if let Some(path) = &sinks.spans {
-        if let Err(e) = std::fs::write(path, telemetry.tracer().spans_jsonl()) {
-            eprintln!("error: cannot write span log to {path}: {e}");
-            return false;
-        }
-        eprintln!("span log written to {path}");
-    }
-    true
-}
-
 /// Generates (and for `run`, co-simulates) the cyber range. Telemetry is
 /// enabled only when a `--metrics` or `--journal` sink was requested, and
 /// causal tracing only when `--trace` or `--spans` was given, so a plain run
 /// keeps the zero-overhead disabled path.
-fn generate(
-    dir: &str,
-    run_seconds: Option<u64>,
-    dot: bool,
-    sinks: &Sinks,
-    fault_seed: Option<u64>,
-) -> ExitCode {
-    let bundle = match SgmlBundle::from_dir(dir) {
-        Ok(bundle) => bundle,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "loaded {}: {} SSD, {} SCD, {} ICD, {} SED, supplementary: ied={} scada={} plc={} power={}",
-        dir,
-        bundle.ssds.len(),
-        bundle.scds.len(),
-        bundle.icds.len(),
-        bundle.seds.len(),
-        bundle.ied_config.is_some(),
-        bundle.scada_config.is_some(),
-        bundle.plc_config.is_some(),
-        bundle.power_extra.is_some(),
-    );
-
-    let telemetry = if sinks.wants_tracing() {
-        Telemetry::with_tracing()
-    } else if sinks.wants_telemetry() {
-        Telemetry::new()
-    } else {
-        Telemetry::disabled()
-    };
-    let model = match CompiledModel::shared(&bundle) {
-        Ok(model) => model,
-        Err(e) => {
-            eprintln!("error: model set does not compile:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for d in &model.diagnostics {
-        eprintln!("  {d}");
+fn generate(cmd: Generate) -> Outcome {
+    if let Some(code) = front_gate(&cmd.dir, cmd.no_check) {
+        return Ok(code);
     }
+    let (_, model) = compile(&cmd.dir)?;
+    let telemetry = cmd.sinks.telemetry(false);
     let mut builder = RangeBuilder::from_model(model).telemetry(telemetry.clone());
-    if let Some(seed) = fault_seed {
+    if let Some(seed) = cmd.fault_seed {
         builder = builder.fault_seed(seed);
     }
-    let mut range = match builder.build() {
-        Ok(range) => range,
-        Err(e) => {
-            eprintln!("error: range cannot be instantiated:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut range = builder
+        .build()
+        .map_err(|e| format!("range cannot be instantiated:\n{e}"))?;
     println!("{}", range.summary());
-    if dot {
+    if cmd.dot {
         println!("{}", range.plan().to_dot());
     }
-    if let Some(seconds) = run_seconds {
+    if let Some(seconds) = cmd.seconds {
         eprintln!("running {seconds} s of co-simulated time…");
-        let wall = std::time::Instant::now();
+        let wall = Instant::now();
         range.run_for(SimDuration::from_secs(seconds));
         eprintln!(
             "done: {} power-flow steps ({} solve errors) in {:.2} s wall clock",
@@ -1363,10 +966,8 @@ fn generate(
             }
         }
     }
-    if !write_sinks(sinks, &telemetry) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    cmd.sinks.write(&telemetry)?;
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -1374,87 +975,97 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use std::path::Path;
 
-    fn argv(line: &str) -> Vec<String> {
-        line.split_whitespace().map(String::from).collect()
+    fn parse(line: &str) -> Result<Cmd, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    fn run_cmd(line: &str) -> Generate {
+        match parse(line).unwrap() {
+            Cmd::Generate(cmd) => cmd,
+            other => panic!("expected run, got {other:?}"),
+        }
+    }
+
+    fn exercise_cmd(line: &str) -> Exercise {
+        match parse(line).unwrap() {
+            Cmd::Exercise(cmd) => cmd,
+            other => panic!("expected exercise, got {other:?}"),
+        }
+    }
+
+    fn serve_cmd(line: &str) -> Serve {
+        match parse(line).unwrap() {
+            Cmd::Serve(cmd) => *cmd,
+            other => panic!("expected serve, got {other:?}"),
+        }
+    }
+
+    fn lint_cmd(line: &str) -> Lint {
+        match parse(line).unwrap() {
+            Cmd::Lint(cmd) => cmd,
+            other => panic!("expected lint, got {other:?}"),
+        }
     }
 
     #[test]
     fn build_subcommand_parses() {
-        let parsed = parse_args(&argv("build bundles/epic --dot")).unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Build {
+            run_cmd("build bundles/epic --dot"),
+            Generate {
                 dir: "bundles/epic".into(),
-                dot: true
+                seconds: None,
+                dot: true,
+                no_check: true,
+                sinks: Sinks::default(),
+                fault_seed: None,
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn run_subcommand_parses_all_flags() {
-        let parsed = parse_args(&argv(
-            "run bundles/epic --seconds 30 --metrics m.json --journal j.jsonl \
-             --trace t.json --spans s.jsonl --fault-seed 99",
-        ))
-        .unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Run {
+            run_cmd(
+                "run bundles/epic --seconds 30 --metrics m.json --journal j.jsonl \
+                 --trace t.json --spans s.jsonl --fault-seed 99"
+            ),
+            Generate {
                 dir: "bundles/epic".into(),
-                seconds: 30,
+                seconds: Some(30),
                 dot: false,
                 no_check: false,
-                metrics: Some("m.json".into()),
-                journal: Some("j.jsonl".into()),
-                trace: Some("t.json".into()),
-                spans: Some("s.jsonl".into()),
+                sinks: Sinks {
+                    metrics: Some("m.json".into()),
+                    journal: Some("j.jsonl".into()),
+                    trace: Some("t.json".into()),
+                    spans: Some("s.jsonl".into()),
+                },
                 fault_seed: Some(99),
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn run_accepts_no_check() {
-        let parsed = parse_args(&argv("run bundles/epic --no-check")).unwrap();
-        match parsed.cmd {
-            Cmd::Run { no_check, .. } => assert!(no_check),
-            other => panic!("expected run, got {other:?}"),
-        }
+        assert!(run_cmd("run bundles/epic --no-check").no_check);
     }
 
     #[test]
     fn run_defaults_seconds() {
-        let parsed = parse_args(&argv("run bundles/epic")).unwrap();
-        match parsed.cmd {
-            Cmd::Run {
-                seconds,
-                metrics,
-                journal,
-                trace,
-                spans,
-                fault_seed,
-                ..
-            } => {
-                assert_eq!(seconds, DEFAULT_RUN_SECONDS);
-                assert!(metrics.is_none());
-                assert!(journal.is_none());
-                assert!(trace.is_none());
-                assert!(spans.is_none());
-                assert!(fault_seed.is_none());
-            }
-            other => panic!("expected run, got {other:?}"),
-        }
+        let cmd = run_cmd("run bundles/epic");
+        assert_eq!(cmd.seconds, Some(DEFAULT_RUN_SECONDS));
+        assert_eq!(cmd.sinks, Sinks::default());
+        assert!(cmd.fault_seed.is_none());
     }
 
     #[test]
     fn lint_subcommand_parses_format() {
-        let parsed = parse_args(&argv("lint bundles/epic --format json")).unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Lint {
+            lint_cmd("lint bundles/epic --format json"),
+            Lint {
                 dir: "bundles/epic".into(),
                 format: Format::Json,
                 cache: None,
@@ -1465,13 +1076,9 @@ mod tests {
 
     #[test]
     fn lint_subcommand_parses_sarif_cache_and_deny_warnings() {
-        let parsed = parse_args(&argv(
-            "lint bundles/epic --format sarif --cache .lint-cache --deny-warnings",
-        ))
-        .unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Lint {
+            lint_cmd("lint bundles/epic --format sarif --cache .lint-cache --deny-warnings"),
+            Lint {
                 dir: "bundles/epic".into(),
                 format: Format::Sarif,
                 cache: Some(".lint-cache".into()),
@@ -1500,97 +1107,41 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_dir_maps_to_build_with_warning() {
-        let parsed = parse_args(&argv("bundles/epic --dot")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Build {
-                dir: "bundles/epic".into(),
-                dot: true
-            }
-        );
-        let notice = parsed.deprecation.unwrap();
-        assert!(notice.contains("deprecated"));
-        assert!(notice.contains("build bundles/epic"));
-    }
-
-    #[test]
-    fn legacy_run_flag_maps_to_run() {
-        let parsed = parse_args(&argv("bundles/epic --run 5")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Run {
-                dir: "bundles/epic".into(),
-                seconds: 5,
-                dot: false,
-                no_check: false,
-                metrics: None,
-                journal: None,
-                trace: None,
-                spans: None,
-                fault_seed: None,
-            }
-        );
-        assert!(parsed.deprecation.unwrap().contains("--seconds 5"));
-    }
-
-    #[test]
-    fn legacy_validate_only_maps_to_lint() {
-        let parsed = parse_args(&argv("bundles/epic --validate-only --format json")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Lint {
-                dir: "bundles/epic".into(),
-                format: Format::Json,
-                cache: None,
-                deny_warnings: false,
-            }
-        );
-        assert!(parsed.deprecation.is_some());
-    }
-
-    #[test]
     fn exercise_subcommand_parses_all_flags() {
-        let parsed = parse_args(&argv(
-            "exercise bundles/epic --scenario s.scenario.xml --report r.json \
-             --journal j.jsonl --trace t.json --fault-seed 7",
-        ))
-        .unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Exercise {
+            exercise_cmd(
+                "exercise bundles/epic --scenario s.scenario.xml --report r.json \
+                 --journal j.jsonl --trace t.json --fault-seed 7"
+            ),
+            Exercise {
                 dir: "bundles/epic".into(),
                 scenario: Some("s.scenario.xml".into()),
                 report: Some("r.json".into()),
-                journal: Some("j.jsonl".into()),
-                trace: Some("t.json".into()),
+                sinks: Sinks {
+                    journal: Some("j.jsonl".into()),
+                    trace: Some("t.json".into()),
+                    ..Sinks::default()
+                },
                 fault_seed: Some(7),
                 no_check: false,
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn exercise_accepts_no_check() {
-        let parsed = parse_args(&argv("exercise bundles/epic --no-check")).unwrap();
-        match parsed.cmd {
-            Cmd::Exercise { no_check, .. } => assert!(no_check),
-            other => panic!("expected exercise, got {other:?}"),
-        }
+        assert!(exercise_cmd("exercise bundles/epic --no-check").no_check);
     }
 
     #[test]
     fn exercise_scenario_and_report_are_optional() {
-        let parsed = parse_args(&argv("exercise bundles/epic")).unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Exercise {
+            exercise_cmd("exercise bundles/epic"),
+            Exercise {
                 dir: "bundles/epic".into(),
                 scenario: None,
                 report: None,
-                journal: None,
-                trace: None,
+                sinks: Sinks::default(),
                 fault_seed: None,
                 no_check: false,
             }
@@ -1599,98 +1150,101 @@ mod tests {
 
     #[test]
     fn attack_graph_subcommand_parses() {
-        let parsed = parse_args(&argv("attack-graph bundles/epic")).unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::AttackGraph {
+        let graph = |format| {
+            Cmd::AttackGraph(AttackGraph {
                 dir: "bundles/epic".into(),
-                format: GraphFormat::Json,
-            }
+                format,
+            })
+        };
+        assert_eq!(
+            parse("attack-graph bundles/epic"),
+            Ok(graph(GraphFormat::Json))
         );
-        let parsed = parse_args(&argv("attack-graph bundles/epic --format dot")).unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::AttackGraph {
-                dir: "bundles/epic".into(),
-                format: GraphFormat::Dot,
-            }
+            parse("attack-graph bundles/epic --format dot"),
+            Ok(graph(GraphFormat::Dot))
         );
     }
 
     #[test]
     fn attack_graph_rejects_bad_format() {
-        assert!(parse_args(&argv("attack-graph bundles/epic --format sarif")).is_err());
-        assert!(parse_args(&argv("attack-graph bundles/epic --dot")).is_err());
-        assert!(parse_args(&argv("attack-graph")).is_err());
+        assert!(parse("attack-graph bundles/epic --format sarif").is_err());
+        assert!(parse("attack-graph bundles/epic --dot").is_err());
+        assert!(parse("attack-graph").is_err());
     }
 
     #[test]
     fn serve_subcommand_parses_all_flags() {
-        let parsed = parse_args(&argv(
-            "serve bundles/epic --tenants 128 --threads 4 --seconds 30 \
-             --scenario s.scenario.xml --out /tmp/farm --report farm.json \
-             --step-budget-ms 100 --max-overruns 5 --max-restarts 3 \
-             --restart-backoff-ms 50 --admit-max 16 --fault-seed 42 \
-             --status-addr 127.0.0.1:9644 --no-check",
-        ))
-        .unwrap();
         assert_eq!(
-            parsed.cmd,
-            Cmd::Serve {
+            serve_cmd(
+                "serve bundles/epic --tenants 128 --threads 4 --seconds 30 \
+                 --scenario s.scenario.xml --out /tmp/farm --report farm.json \
+                 --step-budget-ms 100 --max-overruns 5 --max-restarts 3 \
+                 --restart-backoff-ms 50 --admit-max 16 --fault-seed 42 \
+                 --status-addr 127.0.0.1:9644 --no-check"
+            ),
+            Serve {
                 dir: "bundles/epic".into(),
-                tenants: 128,
-                threads: 4,
-                seconds: 30,
                 scenario: Some("s.scenario.xml".into()),
-                out: Some("/tmp/farm".into()),
                 report: Some("farm.json".into()),
-                step_budget_ms: Some(100),
-                max_overruns: 5,
-                max_restarts: 3,
-                restart_backoff_ms: 50,
-                admit_max: 16,
-                fault_seed: 42,
-                status_addr: Some("127.0.0.1:9644".into()),
                 no_check: true,
+                farm: FarmConfig {
+                    tenants: 128,
+                    threads: 4,
+                    sim_seconds: 30,
+                    step_budget_ms: Some(100),
+                    max_overruns: 5,
+                    base_fault_seed: 42,
+                    out_dir: Some("/tmp/farm".into()),
+                    status_addr: Some("127.0.0.1:9644".into()),
+                    restart_max: 3,
+                    restart_backoff_ms: 50,
+                    admit_max: 16,
+                    ..FarmConfig::default()
+                },
             }
         );
-        assert!(parsed.deprecation.is_none());
     }
 
     #[test]
     fn serve_status_addr_is_optional() {
-        let parsed = parse_args(&argv("serve bundles/epic")).unwrap();
-        match parsed.cmd {
-            Cmd::Serve { status_addr, .. } => assert!(status_addr.is_none()),
-            other => panic!("expected serve, got {other:?}"),
-        }
+        assert!(serve_cmd("serve bundles/epic").farm.status_addr.is_none());
+    }
+
+    #[test]
+    fn serve_defaults_are_sensible() {
+        let farm = serve_cmd("serve bundles/epic").farm;
+        assert_eq!(farm.tenants, DEFAULT_SERVE_TENANTS);
+        assert_eq!(farm.threads, 0); // one per core
+        assert_eq!(farm.sim_seconds, DEFAULT_SERVE_SECONDS);
+        assert_eq!(farm.base_fault_seed, 0);
+        assert_eq!(farm.restart_max, 0); // supervision off by default
+        assert_eq!(farm.restart_backoff_ms, 0); // 0 = library default
+        assert_eq!(farm.admit_max, 0); // no dynamic headroom by default
+        assert!(farm.scenario.is_none() && farm.out_dir.is_none());
+    }
+
+    #[test]
+    fn serve_rejects_zero_tenants() {
+        assert!(parse("serve bundles/epic --tenants 0").is_err());
     }
 
     #[test]
     fn watch_subcommand_parses_flags_and_defaults() {
-        let parsed = parse_args(&argv(
-            "watch 127.0.0.1:9644 --interval-ms 250 --iterations 3",
-        ))
-        .unwrap();
-        assert_eq!(
-            parsed.cmd,
-            Cmd::Watch {
+        let watch = |interval_ms, iterations| {
+            Ok(Cmd::Watch(Watch {
                 addr: "127.0.0.1:9644".into(),
-                interval_ms: 250,
-                iterations: Some(3),
-            }
-        );
-        let parsed = parse_args(&argv("watch 127.0.0.1:9644")).unwrap();
+                interval_ms,
+                iterations,
+            }))
+        };
         assert_eq!(
-            parsed.cmd,
-            Cmd::Watch {
-                addr: "127.0.0.1:9644".into(),
-                interval_ms: 1000,
-                iterations: None,
-            }
+            parse("watch 127.0.0.1:9644 --interval-ms 250 --iterations 3"),
+            watch(250, Some(3))
         );
-        assert!(parse_args(&argv("watch")).is_err());
-        assert!(parse_args(&argv("watch 127.0.0.1:9644 --bogus")).is_err());
+        assert_eq!(parse("watch 127.0.0.1:9644"), watch(1000, None));
+        assert!(parse("watch").is_err());
+        assert!(parse("watch 127.0.0.1:9644 --bogus").is_err());
     }
 
     #[test]
@@ -1712,32 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_defaults_are_sensible() {
-        let parsed = parse_args(&argv("serve bundles/epic")).unwrap();
-        match parsed.cmd {
-            Cmd::Serve {
-                tenants,
-                threads,
-                seconds,
-                fault_seed,
-                max_restarts,
-                restart_backoff_ms,
-                admit_max,
-                ..
-            } => {
-                assert_eq!(tenants, DEFAULT_SERVE_TENANTS);
-                assert_eq!(threads, 0); // one per core
-                assert_eq!(seconds, DEFAULT_SERVE_SECONDS);
-                assert_eq!(fault_seed, 0);
-                assert_eq!(max_restarts, 0); // supervision off by default
-                assert_eq!(restart_backoff_ms, 0); // 0 = library default
-                assert_eq!(admit_max, 0); // no dynamic headroom by default
-            }
-            other => panic!("expected serve, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn watch_backoff_doubles_and_caps() {
         assert_eq!(watch_backoff(1).as_millis(), 100);
         assert_eq!(watch_backoff(2).as_millis(), 200);
@@ -1748,27 +1276,146 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_zero_tenants() {
-        assert!(parse_args(&argv("serve bundles/epic --tenants 0")).is_err());
+    fn errors_are_reported() {
+        assert!(parse_args(&[]).is_err());
+        assert!(parse("run").is_err());
+        assert!(parse("run bundles/epic --seconds abc").is_err());
+        assert!(parse("run bundles/epic --metrics").is_err());
+        assert!(parse("run bundles/epic --trace").is_err());
+        assert!(parse("run bundles/epic --spans").is_err());
+        assert!(parse("run bundles/epic --fault-seed").is_err());
+        assert!(parse("run bundles/epic --fault-seed abc").is_err());
+        assert!(parse("exercise bundles/epic --fault-seed -1").is_err());
+        assert!(parse("lint bundles/epic --format yaml").is_err());
+        assert!(parse("lint bundles/epic --cache").is_err());
+        assert!(parse("exercise").is_err());
+        assert!(parse("exercise bundles/epic --scenario").is_err());
+        assert!(parse("exercise bundles/epic --bogus").is_err());
+        assert!(parse("build bundles/epic --bogus").is_err());
+        assert!(parse("bundles/epic --bogus").is_err());
+        assert_eq!(
+            parse("lint bundles/epic --format yaml"),
+            Err("`--format` expects text|json|sarif, found `yaml`".into())
+        );
+        assert_eq!(
+            parse("serve bundles/epic --tenants -1"),
+            Err("`--tenants` expects an unsigned integer, found `-1`".into())
+        );
     }
 
     #[test]
-    fn errors_are_reported() {
-        assert!(parse_args(&[]).is_err());
-        assert!(parse_args(&argv("run")).is_err());
-        assert!(parse_args(&argv("run bundles/epic --seconds abc")).is_err());
-        assert!(parse_args(&argv("run bundles/epic --metrics")).is_err());
-        assert!(parse_args(&argv("run bundles/epic --trace")).is_err());
-        assert!(parse_args(&argv("run bundles/epic --spans")).is_err());
-        assert!(parse_args(&argv("run bundles/epic --fault-seed")).is_err());
-        assert!(parse_args(&argv("run bundles/epic --fault-seed abc")).is_err());
-        assert!(parse_args(&argv("exercise bundles/epic --fault-seed -1")).is_err());
-        assert!(parse_args(&argv("lint bundles/epic --format yaml")).is_err());
-        assert!(parse_args(&argv("lint bundles/epic --cache")).is_err());
-        assert!(parse_args(&argv("exercise")).is_err());
-        assert!(parse_args(&argv("exercise bundles/epic --scenario")).is_err());
-        assert!(parse_args(&argv("exercise bundles/epic --bogus")).is_err());
-        assert!(parse_args(&argv("build bundles/epic --bogus")).is_err());
-        assert!(parse_args(&argv("bundles/epic --bogus")).is_err());
+    fn help_prints_the_generated_usage() {
+        for spelling in ["help", "-h", "--help"] {
+            assert_eq!(parse(spelling), Ok(Cmd::Help));
+        }
+        let text = usage();
+        assert!(text.lines().all(|line| line.len() <= 80), "{text}");
+        for command in COMMANDS {
+            let synopsis = format!("sgml_processor {} {}", command.name, command.arg);
+            assert!(text.contains(&synopsis), "{text}");
+        }
+    }
+
+    /// Every flag of every row parses — each alternative of an `a|b`
+    /// placeholder included — and changes the parsed command, so no flag
+    /// in the table is silently ignored.
+    #[test]
+    fn every_table_flag_parses_and_takes_effect() {
+        for command in COMMANDS {
+            let without = parse(&format!("{} x", command.name)).unwrap();
+            for (flag, placeholder) in command.flags {
+                let values: Vec<&str> = match placeholder {
+                    None => vec![""],
+                    Some("<n>") => vec!["7"],
+                    Some(alternatives) => alternatives.split('|').collect(),
+                };
+                let parsed: Vec<Cmd> = values
+                    .iter()
+                    .map(|value| {
+                        let line = format!("{} x {flag} {value}", command.name);
+                        parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"))
+                    })
+                    .collect();
+                let with = parsed.last().unwrap();
+                assert_ne!(*with, without, "`{} {flag}` is ignored", command.name);
+            }
+        }
+    }
+
+    /// Every `sgml_processor` invocation shown in the docs, CI and scripts
+    /// names a subcommand of the table and only flags of that subcommand,
+    /// `\`-continued lines included.
+    #[test]
+    fn documented_invocations_match_the_table() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut files: Vec<PathBuf> = [
+            "README.md",
+            "DESIGN.md",
+            ".github/workflows/ci.yml",
+            "scripts/farm_load_test.sh",
+            ".claude/skills/verify/SKILL.md",
+        ]
+        .iter()
+        .map(|file| root.join(file))
+        .collect();
+        for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "md") {
+                files.push(path);
+            }
+        }
+        let mut checked = 0;
+        let mut problems = Vec::new();
+        for file in &files {
+            let text = std::fs::read_to_string(file).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                for (at, _) in line.match_indices("sgml_processor") {
+                    let before = &line[..at];
+                    let mut rest = line[at + "sgml_processor".len()..].to_string();
+                    for next in &lines[i + 1..] {
+                        let Some(joined) = rest.strip_suffix('\\') else {
+                            break;
+                        };
+                        rest = format!("{joined} {next}");
+                    }
+                    // A mention (`sgml_processor.rs`, `` `sgml_processor` ``)
+                    // rather than an invocation.
+                    if !rest.starts_with(char::is_whitespace) {
+                        continue;
+                    }
+                    let end = ["`", " |", ";", " &", " #", " >"]
+                        .iter()
+                        .filter_map(|stop| rest.find(stop))
+                        .min()
+                        .unwrap_or(rest.len());
+                    let mut words = rest[..end].split_whitespace().peekable();
+                    if words.next_if_eq(&"--").is_none() && before.ends_with("--bin ") {
+                        continue; // `cargo build --bin sgml_processor --example …`
+                    }
+                    let Some(name) = words.next() else {
+                        continue;
+                    };
+                    let at = format!("{}:{}", file.display(), i + 1);
+                    checked += 1;
+                    if matches!(name, "help" | "-h" | "--help") {
+                        continue;
+                    }
+                    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+                        problems.push(format!("{at}: `{name}` is not a subcommand"));
+                        continue;
+                    };
+                    for word in words {
+                        let flag = word.trim_matches(|c| matches!(c, '[' | ']' | '(' | ')' | ','));
+                        if flag.len() > 2 && flag.starts_with("--") && command.flag(flag).is_none()
+                        {
+                            problems.push(format!("{at}: `{flag}` is not a `{name}` flag"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(problems.is_empty(), "{}", problems.join("\n"));
+        assert!(checked > 40, "only {checked} invocations found");
     }
 }

@@ -211,16 +211,6 @@ fn malformed_model_is_reported() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_generate_shim_still_works() {
-    // `CyberRange::generate` / `RangeBuilder::new` stay as thin shims over
-    // compile + instantiate so pre-split callers keep working unchanged.
-    let range = CyberRange::generate(&epic_bundle()).expect("shim compiles the bundle");
-    assert_eq!(range.plan().hosts.len(), 10);
-    assert_eq!(range.steps_total(), 0);
-}
-
-#[test]
 fn protection_trip_reports_spontaneously_to_mms_clients() {
     // A trip must surface at the HMI immediately via an MMS
     // InformationReport, not only at the next interrogation cycle.
