@@ -8,6 +8,7 @@
 //! segments stay unambiguous.
 
 use sgcr_kvstore::Keys;
+use sgcr_powerflow::PowerNetwork;
 
 /// Splits a scoped element name into `(substation, dotted-rest)`.
 ///
@@ -82,6 +83,75 @@ pub fn source_p_key(name: &str) -> String {
 pub fn load_p_key(name: &str) -> String {
     let (substation, rest) = split_scoped(name);
     format!("meas/{substation}/load/{rest}/p_mw")
+}
+
+/// Every key the power stepper publishes for one power model, indexed like
+/// the model's element tables. Built once per
+/// [`CompiledModel`](crate::CompiledModel) and shared by all its tenants, so
+/// a step formats no keys.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PublishKeys {
+    /// Per switch: position feedback.
+    pub(crate) switch: Vec<String>,
+    /// Per bus: voltage magnitude, angle.
+    pub(crate) bus: Vec<[String; 2]>,
+    /// Per line, then per trafo: active power, reactive power, current,
+    /// loading.
+    pub(crate) line: Vec<[String; 4]>,
+    pub(crate) trafo: Vec<[String; 4]>,
+    /// Per ext grid, gen, sgen: supplied active power.
+    pub(crate) ext_grid: Vec<String>,
+    pub(crate) gen: Vec<String>,
+    pub(crate) sgen: Vec<String>,
+    /// Per load: actual demand.
+    pub(crate) load: Vec<String>,
+}
+
+impl PublishKeys {
+    pub(crate) fn new(power: &PowerNetwork) -> PublishKeys {
+        let branch = |name: &str| {
+            [
+                branch_p_key(name),
+                branch_q_key(name),
+                branch_i_key(name),
+                branch_loading_key(name),
+            ]
+        };
+        PublishKeys {
+            switch: power
+                .switch
+                .iter()
+                .map(|s| breaker_state_key(&s.name))
+                .collect(),
+            bus: power
+                .bus
+                .iter()
+                .map(|b| [bus_vm_key(&b.name), bus_va_key(&b.name)])
+                .collect(),
+            line: power.line.iter().map(|l| branch(&l.name)).collect(),
+            trafo: power.trafo.iter().map(|t| branch(&t.name)).collect(),
+            ext_grid: power
+                .ext_grid
+                .iter()
+                .map(|e| source_p_key(&e.name))
+                .collect(),
+            gen: power.gen.iter().map(|g| source_p_key(&g.name)).collect(),
+            sgen: power.sgen.iter().map(|s| source_p_key(&s.name)).collect(),
+            load: power.load.iter().map(|l| load_p_key(&l.name)).collect(),
+        }
+    }
+
+    /// Whether this table has one entry per element of `power`.
+    pub(crate) fn fits(&self, power: &PowerNetwork) -> bool {
+        self.switch.len() == power.switch.len()
+            && self.bus.len() == power.bus.len()
+            && self.line.len() == power.line.len()
+            && self.trafo.len() == power.trafo.len()
+            && self.ext_grid.len() == power.ext_grid.len()
+            && self.gen.len() == power.gen.len()
+            && self.sgen.len() == power.sgen.len()
+            && self.load.len() == power.load.len()
+    }
 }
 
 #[cfg(test)]

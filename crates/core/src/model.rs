@@ -19,6 +19,7 @@ use crate::compile::ied::compile_ied;
 use crate::compile::network::{compile_network, NetworkPlan};
 use crate::compile::power::{compile_power, PowerCompilation};
 use crate::fingerprint::Fingerprint;
+use crate::keymap::PublishKeys;
 use crate::range::{RangeError, SgmlBundle};
 use crate::sgml::ied_config::IedConfig;
 use crate::sgml::plc_config::{PlcConfig, PlcLogic};
@@ -99,6 +100,8 @@ pub struct CompiledModel {
     /// All diagnostics accumulated while compiling (warnings only — an
     /// error-severity diagnostic fails compilation).
     pub diagnostics: Vec<Diagnostic>,
+    /// The store keys of every measurement of `power`, shared by tenants.
+    pub(crate) publish_keys: Arc<PublishKeys>,
 }
 
 impl CompiledModel {
@@ -329,6 +332,7 @@ impl CompiledModel {
         }
 
         Ok(CompiledModel {
+            publish_keys: Arc::new(PublishKeys::new(&power)),
             power,
             plan,
             schedule,

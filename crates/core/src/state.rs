@@ -8,7 +8,7 @@
 //! the pristine power model and stamps out fresh device instances from the
 //! compiled blueprints; no XML or Structured Text is ever re-parsed.
 
-use crate::keymap;
+use crate::keymap::PublishKeys;
 use crate::model::CompiledModel;
 use crate::range::{RangeError, StepStats};
 use sgcr_faults::{DegradationSignal, LinkFault, SensorFault};
@@ -19,9 +19,11 @@ use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Tel
 use sgcr_plc::{PlcApp, PlcHandle, PlcRuntime};
 use sgcr_powerflow::{
     solve_traced, PowerFlowError, PowerFlowResult, PowerNetwork, SimulationSchedule, SolveOptions,
+    Solver, SolverStats,
 };
 use sgcr_scada::{ScadaApp, ScadaHandle};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Default bound on retained per-step statistics — large enough for any of
 /// the paper's experiments, small enough to cap a long-running range.
@@ -85,6 +87,11 @@ pub struct RangeState {
     pub scada: Option<ScadaHandle>,
     /// The latest power-flow solution.
     pub last_result: PowerFlowResult,
+    /// This tenant's power-flow solver: keeps the symbolic work of the
+    /// current topology and warm-starts each step from the last solution.
+    solver: Solver,
+    /// Store keys of every published measurement (shared with the model).
+    publish_keys: Arc<PublishKeys>,
     /// Per-step wall-clock statistics, bounded to `step_stats_capacity`.
     step_stats: VecDeque<StepStats>,
     step_stats_capacity: usize,
@@ -279,6 +286,8 @@ impl RangeState {
             plcs,
             scada,
             last_result: PowerFlowResult::default(),
+            solver: Solver::new(),
+            publish_keys: model.publish_keys.clone(),
             step_stats: VecDeque::new(),
             step_stats_capacity: settings.step_stats_capacity,
             steps_total: 0,
@@ -304,6 +313,7 @@ impl RangeState {
         let tracer = state.telemetry.tracer();
         let init_span = tracer.open("range.init", Plane::Range, None, 0u64);
         let (result, solve_ctx) = solve_traced(
+            &mut state.solver,
             &state.power,
             &SolveOptions::default(),
             &state.telemetry,
@@ -419,10 +429,10 @@ impl RangeState {
         // Profiles and scheduled disturbances.
         self.schedule.apply(&mut self.power, t0_ms, t1.as_millis());
 
-        // Commands written by the cyber side since the last step.
-        let changes = self.store.changes_since(self.cmd_cursor);
-        self.cmd_cursor = self.store.version();
-        for change in changes {
+        // Commands written by the cyber side since the last step. The cursor
+        // moves past this step's own publishes below, so the next step does
+        // not read them back.
+        for change in self.store.changes_since(self.cmd_cursor) {
             if !change.key.starts_with("cmd/") {
                 continue;
             }
@@ -461,6 +471,7 @@ impl RangeState {
         // Solve and publish.
         let solve_start = std::time::Instant::now();
         let (solved, solve_ctx) = solve_traced(
+            &mut self.solver,
             &self.power,
             &SolveOptions::default(),
             &self.telemetry,
@@ -510,6 +521,8 @@ impl RangeState {
                 }
             }
         }
+        // Nothing since the command scan wrote a `cmd/` key.
+        self.cmd_cursor = self.store.version();
         let solve_seconds = solve_start.elapsed().as_secs_f64();
         let total_seconds = wall_start.elapsed().as_secs_f64();
 
@@ -571,89 +584,59 @@ impl RangeState {
         }
     }
 
-    fn publish_switch_states(&self) {
-        for switch in &self.power.switch {
-            self.store.set(
-                &keymap::breaker_state_key(&switch.name),
-                Value::Bool(switch.closed),
-            );
+    /// The publish-key table, rebuilt for this tenant if its power model
+    /// no longer has the compiled model's shape.
+    fn publish_keys(&mut self) -> Arc<PublishKeys> {
+        if !self.publish_keys.fits(&self.power) {
+            self.publish_keys = Arc::new(PublishKeys::new(&self.power));
+        }
+        self.publish_keys.clone()
+    }
+
+    fn publish_switch_states(&mut self) {
+        let keys = self.publish_keys();
+        for (switch, key) in self.power.switch.iter().zip(&keys.switch) {
+            self.store.set(key, Value::Bool(switch.closed));
         }
     }
 
-    fn publish_measurements(&self, result: &PowerFlowResult) {
-        for (i, bus) in self.power.bus.iter().enumerate() {
-            let r = &result.bus[i];
-            self.store
-                .set(&keymap::bus_vm_key(&bus.name), Value::Float(r.vm_pu));
-            self.store
-                .set(&keymap::bus_va_key(&bus.name), Value::Float(r.va_degree));
+    fn publish_measurements(&mut self, result: &PowerFlowResult) {
+        let keys = self.publish_keys();
+        let store = &self.store;
+        for (r, [vm, va]) in result.bus.iter().zip(&keys.bus) {
+            store.set(vm, Value::Float(r.vm_pu));
+            store.set(va, Value::Float(r.va_degree));
         }
-        for (i, line) in self.power.line.iter().enumerate() {
-            let r = &result.line[i];
-            self.store
-                .set(&keymap::branch_p_key(&line.name), Value::Float(r.p_from_mw));
-            self.store.set(
-                &keymap::branch_q_key(&line.name),
-                Value::Float(r.q_from_mvar),
-            );
-            self.store
-                .set(&keymap::branch_i_key(&line.name), Value::Float(r.i_from_ka));
-            self.store.set(
-                &keymap::branch_loading_key(&line.name),
-                Value::Float(r.loading_percent),
-            );
+        let branches = result.line.iter().zip(&keys.line);
+        for (r, [p, q, i, loading]) in branches.chain(result.trafo.iter().zip(&keys.trafo)) {
+            store.set(p, Value::Float(r.p_from_mw));
+            store.set(q, Value::Float(r.q_from_mvar));
+            store.set(i, Value::Float(r.i_from_ka));
+            store.set(loading, Value::Float(r.loading_percent));
         }
-        for (i, trafo) in self.power.trafo.iter().enumerate() {
-            let r = &result.trafo[i];
-            self.store.set(
-                &keymap::branch_p_key(&trafo.name),
-                Value::Float(r.p_from_mw),
-            );
-            self.store.set(
-                &keymap::branch_q_key(&trafo.name),
-                Value::Float(r.q_from_mvar),
-            );
-            self.store.set(
-                &keymap::branch_i_key(&trafo.name),
-                Value::Float(r.i_from_ka),
-            );
-            self.store.set(
-                &keymap::branch_loading_key(&trafo.name),
-                Value::Float(r.loading_percent),
-            );
+        for (r, key) in result.ext_grid.iter().zip(&keys.ext_grid) {
+            store.set(key, Value::Float(r.p_mw));
         }
-        for (i, eg) in self.power.ext_grid.iter().enumerate() {
-            self.store.set(
-                &keymap::source_p_key(&eg.name),
-                Value::Float(result.ext_grid[i].p_mw),
-            );
+        for (r, key) in result.gen.iter().zip(&keys.gen) {
+            store.set(key, Value::Float(r.p_mw));
         }
-        for (i, gen) in self.power.gen.iter().enumerate() {
-            self.store.set(
-                &keymap::source_p_key(&gen.name),
-                Value::Float(result.gen[i].p_mw),
-            );
-        }
-        for sgen in &self.power.sgen {
+        for (sgen, key) in self.power.sgen.iter().zip(&keys.sgen) {
             let p = if sgen.in_service {
                 sgen.p_mw * sgen.scaling
             } else {
                 0.0
             };
-            self.store
-                .set(&keymap::source_p_key(&sgen.name), Value::Float(p));
+            store.set(key, Value::Float(p));
         }
-        for load in &self.power.load {
+        for (load, key) in self.power.load.iter().zip(&keys.load) {
             let p = if load.in_service {
                 load.p_mw * load.scaling
             } else {
                 0.0
             };
-            self.store
-                .set(&keymap::load_p_key(&load.name), Value::Float(p));
+            store.set(key, Value::Float(p));
         }
-        self.store
-            .set("sim/step", Value::Int(self.steps_total as i64));
+        store.set("sim/step", Value::Int(self.steps_total as i64));
     }
 
     /// Retained per-step wall-clock statistics, oldest first. Retention is
@@ -698,6 +681,12 @@ impl RangeState {
     /// was attached through [`RangeBuilder::telemetry`](crate::RangeBuilder::telemetry)).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
+    }
+
+    /// The work this tenant's power-flow solver has done: solves, warm
+    /// starts, Newton–Raphson iterations, factorizations and analyses.
+    pub fn solver_stats(&self) -> SolverStats {
+        self.solver.stats()
     }
 
     /// The store version up to which cyber-side commands have been consumed

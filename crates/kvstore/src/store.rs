@@ -74,12 +74,19 @@ impl ProcessStore {
         self.get(key).and_then(|v| v.as_bool())
     }
 
-    /// Writes `value` under `key`, returning the version assigned.
+    /// Writes `value` under `key`, returning the version assigned. An
+    /// existing entry is overwritten in place, without allocating its key.
     pub fn set(&self, key: &str, value: impl Into<Value>) -> u64 {
         let value = value.into();
         let mut map = self.inner.map.write();
         let version = self.inner.version.fetch_add(1, Ordering::SeqCst) + 1;
-        map.insert(key.to_string(), Entry { value, version });
+        let entry = Entry { value, version };
+        match map.get_mut(key) {
+            Some(slot) => *slot = entry,
+            None => {
+                map.insert(key.to_string(), entry);
+            }
+        }
         version
     }
 

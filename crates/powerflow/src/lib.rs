@@ -36,21 +36,22 @@
 
 mod complex;
 mod error;
-mod linalg;
 mod network;
 mod results;
 mod solver;
+mod sparse;
 mod timeseries;
 mod topology;
 
 pub use complex::Complex;
 pub use error::PowerFlowError;
-pub use linalg::{solve as solve_linear, Lu, Matrix, SingularMatrix};
 pub use network::{
     Bus, BusId, ExtGrid, ExtGridId, Gen, GenId, Line, LineId, Load, LoadId, PowerNetwork, Sgen,
     SgenId, Shunt, ShuntId, Switch, SwitchId, SwitchTarget, Trafo, TrafoId,
 };
 pub use results::{BranchResult, BusResult, ExtGridResult, GenResult, PowerFlowResult};
-pub use solver::{solve, solve_telemetered, solve_traced, solve_with, SolveOptions};
+pub use solver::{
+    solve, solve_telemetered, solve_traced, solve_with, SolveOptions, Solver, SolverStats,
+};
 pub use timeseries::{Profile, ProfileTarget, ScenarioAction, ScenarioEvent, SimulationSchedule};
 pub use topology::{Island, SlackSource, Topology};

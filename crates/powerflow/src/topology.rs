@@ -7,7 +7,6 @@
 //! contains a slack source (external grid, or a generator promoted to slack).
 
 use crate::network::{BusId, ExtGridId, GenId, LineId, PowerNetwork, SwitchTarget, TrafoId};
-use std::collections::HashMap;
 
 /// Disjoint-set over bus indices.
 #[derive(Debug, Clone)]
@@ -50,7 +49,7 @@ pub enum SlackSource {
 }
 
 /// A connected electrical island.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Island {
     /// Representative bus indices (post-merge) belonging to this island.
     pub nodes: Vec<usize>,
@@ -66,7 +65,7 @@ impl Island {
 }
 
 /// The electrical view of a network after switch processing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// For each original bus index, the representative node index it merged
     /// into (representatives map to themselves). Out-of-service buses keep a
@@ -133,55 +132,43 @@ impl Topology {
         let bus_to_node: Vec<usize> = (0..n).map(|b| uf.find(b)).collect();
 
         // 3. Connected components over representative nodes via active branches.
-        let mut adjacency: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (b, bus) in net.bus.iter().enumerate() {
-            if bus.in_service {
-                adjacency.entry(bus_to_node[b]).or_default();
-            }
-        }
-        let connect = |a: usize, b: usize, adjacency: &mut HashMap<usize, Vec<usize>>| {
-            adjacency.entry(a).or_default().push(b);
-            adjacency.entry(b).or_default().push(a);
+        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut connect = |a: BusId, b: BusId| {
+            let (a, b) = (bus_to_node[a.index()], bus_to_node[b.index()]);
+            adjacency[a].push(b);
+            adjacency[b].push(a);
         };
         for &lid in &active_lines {
             let l = &net.line[lid.index()];
-            connect(
-                bus_to_node[l.from_bus.index()],
-                bus_to_node[l.to_bus.index()],
-                &mut adjacency,
-            );
+            connect(l.from_bus, l.to_bus);
         }
         for &tid in &active_trafos {
             let t = &net.trafo[tid.index()];
-            connect(
-                bus_to_node[t.hv_bus.index()],
-                bus_to_node[t.lv_bus.index()],
-                &mut adjacency,
-            );
+            connect(t.hv_bus, t.lv_bus);
         }
 
-        let mut node_island: HashMap<usize, usize> = HashMap::new();
+        // Every in-service bus's node roots a search, in node order.
+        let mut rooted = vec![false; n];
+        for (b, bus) in net.bus.iter().enumerate() {
+            rooted[bus_to_node[b]] |= bus.in_service;
+        }
+        const NONE: usize = usize::MAX;
+        let mut node_island = vec![NONE; n];
         let mut islands: Vec<Island> = Vec::new();
-        let mut roots: Vec<usize> = adjacency.keys().copied().collect();
-        roots.sort_unstable();
-        for &root in &roots {
-            if node_island.contains_key(&root) {
+        for root in 0..n {
+            if !rooted[root] || node_island[root] != NONE {
                 continue;
             }
             let island_index = islands.len();
             let mut stack = vec![root];
             let mut nodes = Vec::new();
-            node_island.insert(root, island_index);
+            node_island[root] = island_index;
             while let Some(node) = stack.pop() {
                 nodes.push(node);
-                if let Some(neighbors) = adjacency.get(&node) {
-                    for &next in neighbors {
-                        if let std::collections::hash_map::Entry::Vacant(e) =
-                            node_island.entry(next)
-                        {
-                            e.insert(island_index);
-                            stack.push(next);
-                        }
+                for &next in &adjacency[node] {
+                    if node_island[next] == NONE {
+                        node_island[next] = island_index;
+                        stack.push(next);
                     }
                 }
             }
@@ -195,22 +182,18 @@ impl Topology {
             if !eg.in_service || !bus_in(eg.bus) {
                 continue;
             }
-            let node = bus_to_node[eg.bus.index()];
-            if let Some(&island) = node_island.get(&node) {
-                if islands[island].slack.is_none() {
-                    islands[island].slack = Some(SlackSource::ExtGrid(ExtGridId(i)));
-                }
+            let island = node_island[bus_to_node[eg.bus.index()]];
+            if island != NONE && islands[island].slack.is_none() {
+                islands[island].slack = Some(SlackSource::ExtGrid(ExtGridId(i)));
             }
         }
         for (i, g) in net.gen.iter().enumerate() {
             if !g.in_service || !bus_in(g.bus) {
                 continue;
             }
-            let node = bus_to_node[g.bus.index()];
-            if let Some(&island) = node_island.get(&node) {
-                if islands[island].slack.is_none() {
-                    islands[island].slack = Some(SlackSource::Gen(GenId(i)));
-                }
+            let island = node_island[bus_to_node[g.bus.index()]];
+            if island != NONE && islands[island].slack.is_none() {
+                islands[island].slack = Some(SlackSource::Gen(GenId(i)));
             }
         }
 
