@@ -1,6 +1,7 @@
-//! Macro-benchmarks of the generated cyber range: generation time and
-//! per-step cost for the EPIC model and the paper's 5-substation / 104-IED
-//! configuration — the numbers behind the S1 scalability table.
+//! Macro-benchmarks of the generated cyber range: generation time, tenant
+//! instantiation and per-step cost for the EPIC model and the paper's
+//! 5-substation / 104-IED configuration — the numbers behind the S1
+//! scalability table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sgcr_core::{CompiledModel, CyberRange};
@@ -22,6 +23,16 @@ fn bench_range(c: &mut Criterion) {
                 .expect("compiles");
         range.run_for(SimDuration::from_secs(1));
         b.iter(|| range.step());
+    });
+
+    // One tenant stamped from a shared compiled model: the per-tenant cost
+    // (devices, data models, store slots, initial solve) that steps no
+    // longer pay.
+    c.bench_function("multisub_5x104_instantiate", |b| {
+        let params = MultiSubParams::paper_profile();
+        let model =
+            CompiledModel::shared(&multisub_bundle(&params)).expect("paper profile compiles");
+        b.iter(|| CyberRange::instantiate(model.clone()).expect("paper profile instantiates"));
     });
 
     c.bench_function("multisub_5x104_step_100ms", |b| {

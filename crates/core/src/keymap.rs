@@ -7,7 +7,7 @@
 //! (`"S1/VL1/B1/CN1"`). Keys replace inner slashes with dots so that key
 //! segments stay unambiguous.
 
-use sgcr_kvstore::Keys;
+use sgcr_kvstore::{Keys, ProcessStore, Slot};
 use sgcr_powerflow::PowerNetwork;
 
 /// Splits a scoped element name into `(substation, dotted-rest)`.
@@ -85,26 +85,49 @@ pub fn load_p_key(name: &str) -> String {
     format!("meas/{substation}/load/{rest}/p_mw")
 }
 
-/// Every key the power stepper publishes for one power model, indexed like
-/// the model's element tables. Built once per
-/// [`CompiledModel`](crate::CompiledModel) and shared by all its tenants, so
-/// a step formats no keys.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PublishKeys {
+/// Every key the power stepper publishes for one power model. Built once per
+/// [`CompiledModel`](crate::CompiledModel) and shared by all its tenants;
+/// each tenant resolves it to store slots once ([`Publish::slots`]), so a
+/// step formats and hashes no keys.
+pub(crate) type PublishKeys = Publish<String>;
+
+/// [`PublishKeys`] resolved against one tenant's store.
+pub(crate) type PublishSlots = Publish<Slot>;
+
+/// One entry per published measurement of a power model, indexed like the
+/// model's element tables.
+#[derive(Debug, Clone)]
+pub(crate) struct Publish<K> {
     /// Per switch: position feedback.
-    pub(crate) switch: Vec<String>,
+    pub(crate) switch: Vec<K>,
     /// Per bus: voltage magnitude, angle.
-    pub(crate) bus: Vec<[String; 2]>,
+    pub(crate) bus: Vec<[K; 2]>,
     /// Per line, then per trafo: active power, reactive power, current,
     /// loading.
-    pub(crate) line: Vec<[String; 4]>,
-    pub(crate) trafo: Vec<[String; 4]>,
+    pub(crate) line: Vec<[K; 4]>,
+    pub(crate) trafo: Vec<[K; 4]>,
     /// Per ext grid, gen, sgen: supplied active power.
-    pub(crate) ext_grid: Vec<String>,
-    pub(crate) gen: Vec<String>,
-    pub(crate) sgen: Vec<String>,
+    pub(crate) ext_grid: Vec<K>,
+    pub(crate) gen: Vec<K>,
+    pub(crate) sgen: Vec<K>,
     /// Per load: actual demand.
-    pub(crate) load: Vec<String>,
+    pub(crate) load: Vec<K>,
+    /// The step counter.
+    pub(crate) sim_step: K,
+}
+
+impl<K> Publish<K> {
+    /// Whether this table has one entry per element of `power`.
+    pub(crate) fn fits(&self, power: &PowerNetwork) -> bool {
+        self.switch.len() == power.switch.len()
+            && self.bus.len() == power.bus.len()
+            && self.line.len() == power.line.len()
+            && self.trafo.len() == power.trafo.len()
+            && self.ext_grid.len() == power.ext_grid.len()
+            && self.gen.len() == power.gen.len()
+            && self.sgen.len() == power.sgen.len()
+            && self.load.len() == power.load.len()
+    }
 }
 
 impl PublishKeys {
@@ -117,7 +140,7 @@ impl PublishKeys {
                 branch_loading_key(name),
             ]
         };
-        PublishKeys {
+        Publish {
             switch: power
                 .switch
                 .iter()
@@ -138,19 +161,36 @@ impl PublishKeys {
             gen: power.gen.iter().map(|g| source_p_key(&g.name)).collect(),
             sgen: power.sgen.iter().map(|s| source_p_key(&s.name)).collect(),
             load: power.load.iter().map(|l| load_p_key(&l.name)).collect(),
+            sim_step: Keys::sim_step(),
         }
     }
 
-    /// Whether this table has one entry per element of `power`.
-    pub(crate) fn fits(&self, power: &PowerNetwork) -> bool {
-        self.switch.len() == power.switch.len()
-            && self.bus.len() == power.bus.len()
-            && self.line.len() == power.line.len()
-            && self.trafo.len() == power.trafo.len()
-            && self.ext_grid.len() == power.ext_grid.len()
-            && self.gen.len() == power.gen.len()
-            && self.sgen.len() == power.sgen.len()
-            && self.load.len() == power.load.len()
+    /// Resolves every key to its slot in `store`.
+    pub(crate) fn slots(&self, store: &ProcessStore) -> PublishSlots {
+        let slot = |key: &String| store.slot(key);
+        Publish {
+            switch: self.switch.iter().map(slot).collect(),
+            bus: self
+                .bus
+                .iter()
+                .map(|keys| keys.each_ref().map(slot))
+                .collect(),
+            line: self
+                .line
+                .iter()
+                .map(|keys| keys.each_ref().map(slot))
+                .collect(),
+            trafo: self
+                .trafo
+                .iter()
+                .map(|keys| keys.each_ref().map(slot))
+                .collect(),
+            ext_grid: self.ext_grid.iter().map(slot).collect(),
+            gen: self.gen.iter().map(slot).collect(),
+            sgen: self.sgen.iter().map(slot).collect(),
+            load: self.load.iter().map(slot).collect(),
+            sim_step: slot(&self.sim_step),
+        }
     }
 }
 

@@ -221,6 +221,10 @@ impl CompiledModel {
                         referenced_by: "IED Config XML",
                     });
                 }
+                sgcr_ied::check_model(&spec).map_err(|detail| RangeError::Model {
+                    what: "IED Config XML",
+                    detail,
+                })?;
                 ieds.push(spec);
             }
         }

@@ -8,12 +8,12 @@
 //! the pristine power model and stamps out fresh device instances from the
 //! compiled blueprints; no XML or Structured Text is ever re-parsed.
 
-use crate::keymap::PublishKeys;
+use crate::keymap::{PublishKeys, PublishSlots};
 use crate::model::CompiledModel;
 use crate::range::{RangeError, StepStats};
 use sgcr_faults::{DegradationSignal, LinkFault, SensorFault};
 use sgcr_ied::{IedHandle, VirtualIedApp};
-use sgcr_kvstore::{ProcessStore, Value};
+use sgcr_kvstore::{ProcessStore, Slot, Value};
 use sgcr_net::{AppPlane, Ipv4Addr, LinkSpec, Network, NodeId, SimDuration, SimTime, SocketApp};
 use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Telemetry};
 use sgcr_plc::{PlcApp, PlcHandle, PlcRuntime};
@@ -23,7 +23,6 @@ use sgcr_powerflow::{
 };
 use sgcr_scada::{ScadaApp, ScadaHandle};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// Default bound on retained per-step statistics — large enough for any of
 /// the paper's experiments, small enough to cap a long-running range.
@@ -90,8 +89,9 @@ pub struct RangeState {
     /// This tenant's power-flow solver: keeps the symbolic work of the
     /// current topology and warm-starts each step from the last solution.
     solver: Solver,
-    /// Store keys of every published measurement (shared with the model).
-    publish_keys: Arc<PublishKeys>,
+    /// The store slot of every published measurement: the model's shared
+    /// publish keys, resolved in `store`.
+    publish_slots: PublishSlots,
     /// Per-step wall-clock statistics, bounded to `step_stats_capacity`.
     step_stats: VecDeque<StepStats>,
     step_stats_capacity: usize,
@@ -127,11 +127,13 @@ pub struct RangeState {
 }
 
 /// Resolved `step.plane.*` histograms: where one co-simulation step's wall
-/// time goes. `power` is the power-flow solve, `net` is event-loop dispatch
-/// *outside* application code, and the rest attribute time spent inside the
-/// device applications by [`AppPlane`]. The timed intervals are disjoint
-/// sub-intervals of the step, so their sum never exceeds the step's total
-/// wall time.
+/// time goes. `power` is the power-flow solve plus the measurement publish,
+/// `net` is event-loop dispatch *outside* application code, and
+/// `ied`/`plc`/`scada`/`other` attribute time spent inside the device
+/// applications by [`AppPlane`]. The timed intervals are disjoint
+/// sub-intervals of the step; `unattributed` is the rest of the step's wall
+/// time (the command scan, profiles, the watchdog, bookkeeping), so the
+/// seven add up to the step.
 struct PlaneHists {
     power: Histogram,
     net: Histogram,
@@ -139,6 +141,7 @@ struct PlaneHists {
     plc: Histogram,
     scada: Histogram,
     other: Histogram,
+    unattributed: Histogram,
 }
 
 impl PlaneHists {
@@ -151,6 +154,7 @@ impl PlaneHists {
             plc: hist("step.plane.plc_seconds"),
             scada: hist("step.plane.scada_seconds"),
             other: hist("step.plane.other_seconds"),
+            unattributed: hist("step.plane.unattributed_seconds"),
         }
     }
 }
@@ -276,6 +280,7 @@ impl RangeState {
         if let Some(scada) = &scada {
             degradation_signals.push(scada.degradation());
         }
+        let publish_slots = model.publish_keys.slots(&store);
         let mut state = RangeState {
             net,
             store,
@@ -287,7 +292,7 @@ impl RangeState {
             scada,
             last_result: PowerFlowResult::default(),
             solver: Solver::new(),
-            publish_keys: model.publish_keys.clone(),
+            publish_slots,
             step_stats: VecDeque::new(),
             step_stats_capacity: settings.step_stats_capacity,
             steps_total: 0,
@@ -374,10 +379,11 @@ impl RangeState {
     /// step time, then applies profiles/events → commands → solve → publish.
     ///
     /// The step's wall time is attributed per plane into the `step.plane.*`
-    /// histograms: power solve, net dispatch, and app execution by
-    /// [`AppPlane`] (IED / PLC / SCADA / other). Each timed interval is a
-    /// disjoint sub-interval of the step on the same monotonic clock, so the
-    /// summed plane time never exceeds the step's total wall time.
+    /// histograms: power solve and publish, net dispatch, and app execution
+    /// by [`AppPlane`] (IED / PLC / SCADA / other). Each timed interval is a
+    /// disjoint sub-interval of the step on the same monotonic clock; the
+    /// remainder is published as `step.plane.unattributed_seconds`, so the
+    /// seven planes add up to the step's total wall time.
     pub fn step(&mut self) {
         let wall_start = std::time::Instant::now();
         let due = self.next_step_at.max(self.net.now());
@@ -535,12 +541,16 @@ impl RangeState {
             // Event-loop dispatch outside app code: the cyber advance's wall
             // time minus the time spent inside applications.
             let net_dispatch = (net_elapsed - (ied + plc + scada + other)).max(0.0);
+            let attributed = solve_seconds + net_dispatch + ied + plc + scada + other;
             self.plane_hists.power.observe(solve_seconds);
             self.plane_hists.net.observe(net_dispatch);
             self.plane_hists.ied.observe(ied);
             self.plane_hists.plc.observe(plc);
             self.plane_hists.scada.observe(scada);
             self.plane_hists.other.observe(other);
+            self.plane_hists
+                .unattributed
+                .observe((total_seconds - attributed).max(0.0));
         }
 
         if self.step_stats.len() == self.step_stats_capacity {
@@ -584,59 +594,80 @@ impl RangeState {
         }
     }
 
-    /// The publish-key table, rebuilt for this tenant if its power model
-    /// no longer has the compiled model's shape.
-    fn publish_keys(&mut self) -> Arc<PublishKeys> {
-        if !self.publish_keys.fits(&self.power) {
-            self.publish_keys = Arc::new(PublishKeys::new(&self.power));
+    /// Re-resolves the publish slots from this tenant's own power model if
+    /// it no longer has the compiled model's shape.
+    fn refresh_publish_slots(&mut self) {
+        if !self.publish_slots.fits(&self.power) {
+            self.publish_slots = PublishKeys::new(&self.power).slots(&self.store);
         }
-        self.publish_keys.clone()
     }
 
     fn publish_switch_states(&mut self) {
-        let keys = self.publish_keys();
-        for (switch, key) in self.power.switch.iter().zip(&keys.switch) {
-            self.store.set(key, Value::Bool(switch.closed));
-        }
+        self.refresh_publish_slots();
+        let states = self.power.switch.iter().zip(&self.publish_slots.switch);
+        self.store
+            .set_all(states.map(|(switch, &slot)| (slot, Value::Bool(switch.closed))));
     }
 
+    /// Writes every measurement of `result` to the store, in one batch.
     fn publish_measurements(&mut self, result: &PowerFlowResult) {
-        let keys = self.publish_keys();
-        let store = &self.store;
-        for (r, [vm, va]) in result.bus.iter().zip(&keys.bus) {
-            store.set(vm, Value::Float(r.vm_pu));
-            store.set(va, Value::Float(r.va_degree));
-        }
-        let branches = result.line.iter().zip(&keys.line);
-        for (r, [p, q, i, loading]) in branches.chain(result.trafo.iter().zip(&keys.trafo)) {
-            store.set(p, Value::Float(r.p_from_mw));
-            store.set(q, Value::Float(r.q_from_mvar));
-            store.set(i, Value::Float(r.i_from_ka));
-            store.set(loading, Value::Float(r.loading_percent));
-        }
-        for (r, key) in result.ext_grid.iter().zip(&keys.ext_grid) {
-            store.set(key, Value::Float(r.p_mw));
-        }
-        for (r, key) in result.gen.iter().zip(&keys.gen) {
-            store.set(key, Value::Float(r.p_mw));
-        }
-        for (sgen, key) in self.power.sgen.iter().zip(&keys.sgen) {
-            let p = if sgen.in_service {
-                sgen.p_mw * sgen.scaling
-            } else {
-                0.0
-            };
-            store.set(key, Value::Float(p));
-        }
-        for (load, key) in self.power.load.iter().zip(&keys.load) {
-            let p = if load.in_service {
-                load.p_mw * load.scaling
-            } else {
-                0.0
-            };
-            store.set(key, Value::Float(p));
-        }
-        store.set("sim/step", Value::Int(self.steps_total as i64));
+        self.refresh_publish_slots();
+        let slots = &self.publish_slots;
+        let float = |slot: Slot, value: f64| (slot, Value::Float(value));
+        let bus = result
+            .bus
+            .iter()
+            .zip(&slots.bus)
+            .flat_map(|(r, &[vm, va])| [float(vm, r.vm_pu), float(va, r.va_degree)]);
+        let line = result.line.iter().zip(&slots.line);
+        let trafo = result.trafo.iter().zip(&slots.trafo);
+        let branches = line.chain(trafo).flat_map(|(r, &[p, q, i, loading])| {
+            [
+                float(p, r.p_from_mw),
+                float(q, r.q_from_mvar),
+                float(i, r.i_from_ka),
+                float(loading, r.loading_percent),
+            ]
+        });
+        let ext_grid = result.ext_grid.iter().zip(&slots.ext_grid);
+        let ext_grid = ext_grid.map(|(r, &slot)| float(slot, r.p_mw));
+        let gen = result.gen.iter().zip(&slots.gen);
+        let gen = gen.map(|(r, &slot)| float(slot, r.p_mw));
+        let sgen = self
+            .power
+            .sgen
+            .iter()
+            .zip(&slots.sgen)
+            .map(|(sgen, &slot)| {
+                let p = if sgen.in_service {
+                    sgen.p_mw * sgen.scaling
+                } else {
+                    0.0
+                };
+                float(slot, p)
+            });
+        let load = self
+            .power
+            .load
+            .iter()
+            .zip(&slots.load)
+            .map(|(load, &slot)| {
+                let p = if load.in_service {
+                    load.p_mw * load.scaling
+                } else {
+                    0.0
+                };
+                float(slot, p)
+            });
+        let step = (slots.sim_step, Value::Int(self.steps_total as i64));
+        self.store.set_all(
+            bus.chain(branches)
+                .chain(ext_grid)
+                .chain(gen)
+                .chain(sgen)
+                .chain(load)
+                .chain([step]),
+        );
     }
 
     /// Retained per-step wall-clock statistics, oldest first. Retention is

@@ -54,6 +54,8 @@ pub use mms::{
     tpkt_frame, ControlDecision, ControlHandler, DataAccessError, MmsClient, MmsPdu, MmsRequest,
     MmsResponse, MmsServer, SharedModel, TpktDecoder, MMS_PORT,
 };
-pub use model::{AttrNode, DataModel, DataValue, Fc, LogicalDevice, LogicalNode, ObjectRef};
+pub use model::{
+    AttrNode, DataModel, DataValue, Fc, LeafId, LogicalDevice, LogicalNode, ObjectRef,
+};
 pub use rgoose::{SessionPacket, SessionPayloadType, SessionReceiver, SessionSender, RGOOSE_PORT};
 pub use sv::{SvAsdu, SvPdu, SvPublisher, SvSubscriber};

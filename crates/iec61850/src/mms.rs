@@ -12,7 +12,7 @@
 //! `getVariableAccessAttributes`=6).
 
 use crate::ber::{self, BerError, Element, Reader, Tag};
-use crate::model::{DataModel, DataValue, ObjectRef};
+use crate::model::{DataModel, DataValue, LeafId, ObjectRef};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -569,6 +569,11 @@ impl SharedModel {
     /// Writes a leaf item.
     pub fn write(&self, item_id: &str, value: DataValue) -> bool {
         self.inner.lock().write(item_id, value)
+    }
+
+    /// Writes a leaf through its handle (see [`DataModel::set`]).
+    pub fn set(&self, id: LeafId, value: DataValue) {
+        self.inner.lock().set(id, value);
     }
 }
 

@@ -274,25 +274,58 @@ impl ObjectRef {
     }
 }
 
+impl ObjectRef {
+    /// Checks that `item_id` parses as an object reference, without
+    /// allocating one.
+    ///
+    /// # Errors
+    ///
+    /// The message [`str::parse`] would return for `item_id`.
+    pub fn validate(item_id: &str) -> Result<(), String> {
+        Parts::parse(item_id).map(|_| ())
+    }
+}
+
 impl std::str::FromStr for ObjectRef {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let parts = Parts::parse(s)?;
+        Ok(ObjectRef {
+            ld: parts.ld.to_string(),
+            ln: parts.ln.to_string(),
+            fc_str: parts.fc.to_string(),
+            path: parts.path.map(str::to_string).collect(),
+        })
+    }
+}
+
+/// The borrowed parts of an item id `LD/LN$FC$a$b…`, each LN, FC and path
+/// part present and non-empty.
+struct Parts<'a> {
+    ld: &'a str,
+    ln: &'a str,
+    fc: &'a str,
+    /// At least one part.
+    path: std::str::Split<'a, char>,
+}
+
+impl<'a> Parts<'a> {
+    fn parse(s: &'a str) -> Result<Parts<'a>, String> {
         let (ld, rest) = s
             .split_once('/')
             .ok_or_else(|| format!("missing '/' in object reference {s:?}"))?;
         let mut parts = rest.split('$');
         let ln = parts.next().filter(|p| !p.is_empty()).ok_or("missing LN")?;
         let fc = parts.next().filter(|p| !p.is_empty()).ok_or("missing FC")?;
-        let path: Vec<String> = parts.map(str::to_string).collect();
-        if path.is_empty() || path.iter().any(String::is_empty) {
+        if parts.clone().next().is_none() || parts.clone().any(str::is_empty) {
             return Err(format!("missing data object path in {s:?}"));
         }
-        Ok(ObjectRef {
-            ld: ld.to_string(),
-            ln: ln.to_string(),
-            fc_str: fc.to_string(),
-            path,
+        Ok(Parts {
+            ld,
+            ln,
+            fc,
+            path: parts,
         })
     }
 }
@@ -303,43 +336,48 @@ impl fmt::Display for ObjectRef {
     }
 }
 
-/// A node in an IED's attribute tree.
+/// A handle to one leaf attribute of a [`DataModel`], returned by
+/// [`DataModel::insert`]. Writing through it with [`DataModel::set`] skips
+/// parsing and walking the item id, so the IED runtime resolves the leaves it
+/// rewrites every sample once, when the model is built. A handle is
+/// meaningful only to the model that issued it (and that model's clones).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LeafId(usize);
+
+/// A node in an IED's attribute tree. Both arms hold one word, so every
+/// entry of a parent's map is 16 bytes; composites, the rarer kind, pay for
+/// that with a box.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrNode {
-    /// A leaf attribute holding a value.
-    Leaf(DataValue),
+    /// A leaf attribute: its value lives in the model's leaf table.
+    Leaf(LeafId),
     /// A composite data object with named children (ordered).
-    Composite(BTreeMap<String, AttrNode>),
+    Composite(Box<BTreeMap<String, AttrNode>>),
 }
 
 impl AttrNode {
-    fn get(&self, path: &[String]) -> Option<&AttrNode> {
-        match path.split_first() {
-            None => Some(self),
-            Some((head, rest)) => match self {
-                AttrNode::Composite(children) => children.get(head)?.get(rest),
-                AttrNode::Leaf(_) => None,
-            },
-        }
-    }
-
-    fn get_mut(&mut self, path: &[String]) -> Option<&mut AttrNode> {
-        match path.split_first() {
-            None => Some(self),
-            Some((head, rest)) => match self {
-                AttrNode::Composite(children) => children.get_mut(head)?.get_mut(rest),
-                AttrNode::Leaf(_) => None,
-            },
-        }
-    }
-
-    /// Converts the subtree to a (possibly nested) [`DataValue`].
-    pub fn to_value(&self) -> DataValue {
-        match self {
-            AttrNode::Leaf(v) => v.clone(),
-            AttrNode::Composite(children) => {
-                DataValue::Struct(children.values().map(AttrNode::to_value).collect())
+    fn get<'a>(&self, path: impl Iterator<Item = &'a str>) -> Option<&AttrNode> {
+        let mut node = self;
+        for part in path {
+            match node {
+                AttrNode::Composite(children) => node = children.get(part)?,
+                AttrNode::Leaf(_) => return None,
             }
+        }
+        Some(node)
+    }
+
+    /// Converts the subtree to a (possibly nested) [`DataValue`], reading
+    /// leaf values from `leaves`, the owning model's leaf table.
+    fn to_value(&self, leaves: &[DataValue]) -> DataValue {
+        match self {
+            AttrNode::Leaf(id) => leaves[id.0].clone(),
+            AttrNode::Composite(children) => DataValue::Struct(
+                children
+                    .values()
+                    .map(|child| child.to_value(leaves))
+                    .collect(),
+            ),
         }
     }
 }
@@ -360,15 +398,21 @@ pub struct LogicalDevice {
 
 /// The full data model of one virtual IED.
 ///
+/// The attribute tree holds the structure; leaf values live in one table
+/// that the tree's [`AttrNode::Leaf`] nodes index. Item-id access
+/// ([`read`](DataModel::read), [`write`](DataModel::write)) walks the tree
+/// to a leaf; [`set`](DataModel::set) indexes the table directly.
+///
 /// # Examples
 ///
 /// ```
 /// use sgcr_iec61850::{DataModel, DataValue};
 ///
 /// let mut model = DataModel::new("IED1");
-/// model.insert("LD0/XCBR1$ST$Pos$stVal", DataValue::dbpos_on());
-/// let r = model.read("LD0/XCBR1$ST$Pos$stVal").unwrap();
-/// assert_eq!(r.as_dbpos(), Some(true));
+/// let pos = model.insert("LD0/XCBR1$ST$Pos$stVal", DataValue::dbpos_on());
+/// assert_eq!(model.read("LD0/XCBR1$ST$Pos$stVal").unwrap().as_dbpos(), Some(true));
+/// model.set(pos, DataValue::dbpos_off());
+/// assert_eq!(model.read("LD0/XCBR1$ST$Pos$stVal").unwrap().as_dbpos(), Some(false));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataModel {
@@ -376,6 +420,8 @@ pub struct DataModel {
     pub ied_name: String,
     /// LD name → device.
     pub devices: BTreeMap<String, LogicalDevice>,
+    /// Leaf values, indexed by [`LeafId`].
+    leaves: Vec<DataValue>,
 }
 
 impl DataModel {
@@ -383,86 +429,80 @@ impl DataModel {
     pub fn new(ied_name: &str) -> DataModel {
         DataModel {
             ied_name: ied_name.to_string(),
-            devices: BTreeMap::new(),
+            ..DataModel::default()
         }
     }
 
-    /// Inserts (or replaces) a leaf attribute, creating intermediate nodes.
+    /// Inserts (or replaces) a leaf attribute, creating intermediate nodes,
+    /// and returns its handle. Re-inserting an existing leaf overwrites its
+    /// value and returns the handle it already had.
     ///
     /// # Panics
     ///
     /// Panics if `item_id` does not parse as an object reference.
-    pub fn insert(&mut self, item_id: &str, value: DataValue) {
-        let r: ObjectRef = item_id.parse().expect("valid object reference");
-        let ld = self.devices.entry(r.ld.clone()).or_default();
-        let ln = ld.nodes.entry(r.ln.clone()).or_default();
-        let root = ln.by_fc.entry(r.fc_str.clone()).or_default();
-
-        let (first, rest) = r.path.split_first().expect("non-empty path");
-        let mut node = root
-            .entry(first.clone())
-            .or_insert_with(|| AttrNode::Composite(BTreeMap::new()));
-        for part in rest {
-            let AttrNode::Composite(children) = node else {
+    pub fn insert(&mut self, item_id: &str, value: DataValue) -> LeafId {
+        let parts = Parts::parse(item_id).expect("valid object reference");
+        let ld = child(&mut self.devices, parts.ld, LogicalDevice::default);
+        let ln = child(&mut ld.nodes, parts.ln, LogicalNode::default);
+        let mut children = child(&mut ln.by_fc, parts.fc, BTreeMap::new);
+        let mut path = parts.path.peekable();
+        while let Some(part) = path.next() {
+            if path.peek().is_none() {
+                if let Some(&AttrNode::Leaf(id)) = children.get(part) {
+                    self.leaves[id.0] = value;
+                    return id;
+                }
+                let id = LeafId(self.leaves.len());
+                self.leaves.push(value);
+                children.insert(part.to_string(), AttrNode::Leaf(id));
+                return id;
+            }
+            let node = child(children, part, || AttrNode::Composite(Box::default()));
+            if let AttrNode::Leaf(_) = node {
                 // Replacing a leaf with a deeper path: rebuild as composite.
-                *node = AttrNode::Composite(BTreeMap::new());
-                let AttrNode::Composite(children) = node else {
-                    unreachable!()
-                };
-                node = children
-                    .entry(part.clone())
-                    .or_insert_with(|| AttrNode::Composite(BTreeMap::new()));
-                continue;
+                *node = AttrNode::Composite(Box::default());
+            }
+            let AttrNode::Composite(next) = node else {
+                unreachable!("a leaf was just replaced")
             };
-            node = children
-                .entry(part.clone())
-                .or_insert_with(|| AttrNode::Composite(BTreeMap::new()));
+            children = next;
         }
-        *node = AttrNode::Leaf(value);
+        unreachable!("a parsed object reference has a path")
     }
 
-    fn resolve(&self, item_id: &str) -> Option<(&AttrNode, ObjectRef)> {
-        let r: ObjectRef = item_id.parse().ok()?;
-        let ld = self.devices.get(&r.ld)?;
-        let ln = ld.nodes.get(&r.ln)?;
-        let root = ln.by_fc.get(&r.fc_str)?;
-        let (first, rest) = r.path.split_first()?;
-        let node = root.get(first)?.get(rest)?;
-        Some((node, r))
+    /// Overwrites the value of the leaf `id` names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by this model (or the model it was
+    /// cloned from).
+    pub fn set(&mut self, id: LeafId, value: DataValue) {
+        self.leaves[id.0] = value;
+    }
+
+    fn resolve(&self, item_id: &str) -> Option<&AttrNode> {
+        let mut parts = Parts::parse(item_id).ok()?;
+        let ld = self.devices.get(parts.ld)?;
+        let ln = ld.nodes.get(parts.ln)?;
+        let root = ln.by_fc.get(parts.fc)?;
+        root.get(parts.path.next()?)?.get(parts.path)
     }
 
     /// Reads an attribute (or whole data object as a struct).
     pub fn read(&self, item_id: &str) -> Option<DataValue> {
-        self.resolve(item_id).map(|(node, _)| node.to_value())
+        self.resolve(item_id)
+            .map(|node| node.to_value(&self.leaves))
     }
 
     /// Writes a leaf attribute; returns `false` if the path does not exist
     /// or is not a leaf.
     pub fn write(&mut self, item_id: &str, value: DataValue) -> bool {
-        let Ok(r) = item_id.parse::<ObjectRef>() else {
-            return false;
-        };
-        let Some(ld) = self.devices.get_mut(&r.ld) else {
-            return false;
-        };
-        let Some(ln) = ld.nodes.get_mut(&r.ln) else {
-            return false;
-        };
-        let Some(root) = ln.by_fc.get_mut(&r.fc_str) else {
-            return false;
-        };
-        let Some((first, rest)) = r.path.split_first() else {
-            return false;
-        };
-        let Some(node) = root.get_mut(first).and_then(|n| n.get_mut(rest)) else {
-            return false;
-        };
-        match node {
-            AttrNode::Leaf(v) => {
-                *v = value;
+        match self.resolve(item_id) {
+            Some(&AttrNode::Leaf(id)) => {
+                self.set(id, value);
                 true
             }
-            AttrNode::Composite(_) => false,
+            _ => false,
         }
     }
 
@@ -504,11 +544,24 @@ impl DataModel {
     }
 }
 
+/// `map[key]`, inserted from `default` first if absent. The key is
+/// allocated only when it is inserted.
+fn child<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    key: &str,
+    default: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), default());
+    }
+    map.get_mut(key).expect("present or just inserted")
+}
+
 fn collect_leaves(node: &AttrNode, prefix: &str, out: &mut Vec<String>) {
     match node {
         AttrNode::Leaf(_) => out.push(prefix.to_string()),
         AttrNode::Composite(children) => {
-            for (name, child) in children {
+            for (name, child) in children.iter() {
                 collect_leaves(child, &format!("{prefix}${name}"), out);
             }
         }
@@ -546,6 +599,75 @@ mod tests {
         );
         assert!(!m.write("LD0/NOPE1$MX$TotW$mag$f", DataValue::Float(0.0)));
         assert!(!m.write("LD0/MMXU1$MX$TotW$mag", DataValue::Float(0.0)));
+    }
+
+    #[test]
+    fn insert_returns_the_leaf_read_sees() {
+        let mut m = DataModel::new("IED1");
+        let w = m.insert("LD0/MMXU1$MX$TotW$mag$f", DataValue::Float(1.0));
+        let q = m.insert("LD0/MMXU1$MX$TotW$q", DataValue::Str("good".into()));
+        let pos = m.insert("LD0/XCBR1$ST$Pos$stVal", DataValue::dbpos_off());
+        assert_ne!(w, q);
+        m.set(w, DataValue::Float(2.5));
+        m.set(pos, DataValue::dbpos_on());
+        assert_eq!(
+            m.read("LD0/MMXU1$MX$TotW$mag$f"),
+            Some(DataValue::Float(2.5))
+        );
+        assert_eq!(
+            m.read("LD0/MMXU1$MX$TotW$q"),
+            Some(DataValue::Str("good".into()))
+        );
+        assert_eq!(
+            m.read("LD0/XCBR1$ST$Pos$stVal"),
+            Some(DataValue::dbpos_on())
+        );
+        // The struct read of the data object sees the handles' writes.
+        m.set(q, DataValue::Str("invalid".into()));
+        assert_eq!(
+            m.read("LD0/MMXU1$MX$TotW"),
+            Some(DataValue::Struct(vec![
+                DataValue::Struct(vec![DataValue::Float(2.5)]),
+                DataValue::Str("invalid".into()),
+            ]))
+        );
+    }
+
+    #[test]
+    fn reinserting_a_leaf_keeps_its_id() {
+        let mut m = DataModel::new("IED1");
+        let id = m.insert("LD0/PTOC1$ST$Op$general", DataValue::Bool(false));
+        m.insert("LD0/PTOC1$ST$Str$general", DataValue::Bool(false));
+        assert_eq!(
+            m.insert("LD0/PTOC1$ST$Op$general", DataValue::Bool(true)),
+            id
+        );
+        assert_eq!(
+            m.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(true))
+        );
+        m.set(id, DataValue::Bool(false));
+        assert_eq!(
+            m.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(false))
+        );
+        // An item-id write lands on the leaf the handle names.
+        assert!(m.write("LD0/PTOC1$ST$Op$general", DataValue::Bool(true)));
+        let mut copy = m.clone();
+        // A clone carries the table, so the handle addresses the clone's leaf.
+        copy.set(id, DataValue::Bool(false));
+        assert_eq!(
+            copy.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(false))
+        );
+        assert_eq!(
+            m.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(true))
+        );
+        assert_eq!(
+            m.read("LD0/PTOC1$ST$Str$general"),
+            Some(DataValue::Bool(false))
+        );
     }
 
     #[test]

@@ -4,15 +4,15 @@
 use crate::protection::{
     DifferentialRelay, Interlock, OvercurrentCurve, OvercurrentRelay, RelayEvent, VoltageRelay,
 };
-use crate::spec::{GooseEntry, IedSpec, ProtectionSpec};
+use crate::spec::{BreakerMap, GooseEntry, IedSpec, ProtectionSpec};
 use parking_lot::Mutex;
 use sgcr_faults::{DegradationSignal, SensorFault};
 use sgcr_iec61850::{
-    ControlDecision, DataModel, DataValue, GooseConfig, GoosePublisher, GooseSubscriber, MmsServer,
-    MmsServerApp, SessionPacket, SessionPayloadType, SessionReceiver, SessionSender, SharedModel,
-    SvPublisher, SvSubscriber, RGOOSE_PORT,
+    ControlDecision, DataModel, DataValue, GooseConfig, GoosePublisher, GooseSubscriber, LeafId,
+    MmsServer, MmsServerApp, ObjectRef, SessionPacket, SessionPayloadType, SessionReceiver,
+    SessionSender, SharedModel, SvPublisher, SvSubscriber, RGOOSE_PORT,
 };
-use sgcr_kvstore::{ProcessStore, Value};
+use sgcr_kvstore::{ProcessStore, Slot, Value};
 use sgcr_net::{
     ethertype, AppPlane, ConnId, EthernetFrame, HostCtx, Ipv4Addr, MacAddr, SimTime, SocketApp,
 };
@@ -125,32 +125,114 @@ impl IedHandle {
     }
 }
 
-enum ProtectionRuntime {
-    Ptoc {
-        ln: String,
+/// A protection element's relay.
+enum Relay {
+    Overcurrent(OvercurrentRelay),
+    Voltage(VoltageRelay),
+    Differential(DifferentialRelay),
+}
+
+impl Relay {
+    fn has_operated(&self) -> bool {
+        match self {
+            Relay::Overcurrent(r) => r.has_operated(),
+            Relay::Voltage(r) => r.has_operated(),
+            Relay::Differential(r) => r.has_operated(),
+        }
+    }
+
+    /// Steps the element on one sampled value (an overcurrent element sees
+    /// its magnitude).
+    fn step(&mut self, now: SimTime, value: f64) -> Option<RelayEvent> {
+        match self {
+            Relay::Overcurrent(r) => r.step(now, value.abs()),
+            Relay::Voltage(r) => r.step(now, value),
+            Relay::Differential(r) => r.step(now, value),
+        }
+    }
+
+    /// The sequence-of-events text of a pickup at `value`.
+    fn pickup_detail(&self, ln: &str, value: f64) -> String {
+        match self {
+            Relay::Overcurrent(_) => format!("{ln} pickup at {value:.3}"),
+            Relay::Voltage(_) => format!("{ln} pickup at {value:.3} pu"),
+            Relay::Differential(_) => format!("{ln} differential pickup"),
+        }
+    }
+}
+
+enum Function {
+    /// A relay sampling one process value.
+    Relay {
+        /// Process-store key of the sampled value (sensor faults are keyed
+        /// by it).
         key: String,
-        relay: OvercurrentRelay,
-        breaker: String,
+        slot: Slot,
+        relay: Relay,
     },
-    Voltage {
-        ln: String,
-        key: String,
-        relay: VoltageRelay,
-        breaker: String,
-    },
-    Pdif {
-        ln: String,
-        key: String,
-        relay: DifferentialRelay,
-        breaker: String,
-    },
+    /// An interlock on remote breaker states received over (R-)GOOSE.
     Cilo {
-        ln: String,
-        breaker: String,
         interlock: Interlock,
         /// monitored refs: (reference, gocb_ref, dataset_index)
         monitored: Vec<(String, String, usize)>,
     },
+}
+
+/// One protection function, resolved against the store, the data model and
+/// the IED's breakers when the app is built.
+struct ProtectionRuntime {
+    ln: String,
+    /// The breaker it trips (relays) or gates (CILO), by name.
+    breaker: String,
+    /// Index of that breaker in [`IedSpec::breakers`], if the IED maps it.
+    breaker_index: Option<usize>,
+    /// The leaf it rewrites: `Op$general` for relays, `EnaCls$stVal` for
+    /// CILO.
+    leaf: LeafId,
+    /// That leaf's item id, quoted in trip reports.
+    item: String,
+    function: Function,
+}
+
+impl ProtectionRuntime {
+    fn has_operated(&self) -> bool {
+        match &self.function {
+            Function::Relay { relay, .. } => relay.has_operated(),
+            Function::Cilo { .. } => false,
+        }
+    }
+}
+
+/// A measurement's path from the store into the data model.
+struct MeasurementPath {
+    slot: Slot,
+    value: LeafId,
+    quality: LeafId,
+}
+
+/// A breaker's process keys and position leaves.
+struct BreakerPath {
+    state: Slot,
+    cmd: Slot,
+    /// XCBR and CSWI `Pos$stVal`.
+    positions: [LeafId; 2],
+    /// The XCBR position's item id, quoted in trip reports.
+    xcbr_item: String,
+}
+
+/// Where one entry of the IED's own GOOSE dataset comes from.
+enum GooseSource {
+    /// A breaker's position (index into [`IedSpec::breakers`]), or `None`
+    /// for a breaker the IED does not map (always published open).
+    Breaker(Option<usize>),
+    /// Whether any of these protection functions has operated.
+    Protection(Vec<usize>),
+}
+
+/// The index of the first breaker named `name`: the one every lookup by
+/// name resolves to.
+fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
+    breakers.iter().position(|b| b.name == name)
 }
 
 /// The virtual IED application.
@@ -163,16 +245,25 @@ pub struct VirtualIedApp {
     store: ProcessStore,
     mms: MmsServerApp,
     model: SharedModel,
+    measurements: Vec<MeasurementPath>,
+    breakers: Vec<BreakerPath>,
     protections: Vec<ProtectionRuntime>,
+    /// The buffered report control block named in trip reports.
+    report_name: String,
+    goose_sources: Vec<GooseSource>,
     goose_pub: Option<GoosePublisher>,
     goose_subs: Vec<GooseSubscriber>,
     rsv_pub: Option<SvPublisher>,
+    /// Slot of the current the R-SV stream publishes.
+    rsv_current: Option<Slot>,
     rsv_sub: Option<SvSubscriber>,
     session_tx: SessionSender,
     session_rx: HashMap<Ipv4Addr, SessionReceiver>,
     events: Arc<Mutex<Vec<IedEvent>>>,
-    /// Close-permit per interlocked breaker, shared with the control handler.
-    permits: Arc<Mutex<HashMap<String, bool>>>,
+    /// Close permit per breaker (indexed like [`IedSpec::breakers`]; one
+    /// entry per breaker name, at its first index), shared with the control
+    /// handler.
+    permits: Arc<Mutex<Vec<bool>>>,
     now_ms: Arc<AtomicU64>,
     sensor_faults: Arc<Mutex<HashMap<String, SensorOverride>>>,
     degradation: DegradationSignal,
@@ -203,15 +294,47 @@ impl VirtualIedApp {
     /// [`ControlRejected`](sgcr_obs::Event::ControlRejected), and
     /// [`GooseSent`](sgcr_obs::Event::GooseSent) events tagged with this
     /// IED's name.
+    ///
+    /// The data model is built here, and every store key and model leaf the
+    /// sample path touches is resolved to a handle once, so sampling does no
+    /// string lookups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item of the spec's data model is not an object
+    /// reference; [`check_model`] reports that as an error instead.
     pub fn with_telemetry(
         spec: IedSpec,
         store: ProcessStore,
         telemetry: Telemetry,
     ) -> (VirtualIedApp, IedHandle) {
-        let model = SharedModel::new(build_model(&spec));
+        let built = build_model(&spec);
+        let model = SharedModel::new(built.model);
         let events: Arc<Mutex<Vec<IedEvent>>> = Arc::default();
-        let permits: Arc<Mutex<HashMap<String, bool>>> = Arc::default();
+        let permits = Arc::new(Mutex::new(vec![false; spec.breakers.len()]));
         let now_ms = Arc::new(AtomicU64::new(0));
+
+        let measurements = spec
+            .measurements
+            .iter()
+            .zip(built.measurements)
+            .map(|(m, [value, quality])| MeasurementPath {
+                slot: store.slot(&m.kv_key),
+                value,
+                quality,
+            })
+            .collect();
+        let breakers: Vec<BreakerPath> = spec
+            .breakers
+            .iter()
+            .zip(built.positions)
+            .map(|(b, (positions, xcbr_item))| BreakerPath {
+                state: store.slot(&b.state_key),
+                cmd: store.slot(&b.cmd_key),
+                positions,
+                xcbr_item,
+            })
+            .collect();
 
         let mut server = MmsServer::new(model.clone());
         server.identity = (
@@ -226,7 +349,8 @@ impl VirtualIedApp {
             let events = events.clone();
             let permits = permits.clone();
             let now_ms = now_ms.clone();
-            let breakers = spec.breakers.clone();
+            let maps = spec.breakers.clone();
+            let cmd_slots: Vec<Slot> = breakers.iter().map(|b| b.cmd).collect();
             let substation = spec.substation.clone();
             let obs = telemetry.clone();
             let controls_counter = telemetry.counter("ied.controls");
@@ -235,16 +359,17 @@ impl VirtualIedApp {
                 let Some(close) = value.as_bool() else {
                     return ControlDecision::Reject;
                 };
-                let Some(breaker) = breakers
+                let Some(index) = maps
                     .iter()
-                    .find(|b| object_ref.ln == b.cswi || object_ref.ln == b.xcbr)
+                    .position(|b| object_ref.ln == b.cswi || object_ref.ln == b.xcbr)
                 else {
                     return ControlDecision::Reject;
                 };
+                let breaker = &maps[index];
                 let time_ms = now_ms.load(Ordering::Relaxed);
                 if close && breaker.interlocked {
-                    let permitted = permits.lock().get(&breaker.name).copied().unwrap_or(false);
-                    if !permitted {
+                    let permit = breaker_named(&maps, &breaker.name).unwrap_or(index);
+                    if !permits.lock()[permit] {
                         let detail = format!(
                             "close {} blocked by interlock (substation {substation})",
                             breaker.name
@@ -261,7 +386,7 @@ impl VirtualIedApp {
                         return ControlDecision::Reject;
                     }
                 }
-                store.set(&breaker.cmd_key, Value::Bool(close));
+                store.set_at(cmd_slots[index], Value::Bool(close));
                 controls_counter.inc();
                 let detail = format!("{} {}", if close { "close" } else { "open" }, breaker.name);
                 events.lock().push(IedEvent {
@@ -277,98 +402,88 @@ impl VirtualIedApp {
             }));
         }
 
-        let protections = spec
+        let delay = sgcr_net::SimDuration::from_millis;
+        let protections: Vec<ProtectionRuntime> = spec
             .protections
             .iter()
-            .map(|p| match p {
-                ProtectionSpec::Ptoc {
-                    ln,
-                    measurement_key,
-                    pickup,
-                    delay_ms,
-                    breaker,
-                } => ProtectionRuntime::Ptoc {
-                    ln: ln.clone(),
-                    key: measurement_key.clone(),
-                    relay: OvercurrentRelay::new(
-                        *pickup,
-                        OvercurrentCurve::DefiniteTime {
-                            delay: sgcr_net::SimDuration::from_millis(*delay_ms),
-                        },
+            .zip(built.protections)
+            .map(|(p, (leaf, item))| {
+                let relay = |key: &str, relay: Relay| Function::Relay {
+                    key: key.to_string(),
+                    slot: store.slot(key),
+                    relay,
+                };
+                let function = match p {
+                    ProtectionSpec::Ptoc {
+                        measurement_key,
+                        pickup,
+                        delay_ms,
+                        ..
+                    } => relay(
+                        measurement_key,
+                        Relay::Overcurrent(OvercurrentRelay::new(
+                            *pickup,
+                            OvercurrentCurve::DefiniteTime {
+                                delay: delay(*delay_ms),
+                            },
+                        )),
                     ),
-                    breaker: breaker.clone(),
-                },
-                ProtectionSpec::Ptov {
-                    ln,
-                    voltage_key,
-                    threshold_pu,
-                    delay_ms,
-                    breaker,
-                } => ProtectionRuntime::Voltage {
-                    ln: ln.clone(),
-                    key: voltage_key.clone(),
-                    relay: VoltageRelay::over(
-                        *threshold_pu,
-                        sgcr_net::SimDuration::from_millis(*delay_ms),
+                    ProtectionSpec::Ptov {
+                        voltage_key,
+                        threshold_pu,
+                        delay_ms,
+                        ..
+                    } => relay(
+                        voltage_key,
+                        Relay::Voltage(VoltageRelay::over(*threshold_pu, delay(*delay_ms))),
                     ),
-                    breaker: breaker.clone(),
-                },
-                ProtectionSpec::Ptuv {
-                    ln,
-                    voltage_key,
-                    threshold_pu,
-                    delay_ms,
-                    breaker,
-                } => ProtectionRuntime::Voltage {
-                    ln: ln.clone(),
-                    key: voltage_key.clone(),
-                    relay: VoltageRelay::under(
-                        *threshold_pu,
-                        sgcr_net::SimDuration::from_millis(*delay_ms),
+                    ProtectionSpec::Ptuv {
+                        voltage_key,
+                        threshold_pu,
+                        delay_ms,
+                        ..
+                    } => relay(
+                        voltage_key,
+                        Relay::Voltage(VoltageRelay::under(*threshold_pu, delay(*delay_ms))),
                     ),
-                    breaker: breaker.clone(),
-                },
-                ProtectionSpec::Pdif {
-                    ln,
-                    local_current_key,
-                    threshold,
-                    delay_ms,
-                    breaker,
-                } => ProtectionRuntime::Pdif {
-                    ln: ln.clone(),
-                    key: local_current_key.clone(),
-                    relay: DifferentialRelay::new(
-                        *threshold,
-                        sgcr_net::SimDuration::from_millis(*delay_ms),
+                    ProtectionSpec::Pdif {
+                        local_current_key,
+                        threshold,
+                        delay_ms,
+                        ..
+                    } => relay(
+                        local_current_key,
+                        Relay::Differential(DifferentialRelay::new(*threshold, delay(*delay_ms))),
                     ),
-                    breaker: breaker.clone(),
-                },
-                ProtectionSpec::Cilo {
-                    ln,
-                    breaker,
-                    monitored,
-                } => ProtectionRuntime::Cilo {
-                    ln: ln.clone(),
-                    breaker: breaker.clone(),
-                    interlock: Interlock::new(
-                        monitored.iter().map(|m| m.reference.clone()).collect(),
-                    ),
-                    monitored: monitored
-                        .iter()
-                        .map(|m| (m.reference.clone(), m.gocb_ref.clone(), m.dataset_index))
-                        .collect(),
-                },
+                    ProtectionSpec::Cilo { monitored, .. } => Function::Cilo {
+                        interlock: Interlock::new(
+                            monitored.iter().map(|m| m.reference.clone()).collect(),
+                        ),
+                        monitored: monitored
+                            .iter()
+                            .map(|m| (m.reference.clone(), m.gocb_ref.clone(), m.dataset_index))
+                            .collect(),
+                    },
+                };
+                ProtectionRuntime {
+                    ln: p.ln().to_string(),
+                    breaker: p.breaker().to_string(),
+                    breaker_index: breaker_named(&spec.breakers, p.breaker()),
+                    leaf,
+                    item,
+                    function,
+                }
             })
-            .collect::<Vec<_>>();
+            .collect();
 
         // Subscribe to every distinct gocbRef the interlocks reference.
         let mut sub_refs: Vec<String> = protections
             .iter()
-            .filter_map(|p| match p {
-                ProtectionRuntime::Cilo { monitored, .. } => {
+            .filter_map(|p| match &p.function {
+                Function::Cilo { monitored, .. } => {
                     Some(monitored.iter().map(|(_, g, _)| g.clone()))
                 }
-                _ => None,
+                Function::Relay { .. } => None,
             })
             .flatten()
             .collect();
@@ -376,6 +491,24 @@ impl VirtualIedApp {
         sub_refs.dedup();
         let goose_subs = sub_refs.iter().map(|g| GooseSubscriber::new(g)).collect();
 
+        let goose_sources = spec
+            .goose
+            .iter()
+            .flat_map(|g| &g.entries)
+            .map(|e| match e {
+                GooseEntry::BreakerState(name) => {
+                    GooseSource::Breaker(breaker_named(&spec.breakers, name))
+                }
+                GooseEntry::ProtectionOp(ln) => GooseSource::Protection(
+                    (0..protections.len())
+                        .filter(|&i| {
+                            let p = &protections[i];
+                            p.ln == *ln && matches!(p.function, Function::Relay { .. })
+                        })
+                        .collect(),
+                ),
+            })
+            .collect();
         let goose_pub = spec.goose.as_ref().map(|g| {
             GoosePublisher::new(
                 GooseConfig::new(&g.gocb_ref, &g.dataset, &g.gocb_ref, g.appid),
@@ -387,6 +520,7 @@ impl VirtualIedApp {
             .rsv
             .as_ref()
             .map(|r| SvPublisher::new(&r.sv_id, 0x4000, spec.sample_period));
+        let rsv_current = spec.rsv.as_ref().map(|r| store.slot(&r.current_key));
         let rsv_sub = spec
             .rsv
             .as_ref()
@@ -400,10 +534,15 @@ impl VirtualIedApp {
             store,
             mms: MmsServerApp::new(server),
             model: model.clone(),
+            measurements,
+            breakers,
             protections,
+            report_name: built.report_name,
+            goose_sources,
             goose_pub,
             goose_subs,
             rsv_pub,
+            rsv_current,
             rsv_sub,
             session_tx: SessionSender::new(),
             session_rx: HashMap::new(),
@@ -430,15 +569,6 @@ impl VirtualIedApp {
         )
     }
 
-    /// Applies any injected sensor fault to a process value. Stuck sensors
-    /// capture-and-hold the first faulted reading; drifting sensors walk
-    /// away from truth at their configured rate. Protection elements read
-    /// through this too — a faulted transducer blinds the relay exactly as
-    /// it would in the field.
-    fn faulted_value(&self, key: &str, raw: f64, now_ms: u64) -> f64 {
-        apply_sensor_fault(&self.sensor_faults, key, raw, now_ms)
-    }
-
     fn record(&self, now: SimTime, kind: IedEventKind, detail: String) {
         self.events.lock().push(IedEvent {
             time_ms: now.as_millis(),
@@ -447,25 +577,28 @@ impl VirtualIedApp {
         });
     }
 
+    /// Operates protection function `index`: opens its breaker, raises its
+    /// `Op` flag and reports both to every MMS client. A function whose
+    /// breaker the IED does not map trips nothing.
     fn trip_breaker(
-        &mut self,
+        &self,
         ctx: &mut HostCtx<'_>,
-        ln: &str,
-        breaker_name: &str,
+        index: usize,
         parent: Option<TraceCtx>,
     ) -> Option<TraceCtx> {
         let now = ctx.now();
-        let breaker = self.spec.breaker(breaker_name).cloned()?;
+        let protection = &self.protections[index];
+        let (ln, breaker_name) = (&protection.ln, &protection.breaker);
+        let breaker = &self.breakers[protection.breaker_index?];
         let mut span = ctx.tracer().open("ied.trip", Plane::Control, parent, now);
         if span.is_recording() {
             span.attr("ied", self.spec.name.as_str());
-            span.attr("ln", ln);
-            span.attr("breaker", breaker_name);
+            span.attr("ln", ln.as_str());
+            span.attr("breaker", breaker_name.as_str());
         }
         let trip_ctx = span.ctx();
-        self.store.set(&breaker.cmd_key, Value::Bool(false));
-        let op_item = self.spec.item(&format!("{ln}$ST$Op$general"));
-        self.model.write(&op_item, DataValue::Bool(true));
+        self.store.set_at(breaker.cmd, Value::Bool(false));
+        self.model.set(protection.leaf, DataValue::Bool(true));
         self.record(
             now,
             IedEventKind::ProtectionTrip,
@@ -481,13 +614,10 @@ impl VirtualIedApp {
         // associated MMS client (SCADA/PLC learn of the trip immediately,
         // without waiting for their next interrogation cycle).
         let report = sgcr_iec61850::MmsPdu::InformationReport {
-            report_name: self.spec.item("LLN0$BR$brcb01"),
+            report_name: self.report_name.clone(),
             entries: vec![
-                (op_item, DataValue::Bool(true)),
-                (
-                    self.spec.item(&format!("{}$ST$Pos$stVal", breaker.xcbr)),
-                    DataValue::dbpos_off(),
-                ),
+                (protection.item.clone(), DataValue::Bool(true)),
+                (breaker.xcbr_item.clone(), DataValue::dbpos_off()),
             ],
         };
         let wire = sgcr_iec61850::tpkt_frame(&report.encode());
@@ -547,11 +677,10 @@ impl VirtualIedApp {
                 }
             }
             for p in &mut self.protections {
-                if let ProtectionRuntime::Cilo {
+                if let Function::Cilo {
                     interlock,
                     monitored,
-                    ..
-                } = p
+                } = &mut p.function
                 {
                     for (reference, gocb_ref, _) in monitored.iter() {
                         if expired.contains(gocb_ref) {
@@ -570,160 +699,102 @@ impl VirtualIedApp {
         // 1. Measurements: process store → data model, through any injected
         //    sensor faults.
         let now_ms = now.as_millis();
-        for m in &self.spec.measurements {
-            if let Some(v) = self.store.get_float(&m.kv_key) {
-                let v = self.faulted_value(&m.kv_key, v, now_ms);
-                let item = self.spec.item(&m.item);
-                self.model.write(&item, DataValue::Float(v as f32));
-            }
-        }
+        let mut faults = self.sensor_faults.lock();
         // Quality follows the range-wide degradation signal: while the
         // power plane holds its last-good solution, every published
         // measurement carries quality `invalid`. Written on transition only
         // so healthy samples do no extra work.
         let degraded = self.degradation.is_degraded();
-        if degraded != self.q_invalid {
-            self.q_invalid = degraded;
-            let q = if degraded { "invalid" } else { "good" };
-            for m in &self.spec.measurements {
-                let q_item = self.spec.item(&quality_item(&m.item));
-                self.model.write(&q_item, DataValue::Str(q.to_string()));
+        let requalify = degraded != self.q_invalid;
+        self.q_invalid = degraded;
+        let store = &self.store;
+        self.model.with(|model| {
+            for (m, path) in self.spec.measurements.iter().zip(&self.measurements) {
+                if let Some(v) = store.get_at(path.slot).and_then(|v| v.as_float()) {
+                    let v = apply_sensor_fault(&mut faults, &m.kv_key, v, now_ms);
+                    model.set(path.value, DataValue::Float(v as f32));
+                }
             }
-        }
-        // 2. Breaker positions.
-        for b in &self.spec.breakers {
-            let closed = self.store.get_bool(&b.state_key).unwrap_or(false);
-            let pos = if closed {
-                DataValue::dbpos_on()
-            } else {
-                DataValue::dbpos_off()
-            };
-            let xcbr_item = self.spec.item(&format!("{}$ST$Pos$stVal", b.xcbr));
-            let cswi_item = self.spec.item(&format!("{}$ST$Pos$stVal", b.cswi));
-            self.model.write(&xcbr_item, pos.clone());
-            self.model.write(&cswi_item, pos);
-        }
+            if requalify {
+                let q = if degraded { "invalid" } else { "good" };
+                for path in &self.measurements {
+                    model.set(path.quality, DataValue::Str(q.to_string()));
+                }
+            }
+            // 2. Breaker positions.
+            for b in &self.breakers {
+                let closed = store.get_at(b.state).and_then(|v| v.as_bool());
+                let pos = if closed.unwrap_or(false) {
+                    DataValue::dbpos_on()
+                } else {
+                    DataValue::dbpos_off()
+                };
+                model.set(b.positions[0], pos.clone());
+                model.set(b.positions[1], pos);
+            }
+        });
 
         // 3. Protection scan.
-        let mut trips: Vec<(String, String)> = Vec::new();
-        for p in &mut self.protections {
-            match p {
-                ProtectionRuntime::Ptoc {
-                    ln,
-                    key,
-                    relay,
-                    breaker,
-                } => {
-                    if let Some(value) = self.store.get_float(key) {
-                        let value = apply_sensor_fault(&self.sensor_faults, key, value, now_ms);
-                        match relay.step(now, value.abs()) {
-                            Some(RelayEvent::Operate) => trips.push((ln.clone(), breaker.clone())),
-                            Some(RelayEvent::Pickup) => self.events.lock().push(IedEvent {
-                                time_ms: now.as_millis(),
-                                kind: IedEventKind::ProtectionPickup,
-                                detail: format!("{ln} pickup at {value:.3}"),
-                            }),
-                            Some(RelayEvent::Dropout) => self.events.lock().push(IedEvent {
-                                time_ms: now.as_millis(),
-                                kind: IedEventKind::ProtectionDropout,
-                                detail: format!("{ln} dropout"),
-                            }),
-                            None => {}
+        let mut trips: Vec<usize> = Vec::new();
+        for (index, p) in self.protections.iter_mut().enumerate() {
+            match &mut p.function {
+                Function::Relay { key, slot, relay } => {
+                    let Some(value) = store.get_at(*slot).and_then(|v| v.as_float()) else {
+                        continue;
+                    };
+                    let value = apply_sensor_fault(&mut faults, key, value, now_ms);
+                    let (kind, detail) = match relay.step(now, value) {
+                        Some(RelayEvent::Operate) => {
+                            trips.push(index);
+                            continue;
                         }
-                    }
-                }
-                ProtectionRuntime::Voltage {
-                    ln,
-                    key,
-                    relay,
-                    breaker,
-                } => {
-                    if let Some(value) = self.store.get_float(key) {
-                        let value = apply_sensor_fault(&self.sensor_faults, key, value, now_ms);
-                        match relay.step(now, value) {
-                            Some(RelayEvent::Operate) => trips.push((ln.clone(), breaker.clone())),
-                            Some(RelayEvent::Pickup) => self.events.lock().push(IedEvent {
-                                time_ms: now.as_millis(),
-                                kind: IedEventKind::ProtectionPickup,
-                                detail: format!("{ln} pickup at {value:.3} pu"),
-                            }),
-                            Some(RelayEvent::Dropout) => self.events.lock().push(IedEvent {
-                                time_ms: now.as_millis(),
-                                kind: IedEventKind::ProtectionDropout,
-                                detail: format!("{ln} dropout"),
-                            }),
-                            None => {}
+                        Some(RelayEvent::Pickup) => (
+                            IedEventKind::ProtectionPickup,
+                            relay.pickup_detail(&p.ln, value),
+                        ),
+                        Some(RelayEvent::Dropout) if !matches!(relay, Relay::Differential(_)) => {
+                            (IedEventKind::ProtectionDropout, format!("{} dropout", p.ln))
                         }
-                    }
+                        _ => continue,
+                    };
+                    self.events.lock().push(IedEvent {
+                        time_ms: now_ms,
+                        kind,
+                        detail,
+                    });
                 }
-                ProtectionRuntime::Pdif {
-                    ln,
-                    key,
-                    relay,
-                    breaker,
-                } => {
-                    if let Some(value) = self.store.get_float(key) {
-                        let value = apply_sensor_fault(&self.sensor_faults, key, value, now_ms);
-                        match relay.step(now, value) {
-                            Some(RelayEvent::Operate) => trips.push((ln.clone(), breaker.clone())),
-                            Some(RelayEvent::Pickup) => self.events.lock().push(IedEvent {
-                                time_ms: now.as_millis(),
-                                kind: IedEventKind::ProtectionPickup,
-                                detail: format!("{ln} differential pickup"),
-                            }),
-                            _ => {}
-                        }
-                    }
-                }
-                ProtectionRuntime::Cilo {
-                    ln,
-                    breaker,
-                    interlock,
-                    ..
-                } => {
+                Function::Cilo { interlock, .. } => {
                     let permitted = interlock.close_permitted();
-                    self.permits.lock().insert(breaker.clone(), permitted);
-                    let ena_item = self.spec.item(&format!("{ln}$ST$EnaCls$stVal"));
-                    self.model.write(&ena_item, DataValue::Bool(permitted));
+                    if let Some(breaker) = p.breaker_index {
+                        self.permits.lock()[breaker] = permitted;
+                    }
+                    self.model.set(p.leaf, DataValue::Bool(permitted));
                 }
             }
         }
+        drop(faults);
         let mut goose_cause = sample_ctx;
-        for (ln, breaker) in trips {
-            if let Some(trip_ctx) = self.trip_breaker(ctx, &ln, &breaker, sample_ctx) {
+        for index in trips {
+            if let Some(trip_ctx) = self.trip_breaker(ctx, index, sample_ctx) {
                 goose_cause = Some(trip_ctx);
             }
         }
 
         // 4. GOOSE publication (update dataset; emit immediately on change).
-        if let Some(goose_spec) = self.spec.goose.clone() {
-            let values: Vec<DataValue> = goose_spec
-                .entries
+        if self.goose_pub.is_some() {
+            let values: Vec<DataValue> = self
+                .goose_sources
                 .iter()
-                .map(|e| match e {
-                    GooseEntry::BreakerState(name) => {
-                        let closed = self
-                            .spec
-                            .breaker(name)
-                            .and_then(|b| self.store.get_bool(&b.state_key))
-                            .unwrap_or(false);
-                        DataValue::Bool(closed)
-                    }
-                    GooseEntry::ProtectionOp(ln) => {
-                        let operated = self.protections.iter().any(|p| match p {
-                            ProtectionRuntime::Ptoc { ln: l, relay, .. } => {
-                                l == ln && relay.has_operated()
-                            }
-                            ProtectionRuntime::Voltage { ln: l, relay, .. } => {
-                                l == ln && relay.has_operated()
-                            }
-                            ProtectionRuntime::Pdif { ln: l, relay, .. } => {
-                                l == ln && relay.has_operated()
-                            }
-                            ProtectionRuntime::Cilo { .. } => false,
-                        });
-                        DataValue::Bool(operated)
-                    }
+                .map(|source| {
+                    DataValue::Bool(match source {
+                        GooseSource::Breaker(breaker) => breaker
+                            .and_then(|b| self.store.get_at(self.breakers[b].state))
+                            .and_then(|v| v.as_bool())
+                            .unwrap_or(false),
+                        GooseSource::Protection(indices) => {
+                            indices.iter().any(|&i| self.protections[i].has_operated())
+                        }
+                    })
                 })
                 .collect();
             if let Some(publisher) = &mut self.goose_pub {
@@ -738,16 +809,18 @@ impl VirtualIedApp {
         }
 
         // 5. R-SV publication.
-        if let Some(rsv) = self.spec.rsv.clone() {
-            let current = self.store.get_float(&rsv.current_key).unwrap_or(0.0) as f32;
-            if let Some(publisher) = &mut self.rsv_pub {
-                let frame = publisher.emit(now, ctx.mac(), vec![current]);
-                let packet = self
-                    .session_tx
-                    .wrap(SessionPayloadType::Sv, frame.payload.to_vec());
-                for peer in &rsv.peers {
-                    ctx.send_udp(*peer, RGOOSE_PORT, RGOOSE_PORT, &packet.encode());
-                }
+        if let (Some(rsv), Some(publisher)) = (&self.spec.rsv, &mut self.rsv_pub) {
+            let current = self
+                .rsv_current
+                .and_then(|slot| self.store.get_at(slot))
+                .and_then(|v| v.as_float())
+                .unwrap_or(0.0) as f32;
+            let frame = publisher.emit(now, ctx.mac(), vec![current]);
+            let packet = self
+                .session_tx
+                .wrap(SessionPayloadType::Sv, frame.payload.to_vec());
+            for peer in &rsv.peers {
+                ctx.send_udp(*peer, RGOOSE_PORT, RGOOSE_PORT, &packet.encode());
             }
         }
 
@@ -782,8 +855,8 @@ impl VirtualIedApp {
                     .session_tx
                     .wrap(SessionPayloadType::Goose, frame.payload.to_vec());
                 let wire = packet.encode();
-                for peer in goose_spec.rgoose_peers.clone() {
-                    ctx.send_udp(peer, RGOOSE_PORT, RGOOSE_PORT, &wire);
+                for peer in &goose_spec.rgoose_peers {
+                    ctx.send_udp(*peer, RGOOSE_PORT, RGOOSE_PORT, &wire);
                 }
             }
         }
@@ -812,11 +885,10 @@ impl VirtualIedApp {
                 }
                 span.end(now);
                 for p in &mut self.protections {
-                    if let ProtectionRuntime::Cilo {
+                    if let Function::Cilo {
                         interlock,
                         monitored,
-                        ..
-                    } = p
+                    } = &mut p.function
                     {
                         for (reference, gocb_ref, index) in monitored.iter() {
                             if *gocb_ref != gocb {
@@ -911,7 +983,11 @@ impl SocketApp for VirtualIedApp {
                     if sub.process(now, &frame) {
                         let remote = sub.samples.first().copied().unwrap_or(0.0) as f64;
                         for p in &mut self.protections {
-                            if let ProtectionRuntime::Pdif { relay, .. } = p {
+                            if let Function::Relay {
+                                relay: Relay::Differential(relay),
+                                ..
+                            } = &mut p.function
+                            {
                                 relay.update_remote(now, remote);
                             }
                         }
@@ -927,27 +1003,35 @@ impl SocketApp for VirtualIedApp {
 /// `TotW$mag$f` → `TotW$q`), never below the value leaf — the data model is
 /// a tree and a leaf cannot grow children.
 pub fn quality_item(item: &str) -> String {
+    format!("{}$q", quality_parent(item))
+}
+
+/// The data object [`quality_item`] puts `q` under.
+fn quality_parent(item: &str) -> &str {
     for suffix in ["$cVal$mag$f", "$mag$f"] {
         if let Some(prefix) = item.strip_suffix(suffix) {
-            return format!("{prefix}$q");
+            return prefix;
         }
     }
     match item.rfind('$') {
-        Some(i) => format!("{}$q", &item[..i]),
-        None => format!("{item}$q"),
+        Some(i) => &item[..i],
+        None => item,
     }
 }
 
 /// The fault-application arithmetic behind [`VirtualIedApp`]'s sampling and
 /// protection reads; free-standing so the protection scan can call it while
-/// the runtime list is mutably borrowed.
+/// the runtime list is mutably borrowed. With no fault engaged (the healthy
+/// path) the key is not even hashed.
 fn apply_sensor_fault(
-    faults: &Mutex<HashMap<String, SensorOverride>>,
+    faults: &mut HashMap<String, SensorOverride>,
     key: &str,
     raw: f64,
     now_ms: u64,
 ) -> f64 {
-    let mut faults = faults.lock();
+    if faults.is_empty() {
+        return raw;
+    }
     let Some(state) = faults.get_mut(key) else {
         return raw;
     };
@@ -959,79 +1043,201 @@ fn apply_sensor_fault(
     }
 }
 
-/// Builds the IEC 61850 data model implied by a spec: LLN0/LPHD plus the
-/// LNs for measurements, breakers, and protection functions.
-pub fn build_model(spec: &IedSpec) -> DataModel {
-    let mut model = DataModel::new(&spec.name);
-    let item = |rel: &str| format!("{}/{}", spec.ld, rel);
-    model.insert(&item("LLN0$ST$Beh$stVal"), DataValue::Int(1));
-    model.insert(&item("LPHD1$ST$PhyHealth$stVal"), DataValue::Int(1));
-    model.insert(
-        &item("LPHD1$DC$PhyNam$vendor"),
-        DataValue::Str("sgcr".to_string()),
-    );
+/// The leaf a data-model item fills at runtime, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Written only through MMS, or never.
+    Static,
+    /// A measurement's value.
+    Value,
+    /// A measurement's quality.
+    Quality,
+    /// A breaker's XCBR position.
+    XcbrPos,
+    /// A breaker's CSWI position.
+    CswiPos,
+    /// The leaf a protection function rewrites: `Op$general` for relays,
+    /// `EnaCls$stVal` for CILO.
+    Protection,
+}
+
+/// Every item of the data model a spec implies — its id relative to the LD
+/// as a configured part and a fixed suffix, its initial value and its role
+/// — in insertion order. Each role occurs once per measurement, breaker or
+/// protection function, in spec order. This is the one place the item-id
+/// layouts are written out.
+fn layout(spec: &IedSpec) -> Vec<(&str, &'static str, DataValue, Role)> {
+    let mut items = vec![
+        ("", "LLN0$ST$Beh$stVal", DataValue::Int(1), Role::Static),
+        (
+            "",
+            "LPHD1$ST$PhyHealth$stVal",
+            DataValue::Int(1),
+            Role::Static,
+        ),
+        (
+            "",
+            "LPHD1$DC$PhyNam$vendor",
+            DataValue::Str("sgcr".to_string()),
+            Role::Static,
+        ),
+    ];
     for m in &spec.measurements {
-        model.insert(&item(&m.item), DataValue::Float(0.0));
+        items.push((&m.item, "", DataValue::Float(0.0), Role::Value));
         // IEC 61850 quality companion: `good` until the degradation signal
         // (power-plane hold-last-good) flips it to `invalid`.
-        model.insert(
-            &item(&quality_item(&m.item)),
+        items.push((
+            quality_parent(&m.item),
+            "$q",
             DataValue::Str("good".to_string()),
-        );
+            Role::Quality,
+        ));
     }
     for b in &spec.breakers {
-        model.insert(
-            &item(&format!("{}$ST$Pos$stVal", b.xcbr)),
-            DataValue::dbpos_off(),
-        );
-        model.insert(
-            &item(&format!("{}$CO$Pos$Oper$ctlVal", b.xcbr)),
-            DataValue::Bool(false),
-        );
-        model.insert(
-            &item(&format!("{}$ST$Pos$stVal", b.cswi)),
-            DataValue::dbpos_off(),
-        );
-        model.insert(
-            &item(&format!("{}$CO$Pos$Oper$ctlVal", b.cswi)),
-            DataValue::Bool(false),
-        );
+        for (ln, role) in [(&b.xcbr, Role::XcbrPos), (&b.cswi, Role::CswiPos)] {
+            items.push((ln, "$ST$Pos$stVal", DataValue::dbpos_off(), role));
+            items.push((
+                ln,
+                "$CO$Pos$Oper$ctlVal",
+                DataValue::Bool(false),
+                Role::Static,
+            ));
+        }
     }
     for p in &spec.protections {
         let ln = p.ln();
-        match p {
+        let threshold = match p {
             ProtectionSpec::Cilo { .. } => {
-                model.insert(
-                    &item(&format!("{ln}$ST$EnaCls$stVal")),
+                items.push((
+                    ln,
+                    "$ST$EnaCls$stVal",
                     DataValue::Bool(false),
-                );
-                model.insert(
-                    &item(&format!("{ln}$ST$EnaOpn$stVal")),
-                    DataValue::Bool(true),
-                );
+                    Role::Protection,
+                ));
+                items.push((ln, "$ST$EnaOpn$stVal", DataValue::Bool(true), Role::Static));
+                continue;
             }
-            _ => {
-                model.insert(
-                    &item(&format!("{ln}$ST$Str$general")),
-                    DataValue::Bool(false),
-                );
-                model.insert(
-                    &item(&format!("{ln}$ST$Op$general")),
-                    DataValue::Bool(false),
-                );
-                let threshold = match p {
-                    ProtectionSpec::Ptoc { pickup, .. } => *pickup,
-                    ProtectionSpec::Ptov { threshold_pu, .. }
-                    | ProtectionSpec::Ptuv { threshold_pu, .. } => *threshold_pu,
-                    ProtectionSpec::Pdif { threshold, .. } => *threshold,
-                    ProtectionSpec::Cilo { .. } => unreachable!(),
-                };
-                model.insert(
-                    &item(&format!("{ln}$SP$StrVal$setMag$f")),
-                    DataValue::Float(threshold as f32),
-                );
-            }
-        }
+            ProtectionSpec::Ptoc { pickup, .. } => *pickup,
+            ProtectionSpec::Ptov { threshold_pu, .. }
+            | ProtectionSpec::Ptuv { threshold_pu, .. } => *threshold_pu,
+            ProtectionSpec::Pdif { threshold, .. } => *threshold,
+        };
+        items.push((ln, "$ST$Str$general", DataValue::Bool(false), Role::Static));
+        items.push((
+            ln,
+            "$ST$Op$general",
+            DataValue::Bool(false),
+            Role::Protection,
+        ));
+        items.push((
+            ln,
+            "$SP$StrVal$setMag$f",
+            DataValue::Float(threshold as f32),
+            Role::Static,
+        ));
     }
-    model
+    items
+}
+
+/// Walks the data model a spec implies, handing `visit` each item's full id
+/// (`<ld>/<relative>`, in one reused buffer), initial value and role.
+fn for_each_item(spec: &IedSpec, mut visit: impl FnMut(&str, DataValue, Role)) {
+    let mut item = String::new();
+    for (part, suffix, value, role) in layout(spec) {
+        item.clear();
+        item.extend([spec.ld.as_str(), "/", part, suffix]);
+        visit(&item, value, role);
+    }
+}
+
+/// Checks that every item of the data model `spec` implies is an object
+/// reference (`LD/LN$FC$DO…`), so building the IED cannot fail. The model
+/// compiler runs this on every IED; the error names the IED and the item.
+///
+/// # Examples
+///
+/// ```
+/// use sgcr_ied::{check_model, IedSpec, MeasurementMap};
+///
+/// let mut spec = IedSpec::new("GIED1", "S1");
+/// spec.measurements.push(MeasurementMap {
+///     kv_key: "meas/S1/branch/l1/p_mw".into(),
+///     item: "TotW".into(),
+/// });
+/// let err = check_model(&spec).unwrap_err();
+/// assert!(err.contains("GIED1") && err.contains("GIED1LD0/TotW"), "{err}");
+/// ```
+///
+/// # Errors
+///
+/// Returns a message naming the IED and the first item that does not
+/// parse.
+pub fn check_model(spec: &IedSpec) -> Result<(), String> {
+    let mut result = Ok(());
+    for_each_item(spec, |item, _, _| {
+        if result.is_ok() {
+            result = ObjectRef::validate(item).map_err(|e| {
+                format!(
+                    "IED {}: item {item:?} is not an object reference: {e}",
+                    spec.name
+                )
+            });
+        }
+    });
+    result
+}
+
+/// The data model of one IED with the handles of every leaf its runtime
+/// rewrites, recorded as the builder inserts them. The vectors run parallel
+/// to the spec's measurements, breakers and protection functions.
+struct IedModel {
+    model: DataModel,
+    /// Per measurement: the value and quality leaves.
+    measurements: Vec<[LeafId; 2]>,
+    /// Per breaker: the XCBR and CSWI position leaves, and the XCBR
+    /// position's item id.
+    positions: Vec<([LeafId; 2], String)>,
+    /// Per protection function: its [`Role::Protection`] leaf and item id.
+    protections: Vec<(LeafId, String)>,
+    /// The buffered report control block named in trip reports.
+    report_name: String,
+}
+
+/// Builds the IEC 61850 data model implied by a spec — LLN0/LPHD plus the
+/// LNs for measurements, breakers, and protection functions — recording the
+/// handle of every leaf the runtime rewrites.
+///
+/// # Panics
+///
+/// Panics if [`check_model`] rejects the spec.
+fn build_model(spec: &IedSpec) -> IedModel {
+    let mut model = DataModel::new(&spec.name);
+    let (mut values, mut qualities, mut xcbr, mut cswi, mut protections) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for_each_item(spec, |item, value, role| {
+        let leaf = model.insert(item, value);
+        match role {
+            Role::Static => {}
+            Role::Value => values.push(leaf),
+            Role::Quality => qualities.push(leaf),
+            Role::XcbrPos => xcbr.push((leaf, item.to_string())),
+            Role::CswiPos => cswi.push(leaf),
+            Role::Protection => protections.push((leaf, item.to_string())),
+        }
+    });
+    IedModel {
+        model,
+        measurements: values
+            .into_iter()
+            .zip(qualities)
+            .map(<[_; 2]>::from)
+            .collect(),
+        positions: xcbr
+            .into_iter()
+            .zip(cswi)
+            .map(|((x, item), c)| ([x, c], item))
+            .collect(),
+        protections,
+        report_name: spec.item("LLN0$BR$brcb01"),
+    }
 }

@@ -36,7 +36,7 @@ mod ied;
 mod protection;
 mod spec;
 
-pub use ied::{build_model, quality_item, IedEvent, IedEventKind, IedHandle, VirtualIedApp};
+pub use ied::{check_model, quality_item, IedEvent, IedEventKind, IedHandle, VirtualIedApp};
 pub use protection::{
     DifferentialRelay, Interlock, MonitoredState, OvercurrentCurve, OvercurrentRelay, RelayEvent,
     VoltageMode, VoltageRelay,

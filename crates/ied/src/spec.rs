@@ -111,6 +111,18 @@ impl ProtectionSpec {
         }
     }
 
+    /// The breaker this function trips (relays) or gates (CILO), by
+    /// [`BreakerMap::name`].
+    pub fn breaker(&self) -> &str {
+        match self {
+            ProtectionSpec::Ptoc { breaker, .. }
+            | ProtectionSpec::Ptov { breaker, .. }
+            | ProtectionSpec::Ptuv { breaker, .. }
+            | ProtectionSpec::Pdif { breaker, .. }
+            | ProtectionSpec::Cilo { breaker, .. } => breaker,
+        }
+    }
+
     /// The LN class (`PTOC`, `PTOV`, …).
     pub fn ln_class(&self) -> &'static str {
         match self {
@@ -256,5 +268,6 @@ mod tests {
         };
         assert_eq!(p.ln_class(), "PTOC");
         assert_eq!(p.ln(), "PTOC1");
+        assert_eq!(p.breaker(), "CB1");
     }
 }

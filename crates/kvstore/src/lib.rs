@@ -15,6 +15,11 @@
 //! components can poll [`ProcessStore::changes_since`] instead of relying on
 //! wall-clock notification timing.
 //!
+//! Components that touch the same keys every step resolve each key once to
+//! a [`Slot`] and read and write through it ([`ProcessStore::get_at`],
+//! [`ProcessStore::set_at`], [`ProcessStore::set_all`]); the string API
+//! looks keys up in the same table.
+//!
 //! # Examples
 //!
 //! ```
@@ -36,5 +41,5 @@ mod store;
 mod value;
 
 pub use keys::Keys;
-pub use store::{Change, Entry, ProcessStore};
+pub use store::{Change, Entry, ProcessStore, Slot};
 pub use value::Value;

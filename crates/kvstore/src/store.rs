@@ -26,12 +26,27 @@ pub struct Change {
     pub version: u64,
 }
 
+/// A key resolved to its position in a store's slot table by
+/// [`ProcessStore::slot`].
+///
+/// Reading and writing through a slot ([`get_at`](ProcessStore::get_at),
+/// [`set_at`](ProcessStore::set_at)) skips hashing the key, so a component
+/// that touches the same keys every step resolves them once and keeps the
+/// slots. A slot is meaningful only to the store that issued it and that
+/// store's clones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Slot(usize);
+
 /// Concurrent key-value cache coupling cyber emulation and power simulation.
 ///
-/// Cloning is cheap: clones share the same underlying map (the store is the
-/// single "database host" of the cyber range; every virtual device holds a
-/// handle to it, exactly as every virtual IED in the paper connects to the
+/// Cloning is cheap: clones share the same underlying table (the store is
+/// the single "database host" of the cyber range; every virtual device holds
+/// a handle to it, exactly as every virtual IED in the paper connects to the
 /// single MySQL instance).
+///
+/// Every key the store has seen owns one slot in a table. The string API
+/// looks the key up in an index; the slot API indexes the table directly.
+/// Both read and write the same entries and share one version counter.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessStore {
     inner: Arc<Inner>,
@@ -39,8 +54,56 @@ pub struct ProcessStore {
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: RwLock<HashMap<String, Entry>>,
+    table: RwLock<Table>,
     version: AtomicU64,
+}
+
+/// The slot table. A slot is created when a key is first interned and never
+/// freed, so slots stay valid; its entry is `None` until the key is first
+/// written and again after it is removed. An interned key without an entry
+/// is absent from every query.
+#[derive(Debug, Default)]
+struct Table {
+    /// Key → slot index; the only copy of each key.
+    index: HashMap<String, usize>,
+    entries: Vec<Option<Entry>>,
+    /// Number of slots holding an entry.
+    live: usize,
+}
+
+impl Table {
+    fn lookup(&self, key: &str) -> Option<&Entry> {
+        self.index
+            .get(key)
+            .and_then(|&slot| self.entries[slot].as_ref())
+    }
+
+    fn intern(&mut self, key: &str) -> usize {
+        if let Some(&slot) = self.index.get(key) {
+            return slot;
+        }
+        let slot = self.entries.len();
+        self.entries.push(None);
+        self.index.insert(key.to_string(), slot);
+        slot
+    }
+
+    fn write(&mut self, slot: usize, entry: Entry) {
+        if self.entries[slot].replace(entry).is_none() {
+            self.live += 1;
+        }
+    }
+
+    /// Every present entry with its key, sorted by key.
+    fn sorted(&self) -> Vec<(&String, &Entry)> {
+        let mut present: Vec<(&String, &Entry)> = self
+            .index
+            .iter()
+            .filter_map(|(key, &slot)| Some((key, self.entries[slot].as_ref()?)))
+            .collect();
+        present.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        present
+    }
 }
 
 impl ProcessStore {
@@ -54,14 +117,80 @@ impl ProcessStore {
         self.inner.version.load(Ordering::SeqCst)
     }
 
+    fn next_version(&self) -> u64 {
+        self.inner.version.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Resolves `key` to its slot, interning the key if the store has not
+    /// seen it. Interning creates no entry: until the first write the key
+    /// stays absent from [`get`](ProcessStore::get),
+    /// [`keys`](ProcessStore::keys), [`len`](ProcessStore::len),
+    /// [`dump`](ProcessStore::dump) and the change feed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sgcr_kvstore::{ProcessStore, Value};
+    ///
+    /// let store = ProcessStore::new();
+    /// let slot = store.slot("meas/S1/cb/CB1/closed");
+    /// assert_eq!(store.len(), 0);
+    /// store.set_at(slot, true);
+    /// assert_eq!(store.get("meas/S1/cb/CB1/closed"), Some(Value::Bool(true)));
+    /// ```
+    pub fn slot(&self, key: &str) -> Slot {
+        Slot(self.inner.table.write().intern(key))
+    }
+
+    /// Reads the current value through a slot.
+    pub fn get_at(&self, slot: Slot) -> Option<Value> {
+        let table = self.inner.table.read();
+        table.entries.get(slot.0)?.as_ref().map(|e| e.value.clone())
+    }
+
+    /// Writes `value` through a slot, returning the version assigned —
+    /// the same write [`set`](ProcessStore::set) makes for the slot's key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was not issued by this store or one of its clones.
+    pub fn set_at(&self, slot: Slot, value: impl Into<Value>) -> u64 {
+        let value = value.into();
+        let mut table = self.inner.table.write();
+        assert!(slot.0 < table.entries.len(), "slot from another store");
+        let version = self.next_version();
+        table.write(slot.0, Entry { value, version });
+        version
+    }
+
+    /// Writes each `(slot, value)` pair in order under one lock: the same
+    /// writes, with the same versions, as that sequence of
+    /// [`set_at`](ProcessStore::set_at) calls. Returns the last version
+    /// assigned (the current version if there were no writes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot was not issued by this store or one of its clones;
+    /// the writes before it are kept.
+    pub fn set_all(&self, writes: impl IntoIterator<Item = (Slot, Value)>) -> u64 {
+        let mut table = self.inner.table.write();
+        let mut version = self.version();
+        for (slot, value) in writes {
+            assert!(slot.0 < table.entries.len(), "slot from another store");
+            version = self.next_version();
+            table.write(slot.0, Entry { value, version });
+        }
+        version
+    }
+
     /// Reads the current value for `key`.
     pub fn get(&self, key: &str) -> Option<Value> {
-        self.inner.map.read().get(key).map(|e| e.value.clone())
+        self.inner.table.read().lookup(key).map(|e| e.value.clone())
     }
 
     /// Reads the full entry (value + version) for `key`.
     pub fn entry(&self, key: &str) -> Option<Entry> {
-        self.inner.map.read().get(key).cloned()
+        self.inner.table.read().lookup(key).cloned()
     }
 
     /// Convenience: reads a float (accepting `Int` as float).
@@ -75,18 +204,13 @@ impl ProcessStore {
     }
 
     /// Writes `value` under `key`, returning the version assigned. An
-    /// existing entry is overwritten in place, without allocating its key.
+    /// existing key is overwritten in its slot, without allocating.
     pub fn set(&self, key: &str, value: impl Into<Value>) -> u64 {
         let value = value.into();
-        let mut map = self.inner.map.write();
-        let version = self.inner.version.fetch_add(1, Ordering::SeqCst) + 1;
-        let entry = Entry { value, version };
-        match map.get_mut(key) {
-            Some(slot) => *slot = entry,
-            None => {
-                map.insert(key.to_string(), entry);
-            }
-        }
+        let mut table = self.inner.table.write();
+        let slot = table.intern(key);
+        let version = self.next_version();
+        table.write(slot, Entry { value, version });
         version
     }
 
@@ -101,14 +225,15 @@ impl ProcessStore {
         expected: Option<&Value>,
         value: impl Into<Value>,
     ) -> Result<u64, Option<Value>> {
-        let mut map = self.inner.map.write();
-        let current = map.get(key).map(|e| e.value.clone());
+        let mut table = self.inner.table.write();
+        let current = table.lookup(key).map(|e| e.value.clone());
         if current.as_ref() != expected {
             return Err(current);
         }
-        let version = self.inner.version.fetch_add(1, Ordering::SeqCst) + 1;
-        map.insert(
-            key.to_string(),
+        let slot = table.intern(key);
+        let version = self.next_version();
+        table.write(
+            slot,
             Entry {
                 value: value.into(),
                 version,
@@ -117,40 +242,40 @@ impl ProcessStore {
         Ok(version)
     }
 
-    /// Removes `key`, returning the previous value if present.
+    /// Removes `key`, returning the previous value if present. The key
+    /// keeps its slot: a later write, by key or by slot, brings it back.
     pub fn remove(&self, key: &str) -> Option<Value> {
-        self.inner.map.write().remove(key).map(|e| e.value)
+        let mut table = self.inner.table.write();
+        let slot = *table.index.get(key)?;
+        let removed = table.entries[slot].take()?;
+        table.live -= 1;
+        Some(removed.value)
     }
 
     /// All keys currently present, sorted.
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self.inner.map.read().keys().cloned().collect();
-        keys.sort();
-        keys
+        self.keys_with_prefix("")
     }
 
     /// All keys beginning with `prefix`, sorted.
     pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .inner
-            .map
-            .read()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        keys.sort();
-        keys
+        let table = self.inner.table.read();
+        table
+            .sorted()
+            .into_iter()
+            .filter(|(k, _)| k.starts_with(prefix))
+            .map(|(k, _)| k.clone())
+            .collect()
     }
 
     /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.inner.map.read().len()
+        self.inner.table.read().live
     }
 
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.inner.map.read().is_empty()
+        self.len() == 0
     }
 
     /// Entries written after global version `since`, sorted by version.
@@ -158,14 +283,22 @@ impl ProcessStore {
     /// This is the deterministic change-feed used by simulation components in
     /// place of asynchronous notifications.
     pub fn changes_since(&self, since: u64) -> Vec<Change> {
-        let map = self.inner.map.read();
-        let mut changes: Vec<Change> = map
+        let table = self.inner.table.read();
+        // Most polls find nothing new: answer those from the entry table
+        // alone, without walking the key index.
+        if !table.entries.iter().flatten().any(|e| e.version > since) {
+            return Vec::new();
+        }
+        let mut changes: Vec<Change> = table
+            .index
             .iter()
-            .filter(|(_, e)| e.version > since)
-            .map(|(k, e)| Change {
-                key: k.clone(),
-                value: e.value.clone(),
-                version: e.version,
+            .filter_map(|(key, &slot)| {
+                let e = table.entries[slot].as_ref().filter(|e| e.version > since)?;
+                Some(Change {
+                    key: key.clone(),
+                    value: e.value.clone(),
+                    version: e.version,
+                })
             })
             .collect();
         changes.sort_by_key(|c| c.version);
@@ -178,22 +311,22 @@ impl ProcessStore {
     /// preserved so two deterministic runs can be compared write-for-write,
     /// not just value-for-value.
     pub fn dump(&self) -> Vec<(String, Entry)> {
-        let map = self.inner.map.read();
-        let mut dump: Vec<(String, Entry)> =
-            map.iter().map(|(k, e)| (k.clone(), e.clone())).collect();
-        dump.sort_by(|a, b| a.0.cmp(&b.0));
-        dump
+        let table = self.inner.table.read();
+        table
+            .sorted()
+            .into_iter()
+            .map(|(k, e)| (k.clone(), e.clone()))
+            .collect()
     }
 
     /// A point-in-time copy of the whole store, sorted by key.
     pub fn snapshot(&self) -> Vec<(String, Value)> {
-        let map = self.inner.map.read();
-        let mut snap: Vec<(String, Value)> = map
-            .iter()
+        let table = self.inner.table.read();
+        table
+            .sorted()
+            .into_iter()
             .map(|(k, e)| (k.clone(), e.value.clone()))
-            .collect();
-        snap.sort_by(|a, b| a.0.cmp(&b.0));
-        snap
+            .collect()
     }
 }
 
@@ -266,6 +399,103 @@ mod tests {
         let s2 = s.clone();
         s.set("x", 42i64);
         assert_eq!(s2.get("x"), Some(Value::Int(42)));
+    }
+
+    #[test]
+    fn interning_creates_no_entry() {
+        let s = ProcessStore::new();
+        s.set("a", 1i64);
+        let mark = s.version();
+        let before = (s.keys(), s.dump(), s.snapshot(), s.len());
+        let slot = s.slot("b");
+        assert_eq!(s.get("b"), None);
+        assert_eq!(s.get_at(slot), None);
+        assert_eq!((s.keys(), s.dump(), s.snapshot(), s.len()), before);
+        assert!(s.changes_since(0).iter().all(|c| c.key == "a"));
+        assert!(s.changes_since(mark).is_empty());
+        assert_eq!(s.version(), mark, "interning is not a write");
+    }
+
+    #[test]
+    fn slot_and_key_writes_share_entries_and_versions() {
+        let s = ProcessStore::new();
+        let a = s.slot("a");
+        assert_eq!(s.slot("a"), a, "interning is idempotent");
+        let v1 = s.set_at(a, 1i64);
+        assert_eq!(s.get("a"), Some(Value::Int(1)));
+        let v2 = s.set("b", 2i64);
+        let v3 = s.set("a", 3i64);
+        assert_eq!(s.get_at(a), Some(Value::Int(3)));
+        let v4 = s.set_at(s.slot("b"), 4i64);
+        assert_eq!(s.get("b"), Some(Value::Int(4)));
+        assert_eq!((v1, v2, v3, v4), (1, 2, 3, 4));
+        assert_eq!(s.version(), 4);
+        assert_eq!(s.entry("a").unwrap().version, v3);
+        let changes = s.changes_since(v1);
+        let keys: Vec<&str> = changes.iter().map(|c| c.key.as_str()).collect();
+        assert_eq!(keys, ["a", "b"], "ordered by version across both APIs");
+        assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn set_all_is_a_sequence_of_set_at() {
+        let one = ProcessStore::new();
+        let all = ProcessStore::new();
+        for s in [&one, &all] {
+            s.set("b", 0i64);
+        }
+        let writes = [
+            ("a", Value::Int(1)),
+            ("b", Value::Int(2)),
+            ("a", Value::Int(3)),
+        ];
+        let mut last = 0;
+        for (key, value) in writes.clone() {
+            last = one.set_at(one.slot(key), value);
+        }
+        let slots: Vec<(Slot, Value)> = writes
+            .into_iter()
+            .map(|(key, value)| (all.slot(key), value))
+            .collect();
+        assert_eq!(all.set_all(slots), last);
+        assert_eq!(all.dump(), one.dump());
+        assert_eq!(all.changes_since(1), one.changes_since(1));
+        assert_eq!(all.set_all([]), all.version());
+    }
+
+    #[test]
+    fn remove_then_set_at_restores_the_key() {
+        let s = ProcessStore::new();
+        let x = s.slot("x");
+        s.set_at(x, true);
+        assert_eq!(s.remove("x"), Some(Value::Bool(true)));
+        assert_eq!(s.get_at(x), None);
+        assert!(s.is_empty());
+        assert!(s.keys().is_empty());
+        assert_eq!(s.remove("x"), None);
+        let version = s.set_at(x, false);
+        assert_eq!(s.get("x"), Some(Value::Bool(false)));
+        assert_eq!(s.keys(), ["x"]);
+        assert_eq!(s.changes_since(version - 1)[0].key, "x");
+    }
+
+    #[test]
+    fn clones_share_slots() {
+        let s = ProcessStore::new();
+        let s2 = s.clone();
+        let slot = s.slot("k");
+        assert_eq!(s2.slot("k"), slot);
+        s2.set_at(slot, 7i64);
+        assert_eq!(s.get_at(slot), Some(Value::Int(7)));
+        assert_eq!(s.get("k"), Some(Value::Int(7)));
+    }
+
+    #[test]
+    fn compare_and_set_on_an_interned_key() {
+        let s = ProcessStore::new();
+        let slot = s.slot("k");
+        assert!(s.compare_and_set("k", None, 1i64).is_ok());
+        assert_eq!(s.get_at(slot), Some(Value::Int(1)));
     }
 
     #[test]

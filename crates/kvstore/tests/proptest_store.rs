@@ -1,5 +1,6 @@
 //! Property tests on the process store: version monotonicity and
-//! change-feed completeness under arbitrary operation sequences.
+//! change-feed completeness under arbitrary sequences of string-keyed and
+//! slot operations.
 
 use proptest::prelude::*;
 use sgcr_kvstore::{ProcessStore, Value};
@@ -7,6 +8,10 @@ use sgcr_kvstore::{ProcessStore, Value};
 #[derive(Debug, Clone)]
 enum Op {
     Set(u8, i64),
+    /// Write through the key's slot.
+    SetAt(u8, i64),
+    /// Resolve the key's slot without writing.
+    Intern(u8),
     Remove(u8),
     Mark,
 }
@@ -14,6 +19,8 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Op::Set(k % 16, v)),
+        (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Op::SetAt(k % 16, v)),
+        any::<u8>().prop_map(|k| Op::Intern(k % 16)),
         any::<u8>().prop_map(|k| Op::Remove(k % 16)),
         Just(Op::Mark),
     ]
@@ -29,6 +36,17 @@ proptest! {
                 Op::Set(k, v) => {
                     let version = store.set(&format!("k{k}"), Value::Int(*v));
                     prop_assert_eq!(version, store.version());
+                }
+                Op::SetAt(k, v) => {
+                    let slot = store.slot(&format!("k{k}"));
+                    let version = store.set_at(slot, Value::Int(*v));
+                    prop_assert_eq!(version, store.version());
+                    prop_assert_eq!(store.get(&format!("k{k}")), Some(Value::Int(*v)));
+                }
+                Op::Intern(k) => {
+                    let before = (store.version(), store.len());
+                    store.slot(&format!("k{k}"));
+                    prop_assert_eq!((store.version(), store.len()), before);
                 }
                 Op::Remove(k) => {
                     store.remove(&format!("k{k}"));
@@ -55,6 +73,15 @@ proptest! {
         }
         // A cursor at the current version sees nothing.
         prop_assert!(store.changes_since(store.version()).is_empty());
+        // Interned-but-unwritten and removed keys are absent everywhere; a
+        // slot reads what its key reads.
+        let snapshot = store.snapshot();
+        prop_assert_eq!(snapshot.len(), store.len());
+        prop_assert_eq!(store.keys(), snapshot.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>());
+        for k in 0..16u8 {
+            let key = format!("k{k}");
+            prop_assert_eq!(store.get_at(store.slot(&key)), store.get(&key));
+        }
     }
 
     #[test]

@@ -211,6 +211,55 @@ fn malformed_model_is_reported() {
 }
 
 #[test]
+fn ied_item_that_is_not_an_object_reference_is_a_compile_error() {
+    // Each edit leaves GIED1 with a data-model item that is not
+    // `LD/LN$FC$DO…`: a protection without `ln` (it defaults to ""), a bare
+    // measurement item, a breaker without an XCBR. Compilation must reject
+    // the bundle and name the IED and the item; no tenant may be built.
+    let cases = [
+        (
+            r#"<Protection ln="PTOC1" "#,
+            "<Protection ",
+            r#""GIED1LD0/$ST$Str$general""#,
+        ),
+        (
+            r#"<Measurement item="MMXU1$MX$TotW$mag$f""#,
+            r#"<Measurement item="TotW""#,
+            r#""GIED1LD0/TotW""#,
+        ),
+        (
+            r#"xcbr="XCBR1""#,
+            r#"xcbr="""#,
+            r#""GIED1LD0/$ST$Pos$stVal""#,
+        ),
+    ];
+    for (from, to, item) in cases {
+        let mut bundle = epic_bundle();
+        let config = bundle.ied_config.as_mut().expect("EPIC has an IED Config");
+        assert!(config.contains(from), "{from}");
+        *config = config.replacen(from, to, 1);
+        let Err(err) = CompiledModel::compile(&bundle) else {
+            panic!("a bundle with {to:?} compiled");
+        };
+        assert!(
+            matches!(
+                err,
+                sg_cyber_range::core::RangeError::Model {
+                    what: "IED Config XML",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("IED GIED1") && message.contains(item),
+            "{message}"
+        );
+    }
+}
+
+#[test]
 fn protection_trip_reports_spontaneously_to_mms_clients() {
     // A trip must surface at the HMI immediately via an MMS
     // InformationReport, not only at the next interrogation cycle.
