@@ -1,12 +1,14 @@
 //! Macro-benchmarks of the generated cyber range: generation time, tenant
 //! instantiation and per-step cost for the EPIC model and the paper's
 //! 5-substation / 104-IED configuration — the numbers behind the S1
-//! scalability table.
+//! scalability table — plus checkpoint decode and resume time against
+//! tenant age.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use sgcr_core::{CompiledModel, CyberRange};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sgcr_core::{Checkpoint, CompiledModel, CyberRange};
 use sgcr_models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sgcr_net::SimDuration;
+use std::sync::Arc;
 
 fn bench_range(c: &mut Criterion) {
     c.bench_function("generate_epic_range", |b| {
@@ -46,9 +48,51 @@ fn bench_range(c: &mut Criterion) {
     });
 }
 
+/// A tenant of `model` that has run `age` steps, and its checkpoint JSON.
+fn aged(model: &Arc<CompiledModel>, age: u64) -> (CyberRange, String) {
+    let mut range = CyberRange::instantiate(model.clone()).expect("instantiates");
+    for _ in 0..age {
+        range.step();
+    }
+    let json = range.checkpoint().to_json();
+    (range, json)
+}
+
+// Resume is decode, re-instantiate, replay `age` steps and verify the
+// digests, so its cost grows with tenant age; the decode row alone shows
+// how much of it is JSON.
+fn bench_checkpoint(c: &mut Criterion) {
+    let paper = CompiledModel::shared(&multisub_bundle(&MultiSubParams::paper_profile()))
+        .expect("paper profile compiles");
+    let epic = CompiledModel::shared(&epic_bundle()).expect("compiles");
+
+    let (_, json) = aged(&paper, 100);
+    c.bench_function("checkpoint_decode_5x104_age100", |b| {
+        b.iter(|| Checkpoint::from_json(black_box(&json)).expect("decodes"));
+    });
+
+    for (name, model, age) in [
+        ("checkpoint_resume_5x104_age100", &paper, 100),
+        ("checkpoint_resume_5x104_age1000", &paper, 1000),
+        ("checkpoint_resume_epic_age1200", &epic, 1200),
+    ] {
+        // `range` was built without telemetry, so its handle is disabled.
+        let (range, json) = aged(model, age);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                Checkpoint::from_json(black_box(&json))
+                    .and_then(|checkpoint| {
+                        checkpoint.resume(model.clone(), range.telemetry().clone())
+                    })
+                    .expect("resumes")
+            });
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_range
+    targets = bench_range, bench_checkpoint
 }
 criterion_main!(benches);

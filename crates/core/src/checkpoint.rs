@@ -378,7 +378,9 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Decode`] for malformed JSON or schema violations.
+    /// [`CheckpointError::Decode`] for malformed JSON or schema violations,
+    /// including a number that is not a whole `u64` (or a version past
+    /// `u32`) and a `"b"` store payload other than `true`/`false`.
     pub fn from_json(text: &str) -> Result<Checkpoint, CheckpointError> {
         let bad = |detail: String| CheckpointError::Decode { detail };
         let root = json::parse(text).map_err(bad)?;
@@ -387,7 +389,7 @@ impl Checkpoint {
         }
         let num = |key: &str| -> Result<u64, CheckpointError> {
             root.get(key)
-                .and_then(json::Value::as_u64)
+                .and_then(whole)
                 .ok_or_else(|| bad(format!("missing numeric field {key:?}")))
         };
         let hex = |key: &str| -> Result<u64, CheckpointError> {
@@ -403,15 +405,14 @@ impl Checkpoint {
         let interval = match settings_value.get("interval_ns") {
             None | Some(json::Value::Null) => None,
             Some(v) => Some(sgcr_net::SimDuration::from_nanos(
-                v.as_u64()
-                    .ok_or_else(|| bad("bad settings.interval_ns".to_string()))?,
+                whole(v).ok_or_else(|| bad("bad settings.interval_ns".to_string()))?,
             )),
         };
         let capacity = |key: &str| -> Result<usize, CheckpointError> {
             settings_value
                 .get(key)
-                .and_then(json::Value::as_u64)
-                .map(|v| v as usize)
+                .and_then(whole)
+                .and_then(|v| usize::try_from(v).ok())
                 .ok_or_else(|| bad(format!("missing settings.{key}")))
         };
         let fault_seed = match settings_value.get("fault_seed") {
@@ -446,15 +447,18 @@ impl Checkpoint {
                 .as_str()
                 .ok_or_else(|| bad("store entry key is not a string".to_string()))?
                 .to_string();
-            let version = fields[1]
-                .as_u64()
+            let version = whole(&fields[1])
                 .ok_or_else(|| bad(format!("store entry {key:?} has a bad version")))?;
             let tag = fields[2].as_str().unwrap_or("");
             let payload = fields[3]
                 .as_str()
                 .ok_or_else(|| bad(format!("store entry {key:?} has a bad payload")))?;
             let value = match tag {
-                "b" => Value::Bool(payload == "true"),
+                "b" => Value::Bool(
+                    payload
+                        .parse::<bool>()
+                        .map_err(|e| bad(format!("store entry {key:?}: {e}")))?,
+                ),
                 "i" => Value::Int(
                     payload
                         .parse::<i64>()
@@ -476,8 +480,10 @@ impl Checkpoint {
             };
             store.push((key, Entry { value, version }));
         }
+        let version = num("version")?;
         Ok(Checkpoint {
-            version: num("version")? as u32,
+            version: u32::try_from(version)
+                .map_err(|_| bad(format!("version {version} is out of range")))?,
             model_fingerprint: hex("model_fingerprint")?,
             settings,
             steps: num("steps")?,
@@ -490,6 +496,16 @@ impl Checkpoint {
             store,
         })
     }
+}
+
+/// A JSON number that is exactly a `u64`: fractions, negatives and values
+/// past `u64::MAX` (including an overflowed `1e999`) are rejected rather
+/// than truncated or saturated.
+fn whole(value: &json::Value) -> Option<u64> {
+    value
+        .as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64)
+        .map(|n| n as u64)
 }
 
 /// Parses a `u64` written as `0x…` hex or plain decimal.

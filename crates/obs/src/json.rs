@@ -131,10 +131,13 @@ impl Value {
     }
 }
 
-/// Parses one JSON document. Trailing non-whitespace is an error, as are
-/// documents nested deeper than 128 levels.
+/// Parses one JSON document, in time linear in its length. Trailing
+/// non-whitespace is an error, as are documents nested deeper than 128
+/// levels. A `\u` surrogate pair decodes to one char; a lone or reversed
+/// surrogate decodes to U+FFFD.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -151,6 +154,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -223,13 +227,27 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one step. Both are
+            // ASCII, so the run starts and ends on char boundaries of the
+            // `&str` input and is valid UTF-8 as it stands.
+            let end = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |run| self.pos + run);
+            let run = self
+                .text
+                .get(self.pos..end)
+                .ok_or_else(|| "invalid UTF-8 in string".to_string())?;
+            out.push_str(run);
+            self.pos = end;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a `\`.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -241,35 +259,45 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            // Surrogate pairs are not resolved; the range's
-                            // own writers never emit them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let unit = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate directly followed by a `\u` low
+                            // surrogate is one astral scalar, as UTF-16-minded
+                            // writers (e.g. Python's `json.dumps`) emit it. A
+                            // lone or reversed surrogate decodes to U+FFFD.
+                            let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                Some(b"\\u") if (0xd800..0xdc00).contains(&unit) => self
+                                    .hex4(self.pos + 3)
+                                    .ok()
+                                    .filter(|low| (0xdc00..0xe000).contains(low)),
+                                _ => None,
+                            };
+                            let code = match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+                                }
+                                None => unit,
+                            };
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| "unterminated string".to_string())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// The UTF-16 code unit spelled by the four hex digits at `at`, just
+    /// past a `\u`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| "truncated \\u escape".to_string())?;
+        u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))
     }
 
     fn array(&mut self) -> Result<Value, String> {
