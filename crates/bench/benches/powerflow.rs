@@ -86,8 +86,8 @@ fn bench_solve(c: &mut Criterion) {
     group.finish();
 
     // One persistent solver, as each range step uses it: re-solving an
-    // unchanged network (one mismatch evaluation, no factorization), and
-    // re-solving after one load moved by 1%.
+    // unchanged network (answered from the solver's record of its last
+    // call), and re-solving after one load moved by 1% (a warm start).
     let options = SolveOptions::default();
     let mut group = c.benchmark_group("nr_resolve_warm");
     for (subs, feeders) in [(5usize, 21usize), (32, 21)] {
@@ -95,9 +95,16 @@ fn bench_solve(c: &mut Criterion) {
         let mut net = multisub_shape(subs, feeders);
         let mut solver = Solver::new();
         solver.solve(&net, &options).expect("converges");
+        let before = solver.stats();
         group.bench_function(&format!("unchanged/{shape}"), |b| {
             b.iter(|| solver.solve(&net, &options).expect("converges"));
         });
+        let after = solver.stats();
+        let served = after.reused - before.reused;
+        assert!(
+            served > 0 && served == after.solves - before.solves,
+            "unchanged/{shape}: every call answered from the record"
+        );
         let base = net.load[0].p_mw;
         let mut step = 0u32;
         group.bench_function(&format!("one_load/{shape}"), |b| {
@@ -107,6 +114,11 @@ fn bench_solve(c: &mut Criterion) {
                 solver.solve(&net, &options).expect("converges")
             });
         });
+        assert_eq!(
+            solver.stats().reused,
+            after.reused,
+            "one_load/{shape}: no call answered from the record"
+        );
     }
     group.finish();
 }

@@ -46,6 +46,26 @@ fn bench_range(c: &mut Criterion) {
         range.run_for(SimDuration::from_secs(1));
         b.iter(|| range.step());
     });
+
+    // The same step with one load moving every step, as under a load
+    // schedule: the solver cannot answer from its record of the last step.
+    c.bench_function("multisub_5x104_step_load_ramp", |b| {
+        let params = MultiSubParams::paper_profile();
+        let mut range = CyberRange::instantiate(
+            CompiledModel::shared(&multisub_bundle(&params)).expect("paper profile compiles"),
+        )
+        .expect("paper profile compiles");
+        range.run_for(SimDuration::from_secs(1));
+        let base = range.power.load[0].p_mw;
+        let reused = range.solver_stats().reused;
+        let mut step = 0u32;
+        b.iter(|| {
+            step += 1;
+            range.power.load[0].p_mw = base * (1.0 + 0.01 * f64::from(step % 2));
+            range.step();
+        });
+        assert_eq!(range.solver_stats().reused, reused, "every step solved");
+    });
 }
 
 /// A tenant of `model` that has run `age` steps, and its checkpoint JSON.

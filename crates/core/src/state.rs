@@ -87,7 +87,8 @@ pub struct RangeState {
     /// The latest power-flow solution.
     pub last_result: PowerFlowResult,
     /// This tenant's power-flow solver: keeps the symbolic work of the
-    /// current topology and warm-starts each step from the last solution.
+    /// current topology, warm-starts each step from the last solution, and
+    /// answers a step whose network did not change from its record.
     solver: Solver,
     /// The store slot of every published measurement: the model's shared
     /// publish keys, resolved in `store`.
@@ -715,7 +716,8 @@ impl RangeState {
     }
 
     /// The work this tenant's power-flow solver has done: solves, warm
-    /// starts, Newton–Raphson iterations, factorizations and analyses.
+    /// starts, solves answered from its record, Newton–Raphson iterations,
+    /// factorizations and analyses.
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
     }

@@ -514,25 +514,38 @@ impl TpktDecoder {
     }
 
     /// Feeds stream bytes; returns complete TPKT payloads.
+    ///
+    /// Bytes that cannot start a frame — anything before the next `0x03`
+    /// version byte, or a header whose length is below its own 4 bytes —
+    /// are skipped, so the decoder resynchronizes on any input in time
+    /// linear in its length.
     pub fn feed(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
         self.buf.extend_from_slice(data);
         let mut out = Vec::new();
+        let mut at = 0;
         loop {
-            if self.buf.len() < 4 {
+            let Some(skip) = self.buf[at..].iter().position(|&b| b == 0x03) else {
+                at = self.buf.len();
+                break;
+            };
+            at += skip;
+            let rest = &self.buf[at..];
+            if rest.len() < 4 {
                 break;
             }
-            if self.buf[0] != 0x03 {
-                // Desynchronized: drop a byte and retry.
-                self.buf.remove(0);
+            let len = usize::from(u16::from_be_bytes([rest[2], rest[3]]));
+            if len < 4 {
+                // Too short to hold its own header: not a frame start.
+                at += 1;
                 continue;
             }
-            let len = u16::from_be_bytes([self.buf[2], self.buf[3]]) as usize;
-            if len < 4 || self.buf.len() < len {
+            if rest.len() < len {
                 break;
             }
-            out.push(self.buf[4..len].to_vec());
-            self.buf.drain(..len);
+            out.push(rest[4..len].to_vec());
+            at += len;
         }
+        self.buf.drain(..at);
         out
     }
 }

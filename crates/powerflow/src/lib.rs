@@ -37,6 +37,7 @@
 mod complex;
 mod error;
 mod network;
+mod record;
 mod results;
 mod solver;
 mod sparse;

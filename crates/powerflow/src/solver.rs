@@ -4,12 +4,15 @@
 //! sorted per-row nonzeros over each island's node graph, each node's (θ, V)
 //! unknowns form one 2×2 block, and the blocks are eliminated in
 //! minimum-degree order (see [`crate::sparse`]). A [`Solver`] keeps that
-//! per-topology work between solves and warm-starts each re-solve on the
-//! same topology from its last converged voltages.
+//! per-topology work between solves, warm-starts each re-solve on the
+//! same topology from its last converged voltages, and answers a call whose
+//! inputs match its previous one bit for bit from that call's result (see
+//! [`crate::record`]).
 
 use crate::complex::Complex;
 use crate::error::PowerFlowError;
 use crate::network::{BusId, PowerNetwork, SwitchTarget};
+use crate::record::Record;
 use crate::results::{BranchResult, BusResult, ExtGridResult, GenResult, PowerFlowResult};
 use crate::sparse::{BlockLu, Slot};
 use crate::topology::{SlackSource, Topology};
@@ -57,7 +60,8 @@ pub fn solve_with(
     net: &PowerNetwork,
     options: &SolveOptions,
 ) -> Result<PowerFlowResult, PowerFlowError> {
-    Solver::new().solve(net, options)
+    // One call on a fresh solver: keeping its record would be pure cost.
+    Solver::new().compute(net, options)
 }
 
 /// Solves the AC power flow with `solver` and records the outcome into
@@ -153,10 +157,15 @@ pub fn solve_traced(
 /// Lifetime counters of the work a [`Solver`] has done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Solves of a valid network.
+    /// Solves of a valid network, including those answered from the record.
     pub solves: u64,
-    /// Solves that started from the previous converged voltages.
+    /// Solves that started from the previous converged voltages, including
+    /// those answered from the record (each replaces a warm start).
     pub warm_starts: u64,
+    /// Solves answered from the record of the previous call, whose network
+    /// and options they matched bit for bit: no iteration, factorization or
+    /// analysis.
+    pub reused: u64,
     /// Warm starts that failed and were repeated from a flat start.
     pub flat_retries: u64,
     /// Newton–Raphson iterations over every island and attempt.
@@ -181,6 +190,13 @@ pub struct SolverStats {
 /// change it starts flat. A warm start that fails is retried once from a
 /// flat start, and a failed solve never becomes the next warm start.
 ///
+/// The solver also records its previous call: the network and options, and
+/// the result if it converged. A call whose network and options match that
+/// record bit for bit (floats by bit pattern) returns the recorded result
+/// without solving — exactly what the warm re-solve would return, with
+/// `iterations` 1 when any energized island has more than one node, else 0.
+/// A failed call is never reused, and any other call replaces the record.
+///
 /// ```
 /// use sgcr_powerflow::{PowerNetwork, SolveOptions, Solver};
 ///
@@ -199,8 +215,11 @@ pub struct SolverStats {
 /// net.load[load.index()].p_mw = 2.1;
 /// let warm = solver.solve(&net, &options)?;
 /// assert!(warm.bus[b2.index()].vm_pu < cold.bus[b2.index()].vm_pu);
+/// // Nothing changed since: answered from the record, without solving.
+/// assert_eq!(solver.solve(&net, &options)?.bus, warm.bus);
+/// assert_eq!(solver.stats().reused, 1);
 /// assert_eq!(solver.stats().analyses, 1);
-/// assert_eq!(solver.stats().warm_starts, 1);
+/// assert_eq!(solver.stats().warm_starts, 2);
 /// # Ok::<(), sgcr_powerflow::PowerFlowError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -209,6 +228,7 @@ pub struct Solver {
     /// Whether every island of `plan` holds the voltages of the last
     /// converged solve.
     warm: bool,
+    record: Record,
     stats: SolverStats,
 }
 
@@ -223,13 +243,37 @@ impl Solver {
         self.stats
     }
 
-    /// Solves the AC power flow of `net`, reusing this solver's symbolic
-    /// work and warm start where the topology allows.
+    /// Solves the AC power flow of `net`, answering from the record of the
+    /// previous call when nothing changed since, and otherwise reusing this
+    /// solver's symbolic work and warm start where the topology allows.
     ///
     /// # Errors
     ///
     /// See [`solve`].
     pub fn solve(
+        &mut self,
+        net: &PowerNetwork,
+        options: &SolveOptions,
+    ) -> Result<PowerFlowResult, PowerFlowError> {
+        if let Some(result) = self.record.replay(net, options) {
+            self.stats.solves += 1;
+            self.stats.warm_starts += 1;
+            self.stats.reused += 1;
+            return Ok(result);
+        }
+        let outcome = self.compute(net, options);
+        if let Ok(result) = &outcome {
+            // A warm re-solve of a converged state converges on its first
+            // mismatch evaluation; a one-node island needs none.
+            let mut islands = self.plan.iter().flat_map(|plan| &plan.islands);
+            let multi_node = islands.any(|island| island.nodes.len() > 1);
+            self.record.converged(result, usize::from(multi_node));
+        }
+        outcome
+    }
+
+    /// Solves `net` without consulting or updating the record.
+    fn compute(
         &mut self,
         net: &PowerNetwork,
         options: &SolveOptions,
@@ -1452,6 +1496,81 @@ mod tests {
         assert_eq!(after.analyses, 1);
         assert_eq!(after.warm_starts, 1);
         assert_eq!(tables(&again), tables(&first));
+    }
+
+    /// Drives a solver that answers from its record and one that always
+    /// solves through one script: every answer, iteration count and error
+    /// included, is the same, and the record serves exactly the calls whose
+    /// inputs did not change since a converged call.
+    #[test]
+    fn recorded_calls_match_solving_again_bit_for_bit() {
+        type Change = fn(&mut PowerNetwork, &mut SolveOptions);
+        let same: Change = |_, _| {};
+        let script: [(&str, Change); 15] = [
+            ("first", same),
+            ("unchanged", same),
+            ("unchanged again", same),
+            ("load moved", |net, _| net.load[3].p_mw *= 1.01),
+            ("unchanged after the move", same),
+            ("reverted to the first", |net, _| net.load[3].p_mw = 0.1),
+            ("switch opened", |net, _| {
+                net.set_switch("cb-tie3", false);
+            }),
+            ("unchanged after the switch", same),
+            ("NaN load", |net, _| net.load[0].p_mw = f64::NAN),
+            ("NaN load again", same),
+            ("NaN restored", |net, _| net.load[0].p_mw = 0.1),
+            ("tolerance changed", |_, options| options.tolerance = 1e-9),
+            ("slack at -0.0 degrees", |net, _| {
+                net.ext_grid[0].va_degree = -0.0
+            }),
+            ("every line out", |net, _| {
+                net.line.iter_mut().for_each(|l| l.in_service = false);
+            }),
+            ("unchanged with every line out", same),
+        ];
+        let mut net = multisub(5, 21);
+        let s2 = net.bus_by_name("s2main").unwrap();
+        let tie = net.line_by_name("tie3").unwrap();
+        net.add_switch("cb-tie3", s2, SwitchTarget::Line(tie), true);
+        let mut options = SolveOptions::default();
+        let (mut recorded, mut solving) = (Solver::new(), Solver::new());
+        let mut answers = Vec::new();
+        let mut served = Vec::new();
+        for (what, change) in script {
+            change(&mut net, &mut options);
+            let reused = recorded.stats().reused;
+            let answer = format!("{:?}", recorded.solve(&net, &options));
+            let solved = format!("{:?}", solving.compute(&net, &options));
+            assert_eq!(answer, solved, "{what}");
+            if recorded.stats().reused > reused {
+                served.push(what);
+            }
+            answers.push((what, answer));
+        }
+        assert_eq!(
+            served,
+            [
+                "unchanged",
+                "unchanged again",
+                "unchanged after the move",
+                "unchanged after the switch",
+                "unchanged with every line out",
+            ]
+        );
+        let answer = |what: &str| &answers.iter().find(|(w, _)| *w == what).unwrap().1;
+        assert!(answer("unchanged").contains("iterations: 1,"));
+        assert!(answer("NaN load again").starts_with("Err(DidNotConverge"));
+        assert!(answer("slack at -0.0 degrees").contains("va_degree: -0.0,"));
+        assert!(answer("every line out").contains("iterations: 0,"));
+        assert!(answer("unchanged with every line out").contains("iterations: 0,"));
+        let (stats, solving) = (recorded.stats(), solving.stats());
+        assert_eq!(stats.reused, 5);
+        assert_eq!(
+            (stats.solves, stats.warm_starts, stats.analyses),
+            (solving.solves, solving.warm_starts, solving.analyses)
+        );
+        assert!(stats.iterations < solving.iterations);
     }
 
     #[test]

@@ -131,20 +131,37 @@ impl Topology {
 
         let bus_to_node: Vec<usize> = (0..n).map(|b| uf.find(b)).collect();
 
-        // 3. Connected components over representative nodes via active branches.
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut connect = |a: BusId, b: BusId| {
-            let (a, b) = (bus_to_node[a.index()], bus_to_node[b.index()]);
-            adjacency[a].push(b);
-            adjacency[b].push(a);
+        // 3. Connected components over representative nodes via active
+        //    branches. The adjacency is compressed: node `a`'s neighbours are
+        //    `neighbors[start[a]..start[a + 1]]`, in branch order.
+        let ends = || {
+            let lines = active_lines.iter().map(|&lid| {
+                let l = &net.line[lid.index()];
+                (l.from_bus, l.to_bus)
+            });
+            let trafos = active_trafos.iter().map(|&tid| {
+                let t = &net.trafo[tid.index()];
+                (t.hv_bus, t.lv_bus)
+            });
+            lines
+                .chain(trafos)
+                .map(|(a, b)| (bus_to_node[a.index()], bus_to_node[b.index()]))
         };
-        for &lid in &active_lines {
-            let l = &net.line[lid.index()];
-            connect(l.from_bus, l.to_bus);
+        let mut start = vec![0usize; n + 1];
+        for (a, b) in ends() {
+            start[a + 1] += 1;
+            start[b + 1] += 1;
         }
-        for &tid in &active_trafos {
-            let t = &net.trafo[tid.index()];
-            connect(t.hv_bus, t.lv_bus);
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start[..n].to_vec();
+        let mut neighbors = vec![0usize; start[n]];
+        for (a, b) in ends() {
+            neighbors[fill[a]] = b;
+            fill[a] += 1;
+            neighbors[fill[b]] = a;
+            fill[b] += 1;
         }
 
         // Every in-service bus's node roots a search, in node order.
@@ -155,17 +172,18 @@ impl Topology {
         const NONE: usize = usize::MAX;
         let mut node_island = vec![NONE; n];
         let mut islands: Vec<Island> = Vec::new();
+        let mut stack = Vec::new();
         for root in 0..n {
             if !rooted[root] || node_island[root] != NONE {
                 continue;
             }
             let island_index = islands.len();
-            let mut stack = vec![root];
+            stack.push(root);
             let mut nodes = Vec::new();
             node_island[root] = island_index;
             while let Some(node) = stack.pop() {
                 nodes.push(node);
-                for &next in &adjacency[node] {
+                for &next in &neighbors[start[node]..start[node + 1]] {
                     if node_island[next] == NONE {
                         node_island[next] = island_index;
                         stack.push(next);
