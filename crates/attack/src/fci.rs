@@ -81,11 +81,13 @@ impl SocketApp for FciAttackApp {
         let init = self.client.initiate();
         ctx.tcp_send(conn, &init);
         if self.plan.interrogate {
-            let (_, wire) = self.client.request(MmsRequest::GetNameList {
+            let request = MmsRequest::GetNameList {
                 object_class: 0,
                 domain: None,
-            });
-            ctx.tcp_send(conn, &wire);
+            };
+            if let Some((_, wire)) = self.client.request(request) {
+                ctx.tcp_send(conn, &wire);
+            }
         }
         // Schedule the strike.
         let now_ms = ctx.now().as_millis();
@@ -98,12 +100,14 @@ impl SocketApp for FciAttackApp {
             return;
         }
         if let Some(conn) = self.conn {
-            let (invoke_id, wire) = self.client.request(MmsRequest::Write {
+            let request = MmsRequest::Write {
                 items: vec![self.plan.item.clone()],
                 values: vec![DataValue::Bool(self.plan.value)],
-            });
-            self.write_invoke = Some(invoke_id);
-            ctx.tcp_send(conn, &wire);
+            };
+            if let Some((invoke_id, wire)) = self.client.request(request) {
+                self.write_invoke = Some(invoke_id);
+                ctx.tcp_send(conn, &wire);
+            }
         }
     }
 

@@ -38,7 +38,14 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The checkpoint serialization format version this build writes and reads.
-pub const CHECKPOINT_VERSION: u32 = 1;
+///
+/// It changes whenever the same steps replay to a different recorded
+/// position, so an older checkpoint is rejected with
+/// [`CheckpointError::VersionMismatch`] instead of failing verification
+/// with [`CheckpointError::Divergence`]. Version 2: the measurement publish
+/// writes only values that changed, so entry versions and the store version
+/// count fewer writes than version 1 recorded.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// An error capturing, decoding, or resuming a [`Checkpoint`].
 #[derive(Debug)]
@@ -125,16 +132,6 @@ pub struct Checkpoint {
 /// which prints every float with shortest-round-trip precision.
 fn power_digest(state: &RangeState) -> u64 {
     fnv1a_64(format!("{:?}", state.last_result).as_bytes())
-}
-
-/// Bitwise value equality: floats compare by bit pattern, so `NaN` equals
-/// itself and `-0.0` differs from `0.0` — replay verification must not be
-/// weaker than the byte-identical journal contract.
-fn values_equal(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
 }
 
 impl Checkpoint {
@@ -287,7 +284,9 @@ impl Checkpoint {
         for ((key_a, entry_a), (key_b, entry_b)) in self.store.iter().zip(replayed.iter()) {
             if key_a != key_b
                 || entry_a.version != entry_b.version
-                || !values_equal(&entry_a.value, &entry_b.value)
+                // Bitwise: verification must not be weaker than the
+                // byte-identical journal contract.
+                || !entry_a.value.bits_eq(&entry_b.value)
             {
                 return diverged(
                     "store entry",
@@ -531,16 +530,5 @@ mod tests {
             parse_u64_text(&format!("{:#018x}", u64::MAX)),
             Some(u64::MAX)
         );
-    }
-
-    #[test]
-    fn float_values_compare_bitwise() {
-        assert!(values_equal(
-            &Value::Float(f64::NAN),
-            &Value::Float(f64::NAN)
-        ));
-        assert!(!values_equal(&Value::Float(0.0), &Value::Float(-0.0)));
-        assert!(values_equal(&Value::Int(3), &Value::Int(3)));
-        assert!(!values_equal(&Value::Int(3), &Value::Float(3.0)));
     }
 }

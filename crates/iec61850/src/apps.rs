@@ -1,7 +1,9 @@
 //! Ready-made `sgcr-net` applications: an MMS server app and a polling MMS
 //! client app, used as building blocks by the virtual IED, PLC, and SCADA.
 
-use crate::mms::{MmsClient, MmsPdu, MmsRequest, MmsServer, TpktDecoder, MMS_PORT};
+use crate::mms::{
+    tpkt_frame, MmsClient, MmsPdu, MmsRequest, MmsServer, TpktDecoder, ERROR_PDU_SIZE, MMS_PORT,
+};
 use crate::model::DataValue;
 use parking_lot::Mutex;
 use sgcr_net::{ConnId, HostCtx, Ipv4Addr, SocketApp};
@@ -9,6 +11,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An MMS server listening on TCP 102, answering from an [`MmsServer`].
+///
+/// A confirmed request whose reply is too long for one TPKT frame is
+/// answered with a [`MmsPdu::ConfirmedError`] of code [`ERROR_PDU_SIZE`]
+/// under the request's invoke id, so every request gets exactly one answer
+/// and the client stays in step.
 pub struct MmsServerApp {
     server: MmsServer,
     port: u16,
@@ -56,8 +63,21 @@ impl SocketApp for MmsServerApp {
             let Ok(pdu) = MmsPdu::decode(&payload) else {
                 continue;
             };
-            if let Some(reply) = self.server.handle(&pdu) {
-                ctx.tcp_send(conn, &crate::mms::tpkt_frame(&reply.encode()));
+            let Some(reply) = self.server.handle(&pdu) else {
+                continue;
+            };
+            let wire = tpkt_frame(&reply.encode()).or_else(|| match reply {
+                MmsPdu::ConfirmedResponse { invoke_id, .. } => tpkt_frame(
+                    &MmsPdu::ConfirmedError {
+                        invoke_id,
+                        error: ERROR_PDU_SIZE,
+                    }
+                    .encode(),
+                ),
+                _ => None,
+            });
+            if let Some(wire) = wire {
+                ctx.tcp_send(conn, &wire);
             }
         }
     }
@@ -107,11 +127,13 @@ impl MmsPollerApp {
 
     fn poll(&mut self, ctx: &mut HostCtx<'_>) {
         if let Some(conn) = self.conn {
-            let (invoke_id, wire) = self.client.request(MmsRequest::Read {
+            let request = MmsRequest::Read {
                 items: self.items.clone(),
-            });
-            self.outstanding.insert(invoke_id, self.items.clone());
-            ctx.tcp_send(conn, &wire);
+            };
+            if let Some((invoke_id, wire)) = self.client.request(request) {
+                self.outstanding.insert(invoke_id, self.items.clone());
+                ctx.tcp_send(conn, &wire);
+            }
         }
         ctx.set_timer(sgcr_net::SimDuration::from_millis(self.period_ms), 1);
     }

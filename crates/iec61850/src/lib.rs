@@ -52,7 +52,7 @@ pub use apps::{MmsPollerApp, MmsServerApp, PollResults};
 pub use goose::{GooseConfig, GooseObservation, GoosePdu, GoosePublisher, GooseSubscriber};
 pub use mms::{
     tpkt_frame, ControlDecision, ControlHandler, DataAccessError, MmsClient, MmsPdu, MmsRequest,
-    MmsResponse, MmsServer, SharedModel, TpktDecoder, MMS_PORT,
+    MmsResponse, MmsServer, SharedModel, TpktDecoder, ERROR_PDU_SIZE, MMS_PORT, TPKT_MAX_PAYLOAD,
 };
 pub use model::{
     AttrNode, DataModel, DataValue, Fc, LeafId, LogicalDevice, LogicalNode, ObjectRef,

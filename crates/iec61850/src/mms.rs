@@ -490,15 +490,25 @@ fn decode_response(el: &Element<'_>) -> Result<MmsResponse, BerError> {
 // TPKT framing (RFC 1006): 0x03 0x00 <len_hi> <len_lo> <payload>.
 // --------------------------------------------------------------------------
 
-/// Wraps an encoded PDU in a TPKT frame for the TCP stream.
-pub fn tpkt_frame(pdu: &[u8]) -> Vec<u8> {
-    let total = pdu.len() + 4;
-    let mut out = Vec::with_capacity(total);
+/// The longest PDU one TPKT frame carries: the 16-bit length field counts
+/// the frame's own 4-byte header.
+pub const TPKT_MAX_PAYLOAD: usize = u16::MAX as usize - 4;
+
+/// The [`MmsPdu::ConfirmedError`] code of a reply too long for one TPKT
+/// frame: the MMS service error `pdu-size`.
+pub const ERROR_PDU_SIZE: u32 = 3;
+
+/// Wraps an encoded PDU in a TPKT frame for the TCP stream, or `None` when
+/// the PDU is longer than [`TPKT_MAX_PAYLOAD`] bytes and no length field
+/// can state it.
+pub fn tpkt_frame(pdu: &[u8]) -> Option<Vec<u8>> {
+    let total = u16::try_from(pdu.len() + 4).ok()?;
+    let mut out = Vec::with_capacity(usize::from(total));
     out.push(0x03);
     out.push(0x00);
-    out.extend_from_slice(&(total as u16).to_be_bytes());
+    out.extend_from_slice(&total.to_be_bytes());
     out.extend_from_slice(pdu);
-    out
+    Some(out)
 }
 
 /// Reassembles TPKT frames from TCP stream bytes.
@@ -719,16 +729,13 @@ impl MmsServer {
                 ControlDecision::Reject => Err(DataAccessError::ObjectAccessDenied),
             };
         }
-        // Plain writes: allowed to SP/CF/CO leaves (ST/MX are process values).
-        match object_ref.fc_str.as_str() {
-            "SP" | "CF" | "CO" => {
-                if self.model.write(item, value.clone()) {
-                    Ok(())
-                } else {
-                    Err(DataAccessError::ObjectNonExistent)
-                }
-            }
-            _ => Err(DataAccessError::ObjectAccessDenied),
+        if !ObjectRef::client_writable(item) {
+            return Err(DataAccessError::ObjectAccessDenied);
+        }
+        if self.model.write(item, value.clone()) {
+            Ok(())
+        } else {
+            Err(DataAccessError::ObjectNonExistent)
         }
     }
 }
@@ -753,16 +760,20 @@ impl MmsClient {
 
     /// Builds a framed initiate request (send right after connecting).
     pub fn initiate(&mut self) -> Vec<u8> {
-        tpkt_frame(&MmsPdu::InitiateRequest.encode())
+        // A few bytes: always fits a frame.
+        tpkt_frame(&MmsPdu::InitiateRequest.encode()).unwrap_or_default()
     }
 
-    /// Builds a framed confirmed request; returns `(invoke_id, bytes)`.
-    pub fn request(&mut self, request: MmsRequest) -> (u32, Vec<u8>) {
-        self.next_invoke += 1;
-        let invoke_id = self.next_invoke;
-        self.pending.insert(invoke_id, ());
+    /// Builds a framed confirmed request; returns `(invoke_id, bytes)`, or
+    /// `None` when the request is too long for one TPKT frame (nothing is
+    /// then left pending).
+    pub fn request(&mut self, request: MmsRequest) -> Option<(u32, Vec<u8>)> {
+        let invoke_id = self.next_invoke + 1;
         let pdu = MmsPdu::ConfirmedRequest { invoke_id, request };
-        (invoke_id, tpkt_frame(&pdu.encode()))
+        let wire = tpkt_frame(&pdu.encode())?;
+        self.next_invoke = invoke_id;
+        self.pending.insert(invoke_id, ());
+        Some((invoke_id, wire))
     }
 
     /// Feeds received TCP bytes; returns decoded PDUs (responses, reports).
@@ -863,8 +874,8 @@ mod tests {
     fn tpkt_reassembly() {
         let payload1 = MmsPdu::InitiateRequest.encode();
         let payload2 = MmsPdu::InitiateResponse.encode();
-        let mut stream = tpkt_frame(&payload1);
-        stream.extend(tpkt_frame(&payload2));
+        let mut stream = tpkt_frame(&payload1).unwrap();
+        stream.extend(tpkt_frame(&payload2).unwrap());
         let mut dec = TpktDecoder::new();
         // Byte-by-byte feeding must still produce both frames.
         let mut frames = Vec::new();
@@ -984,13 +995,19 @@ mod tests {
     #[test]
     fn client_tracks_pending() {
         let mut client = MmsClient::new();
-        let (id, wire) = client.request(MmsRequest::Identify);
+        let too_long = MmsRequest::Read {
+            items: vec!["x".repeat(TPKT_MAX_PAYLOAD)],
+        };
+        assert_eq!(client.request(too_long), None);
+        assert_eq!(client.pending_count(), 0, "nothing left pending");
+        let (id, wire) = client.request(MmsRequest::Identify).unwrap();
+        assert_eq!(id, 1, "the refused request used no invoke id");
         assert_eq!(client.pending_count(), 1);
         // Simulate the server answering.
         let mut server = MmsServer::new(sample_model());
         let req = MmsPdu::decode(&TpktDecoder::new().feed(&wire)[0]).unwrap();
         let resp = server.handle(&req).unwrap();
-        let pdus = client.feed(&tpkt_frame(&resp.encode()));
+        let pdus = client.feed(&tpkt_frame(&resp.encode()).unwrap());
         assert_eq!(pdus.len(), 1);
         assert!(matches!(
             &pdus[0],

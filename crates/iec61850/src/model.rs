@@ -284,6 +284,14 @@ impl ObjectRef {
     pub fn validate(item_id: &str) -> Result<(), String> {
         Parts::parse(item_id).map(|_| ())
     }
+
+    /// Whether an MMS client may write `item_id` with a plain write: an
+    /// object reference under the set-point, configuration or control
+    /// constraint (`SP`, `CF`, `CO`). Status and measured values are
+    /// process values only their IED writes.
+    pub fn client_writable(item_id: &str) -> bool {
+        Parts::parse(item_id).is_ok_and(|p| matches!(p.fc, "SP" | "CF" | "CO"))
+    }
 }
 
 impl std::str::FromStr for ObjectRef {

@@ -70,6 +70,7 @@ pub struct IedHandle {
     events: Arc<Mutex<Vec<IedEvent>>>,
     sensor_faults: Arc<Mutex<HashMap<String, SensorOverride>>>,
     degradation: DegradationSignal,
+    full_samples: Arc<AtomicU64>,
 }
 
 impl IedHandle {
@@ -103,6 +104,12 @@ impl IedHandle {
     /// sample. The range shares one logical signal across the planes.
     pub fn degradation(&self) -> DegradationSignal {
         self.degradation.clone()
+    }
+
+    /// How many samples ran in full: the rest found no input changed since
+    /// the last full one and rewrote nothing (see [`VirtualIedApp`]).
+    pub fn full_samples(&self) -> u64 {
+        self.full_samples.load(Ordering::Relaxed)
     }
 
     /// Number of protection trips recorded.
@@ -139,6 +146,17 @@ impl Relay {
             Relay::Voltage(r) => r.has_operated(),
             Relay::Differential(r) => r.has_operated(),
         }
+    }
+
+    /// Whether the element is picked up and has not operated yet: its next
+    /// step may operate on an unchanged value.
+    fn is_timing(&self) -> bool {
+        let picked_up = match self {
+            Relay::Overcurrent(r) => r.is_picked_up(),
+            Relay::Voltage(r) => r.is_picked_up(),
+            Relay::Differential(r) => r.is_picked_up(),
+        };
+        picked_up && !self.has_operated()
     }
 
     /// Steps the element on one sampled value (an overcurrent element sees
@@ -201,6 +219,13 @@ impl ProtectionRuntime {
             Function::Cilo { .. } => false,
         }
     }
+
+    fn is_timing(&self) -> bool {
+        match &self.function {
+            Function::Relay { relay, .. } => relay.is_timing(),
+            Function::Cilo { .. } => false,
+        }
+    }
 }
 
 /// A measurement's path from the store into the data model.
@@ -240,6 +265,26 @@ fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
 /// Built from an [`IedSpec`]; construct with [`VirtualIedApp::new`] and
 /// attach to an emulated host. The returned [`IedHandle`] exposes the live
 /// data model and the sequence-of-events record.
+///
+/// Every sample period the IED opens its `ied.sample` span and runs GOOSE
+/// supervision. It then takes a full sample — store → data model, the
+/// protection scan, GOOSE and R-SV publication — unless all of these hold,
+/// in which case a full sample would change nothing and is skipped:
+///
+/// - it has taken a full sample before, and none of its input slots
+///   (measurements, breaker states, relay inputs, the R-SV current) was
+///   written since that sample began ([`ProcessStore::written_since`]);
+/// - no relay is timing;
+/// - since that sample no GOOSE or R-SV receipt reached an interlock or a
+///   differential element, and no GOOSE stream newly expired;
+/// - no sensor fault is engaged, and none was at that sample;
+/// - the degradation signal did not flip;
+/// - the IED publishes no R-SV, and no leaf the sample rewrites is one an
+///   MMS client may write ([`ObjectRef::client_writable`]).
+///
+/// Either way the span closes and the next sample is scheduled, so frames,
+/// journal, events and spans are the same as if every sample ran in full.
+/// [`IedHandle::full_samples`] counts the full ones.
 pub struct VirtualIedApp {
     spec: IedSpec,
     store: ProcessStore,
@@ -272,6 +317,22 @@ pub struct VirtualIedApp {
     q_invalid: bool,
     /// GOOSE subscriptions whose TAL has already been journaled as expired.
     tal_expired: HashSet<String>,
+    /// Every store slot a sample reads: the measurements, the breaker
+    /// states, the relay inputs and the R-SV current.
+    inputs: Vec<Slot>,
+    /// The store version when the last full sample began; `None` until the
+    /// first.
+    sampled_at: Option<u64>,
+    /// Whether a GOOSE or R-SV receipt touched an interlock or a
+    /// differential remote, or a TAL expired, since the last full sample.
+    remote_changed: bool,
+    /// Whether a sensor fault was engaged at the last full sample.
+    faulted_at_sample: bool,
+    /// Whether an MMS client may write a leaf the sample rewrites (a
+    /// measurement configured under `SP`, `CF` or `CO`): only a full
+    /// sample puts the process value back.
+    client_writable: bool,
+    full_samples: Arc<AtomicU64>,
     telemetry: Telemetry,
     trips_counter: Counter,
     goose_counter: Counter,
@@ -314,7 +375,7 @@ impl VirtualIedApp {
         let permits = Arc::new(Mutex::new(vec![false; spec.breakers.len()]));
         let now_ms = Arc::new(AtomicU64::new(0));
 
-        let measurements = spec
+        let measurements: Vec<MeasurementPath> = spec
             .measurements
             .iter()
             .zip(built.measurements)
@@ -527,8 +588,20 @@ impl VirtualIedApp {
             .and_then(|r| r.subscribe_sv_id.as_ref())
             .map(|id| SvSubscriber::new(id));
 
+        let relay_inputs = protections.iter().filter_map(|p| match &p.function {
+            Function::Relay { slot, .. } => Some(*slot),
+            Function::Cilo { .. } => None,
+        });
+        let inputs = measurements
+            .iter()
+            .map(|m| m.slot)
+            .chain(breakers.iter().map(|b| b.state))
+            .chain(relay_inputs)
+            .chain(rsv_current)
+            .collect();
         let sensor_faults: Arc<Mutex<HashMap<String, SensorOverride>>> = Arc::default();
         let degradation = DegradationSignal::new();
+        let full_samples = Arc::new(AtomicU64::new(0));
         let app = VirtualIedApp {
             spec,
             store,
@@ -553,6 +626,12 @@ impl VirtualIedApp {
             degradation: degradation.clone(),
             q_invalid: false,
             tal_expired: HashSet::new(),
+            inputs,
+            sampled_at: None,
+            remote_changed: false,
+            faulted_at_sample: false,
+            client_writable: built.client_writable,
+            full_samples: full_samples.clone(),
             trips_counter: telemetry.counter("ied.protection_trips"),
             goose_counter: telemetry.counter("ied.goose_sent"),
             telemetry,
@@ -565,6 +644,7 @@ impl VirtualIedApp {
                 events,
                 sensor_faults,
                 degradation,
+                full_samples,
             },
         )
     }
@@ -620,14 +700,17 @@ impl VirtualIedApp {
                 (breaker.xcbr_item.clone(), DataValue::dbpos_off()),
             ],
         };
-        let wire = sgcr_iec61850::tpkt_frame(&report.encode());
         // Spontaneous reports are caused by the trip: frames they generate
         // chain to the trip span, not to the enclosing sample.
         if trip_ctx.is_some() {
             ctx.set_trace_parent(trip_ctx);
         }
-        for conn in self.mms.connections() {
-            ctx.tcp_send(conn, &wire);
+        // A report too long for one TPKT frame (item ids past 64 KiB) is
+        // not sent; clients still see the trip at their next read.
+        if let Some(wire) = sgcr_iec61850::tpkt_frame(&report.encode()) {
+            for conn in self.mms.connections() {
+                ctx.tcp_send(conn, &wire);
+            }
         }
         span.end(now);
         trip_ctx
@@ -669,6 +752,10 @@ impl VirtualIedApp {
         if !expired.is_empty() {
             for gocb in &expired {
                 if self.tal_expired.insert(gocb.clone()) {
+                    // Newly expired: its interlock inputs go Unknown below.
+                    // While it stays expired they are Unknown already,
+                    // unless a receipt, which counts itself, set them.
+                    self.remote_changed = true;
                     self.telemetry
                         .record(now.as_nanos(), || ObsEvent::GooseExpired {
                             ied: self.spec.name.clone(),
@@ -700,6 +787,7 @@ impl VirtualIedApp {
         //    sensor faults.
         let now_ms = now.as_millis();
         let mut faults = self.sensor_faults.lock();
+        let faulted = !faults.is_empty();
         // Quality follows the range-wide degradation signal: while the
         // power plane holds its last-good solution, every published
         // measurement carries quality `invalid`. Written on transition only
@@ -707,6 +795,33 @@ impl VirtualIedApp {
         let degraded = self.degradation.is_degraded();
         let requalify = degraded != self.q_invalid;
         self.q_invalid = degraded;
+
+        // A sample none of whose inputs changed since the last full one
+        // would rewrite the same leaves, step no relay to an event and
+        // change no GOOSE dataset, so it stops here. A timing relay may
+        // operate on an unchanged value, a drifting or newly stuck sensor
+        // moves on its own, R-SV goes out on every sample, and an MMS client
+        // may have overwritten a client-writable leaf.
+        let version = self.store.version();
+        let quiescent = self.rsv_pub.is_none()
+            && !self.client_writable
+            && !self.remote_changed
+            && !faulted
+            && !self.faulted_at_sample
+            && !requalify
+            && !self.protections.iter().any(ProtectionRuntime::is_timing)
+            && self
+                .sampled_at
+                .is_some_and(|since| !self.store.written_since(&self.inputs, since));
+        if quiescent {
+            sample_span.end(now);
+            ctx.set_timer(self.spec.sample_period, TOKEN_SAMPLE);
+            return;
+        }
+        self.sampled_at = Some(version);
+        self.remote_changed = false;
+        self.faulted_at_sample = faulted;
+        self.full_samples.fetch_add(1, Ordering::Relaxed);
         let store = &self.store;
         self.model.with(|model| {
             for (m, path) in self.spec.measurements.iter().zip(&self.measurements) {
@@ -874,6 +989,7 @@ impl VirtualIedApp {
         let now = ctx.now();
         for sub in &mut self.goose_subs {
             if sub.process(now, frame).is_some() {
+                self.remote_changed = true;
                 let gocb = sub.gocb_ref.clone();
                 let data = sub.data.clone();
                 let mut span =
@@ -981,6 +1097,7 @@ impl SocketApp for VirtualIedApp {
                 );
                 if let Some(sub) = &mut self.rsv_sub {
                     if sub.process(now, &frame) {
+                        self.remote_changed = true;
                         let remote = sub.samples.first().copied().unwrap_or(0.0) as f64;
                         for p in &mut self.protections {
                             if let Function::Relay {
@@ -1201,6 +1318,8 @@ struct IedModel {
     protections: Vec<(LeafId, String)>,
     /// The buffered report control block named in trip reports.
     report_name: String,
+    /// Whether an MMS client may write a leaf the sample rewrites.
+    client_writable: bool,
 }
 
 /// Builds the IEC 61850 data model implied by a spec — LLN0/LPHD plus the
@@ -1214,8 +1333,10 @@ fn build_model(spec: &IedSpec) -> IedModel {
     let mut model = DataModel::new(&spec.name);
     let (mut values, mut qualities, mut xcbr, mut cswi, mut protections) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut client_writable = false;
     for_each_item(spec, |item, value, role| {
         let leaf = model.insert(item, value);
+        client_writable |= role != Role::Static && ObjectRef::client_writable(item);
         match role {
             Role::Static => {}
             Role::Value => values.push(leaf),
@@ -1239,5 +1360,6 @@ fn build_model(spec: &IedSpec) -> IedModel {
             .collect(),
         protections,
         report_name: spec.item("LLN0$BR$brcb01"),
+        client_writable,
     }
 }

@@ -177,6 +177,12 @@ impl VoltageRelay {
         self.operated
     }
 
+    /// Whether the relay has picked up and not dropped out since; an
+    /// operated relay stays picked up.
+    pub fn is_picked_up(&self) -> bool {
+        self.picked_up_at.is_some()
+    }
+
     /// Clears the latched operate state.
     pub fn reset(&mut self) {
         self.operated = false;
@@ -272,6 +278,12 @@ impl DifferentialRelay {
     /// Whether the relay has operated (latched).
     pub fn has_operated(&self) -> bool {
         self.operated
+    }
+
+    /// Whether the relay has picked up and not dropped out since; an
+    /// operated relay stays picked up.
+    pub fn is_picked_up(&self) -> bool {
+        self.picked_up_at.is_some()
     }
 
     /// Clears the latched operate state.

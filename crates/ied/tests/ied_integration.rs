@@ -154,10 +154,13 @@ impl SocketApp for ControlClient {
     fn on_tcp_connected(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId) {
         let init = self.client.initiate();
         ctx.tcp_send(conn, &init);
-        let (_, wire) = self.client.request(MmsRequest::Write {
-            items: vec![self.item.clone()],
-            values: vec![DataValue::Bool(self.value)],
-        });
+        let (_, wire) = self
+            .client
+            .request(MmsRequest::Write {
+                items: vec![self.item.clone()],
+                values: vec![DataValue::Bool(self.value)],
+            })
+            .expect("a one-item write fits a frame");
         ctx.tcp_send(conn, &wire);
     }
     fn on_tcp_data(&mut self, _ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {

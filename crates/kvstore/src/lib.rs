@@ -13,12 +13,16 @@
 //!
 //! Every write bumps a global version counter, so deterministic simulation
 //! components can poll [`ProcessStore::changes_since`] instead of relying on
-//! wall-clock notification timing.
+//! wall-clock notification timing. A poll at the current version returns at
+//! once.
 //!
 //! Components that touch the same keys every step resolve each key once to
 //! a [`Slot`] and read and write through it ([`ProcessStore::get_at`],
 //! [`ProcessStore::set_at`], [`ProcessStore::set_all`]); the string API
-//! looks keys up in the same table.
+//! looks keys up in the same table. The batch write [`ProcessStore::set_all`]
+//! skips every value bitwise equal to the one stored, so an unchanged entry
+//! keeps its version, and a reader asks [`ProcessStore::written_since`]
+//! whether any of its slots moved since it last looked.
 //!
 //! # Examples
 //!

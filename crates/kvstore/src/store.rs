@@ -163,10 +163,14 @@ impl ProcessStore {
         version
     }
 
-    /// Writes each `(slot, value)` pair in order under one lock: the same
-    /// writes, with the same versions, as that sequence of
-    /// [`set_at`](ProcessStore::set_at) calls. Returns the last version
-    /// assigned (the current version if there were no writes).
+    /// Writes each `(slot, value)` pair in order under one lock, skipping
+    /// every pair whose value is [bitwise equal](Value::bits_eq) to the
+    /// slot's current value: the same writes, with the same versions, as
+    /// that sequence of [`set_at`](ProcessStore::set_at) calls minus the
+    /// ones that would change nothing. An absent entry always differs. A
+    /// skipped slot keeps its version, so [`written_since`](ProcessStore::written_since)
+    /// and the change feed see only the values that moved. Returns the
+    /// store version after the batch.
     ///
     /// # Panics
     ///
@@ -174,13 +178,48 @@ impl ProcessStore {
     /// the writes before it are kept.
     pub fn set_all(&self, writes: impl IntoIterator<Item = (Slot, Value)>) -> u64 {
         let mut table = self.inner.table.write();
-        let mut version = self.version();
         for (slot, value) in writes {
             assert!(slot.0 < table.entries.len(), "slot from another store");
-            version = self.next_version();
+            let current = table.entries[slot.0].as_ref();
+            if current.is_some_and(|e| e.value.bits_eq(&value)) {
+                continue;
+            }
+            let version = self.next_version();
             table.write(slot.0, Entry { value, version });
         }
-        version
+        self.version()
+    }
+
+    /// Whether any of `slots` was written after global version `since`,
+    /// read under one lock. An absent entry counts as written: a reader
+    /// that saw it present cannot tell what removed it. A slot not issued
+    /// by this store reads as absent, as [`get_at`](ProcessStore::get_at)
+    /// does.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sgcr_kvstore::ProcessStore;
+    ///
+    /// let store = ProcessStore::new();
+    /// let a = store.slot("meas/a");
+    /// store.set_at(a, 1.0);
+    /// let seen = store.version();
+    /// assert!(!store.written_since(&[a], seen));
+    /// store.set_all([(a, 1.0.into())]); // the same bits: no write
+    /// assert!(!store.written_since(&[a], seen));
+    /// store.set_all([(a, 2.0.into())]);
+    /// assert!(store.written_since(&[a], seen));
+    /// ```
+    pub fn written_since(&self, slots: &[Slot], since: u64) -> bool {
+        let table = self.inner.table.read();
+        slots.iter().any(|slot| {
+            table
+                .entries
+                .get(slot.0)
+                .and_then(Option::as_ref)
+                .is_none_or(|e| e.version > since)
+        })
     }
 
     /// Reads the current value for `key`.
@@ -283,12 +322,12 @@ impl ProcessStore {
     /// This is the deterministic change-feed used by simulation components in
     /// place of asynchronous notifications.
     pub fn changes_since(&self, since: u64) -> Vec<Change> {
-        let table = self.inner.table.read();
-        // Most polls find nothing new: answer those from the entry table
-        // alone, without walking the key index.
-        if !table.entries.iter().flatten().any(|e| e.version > since) {
+        // Most polls find nothing new. No entry is newer than the version
+        // counter, so a cursor at or past it is answered without the lock.
+        if since >= self.version() {
             return Vec::new();
         }
+        let table = self.inner.table.read();
         let mut changes: Vec<Change> = table
             .index
             .iter()
@@ -461,6 +500,46 @@ mod tests {
         assert_eq!(all.dump(), one.dump());
         assert_eq!(all.changes_since(1), one.changes_since(1));
         assert_eq!(all.set_all([]), all.version());
+    }
+
+    #[test]
+    fn set_all_skips_values_that_do_not_change() {
+        let s = ProcessStore::new();
+        let (a, b, c) = (s.slot("a"), s.slot("b"), s.slot("c"));
+        s.set_at(a, 1.0);
+        s.set_at(b, -0.0);
+        let mark = s.version();
+        let batch = [
+            (a, Value::Float(1.0)), // the same bits: skipped
+            (b, Value::Float(0.0)), // differs from -0.0 in the sign bit
+            (c, Value::Int(7)),     // absent: always written
+            (a, Value::Float(f64::NAN)),
+        ];
+        assert_eq!(s.set_all(batch), mark + 3);
+        let written: Vec<(String, u64)> = s
+            .changes_since(mark)
+            .into_iter()
+            .map(|change| (change.key, change.version))
+            .collect();
+        assert_eq!(written, [("b".into(), 3), ("c".into(), 4), ("a".into(), 5)]);
+        assert_eq!(s.set_all([(a, Value::Float(f64::NAN))]), mark + 3);
+        assert!(!s.written_since(&[a, b, c], mark + 3));
+        assert!(s.written_since(&[c, a], mark + 2));
+        // A removed entry reads as written, and the batch writes it back.
+        s.remove("c");
+        assert!(s.written_since(&[c], s.version()));
+        assert_eq!(s.set_all([(c, Value::Int(7))]), mark + 4);
+        assert_eq!(s.get("c"), Some(Value::Int(7)));
+    }
+
+    #[test]
+    fn written_since_reads_a_foreign_slot_as_absent() {
+        let s = ProcessStore::new();
+        let other = ProcessStore::new();
+        let (_, foreign) = (other.slot("x"), other.slot("y"));
+        s.set("a", 1i64);
+        assert!(s.written_since(&[foreign], s.version()));
+        assert!(!s.written_since(&[], 0));
     }
 
     #[test]

@@ -220,11 +220,13 @@ impl PlcApp {
         for (server, items) in per_server {
             if let Some(link) = self.links.get_mut(&server) {
                 if let Some(conn) = link.conn {
-                    let (invoke_id, wire) = link.client.request(MmsRequest::Read {
+                    let request = MmsRequest::Read {
                         items: items.clone(),
-                    });
-                    link.outstanding.insert(invoke_id, items);
-                    ctx.tcp_send(conn, &wire);
+                    };
+                    if let Some((invoke_id, wire)) = link.client.request(request) {
+                        link.outstanding.insert(invoke_id, items);
+                        ctx.tcp_send(conn, &wire);
+                    }
                 }
             }
         }
@@ -249,10 +251,12 @@ impl PlcApp {
             }
             if let Some(link) = self.links.get_mut(&w.server) {
                 if let Some(conn) = link.conn {
-                    let (_, wire) = link.client.request(MmsRequest::Write {
+                    let Some((_, wire)) = link.client.request(MmsRequest::Write {
                         items: vec![w.item.clone()],
                         values: vec![DataValue::Bool(value)],
-                    });
+                    }) else {
+                        continue;
+                    };
                     let mut control_span =
                         ctx.tracer()
                             .open("plc.control", Plane::Control, scan_ctx, now);

@@ -312,11 +312,13 @@ impl ScadaApp {
                         })
                         .collect();
                     if !items.is_empty() {
-                        let (invoke_id, wire) = client.request(MmsRequest::Read {
+                        let request = MmsRequest::Read {
                             items: items.clone(),
-                        });
-                        outstanding.insert(invoke_id, items);
-                        ctx.tcp_send(conn, &wire);
+                        };
+                        if let Some((invoke_id, wire)) = client.request(request) {
+                            outstanding.insert(invoke_id, items);
+                            ctx.tcp_send(conn, &wire);
+                        }
                     }
                 }
             }
@@ -562,10 +564,13 @@ impl ScadaApp {
                 }
                 (SourceLink::Mms { client, conn, .. }, PointAddress::Mms { item }) => {
                     if let Some(conn) = *conn {
-                        let (_, wire) = client.request(MmsRequest::Write {
+                        let Some((_, wire)) = client.request(MmsRequest::Write {
                             items: vec![item],
                             values: vec![DataValue::Bool(value != 0.0)],
-                        });
+                        }) else {
+                            self.log(now_ms, format!("REJECTED write to {tag:?}: too long"));
+                            continue;
+                        };
                         ctx.tcp_send(conn, &wire);
                         self.log(now_ms, format!("COMMAND {tag} := {value}"));
                         self.commands_counter.inc();

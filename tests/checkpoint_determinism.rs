@@ -96,7 +96,7 @@ fn version_mismatch_is_a_typed_error() {
     // Tamper only with the format version (the `"format"` prefix keeps the
     // replacement from touching `store_version`).
     let tampered = encoded.replace(
-        "\"format\":\"sgcr-checkpoint\",\"version\":1,",
+        &format!("\"format\":\"sgcr-checkpoint\",\"version\":{CHECKPOINT_VERSION},"),
         "\"format\":\"sgcr-checkpoint\",\"version\":99,",
     );
     assert_ne!(tampered, encoded, "tamper must hit the version field");

@@ -9,7 +9,9 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sg_cyber_range::core::{Checkpoint, CheckpointError, CompiledModel, CyberRange};
+use sg_cyber_range::core::{
+    Checkpoint, CheckpointError, CompiledModel, CyberRange, CHECKPOINT_VERSION,
+};
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sg_cyber_range::obs::json::{self, Value};
 use sg_cyber_range::obs::Telemetry;
@@ -212,10 +214,10 @@ fn decode_error(doc: &str) -> String {
 #[test]
 fn checkpoint_numbers_must_be_whole_u64s() {
     let doc = epic_checkpoint(10);
-    let version = "\"format\":\"sgcr-checkpoint\",\"version\":1,";
-    assert!(doc.contains(version));
+    let version = format!("\"format\":\"sgcr-checkpoint\",\"version\":{CHECKPOINT_VERSION},");
+    assert!(doc.contains(&version));
     let detail = decode_error(&doc.replace(
-        version,
+        &version,
         "\"format\":\"sgcr-checkpoint\",\"version\":4294967297,",
     ));
     assert!(detail.contains("version 4294967297"), "{detail}");
@@ -225,6 +227,33 @@ fn checkpoint_numbers_must_be_whole_u64s() {
     for bad in ["1e999", "10.5", "-10", "18446744073709551616"] {
         let detail = decode_error(&doc.replace(steps, &format!("\"steps\":{bad},")));
         assert!(detail.contains("\"steps\""), "{bad}: {detail}");
+    }
+}
+
+/// A version-1 checkpoint recorded a store write for every published value
+/// on every step; this build writes only the values that changed, so its
+/// replay would disagree on every entry version. Resume must turn such a
+/// document away by its version before replaying anything.
+#[test]
+fn a_version_1_checkpoint_is_a_version_mismatch_not_a_divergence() {
+    let params = MultiSubParams::paper_profile();
+    let model = CompiledModel::shared(&multisub_bundle(&params)).expect("paper profile compiles");
+    let mut range = CyberRange::instantiate(model.clone()).expect("paper profile instantiates");
+    for _ in 0..10 {
+        range.step();
+    }
+    let encoded = range.checkpoint().to_json();
+    let version_1 = encoded.replace(
+        &format!("\"format\":\"sgcr-checkpoint\",\"version\":{CHECKPOINT_VERSION},"),
+        "\"format\":\"sgcr-checkpoint\",\"version\":1,",
+    );
+    assert_ne!(version_1, encoded, "this build does not write version 1");
+    let decoded = Checkpoint::from_json(&version_1).expect("a version-1 document decodes");
+    match decoded.resume(model, Telemetry::disabled()).map(|_| ()) {
+        Err(CheckpointError::VersionMismatch { found: 1, expected }) => {
+            assert_eq!(expected, CHECKPOINT_VERSION);
+        }
+        other => panic!("expected VersionMismatch from version 1, got {other:?}"),
     }
 }
 
