@@ -51,7 +51,6 @@ pub struct FciAttackApp {
     client: MmsClient,
     conn: Option<ConnId>,
     report: FciHandle,
-    write_invoke: Option<u32>,
 }
 
 impl FciAttackApp {
@@ -64,7 +63,6 @@ impl FciAttackApp {
                 client: MmsClient::new(),
                 conn: None,
                 report: report.clone(),
-                write_invoke: None,
             },
             report,
         )
@@ -104,39 +102,38 @@ impl SocketApp for FciAttackApp {
                 items: vec![self.plan.item.clone()],
                 values: vec![DataValue::Bool(self.plan.value)],
             };
-            if let Some((invoke_id, wire)) = self.client.request(request) {
-                self.write_invoke = Some(invoke_id);
+            if let Some((_, wire)) = self.client.request(request) {
                 ctx.tcp_send(conn, &wire);
             }
         }
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        for pdu in self.client.feed(data) {
-            match pdu {
-                MmsPdu::ConfirmedResponse {
-                    invoke_id,
-                    response,
-                } => match response {
-                    MmsResponse::GetNameList { identifiers, .. } => {
-                        self.report.lock().discovered_items = identifiers;
-                    }
-                    MmsResponse::Write { results } if Some(invoke_id) == self.write_invoke => {
-                        let mut report = self.report.lock();
-                        report.command_accepted = Some(results[0].is_ok());
-                        report.completed_at_ms = Some(ctx.now().as_millis());
-                    }
-                    _ => {}
-                },
-                MmsPdu::ConfirmedError { invoke_id, .. }
-                    if Some(invoke_id) == self.write_invoke =>
-                {
-                    let mut report = self.report.lock();
-                    report.command_accepted = Some(false);
-                    report.completed_at_ms = Some(ctx.now().as_millis());
+        for (request, pdu) in self.client.feed(data) {
+            let accepted = match (request, pdu) {
+                (
+                    Some(MmsRequest::GetNameList { .. }),
+                    MmsPdu::ConfirmedResponse {
+                        response: MmsResponse::GetNameList { identifiers, .. },
+                        ..
+                    },
+                ) => {
+                    self.report.lock().discovered_items = identifiers;
+                    continue;
                 }
-                _ => {}
-            }
+                (
+                    Some(MmsRequest::Write { .. }),
+                    MmsPdu::ConfirmedResponse {
+                        response: MmsResponse::Write { results },
+                        ..
+                    },
+                ) => results.first().is_some_and(Result::is_ok),
+                (Some(MmsRequest::Write { .. }), MmsPdu::ConfirmedError { .. }) => false,
+                _ => continue,
+            };
+            let mut report = self.report.lock();
+            report.command_accepted = Some(accepted);
+            report.completed_at_ms = Some(ctx.now().as_millis());
         }
     }
 }

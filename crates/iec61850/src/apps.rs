@@ -100,7 +100,6 @@ pub struct MmsPollerApp {
     client: MmsClient,
     conn: Option<ConnId>,
     results: PollResults,
-    outstanding: HashMap<u32, Vec<String>>,
 }
 
 impl MmsPollerApp {
@@ -119,7 +118,6 @@ impl MmsPollerApp {
                 client: MmsClient::new(),
                 conn: None,
                 results: results.clone(),
-                outstanding: HashMap::new(),
             },
             results,
         )
@@ -130,8 +128,7 @@ impl MmsPollerApp {
             let request = MmsRequest::Read {
                 items: self.items.clone(),
             };
-            if let Some((invoke_id, wire)) = self.client.request(request) {
-                self.outstanding.insert(invoke_id, self.items.clone());
+            if let Some((_, wire)) = self.client.request(request) {
                 ctx.tcp_send(conn, &wire);
             }
         }
@@ -156,19 +153,20 @@ impl SocketApp for MmsPollerApp {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        for pdu in self.client.feed(data) {
-            if let MmsPdu::ConfirmedResponse {
-                invoke_id,
-                response: crate::mms::MmsResponse::Read { results },
-            } = pdu
+        for reply in self.client.feed(data) {
+            if let (
+                Some(MmsRequest::Read { items }),
+                MmsPdu::ConfirmedResponse {
+                    response: crate::mms::MmsResponse::Read { results },
+                    ..
+                },
+            ) = reply
             {
-                if let Some(items) = self.outstanding.remove(&invoke_id) {
-                    let now = ctx.now().as_millis();
-                    let mut mailbox = self.results.lock();
-                    for (item, result) in items.iter().zip(results) {
-                        if let Ok(value) = result {
-                            mailbox.push((now, item.clone(), value));
-                        }
+                let now = ctx.now().as_millis();
+                let mut mailbox = self.results.lock();
+                for (item, result) in items.into_iter().zip(results) {
+                    if let Ok(value) = result {
+                        mailbox.push((now, item, value));
                     }
                 }
             }

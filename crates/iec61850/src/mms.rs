@@ -744,12 +744,13 @@ impl MmsServer {
 // Client
 // --------------------------------------------------------------------------
 
-/// Client-side bookkeeping: builds framed requests and matches responses.
+/// Client-side bookkeeping: builds framed requests and pairs each reply
+/// with the request it answers.
 #[derive(Default)]
 pub struct MmsClient {
     decoder: TpktDecoder,
     next_invoke: u32,
-    pending: BTreeMap<u32, ()>,
+    pending: BTreeMap<u32, MmsRequest>,
 }
 
 impl MmsClient {
@@ -772,21 +773,26 @@ impl MmsClient {
         let pdu = MmsPdu::ConfirmedRequest { invoke_id, request };
         let wire = tpkt_frame(&pdu.encode())?;
         self.next_invoke = invoke_id;
-        self.pending.insert(invoke_id, ());
+        if let MmsPdu::ConfirmedRequest { request, .. } = pdu {
+            self.pending.insert(invoke_id, request);
+        }
         Some((invoke_id, wire))
     }
 
-    /// Feeds received TCP bytes; returns decoded PDUs (responses, reports).
-    pub fn feed(&mut self, data: &[u8]) -> Vec<MmsPdu> {
+    /// Feeds received TCP bytes; returns each decoded PDU with the pending
+    /// request it answers. A confirmed response or error takes its request
+    /// off the pending list; reports, initiate responses, and replies to no
+    /// pending request come with `None`.
+    pub fn feed(&mut self, data: &[u8]) -> Vec<(Option<MmsRequest>, MmsPdu)> {
         let mut out = Vec::new();
         for payload in self.decoder.feed(data) {
             if let Ok(pdu) = MmsPdu::decode(&payload) {
-                if let MmsPdu::ConfirmedResponse { invoke_id, .. }
-                | MmsPdu::ConfirmedError { invoke_id, .. } = &pdu
-                {
-                    self.pending.remove(invoke_id);
-                }
-                out.push(pdu);
+                let request = match &pdu {
+                    MmsPdu::ConfirmedResponse { invoke_id, .. }
+                    | MmsPdu::ConfirmedError { invoke_id, .. } => self.pending.remove(invoke_id),
+                    _ => None,
+                };
+                out.push((request, pdu));
             }
         }
         out
@@ -1010,10 +1016,33 @@ mod tests {
         let pdus = client.feed(&tpkt_frame(&resp.encode()).unwrap());
         assert_eq!(pdus.len(), 1);
         assert!(matches!(
-            &pdus[0],
+            &pdus[0].1,
             MmsPdu::ConfirmedResponse { invoke_id, .. } if *invoke_id == id
         ));
         assert_eq!(client.pending_count(), 0);
+    }
+
+    #[test]
+    fn a_confirmed_error_returns_its_request_and_clears_it() {
+        let mut client = MmsClient::new();
+        let read = MmsRequest::Read {
+            items: vec!["GIED1LD0/MMXU1$MX$TotW$mag$f".into()],
+        };
+        let (id, _) = client.request(read.clone()).unwrap();
+        let error = MmsPdu::ConfirmedError {
+            invoke_id: id,
+            error: ERROR_PDU_SIZE,
+        };
+        let replies = client.feed(&tpkt_frame(&error.encode()).unwrap());
+        assert_eq!(replies, [(Some(read), error.clone())]);
+        assert_eq!(
+            client.pending_count(),
+            0,
+            "an errored read leaves nothing pending"
+        );
+        // A second answer under the same invoke id answers nothing.
+        let replies = client.feed(&tpkt_frame(&error.encode()).unwrap());
+        assert_eq!(replies, [(None, error)]);
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl SocketApp for ControlClient {
         ctx.tcp_send(conn, &wire);
     }
     fn on_tcp_data(&mut self, _ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        for pdu in self.client.feed(data) {
+        for (_, pdu) in self.client.feed(data) {
             if let MmsPdu::ConfirmedResponse {
                 response: MmsResponse::Write { results },
                 ..

@@ -88,11 +88,7 @@ fn check_adversary(
 ) {
     let context = "Adversary".to_string();
     let reserved_names: Vec<String> = scenario.hosts.iter().map(|h| h.name.clone()).collect();
-    let reserved_ips: Vec<_> = scenario
-        .hosts
-        .iter()
-        .filter_map(|h| h.ip.parse().ok())
-        .collect();
+    let reserved_ips: Vec<_> = scenario.hosts.iter().map(|h| h.ip).collect();
     let result = plan(
         graph,
         &PlanRequest {

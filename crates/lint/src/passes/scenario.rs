@@ -1,17 +1,16 @@
 //! Exercise-scenario checks (`SG5xxx`): does every scenario file fit the
 //! bundle it ships with?
 //!
-//! The scenario schema is deliberately lenient at parse time — dangling
-//! references are this pass's job, anchored to the offending element's
-//! `file:line:column` so a broken exercise is caught before anyone boots a
-//! range to run it.
+//! The rules are [`sgcr_scenario::check`], the same function the exercise
+//! engine runs before it starts; this pass fills its names from the bundle
+//! and anchors each finding to the offending element's `file:line:column`,
+//! so a broken exercise is caught before anyone boots a range to run it.
 
 use crate::pass::LintPass;
 use crate::passes::{known_host_names, known_ied_names, substation_sources};
 use crate::source::LoadedBundle;
-use sgcr_scenario::{Check, Pos, Scenario, StageAction, StageStart};
+use sgcr_scenario::{check, BundleNames, FindingKind};
 use sgcr_scl::{codes, Diagnostic, EquipmentType, Span};
-use std::collections::BTreeSet;
 
 /// Validates `*.scenario.xml` files against the rest of the bundle.
 pub struct ScenarioPass;
@@ -22,406 +21,74 @@ impl LintPass for ScenarioPass {
     }
 
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-        let names = BundleNames::collect(bundle);
+        let names = bundle_names(bundle);
         for (file, scenario) in &bundle.scenarios {
-            check_duplicate_ids(file, scenario, out);
-            check_stage_refs(file, scenario, out);
-            check_targets(file, scenario, &names, out);
-            check_deadlines(file, scenario, out);
+            for finding in check(scenario, &names) {
+                let code = match finding.kind {
+                    FindingKind::UnknownTarget => codes::SCENARIO_UNKNOWN_TARGET,
+                    FindingKind::UndefinedStage => codes::SCENARIO_UNDEFINED_STAGE,
+                    FindingKind::BadDeadline => codes::SCENARIO_BAD_DEADLINE,
+                    FindingKind::DuplicateId => codes::SCENARIO_DUPLICATE_ID,
+                    FindingKind::UnknownFaultTarget => codes::SCENARIO_UNKNOWN_FAULT_TARGET,
+                    FindingKind::UnknownFaultIed => codes::SCENARIO_UNKNOWN_FAULT_IED,
+                    FindingKind::BadFaultProbability => codes::SCENARIO_BAD_FAULT_PROBABILITY,
+                };
+                let pos = finding.pos;
+                let span = if pos.line > 0 {
+                    Span::new(file, pos.line, pos.column)
+                } else {
+                    Span::new(file, 1, 1)
+                };
+                out.push(Diagnostic::error(code, finding.message, "").with_span(span));
+            }
         }
     }
 }
 
 /// Everything a scenario can legally reference, harvested once per bundle.
-struct BundleNames {
-    /// Hosts with a network presence (IEDs, PLCs, SCADA).
-    hosts: BTreeSet<String>,
-    /// Subnetwork (switch) names.
-    subnetworks: BTreeSet<String>,
-    /// IED names.
-    ieds: BTreeSet<String>,
-    /// Scoped power-equipment names (`Substation/Name`) by type code.
-    switches: BTreeSet<String>,
-    /// Scoped line names.
-    lines: BTreeSet<String>,
-    /// Scoped generator/battery names.
-    gens: BTreeSet<String>,
-    /// Scoped load names.
-    loads: BTreeSet<String>,
-    /// Connectivity-node paths (`Substation/VoltageLevel/Bay/Name`).
-    buses: BTreeSet<String>,
-    /// SCADA point (tag) names.
-    points: BTreeSet<String>,
-}
-
-impl BundleNames {
-    fn collect(bundle: &LoadedBundle) -> BundleNames {
-        let mut names = BundleNames {
-            hosts: known_host_names(bundle),
-            subnetworks: BTreeSet::new(),
-            ieds: known_ied_names(bundle),
-            switches: BTreeSet::new(),
-            lines: BTreeSet::new(),
-            gens: BTreeSet::new(),
-            loads: BTreeSet::new(),
-            buses: BTreeSet::new(),
-            points: BTreeSet::new(),
-        };
-        names.hosts.insert(bundle.scada_host.clone());
-        for file in &bundle.scds {
-            if let Some(comm) = &file.doc.communication {
-                for subnet in &comm.subnetworks {
-                    names.subnetworks.insert(subnet.name.clone());
-                }
-            }
-        }
-        for (file, i) in substation_sources(bundle) {
-            let substation = &file.doc.substations[i];
-            for vl in &substation.voltage_levels {
-                for bay in &vl.bays {
-                    for cn in &bay.connectivity_nodes {
-                        names.buses.insert(format!(
-                            "{}/{}/{}/{}",
-                            substation.name, vl.name, bay.name, cn.name
-                        ));
-                    }
-                    for eq in &bay.equipment {
-                        let scoped = format!("{}/{}", substation.name, eq.name);
-                        match eq.eq_type {
-                            EquipmentType::CircuitBreaker | EquipmentType::Disconnector => {
-                                names.switches.insert(scoped);
-                            }
-                            EquipmentType::Line => {
-                                names.lines.insert(scoped);
-                            }
-                            EquipmentType::Generator | EquipmentType::Battery => {
-                                names.gens.insert(scoped);
-                            }
-                            EquipmentType::Load => {
-                                names.loads.insert(scoped);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((_, config)) = &bundle.scada_config {
-            for source in &config.sources {
-                for point in &source.points {
-                    names.points.insert(point.name.clone());
-                }
-            }
-        }
-        names
-    }
-}
-
-fn span(file: &str, pos: Pos) -> Option<Span> {
-    (pos.line > 0).then(|| Span::new(file, pos.line, pos.column))
-}
-
-fn push(
-    out: &mut Vec<Diagnostic>,
-    code: &'static str,
-    message: String,
-    context: String,
-    file: &str,
-    pos: Pos,
-) {
-    let mut d = Diagnostic::error(code, message, context);
-    if let Some(span) = span(file, pos) {
-        d = d.with_span(span);
-    } else {
-        d = d.with_span(Span::new(file, 1, 1));
-    }
-    out.push(d);
-}
-
-/// SG5004: two stages or two objectives sharing one id.
-fn check_duplicate_ids(file: &str, scenario: &Scenario, out: &mut Vec<Diagnostic>) {
-    let mut stage_ids = BTreeSet::new();
-    for stage in &scenario.stages {
-        if !stage_ids.insert(stage.id.as_str()) {
-            push(
-                out,
-                codes::SCENARIO_DUPLICATE_ID,
-                format!("stage id {:?} is declared more than once", stage.id),
-                format!("Stage {}", stage.id),
-                file,
-                stage.pos,
-            );
-        }
-    }
-    let mut objective_ids = BTreeSet::new();
-    for objective in &scenario.objectives {
-        if !objective_ids.insert(objective.id.as_str()) {
-            push(
-                out,
-                codes::SCENARIO_DUPLICATE_ID,
-                format!("objective id {:?} is declared more than once", objective.id),
-                format!("Objective {}", objective.id),
-                file,
-                objective.pos,
-            );
-        }
-    }
-}
-
-/// SG5002: `after=` references that point at no stage (or at themselves).
-fn check_stage_refs(file: &str, scenario: &Scenario, out: &mut Vec<Diagnostic>) {
-    let stage_ids: BTreeSet<&str> = scenario.stages.iter().map(|s| s.id.as_str()).collect();
-    for stage in &scenario.stages {
-        if let StageStart::After { stage: dep, .. } = &stage.start {
-            let message = if dep == &stage.id {
-                Some(format!("stage {:?} waits for itself", stage.id))
-            } else if !stage_ids.contains(dep.as_str()) {
-                Some(format!(
-                    "stage {:?} waits for undefined stage {dep:?}",
-                    stage.id
-                ))
-            } else {
-                None
-            };
-            if let Some(message) = message {
-                push(
-                    out,
-                    codes::SCENARIO_UNDEFINED_STAGE,
-                    message,
-                    format!("Stage {}", stage.id),
-                    file,
-                    stage.pos,
-                );
-            }
-        }
-    }
-    for objective in &scenario.objectives {
-        if let Some(dep) = &objective.after {
-            if !stage_ids.contains(dep.as_str()) {
-                push(
-                    out,
-                    codes::SCENARIO_UNDEFINED_STAGE,
-                    format!(
-                        "objective {:?} is anchored to undefined stage {dep:?}",
-                        objective.id
-                    ),
-                    format!("Objective {}", objective.id),
-                    file,
-                    objective.pos,
-                );
-            }
-        }
-    }
-}
-
-/// SG5001: stage and objective targets the bundle does not define.
-fn check_targets(file: &str, scenario: &Scenario, names: &BundleNames, out: &mut Vec<Diagnostic>) {
-    let declared: BTreeSet<&str> = scenario.hosts.iter().map(|h| h.name.as_str()).collect();
-    for host in &scenario.hosts {
-        if !names.subnetworks.contains(&host.switch) {
-            push(
-                out,
-                codes::SCENARIO_UNKNOWN_TARGET,
-                format!(
-                    "host {:?} attaches to unknown subnetwork {:?}",
-                    host.name, host.switch
-                ),
-                format!("Host {}", host.name),
-                file,
-                host.pos,
-            );
-        }
-    }
-
-    let unknown = |what: &str, target: &str, ctx: String, pos: Pos, out: &mut Vec<Diagnostic>| {
-        push(
-            out,
-            codes::SCENARIO_UNKNOWN_TARGET,
-            format!("{what} {target:?} is not defined by the bundle"),
-            ctx,
-            file,
-            pos,
-        );
+fn bundle_names(bundle: &LoadedBundle) -> BundleNames {
+    let mut names = BundleNames {
+        hosts: known_host_names(bundle),
+        ieds: known_ied_names(bundle),
+        ..BundleNames::default()
     };
-
-    for stage in &scenario.stages {
-        let ctx = format!("Stage {}", stage.id);
-        match &stage.action {
-            StageAction::Power(action) => {
-                use sgcr_scenario::ScenarioAction as A;
-                let (set, target, what) = match action {
-                    A::OpenSwitch(t) | A::CloseSwitch(t) => (&names.switches, t, "switch"),
-                    A::LineOutage(t) | A::LineRestore(t) => (&names.lines, t, "line"),
-                    A::GenLoss(t) | A::GenRestore(t) => (&names.gens, t, "generator"),
-                    A::SetLoadP(t, _) => (&names.loads, t, "load"),
-                };
-                if !set.contains(target) {
-                    unknown(what, target, ctx, stage.pos, out);
-                }
+    names.hosts.insert(bundle.scada_host.clone());
+    for file in &bundle.scds {
+        if let Some(comm) = &file.doc.communication {
+            for subnet in &comm.subnetworks {
+                names.subnetworks.insert(subnet.name.clone());
             }
-            StageAction::Fci { host, victim, .. } => {
-                if !declared.contains(host.as_str()) {
-                    unknown("attacker host", host, ctx.clone(), stage.pos, out);
+        }
+    }
+    for (file, i) in substation_sources(bundle) {
+        let substation = &file.doc.substations[i];
+        for vl in &substation.voltage_levels {
+            for bay in &vl.bays {
+                for cn in &bay.connectivity_nodes {
+                    names.buses.insert(format!(
+                        "{}/{}/{}/{}",
+                        substation.name, vl.name, bay.name, cn.name
+                    ));
                 }
-                if !names.hosts.contains(victim) {
-                    unknown("victim", victim, ctx, stage.pos, out);
-                }
-            }
-            StageAction::Mitm {
-                host,
-                victim_a,
-                victim_b,
-                ..
-            } => {
-                if !declared.contains(host.as_str()) {
-                    unknown("attacker host", host, ctx.clone(), stage.pos, out);
-                }
-                for victim in [victim_a, victim_b] {
-                    if !names.hosts.contains(victim) {
-                        unknown("victim", victim, ctx.clone(), stage.pos, out);
-                    }
-                }
-            }
-            StageAction::Scan { host, .. } => {
-                if !declared.contains(host.as_str()) {
-                    unknown("attacker host", host, ctx, stage.pos, out);
-                }
-            }
-            StageAction::Link { a, b, .. } => {
-                for end in [a, b] {
-                    let known = names.hosts.contains(end)
-                        || names.subnetworks.contains(end)
-                        || declared.contains(end.as_str());
-                    if !known {
-                        unknown("link endpoint", end, ctx.clone(), stage.pos, out);
-                    }
-                }
-            }
-            StageAction::LinkFault { a, b, fault } => {
-                for end in [a, b] {
-                    let known = names.hosts.contains(end)
-                        || names.subnetworks.contains(end)
-                        || declared.contains(end.as_str());
-                    if !known {
-                        push(
-                            out,
-                            codes::SCENARIO_UNKNOWN_FAULT_TARGET,
-                            format!("link endpoint {end:?} is not defined by the bundle"),
-                            ctx.clone(),
-                            file,
-                            stage.pos,
-                        );
-                    }
-                }
-                for (what, p) in [
-                    ("loss", fault.loss),
-                    ("corrupt", fault.corrupt),
-                    ("duplicate", fault.duplicate),
-                ] {
-                    if !(0.0..=1.0).contains(&p) {
-                        push(
-                            out,
-                            codes::SCENARIO_BAD_FAULT_PROBABILITY,
-                            format!("stage {:?} has {what}={p} outside [0, 1]", stage.id),
-                            ctx.clone(),
-                            file,
-                            stage.pos,
-                        );
-                    }
-                }
-            }
-            StageAction::Crash { host, .. } => {
-                if !names.hosts.contains(host) && !declared.contains(host.as_str()) {
-                    push(
-                        out,
-                        codes::SCENARIO_UNKNOWN_FAULT_TARGET,
-                        format!("crashed host {host:?} is not defined by the bundle"),
-                        ctx,
-                        file,
-                        stage.pos,
-                    );
-                }
-            }
-            StageAction::Sensor { ied, .. } => {
-                if !names.ieds.contains(ied) {
-                    push(
-                        out,
-                        codes::SCENARIO_UNKNOWN_FAULT_IED,
-                        format!("sensor fault IED {ied:?} is not defined by the bundle"),
-                        ctx,
-                        file,
-                        stage.pos,
-                    );
+                for eq in &bay.equipment {
+                    let set = match eq.eq_type {
+                        EquipmentType::CircuitBreaker | EquipmentType::Disconnector => {
+                            &mut names.switches
+                        }
+                        EquipmentType::Line => &mut names.lines,
+                        EquipmentType::Generator | EquipmentType::Battery => &mut names.gens,
+                        EquipmentType::Load => &mut names.loads,
+                        _ => continue,
+                    };
+                    set.insert(format!("{}/{}", substation.name, eq.name));
                 }
             }
         }
     }
-
-    for objective in &scenario.objectives {
-        let ctx = format!("Objective {}", objective.id);
-        match &objective.check {
-            Check::BreakerOpen { switch } | Check::BreakerClosed { switch } => {
-                if !names.switches.contains(switch) {
-                    unknown("switch", switch, ctx, objective.pos, out);
-                }
-            }
-            Check::IedTrip { ied } => {
-                if !names.ieds.contains(ied) {
-                    unknown("IED", ied, ctx, objective.pos, out);
-                }
-            }
-            Check::ScadaAlarm { point }
-            | Check::TagAbove { point, .. }
-            | Check::TagBelow { point, .. } => {
-                if !names.points.contains(point) {
-                    unknown("SCADA point", point, ctx, objective.pos, out);
-                }
-            }
-            Check::VoltageBand { bus, .. } => {
-                if !names.buses.contains(bus) {
-                    unknown("bus", bus, ctx, objective.pos, out);
-                }
-            }
-        }
+    if let Some((_, config)) = &bundle.scada_config {
+        names.points = config.point_names().collect();
     }
-}
-
-/// SG5003: deadlines that can never be met.
-fn check_deadlines(file: &str, scenario: &Scenario, out: &mut Vec<Diagnostic>) {
-    for objective in &scenario.objectives {
-        match &objective.check {
-            Check::VoltageBand { from_ms, to_ms, .. } => {
-                if to_ms <= from_ms {
-                    push(
-                        out,
-                        codes::SCENARIO_BAD_DEADLINE,
-                        format!(
-                            "objective {:?} has an empty window (fromMs={from_ms}, toMs={to_ms})",
-                            objective.id
-                        ),
-                        format!("Objective {}", objective.id),
-                        file,
-                        objective.pos,
-                    );
-                }
-            }
-            _ => {
-                if objective.within_ms <= 0 {
-                    push(
-                        out,
-                        codes::SCENARIO_BAD_DEADLINE,
-                        format!(
-                            "objective {:?} has a zero or negative deadline (withinMs={})",
-                            objective.id, objective.within_ms
-                        ),
-                        format!("Objective {}", objective.id),
-                        file,
-                        objective.pos,
-                    );
-                }
-            }
-        }
-    }
+    names
 }
 
 #[cfg(test)]

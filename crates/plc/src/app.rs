@@ -74,8 +74,6 @@ pub type PlcHandle = Arc<Mutex<PlcStatus>>;
 struct MmsLink {
     client: MmsClient,
     conn: Option<ConnId>,
-    /// invoke id → items of the outstanding read.
-    outstanding: HashMap<u32, Vec<String>>,
 }
 
 /// The virtual PLC application.
@@ -220,11 +218,7 @@ impl PlcApp {
         for (server, items) in per_server {
             if let Some(link) = self.links.get_mut(&server) {
                 if let Some(conn) = link.conn {
-                    let request = MmsRequest::Read {
-                        items: items.clone(),
-                    };
-                    if let Some((invoke_id, wire)) = link.client.request(request) {
-                        link.outstanding.insert(invoke_id, items);
+                    if let Some((_, wire)) = link.client.request(MmsRequest::Read { items }) {
                         ctx.tcp_send(conn, &wire);
                     }
                 }
@@ -339,16 +333,15 @@ impl PlcApp {
         let Some(link) = self.links.get_mut(&server) else {
             return;
         };
-        let pdus = link.client.feed(data);
-        for pdu in pdus {
-            if let MmsPdu::ConfirmedResponse {
-                invoke_id,
-                response: MmsResponse::Read { results },
-            } = pdu
+        for reply in link.client.feed(data) {
+            if let (
+                Some(MmsRequest::Read { items }),
+                MmsPdu::ConfirmedResponse {
+                    response: MmsResponse::Read { results },
+                    ..
+                },
+            ) = reply
             {
-                let Some(items) = link.outstanding.remove(&invoke_id) else {
-                    continue;
-                };
                 for (item, result) in items.iter().zip(results) {
                     let Ok(value) = result else { continue };
                     let binding = self
@@ -389,7 +382,6 @@ impl SocketApp for PlcApp {
                 MmsLink {
                     client: MmsClient::new(),
                     conn: None,
-                    outstanding: HashMap::new(),
                 },
             );
             self.conn_to_server.insert(conn, server);

@@ -3,6 +3,7 @@
 //! plus the translation to ScadaBR-style import JSON that the paper's
 //! toolchain performs.
 
+use sgcr_obs::json::quote;
 use sgcr_xml::Document;
 use std::fmt;
 
@@ -309,9 +310,6 @@ impl ScadaConfig {
     /// Translates to the ScadaBR-style import JSON the paper's script emits
     /// (`dataSources` + `dataPoints` arrays).
     pub fn to_scadabr_json(&self) -> String {
-        fn json_escape(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n  \"dataSources\": [\n");
         for (i, source) in self.sources.iter().enumerate() {
             let (type_name, extra) = match &source.protocol {
@@ -322,11 +320,11 @@ impl ScadaConfig {
                 SourceProtocol::Mms => ("IEC61850", String::new()),
             };
             out.push_str(&format!(
-                "    {{\"xid\": \"DS_{}\", \"name\": \"{}\", \"type\": \"{}\", \"host\": \"{}\", \"port\": {}, \"updatePeriods\": {}{}}}{}\n",
+                "    {{\"xid\": \"DS_{}\", \"name\": {}, \"type\": \"{}\", \"host\": {}, \"port\": {}, \"updatePeriods\": {}{}}}{}\n",
                 i + 1,
-                json_escape(&source.name),
+                quote(&source.name),
                 type_name,
-                json_escape(&source.ip),
+                quote(&source.ip),
                 source.port,
                 source.poll_ms,
                 extra,
@@ -351,13 +349,13 @@ impl ScadaConfig {
                         address
                     ),
                     PointAddress::Mms { item } => {
-                        format!("\"objectReference\": \"{}\"", json_escape(item))
+                        format!("\"objectReference\": {}", quote(item))
                     }
                 };
                 out.push_str(&format!(
-                    "    {{\"xid\": \"DP_{}\", \"name\": \"{}\", \"dataSourceXid\": \"DS_{}\", {}, \"multiplier\": {}, \"settable\": {}}}{}\n",
+                    "    {{\"xid\": \"DP_{}\", \"name\": {}, \"dataSourceXid\": \"DS_{}\", {}, \"multiplier\": {}, \"settable\": {}}}{}\n",
                     emitted,
-                    json_escape(&point.name),
+                    quote(&point.name),
                     i + 1,
                     locator,
                     point.scale,
@@ -378,6 +376,15 @@ impl ScadaConfig {
             }
         }
         None
+    }
+
+    /// Every point name an objective may watch: each configured tag, then
+    /// the point its staleness alarm is raised on (`stale:<tag>`).
+    pub fn point_names(&self) -> impl Iterator<Item = String> + '_ {
+        self.sources
+            .iter()
+            .flat_map(|source| &source.points)
+            .flat_map(|point| [point.name.clone(), crate::hmi::stale_key(&point.name)])
     }
 }
 

@@ -71,7 +71,7 @@ struct HmiShared {
 /// Key under which a tag's staleness alarm lives in `active_alarms`,
 /// namespaced so it cannot collide with a configured alarm rule on the
 /// same point.
-fn stale_key(tag: &str) -> String {
+pub(crate) fn stale_key(tag: &str) -> String {
     format!("stale:{tag}")
 }
 
@@ -163,18 +163,27 @@ impl ScadaHandle {
     }
 }
 
+/// The one-value read that polls a Modbus point.
+fn modbus_read(kind: ModbusPointKind, address: u16) -> ModbusRequest {
+    match kind {
+        ModbusPointKind::Coil => ModbusRequest::ReadCoils { address, count: 1 },
+        ModbusPointKind::Discrete => ModbusRequest::ReadDiscreteInputs { address, count: 1 },
+        ModbusPointKind::Holding => ModbusRequest::ReadHoldingRegisters { address, count: 1 },
+        ModbusPointKind::Input => ModbusRequest::ReadInputRegisters { address, count: 1 },
+    }
+}
+
+/// One data source's connection. Each client pairs every reply with the
+/// request it answers, and a request names the point it polls.
 enum SourceLink {
     Modbus {
         client: ModbusClient,
         conn: Option<ConnId>,
         unit: u8,
-        /// request tid is matched inside ModbusClient; remember point order.
-        outstanding: VecDeque<String>,
     },
     Mms {
         client: MmsClient,
         conn: Option<ConnId>,
-        outstanding: HashMap<u32, Vec<String>>,
     },
 }
 
@@ -229,12 +238,10 @@ impl ScadaApp {
                     client: ModbusClient::new(),
                     conn: None,
                     unit,
-                    outstanding: VecDeque::new(),
                 },
                 SourceProtocol::Mms => SourceLink::Mms {
                     client: MmsClient::new(),
                     conn: None,
-                    outstanding: HashMap::new(),
                 },
             })
             .collect();
@@ -262,46 +269,18 @@ impl ScadaApp {
     fn poll_source(&mut self, ctx: &mut HostCtx<'_>, index: usize) {
         let source = self.config.sources[index].clone();
         match &mut self.links[index] {
-            SourceLink::Modbus {
-                client,
-                conn,
-                unit,
-                outstanding,
-            } => {
+            SourceLink::Modbus { client, conn, unit } => {
                 if let Some(conn) = *conn {
                     for point in &source.points {
                         let PointAddress::Modbus { kind, address } = &point.address else {
                             continue;
                         };
-                        let request = match kind {
-                            ModbusPointKind::Coil => ModbusRequest::ReadCoils {
-                                address: *address,
-                                count: 1,
-                            },
-                            ModbusPointKind::Discrete => ModbusRequest::ReadDiscreteInputs {
-                                address: *address,
-                                count: 1,
-                            },
-                            ModbusPointKind::Holding => ModbusRequest::ReadHoldingRegisters {
-                                address: *address,
-                                count: 1,
-                            },
-                            ModbusPointKind::Input => ModbusRequest::ReadInputRegisters {
-                                address: *address,
-                                count: 1,
-                            },
-                        };
-                        let wire = client.request(*unit, request);
-                        outstanding.push_back(point.name.clone());
+                        let wire = client.request(*unit, modbus_read(*kind, *address));
                         ctx.tcp_send(conn, &wire);
                     }
                 }
             }
-            SourceLink::Mms {
-                client,
-                conn,
-                outstanding,
-            } => {
+            SourceLink::Mms { client, conn } => {
                 if let Some(conn) = *conn {
                     let items: Vec<String> = source
                         .points
@@ -312,11 +291,7 @@ impl ScadaApp {
                         })
                         .collect();
                     if !items.is_empty() {
-                        let request = MmsRequest::Read {
-                            items: items.clone(),
-                        };
-                        if let Some((invoke_id, wire)) = client.request(request) {
-                            outstanding.insert(invoke_id, items);
+                        if let Some((_, wire)) = client.request(MmsRequest::Read { items }) {
                             ctx.tcp_send(conn, &wire);
                         }
                     }
@@ -644,42 +619,30 @@ impl SocketApp for ScadaApp {
         let parent = ctx.trace_parent();
         let mut updates: Vec<(String, f64)> = Vec::new();
         match &mut self.links[index] {
-            SourceLink::Modbus {
-                client,
-                outstanding,
-                ..
-            } => {
+            SourceLink::Modbus { client, .. } => {
                 for (request, response) in client.feed(data) {
-                    // Writes don't consume the outstanding read queue.
-                    let is_read = matches!(
-                        request,
-                        ModbusRequest::ReadCoils { .. }
-                            | ModbusRequest::ReadDiscreteInputs { .. }
-                            | ModbusRequest::ReadHoldingRegisters { .. }
-                            | ModbusRequest::ReadInputRegisters { .. }
-                    );
-                    if !is_read {
-                        continue;
-                    }
-                    let Some(tag) = outstanding.pop_front() else {
-                        continue;
-                    };
                     let raw = match response {
                         ModbusResponse::Bits(bits) => bits.first().map(|b| f64::from(u8::from(*b))),
                         ModbusResponse::Registers(regs) => regs.first().map(|r| f64::from(*r)),
                         _ => None,
                     };
-                    if let Some(raw) = raw {
+                    // Map the read back to the point it polls; a write
+                    // polls none.
+                    let tag = self.config.sources[index]
+                        .points
+                        .iter()
+                        .find(|p| {
+                            matches!(p.address, PointAddress::Modbus { kind, address }
+                                if modbus_read(kind, address) == request)
+                        })
+                        .map(|p| p.name.clone());
+                    if let (Some(tag), Some(raw)) = (tag, raw) {
                         updates.push((tag, raw));
                     }
                 }
             }
-            SourceLink::Mms {
-                client,
-                outstanding,
-                ..
-            } => {
-                for pdu in client.feed(data) {
+            SourceLink::Mms { client, .. } => {
+                for (request, pdu) in client.feed(data) {
                     if let MmsPdu::InformationReport {
                         report_name,
                         entries,
@@ -717,14 +680,14 @@ impl SocketApp for ScadaApp {
                         }
                         continue;
                     }
-                    if let MmsPdu::ConfirmedResponse {
-                        invoke_id,
-                        response: MmsResponse::Read { results },
-                    } = pdu
+                    if let (
+                        Some(MmsRequest::Read { items }),
+                        MmsPdu::ConfirmedResponse {
+                            response: MmsResponse::Read { results },
+                            ..
+                        },
+                    ) = (request, pdu)
                     {
-                        let Some(items) = outstanding.remove(&invoke_id) else {
-                            continue;
-                        };
                         for (item, result) in items.iter().zip(results) {
                             let Ok(value) = result else { continue };
                             let raw = match &value {

@@ -3,8 +3,11 @@
 //! operator commands.
 
 use sgcr_iec61850::{DataModel, DataValue, MmsServer, MmsServerApp, SharedModel};
-use sgcr_modbus::{ModbusServerApp, SharedRegisters};
-use sgcr_net::{Ipv4Addr, LinkSpec, Network, SimTime};
+use sgcr_modbus::{
+    decode_request, encode_response, Adu, FunctionCode, ModbusServerApp, SharedRegisters,
+    StreamDecoder, MODBUS_PORT,
+};
+use sgcr_net::{ConnId, HostCtx, Ipv4Addr, LinkSpec, Network, SimTime, SocketApp};
 use sgcr_scada::{OperatorCommand, Quality, ScadaApp, ScadaConfig};
 
 const CONFIG: &str = r#"<ScadaConfig name="test-hmi">
@@ -142,4 +145,75 @@ fn command_to_readonly_tag_rejected() {
         .events()
         .iter()
         .any(|e| e.message.contains("REJECTED")));
+}
+
+/// A Modbus server whose first reply is cut short, as a man in the middle
+/// truncating it would leave it: the client cannot decode that reply.
+struct TruncatesFirstReply {
+    registers: SharedRegisters,
+    decoder: StreamDecoder,
+    truncated: bool,
+}
+
+impl SocketApp for TruncatesFirstReply {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.tcp_listen(MODBUS_PORT);
+    }
+
+    fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, data: &[u8]) {
+        for adu in self.decoder.feed(data) {
+            let Some(request) = decode_request(&adu.pdu) else {
+                continue;
+            };
+            let function = FunctionCode::from_u8(adu.pdu[0]).expect("decoded request");
+            let response = self.registers.with(|map| map.execute(&request));
+            let mut pdu = encode_response(function, &response);
+            if !self.truncated {
+                pdu.truncate(2);
+                self.truncated = true;
+            }
+            let reply = Adu {
+                transaction_id: adu.transaction_id,
+                unit_id: adu.unit_id,
+                pdu: pdu.into(),
+            };
+            ctx.tcp_send(conn, &reply.encode());
+        }
+    }
+}
+
+#[test]
+fn an_undecodable_modbus_reply_does_not_shift_later_tags() {
+    let mut net = Network::new();
+    let sw = net.add_switch("sw");
+    let plc = net.add_host("plc", Ipv4Addr::new(10, 0, 0, 1));
+    let hmi = net.add_host("hmi", Ipv4Addr::new(10, 0, 0, 100));
+    for h in [plc, hmi] {
+        net.connect(h, sw, LinkSpec::default());
+    }
+    let registers = SharedRegisters::with_size(8);
+    registers.set_input(0, 111);
+    registers.set_input(1, 222);
+    net.attach_app(
+        plc,
+        Box::new(TruncatesFirstReply {
+            registers,
+            decoder: StreamDecoder::new(),
+            truncated: false,
+        }),
+    );
+    let config = ScadaConfig::parse(
+        r#"<ScadaConfig name="shift">
+  <DataSource name="PLC" type="MODBUS" ip="10.0.0.1" pollMs="200">
+    <Point name="A" kind="input" address="0"/>
+    <Point name="B" kind="input" address="1"/>
+  </DataSource>
+</ScadaConfig>"#,
+    )
+    .expect("config");
+    let (app, handle) = ScadaApp::new(config);
+    net.attach_app(hmi, Box::new(app));
+    net.run_until(SimTime::from_millis(1500));
+    assert_eq!(handle.tag_value("A"), Some(111.0));
+    assert_eq!(handle.tag_value("B"), Some(222.0));
 }

@@ -1,49 +1,24 @@
 //! Structural validation of the ScadaBR-style JSON translation — the
 //! paper's "script to translate the SCADA Config XML into a JSON format
-//! that SCADABR can import". We validate with a minimal JSON reader so the
-//! output is guaranteed parseable by a real importer.
+//! that SCADABR can import". We validate with the workspace's JSON reader
+//! so the output is guaranteed parseable by a real importer.
 
+use sgcr_obs::json::{parse, Value};
 use sgcr_scada::ScadaConfig;
 
-/// A tiny JSON structural validator: checks balanced braces/brackets,
-/// quoted strings, and `"key": value` shapes. Returns the number of objects.
-fn validate_json(text: &str) -> Result<usize, String> {
-    let mut depth_obj = 0i32;
-    let mut depth_arr = 0i32;
-    let mut objects = 0usize;
-    let mut in_string = false;
-    let mut prev = ' ';
-    for c in text.chars() {
-        if in_string {
-            if c == '"' && prev != '\\' {
-                in_string = false;
-            }
-            prev = c;
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                depth_obj += 1;
-                objects += 1;
-            }
-            '}' => depth_obj -= 1,
-            '[' => depth_arr += 1,
-            ']' => depth_arr -= 1,
-            _ => {}
-        }
-        if depth_obj < 0 || depth_arr < 0 {
-            return Err(format!("unbalanced at {c:?}"));
-        }
-        prev = c;
-    }
-    if in_string {
-        return Err("unterminated string".into());
-    }
-    if depth_obj != 0 || depth_arr != 0 {
-        return Err(format!("unbalanced: obj={depth_obj} arr={depth_arr}"));
-    }
-    Ok(objects)
+/// Parses the export, failing the test on invalid JSON.
+fn parsed(json: &str) -> Value {
+    parse(json).unwrap_or_else(|e| panic!("invalid JSON ({e}):\n{json}"))
+}
+
+/// The `name` of every entry of one of the export's arrays.
+fn names<'a>(root: &'a Value, array: &str) -> Vec<&'a str> {
+    root.get(array)
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|entry| entry.get("name").and_then(Value::as_str))
+        .collect()
 }
 
 const CONFIG: &str = r#"<ScadaConfig name="json-test">
@@ -53,16 +28,16 @@ const CONFIG: &str = r#"<ScadaConfig name="json-test">
   </DataSource>
   <DataSource name="IED1" type="MMS" ip="10.0.0.2" pollMs="1000">
     <Point name="V1" item="IED1LD0/MMXU1$MX$PhV$mag$f"/>
+    <Point name="V2&#10;phase&#9;B" item="IED1LD0/MMXU1$MX$PhV$phsB$f"/>
   </DataSource>
 </ScadaConfig>"#;
 
 #[test]
 fn json_is_structurally_valid() {
     let config = ScadaConfig::parse(CONFIG).unwrap();
-    let json = config.to_scadabr_json();
-    let objects = validate_json(&json).expect("valid JSON structure");
-    // Root + 2 sources + 3 points.
-    assert_eq!(objects, 6, "{json}");
+    let root = parsed(&config.to_scadabr_json());
+    assert_eq!(names(&root, "dataSources"), ["PLC \"main\"", "IED1"]);
+    assert_eq!(names(&root, "dataPoints").len(), 4);
 }
 
 #[test]
@@ -70,7 +45,12 @@ fn json_escapes_quotes_in_names() {
     let config = ScadaConfig::parse(CONFIG).unwrap();
     let json = config.to_scadabr_json();
     assert!(json.contains(r#"PLC \"main\""#), "{json}");
-    validate_json(&json).expect("escaped JSON still valid");
+    assert!(json.contains(r#""V2\nphase\tB""#), "{json}");
+    let root = parsed(&json);
+    assert_eq!(
+        names(&root, "dataPoints"),
+        ["P1", "C1", "V1", "V2\nphase\tB"]
+    );
 }
 
 #[test]
@@ -91,7 +71,7 @@ fn every_point_references_an_emitted_source() {
     for i in 1..=2 {
         assert!(json.contains(&format!("\"xid\": \"DS_{i}\"")));
     }
-    for i in 1..=3 {
+    for i in 1..=4 {
         assert!(json.contains(&format!("\"xid\": \"DP_{i}\"")));
     }
     // Data points only reference defined sources.

@@ -16,6 +16,7 @@
 //! after-action report is byte-identical run after run.
 
 use crate::report::{ExerciseReport, ObjectiveOutcome, StageOutcome};
+use crate::rules::{check, BundleNames};
 use crate::spec::{
     Adversary, AttackerHost, Check, LinkEffect, Objective, Scenario, Stage, StageAction,
     StageStart, TransformSpec,
@@ -118,13 +119,10 @@ struct Engine {
 ///
 /// # Errors
 ///
-/// Returns [`ExerciseError`] when the scenario does not fit the range:
-/// duplicate or dangling stage ids, dependency cycles, unknown hosts,
-/// victims, power elements, link endpoints or objective targets, a cyber
-/// stage host that is not a declared attacker host (generated hosts already
-/// run their own apps), more than one cyber stage per attacker host (a host
-/// runs at most one app), or SCADA objectives on a range without SCADA.
-/// A *failed objective is not an error* — it is a scored result.
+/// Returns [`ExerciseError`] when an `<Adversary>` cannot be planned, or
+/// with the first finding of [`check`] when the scenario does not fit the
+/// range — the rules `sgcr-lint` reports as `SG5xxx`. A *failed objective
+/// is not an error* — it is a scored result.
 pub fn run_exercise(
     range: &mut CyberRange,
     scenario: &Scenario,
@@ -152,13 +150,7 @@ pub fn run_exercise(
     }
 
     for host in &scenario.hosts {
-        let ip: Ipv4Addr = host.ip.parse().map_err(|_| {
-            err(format!(
-                "host {:?} has unparsable ip {:?}",
-                host.name, host.ip
-            ))
-        })?;
-        range.add_host(&host.name, ip, &host.switch);
+        range.add_host(&host.name, host.ip, &host.switch);
     }
 
     let base_ms = range.now().as_millis();
@@ -222,11 +214,7 @@ fn plan_adversary(
 
     let graph = AttackGraph::derive(range.model());
     let reserved_names: Vec<String> = scenario.hosts.iter().map(|h| h.name.clone()).collect();
-    let reserved_ips: Vec<Ipv4Addr> = scenario
-        .hosts
-        .iter()
-        .filter_map(|h| h.ip.parse().ok())
-        .collect();
+    let reserved_ips: Vec<Ipv4Addr> = scenario.hosts.iter().map(|h| h.ip).collect();
     let result = sgcr_adversary::plan(
         &graph,
         &PlanRequest {
@@ -259,7 +247,7 @@ fn expand_adversary(scenario: &Scenario, plan: &CampaignPlan) -> Scenario {
     for host in &plan.hosts {
         expanded.hosts.push(AttackerHost {
             name: host.name.clone(),
-            ip: host.ip.to_string(),
+            ip: host.ip,
             switch: host.switch.clone(),
             pos,
         });
@@ -280,8 +268,8 @@ fn expand_adversary(scenario: &Scenario, plan: &CampaignPlan) -> Scenario {
                 ports,
             } => StageAction::Scan {
                 host: host.clone(),
-                first: first.to_string(),
-                last: last.to_string(),
+                first: *first,
+                last: *last,
                 ports: ports.clone(),
             },
             PlannedAction::Mitm {
@@ -344,251 +332,43 @@ fn expand_adversary(scenario: &Scenario, plan: &CampaignPlan) -> Scenario {
     expanded
 }
 
-/// Rejects scenarios that do not fit the range before anything mutates.
+/// Rejects scenarios that do not fit the range before anything mutates:
+/// the first finding of [`check`] against the live range's names.
 fn validate(range: &CyberRange, scenario: &Scenario) -> Result<(), ExerciseError> {
-    let mut stage_ids = BTreeSet::new();
-    for stage in &scenario.stages {
-        if !stage_ids.insert(stage.id.as_str()) {
-            return Err(err(format!("duplicate stage id {:?}", stage.id)));
-        }
+    match check(scenario, &range_names(range)).into_iter().next() {
+        Some(finding) => Err(err(finding.message)),
+        None => Ok(()),
     }
-    let mut objective_ids = BTreeSet::new();
-    for objective in &scenario.objectives {
-        if !objective_ids.insert(objective.id.as_str()) {
-            return Err(err(format!("duplicate objective id {:?}", objective.id)));
-        }
-    }
-
-    // Dependencies: defined, not self-referential, acyclic. Each stage has
-    // at most one parent, so cycle detection is a bounded parent walk.
-    let parent_of = |id: &str| -> Option<&str> {
-        scenario
-            .stages
-            .iter()
-            .find_map(|s| match (&s.id, &s.start) {
-                (sid, StageStart::After { stage, .. }) if sid == id => Some(stage.as_str()),
-                _ => None,
-            })
-    };
-    for stage in &scenario.stages {
-        if let StageStart::After { stage: dep, .. } = &stage.start {
-            if !stage_ids.contains(dep.as_str()) {
-                return Err(err(format!(
-                    "stage {:?} depends on undefined stage {dep:?}",
-                    stage.id
-                )));
-            }
-            let mut cursor = stage.id.as_str();
-            for _ in 0..=scenario.stages.len() {
-                match parent_of(cursor) {
-                    Some(parent) if parent == stage.id => {
-                        return Err(err(format!(
-                            "stage {:?} is in a dependency cycle",
-                            stage.id
-                        )));
-                    }
-                    Some(parent) => cursor = parent,
-                    None => break,
-                }
-            }
-        }
-    }
-
-    // Attacker hosts: fresh names on existing switches.
-    let mut declared_hosts = BTreeSet::new();
-    for host in &scenario.hosts {
-        if host.ip.parse::<Ipv4Addr>().is_err() {
-            return Err(err(format!(
-                "host {:?} has unparsable ip {:?}",
-                host.name, host.ip
-            )));
-        }
-        if range.net.node_by_name(&host.switch).is_none() {
-            return Err(err(format!(
-                "host {:?} attaches to unknown switch {:?}",
-                host.name, host.switch
-            )));
-        }
-        if range.node(&host.name).is_some() || !declared_hosts.insert(host.name.as_str()) {
-            return Err(err(format!("host {:?} already exists", host.name)));
-        }
-    }
-
-    // Stages: targets must exist; one cyber stage per attacker host.
-    let mut used_hosts = BTreeSet::new();
-    for stage in &scenario.stages {
-        let id = &stage.id;
-        match &stage.action {
-            StageAction::Power(action) => {
-                use sgcr_powerflow::ScenarioAction as A;
-                let (known, target, what) = match action {
-                    A::OpenSwitch(t) | A::CloseSwitch(t) => {
-                        (range.power.switch_by_name(t).is_some(), t, "switch")
-                    }
-                    A::LineOutage(t) | A::LineRestore(t) => {
-                        (range.power.line_by_name(t).is_some(), t, "line")
-                    }
-                    A::GenLoss(t) | A::GenRestore(t) => (
-                        range.power.gen_by_name(t).is_some()
-                            || range.power.sgen_by_name(t).is_some(),
-                        t,
-                        "generator",
-                    ),
-                    A::SetLoadP(t, _) => (range.power.load_by_name(t).is_some(), t, "load"),
-                };
-                if !known {
-                    return Err(err(format!(
-                        "stage {id:?} targets unknown {what} {target:?}"
-                    )));
-                }
-            }
-            StageAction::Fci { host, victim, .. } => {
-                check_attacker_host(&declared_hosts, &mut used_hosts, id, host)?;
-                if range.plan().host_ip(victim).is_none() {
-                    return Err(err(format!(
-                        "stage {id:?} targets unknown victim {victim:?}"
-                    )));
-                }
-            }
-            StageAction::Mitm {
-                host,
-                victim_a,
-                victim_b,
-                ..
-            } => {
-                check_attacker_host(&declared_hosts, &mut used_hosts, id, host)?;
-                for victim in [victim_a, victim_b] {
-                    if range.plan().host_ip(victim).is_none() {
-                        return Err(err(format!(
-                            "stage {id:?} targets unknown victim {victim:?}"
-                        )));
-                    }
-                }
-            }
-            StageAction::Scan {
-                host, first, last, ..
-            } => {
-                check_attacker_host(&declared_hosts, &mut used_hosts, id, host)?;
-                for addr in [first, last] {
-                    if addr.parse::<Ipv4Addr>().is_err() {
-                        return Err(err(format!("stage {id:?} has unparsable address {addr:?}")));
-                    }
-                }
-            }
-            StageAction::Link { a, b, .. } => {
-                for end in [a, b] {
-                    if range.net.node_by_name(end).is_none() {
-                        return Err(err(format!("stage {id:?} names unknown node {end:?}")));
-                    }
-                }
-            }
-            StageAction::LinkFault { a, b, fault } => {
-                for end in [a, b] {
-                    if range.net.node_by_name(end).is_none() {
-                        return Err(err(format!("stage {id:?} names unknown node {end:?}")));
-                    }
-                }
-                for (what, p) in [
-                    ("loss", fault.loss),
-                    ("corrupt", fault.corrupt),
-                    ("duplicate", fault.duplicate),
-                ] {
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(err(format!("stage {id:?} has {what}={p} outside [0, 1]")));
-                    }
-                }
-            }
-            StageAction::Crash { host, .. } => {
-                if range.node(host).is_none() && !declared_hosts.contains(host.as_str()) {
-                    return Err(err(format!("stage {id:?} crashes unknown host {host:?}")));
-                }
-            }
-            StageAction::Sensor { ied, .. } => {
-                if !range.ieds.contains_key(ied) {
-                    return Err(err(format!("stage {id:?} names unknown IED {ied:?}")));
-                }
-            }
-        }
-    }
-
-    // Objectives: targets must exist, deadlines must be meetable.
-    for objective in &scenario.objectives {
-        let id = &objective.id;
-        if let Some(dep) = &objective.after {
-            if !stage_ids.contains(dep.as_str()) {
-                return Err(err(format!(
-                    "objective {id:?} is anchored to undefined stage {dep:?}"
-                )));
-            }
-        }
-        match &objective.check {
-            Check::VoltageBand {
-                bus,
-                from_ms,
-                to_ms,
-                ..
-            } => {
-                if range.power.bus_by_name(bus).is_none() {
-                    return Err(err(format!("objective {id:?} targets unknown bus {bus:?}")));
-                }
-                if to_ms <= from_ms {
-                    return Err(err(format!("objective {id:?} has an empty window")));
-                }
-            }
-            check => {
-                if objective.within_ms <= 0 {
-                    return Err(err(format!(
-                        "objective {id:?} has non-positive withinMs {}",
-                        objective.within_ms
-                    )));
-                }
-                match check {
-                    Check::BreakerOpen { switch } | Check::BreakerClosed { switch } => {
-                        if range.switch_is_closed(switch).is_none() {
-                            return Err(err(format!(
-                                "objective {id:?} targets unknown switch {switch:?}"
-                            )));
-                        }
-                    }
-                    Check::IedTrip { ied } => {
-                        if range.ied_trip_count(ied).is_none() {
-                            return Err(err(format!(
-                                "objective {id:?} targets unknown IED {ied:?}"
-                            )));
-                        }
-                    }
-                    Check::ScadaAlarm { .. } | Check::TagAbove { .. } | Check::TagBelow { .. } => {
-                        if range.scada.is_none() {
-                            return Err(err(format!(
-                                "objective {id:?} needs SCADA, but the range has none"
-                            )));
-                        }
-                    }
-                    Check::VoltageBand { .. } => {}
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
-fn check_attacker_host<'a>(
-    declared: &BTreeSet<&str>,
-    used: &mut BTreeSet<&'a str>,
-    stage_id: &str,
-    host: &'a str,
-) -> Result<(), ExerciseError> {
-    if !declared.contains(host) {
-        return Err(err(format!(
-            "stage {stage_id:?} runs on {host:?}, which is not a declared <Host>"
-        )));
+/// Everything a scenario may reference on a live range: its network nodes,
+/// IEDs, power elements, and SCADA points.
+fn range_names(range: &CyberRange) -> BundleNames {
+    let mut names = BundleNames::default();
+    for node in range.net.node_names() {
+        let is_host = range
+            .net
+            .node_by_name(node)
+            .is_some_and(|id| range.net.is_host(id));
+        let set = if is_host {
+            &mut names.hosts
+        } else {
+            &mut names.subnetworks
+        };
+        set.insert(node.to_string());
     }
-    if !used.insert(host) {
-        return Err(err(format!(
-            "stage {stage_id:?} reuses host {host:?} (a host runs at most one app)"
-        )));
+    names.ieds = range.ieds.keys().cloned().collect();
+    let power = &range.power;
+    names.switches = power.switch.iter().map(|s| s.name.clone()).collect();
+    names.lines = power.line.iter().map(|l| l.name.clone()).collect();
+    names.gens = power.gen.iter().map(|g| g.name.clone()).collect();
+    names.gens.extend(power.sgen.iter().map(|s| s.name.clone()));
+    names.loads = power.load.iter().map(|l| l.name.clone()).collect();
+    names.buses = power.bus.iter().map(|b| b.name.clone()).collect();
+    if let Some(scada) = &range.model().scada {
+        names.points = scada.config.point_names().collect();
     }
-    Ok(())
+    names
 }
 
 impl Engine {
@@ -745,15 +525,9 @@ impl Engine {
                 last,
                 ports,
             } => {
-                let (Ok(first), Ok(last)) = (first.parse(), last.parse()) else {
-                    self.stages[i].detail = "unparsable sweep range".to_string();
-                    self.stages[i].started_ms = Some(now_rel);
-                    self.stages[i].ended_ms = Some(now_rel);
-                    return;
-                };
                 let (app, handle) = ScannerApp::new(ScanPlan {
-                    first,
-                    last,
+                    first: *first,
+                    last: *last,
                     ports: ports.clone(),
                     probe_interval: SCAN_PROBE_INTERVAL,
                 });

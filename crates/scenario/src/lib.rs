@@ -24,6 +24,10 @@
 //!   (via [`sgcr_obs::json`]). Reports are byte-deterministic: the same
 //!   scenario on the same bundle produces the same bytes, run after run.
 //!
+//! Whether a scenario fits its range is decided by one function, [`check`]:
+//! `sgcr-lint` reports its findings as `SG5xxx` diagnostics, and
+//! [`run_exercise`] refuses to start on the first of them.
+//!
 //! Stage starts/ends and objective resolutions are journaled and traced
 //! (`scenario.stage` / `scenario.objective` spans on the `Range` plane), so
 //! a whole exercise can be inspected in the existing Perfetto export.
@@ -43,10 +47,12 @@
 
 pub mod engine;
 pub mod report;
+pub mod rules;
 pub mod spec;
 
 pub use engine::{run_exercise, ExerciseError};
 pub use report::{ExerciseReport, ObjectiveOutcome, Score, StageOutcome};
+pub use rules::{check, BundleNames, Finding, FindingKind};
 pub use sgcr_powerflow::ScenarioAction;
 pub use spec::{
     Adversary, AttackerHost, Check, LinkEffect, Objective, Pos, Scenario, ScenarioError, Stage,

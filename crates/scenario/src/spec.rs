@@ -20,6 +20,7 @@
 //! ```
 
 use sgcr_faults::{LinkFault, SensorFault};
+use sgcr_net::Ipv4Addr;
 use sgcr_powerflow::ScenarioAction;
 use sgcr_xml::{Document, ElementRef};
 use std::fmt;
@@ -114,8 +115,8 @@ pub struct Adversary {
 pub struct AttackerHost {
     /// Host name (referenced by cyber stages).
     pub name: String,
-    /// Dotted-quad IPv4 address.
-    pub ip: String,
+    /// IPv4 address.
+    pub ip: Ipv4Addr,
     /// Name of the subnetwork switch to attach to.
     pub switch: String,
     /// Source position in the scenario file.
@@ -187,9 +188,9 @@ pub enum StageAction {
         /// Attacker host the app runs on.
         host: String,
         /// First IPv4 address of the swept range.
-        first: String,
+        first: Ipv4Addr,
         /// Last IPv4 address of the swept range (inclusive).
-        last: String,
+        last: Ipv4Addr,
         /// TCP ports probed on each live host.
         ports: Vec<u16>,
     },
@@ -416,9 +417,10 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`ScenarioError`] on malformed XML, unknown stage/objective
-    /// kinds, or missing required attributes. Dangling references (unknown
-    /// hosts, stage ids, …) are *not* errors here — `sgcr-lint` reports
-    /// those with spans, and the engine rejects them at run time.
+    /// kinds, missing required attributes, or unparsable addresses.
+    /// Dangling references (unknown hosts, stage ids, …) are *not* errors
+    /// here: [`check`](crate::check) finds those, for `sgcr-lint` and the
+    /// engine alike.
     pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         let doc = Document::parse(text).map_err(|e| err(e.to_string()))?;
         let root = doc.root_element();
@@ -439,9 +441,10 @@ impl Scenario {
             objectives: Vec::new(),
         };
         for host_el in root.children_named("Host") {
+            let name = attr_req(&host_el, "Host", "name")?;
             scenario.hosts.push(AttackerHost {
-                name: attr_req(&host_el, "Host", "name")?,
-                ip: attr_req(&host_el, "Host", "ip")?,
+                ip: addr_req(&host_el, &format!("Host {name:?}"), "ip")?,
+                name,
                 switch: attr_req(&host_el, "Host", "switch")?,
                 pos: Pos::of(&host_el),
             });
@@ -484,7 +487,7 @@ impl Scenario {
         for host in &self.hosts {
             let e = doc.add_element(root, "Host");
             doc.set_attr(e, "name", &host.name);
-            doc.set_attr(e, "ip", &host.ip);
+            doc.set_attr(e, "ip", &host.ip.to_string());
             doc.set_attr(e, "switch", &host.switch);
         }
         if let Some(adv) = &self.adversary {
@@ -507,6 +510,13 @@ fn attr_req(el: &ElementRef<'_>, element: &str, name: &str) -> Result<String, Sc
     el.attr(name)
         .map(str::to_string)
         .ok_or_else(|| err(format!("{element} missing {name}")))
+}
+
+/// A required IPv4 attribute; `element` names the element in the error.
+fn addr_req(el: &ElementRef<'_>, element: &str, name: &str) -> Result<Ipv4Addr, ScenarioError> {
+    let raw = attr_req(el, element, name)?;
+    raw.parse()
+        .map_err(|_| err(format!("{element} has unparsable {name}={raw:?}")))
 }
 
 fn parse_stage(el: &ElementRef<'_>) -> Result<Stage, ScenarioError> {
@@ -566,8 +576,8 @@ fn parse_stage(el: &ElementRef<'_>) -> Result<Stage, ScenarioError> {
         },
         "scan" => StageAction::Scan {
             host: attr_req(el, "Stage", "host")?,
-            first: attr_req(el, "Stage", "first")?,
-            last: attr_req(el, "Stage", "last")?,
+            first: addr_req(el, &format!("Stage {id:?}"), "first")?,
+            last: addr_req(el, &format!("Stage {id:?}"), "last")?,
             ports: el
                 .attr_or("ports", "")
                 .split(',')
@@ -805,8 +815,8 @@ fn write_stage(doc: &mut Document, root: sgcr_xml::NodeId, stage: &Stage) {
             ports,
         } => {
             doc.set_attr(e, "host", host);
-            doc.set_attr(e, "first", first);
-            doc.set_attr(e, "last", last);
+            doc.set_attr(e, "first", &first.to_string());
+            doc.set_attr(e, "last", &last.to_string());
             let ports: Vec<String> = ports.iter().map(u16::to_string).collect();
             doc.set_attr(e, "ports", &ports.join(","));
         }
@@ -1076,6 +1086,20 @@ mod tests {
             r#"<Scenario durationMs="1"><Adversary goal="a:b"/><Adversary goal="c:d"/></Scenario>"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn unparsable_addresses_name_their_element() {
+        let host = Scenario::parse(
+            r#"<Scenario durationMs="1"><Host name="box" ip="10.0.1.666" switch="GenBus"/></Scenario>"#,
+        )
+        .unwrap_err();
+        assert_eq!(host.message, r#"Host "box" has unparsable ip="10.0.1.666""#);
+        let scan = Scenario::parse(
+            r#"<Scenario durationMs="1"><Stage id="sweep" kind="scan" host="h" first="10.0.1.1" last="ten"/></Scenario>"#,
+        )
+        .unwrap_err();
+        assert_eq!(scan.message, r#"Stage "sweep" has unparsable last="ten""#);
     }
 
     #[test]

@@ -93,7 +93,8 @@ impl SocketApp for Requester {
     }
 
     fn on_tcp_data(&mut self, _ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        self.answers.lock().unwrap().extend(self.client.feed(data));
+        let replies = self.client.feed(data).into_iter().map(|(_, pdu)| pdu);
+        self.answers.lock().unwrap().extend(replies);
     }
 }
 
