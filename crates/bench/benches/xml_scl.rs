@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sgcr_models::{epic, multisub_bundle, MultiSubParams};
-use sgcr_scl::{consolidate_ssd, parse_scd, parse_sed, parse_ssd};
+use sgcr_scl::{consolidate_ssd, parse_scl};
 use sgcr_xml::Document;
 
 fn bench_xml(c: &mut Criterion) {
@@ -15,25 +15,25 @@ fn bench_xml(c: &mut Criterion) {
         b.iter(|| Document::parse(&scd).expect("well-formed"));
     });
     c.bench_function("scl_parse_epic_ssd", |b| {
-        b.iter(|| parse_ssd(&ssd).expect("valid SSD"));
+        b.iter(|| parse_scl(&ssd).expect("valid SSD"));
     });
     c.bench_function("scl_parse_epic_scd", |b| {
-        b.iter(|| parse_scd(&scd).expect("valid SCD"));
+        b.iter(|| parse_scl(&scd).expect("valid SCD"));
     });
 
     let bundle = multisub_bundle(&MultiSubParams::paper_profile());
     let ssds: Vec<_> = bundle
         .ssds
         .iter()
-        .map(|t| parse_ssd(t).expect("valid"))
+        .map(|t| parse_scl(t).expect("valid"))
         .collect();
     let seds: Vec<_> = bundle
         .seds
         .iter()
-        .map(|t| parse_sed(t).expect("valid"))
+        .map(|t| parse_scl(t).expect("valid"))
         .collect();
     c.bench_function("scl_consolidate_5_substations", |b| {
-        b.iter(|| consolidate_ssd(&ssds, &seds).expect("consolidates"));
+        b.iter(|| consolidate_ssd(&ssds, &seds));
     });
 }
 

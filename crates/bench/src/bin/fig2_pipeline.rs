@@ -3,11 +3,11 @@
 //! mirroring the flowchart modules of Figure 3.
 
 use sgcr_core::{
-    compile_network, compile_power, CompiledModel, CyberRange, IedConfig, PowerExtraConfig,
+    check_bundle, compile_network, compile_power, CompiledModel, CyberRange, ParsedBundle, SclFile,
 };
 use sgcr_models::epic_bundle;
 use sgcr_net::SimDuration;
-use sgcr_scl::{consolidate_scd, consolidate_ssd, parse_icd, parse_scd, parse_ssd};
+use sgcr_scl::{consolidate_scd, consolidate_ssd};
 
 fn main() {
     println!("== Figures 2-3: the SG-ML Processor pipeline over the EPIC model set ==\n");
@@ -25,32 +25,22 @@ fn main() {
         "  + IED Config XML, SCADA Config XML, PLC Config XML, Power System Extra Config XML\n"
     );
 
-    println!("[stage 1]  parse SCL files");
-    let ssds: Vec<_> = bundle
-        .ssds
-        .iter()
-        .map(|t| parse_ssd(t).expect("ssd"))
-        .collect();
-    let scds: Vec<_> = bundle
-        .scds
-        .iter()
-        .map(|t| parse_scd(t).expect("scd"))
-        .collect();
-    let icds: Vec<_> = bundle
-        .icds
-        .iter()
-        .map(|t| parse_icd(t).expect("icd"))
-        .collect();
+    println!("[stage 1]  parse every model file and check the bundle rules");
+    let parsed = ParsedBundle::from_bundle(&bundle);
+    let findings = check_bundle(&parsed);
     println!(
-        "  parsed {} SSD, {} SCD, {} ICD documents\n",
-        ssds.len(),
-        scds.len(),
-        icds.len()
+        "  parsed {} SSD, {} SCD, {} ICD documents; {} parse and {} rule findings\n",
+        parsed.ssds.len(),
+        parsed.scds.len(),
+        parsed.icds.len(),
+        parsed.diagnostics.len(),
+        findings.len()
     );
 
     println!("[stage 2]  combine SSD/SCD files using SED connectivity (Fig. 3: 'combine')");
-    let consolidated_ssd = consolidate_ssd(&ssds, &[]).expect("consolidate ssd");
-    let consolidated_scd = consolidate_scd(&scds).expect("consolidate scd");
+    let docs = |files: &[SclFile]| files.iter().map(|f| f.doc.clone()).collect::<Vec<_>>();
+    let consolidated_ssd = consolidate_ssd(&docs(&parsed.ssds), &docs(&parsed.seds));
+    let consolidated_scd = consolidate_scd(&docs(&parsed.scds));
     println!(
         "  consolidated SSD: {} substation(s); consolidated SCD: {} subnetworks\n",
         consolidated_ssd.substations.len(),
@@ -64,7 +54,7 @@ fn main() {
 
     println!("[stage 3]  generate the power system simulation model (Fig. 3: 'SSD -> Pandapower')");
     let power = compile_power(&consolidated_ssd);
-    println!("  {}\n", power.network.summary());
+    println!("  {}\n", power.summary());
 
     println!("[stage 4]  generate the cyber network emulation model (Fig. 3: 'SCD -> Mininet')");
     let plan = compile_network(&consolidated_scd);
@@ -76,7 +66,7 @@ fn main() {
     );
 
     println!("[stage 5]  instantiate virtual IEDs from ICD + IED Config XML");
-    let ied_config = IedConfig::parse(bundle.ied_config.as_ref().unwrap()).expect("ied config");
+    let ied_config = &parsed.ied_config.as_ref().expect("ied config").config;
     for spec in &ied_config.ieds {
         let protections: Vec<&str> = spec.protections.iter().map(|p| p.ln_class()).collect();
         println!(
@@ -90,7 +80,7 @@ fn main() {
     }
 
     println!("\n[stage 6]  virtual PLC (OpenPLC61850 role) + SCADA (ScadaBR role) configuration");
-    let extra = PowerExtraConfig::parse(bundle.power_extra.as_ref().unwrap()).expect("extra");
+    let extra = &parsed.power_config.as_ref().expect("extra").config;
     println!(
         "  CPLC program from PLC Config XML; SCADA translated to ScadaBR JSON; interval {} ms, {} profiles\n",
         extra.interval_ms,

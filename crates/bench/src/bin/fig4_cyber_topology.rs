@@ -5,11 +5,11 @@
 use sgcr_bench::render_table;
 use sgcr_core::compile_network;
 use sgcr_models::epic;
-use sgcr_scl::parse_scd;
+use sgcr_scl::parse_scl;
 
 fn main() {
     println!("== Figure 4: generated cyber network topology (EPIC model) ==\n");
-    let scd = parse_scd(&epic::epic_scd()).expect("EPIC SCD parses");
+    let scd = parse_scl(&epic::epic_scd()).expect("EPIC SCD parses");
     let plan = compile_network(&scd);
 
     let mut rows = Vec::new();

@@ -6,13 +6,12 @@ use sgcr_bench::render_table;
 use sgcr_core::compile_power;
 use sgcr_models::epic;
 use sgcr_powerflow::solve;
-use sgcr_scl::parse_ssd;
+use sgcr_scl::parse_scl;
 
 fn main() {
     println!("== Figure 5: generated power system topology (EPIC model) ==\n");
-    let ssd = parse_ssd(&epic::epic_ssd()).expect("EPIC SSD parses");
-    let compilation = compile_power(&ssd);
-    let net = &compilation.network;
+    let ssd = parse_scl(&epic::epic_ssd()).expect("EPIC SSD parses");
+    let net = &compile_power(&ssd);
 
     let mut rows = Vec::new();
     for bus in &net.bus {
@@ -95,10 +94,4 @@ fn main() {
         "\nconverged in {} NR iterations, total losses {:.5} MW",
         result.iterations, result.total_losses_mw
     );
-    if !compilation.diagnostics.is_empty() {
-        println!("\ncompilation diagnostics:");
-        for d in &compilation.diagnostics {
-            println!("  {d}");
-        }
-    }
 }

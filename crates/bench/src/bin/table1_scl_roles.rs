@@ -4,13 +4,13 @@
 
 use sgcr_bench::render_table;
 use sgcr_models::{epic, multisub, MultiSubParams};
-use sgcr_scl::{parse_icd, parse_scd, parse_sed, parse_ssd};
+use sgcr_scl::parse_scl;
 
 fn main() {
     println!("== Table I: SCL file types consumed by the SG-ML Processor ==\n");
 
     // SSD: substation structure / single-line diagram.
-    let ssd = parse_ssd(&epic::epic_ssd()).expect("EPIC SSD parses");
+    let ssd = parse_scl(&epic::epic_ssd()).expect("EPIC SSD parses");
     let substation = &ssd.substations[0];
     let equipment: usize = substation
         .voltage_levels
@@ -31,7 +31,7 @@ fn main() {
     );
 
     // SCD: complete configuration incl. communication.
-    let scd = parse_scd(&epic::epic_scd()).expect("EPIC SCD parses");
+    let scd = parse_scl(&epic::epic_scd()).expect("EPIC SCD parses");
     let comm = scd.communication.as_ref().expect("has communication");
     let scd_extract = format!(
         "{} subnetworks, {} connected APs (IP/MAC), {} IED descriptions",
@@ -45,7 +45,7 @@ fn main() {
 
     // ICD: one IED's capabilities.
     let icds = epic::epic_icds();
-    let icd = parse_icd(&icds[0]).expect("GIED1 ICD parses");
+    let icd = parse_scl(&icds[0]).expect("GIED1 ICD parses");
     let ied = icd.ieds.first().expect("one IED");
     let icd_extract = format!("IED {:?}: LN classes {:?}", ied.name, ied.ln_classes());
 
@@ -55,7 +55,7 @@ fn main() {
         total_ieds: 2,
         interval_ms: 100,
     });
-    let sed = parse_sed(&bundle.seds[0]).expect("SED parses");
+    let sed = parse_scl(&bundle.seds[0]).expect("SED parses");
     let tie = &sed.inter_substation_lines[0];
     let sed_extract = format!(
         "tie {:?}: {} <-> {} ({} km), protection IEDs {:?}",

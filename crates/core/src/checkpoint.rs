@@ -1,9 +1,10 @@
-//! Mid-run checkpoints: a deterministic, versioned capture of one tenant's
+//! Checkpoints: a deterministic, versioned capture of one tenant's
 //! [`RangeState`](crate::state::RangeState) that can be resumed against the
-//! same shared [`CompiledModel`] — ROADMAP item 2's missing half.
+//! same shared [`CompiledModel`].
 //!
-//! [`RangeSnapshot`](crate::RangeSnapshot) is a *restart-from-zero* recipe;
-//! a [`Checkpoint`] is a *mid-run* capture. Because every source of
+//! A checkpoint captured at any step resumes there; one captured at step 0
+//! is the restart recipe — resuming it rebuilds the tenant with its
+//! captured settings and replays nothing. Because every source of
 //! randomness in a range is the seeded fault RNG and the co-simulation is
 //! otherwise a pure function of its inputs, the checkpoint does not need to
 //! deep-copy live device state (virtual IED apps hold closures and shared

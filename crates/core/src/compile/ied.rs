@@ -107,7 +107,7 @@ pub fn compile_ied(config_spec: &IedSpec, icd: &SclDocument) -> IedCompilation {
 mod tests {
     use super::*;
     use sgcr_ied::ProtectionSpec;
-    use sgcr_scl::parse_icd;
+    use sgcr_scl::parse_scl;
 
     fn icd_with(classes: &[&str]) -> SclDocument {
         let lns: String = classes
@@ -125,7 +125,7 @@ mod tests {
             <IED name="GIED1"><AccessPoint name="AP1"><Server>
             <LDevice inst="LD0">{lns}</LDevice></Server></AccessPoint></IED></SCL>"#
         );
-        parse_icd(&text).unwrap()
+        parse_scl(&text).unwrap()
     }
 
     fn spec_with_ptoc_and_ptov() -> IedSpec {
@@ -172,7 +172,7 @@ mod tests {
     fn unknown_ied_clears_everything() {
         let text = r#"<SCL><Header id="icd"/><IED name="OTHER">
             <AccessPoint name="AP1"><Server><LDevice inst="LD0"/></Server></AccessPoint></IED></SCL>"#;
-        let icd = parse_icd(text).unwrap();
+        let icd = parse_scl(text).unwrap();
         // Falls back to first IED in file; protections without LNs are dropped.
         let result = compile_ied(&spec_with_ptoc_and_ptov(), &icd);
         assert!(result.spec.protections.is_empty());

@@ -6,7 +6,7 @@
 //! switch connected to all substations"*.
 
 use sgcr_net::{Ipv4Addr, MacAddr};
-use sgcr_scl::{codes, Diagnostic, SclDocument};
+use sgcr_scl::SclDocument;
 
 /// A switch to instantiate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +37,6 @@ pub struct NetworkPlan {
     pub switches: Vec<PlannedSwitch>,
     /// Hosts in SCD order.
     pub hosts: Vec<PlannedHost>,
-    /// Diagnostics produced while compiling.
-    pub diagnostics: Vec<Diagnostic>,
 }
 
 impl NetworkPlan {
@@ -94,51 +92,29 @@ impl NetworkPlan {
 }
 
 /// Compiles the SCD's communication section into a [`NetworkPlan`].
+///
+/// The bundle rules have already refused an unparsable IP and a host with
+/// two access points; such an access point is left out here. An unparsable
+/// MAC leaves the host with an emulator-assigned one.
 pub fn compile_network(doc: &SclDocument) -> NetworkPlan {
     let mut plan = NetworkPlan::default();
-    let Some(comm) = &doc.communication else {
-        plan.diagnostics.push(Diagnostic::error(
-            codes::MISSING_SECTION,
-            "SCD has no <Communication> section".to_string(),
-            "compile_network".to_string(),
-        ));
-        return plan;
-    };
-
-    for subnetwork in &comm.subnetworks {
+    let subnetworks = doc.communication.iter().flat_map(|c| &c.subnetworks);
+    for subnetwork in subnetworks {
         plan.switches.push(PlannedSwitch {
             name: subnetwork.name.clone(),
             is_wan: false,
         });
         for ap in &subnetwork.connected_aps {
             let Ok(ip) = ap.ip.parse::<Ipv4Addr>() else {
-                plan.diagnostics.push(Diagnostic::error(
-                    codes::INVALID_IP,
-                    format!("connected AP {:?} has invalid IP {:?}", ap.ied_name, ap.ip),
-                    subnetwork.name.clone(),
-                ));
                 continue;
             };
-            let mac = ap.mac.as_deref().and_then(|m| m.parse::<MacAddr>().ok());
-            if ap.mac.is_some() && mac.is_none() {
-                plan.diagnostics.push(Diagnostic::warning(
-                    codes::INVALID_MAC,
-                    format!("connected AP {:?} has unparsable MAC", ap.ied_name),
-                    subnetwork.name.clone(),
-                ));
-            }
-            if plan.hosts.iter().any(|h| h.name == ap.ied_name) {
-                plan.diagnostics.push(Diagnostic::error(
-                    codes::DUPLICATE_HOST,
-                    format!("duplicate host name {:?}", ap.ied_name),
-                    subnetwork.name.clone(),
-                ));
+            if plan.host(&ap.ied_name).is_some() {
                 continue;
             }
             plan.hosts.push(PlannedHost {
                 name: ap.ied_name.clone(),
                 ip,
-                mac,
+                mac: ap.mac.as_deref().and_then(|m| m.parse::<MacAddr>().ok()),
                 switch: subnetwork.name.clone(),
             });
         }
@@ -157,7 +133,7 @@ pub fn compile_network(doc: &SclDocument) -> NetworkPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgcr_scl::parse_scd;
+    use sgcr_scl::parse_scl;
 
     const SCD: &str = r#"<SCL xmlns="http://www.iec.ch/61850/2003/SCL">
   <Header id="net-test"/>
@@ -183,9 +159,8 @@ mod tests {
 
     #[test]
     fn plan_from_scd() {
-        let doc = parse_scd(SCD).unwrap();
+        let doc = parse_scl(SCD).unwrap();
         let plan = compile_network(&doc);
-        assert!(plan.diagnostics.is_empty(), "{:?}", plan.diagnostics);
         assert_eq!(plan.switches.len(), 3); // two buses + WAN
         assert!(plan.switches.iter().any(|s| s.is_wan));
         assert_eq!(plan.hosts.len(), 3);
@@ -199,7 +174,7 @@ mod tests {
 
     #[test]
     fn single_subnetwork_no_wan() {
-        let doc = parse_scd(SCD).unwrap();
+        let doc = parse_scl(SCD).unwrap();
         let mut single = doc.clone();
         single
             .communication
@@ -214,23 +189,12 @@ mod tests {
 
     #[test]
     fn dot_rendering_mentions_everything() {
-        let doc = parse_scd(SCD).unwrap();
+        let doc = parse_scl(SCD).unwrap();
         let plan = compile_network(&doc);
         let dot = plan.to_dot();
         for name in ["S1Bus", "S2Bus", "wan", "IED1", "IED2", "SCADA"] {
             assert!(dot.contains(name), "{name} missing from dot output");
         }
         assert!(dot.contains("\"wan\" -- \"S1Bus\""));
-    }
-
-    #[test]
-    fn invalid_ip_diagnosed() {
-        let bad = SCD.replace("10.0.1.11", "not-an-ip");
-        let doc = parse_scd(&bad).unwrap();
-        let plan = compile_network(&doc);
-        assert!(plan
-            .diagnostics
-            .iter()
-            .any(|d| d.message.contains("invalid IP")));
     }
 }

@@ -20,7 +20,7 @@
 //! models stay unambiguous; the process-store key scheme relies on this.
 
 use sgcr_powerflow::{BusId, PowerNetwork, SwitchTarget};
-use sgcr_scl::{codes, Diagnostic, EquipmentType, SclDocument};
+use sgcr_scl::{EquipmentType, SclDocument};
 use std::collections::HashMap;
 
 /// Default line parameters when an SSD carries no electrical `Private`
@@ -29,22 +29,15 @@ const DEFAULT_R_OHM_PER_KM: f64 = 0.1;
 const DEFAULT_X_OHM_PER_KM: f64 = 0.12;
 const DEFAULT_MAX_I_KA: f64 = 0.5;
 
-/// The result of power-model compilation.
-#[derive(Debug)]
-pub struct PowerCompilation {
-    /// The generated network.
-    pub network: PowerNetwork,
-    /// Bus ids by connectivity-node path name.
-    pub bus_by_path: HashMap<String, BusId>,
-    /// Warnings produced while compiling.
-    pub diagnostics: Vec<Diagnostic>,
-}
-
 /// Compiles the SSD (plus SED tie lines) into a [`PowerNetwork`].
-pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
+///
+/// The bundle rules have already reported what this leaves out: a second
+/// node with a taken path, an element whose terminals do not resolve, a
+/// transformer without two windings, and equipment with no power-flow
+/// mapping.
+pub fn compile_power(doc: &SclDocument) -> PowerNetwork {
     let mut network = PowerNetwork::new(&doc.header.id);
     let mut bus_by_path: HashMap<String, BusId> = HashMap::new();
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
     // Pass 1: buses from connectivity nodes.
     for substation in &doc.substations {
@@ -52,11 +45,6 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
             for bay in &vl.bays {
                 for cn in &bay.connectivity_nodes {
                     if bus_by_path.contains_key(&cn.path_name) {
-                        diagnostics.push(Diagnostic::warning(
-                            codes::DUPLICATE_NODE_PATH,
-                            format!("duplicate connectivity node {:?}", cn.path_name),
-                            substation.name.clone(),
-                        ));
                         continue;
                     }
                     let id = network.add_bus(&cn.path_name, vl.voltage_kv);
@@ -66,23 +54,7 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
         }
     }
 
-    let resolve = |path: &str,
-                   context: &str,
-                   bus_by_path: &HashMap<String, BusId>,
-                   diagnostics: &mut Vec<Diagnostic>|
-     -> Option<BusId> {
-        match bus_by_path.get(path) {
-            Some(&id) => Some(id),
-            None => {
-                diagnostics.push(Diagnostic::error(
-                    codes::TERMINAL_UNKNOWN_NODE,
-                    format!("terminal references unknown connectivity node {path:?}"),
-                    context.to_string(),
-                ));
-                None
-            }
-        }
-    };
+    let resolve = |path: &str| bus_by_path.get(path).copied();
 
     // Pass 2: equipment.
     for substation in &doc.substations {
@@ -93,25 +65,13 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
                     let terminal_buses: Vec<Option<BusId>> = eq
                         .terminals
                         .iter()
-                        .map(|t| {
-                            resolve(
-                                &t.connectivity_node,
-                                &scoped,
-                                &bus_by_path,
-                                &mut diagnostics,
-                            )
-                        })
+                        .map(|t| resolve(&t.connectivity_node))
                         .collect();
                     match eq.eq_type {
                         EquipmentType::CircuitBreaker | EquipmentType::Disconnector => {
                             let (Some(Some(a)), Some(Some(b))) =
                                 (terminal_buses.first(), terminal_buses.get(1))
                             else {
-                                diagnostics.push(Diagnostic::warning(
-                                    codes::WRONG_TERMINAL_COUNT,
-                                    "switching equipment needs two connected terminals".to_string(),
-                                    scoped.clone(),
-                                ));
                                 continue;
                             };
                             network.add_switch(
@@ -125,11 +85,6 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
                             let (Some(Some(a)), Some(Some(b))) =
                                 (terminal_buses.first(), terminal_buses.get(1))
                             else {
-                                diagnostics.push(Diagnostic::warning(
-                                    codes::WRONG_TERMINAL_COUNT,
-                                    "line needs two connected terminals".to_string(),
-                                    scoped.clone(),
-                                ));
                                 continue;
                             };
                             network.add_line(
@@ -198,55 +153,28 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
                         EquipmentType::CurrentTransformer | EquipmentType::VoltageTransformer => {
                             // Instrumentation only: no power-flow element.
                         }
-                        EquipmentType::Other => {
-                            diagnostics.push(Diagnostic::warning(
-                                codes::NO_POWER_MAPPING,
-                                format!(
-                                    "equipment type {:?} has no power-flow mapping",
-                                    eq.type_code
-                                ),
-                                scoped.clone(),
-                            ));
-                        }
+                        EquipmentType::Other => {}
                     }
                 }
             }
         }
         for transformer in &substation.transformers {
             let scoped = format!("{}/{}", substation.name, transformer.name);
-            if transformer.windings.len() != 2 {
-                diagnostics.push(Diagnostic::error(
-                    codes::WRONG_TERMINAL_COUNT,
-                    format!(
-                        "transformer has {} windings (2 supported)",
-                        transformer.windings.len()
-                    ),
-                    scoped.clone(),
-                ));
+            let [hv_winding, lv_winding] = &transformer.windings[..] else {
                 continue;
-            }
-            let hv = resolve(
-                &transformer.windings[0].terminal.connectivity_node,
-                &scoped,
-                &bus_by_path,
-                &mut diagnostics,
-            );
-            let lv = resolve(
-                &transformer.windings[1].terminal.connectivity_node,
-                &scoped,
-                &bus_by_path,
-                &mut diagnostics,
-            );
+            };
+            let hv = resolve(&hv_winding.terminal.connectivity_node);
+            let lv = resolve(&lv_winding.terminal.connectivity_node);
             let (Some(hv), Some(lv)) = (hv, lv) else {
                 continue;
             };
-            let vn_hv = if transformer.windings[0].rated_kv > 0.0 {
-                transformer.windings[0].rated_kv
+            let vn_hv = if hv_winding.rated_kv > 0.0 {
+                hv_winding.rated_kv
             } else {
                 network.bus[hv.index()].vn_kv
             };
-            let vn_lv = if transformer.windings[1].rated_kv > 0.0 {
-                transformer.windings[1].rated_kv
+            let vn_lv = if lv_winding.rated_kv > 0.0 {
+                lv_winding.rated_kv
             } else {
                 network.bus[lv.index()].vn_kv
             };
@@ -265,9 +193,9 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
 
     // Pass 3: SED inter-substation tie lines.
     for tie in &doc.inter_substation_lines {
-        let a = resolve(&tie.from_node, &tie.name, &bus_by_path, &mut diagnostics);
-        let b = resolve(&tie.to_node, &tie.name, &bus_by_path, &mut diagnostics);
-        let (Some(a), Some(b)) = (a, b) else { continue };
+        let (Some(a), Some(b)) = (resolve(&tie.from_node), resolve(&tie.to_node)) else {
+            continue;
+        };
         network.add_line(
             &format!("{}/{}", tie.from_substation, tie.name),
             a,
@@ -280,9 +208,5 @@ pub fn compile_power(doc: &SclDocument) -> PowerCompilation {
         );
     }
 
-    PowerCompilation {
-        network,
-        bus_by_path,
-        diagnostics,
-    }
+    network
 }

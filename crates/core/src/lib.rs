@@ -15,15 +15,17 @@
 //! profiles, disturbance scenarios, and the simulation interval).
 //!
 //! [`CompiledModel::compile`] is the *SG-ML Processor*: like a compiler, it
-//! parses the models, consolidates multi-substation files along SED
-//! connectivity, generates the power-flow model from the SSD, the network
-//! emulation model from the SCD, and compiles virtual-IED specs (features
-//! gated by their ICDs), PLC programs, and the SCADA HMI blueprint into an
-//! immutable, [`Arc`](std::sync::Arc)-shareable artifact. Instantiating
-//! that artifact ([`CyberRange::instantiate`]) yields an *operational*
-//! cyber range ready for interactive experiments — cheaply enough that one
-//! compiled model can back thousands of concurrent tenant ranges (see the
-//! [`RangeSnapshot`] restart recipe and the `sgcr-farm` crate).
+//! parses the models once ([`ParsedBundle`]), checks them against the
+//! bundle rules ([`check_bundle`] — the same function `sgcr-lint` reports
+//! from), consolidates multi-substation files along SED connectivity,
+//! generates the power-flow model from the SSD, the network emulation model
+//! from the SCD, and compiles virtual-IED specs (features gated by their
+//! ICDs), PLC programs, and the SCADA HMI blueprint into an immutable,
+//! [`Arc`](std::sync::Arc)-shareable artifact. Instantiating that artifact
+//! ([`CyberRange::instantiate`]) yields an *operational* cyber range ready
+//! for interactive experiments — cheaply enough that one compiled model can
+//! back thousands of concurrent tenant ranges (see [`Checkpoint`] and the
+//! `sgcr-farm` crate).
 //!
 //! # Examples
 //!
@@ -48,28 +50,32 @@
 //! # Ok::<(), sgcr_core::RangeError>(())
 //! ```
 
+mod check;
 mod checkpoint;
 mod files;
 mod fingerprint;
 mod keymap;
 mod model;
+mod parsed;
 mod range;
 mod state;
 
 pub mod compile;
 pub mod sgml;
 
+pub use check::check_bundle;
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use files::BundleIoError;
+pub use files::{read_bundle_dir, role_of, BundleIoError, FileRole};
 pub use fingerprint::{fnv1a_64, Fingerprint};
 pub use keymap::{
     branch_i_key, branch_loading_key, branch_p_key, branch_q_key, breaker_cmd_key,
     breaker_state_key, bus_va_key, bus_vm_key, load_p_key, source_p_key, split_scoped,
 };
-pub use model::{CompiledModel, CompiledPlc, CompiledScada};
+pub use model::{check_runtime, CompiledModel, CompiledPlc, CompiledScada};
+pub use parsed::{ConfigFile, ParsedBundle, SclFile};
 pub use range::{
-    CyberRange, RangeBuilder, RangeError, RangeSnapshot, SgmlBundle, StepStats,
-    DEFAULT_SOLVE_ERRORS_CAPACITY, DEFAULT_STEP_STATS_CAPACITY,
+    CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats, DEFAULT_SOLVE_ERRORS_CAPACITY,
+    DEFAULT_STEP_STATS_CAPACITY,
 };
 pub use sgml::ied_config::{IedConfig, IedConfigError};
 pub use sgml::plc_config::{
@@ -80,4 +86,4 @@ pub use state::{RangeSettings, RangeState};
 
 pub use compile::ied::{compile_ied, IedCompilation};
 pub use compile::network::{compile_network, NetworkPlan, PlannedHost, PlannedSwitch};
-pub use compile::power::{compile_power, PowerCompilation};
+pub use compile::power::compile_power;

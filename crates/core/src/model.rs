@@ -15,24 +15,21 @@
 //! artifact, while [`RangeState`](crate::state::RangeState) is one
 //! exercise's mutable world.
 
+use crate::check::check_bundle;
 use crate::compile::ied::compile_ied;
 use crate::compile::network::{compile_network, NetworkPlan};
-use crate::compile::power::{compile_power, PowerCompilation};
+use crate::compile::power::compile_power;
 use crate::fingerprint::Fingerprint;
 use crate::keymap::PublishKeys;
+use crate::parsed::ParsedBundle;
 use crate::range::{RangeError, SgmlBundle};
-use crate::sgml::ied_config::IedConfig;
-use crate::sgml::plc_config::{PlcConfig, PlcLogic};
-use crate::sgml::power_extra::PowerExtraConfig;
+use crate::sgml::plc_config::PlcLogic;
 use sgcr_ied::IedSpec;
-use sgcr_net::{Ipv4Addr, SimDuration};
+use sgcr_net::SimDuration;
 use sgcr_plc::{GooseBinding, MmsReadBinding, MmsWriteBinding, Program};
 use sgcr_powerflow::{PowerNetwork, SimulationSchedule};
 use sgcr_scada::ScadaConfig;
-use sgcr_scl::{
-    consolidate_scd, consolidate_ssd, parse_icd, parse_scd, parse_sed, parse_ssd, Diagnostic,
-    SclDocument,
-};
+use sgcr_scl::{consolidate_scd, consolidate_ssd, Diagnostic, Severity};
 use std::sync::Arc;
 
 /// A PLC ready to instantiate: parsed program plus fully resolved bindings
@@ -119,221 +116,153 @@ impl CompiledModel {
     /// parse/consolidate/generate pipeline of the paper's Figures 2–3, run
     /// exactly once per bundle.
     ///
+    /// The files are parsed once, under the names
+    /// [`SgmlBundle::write_to_dir`] gives them, and checked against the
+    /// bundle rules ([`check_bundle`](crate::check_bundle)); only a bundle
+    /// without an error-severity finding is built. The model's
+    /// [`diagnostics`](CompiledModel::diagnostics) keep every warning.
+    ///
     /// # Errors
     ///
-    /// Returns [`RangeError`] when any model file fails to parse, cross-file
-    /// validation produces an error-severity diagnostic, or a supplementary
-    /// config references a host absent from the SCD.
+    /// Returns [`RangeError::Validation`] with every finding when a file
+    /// does not parse or a bundle rule fails, and the errors of
+    /// [`CompiledModel::build`].
     pub fn compile(bundle: &SgmlBundle) -> Result<CompiledModel, RangeError> {
-        let mut diagnostics: Vec<Diagnostic> = Vec::new();
-
-        // --- 1. Parse all SCL files ---------------------------------------
-        let model = |what: &'static str| {
-            move |e: sgcr_scl::SclError| RangeError::Model {
-                what,
-                detail: e.to_string(),
-            }
-        };
-        let ssds: Vec<SclDocument> = bundle
-            .ssds
-            .iter()
-            .map(|t| parse_ssd(t).map_err(model("SSD")))
-            .collect::<Result<_, _>>()?;
-        let scds: Vec<SclDocument> = bundle
-            .scds
-            .iter()
-            .map(|t| parse_scd(t).map_err(model("SCD")))
-            .collect::<Result<_, _>>()?;
-        let icds: Vec<SclDocument> = bundle
-            .icds
-            .iter()
-            .map(|t| parse_icd(t).map_err(model("ICD")))
-            .collect::<Result<_, _>>()?;
-        let seds: Vec<SclDocument> = bundle
-            .seds
-            .iter()
-            .map(|t| parse_sed(t).map_err(model("SED")))
-            .collect::<Result<_, _>>()?;
-
-        // --- 2. SED-driven consolidation -----------------------------------
-        let consolidated_ssd = consolidate_ssd(&ssds, &seds).map_err(model("consolidated SSD"))?;
-        let consolidated_scd = consolidate_scd(&scds).map_err(model("consolidated SCD"))?;
-
-        // --- 3. Compile the physical and cyber models ----------------------
-        let PowerCompilation {
-            network: power,
-            bus_by_path: _,
-            diagnostics: power_diags,
-        } = compile_power(&consolidated_ssd);
-        diagnostics.extend(power_diags);
-
-        let plan = compile_network(&consolidated_scd);
-        diagnostics.extend(plan.diagnostics.clone());
-        if diagnostics
-            .iter()
-            .any(|d| d.severity == sgcr_scl::Severity::Error)
-        {
+        let mut parsed = ParsedBundle::from_bundle(bundle);
+        let mut diagnostics = std::mem::take(&mut parsed.diagnostics);
+        diagnostics.extend(check_bundle(&parsed));
+        if diagnostics.iter().any(|d| d.severity == Severity::Error) {
             return Err(RangeError::Validation(diagnostics));
         }
+        let mut model = CompiledModel::build(&parsed)?;
+        diagnostics.append(&mut model.diagnostics);
+        model.diagnostics = diagnostics;
+        Ok(model)
+    }
 
-        // --- 4. Simulation schedule ----------------------------------------
-        let (interval, schedule) = match &bundle.power_extra {
-            Some(text) => {
-                let extra = PowerExtraConfig::parse(text).map_err(|e| RangeError::Model {
-                    what: "Power System Extra Config XML",
-                    detail: e.to_string(),
-                })?;
-                (SimDuration::from_millis(extra.interval_ms), extra.schedule)
-            }
+    /// The build step of [`CompiledModel::compile`]: consolidates the parsed
+    /// files along SED connectivity, generates the power model from the
+    /// SSDs and the network plan from the SCDs, and compiles the virtual-IED
+    /// specs (features gated by their ICDs), the PLC programs, and the SCADA
+    /// HMI blueprint. It expects a bundle whose
+    /// [`check_bundle`](crate::check_bundle) found no error; on any other it
+    /// skips what does not resolve instead of failing. The model's
+    /// diagnostics are the warnings of ICD feature gating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RangeError::Model`] when a PLC's logic does not parse or
+    /// the PLC runtime refuses it (see [`check_runtime`]).
+    pub fn build(bundle: &ParsedBundle) -> Result<CompiledModel, RangeError> {
+        let ssd = consolidate_ssd(
+            bundle.ssds.iter().map(|f| &f.doc),
+            bundle.seds.iter().map(|f| &f.doc),
+        );
+        let power = compile_power(&ssd);
+        let plan = compile_network(&consolidate_scd(bundle.scds.iter().map(|f| &f.doc)));
+        let mut diagnostics = Vec::new();
+
+        let (interval, schedule) = match &bundle.power_config {
+            Some(file) => (
+                SimDuration::from_millis(file.config.interval_ms),
+                file.config.schedule.clone(),
+            ),
             None => (SimDuration::from_millis(100), SimulationSchedule::new()),
         };
 
-        // --- 5. Virtual-IED specs (ICD feature gating) ---------------------
+        // Virtual-IED specs, gated by the features their ICDs declare.
         let mut ieds: Vec<IedSpec> = Vec::new();
-        if let Some(text) = &bundle.ied_config {
-            let config = IedConfig::parse(text).map_err(|e| RangeError::Model {
-                what: "IED Config XML",
-                detail: e.to_string(),
-            })?;
-            for config_spec in &config.ieds {
-                let icd = icds.iter().find(|d| d.ied(&config_spec.name).is_some());
-                let spec = match icd {
-                    Some(icd) => {
-                        let compiled = compile_ied(config_spec, icd);
-                        diagnostics.extend(compiled.diagnostics);
-                        compiled.spec
-                    }
-                    None => {
-                        diagnostics.push(Diagnostic::warning(
-                            sgcr_scl::codes::ORPHAN_ICD,
-                            format!(
-                                "no ICD describes IED {:?}; instantiating from config alone",
-                                config_spec.name
-                            ),
-                            "generate".to_string(),
-                        ));
-                        config_spec.clone()
-                    }
-                };
-                if plan.host(&spec.name).is_none() {
-                    return Err(RangeError::UnknownHost {
-                        host: spec.name.clone(),
-                        referenced_by: "IED Config XML",
-                    });
+        for config_spec in bundle.ied_config.iter().flat_map(|f| &f.config.ieds) {
+            let spec = match bundle.icd_of(&config_spec.name) {
+                Some(icd) => {
+                    let compiled = compile_ied(config_spec, icd);
+                    diagnostics.extend(compiled.diagnostics);
+                    compiled.spec
                 }
-                sgcr_ied::check_model(&spec).map_err(|detail| RangeError::Model {
-                    what: "IED Config XML",
-                    detail,
-                })?;
-                ieds.push(spec);
-            }
+                None => {
+                    diagnostics.push(Diagnostic::warning(
+                        sgcr_scl::codes::ORPHAN_ICD,
+                        format!(
+                            "no ICD describes IED {:?}; instantiating from config alone",
+                            config_spec.name
+                        ),
+                        "generate".to_string(),
+                    ));
+                    config_spec.clone()
+                }
+            };
+            ieds.push(spec);
         }
 
-        // --- 6. Virtual-PLC programs and bindings --------------------------
+        // Virtual-PLC programs, with binding servers resolved to IPs.
         let mut plcs: Vec<CompiledPlc> = Vec::new();
-        if let Some(text) = &bundle.plc_config {
-            let config = PlcConfig::parse(text).map_err(|e| RangeError::Model {
-                what: "PLC Config XML",
-                detail: e.to_string(),
-            })?;
-            for def in &config.plcs {
-                if plan.host(&def.name).is_none() {
-                    return Err(RangeError::UnknownHost {
-                        host: def.name.clone(),
-                        referenced_by: "PLC Config XML",
-                    });
+        for def in bundle.plc_config.iter().flat_map(|f| &f.config.plcs) {
+            let program = match &def.logic {
+                PlcLogic::StructuredText(st) => {
+                    sgcr_plc::parse_program(st).map_err(|e| RangeError::Model {
+                        what: "PLC Structured Text",
+                        detail: e.to_string(),
+                    })?
                 }
-                let program = match &def.logic {
-                    PlcLogic::StructuredText(st) => {
-                        sgcr_plc::parse_program(st).map_err(|e| RangeError::Model {
-                            what: "PLC Structured Text",
-                            detail: e.to_string(),
-                        })?
-                    }
-                    PlcLogic::PlcOpenXml(xml) => {
-                        sgcr_plc::parse_plcopen(xml).map_err(|e| RangeError::Model {
-                            what: "PLCopen XML",
-                            detail: e.to_string(),
-                        })?
-                    }
-                };
-                // Validate the program against the runtime once at compile
-                // time, so instantiation cannot trip over it per tenant.
-                let probe_registers = sgcr_modbus::SharedRegisters::with_size(1024);
-                sgcr_plc::PlcRuntime::new(program.clone(), probe_registers).map_err(|e| {
-                    RangeError::Model {
-                        what: "PLC program",
-                        detail: e.message,
-                    }
-                })?;
-                let resolve_ip = |server: &str| -> Result<Ipv4Addr, RangeError> {
-                    plan.host_ip(server).ok_or(RangeError::UnknownHost {
-                        host: server.to_string(),
-                        referenced_by: "PLC Config XML binding",
+                PlcLogic::PlcOpenXml(xml) => {
+                    sgcr_plc::parse_plcopen(xml).map_err(|e| RangeError::Model {
+                        what: "PLCopen XML",
+                        detail: e.to_string(),
+                    })?
+                }
+            };
+            // Validate the program against the runtime once at compile
+            // time, so instantiation cannot trip over it per tenant.
+            check_runtime(&program).map_err(|e| RangeError::Model {
+                what: "PLC program",
+                detail: e.message,
+            })?;
+            let reads = def
+                .reads
+                .iter()
+                .filter_map(|r| {
+                    Some(MmsReadBinding {
+                        server: plan.host_ip(&r.server)?,
+                        item: r.item.clone(),
+                        variable: r.variable.clone(),
+                        scale: r.scale,
                     })
-                };
-                let reads = def
-                    .reads
-                    .iter()
-                    .map(|r| {
-                        Ok(MmsReadBinding {
-                            server: resolve_ip(&r.server)?,
-                            item: r.item.clone(),
-                            variable: r.variable.clone(),
-                            scale: r.scale,
-                        })
+                })
+                .collect();
+            let writes = def
+                .writes
+                .iter()
+                .filter_map(|w| {
+                    Some(MmsWriteBinding {
+                        server: plan.host_ip(&w.server)?,
+                        item: w.item.clone(),
+                        variable: w.variable.clone(),
                     })
-                    .collect::<Result<Vec<_>, RangeError>>()?;
-                let writes = def
-                    .writes
-                    .iter()
-                    .map(|w| {
-                        Ok(MmsWriteBinding {
-                            server: resolve_ip(&w.server)?,
-                            item: w.item.clone(),
-                            variable: w.variable.clone(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, RangeError>>()?;
-                let gooses = def
-                    .gooses
-                    .iter()
-                    .map(|g| GooseBinding {
-                        gocb_ref: g.gocb_ref.clone(),
-                        index: g.index,
-                        variable: g.variable.clone(),
-                    })
-                    .collect();
-                plcs.push(CompiledPlc {
-                    name: def.name.clone(),
-                    scan_ms: def.scan_ms,
-                    program,
-                    reads,
-                    writes,
-                    gooses,
-                });
-            }
+                })
+                .collect();
+            let gooses = def
+                .gooses
+                .iter()
+                .map(|g| GooseBinding {
+                    gocb_ref: g.gocb_ref.clone(),
+                    index: g.index,
+                    variable: g.variable.clone(),
+                })
+                .collect();
+            plcs.push(CompiledPlc {
+                name: def.name.clone(),
+                scan_ms: def.scan_ms,
+                program,
+                reads,
+                writes,
+                gooses,
+            });
         }
 
-        // --- 7. SCADA HMI blueprint ----------------------------------------
-        let mut scada = None;
-        if let Some(text) = &bundle.scada_config {
-            let config = ScadaConfig::parse(text).map_err(|e| RangeError::Model {
-                what: "SCADA Config XML",
-                detail: e.to_string(),
-            })?;
-            let host = bundle
-                .scada_host
-                .clone()
-                .unwrap_or_else(|| "SCADA".to_string());
-            if plan.host(&host).is_none() {
-                return Err(RangeError::UnknownHost {
-                    host,
-                    referenced_by: "SCADA Config XML",
-                });
-            }
-            scada = Some(CompiledScada { host, config });
-        }
+        let scada = bundle.scada_config.as_ref().map(|file| CompiledScada {
+            host: bundle.scada_host.clone(),
+            config: file.config.clone(),
+        });
 
         Ok(CompiledModel {
             publish_keys: Arc::new(PublishKeys::new(&power)),
@@ -409,4 +338,17 @@ impl CompiledModel {
             self.interval.as_millis(),
         )
     }
+}
+
+/// Checks a parsed PLC program against the runtime the way every tenant
+/// will instantiate it: each located variable needs a supported direct
+/// address and each initializer must evaluate. The build step and the
+/// analyzer's `SG6000` both decide a program by this call.
+///
+/// # Errors
+///
+/// Returns the runtime's refusal.
+pub fn check_runtime(program: &Program) -> Result<(), sgcr_plc::RuntimeError> {
+    let probe_registers = sgcr_modbus::SharedRegisters::with_size(1024);
+    sgcr_plc::PlcRuntime::new(program.clone(), probe_registers).map(drop)
 }

@@ -70,18 +70,21 @@ pub struct SgmlBundle {
 /// An error producing or running a cyber range.
 #[derive(Debug)]
 pub enum RangeError {
-    /// A model file failed to parse.
+    /// A PLC's control logic cannot run (see
+    /// [`check_runtime`](crate::check_runtime)).
     Model {
         /// Which file kind.
         what: &'static str,
         /// The parse error text.
         detail: String,
     },
-    /// Cross-file validation failed.
+    /// A model file does not parse or a bundle rule fails: every finding of
+    /// [`check_bundle`](crate::check_bundle), warnings included.
     Validation(Vec<Diagnostic>),
     /// The initial power flow failed.
     PowerFlow(PowerFlowError),
-    /// An IED/PLC/SCADA host named in a config is absent from the SCD.
+    /// An IED/PLC/SCADA host of a hand-built model is absent from its
+    /// network plan (a compiled model always has them).
     UnknownHost {
         /// The missing host.
         host: String,
@@ -125,44 +128,6 @@ pub struct StepStats {
     pub total_seconds: f64,
     /// Newton–Raphson iterations.
     pub iterations: usize,
-}
-
-/// A deterministic restart recipe for a range: the shared model handle plus
-/// the tenant's instantiation settings (interval, retention bounds, fault
-/// seed).
-///
-/// Because the whole co-simulation is deterministic under a fixed fault
-/// seed, re-instantiating from a snapshot and re-running the same exercise
-/// replays the original journal byte-for-byte — which is what an "instant
-/// exercise restart" needs. Snapshots are cheap (`Arc` bump + a few
-/// integers) and `Clone`.
-#[derive(Debug, Clone)]
-pub struct RangeSnapshot {
-    model: Arc<CompiledModel>,
-    settings: RangeSettings,
-}
-
-impl RangeSnapshot {
-    /// The shared compiled model this snapshot restarts from.
-    pub fn model(&self) -> &Arc<CompiledModel> {
-        &self.model
-    }
-
-    /// Builds a fresh range at generation zero from this snapshot, with its
-    /// own telemetry handle (pass [`Telemetry::disabled()`] when journals
-    /// are not needed).
-    ///
-    /// # Errors
-    ///
-    /// See [`CyberRange::instantiate`].
-    pub fn instantiate(&self, telemetry: Telemetry) -> Result<CyberRange, RangeError> {
-        let state = RangeState::instantiate(&self.model, &self.settings, telemetry)?;
-        Ok(CyberRange {
-            model: self.model.clone(),
-            settings: self.settings.clone(),
-            state,
-        })
-    }
 }
 
 /// A generated, operational smart grid cyber range: one tenant's
@@ -333,15 +298,6 @@ impl CyberRange {
         &self.model.diagnostics
     }
 
-    /// Captures a deterministic restart recipe: the model handle plus this
-    /// tenant's instantiation settings. See [`RangeSnapshot`].
-    pub fn snapshot(&self) -> RangeSnapshot {
-        RangeSnapshot {
-            model: self.model.clone(),
-            settings: self.settings.clone(),
-        }
-    }
-
     /// Captures a deterministic *mid-run* checkpoint: the replay position of
     /// this tenant — step count, simulation clock, fault-RNG stream state,
     /// full process store with write versions, and a bit-exact digest of the
@@ -349,32 +305,6 @@ impl CyberRange {
     /// [`Checkpoint`](crate::Checkpoint) for the resume contract.
     pub fn checkpoint(&self) -> crate::Checkpoint {
         crate::Checkpoint::capture(&self.model, &self.settings, &self.state)
-    }
-
-    /// Rewinds this range to generation zero in place: fresh network, fresh
-    /// devices, fresh power state, simulation clock back at 0 — an instant
-    /// exercise restart. The existing telemetry handle is kept, so restart
-    /// events append to the same journal; use
-    /// [`restore_with`](CyberRange::restore_with) to attach a fresh one
-    /// (e.g. for byte-identical replay comparison).
-    ///
-    /// # Errors
-    ///
-    /// See [`CyberRange::instantiate`] (the initial solve re-runs).
-    pub fn restore(&mut self) -> Result<(), RangeError> {
-        self.restore_with(self.state.telemetry().clone())
-    }
-
-    /// Rewinds this range to generation zero with a replacement telemetry
-    /// handle. A restored range replays an identical exercise byte-for-byte
-    /// under the same fault seed.
-    ///
-    /// # Errors
-    ///
-    /// See [`CyberRange::instantiate`] (the initial solve re-runs).
-    pub fn restore_with(&mut self, telemetry: Telemetry) -> Result<(), RangeError> {
-        self.state = RangeState::instantiate(&self.model, &self.settings, telemetry)?;
-        Ok(())
     }
 
     /// Summary line for logs and the pipeline demonstration binary.

@@ -12,6 +12,7 @@ use sgcr_ied::{
 };
 use sgcr_kvstore::Keys;
 use sgcr_net::{Ipv4Addr, SimDuration};
+use sgcr_scl::SourcePos;
 use sgcr_xml::{Document, ElementRef};
 use std::fmt;
 
@@ -56,6 +57,16 @@ impl IedConfig {
     /// Returns [`IedConfigError`] on malformed XML, unknown protection
     /// types, or missing required attributes.
     pub fn parse(text: &str) -> Result<IedConfig, IedConfigError> {
+        Ok(IedConfig::parse_with_positions(text)?.0)
+    }
+
+    /// [`IedConfig::parse`], also returning where each `<IED>` element
+    /// starts, in file order.
+    ///
+    /// # Errors
+    ///
+    /// See [`IedConfig::parse`].
+    pub fn parse_with_positions(text: &str) -> Result<(IedConfig, Vec<SourcePos>), IedConfigError> {
         let doc = Document::parse(text).map_err(|e| err(e.to_string()))?;
         let root = doc.root_element();
         if root.name() != "IEDConfig" {
@@ -65,10 +76,12 @@ impl IedConfig {
             )));
         }
         let mut config = IedConfig::default();
+        let mut positions = Vec::new();
         for ied_el in root.children_named("IED") {
             config.ieds.push(parse_ied(&ied_el)?);
+            positions.push(super::pos_of(&ied_el));
         }
-        Ok(config)
+        Ok((config, positions))
     }
 
     /// Serializes to IED Config XML.

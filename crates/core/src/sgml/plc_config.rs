@@ -2,6 +2,7 @@
 //! inline or as PLCopen XML) and how its variables bind to IED points over
 //! MMS — the information OpenPLC61850 takes as its ICD list + mapping file.
 
+use sgcr_scl::SourcePos;
 use sgcr_xml::Document;
 use std::fmt;
 
@@ -104,6 +105,16 @@ impl PlcConfig {
     ///
     /// Returns [`PlcConfigError`] on malformed XML or a PLC without logic.
     pub fn parse(text: &str) -> Result<PlcConfig, PlcConfigError> {
+        Ok(PlcConfig::parse_with_positions(text)?.0)
+    }
+
+    /// [`PlcConfig::parse`], also returning where each `<PLC>` element
+    /// starts, in file order.
+    ///
+    /// # Errors
+    ///
+    /// See [`PlcConfig::parse`].
+    pub fn parse_with_positions(text: &str) -> Result<(PlcConfig, Vec<SourcePos>), PlcConfigError> {
         let doc = Document::parse(text).map_err(|e| err(e.to_string()))?;
         let root = doc.root_element();
         if root.name() != "PLCConfig" {
@@ -113,7 +124,9 @@ impl PlcConfig {
             )));
         }
         let mut config = PlcConfig::default();
+        let mut positions = Vec::new();
         for plc_el in root.children_named("PLC") {
+            positions.push(super::pos_of(&plc_el));
             let name = plc_el.attr_or("name", "").to_string();
             if name.is_empty() {
                 return Err(err("PLC without a name"));
@@ -196,7 +209,7 @@ impl PlcConfig {
                 gooses,
             });
         }
-        Ok(config)
+        Ok((config, positions))
     }
 
     /// Serializes back to XML.

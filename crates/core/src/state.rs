@@ -35,7 +35,7 @@ pub const DEFAULT_SOLVE_ERRORS_CAPACITY: usize = 1_024;
 
 /// Per-tenant instantiation settings — everything about a range that is
 /// *not* derived from the model files. Captured by
-/// [`RangeSnapshot`](crate::RangeSnapshot) so a restored range replays
+/// [`Checkpoint`](crate::Checkpoint) so a resumed range replays
 /// byte-identically.
 #[derive(Debug, Clone)]
 pub struct RangeSettings {

@@ -7,8 +7,8 @@
 //! * one **per-file query** per model file — the loader's parse/structure
 //!   diagnostics for that file, plus (for `plc_config.xml`) the semantic ST
 //!   analysis, all of which depend on that file's bytes alone;
-//! * one **cross-file query** — every pass that looks across files (xref,
-//!   addressing, topology, protection, hygiene, scenarios, SCADA↔PLC
+//! * one **cross-file query** — every other pass of the roster (the bundle
+//!   rules, topology, protection, scenarios, adversary plans, SCADA↔PLC
 //!   bindings), keyed on the fingerprint of the entire file set.
 //!
 //! Query results are `Vec<Diagnostic>` stored as JSON, one file per query,
@@ -24,8 +24,9 @@
 
 use crate::pass::LintPass;
 use crate::passes;
-use crate::source::{role_of, FileRole, LoadError, LoadedBundle, SourceFile};
+use crate::source::{FileRole, LoadError, LoadedBundle, SourceFile};
 use crate::{json, LintReport};
+use sgcr_core::read_bundle_dir;
 use sgcr_core::Fingerprint;
 use sgcr_scl::Diagnostic;
 use std::fs;
@@ -62,7 +63,7 @@ pub struct IncrementalOutcome {
 
 /// Salt mixed into every query key so a new engine (new passes, changed
 /// semantics) never reads results written by an old one.
-const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v1/", env!("CARGO_PKG_VERSION"));
+const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v2/", env!("CARGO_PKG_VERSION"));
 
 /// Lints a bundle directory through the query cache at `cache_dir`
 /// (created on demand).
@@ -81,43 +82,11 @@ pub fn lint_dir_incremental(
     let cache_dir = cache_dir.as_ref();
     let _ = fs::create_dir_all(cache_dir);
 
-    // Enumerate model files exactly like LoadedBundle::from_dir.
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)
-        .map_err(|e| LoadError {
-            message: format!("reading {}: {e}", dir.display()),
-        })?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
+    let sources: Vec<SourceFile> = read_bundle_dir(dir)
+        .map_err(|e| LoadError { message: e.message })?
+        .into_iter()
+        .map(|(name, role, text)| SourceFile { name, role, text })
         .collect();
-    paths.sort();
-
-    let mut sources: Vec<SourceFile> = Vec::new();
-    for path in paths {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(role) = role_of(name) else {
-            continue;
-        };
-        let text = fs::read_to_string(&path).map_err(|e| LoadError {
-            message: format!("reading {}: {e}", path.display()),
-        })?;
-        sources.push(SourceFile {
-            name: name.to_string(),
-            role,
-            text,
-        });
-    }
-    if !sources
-        .iter()
-        .any(|f| matches!(f.role, FileRole::Ssd | FileRole::Scd))
-    {
-        return Err(LoadError {
-            message: format!(
-                "{} contains no SCL model files (*.ssd.xml / *.scd.xml)",
-                dir.display()
-            ),
-        });
-    }
 
     let mut stats = EngineStats::default();
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
@@ -174,11 +143,8 @@ pub fn lint_dir_incremental(
     let report = crate::sorted_report(diagnostics);
     // Snippet rendering needs raw text only, so skip reparsing: hand the
     // renderer a sources-only bundle.
-    let bundle = LoadedBundle {
-        files: sources,
-        scada_host: "SCADA".to_string(),
-        ..LoadedBundle::default()
-    };
+    let mut bundle = LoadedBundle::default();
+    bundle.files = sources;
     Ok(IncrementalOutcome {
         report,
         bundle,
@@ -197,34 +163,24 @@ fn is_per_file_pass_role(role: FileRole) -> bool {
 fn run_file_query(file: &SourceFile) -> Vec<Diagnostic> {
     let mut mini = LoadedBundle::default();
     mini.add_file(file.name.clone(), file.role, file.text.clone());
-    let mut diags = std::mem::take(&mut mini.diagnostics);
+    let mut diags = mini.diagnostics.clone();
     if is_per_file_pass_role(file.role) {
         passes::st_logic::StLogicPass.run(&mini, &mut diags);
     }
     diags
 }
 
-/// The roster complement of [`run_file_query`]: passes needing the whole
-/// bundle. Together they must equal [`crate::default_passes`] — the roster
-/// test below keeps the two in sync.
+/// The roster complement of [`run_file_query`]: every pass of
+/// [`crate::default_passes`] but the per-file ST analysis.
 fn cross_passes() -> Vec<Box<dyn LintPass>> {
-    vec![
-        Box::new(passes::xref::XrefPass),
-        Box::new(passes::addr::AddrPass),
-        Box::new(passes::topology::TopologyPass),
-        Box::new(passes::protection::ProtectionPass),
-        Box::new(passes::orphan::OrphanPass),
-        Box::new(passes::scenario::ScenarioPass),
-        Box::new(passes::adversary::AdversaryPass),
-        Box::new(passes::st_logic::ScadaBindingPass),
-    ]
+    let per_file = passes::st_logic::StLogicPass.name();
+    let mut roster = crate::default_passes();
+    roster.retain(|pass| pass.name() != per_file);
+    roster
 }
 
 fn build_bundle(sources: &[SourceFile]) -> LoadedBundle {
-    let mut bundle = LoadedBundle {
-        scada_host: "SCADA".to_string(),
-        ..LoadedBundle::default()
-    };
+    let mut bundle = LoadedBundle::default();
     for file in sources {
         bundle.add_file(file.name.clone(), file.role, file.text.clone());
     }
@@ -263,8 +219,7 @@ fn write_cached(cache_dir: &Path, key: u64, diags: &[Diagnostic]) {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::{default_passes, lint_bundle};
-    use std::collections::BTreeSet;
+    use crate::lint_bundle;
 
     const SSD: &str = r#"<SCL xmlns="http://www.iec.ch/61850/2003/SCL">
   <Header id="demo"/>
@@ -307,15 +262,6 @@ END_PROGRAM
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// The per-file/cross split must cover exactly the default roster.
-    #[test]
-    fn query_split_covers_default_roster() {
-        let mut split: BTreeSet<&str> = cross_passes().iter().map(|p| p.name()).collect();
-        split.insert(passes::st_logic::StLogicPass.name());
-        let roster: BTreeSet<&str> = default_passes().iter().map(|p| p.name()).collect();
-        assert_eq!(split, roster);
     }
 
     #[test]

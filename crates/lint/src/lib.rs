@@ -5,9 +5,13 @@
 //! [`LintPass`]es over the combined model, and reports findings as coded,
 //! span-carrying [`Diagnostic`]s — without generating the cyber range.
 //!
-//! The paper's pipeline validates a bundle by *building* it; that conflates
-//! "is this model well-formed?" with "can this host run it?". This crate
-//! answers the first question alone, so a model can be checked in CI, in an
+//! Whether a bundle compiles is decided by one function the compiler also
+//! runs, [`sgcr_core::check_bundle`]; the `bundle` pass reports its findings,
+//! so a bundle without an error from it compiles, and a compile failure is
+//! reported here with its span. The other passes are analyses of their own:
+//! islands, protection sanity, ST semantics, scenarios and adversary plans
+//! (which check against the bundle's compiled model, built at most once per
+//! run from the files already parsed). A model can be checked in CI, in an
 //! editor, or before shipping it to a range host.
 //!
 //! ```no_run

@@ -21,11 +21,9 @@ pub trait LintPass {
 /// The default pass roster, in execution order.
 pub fn default_passes() -> Vec<Box<dyn LintPass>> {
     vec![
-        Box::new(passes::xref::XrefPass),
-        Box::new(passes::addr::AddrPass),
+        Box::new(passes::bundle::BundlePass),
         Box::new(passes::topology::TopologyPass),
         Box::new(passes::protection::ProtectionPass),
-        Box::new(passes::orphan::OrphanPass),
         Box::new(passes::scenario::ScenarioPass),
         Box::new(passes::adversary::AdversaryPass),
         Box::new(passes::st_logic::StLogicPass),

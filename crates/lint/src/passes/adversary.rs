@@ -1,8 +1,9 @@
 //! Adversary-plane checks (`SG7xxx`): can every `<Adversary>` declaration
 //! actually be planned against the bundle's derived attack graph?
 //!
-//! The pass compiles the bundle, derives the same [`AttackGraph`] the
-//! exercise engine will use, and dry-runs the seeded planner — so a goal
+//! The pass takes the bundle's compiled model, derives the same
+//! [`AttackGraph`] the exercise engine will use, and dry-runs the seeded
+//! planner — so a goal
 //! that cannot parse, names an unknown target, is unreachable with the
 //! available attack primitives, or exceeds its action budget is caught at
 //! lint time with a real `file:line:column` span instead of failing when
@@ -10,9 +11,8 @@
 //! cyber stage fight over the same victim host.
 
 use crate::pass::LintPass;
-use crate::source::{FileRole, LoadedBundle};
+use crate::source::LoadedBundle;
 use sgcr_adversary::{plan, AttackGraph, PlanError, PlanRequest};
-use sgcr_core::{CompiledModel, SgmlBundle};
 use sgcr_scenario::{Adversary, Pos, Scenario, StageAction};
 use sgcr_scl::{codes, Diagnostic, Span};
 use std::collections::BTreeSet;
@@ -34,11 +34,11 @@ impl LintPass for AdversaryPass {
             return;
         }
         // The planner needs the compiled model; when the bundle does not
-        // compile, the structural passes already explain why — stay quiet.
-        let Ok(model) = CompiledModel::compile(&reassemble(bundle)) else {
+        // compile, the bundle rules already explain why — stay quiet.
+        let Some(model) = bundle.model() else {
             return;
         };
-        let graph = AttackGraph::derive(&model);
+        let graph = AttackGraph::derive(model);
         for (file, scenario) in &bundle.scenarios {
             let Some(adv) = &scenario.adversary else {
                 continue;
@@ -46,27 +46,6 @@ impl LintPass for AdversaryPass {
             check_adversary(file, scenario, adv, &graph, out);
         }
     }
-}
-
-/// Rebuilds the [`SgmlBundle`] the processor would compile from the raw
-/// loaded files, by role.
-fn reassemble(bundle: &LoadedBundle) -> SgmlBundle {
-    let mut sgml = SgmlBundle::default();
-    for file in &bundle.files {
-        let text = file.text.clone();
-        match file.role {
-            FileRole::Ssd => sgml.ssds.push(text),
-            FileRole::Scd => sgml.scds.push(text),
-            FileRole::Icd => sgml.icds.push(text),
-            FileRole::Sed => sgml.seds.push(text),
-            FileRole::IedConfig => sgml.ied_config = Some(text),
-            FileRole::ScadaConfig => sgml.scada_config = Some(text),
-            FileRole::PlcConfig => sgml.plc_config = Some(text),
-            FileRole::PowerConfig => sgml.power_extra = Some(text),
-            FileRole::Scenario => sgml.scenarios.push(text),
-        }
-    }
-    sgml
 }
 
 fn span(file: &str, pos: Pos) -> Span {

@@ -2,77 +2,16 @@
 //!
 //! | Pass | Codes | Question it answers |
 //! |------|-------|---------------------|
-//! | [`xref`] | `SG01xx` | do cross-file references resolve? |
-//! | [`addr`] | `SG02xx` | is the network addressing consistent? |
-//! | [`topology`] | `SG0110`, `SG03xx` | does the single-line diagram power up? |
+//! | [`bundle`] | `SG00xx`–`SG02xx`, `SG0110`, `SG0304`–`SG0306`, `SG05xx` | does the bundle compile? ([`sgcr_core::check_bundle`]) |
+//! | [`topology`] | `SG0301`–`SG0303` | does the single-line diagram power up? |
 //! | [`protection`] | `SG04xx` | can every protection function actually trip? |
-//! | [`orphan`] | `SG05xx` | does every file contribute to the bundle? |
 //! | [`scenario`] | `SG5xxx` | do exercise scenarios fit the bundle? |
-//! | [`st_logic`] | `SG6xxx` | is the PLC control logic semantically sound? |
 //! | [`adversary`] | `SG7xxx` | can every `<Adversary>` goal actually be planned? |
+//! | [`st_logic`] | `SG6xxx` | is the PLC control logic semantically sound? |
 
-pub mod addr;
 pub mod adversary;
-pub mod orphan;
+pub mod bundle;
 pub mod protection;
 pub mod scenario;
 pub mod st_logic;
 pub mod topology;
-pub mod xref;
-
-use crate::source::{LoadedBundle, SclFile};
-use std::collections::BTreeSet;
-
-/// Every IED name the bundle knows about: SCD declarations, ICD templates,
-/// and IED Config entries. Used to decide whether a reference is dangling.
-pub(crate) fn known_ied_names(bundle: &LoadedBundle) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for file in bundle.scds.iter().chain(bundle.icds.iter()) {
-        for ied in &file.doc.ieds {
-            names.insert(ied.name.clone());
-        }
-    }
-    if let Some((_, config)) = &bundle.ied_config {
-        for spec in &config.ieds {
-            names.insert(spec.name.clone());
-        }
-    }
-    names
-}
-
-/// Every host with a network presence: `ConnectedAP` owners plus PLC names
-/// (PLC hosts are declared only in the PLC Config, not the SCDs).
-pub(crate) fn known_host_names(bundle: &LoadedBundle) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for file in &bundle.scds {
-        if let Some(comm) = &file.doc.communication {
-            for subnet in &comm.subnetworks {
-                for ap in &subnet.connected_aps {
-                    names.insert(ap.ied_name.clone());
-                }
-            }
-        }
-    }
-    if let Some((_, config)) = &bundle.plc_config {
-        for plc in &config.plcs {
-            names.insert(plc.name.clone());
-        }
-    }
-    names
-}
-
-/// All substation-bearing files (SSDs first), deduplicated by substation
-/// name: when an SSD and an SCD both carry a substation, the SSD wins — the
-/// SCD copy is the consolidated echo, not a second declaration.
-pub(crate) fn substation_sources(bundle: &LoadedBundle) -> Vec<(&SclFile, usize)> {
-    let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for file in bundle.ssds.iter().chain(bundle.scds.iter()) {
-        for (i, substation) in file.doc.substations.iter().enumerate() {
-            if seen.insert(substation.name.clone()) {
-                out.push((file, i));
-            }
-        }
-    }
-    out
-}

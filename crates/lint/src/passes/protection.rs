@@ -23,12 +23,12 @@ impl LintPass for ProtectionPass {
 
 /// Breaker references and thresholds of every configured protection function.
 fn check_config(bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-    let Some((file, config)) = &bundle.ied_config else {
+    let Some(file) = &bundle.ied_config else {
         return;
     };
-    for spec in &config.ieds {
+    for spec in &file.config.ieds {
         for protection in &spec.protections {
-            let context = format!("{file}: IED {}, {}", spec.name, protection.ln());
+            let context = format!("{}: IED {}, {}", file.name, spec.name, protection.ln());
             let breaker = match protection {
                 ProtectionSpec::Ptoc { breaker, .. }
                 | ProtectionSpec::Ptov { breaker, .. }
@@ -85,8 +85,7 @@ fn check_config(bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
 /// SG0401 at the diagram level: a bay that assigns a protection-class LNode
 /// but contains neither a breaker nor an XCBR reference has nothing to trip.
 fn check_bays(bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-    for (file, idx) in super::substation_sources(bundle) {
-        let substation = &file.doc.substations[idx];
+    for (file, substation) in bundle.substation_sources() {
         for vl in &substation.voltage_levels {
             for bay in &vl.bays {
                 let has_breaker = bay

@@ -2,15 +2,17 @@
 //! bundle it ships with?
 //!
 //! The rules are [`sgcr_scenario::check`], the same function the exercise
-//! engine runs before it starts; this pass fills its names from the bundle
-//! and anchors each finding to the offending element's `file:line:column`,
-//! so a broken exercise is caught before anyone boots a range to run it.
+//! engine runs before it starts, and the names come from the same place:
+//! [`BundleNames::from_model`] over the bundle's compiled model. This pass
+//! anchors each finding to the offending element's `file:line:column`, so a
+//! broken exercise is caught before anyone boots a range to run it. When
+//! the bundle does not compile the pass stays quiet: the bundle rules have
+//! already said why.
 
 use crate::pass::LintPass;
-use crate::passes::{known_host_names, known_ied_names, substation_sources};
 use crate::source::LoadedBundle;
 use sgcr_scenario::{check, BundleNames, FindingKind};
-use sgcr_scl::{codes, Diagnostic, EquipmentType, Span};
+use sgcr_scl::{codes, Diagnostic, Span};
 
 /// Validates `*.scenario.xml` files against the rest of the bundle.
 pub struct ScenarioPass;
@@ -21,7 +23,13 @@ impl LintPass for ScenarioPass {
     }
 
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-        let names = bundle_names(bundle);
+        if bundle.scenarios.is_empty() {
+            return;
+        }
+        let Some(model) = bundle.model() else {
+            return;
+        };
+        let names = BundleNames::from_model(model);
         for (file, scenario) in &bundle.scenarios {
             for finding in check(scenario, &names) {
                 let code = match finding.kind {
@@ -43,52 +51,6 @@ impl LintPass for ScenarioPass {
             }
         }
     }
-}
-
-/// Everything a scenario can legally reference, harvested once per bundle.
-fn bundle_names(bundle: &LoadedBundle) -> BundleNames {
-    let mut names = BundleNames {
-        hosts: known_host_names(bundle),
-        ieds: known_ied_names(bundle),
-        ..BundleNames::default()
-    };
-    names.hosts.insert(bundle.scada_host.clone());
-    for file in &bundle.scds {
-        if let Some(comm) = &file.doc.communication {
-            for subnet in &comm.subnetworks {
-                names.subnetworks.insert(subnet.name.clone());
-            }
-        }
-    }
-    for (file, i) in substation_sources(bundle) {
-        let substation = &file.doc.substations[i];
-        for vl in &substation.voltage_levels {
-            for bay in &vl.bays {
-                for cn in &bay.connectivity_nodes {
-                    names.buses.insert(format!(
-                        "{}/{}/{}/{}",
-                        substation.name, vl.name, bay.name, cn.name
-                    ));
-                }
-                for eq in &bay.equipment {
-                    let set = match eq.eq_type {
-                        EquipmentType::CircuitBreaker | EquipmentType::Disconnector => {
-                            &mut names.switches
-                        }
-                        EquipmentType::Line => &mut names.lines,
-                        EquipmentType::Generator | EquipmentType::Battery => &mut names.gens,
-                        EquipmentType::Load => &mut names.loads,
-                        _ => continue,
-                    };
-                    set.insert(format!("{}/{}", substation.name, eq.name));
-                }
-            }
-        }
-    }
-    if let Some((_, config)) = &bundle.scada_config {
-        names.points = config.point_names().collect();
-    }
-    names
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use crate::pass::LintPass;
 use crate::source::LoadedBundle;
-use sgcr_core::{PlcDef, PlcLogic};
+use sgcr_core::{check_runtime, PlcDef, PlcLogic};
 use sgcr_plc::st::check::{CheckCode, CheckSeverity};
 use sgcr_plc::{
     assigned_variables, check_program, parse_plcopen, parse_program, read_variables, IoPoint, Pos,
@@ -34,12 +34,12 @@ impl LintPass for StLogicPass {
     }
 
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-        let Some((file, config)) = &bundle.plc_config else {
+        let Some(file) = &bundle.plc_config else {
             return;
         };
-        let text = bundle.source_text(file).unwrap_or("");
-        for plc in &config.plcs {
-            check_plc(file, text, plc, out);
+        let text = bundle.source_text(&file.name).unwrap_or("");
+        for plc in &file.config.plcs {
+            check_plc(&file.name, text, plc, out);
         }
     }
 }
@@ -85,6 +85,18 @@ fn check_plc(file: &str, text: &str, plc: &PlcDef, out: &mut Vec<Diagnostic>) {
             }
         },
     };
+
+    // The build step refuses what the runtime refuses, by the same call.
+    if let Err(e) = check_runtime(&program) {
+        out.push(
+            Diagnostic::error(
+                codes::ST_PARSE_FAILED,
+                format!("the PLC runtime refuses the program: {}", e.message),
+                context.clone(),
+            )
+            .with_span(plc_span(file, plc_anchor)),
+        );
+    }
 
     // Variables the runtime provides before every scan: polled MMS reads,
     // GOOSE subscriptions, and located I/O (restored from the register
@@ -190,19 +202,17 @@ impl LintPass for ScadaBindingPass {
     }
 
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-        let Some((sfile, scada)) = &bundle.scada_config else {
+        let (Some(scada), Some(plcs)) = (&bundle.scada_config, &bundle.plc_config) else {
             return;
         };
-        let Some((_, plc_config)) = &bundle.plc_config else {
-            return;
-        };
+        let sfile = &scada.name;
         let stext = bundle.source_text(sfile).unwrap_or("");
 
-        for source in &scada.sources {
+        for source in &scada.config.sources {
             if !matches!(source.protocol, SourceProtocol::Modbus { .. }) {
                 continue;
             }
-            let Some(plc) = plc_config.plcs.iter().find(|p| p.name == source.name) else {
+            let Some(plc) = plcs.config.plcs.iter().find(|p| p.name == source.name) else {
                 continue;
             };
             let program = match &plc.logic {
@@ -286,6 +296,12 @@ fn pos_at(text: &str, offset: usize) -> (u32, u32) {
     let line = before.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
     let column = (offset - before.rfind('\n').map_or(0, |i| i + 1)) as u32 + 1;
     (line, column)
+}
+
+/// The span of the `<PLC>` element, or of the file when it is not found.
+fn plc_span(file: &str, anchor: Option<(u32, u32)>) -> Span {
+    let (line, column) = anchor.unwrap_or((1, 1));
+    Span::new(file, line, column)
 }
 
 /// Position of a marker string inside the file.

@@ -1,5 +1,6 @@
-//! Power-topology checks (`SG0110`, `SG03xx`): every terminal must land on a
-//! declared connectivity node, and the resulting graph must be energizable.
+//! Power-topology analysis (`SG0301`–`SG0303`): is the single-line diagram
+//! energizable? Whether every terminal lands on a declared node is a bundle
+//! rule (`SG0110`); here unresolved terminals are simply left out.
 //!
 //! Two graphs are analyzed:
 //!
@@ -17,7 +18,7 @@ use crate::source::LoadedBundle;
 use sgcr_scl::{codes, Diagnostic, EquipmentType, SourcePos};
 use std::collections::BTreeMap;
 
-/// Checks bus connectivity, islands, and terminal counts.
+/// Checks islands and switching states.
 pub struct TopologyPass;
 
 impl LintPass for TopologyPass {
@@ -26,29 +27,26 @@ impl LintPass for TopologyPass {
     }
 
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-        let mut graph = Graph::default();
-        collect_nodes(bundle, &mut graph, out);
-        collect_edges(bundle, &mut graph, out);
-        report_islands(&graph, out);
+        report_islands(&Graph::of(bundle), out);
     }
 }
 
 /// One connectivity node (bus) of the bundle-wide graph.
 struct Bus {
+    /// Connectivity-node path name.
+    path: String,
     file: String,
     pos: SourcePos,
     substation: String,
     degree: usize,
-    /// Index of the load attached here, if any (name, file, pos).
+    /// The load attached here, if any (name, file, pos).
     load: Option<(String, String, SourcePos)>,
-    /// Whether an external-grid infeed attaches here.
+    /// Whether an external-grid infeed or a generator attaches here.
     has_slack: bool,
 }
 
 #[derive(Default)]
 struct Graph {
-    /// Bus index by connectivity-node path name.
-    index: BTreeMap<String, usize>,
     buses: Vec<Bus>,
     /// Edges that exist whatever the switch states are.
     all_closed: Vec<(usize, usize)>,
@@ -57,207 +55,107 @@ struct Graph {
 }
 
 impl Graph {
-    fn bus(&self, path: &str) -> Option<usize> {
-        self.index.get(path).copied()
-    }
-}
-
-/// Registers every declared connectivity node; SG0304 on duplicates.
-fn collect_nodes(bundle: &LoadedBundle, graph: &mut Graph, out: &mut Vec<Diagnostic>) {
-    for (file, idx) in super::substation_sources(bundle) {
-        let substation = &file.doc.substations[idx];
-        for vl in &substation.voltage_levels {
-            for bay in &vl.bays {
-                for cn in &bay.connectivity_nodes {
-                    if graph.index.contains_key(&cn.path_name) {
-                        out.push(
-                            Diagnostic::warning(
-                                codes::DUPLICATE_NODE_PATH,
-                                format!(
-                                    "connectivity node path {:?} is declared twice",
-                                    cn.path_name
-                                ),
-                                format!("{}/{}/{}", substation.name, vl.name, bay.name),
-                            )
-                            .with_pos(&file.name, Some(cn.pos)),
-                        );
-                        continue;
+    /// The bundle-wide graph: every declared node (the first of a path),
+    /// wired by equipment, transformers, and SED ties.
+    fn of(bundle: &LoadedBundle) -> Graph {
+        let mut graph = Graph::default();
+        let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+        let sources = bundle.substation_sources();
+        for (file, substation) in &sources {
+            for cn in substation
+                .voltage_levels
+                .iter()
+                .flat_map(|vl| &vl.bays)
+                .flat_map(|bay| &bay.connectivity_nodes)
+            {
+                if index.contains_key(cn.path_name.as_str()) {
+                    continue;
+                }
+                index.insert(&cn.path_name, graph.buses.len());
+                graph.buses.push(Bus {
+                    path: cn.path_name.clone(),
+                    file: file.name.clone(),
+                    pos: cn.pos,
+                    substation: substation.name.clone(),
+                    degree: 0,
+                    load: None,
+                    has_slack: false,
+                });
+            }
+        }
+        for (file, substation) in &sources {
+            for eq in substation
+                .voltage_levels
+                .iter()
+                .flat_map(|vl| &vl.bays)
+                .flat_map(|bay| &bay.equipment)
+            {
+                let buses: Vec<usize> = eq
+                    .terminals
+                    .iter()
+                    .filter_map(|t| index.get(t.connectivity_node.as_str()).copied())
+                    .collect();
+                graph.attach(&buses);
+                match (eq.eq_type, &buses[..]) {
+                    (EquipmentType::CircuitBreaker | EquipmentType::Disconnector, &[a, b]) => {
+                        graph.all_closed.push((a, b));
+                        if !eq.normally_open {
+                            graph.normal.push((a, b));
+                        }
                     }
-                    graph.index.insert(cn.path_name.clone(), graph.buses.len());
-                    graph.buses.push(Bus {
-                        file: file.name.clone(),
-                        pos: cn.pos,
-                        substation: substation.name.clone(),
-                        degree: 0,
-                        load: None,
-                        has_slack: false,
-                    });
+                    (EquipmentType::Line | EquipmentType::Other, &[a, b]) => graph.join(a, b),
+                    // The solver promotes a generator to slack when an
+                    // island has no external grid, so both types make an
+                    // island energizable. Batteries compile to static
+                    // generators and cannot hold an island up alone.
+                    (EquipmentType::IncomingFeeder | EquipmentType::Generator, &[bus]) => {
+                        graph.buses[bus].has_slack = true;
+                    }
+                    (EquipmentType::Load, &[bus]) => {
+                        graph.buses[bus].load = Some((eq.name.clone(), file.name.clone(), eq.pos));
+                    }
+                    _ => {}
+                }
+            }
+            for transformer in &substation.transformers {
+                let buses: Vec<usize> = transformer
+                    .windings
+                    .iter()
+                    .filter_map(|w| index.get(w.terminal.connectivity_node.as_str()).copied())
+                    .collect();
+                graph.attach(&buses);
+                if let [a, b] = buses[..] {
+                    graph.join(a, b);
                 }
             }
         }
-    }
-}
-
-/// Wires equipment, transformers, and SED ties into the graph.
-/// Emits SG0110 (unknown node) and SG0306 (wrong terminal count) on the way.
-fn collect_edges(bundle: &LoadedBundle, graph: &mut Graph, out: &mut Vec<Diagnostic>) {
-    for (file, idx) in super::substation_sources(bundle) {
-        let substation = &file.doc.substations[idx];
-        for vl in &substation.voltage_levels {
-            for bay in &vl.bays {
-                for eq in &bay.equipment {
-                    let context =
-                        format!("{}/{}/{}/{}", substation.name, vl.name, bay.name, eq.name);
-                    let mut buses = Vec::new();
-                    for terminal in &eq.terminals {
-                        match graph.bus(&terminal.connectivity_node) {
-                            Some(bus) => buses.push(bus),
-                            None => out.push(
-                                Diagnostic::error(
-                                    codes::TERMINAL_UNKNOWN_NODE,
-                                    format!(
-                                        "terminal {} references connectivity node {:?} which is not declared",
-                                        terminal.name, terminal.connectivity_node
-                                    ),
-                                    context.clone(),
-                                )
-                                .with_pos(&file.name, Some(eq.pos)),
-                            ),
-                        }
-                    }
-                    for &bus in &buses {
-                        graph.buses[bus].degree += 1;
-                    }
-                    check_terminal_count(
-                        eq.eq_type,
-                        eq.terminals.len(),
-                        &context,
-                        &file.name,
-                        eq.pos,
-                        out,
-                    );
-                    match eq.eq_type {
-                        EquipmentType::CircuitBreaker | EquipmentType::Disconnector => {
-                            if let [a, b] = buses[..] {
-                                graph.all_closed.push((a, b));
-                                if !eq.normally_open {
-                                    graph.normal.push((a, b));
-                                }
-                            }
-                        }
-                        EquipmentType::Line | EquipmentType::Other => {
-                            if let [a, b] = buses[..] {
-                                graph.all_closed.push((a, b));
-                                graph.normal.push((a, b));
-                            }
-                        }
-                        // The solver promotes a generator to slack when an
-                        // island has no external grid, so both types make an
-                        // island energizable. Batteries compile to static
-                        // generators and cannot hold an island up alone.
-                        EquipmentType::IncomingFeeder | EquipmentType::Generator => {
-                            if let [bus] = buses[..] {
-                                graph.buses[bus].has_slack = true;
-                            }
-                        }
-                        EquipmentType::Load => {
-                            if let [bus] = buses[..] {
-                                graph.buses[bus].load =
-                                    Some((eq.name.clone(), file.name.clone(), eq.pos));
-                            }
-                        }
-                        EquipmentType::Battery
-                        | EquipmentType::CurrentTransformer
-                        | EquipmentType::VoltageTransformer => {}
-                    }
-                }
+        for tie in bundle
+            .seds
+            .iter()
+            .flat_map(|f| &f.doc.inter_substation_lines)
+        {
+            let ends = (
+                index.get(tie.from_node.as_str()),
+                index.get(tie.to_node.as_str()),
+            );
+            if let (Some(&a), Some(&b)) = ends {
+                graph.attach(&[a, b]);
+                graph.join(a, b);
             }
         }
-        for transformer in &substation.transformers {
-            let context = format!("{}/{}", substation.name, transformer.name);
-            let mut buses = Vec::new();
-            for winding in &transformer.windings {
-                match graph.bus(&winding.terminal.connectivity_node) {
-                    Some(bus) => buses.push(bus),
-                    None => out.push(
-                        Diagnostic::error(
-                            codes::TERMINAL_UNKNOWN_NODE,
-                            format!(
-                                "winding {} references connectivity node {:?} which is not declared",
-                                winding.name, winding.terminal.connectivity_node
-                            ),
-                            context.clone(),
-                        )
-                        .with_pos(&file.name, Some(transformer.pos)),
-                    ),
-                }
-            }
-            if transformer.windings.len() != 2 {
-                out.push(
-                    Diagnostic::warning(
-                        codes::WRONG_TERMINAL_COUNT,
-                        format!(
-                            "power transformer has {} windings, expected 2",
-                            transformer.windings.len()
-                        ),
-                        context,
-                    )
-                    .with_pos(&file.name, Some(transformer.pos)),
-                );
-            }
-            for &bus in &buses {
-                graph.buses[bus].degree += 1;
-            }
-            if let [a, b] = buses[..] {
-                graph.all_closed.push((a, b));
-                graph.normal.push((a, b));
-            }
+        graph
+    }
+
+    fn attach(&mut self, buses: &[usize]) {
+        for &bus in buses {
+            self.buses[bus].degree += 1;
         }
     }
 
-    // SED ties join substations; endpoint validity is the xref pass's job,
-    // here unresolvable endpoints are simply skipped.
-    for file in &bundle.seds {
-        for tie in &file.doc.inter_substation_lines {
-            if let (Some(a), Some(b)) = (graph.bus(&tie.from_node), graph.bus(&tie.to_node)) {
-                graph.buses[a].degree += 1;
-                graph.buses[b].degree += 1;
-                graph.all_closed.push((a, b));
-                graph.normal.push((a, b));
-            }
-        }
-    }
-}
-
-/// SG0306 for conducting equipment.
-fn check_terminal_count(
-    eq_type: EquipmentType,
-    terminals: usize,
-    context: &str,
-    file: &str,
-    pos: SourcePos,
-    out: &mut Vec<Diagnostic>,
-) {
-    let expected = match eq_type {
-        EquipmentType::CircuitBreaker | EquipmentType::Disconnector | EquipmentType::Line => 2,
-        EquipmentType::IncomingFeeder
-        | EquipmentType::Load
-        | EquipmentType::Generator
-        | EquipmentType::Battery => 1,
-        _ => return,
-    };
-    if terminals != expected {
-        out.push(
-            Diagnostic::warning(
-                codes::WRONG_TERMINAL_COUNT,
-                format!(
-                    "{} equipment has {terminals} terminals, expected {expected}",
-                    eq_type.code()
-                ),
-                context.to_string(),
-            )
-            .with_pos(file, Some(pos)),
-        );
+    /// An edge present whatever the switch states are.
+    fn join(&mut self, a: usize, b: usize) {
+        self.all_closed.push((a, b));
+        self.normal.push((a, b));
     }
 }
 
@@ -265,23 +163,18 @@ fn check_terminal_count(
 /// switch state isolates a load the all-closed graph supplies).
 fn report_islands(graph: &Graph, out: &mut Vec<Diagnostic>) {
     let n = graph.buses.len();
-    for (i, bus) in graph.buses.iter().enumerate() {
-        if bus.degree == 0 {
-            let path = graph
-                .index
-                .iter()
-                .find(|(_, &idx)| idx == i)
-                .map(|(p, _)| p.as_str())
-                .unwrap_or("?");
-            out.push(
-                Diagnostic::warning(
-                    codes::ISOLATED_BUS,
-                    format!("connectivity node {path:?} has no connected equipment"),
-                    format!("Substation {}", bus.substation),
-                )
-                .with_pos(&bus.file, Some(bus.pos)),
-            );
-        }
+    for bus in graph.buses.iter().filter(|bus| bus.degree == 0) {
+        out.push(
+            Diagnostic::warning(
+                codes::ISOLATED_BUS,
+                format!(
+                    "connectivity node {:?} has no connected equipment",
+                    bus.path
+                ),
+                format!("Substation {}", bus.substation),
+            )
+            .with_pos(&bus.file, Some(bus.pos)),
+        );
     }
 
     let closed = components(n, &graph.all_closed);

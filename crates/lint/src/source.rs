@@ -1,56 +1,18 @@
-//! Loading an SG-ML bundle for analysis: every model file is parsed
-//! *leniently* (a flawed file still yields a model to inspect) and kept
-//! alongside its file name and raw text, so every downstream finding can be
-//! anchored to a real `file:line:column` span and rendered with its source
-//! line.
+//! Loading an SG-ML bundle for analysis: the parse of every model file — a
+//! [`ParsedBundle`], the same input the compiler checks and builds from —
+//! plus what only the analyzer keeps: each file's raw text, so every
+//! finding can be rendered with its source line, and the parsed exercise
+//! scenarios.
 
-use sgcr_core::{IedConfig, PlcConfig, SgmlBundle};
-use sgcr_scada::ScadaConfig;
+use sgcr_core::{check_bundle, read_bundle_dir, CompiledModel, ParsedBundle, SgmlBundle};
 use sgcr_scenario::Scenario;
-use sgcr_scl::{codes, parse_scl_lenient, Diagnostic, SclDocument, Span};
+use sgcr_scl::{Diagnostic, Severity};
 use std::fmt;
-use std::fs;
+use std::ops::Deref;
 use std::path::Path;
+use std::sync::OnceLock;
 
-/// What role a file plays in the bundle (derived from its name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileRole {
-    /// `*.ssd.xml` — substation single-line diagram.
-    Ssd,
-    /// `*.scd.xml` — complete substation configuration.
-    Scd,
-    /// `*.icd.xml` — one IED's capabilities.
-    Icd,
-    /// `*.sed.xml` — inter-substation ties.
-    Sed,
-    /// `ied_config.xml` — thresholds + cyber↔physical mapping.
-    IedConfig,
-    /// `scada_config.xml` — HMI data sources, points, alarms.
-    ScadaConfig,
-    /// `plc_config.xml` — PLC logic and MMS bindings.
-    PlcConfig,
-    /// `power_config.xml` — profiles, events, solve interval.
-    PowerConfig,
-    /// `*.scenario.xml` — exercise scenario (stages + objectives).
-    Scenario,
-}
-
-impl fmt::Display for FileRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FileRole::Ssd => "SSD",
-            FileRole::Scd => "SCD",
-            FileRole::Icd => "ICD",
-            FileRole::Sed => "SED",
-            FileRole::IedConfig => "IED Config",
-            FileRole::ScadaConfig => "SCADA Config",
-            FileRole::PlcConfig => "PLC Config",
-            FileRole::PowerConfig => "Power Config",
-            FileRole::Scenario => "Scenario",
-        };
-        write!(f, "{s}")
-    }
-}
+pub use sgcr_core::{role_of, FileRole, SclFile};
 
 /// One raw source file of the bundle (kept for snippet rendering).
 #[derive(Debug, Clone)]
@@ -61,15 +23,6 @@ pub struct SourceFile {
     pub role: FileRole,
     /// Raw text.
     pub text: String,
-}
-
-/// A parsed SCL file with its bundle-relative name.
-#[derive(Debug, Clone)]
-pub struct SclFile {
-    /// Bundle-relative file name.
-    pub name: String,
-    /// The parsed (lenient) document.
-    pub doc: SclDocument,
 }
 
 /// An error reading a bundle directory.
@@ -87,38 +40,34 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// The analyzed form of an SG-ML bundle: parsed models plus their source
-/// files, with every parse failure already recorded as a coded diagnostic.
+/// The analyzed form of an SG-ML bundle: the parsed model files (every
+/// parse failure already a coded diagnostic), their sources, and the
+/// scenarios. Dereferences to the [`ParsedBundle`], which only
+/// [`LoadedBundle::add_file`] changes, so the memoized check and model
+/// stay current.
 #[derive(Debug, Clone, Default)]
 pub struct LoadedBundle {
     /// Every raw file, for snippet rendering.
     pub files: Vec<SourceFile>,
-    /// Parsed SSD files.
-    pub ssds: Vec<SclFile>,
-    /// Parsed SCD files.
-    pub scds: Vec<SclFile>,
-    /// Parsed ICD files.
-    pub icds: Vec<SclFile>,
-    /// Parsed SED files.
-    pub seds: Vec<SclFile>,
-    /// Parsed IED Config, with its file name.
-    pub ied_config: Option<(String, IedConfig)>,
-    /// Parsed SCADA Config, with its file name.
-    pub scada_config: Option<(String, ScadaConfig)>,
-    /// Parsed PLC Config, with its file name.
-    pub plc_config: Option<(String, PlcConfig)>,
+    parsed: ParsedBundle,
     /// Parsed exercise scenarios, with their file names.
     pub scenarios: Vec<(String, Scenario)>,
-    /// The SCADA workstation host name (default `SCADA`).
-    pub scada_host: String,
-    /// Diagnostics produced while loading (parse failures, SCL structure).
-    pub diagnostics: Vec<Diagnostic>,
+    check: OnceLock<Vec<Diagnostic>>,
+    model: OnceLock<Option<CompiledModel>>,
+}
+
+impl Deref for LoadedBundle {
+    type Target = ParsedBundle;
+
+    fn deref(&self) -> &ParsedBundle {
+        &self.parsed
+    }
 }
 
 impl LoadedBundle {
-    /// Loads and leniently parses a bundle directory, using the same naming
-    /// conventions as [`SgmlBundle::from_dir`] but keeping file names so
-    /// findings carry real spans.
+    /// Loads and leniently parses a bundle directory, through the same walk
+    /// as [`SgmlBundle::from_dir`], keeping file names so findings carry
+    /// real spans.
     ///
     /// # Errors
     ///
@@ -126,167 +75,54 @@ impl LoadedBundle {
     /// SCL model files at all; individual files that fail to *parse* are
     /// reported as diagnostics, not errors.
     pub fn from_dir(dir: impl AsRef<Path>) -> Result<LoadedBundle, LoadError> {
-        let dir = dir.as_ref();
-        let mut names: Vec<_> = fs::read_dir(dir)
-            .map_err(|e| LoadError {
-                message: format!("reading {}: {e}", dir.display()),
-            })?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .collect();
-        names.sort();
-
-        let mut loaded = LoadedBundle::new();
-        for path in names {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(role) = role_of(name) else {
-                continue;
-            };
-            let text = fs::read_to_string(&path).map_err(|e| LoadError {
-                message: format!("reading {}: {e}", path.display()),
-            })?;
-            loaded.add_file(name.to_string(), role, text);
-        }
-        if loaded.ssds.is_empty() && loaded.scds.is_empty() {
-            return Err(LoadError {
-                message: format!(
-                    "{} contains no SCL model files (*.ssd.xml / *.scd.xml)",
-                    dir.display()
-                ),
-            });
+        let files = read_bundle_dir(dir.as_ref()).map_err(|e| LoadError { message: e.message })?;
+        let mut loaded = LoadedBundle::default();
+        for (name, role, text) in files {
+            loaded.add_file(name, role, text);
         }
         Ok(loaded)
     }
 
-    /// Builds a loaded bundle from an in-memory [`SgmlBundle`], synthesizing
-    /// the file names [`SgmlBundle::write_to_dir`] would use.
+    /// Builds a loaded bundle from an in-memory [`SgmlBundle`], naming each
+    /// file as [`SgmlBundle::write_to_dir`] would.
     pub fn from_bundle(bundle: &SgmlBundle) -> LoadedBundle {
-        let mut loaded = LoadedBundle::new();
-        if let Some(host) = &bundle.scada_host {
-            loaded.scada_host = host.clone();
-        }
-        for (i, text) in bundle.ssds.iter().enumerate() {
-            loaded.add_file(
-                format!("substation{:02}.ssd.xml", i + 1),
-                FileRole::Ssd,
-                text.clone(),
-            );
-        }
-        for (i, text) in bundle.scds.iter().enumerate() {
-            loaded.add_file(
-                format!("substation{:02}.scd.xml", i + 1),
-                FileRole::Scd,
-                text.clone(),
-            );
-        }
-        for (i, text) in bundle.icds.iter().enumerate() {
-            loaded.add_file(
-                format!("ied{:03}.icd.xml", i + 1),
-                FileRole::Icd,
-                text.clone(),
-            );
-        }
-        for (i, text) in bundle.seds.iter().enumerate() {
-            loaded.add_file(
-                format!("tie{:02}.sed.xml", i + 1),
-                FileRole::Sed,
-                text.clone(),
-            );
-        }
-        if let Some(text) = &bundle.ied_config {
-            loaded.add_file("ied_config.xml".into(), FileRole::IedConfig, text.clone());
-        }
-        if let Some(text) = &bundle.scada_config {
-            loaded.add_file(
-                "scada_config.xml".into(),
-                FileRole::ScadaConfig,
-                text.clone(),
-            );
-        }
-        if let Some(text) = &bundle.plc_config {
-            loaded.add_file("plc_config.xml".into(), FileRole::PlcConfig, text.clone());
-        }
-        if let Some(text) = &bundle.power_extra {
-            loaded.add_file(
-                "power_config.xml".into(),
-                FileRole::PowerConfig,
-                text.clone(),
-            );
-        }
-        for (i, text) in bundle.scenarios.iter().enumerate() {
-            loaded.add_file(
-                format!("exercise{:02}.scenario.xml", i + 1),
-                FileRole::Scenario,
-                text.clone(),
-            );
+        let mut files = Vec::new();
+        let parsed = ParsedBundle::from_bundle_with(bundle, |name, role, text| {
+            files.push(SourceFile {
+                name: name.to_string(),
+                role,
+                text: text.to_string(),
+            });
+        });
+        let mut loaded = LoadedBundle {
+            parsed,
+            ..LoadedBundle::default()
+        };
+        for file in files {
+            loaded.add_source(file);
         }
         loaded
     }
 
-    fn new() -> LoadedBundle {
-        LoadedBundle {
-            scada_host: "SCADA".to_string(),
-            ..LoadedBundle::default()
-        }
-    }
-
     /// Registers a file with the bundle, parsing it according to its role.
     pub fn add_file(&mut self, name: String, role: FileRole, text: String) {
-        match role {
-            FileRole::Ssd | FileRole::Scd | FileRole::Icd | FileRole::Sed => {
-                match parse_scl_lenient(&text) {
-                    Ok((doc, diags)) => {
-                        self.diagnostics
-                            .extend(diags.into_iter().map(|d| attach_file(d, &name)));
-                        let file = SclFile {
-                            name: name.clone(),
-                            doc,
-                        };
-                        match role {
-                            FileRole::Ssd => self.ssds.push(file),
-                            FileRole::Scd => self.scds.push(file),
-                            FileRole::Icd => self.icds.push(file),
-                            FileRole::Sed => self.seds.push(file),
-                            _ => unreachable!(),
-                        }
-                    }
-                    Err(e) => self.push_parse_failure(&name, role, &e.to_string()),
-                }
-            }
-            FileRole::IedConfig => match IedConfig::parse(&text) {
-                Ok(config) => self.ied_config = Some((name.clone(), config)),
-                Err(e) => self.push_parse_failure(&name, role, &e.to_string()),
-            },
-            FileRole::ScadaConfig => match ScadaConfig::parse(&text) {
-                Ok(config) => self.scada_config = Some((name.clone(), config)),
-                Err(e) => self.push_parse_failure(&name, role, &e.to_string()),
-            },
-            FileRole::PlcConfig => match PlcConfig::parse(&text) {
-                Ok(config) => self.plc_config = Some((name.clone(), config)),
-                Err(e) => self.push_parse_failure(&name, role, &e.to_string()),
-            },
-            FileRole::PowerConfig => {
-                // Structure checked by the range generator; lint keeps the
-                // text only so hygiene passes can see the file exists.
-            }
-            FileRole::Scenario => match Scenario::parse(&text) {
-                Ok(scenario) => self.scenarios.push((name.clone(), scenario)),
-                Err(e) => self.push_parse_failure(&name, role, &e.to_string()),
-            },
-        }
-        self.files.push(SourceFile { name, role, text });
+        self.parsed.add(name.clone(), role, &text);
+        self.add_source(SourceFile { name, role, text });
     }
 
-    fn push_parse_failure(&mut self, name: &str, role: FileRole, detail: &str) {
-        self.diagnostics.push(
-            Diagnostic::error(
-                codes::PARSE_FAILED,
-                format!("cannot parse {role} file: {detail}"),
-                name.to_string(),
-            )
-            .with_span(Span::new(name, 1, 1)),
-        );
+    /// Keeps a file's source and parses it when it is a scenario.
+    fn add_source(&mut self, file: SourceFile) {
+        if file.role == FileRole::Scenario {
+            match Scenario::parse(&file.text) {
+                Ok(scenario) => self.scenarios.push((file.name.clone(), scenario)),
+                Err(e) => self
+                    .parsed
+                    .push_parse_failure(&file.name, file.role, &e.to_string()),
+            }
+        }
+        self.files.push(file);
+        self.check = OnceLock::new();
+        self.model = OnceLock::new();
     }
 
     /// The raw text of a bundle file, for snippet rendering.
@@ -297,50 +133,29 @@ impl LoadedBundle {
             .map(|f| f.text.as_str())
     }
 
-    /// All parsed SCL files with substations (SSDs first, then SCDs).
-    pub fn substation_files(&self) -> impl Iterator<Item = &SclFile> {
-        self.ssds.iter().chain(self.scds.iter())
+    /// The findings of the bundle rules ([`check_bundle`]), computed once.
+    pub fn check(&self) -> &[Diagnostic] {
+        self.check.get_or_init(|| check_bundle(&self.parsed))
     }
-}
 
-/// Attaches the file name to a parse diagnostic's span when the element
-/// position is already known, or leaves it span-less.
-fn attach_file(d: Diagnostic, _file: &str) -> Diagnostic {
-    // Parse-time diagnostics currently carry context paths but no element
-    // position; give them at least the file anchor.
-    if d.span.is_none() {
-        let file = _file.to_string();
-        Diagnostic {
-            span: Some(Span::new(file, 1, 1)),
-            ..d
-        }
-    } else {
-        d
-    }
-}
-
-/// Derives a file's bundle role from its name, `None` for unrelated files.
-pub fn role_of(name: &str) -> Option<FileRole> {
-    if name.ends_with(".ssd.xml") {
-        Some(FileRole::Ssd)
-    } else if name.ends_with(".scd.xml") {
-        Some(FileRole::Scd)
-    } else if name.ends_with(".icd.xml") {
-        Some(FileRole::Icd)
-    } else if name.ends_with(".sed.xml") {
-        Some(FileRole::Sed)
-    } else if name == "ied_config.xml" {
-        Some(FileRole::IedConfig)
-    } else if name == "scada_config.xml" {
-        Some(FileRole::ScadaConfig)
-    } else if name == "plc_config.xml" {
-        Some(FileRole::PlcConfig)
-    } else if name == "power_config.xml" {
-        Some(FileRole::PowerConfig)
-    } else if name.ends_with(".scenario.xml") {
-        Some(FileRole::Scenario)
-    } else {
-        None
+    /// The compiled model, built once from the parsed documents — `None`
+    /// when the bundle does not compile: a model file does not parse, a
+    /// bundle rule fails, or a PLC program is refused.
+    pub fn model(&self) -> Option<&CompiledModel> {
+        self.model
+            .get_or_init(|| {
+                let is_error = |d: &Diagnostic| d.severity == Severity::Error;
+                let in_model_file = |d: &&Diagnostic| {
+                    let file = d.span.as_ref().map(|s| s.file.as_str()).unwrap_or("");
+                    role_of(file) != Some(FileRole::Scenario)
+                };
+                let broken = self.diagnostics.iter().filter(in_model_file).any(is_error)
+                    || self.check().iter().any(is_error);
+                (!broken)
+                    .then(|| CompiledModel::build(&self.parsed).ok())
+                    .flatten()
+            })
+            .as_ref()
     }
 }
 
@@ -348,22 +163,11 @@ pub fn role_of(name: &str) -> Option<FileRole> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roles_follow_bundle_conventions() {
-        assert_eq!(role_of("s1.ssd.xml"), Some(FileRole::Ssd));
-        assert_eq!(role_of("s1.scd.xml"), Some(FileRole::Scd));
-        assert_eq!(role_of("gied1.icd.xml"), Some(FileRole::Icd));
-        assert_eq!(role_of("tie01.sed.xml"), Some(FileRole::Sed));
-        assert_eq!(role_of("ied_config.xml"), Some(FileRole::IedConfig));
-        assert_eq!(role_of("power_config.xml"), Some(FileRole::PowerConfig));
-        assert_eq!(role_of("exercise01.scenario.xml"), Some(FileRole::Scenario));
-        assert_eq!(role_of("README.md"), None);
-    }
+    use sgcr_scl::codes;
 
     #[test]
     fn unparsable_file_becomes_coded_diagnostic() {
-        let mut loaded = LoadedBundle::new();
+        let mut loaded = LoadedBundle::default();
         loaded.add_file("bad.scd.xml".into(), FileRole::Scd, "<<< not xml".into());
         assert!(loaded.scds.is_empty());
         assert_eq!(loaded.diagnostics.len(), 1);
@@ -372,5 +176,13 @@ mod tests {
             loaded.diagnostics[0].span.as_ref().map(|s| s.file.as_str()),
             Some("bad.scd.xml")
         );
+    }
+
+    #[test]
+    fn power_config_that_is_not_xml_is_a_parse_failure() {
+        let mut loaded = LoadedBundle::default();
+        loaded.add_file("power_config.xml".into(), FileRole::PowerConfig, "{".into());
+        assert_eq!(loaded.diagnostics.len(), 1);
+        assert_eq!(loaded.diagnostics[0].code, codes::PARSE_FAILED);
     }
 }

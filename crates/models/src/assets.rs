@@ -422,7 +422,7 @@ pub fn icd_for(name: &str, ln_classes: &[&str]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgcr_scl::{parse_icd, parse_ssd};
+    use sgcr_scl::parse_scl;
 
     #[test]
     fn ssd_builder_roundtrip() {
@@ -435,7 +435,7 @@ mod tests {
             .load("MV", "Main", "L1", "CN2", 5.0, 1.0)
             .finish();
         let text = sgcr_scl::write_scl(&doc);
-        let reparsed = parse_ssd(&text).unwrap();
+        let reparsed = parse_scl(&text).unwrap();
         assert_eq!(
             reparsed.substations[0].voltage_levels[0].bays[0]
                 .equipment
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn icd_roundtrip() {
         let text = icd_for("IEDX", &["LLN0", "XCBR", "PTOC"]);
-        let doc = parse_icd(&text).unwrap();
+        let doc = parse_scl(&text).unwrap();
         assert!(doc.ied("IEDX").unwrap().has_ln_class("PTOC"));
         assert_eq!(doc.templates.lnode_types.len(), 3);
     }

@@ -459,12 +459,12 @@ pub fn epic_power_extra() -> PowerExtraConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgcr_scl::{parse_scd, parse_ssd};
+    use sgcr_scl::parse_scl;
 
     #[test]
     fn ssd_parses_and_has_four_segments() {
         let text = epic_ssd();
-        let doc = parse_ssd(&text).unwrap();
+        let doc = parse_scl(&text).unwrap();
         let substation = &doc.substations[0];
         assert_eq!(substation.name, SUBSTATION);
         let bays: Vec<&str> = substation.voltage_levels[0]
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn scd_parses_with_all_hosts() {
         let text = epic_scd();
-        let doc = parse_scd(&text).unwrap();
+        let doc = parse_scl(&text).unwrap();
         let comm = doc.communication.as_ref().unwrap();
         assert_eq!(comm.subnetworks.len(), 5);
         let host_count: usize = comm.subnetworks.iter().map(|s| s.connected_aps.len()).sum();
@@ -490,7 +490,7 @@ mod tests {
     fn icds_declare_gating_lns() {
         let icds = epic_icds();
         assert_eq!(icds.len(), 8);
-        let gied1 = sgcr_scl::parse_icd(&icds[0]).unwrap();
+        let gied1 = parse_scl(&icds[0]).unwrap();
         assert!(gied1.ied("GIED1").unwrap().has_ln_class("PTOC"));
         assert!(!gied1.ied("GIED1").unwrap().has_ln_class("PTOV"));
     }

@@ -255,13 +255,15 @@ mod tests {
         assert_eq!(bundle.icds.len(), 4);
         assert_eq!(bundle.seds.len(), 1);
         for ssd in &bundle.ssds {
-            sgcr_scl::parse_ssd(ssd).unwrap();
+            assert!(!sgcr_scl::parse_scl(ssd).unwrap().substations.is_empty());
         }
         for scd in &bundle.scds {
-            sgcr_scl::parse_scd(scd).unwrap();
+            let doc = sgcr_scl::parse_scl(scd).unwrap();
+            assert!(doc.communication.is_some() && !doc.ieds.is_empty());
         }
         for sed in &bundle.seds {
-            sgcr_scl::parse_sed(sed).unwrap();
+            let doc = sgcr_scl::parse_scl(sed).unwrap();
+            assert!(!doc.inter_substation_lines.is_empty());
         }
         IedConfig::parse(bundle.ied_config.as_ref().unwrap()).unwrap();
         sgcr_scada::ScadaConfig::parse(bundle.scada_config.as_ref().unwrap()).unwrap();

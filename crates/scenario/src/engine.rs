@@ -333,42 +333,15 @@ fn expand_adversary(scenario: &Scenario, plan: &CampaignPlan) -> Scenario {
 }
 
 /// Rejects scenarios that do not fit the range before anything mutates:
-/// the first finding of [`check`] against the live range's names.
+/// the first finding of [`check`] against the names of the range's model.
 fn validate(range: &CyberRange, scenario: &Scenario) -> Result<(), ExerciseError> {
-    match check(scenario, &range_names(range)).into_iter().next() {
+    match check(scenario, &BundleNames::from_model(range.model()))
+        .into_iter()
+        .next()
+    {
         Some(finding) => Err(err(finding.message)),
         None => Ok(()),
     }
-}
-
-/// Everything a scenario may reference on a live range: its network nodes,
-/// IEDs, power elements, and SCADA points.
-fn range_names(range: &CyberRange) -> BundleNames {
-    let mut names = BundleNames::default();
-    for node in range.net.node_names() {
-        let is_host = range
-            .net
-            .node_by_name(node)
-            .is_some_and(|id| range.net.is_host(id));
-        let set = if is_host {
-            &mut names.hosts
-        } else {
-            &mut names.subnetworks
-        };
-        set.insert(node.to_string());
-    }
-    names.ieds = range.ieds.keys().cloned().collect();
-    let power = &range.power;
-    names.switches = power.switch.iter().map(|s| s.name.clone()).collect();
-    names.lines = power.line.iter().map(|l| l.name.clone()).collect();
-    names.gens = power.gen.iter().map(|g| g.name.clone()).collect();
-    names.gens.extend(power.sgen.iter().map(|s| s.name.clone()));
-    names.loads = power.load.iter().map(|l| l.name.clone()).collect();
-    names.buses = power.bus.iter().map(|b| b.name.clone()).collect();
-    if let Some(scada) = &range.model().scada {
-        names.points = scada.config.point_names().collect();
-    }
-    names
 }
 
 impl Engine {

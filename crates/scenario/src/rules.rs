@@ -1,12 +1,15 @@
 //! The scenario rule set: does a scenario fit the range it will run on?
 //!
-//! [`check`] is the one implementation of these rules. `sgcr-lint`'s
-//! `scenario` pass calls it with the names a bundle defines and reports
-//! every finding as an `SG5xxx` diagnostic; [`run_exercise`](crate::run_exercise)
-//! calls it with the names of the live range and refuses to start on the
-//! first finding. So a scenario lints clean exactly when it runs.
+//! [`check`] is the one implementation of these rules, and
+//! [`BundleNames::from_model`] the one source of the names it checks
+//! against. `sgcr-lint`'s `scenario` pass reports every finding as an
+//! `SG5xxx` diagnostic; [`run_exercise`](crate::run_exercise) refuses to
+//! start on the first finding. Both fill the names from the compiled model,
+//! so a scenario lints clean exactly when it runs.
 
 use crate::spec::{Check, Pos, Scenario, StageAction, StageStart};
+use sgcr_core::CompiledModel;
+use sgcr_net::Ipv4Addr;
 use sgcr_powerflow::ScenarioAction;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,6 +18,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct BundleNames {
     /// Hosts with a network presence (IEDs, PLCs, SCADA).
     pub hosts: BTreeSet<String>,
+    /// The owner of every range host address.
+    pub ips: BTreeMap<Ipv4Addr, String>,
     /// Subnetwork (switch) names.
     pub subnetworks: BTreeSet<String>,
     /// IED names.
@@ -34,6 +39,39 @@ pub struct BundleNames {
     pub points: BTreeSet<String>,
 }
 
+impl BundleNames {
+    /// The names of a compiled model: the planned hosts and their
+    /// addresses, the switches (the `wan` switch of a multi-substation
+    /// model included), the instantiated IEDs, the power elements, and the
+    /// SCADA points.
+    pub fn from_model(model: &CompiledModel) -> BundleNames {
+        fn names<'a>(items: impl Iterator<Item = &'a String>) -> BTreeSet<String> {
+            items.cloned().collect()
+        }
+        let (plan, power) = (&model.plan, &model.power);
+        BundleNames {
+            hosts: names(plan.hosts.iter().map(|h| &h.name)),
+            ips: plan.hosts.iter().map(|h| (h.ip, h.name.clone())).collect(),
+            subnetworks: names(plan.switches.iter().map(|s| &s.name)),
+            ieds: names(model.ieds.iter().map(|i| &i.name)),
+            switches: names(power.switch.iter().map(|s| &s.name)),
+            lines: names(power.line.iter().map(|l| &l.name)),
+            gens: names(
+                power
+                    .gen
+                    .iter()
+                    .map(|g| &g.name)
+                    .chain(power.sgen.iter().map(|s| &s.name)),
+            ),
+            loads: names(power.load.iter().map(|l| &l.name)),
+            buses: names(power.bus.iter().map(|b| &b.name)),
+            points: (model.scada.iter())
+                .flat_map(|scada| scada.config.point_names())
+                .collect(),
+        }
+    }
+}
+
 /// Which rule a [`Finding`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
@@ -45,7 +83,7 @@ pub enum FindingKind {
     /// An objective deadline or window can never be met.
     BadDeadline,
     /// Two stages, objectives or hosts share one name, or a host takes the
-    /// name of a range node.
+    /// name or the address of a range node.
     DuplicateId,
     /// A `linkFault` or `crash` stage names an unknown host or endpoint.
     UnknownFaultTarget,
@@ -103,6 +141,10 @@ pub fn check(scenario: &Scenario, names: &BundleNames) -> Vec<Finding> {
             );
         } else if !declared.insert(name.as_str()) {
             let message = format!("host {name:?} is declared more than once");
+            find(K::DuplicateId, host.pos, message);
+        }
+        if let Some(owner) = names.ips.get(&host.ip) {
+            let message = format!("host {name:?} takes ip {} of range host {owner:?}", host.ip);
             find(K::DuplicateId, host.pos, message);
         }
     }

@@ -55,11 +55,11 @@ codes! {
     EQUIPMENT_NO_TERMINAL = ("SG0005", "conducting equipment has no Terminal");
     /// A transformer winding declares no `<Terminal>`.
     WINDING_NO_TERMINAL = ("SG0006", "transformer winding has no Terminal");
-    /// A power transformer has an unsupported winding count.
+    /// A power transformer has a winding count other than 2.
     WINDING_COUNT = ("SG0007", "power transformer has an unsupported winding count");
     /// An inter-substation tie lacks its substation/node references.
     TIE_MISSING_REFS = ("SG0008", "inter-substation line is missing its endpoint references");
-    /// A document lacks a section its role requires.
+    /// An SCL file lacks the section its role (SSD/SCD/ICD/SED) needs.
     MISSING_SECTION = ("SG0009", "document lacks a section its role requires");
     /// A file is not well-formed XML / not parsable at all.
     PARSE_FAILED = ("SG0010", "file could not be parsed");
@@ -131,8 +131,6 @@ codes! {
     // --- SG05xx: bundle hygiene --------------------------------------------
     /// An ICD describes an IED no SCD instantiates.
     ORPHAN_ICD = ("SG0501", "ICD describes an IED that no SCD instantiates");
-    /// A model file contributes nothing to the bundle.
-    UNUSED_FILE = ("SG0502", "model file contributes nothing to the bundle");
     /// Two SSDs declare one substation name.
     DUPLICATE_SUBSTATION = ("SG0504", "two SSDs declare the same substation");
 

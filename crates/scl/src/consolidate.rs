@@ -8,124 +8,58 @@
 //! multiple SCD files … WAN … is abstracted as a single switch connected to
 //! all substations."*
 
-use crate::codes;
-use crate::error::{Diagnostic, SclError, Severity};
-use crate::types::{Communication, SclDocument, SubNetwork};
+use crate::types::{Communication, Header, SclDocument, SubNetwork};
 
 /// Combines per-substation SSDs with SEDs into one consolidated SSD-style
 /// document: all substations plus the inter-substation tie lines.
 ///
-/// # Errors
-///
-/// Returns [`SclError::Invalid`] when an SED references a substation or
-/// connectivity node that no SSD provides.
-pub fn consolidate_ssd(
-    ssds: &[SclDocument],
-    seds: &[SclDocument],
-) -> Result<SclDocument, SclError> {
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+/// Consolidation does not judge the files: a substation name already taken
+/// keeps its first declaration, and every tie is carried over as written.
+/// Whether the names collide or a tie resolves is a bundle rule, checked
+/// with the others before anything is compiled.
+pub fn consolidate_ssd<'a>(
+    ssds: impl IntoIterator<Item = &'a SclDocument>,
+    seds: impl IntoIterator<Item = &'a SclDocument>,
+) -> SclDocument {
     let mut combined = SclDocument {
-        header: crate::types::Header {
-            id: "consolidated-ssd".to_string(),
-            version: "1".to_string(),
-            revision: String::new(),
-        },
+        header: header("consolidated-ssd"),
         ..SclDocument::default()
     };
-
     for ssd in ssds {
         for substation in &ssd.substations {
-            if combined.substation(&substation.name).is_some() {
-                diagnostics.push(Diagnostic::error(
-                    codes::DUPLICATE_SUBSTATION,
-                    format!(
-                        "duplicate substation {:?} across SSD files",
-                        substation.name
-                    ),
-                    "consolidate",
-                ));
-                continue;
+            if combined.substation(&substation.name).is_none() {
+                combined.substations.push(substation.clone());
             }
-            combined.substations.push(substation.clone());
         }
     }
-
-    let all_nodes: Vec<String> = combined.connectivity_node_paths();
     for sed in seds {
-        for tie in &sed.inter_substation_lines {
-            for (substation, node) in [
-                (&tie.from_substation, &tie.from_node),
-                (&tie.to_substation, &tie.to_node),
-            ] {
-                if combined.substation(substation).is_none() {
-                    diagnostics.push(Diagnostic::error(
-                        codes::SED_UNKNOWN_SUBSTATION,
-                        format!(
-                            "SED tie {:?} references unknown substation {substation:?}",
-                            tie.name
-                        ),
-                        "consolidate",
-                    ));
-                } else if !all_nodes.contains(node) {
-                    diagnostics.push(Diagnostic::error(
-                        codes::SED_UNKNOWN_NODE,
-                        format!(
-                            "SED tie {:?} references unknown connectivity node {node:?}",
-                            tie.name
-                        ),
-                        "consolidate",
-                    ));
-                }
-            }
-            combined.inter_substation_lines.push(tie.clone());
-        }
+        combined
+            .inter_substation_lines
+            .extend(sed.inter_substation_lines.iter().cloned());
     }
-
-    if diagnostics.iter().any(|d| d.severity == Severity::Error) {
-        return Err(SclError::Invalid { diagnostics });
-    }
-    Ok(combined)
+    combined
 }
 
 /// Combines per-substation SCDs into one consolidated SCD-style document.
 /// Each substation's subnetworks are kept (renamed with the substation
-/// prefix when names collide); the IED lists are concatenated.
+/// prefix when names collide); the IED lists are concatenated, an IED name
+/// already taken keeping its first declaration.
 ///
 /// The WAN joining the substations is *not* represented here — exactly as in
 /// the paper, the network compiler abstracts it as one switch connecting
 /// every substation's station bus.
-///
-/// # Errors
-///
-/// Returns [`SclError::Invalid`] when IED names or IP addresses collide
-/// across substations.
-pub fn consolidate_scd(scds: &[SclDocument]) -> Result<SclDocument, SclError> {
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
+pub fn consolidate_scd<'a>(scds: impl IntoIterator<Item = &'a SclDocument>) -> SclDocument {
     let mut combined = SclDocument {
-        header: crate::types::Header {
-            id: "consolidated-scd".to_string(),
-            version: "1".to_string(),
-            revision: String::new(),
-        },
+        header: header("consolidated-scd"),
         communication: Some(Communication::default()),
         ..SclDocument::default()
     };
-
-    let mut seen_ips: Vec<(String, String)> = Vec::new();
     for scd in scds {
-        for substation in &scd.substations {
-            combined.substations.push(substation.clone());
-        }
+        combined.substations.extend(scd.substations.iter().cloned());
         for ied in &scd.ieds {
-            if combined.ied(&ied.name).is_some() {
-                diagnostics.push(Diagnostic::error(
-                    codes::DUPLICATE_HOST,
-                    format!("duplicate IED name {:?} across SCD files", ied.name),
-                    "consolidate",
-                ));
-                continue;
+            if combined.ied(&ied.name).is_none() {
+                combined.ieds.push(ied.clone());
             }
-            combined.ieds.push(ied.clone());
         }
         combined
             .templates
@@ -149,20 +83,6 @@ pub fn consolidate_scd(scds: &[SclDocument]) -> Result<SclDocument, SclError> {
                         .unwrap_or_else(|| format!("scd{}", target.subnetworks.len()));
                     sn.name = format!("{prefix}_{}", sn.name);
                 }
-                for ap in &sn.connected_aps {
-                    if let Some((other, _)) = seen_ips.iter().find(|(_, ip)| *ip == ap.ip) {
-                        diagnostics.push(Diagnostic::error(
-                            codes::DUPLICATE_IP,
-                            format!(
-                                "IP address {} assigned to both {:?} and {:?}",
-                                ap.ip, other, ap.ied_name
-                            ),
-                            "consolidate",
-                        ));
-                    } else {
-                        seen_ips.push((ap.ied_name.clone(), ap.ip.clone()));
-                    }
-                }
                 target.subnetworks.push(sn);
             }
         }
@@ -172,11 +92,15 @@ pub fn consolidate_scd(scds: &[SclDocument]) -> Result<SclDocument, SclError> {
         .lnode_types
         .sort_by(|a, b| a.id.cmp(&b.id));
     combined.templates.lnode_types.dedup();
+    combined
+}
 
-    if diagnostics.iter().any(|d| d.severity == Severity::Error) {
-        return Err(SclError::Invalid { diagnostics });
+fn header(id: &str) -> Header {
+    Header {
+        id: id.to_string(),
+        version: "1".to_string(),
+        revision: String::new(),
     }
-    Ok(combined)
 }
 
 /// The subnetworks of a consolidated SCD grouped for WAN attachment:
@@ -278,18 +202,23 @@ mod tests {
         let combined = consolidate_ssd(
             &[ssd_with("S1"), ssd_with("S2")],
             &[sed_between("S1", "S2")],
-        )
-        .unwrap();
+        );
         assert_eq!(combined.substations.len(), 2);
         assert_eq!(combined.inter_substation_lines.len(), 1);
     }
 
     #[test]
-    fn ssd_consolidation_rejects_unknown_references() {
-        let err = consolidate_ssd(&[ssd_with("S1")], &[sed_between("S1", "S9")]).unwrap_err();
-        assert!(matches!(err, SclError::Invalid { .. }));
-        let err = consolidate_ssd(&[ssd_with("S1"), ssd_with("S1")], &[]).unwrap_err();
-        assert!(matches!(err, SclError::Invalid { .. }));
+    fn first_declaration_of_a_name_wins() {
+        let mut second = ssd_with("S1");
+        second.substations[0].voltage_levels.clear();
+        let combined = consolidate_ssd(&[ssd_with("S1"), second], &[]);
+        assert_eq!(combined.substations.len(), 1);
+        assert_eq!(combined.substations[0].voltage_levels.len(), 1);
+        let combined = consolidate_scd(&[
+            scd_with("S1", "IED1", "10.0.1.1"),
+            scd_with("S2", "IED1", "10.0.2.1"),
+        ]);
+        assert_eq!(combined.ieds.len(), 1);
     }
 
     #[test]
@@ -297,8 +226,7 @@ mod tests {
         let combined = consolidate_scd(&[
             scd_with("S1", "S1IED1", "10.0.1.1"),
             scd_with("S2", "S2IED1", "10.0.2.1"),
-        ])
-        .unwrap();
+        ]);
         assert_eq!(combined.ieds.len(), 2);
         let comm = combined.communication.unwrap();
         assert_eq!(comm.subnetworks.len(), 2);
@@ -307,30 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn scd_consolidation_rejects_collisions() {
-        // Duplicate IED name.
-        let err = consolidate_scd(&[
-            scd_with("S1", "IED1", "10.0.1.1"),
-            scd_with("S2", "IED1", "10.0.2.1"),
-        ])
-        .unwrap_err();
-        assert!(matches!(err, SclError::Invalid { .. }));
-        // Duplicate IP.
-        let err = consolidate_scd(&[
-            scd_with("S1", "A", "10.0.1.1"),
-            scd_with("S2", "B", "10.0.1.1"),
-        ])
-        .unwrap_err();
-        assert!(matches!(err, SclError::Invalid { .. }));
-    }
-
-    #[test]
     fn station_bus_listing() {
         let combined = consolidate_scd(&[
             scd_with("S1", "S1IED1", "10.0.1.1"),
             scd_with("S2", "S2IED1", "10.0.2.1"),
-        ])
-        .unwrap();
+        ]);
         let buses = station_buses(&combined);
         assert_eq!(buses.len(), 2);
         assert_eq!(buses[0].1, vec!["S1IED1".to_string()]);

@@ -5,7 +5,6 @@
 //! string (element path or file role), and — when the finding is anchored to a
 //! location in a source file — a [`Span`].
 
-use crate::types::SclFileKind;
 use std::fmt;
 
 /// Severity of a diagnostic.
@@ -164,13 +163,6 @@ pub enum SclError {
         /// Root element name found.
         root: String,
     },
-    /// The document is SCL but lacks sections required for its kind.
-    MissingSection {
-        /// The file kind being parsed.
-        kind: SclFileKind,
-        /// Which section is missing.
-        section: &'static str,
-    },
     /// Structural errors were found (details in the diagnostics).
     Invalid {
         /// The findings, at least one of `Severity::Error`.
@@ -184,9 +176,6 @@ impl fmt::Display for SclError {
             SclError::Xml(msg) => write!(f, "not well-formed XML: {msg}"),
             SclError::NotScl { root } => {
                 write!(f, "root element is <{root}>, expected <SCL>")
-            }
-            SclError::MissingSection { kind, section } => {
-                write!(f, "{kind} file is missing its required <{section}> section")
             }
             SclError::Invalid { diagnostics } => {
                 write!(f, "invalid SCL document:")?;

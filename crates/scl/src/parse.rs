@@ -50,76 +50,6 @@ pub fn parse_scl_lenient(text: &str) -> Result<(SclDocument, Vec<Diagnostic>), S
     Ok((parsed, diagnostics))
 }
 
-/// Parses an SSD: requires at least one `Substation`.
-///
-/// # Errors
-///
-/// See [`parse_scl`]; additionally fails if no substation is present.
-pub fn parse_ssd(text: &str) -> Result<SclDocument, SclError> {
-    let doc = parse_scl(text)?;
-    if doc.substations.is_empty() {
-        return Err(SclError::MissingSection {
-            kind: SclFileKind::Ssd,
-            section: "Substation",
-        });
-    }
-    Ok(doc)
-}
-
-/// Parses an SCD: requires `Substation`, `Communication`, and `IED`s.
-///
-/// # Errors
-///
-/// See [`parse_scl`]; additionally fails when a required section is absent.
-pub fn parse_scd(text: &str) -> Result<SclDocument, SclError> {
-    let doc = parse_scl(text)?;
-    if doc.communication.is_none() {
-        return Err(SclError::MissingSection {
-            kind: SclFileKind::Scd,
-            section: "Communication",
-        });
-    }
-    if doc.ieds.is_empty() {
-        return Err(SclError::MissingSection {
-            kind: SclFileKind::Scd,
-            section: "IED",
-        });
-    }
-    Ok(doc)
-}
-
-/// Parses an ICD: requires exactly one `IED` and its templates.
-///
-/// # Errors
-///
-/// See [`parse_scl`]; additionally fails when no IED is described.
-pub fn parse_icd(text: &str) -> Result<SclDocument, SclError> {
-    let doc = parse_scl(text)?;
-    if doc.ieds.is_empty() {
-        return Err(SclError::MissingSection {
-            kind: SclFileKind::Icd,
-            section: "IED",
-        });
-    }
-    Ok(doc)
-}
-
-/// Parses an SED: requires inter-substation connectivity.
-///
-/// # Errors
-///
-/// See [`parse_scl`]; additionally fails when no tie line is declared.
-pub fn parse_sed(text: &str) -> Result<SclDocument, SclError> {
-    let doc = parse_scl(text)?;
-    if doc.inter_substation_lines.is_empty() {
-        return Err(SclError::MissingSection {
-            kind: SclFileKind::Sed,
-            section: "Private(sgcr:InterSubstationLine)",
-        });
-    }
-    Ok(doc)
-}
-
 fn parse_document(root: &ElementRef<'_>, diagnostics: &mut Vec<Diagnostic>) -> SclDocument {
     let header = root
         .child("Header")
@@ -386,7 +316,7 @@ fn parse_transformer(t: &ElementRef<'_>, diagnostics: &mut Vec<Diagnostic>) -> P
         })
         .collect();
     if windings.len() != 2 {
-        diagnostics.push(Diagnostic::warning(
+        diagnostics.push(Diagnostic::error(
             codes::WINDING_COUNT,
             format!("transformer has {} windings, expected 2", windings.len()),
             name.clone(),
@@ -629,7 +559,7 @@ mod tests {
 
     #[test]
     fn parse_ssd_extracts_topology() {
-        let doc = parse_ssd(MINI_SSD).unwrap();
+        let doc = parse_scl(MINI_SSD).unwrap();
         assert_eq!(doc.header.id, "mini");
         let s = &doc.substations[0];
         assert_eq!(s.name, "S1");
@@ -694,7 +624,7 @@ mod tests {
 
     #[test]
     fn parse_scd_extracts_network_and_ieds() {
-        let doc = parse_scd(MINI_SCD).unwrap();
+        let doc = parse_scl(MINI_SCD).unwrap();
         let comm = doc.communication.as_ref().unwrap();
         assert_eq!(comm.subnetworks.len(), 1);
         let aps = &comm.subnetworks[0].connected_aps;
@@ -708,29 +638,6 @@ mod tests {
         assert!(ied.has_ln_class("LLN0"));
         assert!(!ied.has_ln_class("PTOV"));
         assert_eq!(doc.templates.lnode_types.len(), 2);
-    }
-
-    #[test]
-    fn ssd_without_substation_rejected() {
-        let text = r#"<SCL><Header id="x"/></SCL>"#;
-        assert!(matches!(
-            parse_ssd(text),
-            Err(SclError::MissingSection {
-                section: "Substation",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn scd_without_communication_rejected() {
-        assert!(matches!(
-            parse_scd(MINI_SSD),
-            Err(SclError::MissingSection {
-                section: "Communication",
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -756,7 +663,7 @@ mod tests {
 
     #[test]
     fn parse_sed_extracts_tie_lines() {
-        let doc = parse_sed(MINI_SED).unwrap();
+        let doc = parse_scl(MINI_SED).unwrap();
         assert_eq!(doc.inter_substation_lines.len(), 1);
         let tie = &doc.inter_substation_lines[0];
         assert_eq!(tie.from_substation, "S1");
@@ -766,23 +673,15 @@ mod tests {
     }
 
     #[test]
-    fn sed_without_ties_rejected() {
-        assert!(matches!(
-            parse_sed(MINI_SSD),
-            Err(SclError::MissingSection { .. })
-        ));
-    }
-
-    #[test]
     fn parsed_elements_carry_positions() {
-        let doc = parse_ssd(MINI_SSD).unwrap();
+        let doc = parse_scl(MINI_SSD).unwrap();
         let s = &doc.substations[0];
         assert!(s.pos.is_known());
         assert_eq!(s.pos.line, 4); // <Substation> on line 4 of MINI_SSD
         let cb = &s.voltage_levels[1].bays[0].equipment[0];
         assert!(cb.pos.is_known());
         assert!(cb.pos.line > s.pos.line);
-        let scd = parse_scd(MINI_SCD).unwrap();
+        let scd = parse_scl(MINI_SCD).unwrap();
         let comm = scd.communication.as_ref().unwrap();
         assert!(comm.subnetworks[0].pos.is_known());
         assert!(comm.subnetworks[0].connected_aps[0].pos.is_known());
@@ -800,14 +699,5 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.code == crate::codes::UNNAMED_ELEMENT));
-    }
-
-    #[test]
-    fn icd_requires_ied() {
-        assert!(parse_icd(MINI_SCD).is_ok());
-        assert!(matches!(
-            parse_icd(MINI_SSD),
-            Err(SclError::MissingSection { section: "IED", .. })
-        ));
     }
 }

@@ -42,31 +42,6 @@ impl std::hash::Hash for SourcePos {
     }
 }
 
-/// SCL file kinds, per Table I of the SG-ML paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SclFileKind {
-    /// System Specification Description: substation single-line diagram.
-    Ssd,
-    /// System Configuration Description: complete substation configuration.
-    Scd,
-    /// IED Capability Description: one IED's functions and data types.
-    Icd,
-    /// System Exchange Description: inter-substation connectivity.
-    Sed,
-}
-
-impl std::fmt::Display for SclFileKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SclFileKind::Ssd => "SSD",
-            SclFileKind::Scd => "SCD",
-            SclFileKind::Icd => "ICD",
-            SclFileKind::Sed => "SED",
-        };
-        write!(f, "{s}")
-    }
-}
-
 /// The SCL `Header` element.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Header {

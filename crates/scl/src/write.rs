@@ -237,7 +237,7 @@ fn write_tie_line(xml: &mut Document, root: NodeId, tie: &InterSubstationLine) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::{parse_scl, parse_sed};
+    use crate::parse::parse_scl;
 
     fn sample_doc() -> SclDocument {
         SclDocument {
@@ -377,7 +377,7 @@ mod tests {
             ..SclDocument::default()
         };
         let text = write_scl(&doc);
-        let reparsed = parse_sed(&text).unwrap();
+        let reparsed = parse_scl(&text).unwrap();
         assert_eq!(reparsed.inter_substation_lines, doc.inter_substation_lines);
     }
 }

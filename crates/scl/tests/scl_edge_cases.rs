@@ -1,7 +1,7 @@
 //! Edge-case tests for SCL parsing: namespaces, voltage multipliers,
 //! degenerate structures, and diagnostics.
 
-use sgcr_scl::{parse_scl, parse_ssd, Diagnostic, SclError, Severity};
+use sgcr_scl::{parse_scl, Diagnostic, SclError, Severity};
 
 #[test]
 fn namespaced_scl_parses_like_plain() {
@@ -17,7 +17,7 @@ fn namespaced_scl_parses_like_plain() {
         </scl:VoltageLevel>
       </scl:Substation>
     </scl:SCL>"#;
-    let doc = parse_ssd(text).expect("prefixed SCL parses");
+    let doc = parse_scl(text).expect("prefixed SCL parses");
     assert_eq!(doc.header.id, "ns-test");
     assert_eq!(doc.substations[0].voltage_levels[0].voltage_kv, 66.0);
 }
@@ -32,7 +32,7 @@ fn voltage_multipliers() {
               <VoltageLevel name="VL"><Voltage multiplier="{multiplier}">{value}</Voltage></VoltageLevel>
             </Substation></SCL>"#
         );
-        let doc = parse_ssd(&text).expect("parses");
+        let doc = parse_scl(&text).expect("parses");
         assert_eq!(
             doc.substations[0].voltage_levels[0].voltage_kv, expected_kv,
             "multiplier {multiplier:?}"
@@ -44,7 +44,7 @@ fn voltage_multipliers() {
 fn missing_voltage_defaults_with_warning_not_error() {
     let text = r#"<SCL><Header id="v"/><Substation name="S">
         <VoltageLevel name="VL"/></Substation></SCL>"#;
-    let doc = parse_ssd(text).expect("still parses");
+    let doc = parse_scl(text).expect("still parses");
     assert_eq!(doc.substations[0].voltage_levels[0].voltage_kv, 20.0);
 }
 
@@ -68,7 +68,7 @@ fn connectivity_node_path_defaults_when_missing() {
       <VoltageLevel name="VL1"><Voltage>20</Voltage>
         <Bay name="B1"><ConnectivityNode name="CN1"/></Bay>
       </VoltageLevel></Substation></SCL>"#;
-    let doc = parse_ssd(text).unwrap();
+    let doc = parse_scl(text).unwrap();
     assert_eq!(
         doc.connectivity_node_paths(),
         vec!["S1/VL1/B1/CN1".to_string()]
@@ -106,7 +106,7 @@ fn gse_hex_fields_parse() {
       </SubNetwork></Communication>
       <IED name="I"><AccessPoint name="A"><Server><LDevice inst="LD0"/></Server></AccessPoint></IED>
     </SCL>"#;
-    let doc = sgcr_scl::parse_scd(text).unwrap();
+    let doc = parse_scl(text).unwrap();
     let gse = &doc.communication.as_ref().unwrap().subnetworks[0].connected_aps[0].gse[0];
     assert_eq!(gse.appid, 0x3fff);
     assert_eq!(gse.vlan_id, 0x0fa);

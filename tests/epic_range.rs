@@ -193,10 +193,15 @@ fn missing_host_is_reported() {
     let mut bundle = epic_bundle();
     bundle.scada_host = Some("NO_SUCH_HOST".to_string());
     match CompiledModel::compile(&bundle) {
-        Err(sg_cyber_range::core::RangeError::UnknownHost { host, .. }) => {
-            assert_eq!(host, "NO_SUCH_HOST");
+        Err(sg_cyber_range::core::RangeError::Validation(diagnostics)) => {
+            assert!(
+                diagnostics
+                    .iter()
+                    .any(|d| d.message.contains("\"NO_SUCH_HOST\"")),
+                "{diagnostics:?}"
+            );
         }
-        other => panic!("expected UnknownHost, got {other:?}", other = other.err()),
+        other => panic!("expected Validation, got {other:?}", other = other.err()),
     }
 }
 
@@ -204,10 +209,18 @@ fn missing_host_is_reported() {
 fn malformed_model_is_reported() {
     let mut bundle = epic_bundle();
     bundle.ssds[0] = "<SCL><Header id=\"broken\"/>".to_string(); // truncated XML
-    assert!(matches!(
-        CompiledModel::compile(&bundle),
-        Err(sg_cyber_range::core::RangeError::Model { what: "SSD", .. })
-    ));
+    match CompiledModel::compile(&bundle) {
+        Err(sg_cyber_range::core::RangeError::Validation(diagnostics)) => {
+            assert!(
+                diagnostics.iter().any(|d| d.message.contains("SSD")
+                    && d.span
+                        .as_ref()
+                        .is_some_and(|s| s.file.ends_with(".ssd.xml"))),
+                "{diagnostics:?}"
+            );
+        }
+        other => panic!("expected Validation, got {other:?}", other = other.err()),
+    }
 }
 
 #[test]
@@ -242,13 +255,7 @@ fn ied_item_that_is_not_an_object_reference_is_a_compile_error() {
             panic!("a bundle with {to:?} compiled");
         };
         assert!(
-            matches!(
-                err,
-                sg_cyber_range::core::RangeError::Model {
-                    what: "IED Config XML",
-                    ..
-                }
-            ),
+            matches!(err, sg_cyber_range::core::RangeError::Validation(_)),
             "{err}"
         );
         let message = err.to_string();

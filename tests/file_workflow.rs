@@ -59,6 +59,25 @@ fn bundle_roundtrips_through_a_directory() {
 }
 
 #[test]
+fn two_icds_for_one_ied_both_survive_a_directory_round_trip() {
+    let dir = temp_dir("twin-icds");
+    let mut original = epic_bundle();
+    // A second, different ICD for GIED1 (a vendor revision, say).
+    let twin = original.icds[0].replace("<IED ", "<IED desc=\"revision B\" ");
+    assert_ne!(twin, original.icds[0]);
+    original.icds.push(twin);
+    original.write_to_dir(&dir).expect("write bundle");
+
+    let reloaded = SgmlBundle::from_dir(&dir).expect("reload bundle");
+    let mut a = reloaded.icds.clone();
+    let mut b = original.icds.clone();
+    a.sort();
+    b.sort();
+    assert_eq!(a, b, "an ICD was overwritten");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn edited_model_changes_the_generated_range() {
     // The paper's customization workflow: edit a shared XML template and
     // regenerate. Double one load in the SSD file on disk.

@@ -1,11 +1,11 @@
-//! One scenario rule set: against the EPIC bundle, `lint` reports an
-//! `SG5xxx` error for a scenario exactly when `run_exercise` refuses it.
-//! A scenario that does not parse is refused by both.
+//! One scenario rule set: against a bundle, `lint` reports an `SG5xxx`
+//! error for a scenario exactly when `run_exercise` refuses it. A scenario
+//! that does not parse is refused by both.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic
 
-use sg_cyber_range::core::{CompiledModel, CyberRange};
-use sg_cyber_range::models::epic_bundle;
+use sg_cyber_range::core::{CompiledModel, CyberRange, SgmlBundle};
+use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sg_cyber_range::scenario::{run_exercise, Scenario};
 use sgcr_lint::lint_bundle;
 use sgcr_lint::source::LoadedBundle;
@@ -73,9 +73,42 @@ const ENGINE_MISFITS: &[&str] = &[
     r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="sensor" ied="GhostIED" key="k" mode="stuck"/></Scenario>"#,
 ];
 
+/// Scenarios whose verdict depends on names only the compiled model knows,
+/// each with its bundle and the verdict both must give (`true` = accepted).
+fn names_from_the_model() -> Vec<(&'static str, SgmlBundle, bool, &'static str)> {
+    let two_substations = multisub_bundle(&MultiSubParams {
+        substations: 2,
+        total_ieds: 4,
+        interval_ms: 100,
+    });
+    let mut icd_only_ied = epic_bundle();
+    let xied9 = icd_only_ied.icds[0].replace("GIED1", "XIED9");
+    icd_only_ied.icds.push(xied9);
+    vec![
+        (
+            "host on the compiled wan switch",
+            two_substations,
+            true,
+            r#"<Scenario name="t" durationMs="100"><Host name="box" ip="10.9.9.9" switch="wan"/></Scenario>"#,
+        ),
+        (
+            "iedTrip on an IED only an ICD declares",
+            icd_only_ied,
+            false,
+            r#"<Scenario name="t" durationMs="100"><Objective id="o" kind="iedTrip" ied="XIED9" withinMs="50"/></Scenario>"#,
+        ),
+        (
+            "host taking GIED1's address",
+            epic_bundle(),
+            false,
+            r#"<Scenario name="t" durationMs="100"><Host name="box" ip="10.0.1.11" switch="GenBus"/></Scenario>"#,
+        ),
+    ]
+}
+
 /// Whether lint rejects the scenario: an `SG5xxx` error, or a parse failure.
-fn lint_rejects(xml: &str) -> bool {
-    let mut bundle = epic_bundle();
+fn lint_rejects(bundle: &SgmlBundle, xml: &str) -> bool {
+    let mut bundle = bundle.clone();
     bundle.scenarios = vec![xml.to_string()];
     let report = lint_bundle(&LoadedBundle::from_bundle(&bundle));
     report.diagnostics.iter().any(|d| {
@@ -93,9 +126,20 @@ fn engine_rejects(model: &std::sync::Arc<CompiledModel>, xml: &str) -> bool {
     run_exercise(&mut range, &scenario).is_err()
 }
 
-/// Asserts both checkers give one verdict, and returns it (`true` = accepted).
+/// Asserts both checkers give one verdict on a scenario for the EPIC bundle,
+/// and returns it (`true` = accepted).
 fn agreed_verdict(model: &std::sync::Arc<CompiledModel>, case: &str, xml: &str) -> bool {
-    let (lint, engine) = (lint_rejects(xml), engine_rejects(model, xml));
+    agreed_verdict_on(&epic_bundle(), model, case, xml)
+}
+
+/// [`agreed_verdict`] for a scenario shipped with `bundle`.
+fn agreed_verdict_on(
+    bundle: &SgmlBundle,
+    model: &std::sync::Arc<CompiledModel>,
+    case: &str,
+    xml: &str,
+) -> bool {
+    let (lint, engine) = (lint_rejects(bundle, xml), engine_rejects(model, xml));
     assert_eq!(
         lint, engine,
         "{case}: lint rejects = {lint}, run_exercise rejects = {engine}"
@@ -134,5 +178,17 @@ fn shipped_scenarios_are_accepted_by_both() {
         let xml = std::fs::read_to_string(&path).unwrap();
         let case = path.display().to_string();
         assert!(agreed_verdict(&model, &case, &xml), "rejected: {case}");
+    }
+}
+
+#[test]
+fn names_come_from_the_compiled_model() {
+    for (case, bundle, accepted, xml) in names_from_the_model() {
+        let model = CompiledModel::shared(&bundle).unwrap();
+        assert_eq!(
+            agreed_verdict_on(&bundle, &model, case, xml),
+            accepted,
+            "{case}"
+        );
     }
 }
