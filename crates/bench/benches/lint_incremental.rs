@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the lint layer on the EPIC model set: the full
-//! (non-incremental) roster, a cold incremental-engine run populating the
-//! on-disk query cache, and a warm run answering every query from it.
-//! Recorded numbers are snapshotted in `BENCH_lint.json` at the repo root.
+//! roster without a cache, a cold cached run that writes the cache, a warm
+//! run that replays it, and a run after one file was edited — the case the
+//! cache exists for, which misses and lints the bundle again.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sgcr_lint::source::LoadedBundle;
@@ -48,6 +48,22 @@ fn bench_lint(c: &mut Criterion) {
         b.iter(|| {
             let outcome = engine::lint_dir_incremental(&bundle_dir, &cache_dir).expect("lints");
             assert_eq!(outcome.stats.recomputed, 0, "cache must stay warm");
+            criterion::black_box(outcome)
+        });
+    });
+
+    // Each iteration appends a comment to one file, so every run sees a
+    // bundle the cache has not stored yet.
+    let ied_config = bundle_dir.join("ied_config.xml");
+    let original = std::fs::read_to_string(&ied_config).expect("reads ied_config.xml");
+    let mut edits = 0u64;
+    c.bench_function("lint_incremental_edited_epic", |b| {
+        b.iter(|| {
+            edits += 1;
+            std::fs::write(&ied_config, format!("{original}<!-- edit {edits} -->\n"))
+                .expect("edits ied_config.xml");
+            let outcome = engine::lint_dir_incremental(&bundle_dir, &cache_dir).expect("lints");
+            assert_eq!(outcome.stats.reused, 0, "an edited bundle must miss");
             criterion::black_box(outcome)
         });
     });

@@ -207,10 +207,7 @@ impl Checkpoint {
                 expected: self.model_fingerprint,
             });
         }
-        let mut builder = RangeBuilder::from_model(model)
-            .telemetry(telemetry)
-            .step_stats_capacity(self.settings.step_stats_capacity)
-            .solve_errors_capacity(self.settings.solve_errors_capacity);
+        let mut builder = RangeBuilder::from_model(model).telemetry(telemetry);
         if let Some(interval) = self.settings.interval {
             builder = builder.interval(interval);
         }
@@ -325,11 +322,6 @@ impl Checkpoint {
             }
             None => out.push_str("\"interval_ns\":null,"),
         }
-        let _ = write!(
-            out,
-            "\"step_stats_capacity\":{},\"solve_errors_capacity\":{},",
-            self.settings.step_stats_capacity, self.settings.solve_errors_capacity
-        );
         match self.settings.fault_seed {
             Some(seed) => {
                 let _ = write!(out, "\"fault_seed\":\"{seed}\"");
@@ -408,13 +400,6 @@ impl Checkpoint {
                 whole(v).ok_or_else(|| bad("bad settings.interval_ns".to_string()))?,
             )),
         };
-        let capacity = |key: &str| -> Result<usize, CheckpointError> {
-            settings_value
-                .get(key)
-                .and_then(whole)
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or_else(|| bad(format!("missing settings.{key}")))
-        };
         let fault_seed = match settings_value.get("fault_seed") {
             None | Some(json::Value::Null) => None,
             Some(v) => {
@@ -429,8 +414,6 @@ impl Checkpoint {
         };
         let settings = RangeSettings {
             interval,
-            step_stats_capacity: capacity("step_stats_capacity")?,
-            solve_errors_capacity: capacity("solve_errors_capacity")?,
             fault_seed,
         };
         let store_value = root

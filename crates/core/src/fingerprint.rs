@@ -1,13 +1,10 @@
-//! Content fingerprints for SG-ML bundles.
+//! Content fingerprints for SG-ML bundles and compiled models.
 //!
-//! The lint layer's incremental engine keys its memoized queries on the
-//! *content* of model files, not their timestamps: a file that is rewritten
-//! with identical bytes reuses every cached result, and a one-character
-//! edit invalidates exactly the queries that read it. The hash is FNV-1a 64
-//! — not cryptographic, just a fast, stable, dependency-free identity for
-//! cache keys (a collision costs a stale lint result, not a security hole).
-
-use crate::range::SgmlBundle;
+//! A fingerprint identifies content: a checkpoint records the fingerprint of
+//! the model it was captured against, and resumes only against a model with
+//! the same fingerprint. The hash is FNV-1a 64 —
+//! not cryptographic, just a stable, dependency-free identity (a collision
+//! costs a missed mismatch, not a security hole).
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -60,42 +57,6 @@ impl Fingerprint {
     }
 }
 
-impl SgmlBundle {
-    /// A content fingerprint over every model file of the bundle, stable
-    /// across processes. Two bundles with identical file contents (in the
-    /// same order) share a fingerprint; any edit changes it.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        // Each section is tagged so content moving between fields (e.g. a
-        // PLC config mistakenly saved as SCADA config) changes the hash.
-        for (tag, texts) in [
-            ("ssd", &self.ssds),
-            ("scd", &self.scds),
-            ("icd", &self.icds),
-            ("sed", &self.seds),
-            ("scenario", &self.scenarios),
-        ] {
-            for text in texts {
-                fp.update(tag.as_bytes());
-                fp.update(text.as_bytes());
-            }
-        }
-        for (tag, text) in [
-            ("ied_config", &self.ied_config),
-            ("scada_config", &self.scada_config),
-            ("plc_config", &self.plc_config),
-            ("power_extra", &self.power_extra),
-            ("scada_host", &self.scada_host),
-        ] {
-            if let Some(text) = text {
-                fp.update(tag.as_bytes());
-                fp.update(text.as_bytes());
-            }
-        }
-        fp.finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,22 +78,5 @@ mod tests {
         b.update(b"a");
         b.update(b"bc");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn bundle_fingerprint_tracks_content() {
-        let bundle = SgmlBundle {
-            ssds: vec!["<SCL/>".into()],
-            plc_config: Some("<PLCConfig/>".into()),
-            ..SgmlBundle::default()
-        };
-        let base = bundle.fingerprint();
-        assert_eq!(base, bundle.clone().fingerprint());
-        let mut edited = bundle.clone();
-        edited.plc_config = Some("<PLCConfig />".into());
-        assert_ne!(base, edited.fingerprint());
-        let mut moved = bundle;
-        moved.scada_config = moved.plc_config.take();
-        assert_ne!(base, moved.fingerprint());
     }
 }

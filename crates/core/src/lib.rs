@@ -71,12 +71,9 @@ pub use keymap::{
     branch_i_key, branch_loading_key, branch_p_key, branch_q_key, breaker_cmd_key,
     breaker_state_key, bus_va_key, bus_vm_key, load_p_key, source_p_key, split_scoped,
 };
-pub use model::{check_runtime, CompiledModel, CompiledPlc, CompiledScada};
-pub use parsed::{ConfigFile, ParsedBundle, SclFile};
-pub use range::{
-    CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats, DEFAULT_SOLVE_ERRORS_CAPACITY,
-    DEFAULT_STEP_STATS_CAPACITY,
-};
+pub use model::{CompiledModel, CompiledPlc, CompiledScada};
+pub use parsed::{parse_failure, ConfigFile, ParsedBundle, SclFile};
+pub use range::{CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats};
 pub use sgml::ied_config::{IedConfig, IedConfigError};
 pub use sgml::plc_config::{
     PlcConfig, PlcConfigError, PlcDef, PlcGooseRule, PlcLogic, PlcReadRule, PlcWriteRule,

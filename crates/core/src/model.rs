@@ -23,7 +23,6 @@ use crate::fingerprint::Fingerprint;
 use crate::keymap::PublishKeys;
 use crate::parsed::ParsedBundle;
 use crate::range::{RangeError, SgmlBundle};
-use crate::sgml::plc_config::PlcLogic;
 use sgcr_ied::IedSpec;
 use sgcr_net::SimDuration;
 use sgcr_plc::{GooseBinding, MmsReadBinding, MmsWriteBinding, Program};
@@ -117,50 +116,45 @@ impl CompiledModel {
     /// exactly once per bundle.
     ///
     /// The files are parsed once, under the names
-    /// [`SgmlBundle::write_to_dir`] gives them, and checked against the
-    /// bundle rules ([`check_bundle`](crate::check_bundle)); only a bundle
-    /// without an error-severity finding is built. The model's
-    /// [`diagnostics`](CompiledModel::diagnostics) keep every warning.
+    /// [`SgmlBundle::write_to_dir`] gives them, checked against the bundle
+    /// rules ([`check_bundle`](crate::check_bundle)), and handed to
+    /// [`CompiledModel::build`].
     ///
     /// # Errors
     ///
-    /// Returns [`RangeError::Validation`] with every finding when a file
-    /// does not parse or a bundle rule fails, and the errors of
-    /// [`CompiledModel::build`].
+    /// See [`CompiledModel::build`].
     pub fn compile(bundle: &SgmlBundle) -> Result<CompiledModel, RangeError> {
-        let mut parsed = ParsedBundle::from_bundle(bundle);
-        let mut diagnostics = std::mem::take(&mut parsed.diagnostics);
-        diagnostics.extend(check_bundle(&parsed));
+        let parsed = ParsedBundle::from_bundle(bundle);
+        CompiledModel::build(&parsed, &check_bundle(&parsed))
+    }
+
+    /// Decides whether a parsed bundle compiles, and builds it if it does —
+    /// the one place that decision is made. `check` holds the findings of
+    /// the bundle rules over `bundle` ([`check_bundle`](crate::check_bundle)):
+    /// any error among them or among the parse diagnostics refuses the
+    /// bundle. Otherwise this consolidates the parsed files along SED
+    /// connectivity, generates the power model from the SSDs and the network
+    /// plan from the SCDs, and compiles the virtual-IED specs (features
+    /// gated by their ICDs), the PLC programs, and the SCADA HMI blueprint.
+    /// The model's [`diagnostics`](CompiledModel::diagnostics) are the parse
+    /// diagnostics, the findings, and the warnings of ICD feature gating.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RangeError::Validation`] with every parse diagnostic and
+    /// finding when any of them is an error.
+    pub fn build(bundle: &ParsedBundle, check: &[Diagnostic]) -> Result<CompiledModel, RangeError> {
+        let mut diagnostics: Vec<Diagnostic> =
+            bundle.diagnostics.iter().chain(check).cloned().collect();
         if diagnostics.iter().any(|d| d.severity == Severity::Error) {
             return Err(RangeError::Validation(diagnostics));
         }
-        let mut model = CompiledModel::build(&parsed)?;
-        diagnostics.append(&mut model.diagnostics);
-        model.diagnostics = diagnostics;
-        Ok(model)
-    }
-
-    /// The build step of [`CompiledModel::compile`]: consolidates the parsed
-    /// files along SED connectivity, generates the power model from the
-    /// SSDs and the network plan from the SCDs, and compiles the virtual-IED
-    /// specs (features gated by their ICDs), the PLC programs, and the SCADA
-    /// HMI blueprint. It expects a bundle whose
-    /// [`check_bundle`](crate::check_bundle) found no error; on any other it
-    /// skips what does not resolve instead of failing. The model's
-    /// diagnostics are the warnings of ICD feature gating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RangeError::Model`] when a PLC's logic does not parse or
-    /// the PLC runtime refuses it (see [`check_runtime`]).
-    pub fn build(bundle: &ParsedBundle) -> Result<CompiledModel, RangeError> {
         let ssd = consolidate_ssd(
             bundle.ssds.iter().map(|f| &f.doc),
             bundle.seds.iter().map(|f| &f.doc),
         );
         let power = compile_power(&ssd);
         let plan = compile_network(&consolidate_scd(bundle.scds.iter().map(|f| &f.doc)));
-        let mut diagnostics = Vec::new();
 
         let (interval, schedule) = match &bundle.power_config {
             Some(file) => (
@@ -194,29 +188,11 @@ impl CompiledModel {
             ieds.push(spec);
         }
 
-        // Virtual-PLC programs, with binding servers resolved to IPs.
+        // Virtual-PLC programs, with binding servers resolved to IPs. Every
+        // program parsed: the bundle was refused above otherwise.
         let mut plcs: Vec<CompiledPlc> = Vec::new();
-        for def in bundle.plc_config.iter().flat_map(|f| &f.config.plcs) {
-            let program = match &def.logic {
-                PlcLogic::StructuredText(st) => {
-                    sgcr_plc::parse_program(st).map_err(|e| RangeError::Model {
-                        what: "PLC Structured Text",
-                        detail: e.to_string(),
-                    })?
-                }
-                PlcLogic::PlcOpenXml(xml) => {
-                    sgcr_plc::parse_plcopen(xml).map_err(|e| RangeError::Model {
-                        what: "PLCopen XML",
-                        detail: e.to_string(),
-                    })?
-                }
-            };
-            // Validate the program against the runtime once at compile
-            // time, so instantiation cannot trip over it per tenant.
-            check_runtime(&program).map_err(|e| RangeError::Model {
-                what: "PLC program",
-                detail: e.message,
-            })?;
+        let defs = bundle.plc_config.iter().flat_map(|f| &f.config.plcs);
+        for (def, program) in defs.zip(bundle.programs.iter().flatten()) {
             let reads = def
                 .reads
                 .iter()
@@ -252,7 +228,7 @@ impl CompiledModel {
             plcs.push(CompiledPlc {
                 name: def.name.clone(),
                 scan_ms: def.scan_ms,
-                program,
+                program: program.clone(),
                 reads,
                 writes,
                 gooses,
@@ -338,17 +314,4 @@ impl CompiledModel {
             self.interval.as_millis(),
         )
     }
-}
-
-/// Checks a parsed PLC program against the runtime the way every tenant
-/// will instantiate it: each located variable needs a supported direct
-/// address and each initializer must evaluate. The build step and the
-/// analyzer's `SG6000` both decide a program by this call.
-///
-/// # Errors
-///
-/// Returns the runtime's refusal.
-pub fn check_runtime(program: &Program) -> Result<(), sgcr_plc::RuntimeError> {
-    let probe_registers = sgcr_modbus::SharedRegisters::with_size(1024);
-    sgcr_plc::PlcRuntime::new(program.clone(), probe_registers).map(drop)
 }

@@ -1,6 +1,8 @@
 //! A bundle's files parsed once, each under its bundle-relative name: the
 //! input of the bundle rules ([`check_bundle`](crate::check_bundle)) and of
 //! the build step ([`CompiledModel::build`](crate::CompiledModel::build)).
+//! Each PLC's logic is parsed here too, and checked against the PLC
+//! runtime, so nothing downstream parses a program again.
 //!
 //! Every file is parsed *leniently*: a flawed file still yields a model to
 //! inspect, and a file that cannot be parsed at all becomes a coded
@@ -10,8 +12,9 @@
 use crate::files::{file_names, FileRole};
 use crate::range::SgmlBundle;
 use crate::sgml::ied_config::IedConfig;
-use crate::sgml::plc_config::PlcConfig;
+use crate::sgml::plc_config::{PlcConfig, PlcLogic};
 use crate::sgml::power_extra::PowerExtraConfig;
+use sgcr_plc::{parse_plcopen, parse_program, Pos, Program};
 use sgcr_scada::ScadaConfig;
 use sgcr_scl::{
     codes, parse_scl_lenient, Diagnostic, SclDocument, SclError, SourcePos, Span, Substation,
@@ -37,6 +40,10 @@ pub struct ConfigFile<T> {
     /// Where each `<IED>` of an IED Config or `<PLC>` of a PLC Config
     /// starts, in file order (empty for the other configs).
     pub elements: Vec<SourcePos>,
+    /// Where the logic body of each `<PLC>` of a PLC Config starts, in file
+    /// order — unknown unless the body is one CDATA section (empty for the
+    /// other configs).
+    pub logic: Vec<SourcePos>,
 }
 
 impl<T> ConfigFile<T> {
@@ -46,6 +53,25 @@ impl<T> ConfigFile<T> {
         match self.elements.get(i) {
             Some(pos) if pos.is_known() => Span::new(&self.name, pos.line, pos.column),
             _ => Span::new(&self.name, 1, 1),
+        }
+    }
+}
+
+impl ConfigFile<PlcConfig> {
+    /// The span of `pos`, a position inside the `i`-th PLC's logic body, or
+    /// of the `<PLC>` element when either position is unknown. Line 1 of
+    /// the body shares its file line with the `<![CDATA[` opener, so only
+    /// its columns shift by the body's column.
+    pub fn logic_span(&self, i: usize, pos: Pos) -> Span {
+        match self.logic.get(i) {
+            Some(start) if start.is_known() && pos.is_known() => {
+                let column = match pos.line {
+                    1 => start.column + pos.column - 1,
+                    _ => pos.column,
+                };
+                Span::new(&self.name, start.line + pos.line - 1, column)
+            }
+            _ => self.span(i),
         }
     }
 }
@@ -67,6 +93,11 @@ pub struct ParsedBundle {
     pub scada_config: Option<ConfigFile<ScadaConfig>>,
     /// The PLC Config, when present and parsable.
     pub plc_config: Option<ConfigFile<PlcConfig>>,
+    /// Each PLC's program, in PLC Config order: its logic body parsed once,
+    /// as Structured Text or PLCopen XML, or `None` when it does not parse.
+    /// A body that does not parse and a program the PLC runtime refuses are
+    /// `SG6000` errors among the [`diagnostics`](ParsedBundle::diagnostics).
+    pub programs: Vec<Option<Program>>,
     /// The Power System Extra Config, when present and parsable.
     pub power_config: Option<ConfigFile<PowerExtraConfig>>,
     /// The SCADA workstation host name (default `SCADA`).
@@ -85,6 +116,7 @@ impl Default for ParsedBundle {
             ied_config: None,
             scada_config: None,
             plc_config: None,
+            programs: Vec::new(),
             power_config: None,
             scada_host: "SCADA".to_string(),
             diagnostics: Vec::new(),
@@ -129,35 +161,71 @@ impl ParsedBundle {
     /// Registers a file with the bundle, parsing it according to its role.
     /// Scenarios are not parsed here.
     pub fn add(&mut self, name: String, role: FileRole, text: &str) {
-        fn file<T>(name: &str, (config, elements): (T, Vec<SourcePos>)) -> Option<ConfigFile<T>> {
+        fn file<T>(name: &str, config: T, elements: Vec<SourcePos>) -> ConfigFile<T> {
             let name = name.to_string();
-            Some(ConfigFile {
+            ConfigFile {
                 name,
                 config,
                 elements,
-            })
+                logic: Vec::new(),
+            }
         }
         let parsed = match role {
             FileRole::Ssd | FileRole::Scd | FileRole::Icd | FileRole::Sed => {
                 return self.add_scl(name, role, parse_scl_lenient(text));
             }
             FileRole::IedConfig => IedConfig::parse_with_positions(text)
-                .map(|parsed| self.ied_config = file(&name, parsed))
+                .map(|(config, elements)| self.ied_config = Some(file(&name, config, elements)))
                 .map_err(|e| e.to_string()),
             FileRole::PlcConfig => PlcConfig::parse_with_positions(text)
-                .map(|parsed| self.plc_config = file(&name, parsed))
+                .map(|(config, positions)| {
+                    let (elements, logic) = positions.into_iter().unzip();
+                    self.add_plc_config(ConfigFile {
+                        logic,
+                        ..file(&name, config, elements)
+                    });
+                })
                 .map_err(|e| e.to_string()),
             FileRole::ScadaConfig => ScadaConfig::parse(text)
-                .map(|config| self.scada_config = file(&name, (config, Vec::new())))
+                .map(|config| self.scada_config = Some(file(&name, config, Vec::new())))
                 .map_err(|e| e.to_string()),
             FileRole::PowerConfig => PowerExtraConfig::parse(text)
-                .map(|config| self.power_config = file(&name, (config, Vec::new())))
+                .map(|config| self.power_config = Some(file(&name, config, Vec::new())))
                 .map_err(|e| e.to_string()),
             FileRole::Scenario => Ok(()),
         };
         if let Err(detail) = parsed {
-            self.push_parse_failure(&name, role, &detail);
+            self.diagnostics.push(parse_failure(&name, role, &detail));
         }
+    }
+
+    /// Registers the PLC Config and parses each PLC's program, refusing
+    /// with `SG6000` a body that does not parse or a program the PLC
+    /// runtime would refuse.
+    fn add_plc_config(&mut self, file: ConfigFile<PlcConfig>) {
+        let mut programs = Vec::with_capacity(file.config.plcs.len());
+        for (i, plc) in file.config.plcs.iter().enumerate() {
+            let refuse = |message: String, span: Span| {
+                Diagnostic::error(codes::ST_PARSE_FAILED, message, format!("PLC {}", plc.name))
+                    .with_span(span)
+            };
+            let parsed = match &plc.logic {
+                PlcLogic::StructuredText(st) => parse_program(st).map_err(|e| {
+                    let span = file.logic_span(i, e.pos);
+                    refuse(format!("structured text does not parse: {e}"), span)
+                }),
+                PlcLogic::PlcOpenXml(xml) => parse_plcopen(xml)
+                    .map_err(|e| refuse(format!("PLCopen XML does not parse: {e}"), file.span(i))),
+            };
+            let program = parsed.map_err(|d| self.diagnostics.push(d)).ok();
+            if let Some(Err(e)) = program.as_ref().map(check_runtime) {
+                let message = format!("the PLC runtime refuses the program: {}", e.message);
+                self.diagnostics.push(refuse(message, file.span(i)));
+            }
+            programs.push(program);
+        }
+        self.programs = programs;
+        self.plc_config = Some(file);
     }
 
     fn add_scl(
@@ -168,7 +236,10 @@ impl ParsedBundle {
     ) {
         let (doc, diags) = match result {
             Ok(parsed) => parsed,
-            Err(e) => return self.push_parse_failure(&name, role, &e.to_string()),
+            Err(e) => {
+                let failure = parse_failure(&name, role, &e.to_string());
+                return self.diagnostics.push(failure);
+            }
         };
         // Parse-time diagnostics carry context paths but no element
         // position; give them at least the file anchor.
@@ -184,18 +255,6 @@ impl ParsedBundle {
             FileRole::Icd => self.icds.push(file),
             _ => self.seds.push(file),
         }
-    }
-
-    /// Records a file that could not be parsed at all as `SG0010`.
-    pub fn push_parse_failure(&mut self, name: &str, role: FileRole, detail: &str) {
-        self.diagnostics.push(
-            Diagnostic::error(
-                codes::PARSE_FAILED,
-                format!("cannot parse {role} file: {detail}"),
-                name.to_string(),
-            )
-            .with_span(Span::new(name, 1, 1)),
-        );
     }
 
     /// The first ICD document that describes the named IED — the one whose
@@ -219,4 +278,22 @@ impl ParsedBundle {
             .filter(|(_, s)| seen.insert(s.name.as_str()))
             .collect()
     }
+}
+
+/// The `SG0010` finding of a bundle file that cannot be parsed at all.
+pub fn parse_failure(name: &str, role: FileRole, detail: &str) -> Diagnostic {
+    Diagnostic::error(
+        codes::PARSE_FAILED,
+        format!("cannot parse {role} file: {detail}"),
+        name.to_string(),
+    )
+    .with_span(Span::new(name, 1, 1))
+}
+
+/// Checks a parsed PLC program against the runtime the way every tenant
+/// will instantiate it: each located variable needs a supported direct
+/// address and each initializer must evaluate.
+fn check_runtime(program: &Program) -> Result<(), sgcr_plc::RuntimeError> {
+    let probe_registers = sgcr_modbus::SharedRegisters::with_size(1024);
+    sgcr_plc::PlcRuntime::new(program.clone(), probe_registers).map(drop)
 }

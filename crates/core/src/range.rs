@@ -37,8 +37,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-pub use crate::state::{DEFAULT_SOLVE_ERRORS_CAPACITY, DEFAULT_STEP_STATS_CAPACITY};
-
 /// The set of SG-ML model files a cyber range is generated from — the
 /// left-hand side of the paper's Figure 2.
 #[derive(Debug, Clone, Default)]
@@ -70,8 +68,7 @@ pub struct SgmlBundle {
 /// An error producing or running a cyber range.
 #[derive(Debug)]
 pub enum RangeError {
-    /// A PLC's control logic cannot run (see
-    /// [`check_runtime`](crate::check_runtime)).
+    /// A PLC's control logic cannot run.
     Model {
         /// Which file kind.
         what: &'static str,
@@ -187,23 +184,18 @@ pub struct RangeBuilder {
     model: Arc<CompiledModel>,
     interval: Option<SimDuration>,
     telemetry: Telemetry,
-    step_stats_capacity: usize,
-    solve_errors_capacity: usize,
     fault_seed: Option<u64>,
 }
 
 impl RangeBuilder {
     /// Starts a builder over an already-compiled, `Arc`-shared model with
     /// defaults: interval from the model (100 ms absent a Power Extra
-    /// config), telemetry disabled, and the
-    /// [default](DEFAULT_STEP_STATS_CAPACITY) retention bounds.
+    /// config) and telemetry disabled.
     pub fn from_model(model: Arc<CompiledModel>) -> RangeBuilder {
         RangeBuilder {
             model,
             interval: None,
             telemetry: Telemetry::disabled(),
-            step_stats_capacity: DEFAULT_STEP_STATS_CAPACITY,
-            solve_errors_capacity: DEFAULT_SOLVE_ERRORS_CAPACITY,
             fault_seed: None,
         }
     }
@@ -220,22 +212,6 @@ impl RangeBuilder {
     /// and the co-simulation loop itself.
     pub fn telemetry(mut self, telemetry: Telemetry) -> RangeBuilder {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Bounds how many per-step [`StepStats`] records the range retains
-    /// (oldest evicted first; minimum 1). [`RangeState::steps_total`] keeps
-    /// the lifetime count regardless.
-    pub fn step_stats_capacity(mut self, capacity: usize) -> RangeBuilder {
-        self.step_stats_capacity = capacity.max(1);
-        self
-    }
-
-    /// Bounds how many solve errors the range retains (oldest evicted first;
-    /// minimum 1). [`RangeState::solve_errors_total`] keeps the lifetime
-    /// count regardless.
-    pub fn solve_errors_capacity(mut self, capacity: usize) -> RangeBuilder {
-        self.solve_errors_capacity = capacity.max(1);
         self
     }
 
@@ -257,8 +233,6 @@ impl RangeBuilder {
     pub fn build(self) -> Result<CyberRange, RangeError> {
         let settings = RangeSettings {
             interval: self.interval,
-            step_stats_capacity: self.step_stats_capacity,
-            solve_errors_capacity: self.solve_errors_capacity,
             fault_seed: self.fault_seed,
         };
         let state = RangeState::instantiate(&self.model, &settings, self.telemetry)?;

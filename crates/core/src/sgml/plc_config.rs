@@ -3,7 +3,7 @@
 //! MMS — the information OpenPLC61850 takes as its ICD list + mapping file.
 
 use sgcr_scl::SourcePos;
-use sgcr_xml::Document;
+use sgcr_xml::{Document, ElementRef, NodeKind};
 use std::fmt;
 
 /// How the control logic is provided.
@@ -108,13 +108,15 @@ impl PlcConfig {
         Ok(PlcConfig::parse_with_positions(text)?.0)
     }
 
-    /// [`PlcConfig::parse`], also returning where each `<PLC>` element
-    /// starts, in file order.
+    /// [`PlcConfig::parse`], also returning for each `<PLC>`, in file
+    /// order, where the element starts and where its logic body starts.
     ///
     /// # Errors
     ///
     /// See [`PlcConfig::parse`].
-    pub fn parse_with_positions(text: &str) -> Result<(PlcConfig, Vec<SourcePos>), PlcConfigError> {
+    pub fn parse_with_positions(
+        text: &str,
+    ) -> Result<(PlcConfig, Vec<(SourcePos, SourcePos)>), PlcConfigError> {
         let doc = Document::parse(text).map_err(|e| err(e.to_string()))?;
         let root = doc.root_element();
         if root.name() != "PLCConfig" {
@@ -126,7 +128,6 @@ impl PlcConfig {
         let mut config = PlcConfig::default();
         let mut positions = Vec::new();
         for plc_el in root.children_named("PLC") {
-            positions.push(super::pos_of(&plc_el));
             let name = plc_el.attr_or("name", "").to_string();
             if name.is_empty() {
                 return Err(err("PLC without a name"));
@@ -134,6 +135,7 @@ impl PlcConfig {
             let logic_el = plc_el
                 .child("Logic")
                 .ok_or_else(|| err(format!("PLC {name:?} has no <Logic>")))?;
+            positions.push((super::pos_of(&plc_el), body_pos(&logic_el)));
             let body = logic_el.deep_text();
             let logic = match logic_el.attr_or("type", "st") {
                 "st" => PlcLogic::StructuredText(body),
@@ -254,6 +256,19 @@ impl PlcConfig {
             }
         }
         doc.to_xml()
+    }
+}
+
+/// Where the text of a `<Logic>` body starts: inside its one CDATA
+/// section, or unknown for any other layout.
+fn body_pos(logic: &ElementRef<'_>) -> SourcePos {
+    let doc = logic.document();
+    match doc.node(logic.id()).children() {
+        &[only] if matches!(doc.node(only).kind(), NodeKind::Cdata(_)) => doc
+            .position(only)
+            .map(|p| SourcePos::new(p.line, p.column + "<![CDATA[".len() as u32))
+            .unwrap_or_default(),
+        _ => SourcePos::default(),
     }
 }
 

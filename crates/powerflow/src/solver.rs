@@ -64,33 +64,19 @@ pub fn solve_with(
     Solver::new().compute(net, options)
 }
 
-/// Solves the AC power flow with `solver` and records the outcome into
-/// `telemetry`.
+/// Solves the AC power flow with `solver`, records the outcome into
+/// `telemetry`, and opens a `power.solve` span parented to `parent` when
+/// tracing is enabled.
 ///
-/// On top of [`Solver::solve`], this observes the wall-clock solve time in
-/// the `powerflow.solve_seconds` histogram, the Newton–Raphson iteration
+/// On top of [`Solver::solve`], this counts the solve in
+/// `powerflow.solves`, observes the wall-clock solve time in the
+/// `powerflow.solve_seconds` histogram and the Newton–Raphson iteration
 /// count in `powerflow.nr_iterations`, counts failures in
 /// `powerflow.convergence_failures`, and journals a
 /// [`SolveCompleted`](sgcr_obs::Event::SolveCompleted) or
 /// [`SolveFailed`](sgcr_obs::Event::SolveFailed) event stamped with the
 /// simulation time `t_ns`. With disabled telemetry this is exactly
 /// [`Solver::solve`] — not even the timer is started.
-///
-/// # Errors
-///
-/// See [`solve`].
-pub fn solve_telemetered(
-    solver: &mut Solver,
-    net: &PowerNetwork,
-    options: &SolveOptions,
-    telemetry: &sgcr_obs::Telemetry,
-    t_ns: u64,
-) -> Result<PowerFlowResult, PowerFlowError> {
-    solve_traced(solver, net, options, telemetry, t_ns, None).0
-}
-
-/// Solves the AC power flow with `solver`, records telemetry, and opens a
-/// `power.solve` span parented to `parent` when tracing is enabled.
 ///
 /// The span covers the simulated instant `t_ns` (zero duration: the solve is
 /// instantaneous in simulation time) and carries the iteration count and

@@ -22,14 +22,17 @@
 //! findings are printed as coded, span-carrying diagnostics. Exit codes:
 //! `0` when clean or warnings-only, `1` for warnings under
 //! `--deny-warnings`, `2` when any finding is an error. `--format sarif`
-//! emits SARIF 2.1.0 for CI ingestion. `--cache <dir>` routes the analysis
-//! through the incremental query engine: per-file results are memoized on
-//! disk behind content fingerprints, reuse statistics go to stderr, and
-//! stdout stays byte-identical to the uncached run.
+//! emits SARIF 2.1.0 for CI ingestion. `--cache <dir>` keys the report on
+//! every file's name and bytes: a bundle linted before replays its stored
+//! report, any other is linted and stored; the hit or miss goes to stderr,
+//! and stdout stays byte-identical to the uncached run.
 //!
 //! `run`, `exercise` and `serve` front-gate the bundle through the same
 //! analyzer: lint *errors* abort before the range starts (exit 2), warnings
 //! are reported on stderr but do not block. `--no-check` skips the gate.
+//! Every subcommand that builds a model reads and parses the bundle
+//! directory once: the gate lints that load, and the model is compiled
+//! from it (a bundle that does not compile exits 1).
 //!
 //! `exercise` compiles the bundle and runs a declarative exercise scenario
 //! (`*.scenario.xml`) against it via `sgcr-scenario`: stages fire on
@@ -76,7 +79,7 @@
 //! `attack-graph` derives the adversary plane's attack graph from the
 //! compiled model and prints it as JSON or Graphviz DOT.
 
-use sgcr_core::{CompiledModel, RangeBuilder, SgmlBundle};
+use sgcr_core::{CompiledModel, FileRole, RangeBuilder};
 use sgcr_farm::{run_farm, FarmConfig};
 use sgcr_lint::source::LoadedBundle;
 use sgcr_lint::{engine, json, lint_bundle, report, sarif};
@@ -584,37 +587,45 @@ fn write_file(path: &str, what: &str, contents: String) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {what} to {path}: {e}"))
 }
 
-fn parse_scenario(xml: &str) -> Result<Scenario, String> {
-    Scenario::parse(xml).map_err(|e| format!("invalid scenario: {e}"))
+fn invalid_scenario(e: impl std::fmt::Display) -> String {
+    format!("invalid scenario: {e}")
 }
 
 fn read_scenario(path: &str) -> Result<Scenario, String> {
-    parse_scenario(&std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?)
+    let xml = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    Scenario::parse(&xml).map_err(invalid_scenario)
 }
 
-/// Loads and compiles the bundle, reporting what was loaded and the
-/// compiler's diagnostics on stderr — the preamble of every subcommand
-/// that builds a model.
-fn compile(dir: &str) -> Result<(SgmlBundle, Arc<CompiledModel>), String> {
-    let bundle = SgmlBundle::from_dir(dir).map_err(|e| e.to_string())?;
+/// Reads and parses the bundle directory — the one load of every
+/// subcommand that builds a model: the front gate lints it, and the model
+/// is compiled from it.
+fn load(dir: &str) -> Result<LoadedBundle, String> {
+    LoadedBundle::from_dir(dir).map_err(|e| e.to_string())
+}
+
+/// The compiled model of a loaded bundle, reporting what was loaded and the
+/// compiler's diagnostics on stderr.
+fn compile(dir: &str, bundle: &LoadedBundle) -> Result<Arc<CompiledModel>, String> {
+    let count = |role| bundle.files.iter().filter(|f| f.role == role).count();
     eprintln!(
         "loaded {}: {} SSD, {} SCD, {} ICD, {} SED, supplementary: ied={} scada={} plc={} power={}",
         dir,
-        bundle.ssds.len(),
-        bundle.scds.len(),
-        bundle.icds.len(),
-        bundle.seds.len(),
-        bundle.ied_config.is_some(),
-        bundle.scada_config.is_some(),
-        bundle.plc_config.is_some(),
-        bundle.power_extra.is_some(),
+        count(FileRole::Ssd),
+        count(FileRole::Scd),
+        count(FileRole::Icd),
+        count(FileRole::Sed),
+        count(FileRole::IedConfig) > 0,
+        count(FileRole::ScadaConfig) > 0,
+        count(FileRole::PlcConfig) > 0,
+        count(FileRole::PowerConfig) > 0,
     );
-    let model =
-        CompiledModel::shared(&bundle).map_err(|e| format!("model set does not compile:\n{e}"))?;
+    let model = bundle
+        .compiled()
+        .map_err(|e| format!("model set does not compile:\n{e}"))?;
     for d in &model.diagnostics {
         eprintln!("  {d}");
     }
-    Ok((bundle, model))
+    Ok(model.clone())
 }
 
 /// Lint exit code for a finished report under the documented contract:
@@ -631,9 +642,9 @@ fn lint_exit_code(lint_report: &sgcr_lint::LintReport, deny_warnings: bool) -> E
 
 /// Statically analyzes the bundle; never constructs a `CyberRange`.
 ///
-/// With `--cache <dir>` the incremental query engine answers from memoized
-/// per-file results where file contents are unchanged; reuse statistics go
-/// to stderr so stdout stays byte-identical to an uncached run.
+/// With `--cache <dir>` an unchanged bundle replays its stored report; the
+/// hit or miss goes to stderr so stdout stays byte-identical to an
+/// uncached run.
 fn lint(cmd: Lint) -> Outcome {
     let (lint_report, bundle) = match &cmd.cache {
         Some(cache_dir) => {
@@ -660,19 +671,17 @@ fn lint(cmd: Lint) -> Outcome {
 
 /// The pre-flight static check of every subcommand that starts a range.
 /// Lint errors abort with exit 2 and the findings on stderr; warnings are
-/// reported but do not block. Returns `None` when the range may start:
-/// with `--no-check`, or for an unreadable directory, which compiling it
-/// reports properly.
-fn front_gate(dir: &str, no_check: bool) -> Option<ExitCode> {
+/// reported but do not block. Returns `None` when the range may start,
+/// and at once with `--no-check`.
+fn front_gate(bundle: &LoadedBundle, no_check: bool) -> Option<ExitCode> {
     if no_check {
         return None;
     }
-    let bundle = LoadedBundle::from_dir(dir).ok()?;
-    let lint_report = lint_bundle(&bundle);
+    let lint_report = lint_bundle(bundle);
     if lint_report.diagnostics.is_empty() {
         return None;
     }
-    eprint!("{}", report::render_text(&lint_report, &bundle));
+    eprint!("{}", report::render_text(&lint_report, bundle));
     if lint_report.has_errors() {
         eprintln!(
             "error: bundle fails static checks ({} error(s)); \
@@ -687,14 +696,15 @@ fn front_gate(dir: &str, no_check: bool) -> Option<ExitCode> {
 /// Runs a declarative exercise scenario against a freshly generated range
 /// and prints the scored after-action report.
 fn exercise(cmd: Exercise) -> Outcome {
-    if let Some(code) = front_gate(&cmd.dir, cmd.no_check) {
+    let dir = &cmd.dir;
+    let bundle = load(dir)?;
+    if let Some(code) = front_gate(&bundle, cmd.no_check) {
         return Ok(code);
     }
-    let dir = &cmd.dir;
-    let (bundle, model) = compile(dir)?;
+    let model = compile(dir, &bundle)?;
     let mut scenario = match (&cmd.scenario, bundle.scenarios.as_slice()) {
         (Some(path), _) => read_scenario(path)?,
-        (None, [only]) => parse_scenario(only)?,
+        (None, [(_, only)]) => only.clone().map_err(invalid_scenario)?,
         (None, []) => {
             return Err(format!(
                 "{dir} ships no *.scenario.xml; pass --scenario <file>"
@@ -739,7 +749,7 @@ fn exercise(cmd: Exercise) -> Outcome {
 /// Derives the attack graph from the compiled model and prints it — the
 /// adversary plane's view of the bundle, for inspection and tooling.
 fn attack_graph(cmd: AttackGraph) -> Outcome {
-    let (_, model) = compile(&cmd.dir)?;
+    let model = compile(&cmd.dir, &load(&cmd.dir)?)?;
     let graph = sgcr_adversary::AttackGraph::derive(&model);
     match cmd.format {
         GraphFormat::Json => println!("{}", graph.to_json()),
@@ -753,13 +763,16 @@ fn attack_graph(cmd: AttackGraph) -> Outcome {
 /// via `sgcr-farm`, streaming per-tenant journals/metrics and reporting
 /// farm throughput and step-latency percentiles.
 fn serve(cmd: Serve) -> Outcome {
-    if let Some(code) = front_gate(&cmd.dir, cmd.no_check) {
+    let compile_start = Instant::now();
+    let bundle = load(&cmd.dir)?;
+    if let Some(code) = front_gate(&bundle, cmd.no_check) {
         return Ok(code);
     }
     let mut farm = cmd.farm;
     farm.scenario = cmd.scenario.as_deref().map(read_scenario).transpose()?;
-    let compile_start = Instant::now();
-    let (_, model) = compile(&cmd.dir)?;
+    let model = compile(&cmd.dir, &bundle)?;
+    // The tenants share the model; the sources and parse can go.
+    drop(bundle);
     eprintln!(
         "compiled once in {:.1} ms: {}",
         compile_start.elapsed().as_secs_f64() * 1e3,
@@ -924,10 +937,11 @@ fn render_watch(body: &str) -> Result<String, String> {
 /// causal tracing only when `--trace` or `--spans` was given, so a plain run
 /// keeps the zero-overhead disabled path.
 fn generate(cmd: Generate) -> Outcome {
-    if let Some(code) = front_gate(&cmd.dir, cmd.no_check) {
+    let bundle = load(&cmd.dir)?;
+    if let Some(code) = front_gate(&bundle, cmd.no_check) {
         return Ok(code);
     }
-    let (_, model) = compile(&cmd.dir)?;
+    let model = compile(&cmd.dir, &bundle)?;
     let telemetry = cmd.sinks.telemetry(false);
     let mut builder = RangeBuilder::from_model(model).telemetry(telemetry.clone());
     if let Some(seed) = cmd.fault_seed {
@@ -947,7 +961,7 @@ fn generate(cmd: Generate) -> Outcome {
         eprintln!(
             "done: {} power-flow steps ({} solve errors) in {:.2} s wall clock",
             range.steps_total(),
-            range.solve_errors().len(),
+            range.solve_errors_total(),
             wall.elapsed().as_secs_f64()
         );
         if let Some(scada) = &range.scada {

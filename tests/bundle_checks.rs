@@ -1,6 +1,8 @@
 //! One bundle check: `lint` reports an error outside its own analyses for a
 //! bundle exactly when `CompiledModel::compile` refuses it, and whenever
 //! compile refuses a bundle, lint names at least one error with a span.
+//! Lint's own model (`LoadedBundle::model`) comes from the same decision:
+//! it exists exactly when compile succeeds, and is the same model.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic
 
@@ -44,6 +46,19 @@ fn verdict(case: &str, bundle: &SgmlBundle, loaded: &LoadedBundle) -> (bool, Vec
             errors.iter().any(|d| d.span.is_some()),
             "{case}: no error carries a span: {errors:#?}"
         );
+    }
+    // Lint's model is compiled by the same decision from the same parse.
+    match (loaded.model(), &compiled) {
+        (Some(linted), Ok(model)) => {
+            assert_eq!(linted.fingerprint(), model.fingerprint(), "{case}");
+            assert_eq!(format!("{linted:?}"), format!("{model:?}"), "{case}");
+        }
+        (None, Err(_)) => {}
+        (linted, _) => panic!(
+            "{case}: lint model {}, compile {:?}",
+            if linted.is_some() { "built" } else { "refused" },
+            compiled.as_ref().err()
+        ),
     }
     (compiled.is_ok(), errors)
 }

@@ -111,6 +111,32 @@ fn version_mismatch_is_a_typed_error() {
 }
 
 #[test]
+fn checkpoint_with_the_old_capacity_settings_still_resumes() {
+    // Checkpoints once recorded the two retention bounds, which are now
+    // constants; a document that still carries them decodes, resumes and
+    // re-encodes without them.
+    let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
+    let mut range = RangeBuilder::from_model(model.clone())
+        .fault_seed(7)
+        .build()
+        .expect("range instantiates");
+    range.run_for(SimDuration::from_secs(1));
+    let encoded = range.checkpoint().to_json();
+    let old = encoded.replacen(
+        "\"settings\":{",
+        "\"settings\":{\"step_stats_capacity\":65536,\"solve_errors_capacity\":1024,",
+        1,
+    );
+    assert_ne!(old, encoded, "the settings object must be found");
+    let decoded = Checkpoint::from_json(&old).expect("old settings keys decode");
+    assert_eq!(decoded.to_json(), encoded);
+    let resumed = decoded
+        .resume(model, Telemetry::new())
+        .expect("old checkpoint resumes");
+    assert_eq!(resumed.steps_total(), range.steps_total());
+}
+
+#[test]
 fn resuming_against_a_different_model_is_rejected() {
     let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
     let mut range = RangeBuilder::from_model(model)

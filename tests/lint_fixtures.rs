@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
 
-use sgcr_lint::source::LoadedBundle;
+use sgcr_lint::source::{FileRole, LoadedBundle};
 use sgcr_lint::{engine, json, lint_bundle, report, sarif, LintReport};
 use sgcr_scl::{codes, Severity};
 use std::path::PathBuf;
@@ -126,6 +126,49 @@ fn st_logic_fixture_trips_every_sg6xxx_code() {
 }
 
 #[test]
+fn st_logic_findings_anchor_in_their_own_plc() {
+    // PLCs A and B run one body, so each finding must sit in its own PLC's
+    // copy. C lists `scanMs` before `name` and its PLCopen body does not
+    // parse: its SG6000 anchors at C's own `<PLC>` element.
+    let body = "<![CDATA[\nPROGRAM p\nVAR x : INT; y : INT; END_VAR\ny := x / 0;\nEND_PROGRAM\n]]>";
+    let xml = format!(
+        r#"<PLCConfig>
+  <PLC name="A" scanMs="100">
+    <Logic type="st">{body}</Logic>
+  </PLC>
+  <PLC name="B" scanMs="100">
+    <Logic type="st">{body}</Logic>
+  </PLC>
+  <PLC scanMs="100" name="C">
+    <Logic type="plcopen"><![CDATA[not a project]]></Logic>
+  </PLC>
+</PLCConfig>"#
+    );
+    let mut bundle = LoadedBundle::default();
+    bundle.add_file("plc_config.xml".into(), FileRole::PlcConfig, xml);
+    let report = lint_bundle(&bundle);
+    let lines = |plc: &str, code: &str| -> Vec<u32> {
+        let context = format!("PLC {plc}");
+        let found = report.with_code(code).filter(|d| d.context == context);
+        found
+            .map(|d| d.span.as_ref().map_or(0, |s| s.line))
+            .collect()
+    };
+    for code in [codes::ST_READ_BEFORE_WRITE, codes::ST_DIVISION_BY_ZERO] {
+        let (a, b) = (lines("A", code), lines("B", code));
+        assert!(!a.is_empty(), "{code}: {:#?}", report.diagnostics);
+        // B's body starts eight lines below A's.
+        let shifted: Vec<u32> = a.iter().map(|line| line + 8).collect();
+        assert_eq!(b, shifted, "{code}: {:#?}", report.diagnostics);
+    }
+    assert_eq!(lines("A", codes::ST_DIVISION_BY_ZERO), [6]);
+    let parse = report.with_code(codes::ST_PARSE_FAILED).collect::<Vec<_>>();
+    assert_eq!(parse.len(), 1, "{parse:#?}");
+    let span = parse[0].span.as_ref().expect("SG6000 carries a span");
+    assert_eq!((span.line, span.column), (18, 3), "{parse:#?}");
+}
+
+#[test]
 fn epic_bundle_is_deliberately_clean() {
     // The shipped EPIC model set is the "known good" reference: the whole
     // roster — including the new SG6xxx semantic tier — must stay silent.
@@ -167,13 +210,14 @@ fn incremental_cache_is_byte_identical_and_reuses_queries() {
 
     let cold = engine::lint_dir_incremental(&bundle_dir, &cache_dir).unwrap();
     assert_eq!(cold.stats.reused, 0, "{:?}", cold.stats);
+    assert_eq!(cold.stats.recomputed, 1, "{:?}", cold.stats);
     let direct = lint_bundle(&LoadedBundle::from_dir(&bundle_dir).unwrap());
     assert_eq!(cold.report, direct, "engine must match lint_bundle");
 
     // Warm run: everything answered from cache, bytes identical.
     let warm = engine::lint_dir_incremental(&bundle_dir, &cache_dir).unwrap();
     assert_eq!(warm.stats.recomputed, 0, "{:?}", warm.stats);
-    assert!(warm.stats.reused >= 1, "{:?}", warm.stats);
+    assert_eq!(warm.stats.reused, 1, "{:?}", warm.stats);
     assert_eq!(json::to_json(&warm.report), json::to_json(&cold.report));
     assert_eq!(
         report::render_text(&warm.report, &warm.bundle),
@@ -181,19 +225,14 @@ fn incremental_cache_is_byte_identical_and_reuses_queries() {
         "cached stdout must be byte-identical"
     );
 
-    // Touch one file: only its per-file query (plus the cross-file query)
-    // recomputes; the report is unchanged because only whitespace moved.
+    // Touch one file: the bundle's one query recomputes; the report is
+    // unchanged because only whitespace moved.
     let ssd = bundle_dir.join("substation01.ssd.xml");
     let text = std::fs::read_to_string(&ssd).unwrap();
     std::fs::write(&ssd, format!("{text}\n")).unwrap();
     let edited = engine::lint_dir_incremental(&bundle_dir, &cache_dir).unwrap();
-    assert_eq!(edited.stats.recomputed, 2, "{:?}", edited.stats);
-    assert_eq!(
-        edited.stats.reused,
-        warm.stats.reused - 2,
-        "{:?}",
-        edited.stats
-    );
+    assert_eq!(edited.stats.recomputed, 1, "{:?}", edited.stats);
+    assert_eq!(edited.stats.reused, 0, "{:?}", edited.stats);
     assert_eq!(json::to_json(&edited.report), json::to_json(&cold.report));
 
     let _ = std::fs::remove_dir_all(&scratch);
