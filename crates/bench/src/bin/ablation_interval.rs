@@ -31,9 +31,10 @@ fn main() {
         let load = range.power.load_by_name("EPIC/Load1").unwrap();
         range.power.load[load.index()].p_mw = 0.2;
 
+        let steps = (5000 / interval_ms.max(1)).max(10);
         let wall = std::time::Instant::now();
         let mut trip_latency_ms: Option<u64> = None;
-        for _ in 0..(5000 / interval_ms.max(1)).max(10) {
+        for _ in 0..steps {
             range.step();
             if trip_latency_ms.is_none() && range.ieds["TIED2"].trip_count() > 0 {
                 let trip_time = range.ieds["TIED2"]
@@ -43,7 +44,6 @@ fn main() {
             }
         }
         let wall = wall.elapsed().as_secs_f64();
-        let steps = range.step_stats().len();
         let sim_seconds = range.now().as_secs_f64() - 1.0;
         rows.push(vec![
             interval_ms.to_string(),

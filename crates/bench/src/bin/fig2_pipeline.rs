@@ -101,7 +101,7 @@ fn main() {
     println!(
         "  after 2 s of co-simulation: SCADA polled {} rounds, {} power-flow steps, {} solve errors",
         range.scada.as_ref().unwrap().polls_completed(),
-        range.step_stats().len(),
-        range.solve_errors().len()
+        range.steps_total(),
+        range.solve_errors_total()
     );
 }

@@ -54,12 +54,8 @@ fn main() {
         let wall_start = std::time::Instant::now();
         range.run_for(SimDuration::from_secs(sim_seconds));
         let wall = wall_start.elapsed().as_secs_f64();
-        let steps = range.step_stats().len();
-        let mean_step = wall / steps.max(1) as f64;
-        let max_step = range
-            .step_stats()
-            .map(|s| s.total_seconds)
-            .fold(0.0f64, f64::max);
+        let mean_step = wall / range.steps_total().max(1) as f64;
+        let max_step = range.max_step_seconds();
         let real_time_factor = sim_seconds as f64 / wall;
         rows.push(vec![
             substations.to_string(),

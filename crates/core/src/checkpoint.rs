@@ -45,8 +45,10 @@ use std::sync::Arc;
 /// [`CheckpointError::VersionMismatch`] instead of failing verification
 /// with [`CheckpointError::Divergence`]. Version 2: the measurement publish
 /// writes only values that changed, so entry versions and the store version
-/// count fewer writes than version 1 recorded.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// count fewer writes than version 1 recorded. Version 3: the voltage-
+/// controlling units at one node share its Q, so the power solution digest
+/// of a model with several such units differs from version 2's.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// An error capturing, decoding, or resuming a [`Checkpoint`].
 #[derive(Debug)]

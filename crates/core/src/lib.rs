@@ -73,7 +73,7 @@ pub use keymap::{
 };
 pub use model::{CompiledModel, CompiledPlc, CompiledScada};
 pub use parsed::{parse_failure, ConfigFile, ParsedBundle, SclFile};
-pub use range::{CyberRange, RangeBuilder, RangeError, SgmlBundle, StepStats};
+pub use range::{CyberRange, RangeBuilder, RangeError, SgmlBundle};
 pub use sgml::ied_config::{IedConfig, IedConfigError};
 pub use sgml::plc_config::{
     PlcConfig, PlcConfigError, PlcDef, PlcGooseRule, PlcLogic, PlcReadRule, PlcWriteRule,

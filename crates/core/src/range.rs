@@ -115,18 +115,6 @@ impl fmt::Display for RangeError {
 
 impl std::error::Error for RangeError {}
 
-/// Wall-clock statistics of one co-simulation step (for the paper's
-/// scalability experiment).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepStats {
-    /// Wall time spent in the power-flow solve.
-    pub solve_seconds: f64,
-    /// Wall time of the complete step (solve + event processing).
-    pub total_seconds: f64,
-    /// Newton–Raphson iterations.
-    pub iterations: usize,
-}
-
 /// A generated, operational smart grid cyber range: one tenant's
 /// [`RangeState`] bound to its `Arc`-shared [`CompiledModel`].
 ///
@@ -159,8 +147,7 @@ impl DerefMut for CyberRange {
 /// [`RangeBuilder::from_model`] reuses an already-compiled model, so
 /// building a range costs one power-model clone and some virtual-device
 /// setup (no XML or ST parsing). The builder is how a step interval
-/// override, a [`Telemetry`] handle, a fault seed, or different retention
-/// bounds are attached:
+/// override, a [`Telemetry`] handle or a fault seed is attached:
 ///
 /// ```no_run
 /// use sgcr_core::{CompiledModel, RangeBuilder, SgmlBundle};

@@ -2,7 +2,7 @@
 //!
 //! Everything that changes while an exercise runs lives here — the emulated
 //! network with its attached virtual devices, the process store, the
-//! tenant's clone of the power model, retained statistics, fault plans —
+//! tenant's clone of the power model, step counters, fault plans —
 //! while everything derived from the model files stays in the shared
 //! immutable [`CompiledModel`](crate::CompiledModel). Instantiation clones
 //! the pristine power model and stamps out fresh device instances from the
@@ -10,7 +10,7 @@
 
 use crate::keymap::{PublishKeys, PublishSlots};
 use crate::model::CompiledModel;
-use crate::range::{RangeError, StepStats};
+use crate::range::RangeError;
 use sgcr_faults::{DegradationSignal, LinkFault, SensorFault};
 use sgcr_ied::{IedHandle, VirtualIedApp};
 use sgcr_kvstore::{ProcessStore, Slot, Value};
@@ -18,20 +18,12 @@ use sgcr_net::{AppPlane, Ipv4Addr, LinkSpec, Network, NodeId, SimDuration, SimTi
 use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Telemetry};
 use sgcr_plc::{PlcApp, PlcHandle, PlcRuntime};
 use sgcr_powerflow::{
-    solve_traced, PowerFlowError, PowerFlowResult, PowerNetwork, SimulationSchedule, SolveOptions,
-    Solver, SolverStats,
+    solve_traced, PowerFlowResult, PowerNetwork, SimulationSchedule, SolveOptions, Solver,
+    SolverStats,
 };
 use sgcr_scada::{ScadaApp, ScadaHandle};
-use std::collections::{HashMap, VecDeque};
-
-/// Bound on retained per-step statistics — large enough for any of the
-/// paper's experiments, small enough to cap a long-running range.
-const STEP_STATS_CAPACITY: usize = 65_536;
-
-/// Bound on retained solve errors. A persistently diverging model fails
-/// every step, so retention is capped the same way as step statistics;
-/// [`RangeState::solve_errors_total`] keeps the lifetime count.
-const SOLVE_ERRORS_CAPACITY: usize = 1_024;
+use std::collections::HashMap;
+use std::time::Duration;
 
 /// Per-tenant instantiation settings — everything about a range that is
 /// *not* derived from the model files. Captured by
@@ -78,15 +70,17 @@ pub struct RangeState {
     /// The store slot of every published measurement: the model's shared
     /// publish keys, resolved in `store`.
     publish_slots: PublishSlots,
-    /// Per-step wall-clock statistics, bounded to [`STEP_STATS_CAPACITY`].
-    step_stats: VecDeque<StepStats>,
     /// Lifetime number of power-flow steps executed.
     steps_total: u64,
-    /// Errors from failed re-solves (range keeps running with stale state),
-    /// bounded to [`SOLVE_ERRORS_CAPACITY`].
-    solve_errors: VecDeque<(u64, PowerFlowError)>,
-    /// Lifetime number of failed re-solves.
+    /// Lifetime number of failed re-solves (the range keeps running on the
+    /// held last-good solution).
     solve_errors_total: u64,
+    /// Wall-clock budget of one step (`None` = the interval).
+    step_budget: Option<Duration>,
+    /// Lifetime number of steps over their budget.
+    overruns: u64,
+    /// Lifetime worst step wall time, in seconds.
+    max_step_seconds: f64,
     /// Degradation flags shared with every virtual IED and the SCADA HMI;
     /// raised while `last_result` is a held (stale) solution.
     degradation_signals: Vec<DegradationSignal>,
@@ -277,10 +271,11 @@ impl RangeState {
             last_result: PowerFlowResult::default(),
             solver: Solver::new(),
             publish_slots,
-            step_stats: VecDeque::new(),
             steps_total: 0,
-            solve_errors: VecDeque::new(),
             solve_errors_total: 0,
+            step_budget: None,
+            overruns: 0,
+            max_step_seconds: 0.0,
             degradation_signals,
             held_since_step: None,
             restart_plans: Vec::new(),
@@ -489,11 +484,6 @@ impl RangeState {
                 }
             }
             Err(e) => {
-                let detail = e.to_string();
-                if self.solve_errors.len() == SOLVE_ERRORS_CAPACITY {
-                    self.solve_errors.pop_front();
-                }
-                self.solve_errors.push_back((t1.as_millis(), e));
                 self.solve_errors_total += 1;
                 if self.held_since_step.is_none() {
                     // Graceful degradation: keep serving the last-good
@@ -504,7 +494,7 @@ impl RangeState {
                     }
                     self.telemetry
                         .record(t1.as_nanos(), || ObsEvent::MeasurementsHeld {
-                            detail: detail.clone(),
+                            detail: e.to_string(),
                         });
                 }
             }
@@ -535,28 +525,25 @@ impl RangeState {
                 .observe((total_seconds - attributed).max(0.0));
         }
 
-        if self.step_stats.len() == STEP_STATS_CAPACITY {
-            self.step_stats.pop_front();
-        }
-        self.step_stats.push_back(StepStats {
-            solve_seconds,
-            total_seconds,
-            iterations: self.last_result.iterations,
-        });
         self.steps_total += 1;
+        self.max_step_seconds = self.max_step_seconds.max(total_seconds);
 
         self.steps_counter.inc();
         self.step_seconds_hist.observe(total_seconds);
-        let budget = self.interval.as_secs_f64();
-        if budget > 0.0 {
-            let ratio = total_seconds / budget;
-            self.overrun_gauge.set(ratio);
-            if ratio > 1.0 {
-                self.overrun_counter.inc();
-                let step = self.steps_total;
-                self.telemetry
-                    .record(t1.as_nanos(), || ObsEvent::StepOverrun { step, ratio });
-            }
+        // The one overrun rule (see `set_step_budget`). A zero budget
+        // overruns on every step; its ratio is taken against 1 ns so the
+        // gauge and the journal stay finite.
+        let budget = self
+            .step_budget
+            .map_or(self.interval.as_secs_f64(), |b| b.as_secs_f64());
+        let ratio = total_seconds / budget.max(1e-9);
+        self.overrun_gauge.set(ratio);
+        if budget == 0.0 || total_seconds > budget {
+            self.overruns += 1;
+            self.overrun_counter.inc();
+            let step = self.steps_total;
+            self.telemetry
+                .record(t1.as_nanos(), || ObsEvent::StepOverrun { step, ratio });
         }
         step_span.end(t1);
     }
@@ -652,33 +639,38 @@ impl RangeState {
         );
     }
 
-    /// Retained per-step wall-clock statistics, oldest first. Only the
-    /// latest 65,536 steps are retained; use
-    /// [`steps_total`](RangeState::steps_total) for the lifetime count.
-    pub fn step_stats(&self) -> impl ExactSizeIterator<Item = &StepStats> + '_ {
-        self.step_stats.iter()
-    }
-
-    /// Lifetime number of power-flow steps executed (monotonic even after
-    /// old [`StepStats`] records are evicted).
+    /// Lifetime number of power-flow steps executed.
     pub fn steps_total(&self) -> u64 {
         self.steps_total
     }
 
-    /// The most recent errors from failed re-solves `(sim_time_ms, error)`,
-    /// oldest first. The range keeps running on the held last-good solution
-    /// after a failure (see [`measurements_held`](RangeState::measurements_held)).
-    /// Only the latest 1,024 errors are retained; use
-    /// [`solve_errors_total`](RangeState::solve_errors_total) for the
-    /// lifetime count.
-    pub fn solve_errors(&self) -> impl ExactSizeIterator<Item = &(u64, PowerFlowError)> + '_ {
-        self.solve_errors.iter()
-    }
-
-    /// Lifetime number of failed re-solves (monotonic even after old
-    /// entries are evicted from [`solve_errors`](RangeState::solve_errors)).
+    /// Lifetime number of failed re-solves. The range keeps running on the
+    /// held last-good solution after a failure (see
+    /// [`measurements_held`](RangeState::measurements_held)).
     pub fn solve_errors_total(&self) -> u64 {
         self.solve_errors_total
+    }
+
+    /// Replaces the wall-clock budget of one step, which is the interval
+    /// until this is called. A step overruns when its wall time exceeds the
+    /// budget, and a zero budget makes every step overrun. Each overrun
+    /// counts in [`overruns`](RangeState::overruns), and with telemetry on
+    /// in `range.step_overruns` and as a `StepOverrun` event;
+    /// `range.step_overrun_ratio` reads each step's wall time over the
+    /// budget.
+    pub fn set_step_budget(&mut self, budget: Duration) {
+        self.step_budget = Some(budget);
+    }
+
+    /// Lifetime number of steps whose wall time exceeded the budget in
+    /// force when they ran (see [`set_step_budget`](RangeState::set_step_budget)).
+    pub fn overruns(&self) -> u64 {
+        self.overruns
+    }
+
+    /// Lifetime worst step wall time, in seconds (0 before the first step).
+    pub fn max_step_seconds(&self) -> f64 {
+        self.max_step_seconds
     }
 
     /// True while the power plane is serving a held (stale) solution because

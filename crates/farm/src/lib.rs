@@ -18,12 +18,12 @@
 //!
 //! [`run_farm`] drives the whole fleet and returns a [`FarmReport`] with
 //! farm-level throughput (ranges/sec, steps/sec) and latency aggregates
-//! (p50/p99/max step wall time) plus per-tenant detail — the numbers the
-//! committed `BENCH_farm.json` trajectory tracks. With an output directory
-//! configured, every tenant streams `tenant-NNNN.journal.jsonl` and
-//! `tenant-NNNN.metrics.json` files as it finishes, and the farm itself
-//! writes a `farm.journal.jsonl` with its `FarmStarted`/`FarmFinished`
-//! lifecycle events.
+//! (p50/p99/max step wall time) plus per-tenant detail; the benchmark
+//! ledger that tracks these numbers is `BENCH_range.jsonl`, appended by
+//! `scripts/bench_pairs.sh`. With an output directory configured, every
+//! tenant streams `tenant-NNNN.journal.jsonl` and `tenant-NNNN.metrics.json`
+//! files as it finishes, and the farm itself writes a `farm.journal.jsonl`
+//! with its `FarmStarted`/`FarmFinished` lifecycle events.
 //!
 //! ## Supervision, checkpoints, and dynamic tenants
 //!
@@ -132,11 +132,15 @@ pub struct FarmConfig {
     /// Co-simulated seconds each tenant runs.
     pub sim_seconds: u64,
     /// Per-tenant wall-clock budget for one co-simulation step, in
-    /// milliseconds. Steps over budget count as overruns.
+    /// milliseconds, handed to each tenant's range
+    /// ([`RangeState::set_step_budget`](sgcr_core::RangeState::set_step_budget)).
+    /// Steps over it count as budget overruns. Steps replayed on resume,
+    /// and every step without a budget, are judged against the interval
+    /// and count toward no budget: without one, `budget_overruns` is 0.
     pub step_budget_ms: Option<u64>,
-    /// Halt a tenant once it accumulates this many budget overruns
-    /// (0 = never halt). Ignored in scenario mode, where the exercise
-    /// engine owns the step loop and overruns are accounted post-hoc.
+    /// Halt a soak tenant once it accumulates this many budget overruns
+    /// in one attempt (0 = never halt). Scenario tenants count overruns
+    /// but are never halted: the exercise engine owns their step loop.
     pub max_overruns: u64,
     /// Tenant `i` runs under fault seed `base_fault_seed + i`.
     pub base_fault_seed: u64,
@@ -219,9 +223,11 @@ pub struct TenantReport {
     /// 99th-percentile step wall time in seconds, estimated from the
     /// tenant's `range.step_seconds` histogram.
     pub p99_step_seconds: f64,
-    /// Worst step wall time in seconds (over the retained step window).
+    /// Worst step wall time in seconds, from the range: over every step
+    /// of the final attempt's range, steps replayed on resume included.
     pub max_step_seconds: f64,
-    /// Steps that blew the configured budget.
+    /// Steps that blew the configured budget in the final attempt (0
+    /// without a budget).
     pub budget_overruns: u64,
     /// True when the tenant was halted early for exceeding `max_overruns`.
     pub halted: bool,
@@ -353,7 +359,7 @@ impl FarmReport {
         out
     }
 
-    /// JSON form (stable key order) — the schema `BENCH_farm.json` commits.
+    /// JSON form (stable key order), as `serve --report` writes it.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"tenants\":{},", self.tenants));
@@ -1361,8 +1367,9 @@ fn run_tenant_attempt(
     let wall_start = std::time::Instant::now();
     let built = match &resume_from {
         // Resume replays deterministically from step 0 into this fresh
-        // telemetry handle, so the journal is byte-identical to a run that
-        // never paused.
+        // telemetry handle, so the journal repeats a run that never paused
+        // except in wall-clock events: the replay judges its steps against
+        // the interval, as the farm's budget is set only after it.
         Some(checkpoint) => checkpoint
             .resume(model.clone(), telemetry.clone())
             .map_err(|e| e.to_string()),
@@ -1386,16 +1393,23 @@ fn run_tenant_attempt(
         }
     };
 
-    let mut budget_overruns = 0u64;
+    // The range counts overruns against the farm's budget. They are
+    // wall-clock policy, not simulation state, so a resumed attempt counts
+    // from its own start, after the replay; the farm counts none without one.
+    let counted_from = config.step_budget_ms.map(|ms| {
+        range.set_step_budget(Duration::from_millis(ms));
+        range.overruns()
+    });
+    let budget_overruns =
+        |range: &CyberRange| counted_from.map_or(0, |from| range.overruns() - from);
     let mut halted = false;
     let mut drained = false;
     let mut score = None;
 
     match &config.scenario {
         Some(scenario) => {
-            // The exercise engine owns the step loop; budget accounting is
-            // post-hoc from the range's retained step statistics, and the
-            // supervisor does not interpose (no checkpoints, no drain).
+            // The exercise engine owns the step loop, and the supervisor
+            // does not interpose (no halt, no checkpoints, no drain).
             match run_exercise(&mut range, scenario) {
                 Ok(report) => {
                     let s = report.score();
@@ -1410,13 +1424,6 @@ fn run_tenant_attempt(
                     return Attempt::Done(report);
                 }
             }
-            if let Some(budget_ms) = config.step_budget_ms {
-                let budget = budget_ms as f64 / 1e3;
-                budget_overruns = range
-                    .step_stats()
-                    .filter(|s| s.total_seconds > budget)
-                    .count() as u64;
-            }
         }
         None => {
             // Plain soak: drive the step loop directly so the budget can
@@ -1425,11 +1432,6 @@ fn run_tenant_attempt(
             // end time is absolute, so a resumed tenant finishes the same
             // total simulated horizon instead of restarting it.
             let end = SimTime::from_nanos(config.sim_seconds.saturating_mul(1_000_000_000));
-            budget_overruns = resume_from.as_ref().map_or(0, |_| {
-                // Overruns are wall-clock policy, not simulation state:
-                // restart the count for the resumed attempt.
-                0
-            });
             let checkpoint_every = config.collect_interval();
             let mut last_checkpoint = Instant::now();
             while range.now() < end {
@@ -1437,19 +1439,13 @@ fn run_tenant_attempt(
                     drained = true;
                     break;
                 }
-                let step_start = std::time::Instant::now();
                 range.step();
-                if let Some(budget_ms) = config.step_budget_ms {
-                    if step_start.elapsed().as_secs_f64() * 1e3 > budget_ms as f64 {
-                        budget_overruns += 1;
-                        if config.max_overruns > 0 && budget_overruns >= config.max_overruns {
-                            halted = true;
-                            shared.tenant_progress(live, range.steps_total(), budget_overruns);
-                            break;
-                        }
-                    }
+                let overruns = budget_overruns(&range);
+                shared.tenant_progress(live, range.steps_total(), overruns);
+                if config.max_overruns > 0 && overruns >= config.max_overruns {
+                    halted = true;
+                    break;
                 }
-                shared.tenant_progress(live, range.steps_total(), budget_overruns);
                 if last_checkpoint.elapsed() >= checkpoint_every {
                     shared.capture_checkpoint(live, tenant, &range);
                     last_checkpoint = Instant::now();
@@ -1465,13 +1461,9 @@ fn run_tenant_attempt(
     let wall_seconds = wall_start.elapsed().as_secs_f64();
 
     // Latency stats from the tenant's own step-seconds histogram — bounded
-    // by the bucket count, not the step count. The true max over the
-    // retained step window clamps the interpolated quantile estimates so
-    // p50 ≤ p99 ≤ max always holds.
-    let max_step_seconds = range
-        .step_stats()
-        .map(|s| s.total_seconds)
-        .fold(0.0, f64::max);
+    // by the bucket count, not the step count. The range's true max clamps
+    // the interpolated quantile estimates so p50 ≤ p99 ≤ max always holds.
+    let max_step_seconds = range.max_step_seconds();
     let snapshot = telemetry.snapshot();
     let (p50, p99) =
         clamped_step_quantiles(snapshot.histogram("range.step_seconds"), max_step_seconds);
@@ -1483,7 +1475,7 @@ fn run_tenant_attempt(
         p50_step_seconds: p50,
         p99_step_seconds: p99,
         max_step_seconds,
-        budget_overruns,
+        budget_overruns: budget_overruns(&range),
         halted,
         solve_errors: range.solve_errors_total(),
         restarts: job.restarts,

@@ -48,7 +48,7 @@ mod model;
 mod rgoose;
 mod sv;
 
-pub use apps::{MmsPollerApp, MmsServerApp, PollResults};
+pub use apps::MmsServerApp;
 pub use goose::{GooseConfig, GooseObservation, GoosePdu, GoosePublisher, GooseSubscriber};
 pub use mms::{
     tpkt_frame, ControlDecision, ControlHandler, DataAccessError, MmsClient, MmsPdu, MmsRequest,

@@ -46,7 +46,8 @@ pub struct BranchResult {
 pub struct ExtGridResult {
     /// Active power supplied in MW.
     pub p_mw: f64,
-    /// Reactive power supplied in Mvar.
+    /// Reactive power supplied in Mvar: an equal share of its node's Q
+    /// with the node's other in-service external grids and generators.
     pub q_mvar: f64,
 }
 
@@ -55,7 +56,8 @@ pub struct ExtGridResult {
 pub struct GenResult {
     /// Active power dispatched in MW (may differ from set-point for slack).
     pub p_mw: f64,
-    /// Reactive power produced in Mvar.
+    /// Reactive power produced in Mvar: an equal share of its node's Q
+    /// with the node's other in-service external grids and generators.
     pub q_mvar: f64,
     /// Voltage magnitude at the terminal in per-unit.
     pub vm_pu: f64,

@@ -1022,8 +1022,24 @@ fn extract_results(
         }
     }
 
-    // Slack / PV source powers: balance at their nodes.
-    let mut slack_gens: Vec<usize> = Vec::new();
+    // Source powers. The voltage-controlling units of a node — its
+    // in-service external grids and generators — share the Q that holds
+    // its voltage equally, so the node's Q is counted once however many
+    // units sit there. P is not shared: the island's slack takes the
+    // node's P balance, a PV generator its set-point, and an external
+    // grid that is not its island's slack none.
+    let node_of = |bus: BusId| topo.bus_to_node[bus.index()];
+    let mut units = vec![0u32; net.bus.len()];
+    let ext_grids = net.ext_grid.iter().filter(|e| e.in_service).map(|e| e.bus);
+    let gens = net.gen.iter().filter(|g| g.in_service).map(|g| g.bus);
+    for bus in ext_grids.chain(gens) {
+        if net.bus[bus.index()].in_service {
+            units[node_of(bus)] += 1;
+        }
+    }
+    let q_share = |node: usize, q: f64| q / f64::from(units[node].max(1));
+
+    let (mut slack_gens, mut slack_ext_grids) = (Vec::new(), Vec::new());
     for island in &topo.islands {
         let Some(slack) = island.slack else { continue };
         let node = slack_node(net, topo, slack);
@@ -1032,9 +1048,11 @@ fn extract_results(
             SlackSource::ExtGrid(_) => None,
         };
         let (p, q) = node_balance(net, topo, node, slack_gen, &node_p, &node_q);
+        let q = q_share(node, q);
         match slack {
             SlackSource::ExtGrid(eid) => {
                 result.ext_grid[eid.index()] = ExtGridResult { p_mw: p, q_mvar: q };
+                slack_ext_grids.push(eid.index());
             }
             SlackSource::Gen(gid) => {
                 result.gen[gid.index()] = GenResult {
@@ -1046,16 +1064,25 @@ fn extract_results(
             }
         }
     }
-    // PV generator reactive power: Q needed to hold the set-point.
+    // The other external grids of an energized node: their share of Q.
+    for (ei, e) in net.ext_grid.iter().enumerate() {
+        if !e.in_service || slack_ext_grids.contains(&ei) || !result.bus[e.bus.index()].energized {
+            continue;
+        }
+        let node = node_of(e.bus);
+        let (_, q) = node_balance(net, topo, node, None, &node_p, &node_q);
+        result.ext_grid[ei].q_mvar = q_share(node, q);
+    }
+    // PV generators: their share of the Q that holds the set-point.
     for (gi, g) in net.gen.iter().enumerate() {
         if !g.in_service || slack_gens.contains(&gi) {
             continue;
         }
-        let node = topo.bus_to_node[g.bus.index()];
+        let node = node_of(g.bus);
         let (_, q) = node_balance(net, topo, node, Some(gi), &node_p, &node_q);
         result.gen[gi] = GenResult {
             p_mw: g.p_mw,
-            q_mvar: q,
+            q_mvar: q_share(node, q),
             vm_pu: v_of(node).abs(),
         };
     }
@@ -1063,10 +1090,11 @@ fn extract_results(
     result
 }
 
-/// Power that must be injected at `node` by its voltage-controlling source
+/// Power that must be injected at `node` by its voltage-controlling units
 /// (generator `source_gen`, or an external grid): branch outflow at the node
 /// plus local load, minus local sgen injection and the active-power
-/// set-points of the node's other in-service generators.
+/// set-points of the node's other in-service generators. The Q is the
+/// node's whole; [`extract_results`] shares it among the units.
 fn node_balance(
     net: &PowerNetwork,
     topo: &Topology,
@@ -1189,6 +1217,43 @@ mod tests {
         assert!((res.bus[1].vm_pu - 1.02).abs() < 1e-6);
         // Generator absorbs/produces Q to hold the set-point.
         assert!(res.gen[0].q_mvar.abs() > 0.0);
+    }
+
+    #[test]
+    fn units_at_one_node_share_its_q() {
+        // b1 holds the slack grid and g1, b2 holds g2; `extra` adds a second
+        // grid at b1 and a second generator at b2, which move no voltage.
+        let solve_with = |extra: bool| {
+            let mut net = two_bus();
+            let b1 = net.bus_by_name("b1").unwrap();
+            let b2 = net.bus_by_name("b2").unwrap();
+            net.add_gen("g1", b1, 5.0, 1.0);
+            net.add_gen("g2", b2, 10.0, 1.02);
+            if extra {
+                net.add_ext_grid("grid2", b1, 1.0, 0.0);
+                net.add_gen("g3", b2, 0.0, 1.02);
+            }
+            solve(&net).unwrap()
+        };
+        let (two, three) = (solve_with(false), solve_with(true));
+        assert_eq!(two.bus, three.bus);
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        // b1: two units, then three, share the same node Q.
+        let b1_two = [two.ext_grid[0].q_mvar, two.gen[0].q_mvar];
+        let b1_three = [
+            three.ext_grid[0].q_mvar,
+            three.ext_grid[1].q_mvar,
+            three.gen[0].q_mvar,
+        ];
+        assert!(b1_two[0] != 0.0 && b1_two[0] == b1_two[1], "{b1_two:?}");
+        assert!(b1_three.iter().all(|&q| q == b1_three[0]), "{b1_three:?}");
+        assert!(close(3.0 * b1_three[0], 2.0 * b1_two[0]));
+        // b2: one generator holds the set-point alone, then two share it.
+        assert_eq!(three.gen[1].q_mvar, three.gen[2].q_mvar);
+        assert!(close(2.0 * three.gen[1].q_mvar, two.gen[1].q_mvar));
+        // P is not shared: the slack takes the balance, a second grid none.
+        assert_eq!(three.ext_grid[0].p_mw, two.ext_grid[0].p_mw);
+        assert_eq!(three.ext_grid[1].p_mw, 0.0);
     }
 
     #[test]

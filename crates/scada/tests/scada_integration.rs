@@ -88,11 +88,18 @@ fn polls_both_protocols_with_scaling() {
 fn tags_track_changes_over_time() {
     let mut bed = testbed();
     bed.registers.set_input(0, 100);
+    bed.model
+        .write("IED1LD0/MMXU1$MX$PhV$mag$f", DataValue::Float(10.0));
     bed.net.run_until(SimTime::from_millis(500));
     assert_eq!(bed.handle.tag_value("P_total"), Some(10.0));
+    assert_eq!(bed.handle.tag_value("IED1_V"), Some(10.0));
+    // Model writes made mid-run reach the later polls of both protocols.
     bed.registers.set_input(0, 300);
+    bed.model
+        .write("IED1LD0/MMXU1$MX$PhV$mag$f", DataValue::Float(20.0));
     bed.net.run_until(SimTime::from_millis(1200));
     assert_eq!(bed.handle.tag_value("P_total"), Some(30.0));
+    assert_eq!(bed.handle.tag_value("IED1_V"), Some(20.0));
 }
 
 #[test]

@@ -32,21 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     range.run_for(SimDuration::from_secs(5));
     let wall = wall.elapsed().as_secs_f64();
 
-    let steps = range.step_stats().len();
-    let mean_step: f64 =
-        range.step_stats().map(|s| s.total_seconds).sum::<f64>() / steps.max(1) as f64;
-    let max_step = range
-        .step_stats()
-        .map(|s| s.total_seconds)
-        .fold(0.0f64, f64::max);
+    let steps = range.steps_total();
     let budget = params.interval_ms as f64 / 1000.0;
     println!("\n{steps} steps in {wall:.2} s wall clock");
     println!(
-        "  mean step: {:.2} ms (budget {} ms)",
-        mean_step * 1e3,
-        params.interval_ms
+        "  mean step: {:.2} ms (budget {} ms, {} over it)",
+        wall / steps.max(1) as f64 * 1e3,
+        params.interval_ms,
+        range.overruns()
     );
-    println!("  max step:  {:.2} ms", max_step * 1e3);
+    println!("  max step:  {:.2} ms", range.max_step_seconds() * 1e3);
     println!(
         "  real-time factor: {:.1}x (>1 means faster than real time)",
         budget * steps as f64 / wall

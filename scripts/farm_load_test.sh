@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Load/soak harness for the multi-tenant range farm.
+# Load/soak smoke for the multi-tenant range farm.
 #
 # Exports the built-in EPIC SG-ML model set, compiles it once, then multiplexes
 # TENANTS concurrent ranges across the machine's cores via `sgml_processor
-# serve`, writing per-tenant journals/metrics plus a machine-readable farm
-# report (ranges/sec, p50/p99/max step latency) to REPORT.
+# serve`, writing per-tenant journals/metrics to OUT_DIR and the farm report
+# (ranges/sec, p50/p99/max step latency) to REPORT, by default both in
+# target/farm-load/.
+# It fails unless every tenant left a journal and none failed or was given up.
 #
-# The latest full report is kept in REPORT (BENCH_farm.json); every run also
-# appends a timestamped summary line to HISTORY (BENCH_farm.jsonl) so the
-# farm's throughput/latency trajectory accumulates across runs.
+# This is a smoke, not a ledger: benchmark numbers are appended to
+# BENCH_range.jsonl by scripts/bench_pairs.sh.
 #
 # Usage:
-#   scripts/farm_load_test.sh                 # 128 tenants x 2 s -> BENCH_farm.json
+#   scripts/farm_load_test.sh                 # 128 tenants x 2 s -> target/farm-load/farm.json
 #   TENANTS=512 SIM_SECONDS=10 scripts/farm_load_test.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,8 +21,7 @@ TENANTS="${TENANTS:-128}"
 SIM_SECONDS="${SIM_SECONDS:-2}"
 STEP_BUDGET_MS="${STEP_BUDGET_MS:-250}"
 OUT_DIR="${OUT_DIR:-target/farm-load}"
-REPORT="${REPORT:-BENCH_farm.json}"
-HISTORY="${HISTORY:-BENCH_farm.jsonl}"
+REPORT="${REPORT:-$OUT_DIR/farm.json}"
 BUNDLE="target/farm-load-bundle"
 
 cargo build --release --bin sgml_processor --example export_epic_model
@@ -56,18 +56,4 @@ if [ "$FAILED" -ne 0 ]; then
   exit 1
 fi
 
-# Append a timestamped one-line summary of this run (farm-level fields only,
-# no per_tenant detail) to the history file; REPORT keeps the full latest run.
-python3 - "$REPORT" "$HISTORY" <<'PY'
-import json, sys, datetime
-report_path, history_path = sys.argv[1], sys.argv[2]
-with open(report_path) as f:
-    report = json.load(f)
-entry = {"timestamp": datetime.datetime.now(datetime.timezone.utc)
-         .isoformat(timespec="seconds")}
-entry.update({k: v for k, v in report.items() if k != "per_tenant"})
-with open(history_path, "a") as f:
-    f.write(json.dumps(entry, sort_keys=False) + "\n")
-PY
-
-echo "ok: $JOURNALS per-tenant journals in $OUT_DIR/, farm report in $REPORT (history: $HISTORY)"
+echo "ok: $JOURNALS per-tenant journals in $OUT_DIR/, farm report in $REPORT"

@@ -56,7 +56,8 @@
 //! `tenant-NNNN.metrics.json`; `--step-budget-ms` enforces a per-tenant
 //! wall-clock step budget (`--max-overruns` halts repeat offenders), and
 //! `--report` writes the farm throughput/latency report (ranges/sec, p50,
-//! p99, max step latency) as JSON — the schema `BENCH_farm.json` tracks.
+//! p99, max step latency) as JSON; the benchmark ledger is
+//! `BENCH_range.jsonl`, appended by `scripts/bench_pairs.sh`.
 //! `--status-addr <host:port>` additionally serves the farm's live state
 //! over HTTP while it runs: `/metrics` is the bucket-merged farm metric
 //! registry in Prometheus text exposition format, `/status` is

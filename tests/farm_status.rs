@@ -11,6 +11,7 @@ use sg_cyber_range::models::epic_bundle;
 use sg_cyber_range::net::SimDuration;
 use sg_cyber_range::obs::json::Value;
 use sg_cyber_range::obs::{json, prom, HistogramSnapshot, MetricsSnapshot};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// The Prometheus text exposition of a known snapshot is byte-pinned by a
@@ -47,6 +48,27 @@ fn prometheus_exposition_matches_golden_fixture() {
         rendered, golden,
         "Prometheus exposition drifted from tests/fixtures/obs/metrics.prom"
     );
+}
+
+/// The names in the farm-only table of docs/observability.md: the first
+/// backticked cell of each row of the table after its introducing line.
+fn farm_only_catalogue() -> BTreeSet<String> {
+    let doc = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs/observability.md"),
+    )
+    .expect("docs/observability.md readable");
+    let (_, table) = doc
+        .split_once("Farm-only instruments exported alongside the merged tenant metrics:")
+        .expect("the farm-only table is introduced");
+    let names: BTreeSet<String> = table
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|row| row.split('`').nth(1))
+        .map(str::to_string)
+        .collect();
+    assert!(!names.is_empty(), "the farm-only table has rows");
+    names
 }
 
 /// Polls `path` on the endpoint until it answers or the deadline passes.
@@ -142,6 +164,28 @@ fn live_farm_serves_status_and_metrics_over_http() {
         assert!(
             line.starts_with('#') || line.split_whitespace().count() == 2,
             "malformed exposition line: {line}"
+        );
+    }
+    // Every farm-only instrument the scrape carries is in the catalogue's
+    // farm-only table, and every name there is scraped. A `# HELP` line
+    // ends with the registry name.
+    let scraped: BTreeSet<&str> = metrics
+        .lines()
+        .filter(|line| line.starts_with("# HELP "))
+        .filter_map(|line| line.split_whitespace().last())
+        .filter(|name| name.starts_with("farm."))
+        .collect();
+    let catalogue = farm_only_catalogue();
+    for name in &scraped {
+        assert!(
+            catalogue.contains(*name),
+            "{name} is scraped but missing from the farm-only table in docs/observability.md"
+        );
+    }
+    for name in &catalogue {
+        assert!(
+            scraped.contains(name.as_str()),
+            "{name} is in the farm-only table of docs/observability.md but not scraped"
         );
     }
 

@@ -54,7 +54,7 @@ fn bundle_roundtrips_through_a_directory() {
     )
     .expect("reloaded bundle compiles");
     range.run_for(SimDuration::from_secs(1));
-    assert!((range.solve_errors().len() == 0));
+    assert!((range.solve_errors_total() == 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

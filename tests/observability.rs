@@ -9,6 +9,7 @@ use sg_cyber_range::core::{CompiledModel, CyberRange, RangeBuilder};
 use sg_cyber_range::models::epic_bundle;
 use sg_cyber_range::net::SimDuration;
 use sg_cyber_range::obs::{Event, Telemetry};
+use std::time::Duration;
 
 fn instrumented_epic_range() -> (CyberRange, Telemetry) {
     let bundle = epic_bundle();
@@ -318,4 +319,37 @@ fn disabled_telemetry_registers_no_plane_profile() {
     }
     let snapshot = Telemetry::disabled().snapshot();
     assert!(snapshot.histograms.is_empty());
+}
+
+#[test]
+fn a_zero_step_budget_overruns_every_step_with_a_finite_ratio() {
+    let (mut range, telemetry) = instrumented_epic_range();
+    range.step();
+    let before = range.overruns();
+    range.set_step_budget(Duration::ZERO);
+    for _ in 0..5 {
+        range.step();
+    }
+    assert_eq!(range.overruns() - before, 5, "every step overruns");
+    assert!(range.max_step_seconds() > 0.0);
+
+    // The counter, the gauge and the journal follow the range's count.
+    let snapshot = telemetry.snapshot();
+    assert_eq!(
+        snapshot.counter("range.step_overruns"),
+        Some(range.overruns())
+    );
+    let ratio = snapshot.gauge("range.step_overrun_ratio").unwrap();
+    assert!(ratio.is_finite() && ratio > 1.0, "gauge {ratio}");
+    let ratios: Vec<f64> = telemetry
+        .events()
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::StepOverrun { ratio, .. } => Some(ratio),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ratios.len() as u64, range.overruns());
+    assert!(ratios.iter().all(|r| r.is_finite()), "{ratios:?}");
+    assert!(!telemetry.journal_jsonl().contains("\"ratio\":\""));
 }

@@ -45,65 +45,83 @@ fn two_bus_matches_the_closed_form_voltage() {
 
 /// Asserts Kirchhoff's current law at every energized node — branch flows
 /// out of the node, plus load and shunt consumption, minus sgen and source
-/// injection, sum to under 1e-6 MW — and that the sources supply exactly the
-/// load plus the losses.
+/// injection, sum to under 1e-6 MW and 1e-6 Mvar — and that the sources
+/// supply exactly the load plus what the solver reports the network takes:
+/// the shunts and the losses in P, and, as no reactive loss is reported, the
+/// buses' net injection into branches and shunts in Q. A node with several
+/// voltage-controlling units balances Q only if they share it.
 fn assert_balanced(net: &PowerNetwork, res: &PowerFlowResult, what: &str) {
     let topo = Topology::build(net);
     let node = |bus: BusId| topo.bus_to_node[bus.index()];
     let energized = |bus: BusId| res.bus[bus.index()].energized;
-    let mut residual = vec![0.0f64; net.bus.len()];
+    // `[P, Q]` out of each node.
+    let mut residual = vec![[0.0f64; 2]; net.bus.len()];
+    let mut out = |bus: BusId, p: f64, q: f64| {
+        residual[node(bus)][0] += p;
+        residual[node(bus)][1] += q;
+    };
     for (l, r) in net.line.iter().zip(&res.line) {
-        residual[node(l.from_bus)] += r.p_from_mw;
-        residual[node(l.to_bus)] += r.p_to_mw;
+        out(l.from_bus, r.p_from_mw, r.q_from_mvar);
+        out(l.to_bus, r.p_to_mw, r.q_to_mvar);
     }
     for (t, r) in net.trafo.iter().zip(&res.trafo) {
-        residual[node(t.hv_bus)] += r.p_from_mw;
-        residual[node(t.lv_bus)] += r.p_to_mw;
+        out(t.hv_bus, r.p_from_mw, r.q_from_mvar);
+        out(t.lv_bus, r.p_to_mw, r.q_to_mvar);
     }
-    let (mut supplied, mut consumed) = (0.0, res.total_losses_mw);
+    let injected_q = res.bus.iter().map(|b| b.q_mvar).sum();
+    let (mut supplied, mut consumed) = ([0.0f64; 2], [res.total_losses_mw, injected_q]);
     for l in net.load.iter().filter(|l| l.in_service && energized(l.bus)) {
-        residual[node(l.bus)] += l.p_mw * l.scaling;
-        consumed += l.p_mw * l.scaling;
+        let (p, q) = (l.p_mw * l.scaling, l.q_mvar * l.scaling);
+        out(l.bus, p, q);
+        consumed[0] += p;
+        consumed[1] += q;
     }
     for s in net
         .shunt
         .iter()
         .filter(|s| s.in_service && energized(s.bus))
     {
-        let p = s.p_mw * res.bus[s.bus.index()].vm_pu.powi(2);
-        residual[node(s.bus)] += p;
-        consumed += p;
+        let v2 = res.bus[s.bus.index()].vm_pu.powi(2);
+        out(s.bus, s.p_mw * v2, s.q_mvar * v2);
+        consumed[0] += s.p_mw * v2;
     }
     for s in net.sgen.iter().filter(|s| s.in_service && energized(s.bus)) {
-        residual[node(s.bus)] -= s.p_mw * s.scaling;
-        supplied += s.p_mw * s.scaling;
+        let (p, q) = (s.p_mw * s.scaling, s.q_mvar * s.scaling);
+        out(s.bus, -p, -q);
+        supplied[0] += p;
+        supplied[1] += q;
     }
     for (g, r) in net.gen.iter().zip(&res.gen) {
         if g.in_service && energized(g.bus) {
-            residual[node(g.bus)] -= r.p_mw;
-            supplied += r.p_mw;
+            out(g.bus, -r.p_mw, -r.q_mvar);
+            supplied[0] += r.p_mw;
+            supplied[1] += r.q_mvar;
         }
     }
     for (e, r) in net.ext_grid.iter().zip(&res.ext_grid) {
-        residual[node(e.bus)] -= r.p_mw;
-        supplied += r.p_mw;
+        out(e.bus, -r.p_mw, -r.q_mvar);
+        supplied[0] += r.p_mw;
+        supplied[1] += r.q_mvar;
     }
     let mut checked = 0;
     for (b, bus) in net.bus.iter().enumerate() {
         if res.bus[b].energized && topo.bus_to_node[b] == b {
-            assert!(
-                residual[b].abs() < 1e-6,
-                "{what}: KCL residual {} MW at {}",
-                residual[b],
-                bus.name
-            );
+            let name = &bus.name;
+            for (r, unit) in residual[b].into_iter().zip(["MW", "Mvar"]) {
+                assert!(r.abs() < 1e-6, "{what}: KCL residual {r} {unit} at {name}");
+            }
             checked += 1;
         }
     }
     assert!(checked > 0, "{what}: no energized bus");
+    let ([sp, sq], [cp, cq]) = (supplied, consumed);
     assert!(
-        (supplied - consumed).abs() < 1e-6,
-        "{what}: sources supply {supplied} MW for load plus losses {consumed} MW"
+        (sp - cp).abs() < 1e-6,
+        "{what}: sources supply {sp} MW for load, shunts and losses {cp} MW"
+    );
+    assert!(
+        (sq - cq).abs() < 1e-6,
+        "{what}: sources supply {sq} Mvar for load and bus injections {cq} Mvar"
     );
 }
 
