@@ -8,7 +8,9 @@
 //! into any number of independent [`CyberRange`](crate::CyberRange)s. No
 //! per-tenant work re-touches XML or ST source text; instantiation only
 //! clones the pristine power model and stamps out fresh virtual devices
-//! from the compiled blueprints.
+//! from the compiled blueprints. Each IED's IEC 61850 data model is built
+//! here too: its attribute tree is shared by every tenant, which owns only
+//! the leaf values.
 //!
 //! This is the model/state split behind the multi-tenant range farm: the
 //! compiled model is the paper's "generated cyber range" as a reusable
@@ -23,7 +25,7 @@ use crate::fingerprint::Fingerprint;
 use crate::keymap::PublishKeys;
 use crate::parsed::ParsedBundle;
 use crate::range::{RangeError, SgmlBundle};
-use sgcr_ied::IedSpec;
+use sgcr_ied::{IedModel, IedSpec};
 use sgcr_net::SimDuration;
 use sgcr_plc::{GooseBinding, MmsReadBinding, MmsWriteBinding, Program};
 use sgcr_powerflow::{PowerNetwork, SimulationSchedule};
@@ -87,8 +89,15 @@ pub struct CompiledModel {
     pub schedule: SimulationSchedule,
     /// Power-flow step interval from the Power Extra config (100 ms default).
     pub interval: SimDuration,
-    /// Compiled virtual-IED specs (ICD-gated), in config order.
+    /// Compiled virtual-IED specs (ICD-gated), in config order. Tenants run
+    /// the IED data models built from these when the model compiled, so an
+    /// edit made here afterwards reaches no tenant.
     pub ieds: Vec<IedSpec>,
+    /// The IED models built from `ieds` when the model compiled, in the
+    /// same order. Every tenant's IED apps run these: they share each
+    /// model's attribute tree, spec and leaf handles, and copy only its
+    /// leaf values.
+    pub(crate) ied_models: Vec<Arc<IedModel>>,
     /// Compiled virtual PLCs, in config order.
     pub plcs: Vec<CompiledPlc>,
     /// The SCADA HMI blueprint, when configured.
@@ -188,6 +197,18 @@ impl CompiledModel {
             ieds.push(spec);
         }
 
+        // Each IED's data model, built once for every tenant. The bundle
+        // rules checked every item above; a caller that skipped them gets
+        // the first bad item as an error.
+        let ied_models = ieds
+            .iter()
+            .map(|spec| IedModel::build(spec.clone()).map(Arc::new))
+            .collect::<Result<_, _>>()
+            .map_err(|detail| RangeError::Model {
+                what: "IED data model",
+                detail,
+            })?;
+
         // Virtual-PLC programs, with binding servers resolved to IPs. Every
         // program parsed: the bundle was refused above otherwise.
         let mut plcs: Vec<CompiledPlc> = Vec::new();
@@ -247,6 +268,7 @@ impl CompiledModel {
             schedule,
             interval,
             ieds,
+            ied_models,
             plcs,
             scada,
             diagnostics,

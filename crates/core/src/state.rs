@@ -188,19 +188,19 @@ impl RangeState {
         let store = ProcessStore::new();
         let interval = settings.interval.unwrap_or(model.interval);
 
-        // --- Virtual IEDs from compiled specs ------------------------------
+        // --- Virtual IEDs from compiled models -----------------------------
         let mut ieds = HashMap::new();
-        for spec in &model.ieds {
-            let Some(&node) = node_by_name.get(&spec.name) else {
+        for ied in &model.ied_models {
+            let name = &ied.spec().name;
+            let Some(&node) = node_by_name.get(name) else {
                 return Err(RangeError::UnknownHost {
-                    host: spec.name.clone(),
+                    host: name.clone(),
                     referenced_by: "IED Config XML",
                 });
             };
-            let (app, handle) =
-                VirtualIedApp::with_telemetry(spec.clone(), store.clone(), telemetry.clone());
+            let (app, handle) = VirtualIedApp::instantiate(ied, store.clone(), telemetry.clone());
             net.attach_app(node, Box::new(app));
-            ieds.insert(spec.name.clone(), handle);
+            ieds.insert(name.clone(), handle);
         }
 
         // --- Virtual PLCs from compiled programs ---------------------------

@@ -1212,8 +1212,9 @@ enum Attempt {
     /// Terminal: the report is final and the tenant state is published.
     Done(TenantReport),
     /// Restart-eligible interruption (budget halt). The report is what the
-    /// tenant reports if the supervisor gives up right now.
-    Interrupted(TenantReport),
+    /// tenant reports if the supervisor gives up right now, and the
+    /// telemetry (none after a worker panic) holds the sinks it then writes.
+    Interrupted(TenantReport, Option<Telemetry>),
 }
 
 /// Runs one queued job at the pool boundary: executes the tenant attempt
@@ -1248,7 +1249,7 @@ fn run_job(
             let mut report = failed_tenant(tenant, format!("worker panic: {detail}"));
             report.restarts = job.restarts;
             report.steps = live.steps.load(Ordering::Relaxed);
-            Attempt::Interrupted(report)
+            Attempt::Interrupted(report, None)
         }
     };
     match attempt {
@@ -1258,7 +1259,7 @@ fn run_job(
             let _ = tx.send(report);
             shared.complete_job();
         }
-        Attempt::Interrupted(mut report) => {
+        Attempt::Interrupted(mut report, telemetry) => {
             if config.restart_max > 0 && job.restarts < config.restart_max {
                 let restarts = job.restarts + 1;
                 let (t_ns, from_steps) = live
@@ -1285,7 +1286,11 @@ fn run_job(
                     backoff,
                 );
             } else if config.restart_max > 0 {
-                // Circuit breaker: restart budget exhausted.
+                // Circuit breaker: restart budget exhausted. The final
+                // attempt's sinks are the tenant's record; earlier attempts
+                // wrote none.
+                report.journal_path = telemetry
+                    .and_then(|telemetry| write_tenant_sinks(config, tenant, &telemetry, shared));
                 let restarts = job.restarts;
                 let t_ns = live
                     .checkpoint
@@ -1488,10 +1493,10 @@ fn run_tenant_attempt(
 
     if halted && config.restart_max > 0 {
         // Restart-eligible: hand the verdict to the supervisor. The
-        // cumulative snapshot stays in the aggregate; sinks are written
-        // only on the terminal attempt.
+        // cumulative snapshot stays in the aggregate; the supervisor writes
+        // the sinks only if it gives the tenant up.
         shared.tenant_suspended(live, tenant, &telemetry);
-        return Attempt::Interrupted(report);
+        return Attempt::Interrupted(report, Some(telemetry));
     }
 
     if drained {

@@ -2,8 +2,8 @@
 //! logical nodes, data objects, and functionally-constrained data attributes.
 
 use crate::ber::{self, BerError, Element, Tag};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Functional constraints (the subset the cyber range uses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -352,15 +352,51 @@ impl fmt::Display for ObjectRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LeafId(usize);
 
-/// A node in an IED's attribute tree. Both arms hold one word, so every
-/// entry of a parent's map is 16 bytes; composites, the rarer kind, pay for
-/// that with a box.
+/// The named children of a tree node, in name order. A node has few
+/// children, and a sorted vector of them is smaller and quicker to build
+/// than a `BTreeMap`, which allocates room for eleven.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AttrNode {
+struct Names<V>(Vec<(String, V)>);
+
+impl<V> Default for Names<V> {
+    fn default() -> Self {
+        Names(Vec::new())
+    }
+}
+
+impl<V> Names<V> {
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&V> {
+        self.position(name).ok().map(|i| &self.0[i].1)
+    }
+
+    /// The child named `name`, inserted from `default` first if absent. The
+    /// name is allocated only when it is inserted, and the vector grows by
+    /// one: most nodes have one or two children.
+    fn child(&mut self, name: &str, default: impl FnOnce() -> V) -> &mut V {
+        let i = self.position(name).unwrap_or_else(|i| {
+            self.0.reserve_exact(1);
+            self.0.insert(i, (name.to_string(), default()));
+            i
+        });
+        &mut self.0[i].1
+    }
+
+    fn names(&self) -> Vec<String> {
+        self.0.iter().map(|(n, _)| n.clone()).collect()
+    }
+}
+
+/// A node in an IED's attribute tree.
+#[derive(Debug, Clone, PartialEq)]
+enum AttrNode {
     /// A leaf attribute: its value lives in the model's leaf table.
     Leaf(LeafId),
-    /// A composite data object with named children (ordered).
-    Composite(Box<BTreeMap<String, AttrNode>>),
+    /// A composite data object with named children.
+    Composite(Names<AttrNode>),
 }
 
 impl AttrNode {
@@ -382,34 +418,46 @@ impl AttrNode {
             AttrNode::Leaf(id) => leaves[id.0].clone(),
             AttrNode::Composite(children) => DataValue::Struct(
                 children
-                    .values()
-                    .map(|child| child.to_value(leaves))
+                    .0
+                    .iter()
+                    .map(|(_, child)| child.to_value(leaves))
                     .collect(),
             ),
         }
     }
 }
 
-/// A logical node: a named bag of FC-partitioned data objects.
+/// LN name → FC → data object name → attribute node.
+type LogicalDevice = Names<Names<Names<AttrNode>>>;
+
+/// The structure of a [`DataModel`]: the IED name and the LD → LN → FC →
+/// attribute tree whose leaves index the model's leaf table.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct LogicalNode {
-    /// FC → attribute tree root.
-    pub by_fc: BTreeMap<String, BTreeMap<String, AttrNode>>,
+struct Tree {
+    ied_name: String,
+    /// LD name → device.
+    devices: Names<LogicalDevice>,
 }
 
-/// A logical device: named logical nodes.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LogicalDevice {
-    /// LN name → node.
-    pub nodes: BTreeMap<String, LogicalNode>,
+impl Tree {
+    fn resolve(&self, item_id: &str) -> Option<&AttrNode> {
+        let mut parts = Parts::parse(item_id).ok()?;
+        let root = self.devices.get(parts.ld)?.get(parts.ln)?.get(parts.fc)?;
+        root.get(parts.path.next()?)?.get(parts.path)
+    }
 }
 
 /// The full data model of one virtual IED.
 ///
 /// The attribute tree holds the structure; leaf values live in one table
-/// that the tree's [`AttrNode::Leaf`] nodes index. Item-id access
+/// that the tree's leaves index. Item-id access
 /// ([`read`](DataModel::read), [`write`](DataModel::write)) walks the tree
 /// to a leaf; [`set`](DataModel::set) indexes the table directly.
+///
+/// The tree sits behind an [`Arc`]: a clone copies the leaf table and shares
+/// the tree, so the models of one IED in many ranges hold one tree between
+/// them and a value of each their own. [`insert`](DataModel::insert) on a
+/// model whose tree is shared gives that model a copy of the tree first.
 ///
 /// # Examples
 ///
@@ -418,16 +466,14 @@ pub struct LogicalDevice {
 ///
 /// let mut model = DataModel::new("IED1");
 /// let pos = model.insert("LD0/XCBR1$ST$Pos$stVal", DataValue::dbpos_on());
-/// assert_eq!(model.read("LD0/XCBR1$ST$Pos$stVal").unwrap().as_dbpos(), Some(true));
+/// let copy = model.clone();
 /// model.set(pos, DataValue::dbpos_off());
 /// assert_eq!(model.read("LD0/XCBR1$ST$Pos$stVal").unwrap().as_dbpos(), Some(false));
+/// assert_eq!(copy.read("LD0/XCBR1$ST$Pos$stVal").unwrap().as_dbpos(), Some(true));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataModel {
-    /// The IED name (MMS identity).
-    pub ied_name: String,
-    /// LD name → device.
-    pub devices: BTreeMap<String, LogicalDevice>,
+    tree: Arc<Tree>,
     /// Leaf values, indexed by [`LeafId`].
     leaves: Vec<DataValue>,
 }
@@ -436,9 +482,17 @@ impl DataModel {
     /// Creates an empty model for an IED.
     pub fn new(ied_name: &str) -> DataModel {
         DataModel {
-            ied_name: ied_name.to_string(),
-            ..DataModel::default()
+            tree: Arc::new(Tree {
+                ied_name: ied_name.to_string(),
+                devices: Names::default(),
+            }),
+            leaves: Vec::new(),
         }
+    }
+
+    /// The IED name (MMS identity).
+    pub fn ied_name(&self) -> &str {
+        &self.tree.ied_name
     }
 
     /// Inserts (or replaces) a leaf attribute, creating intermediate nodes,
@@ -450,9 +504,10 @@ impl DataModel {
     /// Panics if `item_id` does not parse as an object reference.
     pub fn insert(&mut self, item_id: &str, value: DataValue) -> LeafId {
         let parts = Parts::parse(item_id).expect("valid object reference");
-        let ld = child(&mut self.devices, parts.ld, LogicalDevice::default);
-        let ln = child(&mut ld.nodes, parts.ln, LogicalNode::default);
-        let mut children = child(&mut ln.by_fc, parts.fc, BTreeMap::new);
+        let tree = Arc::make_mut(&mut self.tree);
+        let ld = tree.devices.child(parts.ld, Names::default);
+        let ln = ld.child(parts.ln, Names::default);
+        let mut children = ln.child(parts.fc, Names::default);
         let mut path = parts.path.peekable();
         while let Some(part) = path.next() {
             if path.peek().is_none() {
@@ -462,13 +517,14 @@ impl DataModel {
                 }
                 let id = LeafId(self.leaves.len());
                 self.leaves.push(value);
-                children.insert(part.to_string(), AttrNode::Leaf(id));
+                // A composite of that name is replaced by the leaf.
+                *children.child(part, || AttrNode::Leaf(id)) = AttrNode::Leaf(id);
                 return id;
             }
-            let node = child(children, part, || AttrNode::Composite(Box::default()));
+            let node = children.child(part, || AttrNode::Composite(Names::default()));
             if let AttrNode::Leaf(_) = node {
                 // Replacing a leaf with a deeper path: rebuild as composite.
-                *node = AttrNode::Composite(Box::default());
+                *node = AttrNode::Composite(Names::default());
             }
             let AttrNode::Composite(next) = node else {
                 unreachable!("a leaf was just replaced")
@@ -488,24 +544,17 @@ impl DataModel {
         self.leaves[id.0] = value;
     }
 
-    fn resolve(&self, item_id: &str) -> Option<&AttrNode> {
-        let mut parts = Parts::parse(item_id).ok()?;
-        let ld = self.devices.get(parts.ld)?;
-        let ln = ld.nodes.get(parts.ln)?;
-        let root = ln.by_fc.get(parts.fc)?;
-        root.get(parts.path.next()?)?.get(parts.path)
-    }
-
     /// Reads an attribute (or whole data object as a struct).
     pub fn read(&self, item_id: &str) -> Option<DataValue> {
-        self.resolve(item_id)
+        self.tree
+            .resolve(item_id)
             .map(|node| node.to_value(&self.leaves))
     }
 
     /// Writes a leaf attribute; returns `false` if the path does not exist
     /// or is not a leaf.
     pub fn write(&mut self, item_id: &str, value: DataValue) -> bool {
-        match self.resolve(item_id) {
+        match self.tree.resolve(item_id) {
             Some(&AttrNode::Leaf(id)) => {
                 self.set(id, value);
                 true
@@ -516,29 +565,30 @@ impl DataModel {
 
     /// Whether an item exists (leaf or composite).
     pub fn contains(&self, item_id: &str) -> bool {
-        self.resolve(item_id).is_some()
+        self.tree.resolve(item_id).is_some()
     }
 
     /// Logical device names.
     pub fn device_names(&self) -> Vec<String> {
-        self.devices.keys().cloned().collect()
+        self.tree.devices.names()
     }
 
     /// Logical node names within a device.
     pub fn node_names(&self, ld: &str) -> Vec<String> {
-        self.devices
+        self.tree
+            .devices
             .get(ld)
-            .map(|d| d.nodes.keys().cloned().collect())
+            .map(Names::names)
             .unwrap_or_default()
     }
 
     /// All leaf item-ids in deterministic order (for name lists / tests).
     pub fn leaf_item_ids(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (ld_name, ld) in &self.devices {
-            for (ln_name, ln) in &ld.nodes {
-                for (fc, root) in &ln.by_fc {
-                    for (do_name, node) in root {
+        for (ld_name, ld) in &self.tree.devices.0 {
+            for (ln_name, ln) in &ld.0 {
+                for (fc, root) in &ln.0 {
+                    for (do_name, node) in &root.0 {
                         collect_leaves(
                             node,
                             &format!("{ld_name}/{ln_name}${fc}${do_name}"),
@@ -552,24 +602,11 @@ impl DataModel {
     }
 }
 
-/// `map[key]`, inserted from `default` first if absent. The key is
-/// allocated only when it is inserted.
-fn child<'m, V>(
-    map: &'m mut BTreeMap<String, V>,
-    key: &str,
-    default: impl FnOnce() -> V,
-) -> &'m mut V {
-    if !map.contains_key(key) {
-        map.insert(key.to_string(), default());
-    }
-    map.get_mut(key).expect("present or just inserted")
-}
-
 fn collect_leaves(node: &AttrNode, prefix: &str, out: &mut Vec<String>) {
     match node {
         AttrNode::Leaf(_) => out.push(prefix.to_string()),
         AttrNode::Composite(children) => {
-            for (name, child) in children.iter() {
+            for (name, child) in &children.0 {
                 collect_leaves(child, &format!("{prefix}${name}"), out);
             }
         }
@@ -676,6 +713,72 @@ mod tests {
             m.read("LD0/PTOC1$ST$Str$general"),
             Some(DataValue::Bool(false))
         );
+    }
+
+    #[test]
+    fn a_clone_keeps_its_own_values() {
+        let mut a = DataModel::new("IED1");
+        let f = a.insert("LD0/PTOC1$SP$StrVal$setMag$f", DataValue::Float(1.5));
+        a.insert("LD0/PTOC1$ST$Op$general", DataValue::Bool(false));
+        let mut b = a.clone();
+        // The clone shares the tree, not the values.
+        assert!(Arc::ptr_eq(&a.tree, &b.tree));
+        a.set(f, DataValue::Float(2.5));
+        assert!(a.write("LD0/PTOC1$ST$Op$general", DataValue::Bool(true)));
+        assert_eq!(
+            b.read("LD0/PTOC1$SP$StrVal$setMag$f"),
+            Some(DataValue::Float(1.5))
+        );
+        assert_eq!(
+            b.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(false))
+        );
+        b.set(f, DataValue::Float(9.0));
+        assert!(b.write("LD0/PTOC1$ST$Op$general", DataValue::Bool(false)));
+        assert_eq!(
+            a.read("LD0/PTOC1$SP$StrVal$setMag$f"),
+            Some(DataValue::Float(2.5))
+        );
+        assert_eq!(
+            a.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(true))
+        );
+        assert!(Arc::ptr_eq(&a.tree, &b.tree), "set and write copy no tree");
+    }
+
+    #[test]
+    fn inserting_into_a_shared_tree_copies_it_first() {
+        let mut a = DataModel::new("IED1");
+        let op = a.insert("LD0/PTOC1$ST$Op$general", DataValue::Bool(false));
+        let mut b = a.clone();
+        let before = a.leaf_item_ids();
+        let str_val = b.insert("LD0/PTOC1$SP$StrVal$setMag$f", DataValue::Float(1.0));
+        // Re-inserting an existing leaf of the now private tree keeps its id.
+        assert_eq!(
+            b.insert("LD0/PTOC1$ST$Op$general", DataValue::Bool(true)),
+            op
+        );
+        assert!(!Arc::ptr_eq(&a.tree, &b.tree));
+        assert_eq!(a.leaf_item_ids(), before);
+        assert!(!a.contains("LD0/PTOC1$SP$StrVal$setMag$f"));
+        assert_eq!(
+            a.read("LD0/PTOC1$ST$Op$general"),
+            Some(DataValue::Bool(false))
+        );
+        assert_eq!(
+            b.leaf_item_ids(),
+            vec![
+                "LD0/PTOC1$SP$StrVal$setMag$f".to_string(),
+                "LD0/PTOC1$ST$Op$general".to_string(),
+            ]
+        );
+        b.set(str_val, DataValue::Float(2.0));
+        assert_eq!(
+            b.read("LD0/PTOC1$SP$StrVal$setMag$f"),
+            Some(DataValue::Float(2.0))
+        );
+        assert_eq!(a.ied_name(), "IED1");
+        assert_eq!(b.ied_name(), "IED1");
     }
 
     #[test]

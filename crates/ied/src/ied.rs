@@ -179,73 +179,40 @@ impl Relay {
     }
 }
 
+/// The live state of one protection function, parallel to
+/// [`IedSpec::protections`].
 enum Function {
-    /// A relay sampling one process value.
-    Relay {
-        /// Process-store key of the sampled value (sensor faults are keyed
-        /// by it).
-        key: String,
-        slot: Slot,
-        relay: Relay,
-    },
+    /// A relay sampling one process value: the spec's input key, resolved
+    /// to its slot.
+    Relay { slot: Slot, relay: Relay },
     /// An interlock on remote breaker states received over (R-)GOOSE.
-    Cilo {
-        interlock: Interlock,
-        /// monitored refs: (reference, gocb_ref, dataset_index)
-        monitored: Vec<(String, String, usize)>,
-    },
+    Cilo(Interlock),
 }
 
-/// One protection function, resolved against the store, the data model and
-/// the IED's breakers when the app is built.
-struct ProtectionRuntime {
-    ln: String,
-    /// The breaker it trips (relays) or gates (CILO), by name.
-    breaker: String,
-    /// Index of that breaker in [`IedSpec::breakers`], if the IED maps it.
-    breaker_index: Option<usize>,
-    /// The leaf it rewrites: `Op$general` for relays, `EnaCls$stVal` for
-    /// CILO.
-    leaf: LeafId,
-    /// That leaf's item id, quoted in trip reports.
-    item: String,
-    function: Function,
-}
-
-impl ProtectionRuntime {
+impl Function {
     fn has_operated(&self) -> bool {
-        match &self.function {
+        match self {
             Function::Relay { relay, .. } => relay.has_operated(),
-            Function::Cilo { .. } => false,
+            Function::Cilo(_) => false,
         }
     }
 
     fn is_timing(&self) -> bool {
-        match &self.function {
+        match self {
             Function::Relay { relay, .. } => relay.is_timing(),
-            Function::Cilo { .. } => false,
+            Function::Cilo(_) => false,
         }
     }
 }
 
-/// A measurement's path from the store into the data model.
-struct MeasurementPath {
-    slot: Slot,
-    value: LeafId,
-    quality: LeafId,
-}
-
-/// A breaker's process keys and position leaves.
-struct BreakerPath {
+/// A breaker's process slots.
+struct BreakerSlots {
     state: Slot,
     cmd: Slot,
-    /// XCBR and CSWI `Pos$stVal`.
-    positions: [LeafId; 2],
-    /// The XCBR position's item id, quoted in trip reports.
-    xcbr_item: String,
 }
 
 /// Where one entry of the IED's own GOOSE dataset comes from.
+#[derive(Debug)]
 enum GooseSource {
     /// A breaker's position (index into [`IedSpec::breakers`]), or `None`
     /// for a breaker the IED does not map (always published open).
@@ -262,9 +229,11 @@ fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
 
 /// The virtual IED application.
 ///
-/// Built from an [`IedSpec`]; construct with [`VirtualIedApp::new`] and
-/// attach to an emulated host. The returned [`IedHandle`] exposes the live
-/// data model and the sequence-of-events record.
+/// Built from an [`IedModel`]: [`VirtualIedApp::instantiate`] gives the app
+/// its own copy of the model's leaf values and shares everything else;
+/// [`VirtualIedApp::new`] builds the model from a spec first. Attach the app
+/// to an emulated host. The returned [`IedHandle`] exposes the live data
+/// model and the sequence-of-events record.
 ///
 /// Every sample period the IED opens its `ied.sample` span and runs GOOSE
 /// supervision. It then takes a full sample — store → data model, the
@@ -286,16 +255,19 @@ fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
 /// journal, events and spans are the same as if every sample ran in full.
 /// [`IedHandle::full_samples`] counts the full ones.
 pub struct VirtualIedApp {
-    spec: IedSpec,
+    /// The IED this app runs: its spec, leaf handles and item ids, shared
+    /// with every app built from the same model.
+    ied: Arc<IedModel>,
     store: ProcessStore,
     mms: MmsServerApp,
     model: SharedModel,
-    measurements: Vec<MeasurementPath>,
-    breakers: Vec<BreakerPath>,
-    protections: Vec<ProtectionRuntime>,
-    /// The buffered report control block named in trip reports.
-    report_name: String,
-    goose_sources: Vec<GooseSource>,
+    /// The slot each measurement samples (indexed like
+    /// [`IedSpec::measurements`]).
+    measurements: Vec<Slot>,
+    /// Indexed like [`IedSpec::breakers`].
+    breakers: Vec<BreakerSlots>,
+    /// Indexed like [`IedSpec::protections`].
+    protections: Vec<Function>,
     goose_pub: Option<GoosePublisher>,
     goose_subs: Vec<GooseSubscriber>,
     rsv_pub: Option<SvPublisher>,
@@ -328,10 +300,6 @@ pub struct VirtualIedApp {
     remote_changed: bool,
     /// Whether a sensor fault was engaged at the last full sample.
     faulted_at_sample: bool,
-    /// Whether an MMS client may write a leaf the sample rewrites (a
-    /// measurement configured under `SP`, `CF` or `CO`): only a full
-    /// sample puts the process value back.
-    client_writable: bool,
     full_samples: Arc<AtomicU64>,
     telemetry: Telemetry,
     trips_counter: Counter,
@@ -342,58 +310,53 @@ pub struct VirtualIedApp {
 }
 
 impl VirtualIedApp {
-    /// Builds the application and its data model from a resolved spec, with
-    /// telemetry disabled.
+    /// Builds the data model a spec implies and the application over it,
+    /// with telemetry disabled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item of the spec's data model is not an object
+    /// reference; [`IedModel::build`] reports that as an error instead.
     pub fn new(spec: IedSpec, store: ProcessStore) -> (VirtualIedApp, IedHandle) {
-        VirtualIedApp::with_telemetry(spec, store, Telemetry::disabled())
+        let ied = IedModel::build(spec).unwrap_or_else(|e| panic!("{e}"));
+        VirtualIedApp::instantiate(&Arc::new(ied), store, Telemetry::disabled())
     }
 
-    /// Builds the application with a telemetry handle. Trips, controls, and
-    /// GOOSE publications feed the `ied.*` counters and journal
-    /// [`ProtectionTrip`](sgcr_obs::Event::ProtectionTrip),
+    /// Builds the application of a built IED model over a process store,
+    /// with a telemetry handle. The app gets its own copy of the model's
+    /// leaf values and shares its tree, spec and leaf handles, so apps of one
+    /// model in different ranges change only their own values. Trips,
+    /// controls, and GOOSE publications feed the `ied.*` counters and
+    /// journal [`ProtectionTrip`](sgcr_obs::Event::ProtectionTrip),
     /// [`ControlExecuted`](sgcr_obs::Event::ControlExecuted),
     /// [`ControlRejected`](sgcr_obs::Event::ControlRejected), and
     /// [`GooseSent`](sgcr_obs::Event::GooseSent) events tagged with this
     /// IED's name.
     ///
-    /// The data model is built here, and every store key and model leaf the
-    /// sample path touches is resolved to a handle once, so sampling does no
-    /// string lookups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an item of the spec's data model is not an object
-    /// reference; [`check_model`] reports that as an error instead.
-    pub fn with_telemetry(
-        spec: IedSpec,
+    /// Every store key the sample path reads is resolved to a slot here, so
+    /// sampling does no string lookups.
+    pub fn instantiate(
+        ied: &Arc<IedModel>,
         store: ProcessStore,
         telemetry: Telemetry,
     ) -> (VirtualIedApp, IedHandle) {
-        let built = build_model(&spec);
-        let model = SharedModel::new(built.model);
+        let spec = &ied.spec;
+        let model = SharedModel::new(ied.model.clone());
         let events: Arc<Mutex<Vec<IedEvent>>> = Arc::default();
         let permits = Arc::new(Mutex::new(vec![false; spec.breakers.len()]));
         let now_ms = Arc::new(AtomicU64::new(0));
 
-        let measurements: Vec<MeasurementPath> = spec
+        let measurements: Vec<Slot> = spec
             .measurements
             .iter()
-            .zip(built.measurements)
-            .map(|(m, [value, quality])| MeasurementPath {
-                slot: store.slot(&m.kv_key),
-                value,
-                quality,
-            })
+            .map(|m| store.slot(&m.kv_key))
             .collect();
-        let breakers: Vec<BreakerPath> = spec
+        let breakers: Vec<BreakerSlots> = spec
             .breakers
             .iter()
-            .zip(built.positions)
-            .map(|(b, (positions, xcbr_item))| BreakerPath {
+            .map(|b| BreakerSlots {
                 state: store.slot(&b.state_key),
                 cmd: store.slot(&b.cmd_key),
-                positions,
-                xcbr_item,
             })
             .collect();
 
@@ -406,20 +369,19 @@ impl VirtualIedApp {
         // Control handler: map Oper writes onto breaker commands, gated by
         // the interlock permits maintained by the protection scan.
         {
+            let ied = ied.clone();
             let store = store.clone();
             let events = events.clone();
             let permits = permits.clone();
             let now_ms = now_ms.clone();
-            let maps = spec.breakers.clone();
             let cmd_slots: Vec<Slot> = breakers.iter().map(|b| b.cmd).collect();
-            let substation = spec.substation.clone();
             let obs = telemetry.clone();
             let controls_counter = telemetry.counter("ied.controls");
-            let ied_name = spec.name.clone();
             server.set_control_handler(Box::new(move |object_ref, value| {
                 let Some(close) = value.as_bool() else {
                     return ControlDecision::Reject;
                 };
+                let maps = &ied.spec.breakers;
                 let Some(index) = maps
                     .iter()
                     .position(|b| object_ref.ln == b.cswi || object_ref.ln == b.xcbr)
@@ -429,11 +391,11 @@ impl VirtualIedApp {
                 let breaker = &maps[index];
                 let time_ms = now_ms.load(Ordering::Relaxed);
                 if close && breaker.interlocked {
-                    let permit = breaker_named(&maps, &breaker.name).unwrap_or(index);
+                    let permit = breaker_named(maps, &breaker.name).unwrap_or(index);
                     if !permits.lock()[permit] {
                         let detail = format!(
-                            "close {} blocked by interlock (substation {substation})",
-                            breaker.name
+                            "close {} blocked by interlock (substation {})",
+                            breaker.name, ied.spec.substation
                         );
                         events.lock().push(IedEvent {
                             time_ms,
@@ -441,7 +403,7 @@ impl VirtualIedApp {
                             detail: detail.clone(),
                         });
                         obs.record(TimeNs::from_millis(time_ms), || ObsEvent::ControlRejected {
-                            ied: ied_name.clone(),
+                            ied: ied.spec.name.clone(),
                             detail,
                         });
                         return ControlDecision::Reject;
@@ -456,7 +418,7 @@ impl VirtualIedApp {
                     detail: detail.clone(),
                 });
                 obs.record(TimeNs::from_millis(time_ms), || ObsEvent::ControlExecuted {
-                    ied: ied_name.clone(),
+                    ied: ied.spec.name.clone(),
                     detail,
                 });
                 ControlDecision::Accept
@@ -464,17 +426,15 @@ impl VirtualIedApp {
         }
 
         let delay = sgcr_net::SimDuration::from_millis;
-        let protections: Vec<ProtectionRuntime> = spec
+        let protections: Vec<Function> = spec
             .protections
             .iter()
-            .zip(built.protections)
-            .map(|(p, (leaf, item))| {
+            .map(|p| {
                 let relay = |key: &str, relay: Relay| Function::Relay {
-                    key: key.to_string(),
                     slot: store.slot(key),
                     relay,
                 };
-                let function = match p {
+                match p {
                     ProtectionSpec::Ptoc {
                         measurement_key,
                         pickup,
@@ -516,35 +476,22 @@ impl VirtualIedApp {
                         local_current_key,
                         Relay::Differential(DifferentialRelay::new(*threshold, delay(*delay_ms))),
                     ),
-                    ProtectionSpec::Cilo { monitored, .. } => Function::Cilo {
-                        interlock: Interlock::new(
-                            monitored.iter().map(|m| m.reference.clone()).collect(),
-                        ),
-                        monitored: monitored
-                            .iter()
-                            .map(|m| (m.reference.clone(), m.gocb_ref.clone(), m.dataset_index))
-                            .collect(),
-                    },
-                };
-                ProtectionRuntime {
-                    ln: p.ln().to_string(),
-                    breaker: p.breaker().to_string(),
-                    breaker_index: breaker_named(&spec.breakers, p.breaker()),
-                    leaf,
-                    item,
-                    function,
+                    ProtectionSpec::Cilo { monitored, .. } => Function::Cilo(Interlock::new(
+                        monitored.iter().map(|m| m.reference.clone()).collect(),
+                    )),
                 }
             })
             .collect();
 
         // Subscribe to every distinct gocbRef the interlocks reference.
-        let mut sub_refs: Vec<String> = protections
+        let mut sub_refs: Vec<&str> = spec
+            .protections
             .iter()
-            .filter_map(|p| match &p.function {
-                Function::Cilo { monitored, .. } => {
-                    Some(monitored.iter().map(|(_, g, _)| g.clone()))
+            .filter_map(|p| match p {
+                ProtectionSpec::Cilo { monitored, .. } => {
+                    Some(monitored.iter().map(|m| m.gocb_ref.as_str()))
                 }
-                Function::Relay { .. } => None,
+                _ => None,
             })
             .flatten()
             .collect();
@@ -552,24 +499,6 @@ impl VirtualIedApp {
         sub_refs.dedup();
         let goose_subs = sub_refs.iter().map(|g| GooseSubscriber::new(g)).collect();
 
-        let goose_sources = spec
-            .goose
-            .iter()
-            .flat_map(|g| &g.entries)
-            .map(|e| match e {
-                GooseEntry::BreakerState(name) => {
-                    GooseSource::Breaker(breaker_named(&spec.breakers, name))
-                }
-                GooseEntry::ProtectionOp(ln) => GooseSource::Protection(
-                    (0..protections.len())
-                        .filter(|&i| {
-                            let p = &protections[i];
-                            p.ln == *ln && matches!(p.function, Function::Relay { .. })
-                        })
-                        .collect(),
-                ),
-            })
-            .collect();
         let goose_pub = spec.goose.as_ref().map(|g| {
             GoosePublisher::new(
                 GooseConfig::new(&g.gocb_ref, &g.dataset, &g.gocb_ref, g.appid),
@@ -588,13 +517,13 @@ impl VirtualIedApp {
             .and_then(|r| r.subscribe_sv_id.as_ref())
             .map(|id| SvSubscriber::new(id));
 
-        let relay_inputs = protections.iter().filter_map(|p| match &p.function {
+        let relay_inputs = protections.iter().filter_map(|p| match p {
             Function::Relay { slot, .. } => Some(*slot),
-            Function::Cilo { .. } => None,
+            Function::Cilo(_) => None,
         });
         let inputs = measurements
             .iter()
-            .map(|m| m.slot)
+            .copied()
             .chain(breakers.iter().map(|b| b.state))
             .chain(relay_inputs)
             .chain(rsv_current)
@@ -603,15 +532,13 @@ impl VirtualIedApp {
         let degradation = DegradationSignal::new();
         let full_samples = Arc::new(AtomicU64::new(0));
         let app = VirtualIedApp {
-            spec,
+            ied: ied.clone(),
             store,
             mms: MmsServerApp::new(server),
             model: model.clone(),
             measurements,
             breakers,
             protections,
-            report_name: built.report_name,
-            goose_sources,
             goose_pub,
             goose_subs,
             rsv_pub,
@@ -630,7 +557,6 @@ impl VirtualIedApp {
             sampled_at: None,
             remote_changed: false,
             faulted_at_sample: false,
-            client_writable: built.client_writable,
             full_samples: full_samples.clone(),
             trips_counter: telemetry.counter("ied.protection_trips"),
             goose_counter: telemetry.counter("ied.goose_sent"),
@@ -667,17 +593,20 @@ impl VirtualIedApp {
         parent: Option<TraceCtx>,
     ) -> Option<TraceCtx> {
         let now = ctx.now();
-        let protection = &self.protections[index];
-        let (ln, breaker_name) = (&protection.ln, &protection.breaker);
-        let breaker = &self.breakers[protection.breaker_index?];
+        let ied = &*self.ied;
+        let spec = &ied.spec.protections[index];
+        let (ln, breaker_name) = (spec.ln(), spec.breaker());
+        let protection = &ied.protections[index];
+        let breaker = protection.breaker?;
         let mut span = ctx.tracer().open("ied.trip", Plane::Control, parent, now);
         if span.is_recording() {
-            span.attr("ied", self.spec.name.as_str());
-            span.attr("ln", ln.as_str());
-            span.attr("breaker", breaker_name.as_str());
+            span.attr("ied", ied.spec.name.as_str());
+            span.attr("ln", ln);
+            span.attr("breaker", breaker_name);
         }
         let trip_ctx = span.ctx();
-        self.store.set_at(breaker.cmd, Value::Bool(false));
+        self.store
+            .set_at(self.breakers[breaker].cmd, Value::Bool(false));
         self.model.set(protection.leaf, DataValue::Bool(true));
         self.record(
             now,
@@ -687,17 +616,20 @@ impl VirtualIedApp {
         self.trips_counter.inc();
         self.telemetry
             .record(now.as_nanos(), || ObsEvent::ProtectionTrip {
-                ied: self.spec.name.clone(),
+                ied: ied.spec.name.clone(),
                 detail: format!("{ln} tripped {breaker_name}"),
             });
         // Spontaneous reporting: push an InformationReport to every
         // associated MMS client (SCADA/PLC learn of the trip immediately,
         // without waiting for their next interrogation cycle).
         let report = sgcr_iec61850::MmsPdu::InformationReport {
-            report_name: self.report_name.clone(),
+            report_name: ied.report_name.clone(),
             entries: vec![
                 (protection.item.clone(), DataValue::Bool(true)),
-                (breaker.xcbr_item.clone(), DataValue::dbpos_off()),
+                (
+                    ied.positions[breaker].xcbr_item.clone(),
+                    DataValue::dbpos_off(),
+                ),
             ],
         };
         // Spontaneous reports are caused by the trip: frames they generate
@@ -731,7 +663,7 @@ impl VirtualIedApp {
             now,
         );
         if sample_span.is_recording() {
-            sample_span.attr("ied", self.spec.name.as_str());
+            sample_span.attr("ied", self.ied.spec.name.as_str());
         }
         let sample_ctx = sample_span.ctx();
         if sample_ctx.is_some() {
@@ -758,20 +690,18 @@ impl VirtualIedApp {
                     self.remote_changed = true;
                     self.telemetry
                         .record(now.as_nanos(), || ObsEvent::GooseExpired {
-                            ied: self.spec.name.clone(),
+                            ied: self.ied.spec.name.clone(),
                             publisher: gocb.clone(),
                         });
                 }
             }
-            for p in &mut self.protections {
-                if let Function::Cilo {
-                    interlock,
-                    monitored,
-                } = &mut p.function
+            for (p, spec) in self.protections.iter_mut().zip(&self.ied.spec.protections) {
+                if let (Function::Cilo(interlock), ProtectionSpec::Cilo { monitored, .. }) =
+                    (p, spec)
                 {
-                    for (reference, gocb_ref, _) in monitored.iter() {
-                        if expired.contains(gocb_ref) {
-                            interlock.set_unknown(reference);
+                    for m in monitored {
+                        if expired.contains(&m.gocb_ref) {
+                            interlock.set_unknown(&m.reference);
                         }
                     }
                 }
@@ -804,18 +734,18 @@ impl VirtualIedApp {
         // may have overwritten a client-writable leaf.
         let version = self.store.version();
         let quiescent = self.rsv_pub.is_none()
-            && !self.client_writable
+            && !self.ied.client_writable
             && !self.remote_changed
             && !faulted
             && !self.faulted_at_sample
             && !requalify
-            && !self.protections.iter().any(ProtectionRuntime::is_timing)
+            && !self.protections.iter().any(Function::is_timing)
             && self
                 .sampled_at
                 .is_some_and(|since| !self.store.written_since(&self.inputs, since));
         if quiescent {
             sample_span.end(now);
-            ctx.set_timer(self.spec.sample_period, TOKEN_SAMPLE);
+            ctx.set_timer(self.ied.spec.sample_period, TOKEN_SAMPLE);
             return;
         }
         self.sampled_at = Some(version);
@@ -823,38 +753,42 @@ impl VirtualIedApp {
         self.faulted_at_sample = faulted;
         self.full_samples.fetch_add(1, Ordering::Relaxed);
         let store = &self.store;
+        let ied = &*self.ied;
         self.model.with(|model| {
-            for (m, path) in self.spec.measurements.iter().zip(&self.measurements) {
-                if let Some(v) = store.get_at(path.slot).and_then(|v| v.as_float()) {
+            let leaves = ied.spec.measurements.iter().zip(&ied.measurements);
+            for ((m, [value, _]), &slot) in leaves.zip(&self.measurements) {
+                if let Some(v) = store.get_at(slot).and_then(|v| v.as_float()) {
                     let v = apply_sensor_fault(&mut faults, &m.kv_key, v, now_ms);
-                    model.set(path.value, DataValue::Float(v as f32));
+                    model.set(*value, DataValue::Float(v as f32));
                 }
             }
             if requalify {
                 let q = if degraded { "invalid" } else { "good" };
-                for path in &self.measurements {
-                    model.set(path.quality, DataValue::Str(q.to_string()));
+                for &[_, quality] in &ied.measurements {
+                    model.set(quality, DataValue::Str(q.to_string()));
                 }
             }
             // 2. Breaker positions.
-            for b in &self.breakers {
+            for (b, position) in self.breakers.iter().zip(&ied.positions) {
                 let closed = store.get_at(b.state).and_then(|v| v.as_bool());
                 let pos = if closed.unwrap_or(false) {
                     DataValue::dbpos_on()
                 } else {
                     DataValue::dbpos_off()
                 };
-                model.set(b.positions[0], pos.clone());
-                model.set(b.positions[1], pos);
+                model.set(position.leaves[0], pos.clone());
+                model.set(position.leaves[1], pos);
             }
         });
 
         // 3. Protection scan.
         let mut trips: Vec<usize> = Vec::new();
-        for (index, p) in self.protections.iter_mut().enumerate() {
-            match &mut p.function {
-                Function::Relay { key, slot, relay } => {
-                    let Some(value) = store.get_at(*slot).and_then(|v| v.as_float()) else {
+        let functions = self.protections.iter_mut().zip(&ied.spec.protections);
+        for (index, (function, spec)) in functions.enumerate() {
+            match function {
+                Function::Relay { slot, relay } => {
+                    let value = store.get_at(*slot).and_then(|v| v.as_float());
+                    let (Some(value), Some(key)) = (value, spec.input_key()) else {
                         continue;
                     };
                     let value = apply_sensor_fault(&mut faults, key, value, now_ms);
@@ -865,11 +799,12 @@ impl VirtualIedApp {
                         }
                         Some(RelayEvent::Pickup) => (
                             IedEventKind::ProtectionPickup,
-                            relay.pickup_detail(&p.ln, value),
+                            relay.pickup_detail(spec.ln(), value),
                         ),
-                        Some(RelayEvent::Dropout) if !matches!(relay, Relay::Differential(_)) => {
-                            (IedEventKind::ProtectionDropout, format!("{} dropout", p.ln))
-                        }
+                        Some(RelayEvent::Dropout) if !matches!(relay, Relay::Differential(_)) => (
+                            IedEventKind::ProtectionDropout,
+                            format!("{} dropout", spec.ln()),
+                        ),
                         _ => continue,
                     };
                     self.events.lock().push(IedEvent {
@@ -878,12 +813,13 @@ impl VirtualIedApp {
                         detail,
                     });
                 }
-                Function::Cilo { interlock, .. } => {
+                Function::Cilo(interlock) => {
                     let permitted = interlock.close_permitted();
-                    if let Some(breaker) = p.breaker_index {
+                    let protection = &ied.protections[index];
+                    if let Some(breaker) = protection.breaker {
                         self.permits.lock()[breaker] = permitted;
                     }
-                    self.model.set(p.leaf, DataValue::Bool(permitted));
+                    self.model.set(protection.leaf, DataValue::Bool(permitted));
                 }
             }
         }
@@ -898,6 +834,7 @@ impl VirtualIedApp {
         // 4. GOOSE publication (update dataset; emit immediately on change).
         if self.goose_pub.is_some() {
             let values: Vec<DataValue> = self
+                .ied
                 .goose_sources
                 .iter()
                 .map(|source| {
@@ -924,7 +861,7 @@ impl VirtualIedApp {
         }
 
         // 5. R-SV publication.
-        if let (Some(rsv), Some(publisher)) = (&self.spec.rsv, &mut self.rsv_pub) {
+        if let (Some(rsv), Some(publisher)) = (&self.ied.spec.rsv, &mut self.rsv_pub) {
             let current = self
                 .rsv_current
                 .and_then(|slot| self.store.get_at(slot))
@@ -940,7 +877,7 @@ impl VirtualIedApp {
         }
 
         sample_span.end(now);
-        ctx.set_timer(self.spec.sample_period, TOKEN_SAMPLE);
+        ctx.set_timer(self.ied.spec.sample_period, TOKEN_SAMPLE);
     }
 
     fn emit_goose(&mut self, ctx: &mut HostCtx<'_>) {
@@ -953,7 +890,7 @@ impl VirtualIedApp {
             return;
         };
         if span.is_recording() {
-            span.attr("ied", self.spec.name.as_str());
+            span.attr("ied", self.ied.spec.name.as_str());
             span.attr("gocb", publisher.config.gocb_ref.as_str());
         }
         let pub_ctx = span.ctx();
@@ -964,7 +901,7 @@ impl VirtualIedApp {
         }
         let (frame, wait) = publisher.emit(now, mac);
         // R-GOOSE to inter-substation peers.
-        if let Some(goose_spec) = &self.spec.goose {
+        if let Some(goose_spec) = &self.ied.spec.goose {
             if !goose_spec.rgoose_peers.is_empty() {
                 let packet = self
                     .session_tx
@@ -978,7 +915,7 @@ impl VirtualIedApp {
         self.goose_counter.inc();
         self.telemetry
             .record(now.as_nanos(), || ObsEvent::GooseSent {
-                ied: self.spec.name.clone(),
+                ied: self.ied.spec.name.clone(),
             });
         ctx.send_frame(frame);
         span.end(now);
@@ -996,26 +933,24 @@ impl VirtualIedApp {
                     ctx.tracer()
                         .open("ied.goose_rx", Plane::Control, ctx.trace_parent(), now);
                 if span.is_recording() {
-                    span.attr("ied", self.spec.name.as_str());
+                    span.attr("ied", self.ied.spec.name.as_str());
                     span.attr("gocb", gocb.as_str());
                 }
                 span.end(now);
-                for p in &mut self.protections {
-                    if let Function::Cilo {
-                        interlock,
-                        monitored,
-                    } = &mut p.function
+                for (p, spec) in self.protections.iter_mut().zip(&self.ied.spec.protections) {
+                    if let (Function::Cilo(interlock), ProtectionSpec::Cilo { monitored, .. }) =
+                        (p, spec)
                     {
-                        for (reference, gocb_ref, index) in monitored.iter() {
-                            if *gocb_ref != gocb {
+                        for m in monitored {
+                            if m.gocb_ref != gocb {
                                 continue;
                             }
-                            let closed = data.get(*index).and_then(|v| match v {
+                            let closed = data.get(m.dataset_index).and_then(|v| match v {
                                 DataValue::Bool(b) => Some(*b),
                                 other => other.as_dbpos(),
                             });
                             if let Some(closed) = closed {
-                                interlock.update(reference, closed);
+                                interlock.update(&m.reference, closed);
                             }
                         }
                     }
@@ -1033,7 +968,7 @@ impl SocketApp for VirtualIedApp {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.mms.on_start(ctx);
         ctx.bind_udp(RGOOSE_PORT);
-        ctx.set_timer(self.spec.sample_period, TOKEN_SAMPLE);
+        ctx.set_timer(self.ied.spec.sample_period, TOKEN_SAMPLE);
         if self.goose_pub.is_some() {
             self.emit_goose(ctx);
         }
@@ -1103,7 +1038,7 @@ impl SocketApp for VirtualIedApp {
                             if let Function::Relay {
                                 relay: Relay::Differential(relay),
                                 ..
-                            } = &mut p.function
+                            } = p
                             {
                                 relay.update_remote(now, remote);
                             }
@@ -1304,62 +1239,161 @@ pub fn check_model(spec: &IedSpec) -> Result<(), String> {
     result
 }
 
-/// The data model of one IED with the handles of every leaf its runtime
-/// rewrites, recorded as the builder inserts them. The vectors run parallel
-/// to the spec's measurements, breakers and protection functions.
-struct IedModel {
+/// A breaker's position leaves.
+#[derive(Debug)]
+struct PositionLeaves {
+    /// XCBR and CSWI `Pos$stVal`.
+    leaves: [LeafId; 2],
+    /// The XCBR position's item id, quoted in trip reports.
+    xcbr_item: String,
+}
+
+/// A protection function's leaf and breaker.
+#[derive(Debug)]
+struct ProtectionLeaf {
+    /// The leaf it rewrites: `Op$general` for relays, `EnaCls$stVal` for
+    /// CILO.
+    leaf: LeafId,
+    /// That leaf's item id, quoted in trip reports.
+    item: String,
+    /// Index in [`IedSpec::breakers`] of the breaker it trips (relays) or
+    /// gates (CILO), if the IED maps it.
+    breaker: Option<usize>,
+}
+
+/// A virtual IED as the model compiler builds it: its spec, the IEC 61850
+/// data model the spec implies — attribute tree and initial leaf values —
+/// and what the runtime derives from the spec alone: the handle of every
+/// leaf a sample rewrites, the item ids trip reports quote, and the sources
+/// of the GOOSE dataset.
+///
+/// None of it changes while the IED runs, so one model behind an [`Arc`]
+/// serves every range stamped from a compiled model: each
+/// [`VirtualIedApp::instantiate`] copies the leaf values and shares the tree
+/// (see [`DataModel`]) and the rest. The vectors run parallel to the spec's
+/// measurements, breakers and protection functions.
+#[derive(Debug)]
+pub struct IedModel {
+    spec: IedSpec,
     model: DataModel,
     /// Per measurement: the value and quality leaves.
     measurements: Vec<[LeafId; 2]>,
-    /// Per breaker: the XCBR and CSWI position leaves, and the XCBR
-    /// position's item id.
-    positions: Vec<([LeafId; 2], String)>,
-    /// Per protection function: its [`Role::Protection`] leaf and item id.
-    protections: Vec<(LeafId, String)>,
+    positions: Vec<PositionLeaves>,
+    protections: Vec<ProtectionLeaf>,
+    /// Where each entry of the IED's own GOOSE dataset comes from.
+    goose_sources: Vec<GooseSource>,
     /// The buffered report control block named in trip reports.
     report_name: String,
-    /// Whether an MMS client may write a leaf the sample rewrites.
+    /// Whether an MMS client may write a leaf the sample rewrites (a
+    /// measurement configured under `SP`, `CF` or `CO`): only a full sample
+    /// puts the process value back.
     client_writable: bool,
 }
 
-/// Builds the IEC 61850 data model implied by a spec — LLN0/LPHD plus the
-/// LNs for measurements, breakers, and protection functions — recording the
-/// handle of every leaf the runtime rewrites.
-///
-/// # Panics
-///
-/// Panics if [`check_model`] rejects the spec.
-fn build_model(spec: &IedSpec) -> IedModel {
-    let mut model = DataModel::new(&spec.name);
-    let (mut values, mut qualities, mut xcbr, mut cswi, mut protections) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let mut client_writable = false;
-    for_each_item(spec, |item, value, role| {
-        let leaf = model.insert(item, value);
-        client_writable |= role != Role::Static && ObjectRef::client_writable(item);
-        match role {
-            Role::Static => {}
-            Role::Value => values.push(leaf),
-            Role::Quality => qualities.push(leaf),
-            Role::XcbrPos => xcbr.push((leaf, item.to_string())),
-            Role::CswiPos => cswi.push(leaf),
-            Role::Protection => protections.push((leaf, item.to_string())),
-        }
-    });
-    IedModel {
-        model,
-        measurements: values
-            .into_iter()
-            .zip(qualities)
-            .map(<[_; 2]>::from)
-            .collect(),
-        positions: xcbr
+impl IedModel {
+    /// Builds the IEC 61850 data model implied by a spec — LLN0/LPHD plus
+    /// the LNs for measurements, breakers, and protection functions —
+    /// recording the handle of every leaf the runtime rewrites.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sgcr_ied::{IedModel, IedSpec, MeasurementMap, VirtualIedApp};
+    /// use sgcr_kvstore::ProcessStore;
+    /// use sgcr_obs::Telemetry;
+    /// use std::sync::Arc;
+    ///
+    /// let mut spec = IedSpec::new("GIED1", "S1");
+    /// spec.measurements.push(MeasurementMap {
+    ///     kv_key: "meas/S1/branch/l1/p_mw".into(),
+    ///     item: "MMXU1$MX$TotW$mag$f".into(),
+    /// });
+    /// let ied = Arc::new(IedModel::build(spec).unwrap());
+    /// // Two ranges of one model: each app owns its values.
+    /// let (_a, a) = VirtualIedApp::instantiate(&ied, ProcessStore::new(), Telemetry::disabled());
+    /// let (_b, b) = VirtualIedApp::instantiate(&ied, ProcessStore::new(), Telemetry::disabled());
+    /// let item = "GIED1LD0/MMXU1$MX$TotW$mag$f";
+    /// assert!(a.model.write(item, sgcr_iec61850::DataValue::Float(1.0)));
+    /// assert_ne!(a.model.read(item), b.model.read(item));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`check_model`]'s message when an item of the model is not an
+    /// object reference.
+    pub fn build(spec: IedSpec) -> Result<IedModel, String> {
+        check_model(&spec)?;
+        let mut model = DataModel::new(&spec.name);
+        let (mut values, mut qualities, mut xcbr, mut cswi, mut protections) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut client_writable = false;
+        for_each_item(&spec, |item, value, role| {
+            let leaf = model.insert(item, value);
+            client_writable |= role != Role::Static && ObjectRef::client_writable(item);
+            match role {
+                Role::Static => {}
+                Role::Value => values.push(leaf),
+                Role::Quality => qualities.push(leaf),
+                Role::XcbrPos => xcbr.push((leaf, item.to_string())),
+                Role::CswiPos => cswi.push(leaf),
+                Role::Protection => protections.push((leaf, item.to_string())),
+            }
+        });
+        let positions = xcbr
             .into_iter()
             .zip(cswi)
-            .map(|((x, item), c)| ([x, c], item))
-            .collect(),
-        protections,
-        report_name: spec.item("LLN0$BR$brcb01"),
-        client_writable,
+            .map(|((x, xcbr_item), c)| PositionLeaves {
+                leaves: [x, c],
+                xcbr_item,
+            })
+            .collect();
+        let protections = spec
+            .protections
+            .iter()
+            .zip(protections)
+            .map(|(p, (leaf, item))| ProtectionLeaf {
+                leaf,
+                item,
+                breaker: breaker_named(&spec.breakers, p.breaker()),
+            })
+            .collect();
+        let goose_sources = spec
+            .goose
+            .iter()
+            .flat_map(|g| &g.entries)
+            .map(|e| match e {
+                GooseEntry::BreakerState(name) => {
+                    GooseSource::Breaker(breaker_named(&spec.breakers, name))
+                }
+                GooseEntry::ProtectionOp(ln) => GooseSource::Protection(
+                    (0..spec.protections.len())
+                        .filter(|&i| {
+                            let p = &spec.protections[i];
+                            p.ln() == ln && !matches!(p, ProtectionSpec::Cilo { .. })
+                        })
+                        .collect(),
+                ),
+            })
+            .collect();
+        Ok(IedModel {
+            measurements: values
+                .into_iter()
+                .zip(qualities)
+                .map(<[_; 2]>::from)
+                .collect(),
+            positions,
+            protections,
+            goose_sources,
+            report_name: spec.item("LLN0$BR$brcb01"),
+            client_writable,
+            model,
+            spec,
+        })
+    }
+
+    /// The spec the model was built from: the one every app built from it
+    /// runs.
+    pub fn spec(&self) -> &IedSpec {
+        &self.spec
     }
 }

@@ -13,8 +13,10 @@
 //!
 //! The feature set of one IED is an [`IedSpec`], produced by the SG-ML
 //! processor from the IED's ICD file (which LN classes exist) plus the IED
-//! Config XML (thresholds and cyber↔physical mapping). [`VirtualIedApp`]
-//! executes the spec on an emulated host.
+//! Config XML (thresholds and cyber↔physical mapping). [`IedModel`] builds
+//! the IEC 61850 data model a spec implies, once per compiled model, and
+//! [`VirtualIedApp`] executes it on an emulated host with its own leaf
+//! values.
 //!
 //! # Examples
 //!
@@ -36,7 +38,9 @@ mod ied;
 mod protection;
 mod spec;
 
-pub use ied::{check_model, quality_item, IedEvent, IedEventKind, IedHandle, VirtualIedApp};
+pub use ied::{
+    check_model, quality_item, IedEvent, IedEventKind, IedHandle, IedModel, VirtualIedApp,
+};
 pub use protection::{
     DifferentialRelay, Interlock, MonitoredState, OvercurrentCurve, OvercurrentRelay, RelayEvent,
     VoltageMode, VoltageRelay,

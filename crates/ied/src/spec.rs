@@ -123,6 +123,23 @@ impl ProtectionSpec {
         }
     }
 
+    /// The process key a relay samples; `None` for CILO, which samples
+    /// none.
+    pub(crate) fn input_key(&self) -> Option<&str> {
+        match self {
+            ProtectionSpec::Ptoc {
+                measurement_key, ..
+            } => Some(measurement_key),
+            ProtectionSpec::Ptov { voltage_key, .. } | ProtectionSpec::Ptuv { voltage_key, .. } => {
+                Some(voltage_key)
+            }
+            ProtectionSpec::Pdif {
+                local_current_key, ..
+            } => Some(local_current_key),
+            ProtectionSpec::Cilo { .. } => None,
+        }
+    }
+
     /// The LN class (`PTOC`, `PTOV`, …).
     pub fn ln_class(&self) -> &'static str {
         match self {

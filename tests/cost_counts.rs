@@ -1,0 +1,120 @@
+//! Deterministic cost guards: the live heap a fresh tenant adds when it is
+//! instantiated from an already compiled model. Counts do not drift with the
+//! host the way timings do, so a bound here catches a tenant that grows what
+//! its compiled model should share.
+//!
+//! The heap is measured by a counting global allocator. Its count is
+//! thread-local, so tests running in parallel threads do not mix, and a
+//! single-threaded range is measured whole.
+//!
+//! A change that lowers a count tightens its bound in the same change; one
+//! that raises a bound says why.
+
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
+
+use sg_cyber_range::core::{CompiledModel, CyberRange, RangeBuilder};
+use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct Counting;
+
+thread_local! {
+    /// Bytes allocated minus bytes freed by this thread.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+fn count(delta: isize) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments; the
+// bookkeeping only reads sizes and touches a const-initialized `Cell`, which
+// does not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            count(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            count(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            count(new_size as isize - layout.size() as isize);
+        }
+        new
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        count(-(layout.size() as isize));
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn live_bytes() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// Instantiates a tenant of `model`, telemetry off, and returns it with the
+/// live heap it added.
+fn instantiate(model: &Arc<CompiledModel>) -> (CyberRange, isize) {
+    let before = live_bytes();
+    let range = RangeBuilder::from_model(model.clone())
+        .build()
+        .expect("range instantiates");
+    (range, live_bytes() - before)
+}
+
+/// Checks that a fresh tenant of `model` adds at most `bound` bytes of live
+/// heap, and that a second tenant of the same model adds what the first did.
+fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
+    let (_first, first) = instantiate(model);
+    let (_second, second) = instantiate(model);
+    assert!(
+        first <= bound,
+        "a fresh {name} tenant adds {first} B of live heap (bound {bound} B)"
+    );
+    assert_eq!(
+        second, first,
+        "a second {name} tenant of the same model costs what the first did"
+    );
+}
+
+/// A fresh paper-profile tenant (5 substations, 104 IEDs). It added
+/// 2,628 KiB while every tenant built its own IED attribute trees; with the
+/// trees shared per compiled model a debug build measures 615 KiB
+/// (630,205 B). The bound leaves 10% headroom.
+const PAPER_TENANT_BOUND: isize = 676 * 1024;
+
+/// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
+/// shared. The bound leaves 10% headroom.
+const EPIC_TENANT_BOUND: isize = 58 * 1024;
+
+#[test]
+fn a_fresh_paper_tenant_shares_its_ied_models() {
+    let bundle = multisub_bundle(&MultiSubParams::paper_profile());
+    let model = CompiledModel::shared(&bundle).expect("paper bundle must compile");
+    check_fresh_tenant("paper", &model, PAPER_TENANT_BOUND);
+}
+
+#[test]
+fn a_fresh_epic_tenant_shares_its_ied_models() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
+    check_fresh_tenant("EPIC", &model, EPIC_TENANT_BOUND);
+}

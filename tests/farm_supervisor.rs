@@ -86,6 +86,19 @@ fn supervisor_restarts_halted_tenant_then_gives_up() {
         tenant.steps
     );
 
+    // The given-up tenant's record is its final attempt's sinks.
+    let journal = scratch.0.join("tenant-0000.journal.jsonl");
+    assert!(scratch.0.join("tenant-0000.metrics.json").exists());
+    assert_eq!(
+        tenant.journal_path.as_deref(),
+        Some(journal.to_string_lossy().as_ref())
+    );
+    let journal = std::fs::read_to_string(&journal).expect("tenant journal");
+    assert!(
+        journal.contains("\"type\":\"StepOverrun\""),
+        "the final attempt journals the overruns that halted it"
+    );
+
     // Checkpoint capture latency flows into the farm-level report.
     assert!(report.checkpoint_p50_seconds > 0.0);
     assert!(report.checkpoint_p99_seconds >= report.checkpoint_p50_seconds);
