@@ -69,7 +69,8 @@ pub use files::{read_bundle_dir, role_of, BundleIoError, FileRole};
 pub use fingerprint::{fnv1a_64, Fingerprint};
 pub use keymap::{
     branch_i_key, branch_loading_key, branch_p_key, branch_q_key, breaker_cmd_key,
-    breaker_state_key, bus_va_key, bus_vm_key, load_p_key, source_p_key, split_scoped,
+    breaker_state_key, bus_va_key, bus_vm_key, gen_cmd_key, load_cmd_key, load_p_key, source_p_key,
+    split_scoped, SIM_STEP_KEY,
 };
 pub use model::{CompiledModel, CompiledPlc, CompiledScada};
 pub use parsed::{parse_failure, ConfigFile, ParsedBundle, SclFile};

@@ -6,11 +6,11 @@
 //! item in the ICD file and the power system simulation output" is missing.
 //! This schema supplies both.
 
+use crate::keymap::{breaker_cmd_key, breaker_state_key};
 use sgcr_ied::{
     BreakerMap, GooseEntry, GooseSpec, IedSpec, MeasurementMap, MonitoredBreaker, ProtectionSpec,
     RsvSpec,
 };
-use sgcr_kvstore::Keys;
 use sgcr_net::{Ipv4Addr, SimDuration};
 use sgcr_scl::SourcePos;
 use sgcr_xml::{Document, ElementRef};
@@ -252,9 +252,10 @@ fn parse_ied(ied_el: &ElementRef<'_>) -> Result<IedSpec, IedConfigError> {
             .attr("name")
             .ok_or_else(|| err(format!("{name}: Breaker missing name")))?
             .to_string();
+        let scoped = format!("{substation}/{breaker_name}");
         spec.breakers.push(BreakerMap {
-            state_key: Keys::breaker_state(&substation, &breaker_name),
-            cmd_key: Keys::breaker_cmd(&substation, &breaker_name),
+            state_key: breaker_state_key(&scoped),
+            cmd_key: breaker_cmd_key(&scoped),
             name: breaker_name,
             xcbr: b.attr_or("xcbr", "XCBR1").to_string(),
             cswi: b.attr_or("cswi", "CSWI1").to_string(),

@@ -305,7 +305,7 @@ impl RangeState {
         let result = result.map_err(RangeError::PowerFlow)?;
         if let Some(solve_ctx) = solve_ctx {
             // Device samples taken before the first step trace to this solve.
-            tracer.set_provenance("power.solve", solve_ctx);
+            tracer.set_provenance(solve_ctx);
         }
         init_span.end(0u64);
         state.publish_measurements(&result);
@@ -415,40 +415,9 @@ impl RangeState {
         // Commands written by the cyber side since the last step. The cursor
         // moves past this step's own publishes below, so the next step does
         // not read them back.
-        for change in self.store.changes_since(self.cmd_cursor) {
-            if !change.key.starts_with("cmd/") {
-                continue;
-            }
-            let segments: Vec<&str> = change.key.split('/').collect();
-            // cmd/<sub>/<class>/<name>/<field>
-            if segments.len() != 5 {
-                continue;
-            }
-            let scoped = format!("{}/{}", segments[1], segments[2 + 1]);
-            match (segments[2], segments[4]) {
-                ("cb", "close") => {
-                    if let Some(closed) = change.value.as_bool() {
-                        self.power.set_switch(&scoped, closed);
-                    }
-                }
-                ("load", "p_mw") => {
-                    if let (Some(p), Some(id)) =
-                        (change.value.as_float(), self.power.load_by_name(&scoped))
-                    {
-                        self.power.load[id.index()].p_mw = p;
-                    }
-                }
-                ("gen", "p_mw") => {
-                    if let Some(p) = change.value.as_float() {
-                        if let Some(id) = self.power.gen_by_name(&scoped) {
-                            self.power.gen[id.index()].p_mw = p;
-                        } else if let Some(id) = self.power.sgen_by_name(&scoped) {
-                            self.power.sgen[id.index()].p_mw = p;
-                        }
-                    }
-                }
-                _ => {}
-            }
+        self.refresh_publish_slots();
+        if self.store.version() > self.cmd_cursor {
+            self.apply_commands();
         }
 
         // Solve and publish.
@@ -466,7 +435,7 @@ impl RangeState {
                 if let Some(solve_ctx) = solve_ctx {
                     // Until the next solve, IED samples are caused by this
                     // one: they read the measurements it publishes.
-                    tracer.set_provenance("power.solve", solve_ctx);
+                    tracer.set_provenance(solve_ctx);
                 }
                 self.publish_switch_states();
                 self.publish_measurements(&result);
@@ -563,6 +532,30 @@ impl RangeState {
         }
     }
 
+    /// Applies to its element every command slot written after
+    /// `cmd_cursor`, by element index.
+    fn apply_commands(&mut self) {
+        let (store, since) = (&self.store, self.cmd_cursor);
+        let written = |cmd: &Option<Slot>| {
+            let entry = store.entry_at((*cmd)?)?;
+            (entry.version > since).then_some(entry.value)
+        };
+        let (power, slots) = (&mut self.power, &self.publish_slots);
+        for (switch, (_, cmd)) in power.switch.iter_mut().zip(&slots.switch) {
+            if let Some(closed) = written(cmd).and_then(|v| v.as_bool()) {
+                switch.closed = closed;
+            }
+        }
+        let load = power.load.iter_mut().map(|l| &mut l.p_mw).zip(&slots.load);
+        let gen = power.gen.iter_mut().map(|g| &mut g.p_mw).zip(&slots.gen);
+        let sgen = power.sgen.iter_mut().map(|s| &mut s.p_mw).zip(&slots.sgen);
+        for (p_mw, (_, cmd)) in load.chain(gen).chain(sgen) {
+            if let Some(p) = written(cmd).and_then(|v| v.as_float()) {
+                *p_mw = p;
+            }
+        }
+    }
+
     /// Re-resolves the publish slots from this tenant's own power model if
     /// it no longer has the compiled model's shape.
     fn refresh_publish_slots(&mut self) {
@@ -575,7 +568,7 @@ impl RangeState {
         self.refresh_publish_slots();
         let states = self.power.switch.iter().zip(&self.publish_slots.switch);
         self.store
-            .set_all(states.map(|(switch, &slot)| (slot, Value::Bool(switch.closed))));
+            .set_all(states.map(|(switch, &(slot, _))| (slot, Value::Bool(switch.closed))));
     }
 
     /// Writes every measurement of `result` to the store, in one batch.
@@ -601,13 +594,13 @@ impl RangeState {
         let ext_grid = result.ext_grid.iter().zip(&slots.ext_grid);
         let ext_grid = ext_grid.map(|(r, &slot)| float(slot, r.p_mw));
         let gen = result.gen.iter().zip(&slots.gen);
-        let gen = gen.map(|(r, &slot)| float(slot, r.p_mw));
+        let gen = gen.map(|(r, &(slot, _))| float(slot, r.p_mw));
         let sgen = self
             .power
             .sgen
             .iter()
             .zip(&slots.sgen)
-            .map(|(sgen, &slot)| {
+            .map(|(sgen, &(slot, _))| {
                 let p = if sgen.in_service {
                     sgen.p_mw * sgen.scaling
                 } else {
@@ -620,7 +613,7 @@ impl RangeState {
             .load
             .iter()
             .zip(&slots.load)
-            .map(|(load, &slot)| {
+            .map(|(load, &(slot, _))| {
                 let p = if load.in_service {
                     load.p_mw * load.scaling
                 } else {

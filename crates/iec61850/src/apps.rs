@@ -27,11 +27,6 @@ impl MmsServerApp {
         }
     }
 
-    /// The underlying server engine.
-    pub fn server_mut(&mut self) -> &mut MmsServer {
-        &mut self.server
-    }
-
     /// Connections currently associated with the server (report targets).
     pub fn connections(&self) -> Vec<ConnId> {
         let mut conns: Vec<ConnId> = self.decoders.keys().copied().collect();

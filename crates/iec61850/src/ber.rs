@@ -30,11 +30,6 @@ impl Tag {
     /// Universal SEQUENCE.
     pub const SEQUENCE: Tag = Tag(0x30);
 
-    /// Whether the constructed bit is set.
-    pub fn is_constructed(self) -> bool {
-        self.0 & 0x20 != 0
-    }
-
     /// The tag number (low-tag-number form).
     pub fn number(self) -> u8 {
         self.0 & 0x1f
@@ -239,11 +234,6 @@ impl<'a> Reader<'a> {
     /// Whether all bytes have been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.data.len()
-    }
-
-    /// Peeks at the next tag without consuming.
-    pub fn peek_tag(&self) -> Option<Tag> {
-        self.data.get(self.pos).map(|&b| Tag(b))
     }
 
     /// Reads the next TLV element.

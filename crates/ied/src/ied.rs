@@ -656,12 +656,7 @@ impl VirtualIedApp {
         // power-flow solve: parent it to that solve's span so protection
         // operations triggered by the sampled values join the solve's trace.
         let tracer = ctx.tracer();
-        let mut sample_span = tracer.open(
-            "ied.sample",
-            Plane::Control,
-            tracer.provenance("power.solve"),
-            now,
-        );
+        let mut sample_span = tracer.open("ied.sample", Plane::Control, tracer.provenance(), now);
         if sample_span.is_recording() {
             sample_span.attr("ied", self.ied.spec.name.as_str());
         }

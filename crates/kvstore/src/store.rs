@@ -15,17 +15,6 @@ pub struct Entry {
     pub version: u64,
 }
 
-/// A change record returned by [`ProcessStore::changes_since`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Change {
-    /// Key that changed.
-    pub key: String,
-    /// Value after the change.
-    pub value: Value,
-    /// Version assigned to the change.
-    pub version: u64,
-}
-
 /// A key resolved to its position in a store's slot table by
 /// [`ProcessStore::slot`].
 ///
@@ -44,9 +33,10 @@ pub struct Slot(usize);
 /// a handle to it, exactly as every virtual IED in the paper connects to the
 /// single MySQL instance).
 ///
-/// Every key the store has seen owns one slot in a table. The string API
-/// looks the key up in an index; the slot API indexes the table directly.
-/// Both read and write the same entries and share one version counter.
+/// The store knows no key schema. Every key it has seen owns one slot in a
+/// table: [`get`](ProcessStore::get) and [`set`](ProcessStore::set) look the
+/// key up in an index, the slot API indexes the table directly. Both read
+/// and write the same entries and share one version counter.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessStore {
     inner: Arc<Inner>,
@@ -60,8 +50,7 @@ struct Inner {
 
 /// The slot table. A slot is created when a key is first interned and never
 /// freed, so slots stay valid; its entry is `None` until the key is first
-/// written and again after it is removed. An interned key without an entry
-/// is absent from every query.
+/// written. An interned key without an entry is absent from every query.
 #[derive(Debug, Default)]
 struct Table {
     /// Key → slot index; the only copy of each key.
@@ -124,8 +113,7 @@ impl ProcessStore {
     /// Resolves `key` to its slot, interning the key if the store has not
     /// seen it. Interning creates no entry: until the first write the key
     /// stays absent from [`get`](ProcessStore::get),
-    /// [`keys`](ProcessStore::keys), [`len`](ProcessStore::len),
-    /// [`dump`](ProcessStore::dump) and the change feed.
+    /// [`len`](ProcessStore::len) and [`dump`](ProcessStore::dump).
     ///
     /// # Examples
     ///
@@ -133,10 +121,10 @@ impl ProcessStore {
     /// use sgcr_kvstore::{ProcessStore, Value};
     ///
     /// let store = ProcessStore::new();
-    /// let slot = store.slot("meas/S1/cb/CB1/closed");
+    /// let slot = store.slot("pump/running");
     /// assert_eq!(store.len(), 0);
     /// store.set_at(slot, true);
-    /// assert_eq!(store.get("meas/S1/cb/CB1/closed"), Some(Value::Bool(true)));
+    /// assert_eq!(store.get("pump/running"), Some(Value::Bool(true)));
     /// ```
     pub fn slot(&self, key: &str) -> Slot {
         Slot(self.inner.table.write().intern(key))
@@ -144,8 +132,14 @@ impl ProcessStore {
 
     /// Reads the current value through a slot.
     pub fn get_at(&self, slot: Slot) -> Option<Value> {
+        self.entry_at(slot).map(|e| e.value)
+    }
+
+    /// Reads the full entry (value + version) through a slot. A slot not
+    /// issued by this store reads as absent.
+    pub fn entry_at(&self, slot: Slot) -> Option<Entry> {
         let table = self.inner.table.read();
-        table.entries.get(slot.0)?.as_ref().map(|e| e.value.clone())
+        table.entries.get(slot.0)?.clone()
     }
 
     /// Writes `value` through a slot, returning the version assigned —
@@ -169,8 +163,8 @@ impl ProcessStore {
     /// that sequence of [`set_at`](ProcessStore::set_at) calls minus the
     /// ones that would change nothing. An absent entry always differs. A
     /// skipped slot keeps its version, so [`written_since`](ProcessStore::written_since)
-    /// and the change feed see only the values that moved. Returns the
-    /// store version after the batch.
+    /// sees only the values that moved. Returns the store version after the
+    /// batch.
     ///
     /// # Panics
     ///
@@ -191,10 +185,9 @@ impl ProcessStore {
     }
 
     /// Whether any of `slots` was written after global version `since`,
-    /// read under one lock. An absent entry counts as written: a reader
-    /// that saw it present cannot tell what removed it. A slot not issued
-    /// by this store reads as absent, as [`get_at`](ProcessStore::get_at)
-    /// does.
+    /// read under one lock. An absent entry counts as written, so a reader
+    /// whose slot has no value yet keeps looking. A slot not issued by this
+    /// store reads as absent, as [`get_at`](ProcessStore::get_at) does.
     ///
     /// # Examples
     ///
@@ -202,7 +195,7 @@ impl ProcessStore {
     /// use sgcr_kvstore::ProcessStore;
     ///
     /// let store = ProcessStore::new();
-    /// let a = store.slot("meas/a");
+    /// let a = store.slot("a");
     /// store.set_at(a, 1.0);
     /// let seen = store.version();
     /// assert!(!store.written_since(&[a], seen));
@@ -227,11 +220,6 @@ impl ProcessStore {
         self.inner.table.read().lookup(key).map(|e| e.value.clone())
     }
 
-    /// Reads the full entry (value + version) for `key`.
-    pub fn entry(&self, key: &str) -> Option<Entry> {
-        self.inner.table.read().lookup(key).cloned()
-    }
-
     /// Convenience: reads a float (accepting `Int` as float).
     pub fn get_float(&self, key: &str) -> Option<f64> {
         self.get(key).and_then(|v| v.as_float())
@@ -253,60 +241,6 @@ impl ProcessStore {
         version
     }
 
-    /// Writes `value` only if the current value equals `expected`
-    /// (or if `expected` is `None` and the key is absent).
-    ///
-    /// Returns `Ok(version)` on success and `Err(current)` with the value
-    /// actually present otherwise.
-    pub fn compare_and_set(
-        &self,
-        key: &str,
-        expected: Option<&Value>,
-        value: impl Into<Value>,
-    ) -> Result<u64, Option<Value>> {
-        let mut table = self.inner.table.write();
-        let current = table.lookup(key).map(|e| e.value.clone());
-        if current.as_ref() != expected {
-            return Err(current);
-        }
-        let slot = table.intern(key);
-        let version = self.next_version();
-        table.write(
-            slot,
-            Entry {
-                value: value.into(),
-                version,
-            },
-        );
-        Ok(version)
-    }
-
-    /// Removes `key`, returning the previous value if present. The key
-    /// keeps its slot: a later write, by key or by slot, brings it back.
-    pub fn remove(&self, key: &str) -> Option<Value> {
-        let mut table = self.inner.table.write();
-        let slot = *table.index.get(key)?;
-        let removed = table.entries[slot].take()?;
-        table.live -= 1;
-        Some(removed.value)
-    }
-
-    /// All keys currently present, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.keys_with_prefix("")
-    }
-
-    /// All keys beginning with `prefix`, sorted.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let table = self.inner.table.read();
-        table
-            .sorted()
-            .into_iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
     /// Number of keys stored.
     pub fn len(&self) -> usize {
         self.inner.table.read().live
@@ -315,33 +249,6 @@ impl ProcessStore {
     /// Whether the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entries written after global version `since`, sorted by version.
-    ///
-    /// This is the deterministic change-feed used by simulation components in
-    /// place of asynchronous notifications.
-    pub fn changes_since(&self, since: u64) -> Vec<Change> {
-        // Most polls find nothing new. No entry is newer than the version
-        // counter, so a cursor at or past it is answered without the lock.
-        if since >= self.version() {
-            return Vec::new();
-        }
-        let table = self.inner.table.read();
-        let mut changes: Vec<Change> = table
-            .index
-            .iter()
-            .filter_map(|(key, &slot)| {
-                let e = table.entries[slot].as_ref().filter(|e| e.version > since)?;
-                Some(Change {
-                    key: key.clone(),
-                    value: e.value.clone(),
-                    version: e.version,
-                })
-            })
-            .collect();
-        changes.sort_by_key(|c| c.version);
-        changes
     }
 
     /// A point-in-time copy of every entry *with* its write version, sorted
@@ -375,13 +282,12 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn set_get_remove() {
+    fn set_get() {
         let s = ProcessStore::new();
         assert_eq!(s.get("x"), None);
         s.set("x", 1.5f64);
         assert_eq!(s.get_float("x"), Some(1.5));
-        assert_eq!(s.remove("x"), Some(Value::Float(1.5)));
-        assert_eq!(s.get("x"), None);
+        assert_eq!(s.get("x"), Some(Value::Float(1.5)));
     }
 
     #[test]
@@ -392,44 +298,7 @@ mod tests {
         let v3 = s.set("a", 3i64);
         assert!(v1 < v2 && v2 < v3);
         assert_eq!(s.version(), v3);
-        assert_eq!(s.entry("a").unwrap().version, v3);
-    }
-
-    #[test]
-    fn changes_since_reports_only_new() {
-        let s = ProcessStore::new();
-        s.set("a", 1i64);
-        let mark = s.version();
-        s.set("b", 2i64);
-        s.set("a", 3i64);
-        let changes = s.changes_since(mark);
-        assert_eq!(changes.len(), 2);
-        // Sorted by version: b then a.
-        assert_eq!(changes[0].key, "b");
-        assert_eq!(changes[1].key, "a");
-        assert!(s.changes_since(s.version()).is_empty());
-    }
-
-    #[test]
-    fn compare_and_set_semantics() {
-        let s = ProcessStore::new();
-        assert!(s.compare_and_set("k", None, 1i64).is_ok());
-        let cur = Value::Int(1);
-        assert!(s.compare_and_set("k", Some(&cur), 2i64).is_ok());
-        // Stale expectation fails and reports the actual value.
-        let err = s.compare_and_set("k", Some(&cur), 3i64).unwrap_err();
-        assert_eq!(err, Some(Value::Int(2)));
-    }
-
-    #[test]
-    fn prefix_queries() {
-        let s = ProcessStore::new();
-        s.set("meas/S1/l1/p", 1.0f64);
-        s.set("meas/S1/l2/p", 2.0f64);
-        s.set("cmd/S1/cb1", true);
-        assert_eq!(s.keys_with_prefix("meas/").len(), 2);
-        assert_eq!(s.keys_with_prefix("cmd/").len(), 1);
-        assert_eq!(s.keys().len(), 3);
+        assert_eq!(s.entry_at(s.slot("a")).unwrap().version, v3);
     }
 
     #[test]
@@ -445,13 +314,16 @@ mod tests {
         let s = ProcessStore::new();
         s.set("a", 1i64);
         let mark = s.version();
-        let before = (s.keys(), s.dump(), s.snapshot(), s.len());
+        let before = (s.dump(), s.snapshot(), s.len());
         let slot = s.slot("b");
         assert_eq!(s.get("b"), None);
         assert_eq!(s.get_at(slot), None);
-        assert_eq!((s.keys(), s.dump(), s.snapshot(), s.len()), before);
-        assert!(s.changes_since(0).iter().all(|c| c.key == "a"));
-        assert!(s.changes_since(mark).is_empty());
+        assert_eq!(s.entry_at(slot), None);
+        assert_eq!((s.dump(), s.snapshot(), s.len()), before);
+        assert!(
+            s.written_since(&[slot], mark),
+            "an absent entry reads as written"
+        );
         assert_eq!(s.version(), mark, "interning is not a write");
     }
 
@@ -465,14 +337,14 @@ mod tests {
         let v2 = s.set("b", 2i64);
         let v3 = s.set("a", 3i64);
         assert_eq!(s.get_at(a), Some(Value::Int(3)));
-        let v4 = s.set_at(s.slot("b"), 4i64);
+        let b = s.slot("b");
+        let v4 = s.set_at(b, 4i64);
         assert_eq!(s.get("b"), Some(Value::Int(4)));
         assert_eq!((v1, v2, v3, v4), (1, 2, 3, 4));
         assert_eq!(s.version(), 4);
-        assert_eq!(s.entry("a").unwrap().version, v3);
-        let changes = s.changes_since(v1);
-        let keys: Vec<&str> = changes.iter().map(|c| c.key.as_str()).collect();
-        assert_eq!(keys, ["a", "b"], "ordered by version across both APIs");
+        assert_eq!(s.entry_at(a).unwrap().version, v3);
+        assert!(s.written_since(&[a], v2) && !s.written_since(&[a], v3));
+        assert!(s.written_since(&[a, b], v3) && !s.written_since(&[a, b], v4));
         assert_eq!(s.len(), 2);
     }
 
@@ -498,7 +370,6 @@ mod tests {
             .collect();
         assert_eq!(all.set_all(slots), last);
         assert_eq!(all.dump(), one.dump());
-        assert_eq!(all.changes_since(1), one.changes_since(1));
         assert_eq!(all.set_all([]), all.version());
     }
 
@@ -516,46 +387,22 @@ mod tests {
             (a, Value::Float(f64::NAN)),
         ];
         assert_eq!(s.set_all(batch), mark + 3);
-        let written: Vec<(String, u64)> = s
-            .changes_since(mark)
-            .into_iter()
-            .map(|change| (change.key, change.version))
-            .collect();
-        assert_eq!(written, [("b".into(), 3), ("c".into(), 4), ("a".into(), 5)]);
+        let version = |slot| s.entry_at(slot).map(|e| e.version);
+        assert_eq!([b, c, a].map(version), [3, 4, 5].map(Some));
         assert_eq!(s.set_all([(a, Value::Float(f64::NAN))]), mark + 3);
         assert!(!s.written_since(&[a, b, c], mark + 3));
         assert!(s.written_since(&[c, a], mark + 2));
-        // A removed entry reads as written, and the batch writes it back.
-        s.remove("c");
-        assert!(s.written_since(&[c], s.version()));
-        assert_eq!(s.set_all([(c, Value::Int(7))]), mark + 4);
-        assert_eq!(s.get("c"), Some(Value::Int(7)));
     }
 
     #[test]
-    fn written_since_reads_a_foreign_slot_as_absent() {
+    fn a_foreign_slot_reads_as_absent() {
         let s = ProcessStore::new();
         let other = ProcessStore::new();
         let (_, foreign) = (other.slot("x"), other.slot("y"));
         s.set("a", 1i64);
         assert!(s.written_since(&[foreign], s.version()));
+        assert_eq!(s.entry_at(foreign), None);
         assert!(!s.written_since(&[], 0));
-    }
-
-    #[test]
-    fn remove_then_set_at_restores_the_key() {
-        let s = ProcessStore::new();
-        let x = s.slot("x");
-        s.set_at(x, true);
-        assert_eq!(s.remove("x"), Some(Value::Bool(true)));
-        assert_eq!(s.get_at(x), None);
-        assert!(s.is_empty());
-        assert!(s.keys().is_empty());
-        assert_eq!(s.remove("x"), None);
-        let version = s.set_at(x, false);
-        assert_eq!(s.get("x"), Some(Value::Bool(false)));
-        assert_eq!(s.keys(), ["x"]);
-        assert_eq!(s.changes_since(version - 1)[0].key, "x");
     }
 
     #[test]
@@ -567,14 +414,6 @@ mod tests {
         s2.set_at(slot, 7i64);
         assert_eq!(s.get_at(slot), Some(Value::Int(7)));
         assert_eq!(s.get("k"), Some(Value::Int(7)));
-    }
-
-    #[test]
-    fn compare_and_set_on_an_interned_key() {
-        let s = ProcessStore::new();
-        let slot = s.slot("k");
-        assert!(s.compare_and_set("k", None, 1i64).is_ok());
-        assert_eq!(s.get_at(slot), Some(Value::Int(1)));
     }
 
     #[test]

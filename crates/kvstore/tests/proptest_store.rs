@@ -1,6 +1,6 @@
 //! Property tests on the process store: version monotonicity and
-//! change-feed completeness under arbitrary sequences of string-keyed and
-//! slot operations.
+//! `written_since` completeness under arbitrary sequences of string-keyed
+//! and slot operations.
 
 use proptest::prelude::*;
 use sgcr_kvstore::{ProcessStore, Value};
@@ -12,7 +12,6 @@ enum Op {
     SetAt(u8, i64),
     /// Resolve the key's slot without writing.
     Intern(u8),
-    Remove(u8),
     Mark,
 }
 
@@ -21,14 +20,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Op::Set(k % 16, v)),
         (any::<u8>(), any::<i64>()).prop_map(|(k, v)| Op::SetAt(k % 16, v)),
         any::<u8>().prop_map(|k| Op::Intern(k % 16)),
-        any::<u8>().prop_map(|k| Op::Remove(k % 16)),
         Just(Op::Mark),
     ]
 }
 
 proptest! {
     #[test]
-    fn change_feed_is_complete_and_ordered(ops in proptest::collection::vec(op_strategy(), 0..100)) {
+    fn written_since_is_complete(ops in proptest::collection::vec(op_strategy(), 0..100)) {
         let store = ProcessStore::new();
         let mut marks: Vec<u64> = vec![0];
         for op in &ops {
@@ -48,40 +46,34 @@ proptest! {
                     store.slot(&format!("k{k}"));
                     prop_assert_eq!((store.version(), store.len()), before);
                 }
-                Op::Remove(k) => {
-                    store.remove(&format!("k{k}"));
-                }
                 Op::Mark => {
                     marks.push(store.version());
                 }
             }
         }
-        // Versions in the change feed are strictly increasing and all
-        // greater than the cursor.
-        for &mark in &marks {
-            let changes = store.changes_since(mark);
-            let mut last = mark;
-            for change in &changes {
-                prop_assert!(change.version > last);
-                last = change.version;
-                // The reported value matches the live value (unless since
-                // removed).
-                if let Some(live) = store.get(&change.key) {
-                    prop_assert_eq!(&live, &change.value);
-                }
-            }
-        }
-        // A cursor at the current version sees nothing.
-        prop_assert!(store.changes_since(store.version()).is_empty());
-        // Interned-but-unwritten and removed keys are absent everywhere; a
-        // slot reads what its key reads.
-        let snapshot = store.snapshot();
-        prop_assert_eq!(snapshot.len(), store.len());
-        prop_assert_eq!(store.keys(), snapshot.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>());
+        // Each entry carries the version of its last write: distinct, and
+        // never past the counter.
+        let dump = store.dump();
+        let mut versions: Vec<u64> = dump.iter().map(|(_, e)| e.version).collect();
+        versions.sort_unstable();
+        versions.dedup();
+        prop_assert_eq!(versions.len(), dump.len());
+        prop_assert!(versions.iter().all(|&v| v <= store.version()));
+        // A slot reads as written after a mark exactly when its entry is
+        // absent or newer; it reads what its key reads.
         for k in 0..16u8 {
             let key = format!("k{k}");
-            prop_assert_eq!(store.get_at(store.slot(&key)), store.get(&key));
+            let slot = store.slot(&key);
+            let entry = store.entry_at(slot);
+            for &mark in &marks {
+                let newer = entry.as_ref().is_none_or(|e| e.version > mark);
+                prop_assert_eq!(store.written_since(&[slot], mark), newer);
+            }
+            prop_assert_eq!(store.get_at(slot), store.get(&key));
         }
+        // Interned-but-unwritten keys are absent everywhere.
+        prop_assert_eq!(store.snapshot().len(), store.len());
+        prop_assert_eq!(dump.len(), store.len());
     }
 
     #[test]

@@ -9,9 +9,11 @@
 //! both the cyber and the physical model together.
 
 use crate::assets;
-use sgcr_core::{branch_i_key, branch_p_key, IedConfig, PowerExtraConfig, SgmlBundle};
+use sgcr_core::{
+    branch_i_key, branch_p_key, breaker_cmd_key, breaker_state_key, IedConfig, PowerExtraConfig,
+    SgmlBundle,
+};
 use sgcr_ied::{BreakerMap, IedSpec, MeasurementMap, ProtectionSpec};
-use sgcr_kvstore::Keys;
 use sgcr_scl::{write_scl, ElectricalParams, Header, InterSubstationLine, SclDocument, SourcePos};
 
 /// Parameters of a synthetic multi-substation model.
@@ -132,6 +134,7 @@ pub fn multisub_bundle(params: &MultiSubParams) -> SgmlBundle {
             ));
             let mut spec = IedSpec::new(&name, &sub);
             let breaker = format!("CB{}", f + 1);
+            let scoped_breaker = format!("{sub}/{breaker}");
             let line = format!("{sub}/LF{}", f + 1);
             spec.measurements.push(MeasurementMap {
                 item: "MMXU1$MX$TotW$mag$f".into(),
@@ -145,8 +148,8 @@ pub fn multisub_bundle(params: &MultiSubParams) -> SgmlBundle {
                 name: breaker.clone(),
                 xcbr: "XCBR1".into(),
                 cswi: "CSWI1".into(),
-                state_key: Keys::breaker_state(&sub, &breaker),
-                cmd_key: Keys::breaker_cmd(&sub, &breaker),
+                state_key: breaker_state_key(&scoped_breaker),
+                cmd_key: breaker_cmd_key(&scoped_breaker),
                 interlocked: false,
             });
             spec.protections.push(ProtectionSpec::Ptoc {

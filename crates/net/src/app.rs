@@ -87,10 +87,8 @@ pub trait SocketApp: Send {
     /// A TCP connection closed (FIN exchange completed or RST received).
     fn on_tcp_closed(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId) {}
 
-    /// A frame arrived at this host's port. Called for frames addressed to
-    /// the host (unicast/broadcast/multicast) and, when promiscuous mode is
-    /// on, for every frame on the wire. GOOSE/SV subscribers and sniffers
-    /// live here.
+    /// A frame addressed to the host (unicast/broadcast/multicast) arrived
+    /// at its port. GOOSE/SV subscribers live here.
     fn on_raw_frame(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {}
 
     /// An IPv4 packet addressed to this host's MAC but a *different* IP
@@ -174,11 +172,6 @@ impl<'a> HostCtx<'a> {
         self.net.host_set_timer(self.node, delay, token);
     }
 
-    /// Enables or disables promiscuous frame delivery.
-    pub fn set_promiscuous(&mut self, on: bool) {
-        self.net.host_set_promiscuous(self.node, on);
-    }
-
     /// Enables or disables transit-IP delivery (the MITM hook).
     pub fn set_deliver_transit(&mut self, on: bool) {
         self.net.host_set_deliver_transit(self.node, on);
@@ -209,15 +202,5 @@ impl<'a> HostCtx<'a> {
     /// tracing is off; spans opened on a disabled tracer cost nothing).
     pub fn tracer(&self) -> sgcr_obs::Tracer {
         self.net.tracer().clone()
-    }
-
-    /// Inserts an entry into this host's ARP cache.
-    pub fn arp_insert(&mut self, ip: Ipv4Addr, mac: MacAddr) {
-        self.net.host_arp_insert(self.node, ip, mac);
-    }
-
-    /// Looks up this host's ARP cache.
-    pub fn arp_lookup(&self, ip: Ipv4Addr) -> Option<MacAddr> {
-        self.net.host_arp_lookup(self.node, ip)
     }
 }

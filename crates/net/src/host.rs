@@ -133,8 +133,6 @@ pub struct HostState {
     next_port: u16,
     /// Next initial sequence number (deterministic).
     next_iss: u32,
-    /// Receive all frames on the wire, not just ours (attacker mode).
-    pub promiscuous: bool,
     /// Surface IP packets addressed to our MAC but a foreign IP to the app
     /// (the man-in-the-middle forwarding point).
     pub deliver_transit: bool,
@@ -154,7 +152,6 @@ impl HostState {
             next_conn: 1,
             next_port: 49152,
             next_iss: 1000,
-            promiscuous: false,
             deliver_transit: false,
         }
     }

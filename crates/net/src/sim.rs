@@ -507,21 +507,6 @@ impl Network {
         matches!(self.nodes[node.index()].kind, NodeKind::Host(_))
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// `(node_a, node_b)` endpoints of every link, in creation order.
-    pub fn link_endpoints(&self) -> Vec<(NodeId, NodeId)> {
-        self.links.iter().map(|l| (l.a.0, l.b.0)).collect()
-    }
-
     /// Enables frame capture at a node (host or switch).
     pub fn enable_capture(&mut self, node: NodeId) {
         self.nodes[node.index()]
@@ -627,20 +612,8 @@ impl Network {
         self.schedule(delay, Event::AppTimer { node, token });
     }
 
-    pub(crate) fn host_set_promiscuous(&mut self, node: NodeId, on: bool) {
-        self.host_mut(node).state.promiscuous = on;
-    }
-
     pub(crate) fn host_set_deliver_transit(&mut self, node: NodeId, on: bool) {
         self.host_mut(node).state.deliver_transit = on;
-    }
-
-    pub(crate) fn host_arp_insert(&mut self, node: NodeId, ip: Ipv4Addr, mac: MacAddr) {
-        self.host_mut(node).state.arp_cache.insert(ip, mac);
-    }
-
-    pub(crate) fn host_arp_lookup(&self, node: NodeId, ip: Ipv4Addr) -> Option<MacAddr> {
-        self.host(node).state.arp_cache.get(&ip).copied()
     }
 
     // ----- IP / frame transmission ----------------------------------------
@@ -931,24 +904,19 @@ impl Network {
             }
             NodeKind::Host(host) => {
                 let mac = host.state.mac;
-                let promiscuous = host.state.promiscuous;
                 let for_us =
                     frame.dst == mac || frame.dst.is_broadcast() || frame.dst.is_multicast();
-                if for_us {
-                    self.frames_delivered.inc();
-                    host.meters.rx.inc();
-                }
-                if !for_us && !promiscuous {
+                if !for_us {
                     return;
                 }
-                if for_us {
-                    let bytes = frame.wire_len() as u64;
-                    self.telemetry
-                        .record(self.now.as_nanos(), || ObsEvent::PacketDelivered {
-                            host: self.nodes[node.index()].name.clone(),
-                            bytes,
-                        });
-                }
+                self.frames_delivered.inc();
+                host.meters.rx.inc();
+                let bytes = frame.wire_len() as u64;
+                self.telemetry
+                    .record(self.now.as_nanos(), || ObsEvent::PacketDelivered {
+                        host: self.nodes[node.index()].name.clone(),
+                        bytes,
+                    });
                 // Stack processing for frames addressed to our MAC/broadcast.
                 let mut events: Vec<SocketEvent> = Vec::new();
                 let mut transit = false;
@@ -1196,12 +1164,13 @@ mod tests {
         );
         net.attach_app(hosts[1], Box::new(Echo { log }));
         net.run_until(SimTime::from_millis(100));
+        let arp_lookup = |node: NodeId, ip| net.host(node).state.arp_cache.get(&ip).copied();
         assert_eq!(
-            net.host_arp_lookup(hosts[0], Ipv4Addr::new(10, 0, 0, 2)),
+            arp_lookup(hosts[0], Ipv4Addr::new(10, 0, 0, 2)),
             Some(net.host_mac(hosts[1]))
         );
         assert_eq!(
-            net.host_arp_lookup(hosts[1], Ipv4Addr::new(10, 0, 0, 1)),
+            arp_lookup(hosts[1], Ipv4Addr::new(10, 0, 0, 1)),
             Some(net.host_mac(hosts[0]))
         );
     }

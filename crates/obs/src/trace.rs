@@ -40,7 +40,7 @@
 
 use crate::json;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -232,7 +232,7 @@ struct TracerState {
     next_trace_id: u64,
     next_span_id: u64,
     dropped: u64,
-    provenance: BTreeMap<&'static str, TraceCtx>,
+    provenance: Option<TraceCtx>,
 }
 
 #[derive(Debug)]
@@ -342,21 +342,19 @@ impl Tracer {
         ctx
     }
 
-    /// Publishes `ctx` under a named provenance slot — causality that flows
-    /// through shared state rather than messages. The power loop publishes
-    /// its solve span under `"power.solve"`; IEDs sampling the shared
-    /// process store parent their sample spans to it.
-    pub fn set_provenance(&self, slot: &'static str, ctx: TraceCtx) {
+    /// Publishes `ctx` as the provenance of shared state — causality that
+    /// flows through the process store rather than messages. The power loop
+    /// publishes each solve span here; IEDs sampling the store parent their
+    /// sample spans to it.
+    pub fn set_provenance(&self, ctx: TraceCtx) {
         if let Some(inner) = &self.inner {
-            inner.state.lock().provenance.insert(slot, ctx);
+            inner.state.lock().provenance = Some(ctx);
         }
     }
 
-    /// The context last published under `slot`.
-    pub fn provenance(&self, slot: &'static str) -> Option<TraceCtx> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.state.lock().provenance.get(slot).copied())
+    /// The context last published by [`set_provenance`](Tracer::set_provenance).
+    pub fn provenance(&self) -> Option<TraceCtx> {
+        self.inner.as_ref().and_then(|i| i.state.lock().provenance)
     }
 
     /// All buffered spans, in completion order.
@@ -540,14 +538,11 @@ mod tests {
         span.attr("step", "0");
         span.end(5u64);
         assert!(tracer.span("x", Plane::Net, None, 0u64, 1u64).is_none());
-        tracer.set_provenance(
-            "power.solve",
-            TraceCtx {
-                trace_id: 1,
-                parent_span_id: 1,
-            },
-        );
-        assert!(tracer.provenance("power.solve").is_none());
+        tracer.set_provenance(TraceCtx {
+            trace_id: 1,
+            parent_span_id: 1,
+        });
+        assert!(tracer.provenance().is_none());
         assert!(tracer.spans().is_empty());
         assert_eq!(tracer.spans_dropped(), 0);
     }
@@ -612,15 +607,16 @@ mod tests {
     #[test]
     fn provenance_slots_hold_the_latest_ctx() {
         let tracer = Tracer::new();
+        assert_eq!(tracer.provenance(), None);
         let first = tracer
             .span("power.solve", Plane::Power, None, 0u64, 1u64)
             .unwrap();
-        tracer.set_provenance("power.solve", first);
+        tracer.set_provenance(first);
         let second = tracer
             .span("power.solve", Plane::Power, None, 2u64, 3u64)
             .unwrap();
-        tracer.set_provenance("power.solve", second);
-        assert_eq!(tracer.provenance("power.solve"), Some(second));
+        tracer.set_provenance(second);
+        assert_eq!(tracer.provenance(), Some(second));
     }
 
     #[test]

@@ -102,28 +102,10 @@ pub struct PlcApp {
 }
 
 impl PlcApp {
-    /// Builds the app with telemetry disabled. `registers` is the Modbus
-    /// image shared with the embedded server; `reads`/`writes` bind IED
-    /// points to PLC variables.
-    pub fn new(
-        runtime: PlcRuntime,
-        registers: SharedRegisters,
-        scan_period: SimDuration,
-        reads: Vec<MmsReadBinding>,
-        writes: Vec<MmsWriteBinding>,
-    ) -> (PlcApp, PlcHandle) {
-        PlcApp::with_telemetry(
-            runtime,
-            registers,
-            scan_period,
-            reads,
-            writes,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// Builds the app with a telemetry handle. Issued MMS controls feed the
-    /// `plc.controls_sent` counter and journal
+    /// Builds the app with a telemetry handle (`Telemetry::disabled()` for
+    /// none). `registers` is the Modbus image shared with the embedded
+    /// server; `reads`/`writes` bind IED points to PLC variables. Issued MMS
+    /// controls feed the `plc.controls_sent` counter and journal
     /// [`PlcControl`](sgcr_obs::Event::PlcControl) events.
     pub fn with_telemetry(
         runtime: PlcRuntime,

@@ -87,14 +87,4 @@ impl PowerFlowResult {
     pub fn total_ext_grid_p_mw(&self) -> f64 {
         self.ext_grid.iter().map(|e| e.p_mw).sum()
     }
-
-    /// The highest line loading in percent, with its line index.
-    pub fn max_line_loading(&self) -> Option<(usize, f64)> {
-        self.line
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.in_service)
-            .map(|(i, l)| (i, l.loading_percent))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
 }

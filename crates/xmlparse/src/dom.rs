@@ -247,17 +247,6 @@ impl Document {
         id
     }
 
-    /// Appends a comment child to `parent` and returns its id.
-    pub fn add_comment(&mut self, parent: NodeId, text: &str) -> NodeId {
-        let id = self.push_node(Node {
-            kind: NodeKind::Comment(text.to_string()),
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        self.nodes[parent.index()].children.push(id);
-        id
-    }
-
     /// Sets (or replaces) an attribute on an element node.
     ///
     /// # Panics

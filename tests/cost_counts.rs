@@ -1,9 +1,10 @@
 //! Deterministic cost guards: the live heap a fresh tenant adds when it is
-//! instantiated from an already compiled model. Counts do not drift with the
-//! host the way timings do, so a bound here catches a tenant that grows what
-//! its compiled model should share.
+//! instantiated from an already compiled model, and the allocations a step
+//! makes. Counts do not drift with the host the way timings do, so a bound
+//! here catches a tenant that grows what its compiled model should share,
+//! or a step that allocates what it could reuse.
 //!
-//! The heap is measured by a counting global allocator. Its count is
+//! Both are measured by a counting global allocator. Its counts are
 //! thread-local, so tests running in parallel threads do not mix, and a
 //! single-threaded range is measured whole.
 //!
@@ -12,7 +13,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
 
-use sg_cyber_range::core::{CompiledModel, CyberRange, RangeBuilder};
+use sg_cyber_range::core::{breaker_cmd_key, CompiledModel, CyberRange, RangeBuilder};
+use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,11 +25,18 @@ struct Counting;
 thread_local! {
     /// Bytes allocated minus bytes freed by this thread.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Allocations (including reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(delta: isize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+}
+
+fn count_alloc(delta: isize) {
+    count(delta);
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get() + 1));
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments; the
@@ -37,7 +46,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
-            count(layout.size() as isize);
+            count_alloc(layout.size() as isize);
         }
         ptr
     }
@@ -45,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
-            count(layout.size() as isize);
+            count_alloc(layout.size() as isize);
         }
         ptr
     }
@@ -53,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
-            count(new_size as isize - layout.size() as isize);
+            count_alloc(new_size as isize - layout.size() as isize);
         }
         new
     }
@@ -69,6 +78,13 @@ static ALLOCATOR: Counting = Counting;
 
 fn live_bytes() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Runs `f` and returns the allocations it made on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Instantiates a tenant of `model`, telemetry off, and returns it with the
@@ -117,4 +133,78 @@ fn a_fresh_paper_tenant_shares_its_ied_models() {
 fn a_fresh_epic_tenant_shares_its_ied_models() {
     let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
     check_fresh_tenant("EPIC", &model, EPIC_TENANT_BOUND);
+}
+
+/// Steps `range` until it has taken `steps` steps in all.
+fn step_to(range: &mut CyberRange, steps: u64) {
+    while range.steps_total() < steps {
+        range.step();
+    }
+}
+
+/// Allocations per step over `range`'s next 100 steps.
+fn allocations_per_step(range: &mut CyberRange) -> f64 {
+    allocations(|| {
+        for _ in 0..100 {
+            range.step();
+        }
+    }) as f64
+        / 100.0
+}
+
+/// A quiescent paper step, steps 100–200, telemetry off: a debug build
+/// measures 48.2 allocations per step. Each bound here leaves 10% headroom.
+const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 53.0;
+
+/// An EPIC step from step 1,200, telemetry off: 361.9 per step.
+const EPIC_STEP_ALLOCS: f64 = 398.0;
+
+/// The paper step that applies a breaker command written through the store
+/// at step 100: 888 allocations, most of them the re-solve of the new
+/// topology and the IEDs that sample it.
+const PAPER_COMMAND_STEP_ALLOCS: u64 = 976;
+
+fn paper_tenant() -> CyberRange {
+    let bundle = multisub_bundle(&MultiSubParams::paper_profile());
+    let model = CompiledModel::shared(&bundle).expect("paper bundle must compile");
+    CyberRange::instantiate(model).expect("range instantiates")
+}
+
+#[test]
+fn a_quiescent_paper_step_allocates_within_its_bound() {
+    let mut range = paper_tenant();
+    step_to(&mut range, 100);
+    let per_step = allocations_per_step(&mut range);
+    assert!(
+        per_step <= PAPER_QUIESCENT_STEP_ALLOCS,
+        "a quiescent paper step makes {per_step} allocations (bound {PAPER_QUIESCENT_STEP_ALLOCS})"
+    );
+}
+
+#[test]
+fn an_epic_step_allocates_within_its_bound() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
+    let mut range = CyberRange::instantiate(model).expect("range instantiates");
+    step_to(&mut range, 1_200);
+    let per_step = allocations_per_step(&mut range);
+    assert!(
+        per_step <= EPIC_STEP_ALLOCS,
+        "an EPIC step makes {per_step} allocations (bound {EPIC_STEP_ALLOCS})"
+    );
+}
+
+#[test]
+fn a_paper_command_step_allocates_within_its_bound() {
+    let mut range = paper_tenant();
+    step_to(&mut range, 100);
+    range
+        .store
+        .set(&breaker_cmd_key("S2/CB3"), Value::Bool(false));
+    let allocs = allocations(|| range.step());
+    assert_eq!(range.switch_is_closed("S2/CB3"), Some(false));
+    assert!(
+        allocs <= PAPER_COMMAND_STEP_ALLOCS,
+        "the paper step applying a breaker command makes {allocs} allocations \
+         (bound {PAPER_COMMAND_STEP_ALLOCS})"
+    );
 }

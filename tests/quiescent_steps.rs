@@ -16,11 +16,12 @@
 
 use sg_cyber_range::core::{
     branch_i_key, branch_p_key, breaker_cmd_key, CompiledModel, CyberRange, IedConfig, SgmlBundle,
+    SIM_STEP_KEY,
 };
 use sg_cyber_range::faults::SensorFault;
 use sg_cyber_range::iec61850::DataValue;
 use sg_cyber_range::ied::{quality_item, IedEventKind, IedHandle, RsvSpec};
-use sg_cyber_range::kvstore::{Keys, Value};
+use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sg_cyber_range::net::Ipv4Addr;
 use sg_cyber_range::powerflow::{solve, PowerFlowResult, SolveOptions};
@@ -201,7 +202,7 @@ fn a_quiescent_step_writes_only_the_step_counter() {
         .filter(|(b, a)| b.1.version != a.1.version)
         .map(|(b, _)| b.0.as_str())
         .collect();
-    assert_eq!(rewritten, [Keys::sim_step()]);
+    assert_eq!(rewritten, [SIM_STEP_KEY]);
     assert_eq!(full_samples(&range), samples, "no IED sampled in full");
 
     // The publish compares against the store, not its last result: an
