@@ -813,14 +813,13 @@ impl RangeState {
 
     /// Engages a sensor fault on one sampled value (by process-store key)
     /// inside a named IED. The faulted value feeds both published
-    /// measurements and the IED's own protection functions. Returns `false`
-    /// for an unknown IED.
+    /// measurements and the IED's own protection functions. Returns `false`,
+    /// and engages nothing, for an unknown IED or a key the IED does not
+    /// sample ([`IedSpec::sampled_keys`](sgcr_ied::IedSpec::sampled_keys)).
     pub fn set_sensor_fault(&mut self, ied: &str, key: &str, fault: SensorFault) -> bool {
-        let Some(handle) = self.ieds.get(ied) else {
-            return false;
-        };
-        handle.set_sensor_fault(key, fault, self.net.now().as_millis());
-        true
+        self.ieds
+            .get(ied)
+            .is_some_and(|handle| handle.set_sensor_fault(key, fault, self.net.now().as_millis()))
     }
 
     /// Clears a sensor fault. Returns `false` if the IED is unknown or no

@@ -21,7 +21,8 @@
 //! Nothing in this crate reads a clock or OS entropy.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::task::Waker;
 
 /// A deterministic SplitMix64 pseudo-random generator for fault decisions.
 ///
@@ -212,9 +213,18 @@ impl SensorFault {
 /// last-good solution (solver non-convergence). IEDs consult it to stamp
 /// published measurements with quality `invalid`; SCADA consults it to
 /// degrade incoming tag quality. Cloning shares the underlying flag.
+///
+/// A consumer that waits for the flag registers a [`Waker`] with
+/// [`watch`](DegradationSignal::watch); every flip wakes it.
 #[derive(Debug, Clone, Default)]
 pub struct DegradationSignal {
-    degraded: Arc<AtomicBool>,
+    inner: Arc<Signal>,
+}
+
+#[derive(Debug, Default)]
+struct Signal {
+    degraded: AtomicBool,
+    watchers: Mutex<Vec<Waker>>,
 }
 
 impl DegradationSignal {
@@ -223,15 +233,38 @@ impl DegradationSignal {
         DegradationSignal::default()
     }
 
-    /// Raises or clears the degradation flag. Returns the previous state so
-    /// callers can journal only the transition.
+    /// Raises or clears the degradation flag, waking every watcher when the
+    /// flag flips. Returns the previous state so callers can journal only
+    /// the transition.
     pub fn set(&self, degraded: bool) -> bool {
-        self.degraded.swap(degraded, Ordering::Relaxed)
+        let was = self.inner.degraded.swap(degraded, Ordering::Relaxed);
+        if was != degraded {
+            let watchers = self.watchers();
+            watchers.iter().for_each(Waker::wake_by_ref);
+        }
+        was
     }
 
     /// True while the power plane is serving held (stale) measurements.
     pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
+        self.inner.degraded.load(Ordering::Relaxed)
+    }
+
+    /// Registers `waker` to be woken at every flip of the flag.
+    pub fn watch(&self, waker: &Waker) {
+        let mut watchers = self.watchers();
+        // A signal mostly has one watcher: grow the list one at a time.
+        watchers.reserve_exact(1);
+        watchers.push(waker.clone());
+    }
+
+    fn watchers(&self) -> std::sync::MutexGuard<'_, Vec<Waker>> {
+        // A waker cannot leave the list half-written: a poisoned lock still
+        // guards a whole list.
+        self.inner
+            .watchers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -348,5 +381,27 @@ mod tests {
         assert!(clone.set(true), "already degraded");
         assert!(signal.set(false));
         assert!(!clone.is_degraded());
+    }
+
+    #[test]
+    fn degradation_signal_wakes_its_watchers_on_a_flip() {
+        use std::sync::atomic::AtomicUsize;
+        use std::task::Wake;
+
+        struct Count(AtomicUsize);
+        impl Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let signal = DegradationSignal::new();
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        signal.clone().watch(&Waker::from(count.clone()));
+        signal.set(false);
+        assert_eq!(count.0.load(Ordering::Relaxed), 0, "no flip");
+        signal.set(true);
+        signal.set(true);
+        signal.set(false);
+        assert_eq!(count.0.load(Ordering::Relaxed), 2, "two flips");
     }
 }

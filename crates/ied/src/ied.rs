@@ -20,9 +20,7 @@ use sgcr_obs::{Counter, Event as ObsEvent, Plane, Telemetry, TimeNs, TraceCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-const TOKEN_SAMPLE: u64 = 1;
-const TOKEN_GOOSE: u64 = 2;
+use std::task::Waker;
 
 /// Kinds of events recorded by a virtual IED.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +59,33 @@ struct SensorOverride {
     held: Option<f64>,
 }
 
+/// The sensor faults engaged on an IED and the waker of its sample tick,
+/// shared by the app and its handle.
+#[derive(Default)]
+struct Sensors {
+    /// Engaged faults by process-store key.
+    faults: HashMap<String, SensorOverride>,
+    /// The waker of the IED's sample tick, once the app has started.
+    tick: Option<Waker>,
+}
+
+impl Sensors {
+    fn wake(&self) {
+        if let Some(tick) = &self.tick {
+            tick.wake_by_ref();
+        }
+    }
+}
+
 /// Observable handle to a running virtual IED (shared with the experiment
 /// harness and SCADA-side assertions).
 #[derive(Clone)]
 pub struct IedHandle {
     /// The IED's live data model.
     pub model: SharedModel,
+    ied: Arc<IedModel>,
     events: Arc<Mutex<Vec<IedEvent>>>,
-    sensor_faults: Arc<Mutex<HashMap<String, SensorOverride>>>,
+    sensors: Arc<Mutex<Sensors>>,
     degradation: DegradationSignal,
     full_samples: Arc<AtomicU64>,
 }
@@ -79,24 +96,37 @@ impl IedHandle {
         self.events.lock().clone()
     }
 
-    /// Injects a sensor fault on the process value stored under `key` (the
-    /// measurement's process-store key). The fault engages at the next
-    /// sample; the IED itself cannot tell — a stuck transducer reports
-    /// quality `good` — which is exactly what makes the fault dangerous.
-    pub fn set_sensor_fault(&self, key: &str, fault: SensorFault, now_ms: u64) {
-        self.sensor_faults.lock().insert(
-            key.to_string(),
-            SensorOverride {
-                fault,
-                engaged_ms: now_ms,
-                held: None,
-            },
-        );
+    /// Injects a sensor fault on the process value stored under `key` — a
+    /// measurement's process-store key or a relay's input key
+    /// ([`IedSpec::sampled_keys`]) — and wakes the IED. The fault engages at
+    /// the next sample; the IED itself cannot tell — a stuck transducer
+    /// reports quality `good` — which is exactly what makes the fault
+    /// dangerous. Returns `false`, and changes nothing, when the IED samples
+    /// no value under `key`.
+    pub fn set_sensor_fault(&self, key: &str, fault: SensorFault, now_ms: u64) -> bool {
+        if !self.ied.spec.sampled_keys().any(|k| k == key) {
+            return false;
+        }
+        let mut sensors = self.sensors.lock();
+        let engaged = SensorOverride {
+            fault,
+            engaged_ms: now_ms,
+            held: None,
+        };
+        sensors.faults.insert(key.to_string(), engaged);
+        sensors.wake();
+        true
     }
 
-    /// Removes a sensor fault; returns `false` if none was set on `key`.
+    /// Removes a sensor fault and wakes the IED; returns `false` if none
+    /// was set on `key`.
     pub fn clear_sensor_fault(&self, key: &str) -> bool {
-        self.sensor_faults.lock().remove(key).is_some()
+        let mut sensors = self.sensors.lock();
+        let cleared = sensors.faults.remove(key).is_some();
+        if cleared {
+            sensors.wake();
+        }
+        cleared
     }
 
     /// The degradation signal this IED watches: raising it flips the
@@ -235,7 +265,8 @@ fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
 /// to an emulated host. The returned [`IedHandle`] exposes the live data
 /// model and the sequence-of-events record.
 ///
-/// Every sample period the IED opens its `ied.sample` span and runs GOOSE
+/// The IED samples on its host's tick ([`HostCtx::arm_tick`]), one per
+/// sample period. A sample opens the `ied.sample` span and runs GOOSE
 /// supervision. It then takes a full sample — store → data model, the
 /// protection scan, GOOSE and R-SV publication — unless all of these hold,
 /// in which case a full sample would change nothing and is skipped:
@@ -251,9 +282,24 @@ fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
 /// - the IED publishes no R-SV, and no leaf the sample rewrites is one an
 ///   MMS client may write ([`ObjectRef::client_writable`]).
 ///
-/// Either way the span closes and the next sample is scheduled, so frames,
-/// journal, events and spans are the same as if every sample ran in full.
-/// [`IedHandle::full_samples`] counts the full ones.
+/// A full sample arms the next tick. A skipped one arms it too while the
+/// IED subscribes to a GOOSE stream, because TAL supervision runs on time;
+/// otherwise the IED parks its tick ([`HostCtx::park_tick`]) and samples
+/// again only when something it reads changes. These wake it, at the first
+/// instant of its sample grid after the change:
+///
+/// - a write to one of its input slots, from any writer
+///   ([`ProcessStore::watch`]);
+/// - [`IedHandle::set_sensor_fault`] and [`IedHandle::clear_sensor_fault`];
+/// - a flip of its degradation signal ([`DegradationSignal::watch`]);
+/// - a crash of its host, which arms the tick so it is deferred as before.
+///
+/// An IED that never skips (R-SV, a client-writable leaf, a timing relay,
+/// an engaged sensor fault) never parks. A wake runs the same sample, so
+/// one that finds nothing changed costs one skipped sample and parks
+/// again. Frames, journal, events and data models are the same as if every
+/// sample ran in full; only the spans of parked ticks are missing.
+/// [`IedHandle::full_samples`] counts the full samples.
 pub struct VirtualIedApp {
     /// The IED this app runs: its spec, leaf handles and item ids, shared
     /// with every app built from the same model.
@@ -281,8 +327,10 @@ pub struct VirtualIedApp {
     /// entry per breaker name, at its first index), shared with the control
     /// handler.
     permits: Arc<Mutex<Vec<bool>>>,
+    /// The instant (ms) of the IED's latest sample tick, parked ones
+    /// included: what the control handler stamps its events with.
     now_ms: Arc<AtomicU64>,
-    sensor_faults: Arc<Mutex<HashMap<String, SensorOverride>>>,
+    sensors: Arc<Mutex<Sensors>>,
     degradation: DegradationSignal,
     /// Whether the model's quality items currently read `invalid`; writes
     /// happen only on transition so the healthy path stays free.
@@ -528,7 +576,7 @@ impl VirtualIedApp {
             .chain(relay_inputs)
             .chain(rsv_current)
             .collect();
-        let sensor_faults: Arc<Mutex<HashMap<String, SensorOverride>>> = Arc::default();
+        let sensors: Arc<Mutex<Sensors>> = Arc::default();
         let degradation = DegradationSignal::new();
         let full_samples = Arc::new(AtomicU64::new(0));
         let app = VirtualIedApp {
@@ -549,7 +597,7 @@ impl VirtualIedApp {
             events: events.clone(),
             permits,
             now_ms,
-            sensor_faults: sensor_faults.clone(),
+            sensors: sensors.clone(),
             degradation: degradation.clone(),
             q_invalid: false,
             tal_expired: HashSet::new(),
@@ -567,8 +615,9 @@ impl VirtualIedApp {
             app,
             IedHandle {
                 model,
+                ied: ied.clone(),
                 events,
-                sensor_faults,
+                sensors,
                 degradation,
                 full_samples,
             },
@@ -650,7 +699,6 @@ impl VirtualIedApp {
 
     fn sample(&mut self, ctx: &mut HostCtx<'_>) {
         let now = ctx.now();
-        self.now_ms.store(now.as_millis(), Ordering::Relaxed);
 
         // The sample reads process values produced by the most recent
         // power-flow solve: parent it to that solve's span so protection
@@ -711,7 +759,8 @@ impl VirtualIedApp {
         // 1. Measurements: process store → data model, through any injected
         //    sensor faults.
         let now_ms = now.as_millis();
-        let mut faults = self.sensor_faults.lock();
+        let mut sensors = self.sensors.lock();
+        let faults = &mut sensors.faults;
         let faulted = !faults.is_empty();
         // Quality follows the range-wide degradation signal: while the
         // power plane holds its last-good solution, every published
@@ -740,7 +789,12 @@ impl VirtualIedApp {
                 .is_some_and(|since| !self.store.written_since(&self.inputs, since));
         if quiescent {
             sample_span.end(now);
-            ctx.set_timer(self.ied.spec.sample_period, TOKEN_SAMPLE);
+            let period = self.ied.spec.sample_period;
+            if self.goose_subs.is_empty() {
+                ctx.park_tick(period);
+            } else {
+                ctx.arm_tick(period);
+            }
             return;
         }
         self.sampled_at = Some(version);
@@ -753,7 +807,7 @@ impl VirtualIedApp {
             let leaves = ied.spec.measurements.iter().zip(&ied.measurements);
             for ((m, [value, _]), &slot) in leaves.zip(&self.measurements) {
                 if let Some(v) = store.get_at(slot).and_then(|v| v.as_float()) {
-                    let v = apply_sensor_fault(&mut faults, &m.kv_key, v, now_ms);
+                    let v = apply_sensor_fault(faults, &m.kv_key, v, now_ms);
                     model.set(*value, DataValue::Float(v as f32));
                 }
             }
@@ -786,7 +840,7 @@ impl VirtualIedApp {
                     let (Some(value), Some(key)) = (value, spec.input_key()) else {
                         continue;
                     };
-                    let value = apply_sensor_fault(&mut faults, key, value, now_ms);
+                    let value = apply_sensor_fault(faults, key, value, now_ms);
                     let (kind, detail) = match relay.step(now, value) {
                         Some(RelayEvent::Operate) => {
                             trips.push(index);
@@ -818,7 +872,7 @@ impl VirtualIedApp {
                 }
             }
         }
-        drop(faults);
+        drop(sensors);
         let mut goose_cause = sample_ctx;
         for index in trips {
             if let Some(trip_ctx) = self.trip_breaker(ctx, index, sample_ctx) {
@@ -872,7 +926,7 @@ impl VirtualIedApp {
         }
 
         sample_span.end(now);
-        ctx.set_timer(self.ied.spec.sample_period, TOKEN_SAMPLE);
+        ctx.arm_tick(self.ied.spec.sample_period);
     }
 
     fn emit_goose(&mut self, ctx: &mut HostCtx<'_>) {
@@ -914,7 +968,8 @@ impl VirtualIedApp {
             });
         ctx.send_frame(frame);
         span.end(now);
-        ctx.set_timer(wait, TOKEN_GOOSE);
+        // The IED's one timer: samples run on its tick.
+        ctx.set_timer(wait, 0);
     }
 
     fn handle_goose_payload(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {
@@ -963,18 +1018,22 @@ impl SocketApp for VirtualIedApp {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.mms.on_start(ctx);
         ctx.bind_udp(RGOOSE_PORT);
-        ctx.set_timer(self.ied.spec.sample_period, TOKEN_SAMPLE);
+        let waker = ctx.tick_waker();
+        self.store.watch(&self.inputs, &waker);
+        self.degradation.watch(&waker);
+        self.sensors.lock().tick = Some(waker);
+        ctx.arm_tick(self.ied.spec.sample_period);
         if self.goose_pub.is_some() {
             self.emit_goose(ctx);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
-        match token {
-            TOKEN_SAMPLE => self.sample(ctx),
-            TOKEN_GOOSE => self.emit_goose(ctx),
-            _ => {}
-        }
+    fn on_tick(&mut self, ctx: &mut HostCtx<'_>) {
+        self.sample(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+        self.emit_goose(ctx);
     }
 
     fn on_tcp_accepted(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, peer: (Ipv4Addr, u16)) {
@@ -982,6 +1041,8 @@ impl SocketApp for VirtualIedApp {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, data: &[u8]) {
+        self.now_ms
+            .store(ctx.last_tick().as_millis(), Ordering::Relaxed);
         self.mms.on_tcp_data(ctx, conn, data);
     }
 

@@ -248,6 +248,18 @@ impl IedSpec {
     pub fn breaker(&self, name: &str) -> Option<&BreakerMap> {
         self.breakers.iter().find(|b| b.name == name)
     }
+
+    /// Every process key a sample passes through a sensor: each
+    /// measurement's key and each relay's input key, in spec order. These
+    /// are the keys a sensor fault can engage on.
+    pub fn sampled_keys(&self) -> impl Iterator<Item = &str> {
+        let measured = self.measurements.iter().map(|m| m.kv_key.as_str());
+        measured.chain(
+            self.protections
+                .iter()
+                .filter_map(ProtectionSpec::input_key),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -272,6 +284,22 @@ mod tests {
         });
         assert!(spec.breaker("CB1").is_some());
         assert!(spec.breaker("CB9").is_none());
+        spec.measurements.push(MeasurementMap {
+            kv_key: "meas/S1/branch/l1/p_mw".into(),
+            item: "MMXU1$MX$TotW$mag$f".into(),
+        });
+        spec.protections.push(ProtectionSpec::Ptoc {
+            ln: "PTOC1".into(),
+            measurement_key: "meas/S1/branch/l1/i_ka".into(),
+            pickup: 1.0,
+            delay_ms: 100,
+            breaker: "CB1".into(),
+        });
+        let sampled: Vec<&str> = spec.sampled_keys().collect();
+        assert_eq!(
+            sampled,
+            ["meas/S1/branch/l1/p_mw", "meas/S1/branch/l1/i_ka"]
+        );
     }
 
     #[test]

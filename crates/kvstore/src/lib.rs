@@ -25,7 +25,9 @@
 //! [`ProcessStore::set_all`] skips every value bitwise equal to the one
 //! stored, so an unchanged entry keeps its version, and a reader asks
 //! [`ProcessStore::written_since`] whether any of its slots moved since it
-//! last looked.
+//! last looked. A reader that would rather be told registers a
+//! [`std::task::Waker`] on its slots with [`ProcessStore::watch`]: every
+//! write to one of them wakes it.
 //!
 //! # Examples
 //!

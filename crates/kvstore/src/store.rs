@@ -5,6 +5,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 
 /// A stored entry: the value plus the global version at which it was written.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +38,10 @@ pub struct Slot(usize);
 /// table: [`get`](ProcessStore::get) and [`set`](ProcessStore::set) look the
 /// key up in an index, the slot API indexes the table directly. Both read
 /// and write the same entries and share one version counter.
+///
+/// A reader that waits for its slots to move registers a [`Waker`] on them
+/// with [`watch`](ProcessStore::watch); every write to a watched slot wakes
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessStore {
     inner: Arc<Inner>,
@@ -58,13 +63,32 @@ struct Table {
     entries: Vec<Option<Entry>>,
     /// Number of slots holding an entry.
     live: usize,
+    /// Per slot, up to the highest watched one: the index in `watchers` of
+    /// its latest watcher, or [`NO_WATCHER`].
+    first_watcher: Vec<u32>,
+    /// Every registered waker with the index of the next watcher of its
+    /// slot: one chain per slot, most slots have one link.
+    watchers: Vec<(Waker, u32)>,
 }
+
+/// The end of a slot's chain of watchers.
+const NO_WATCHER: u32 = u32::MAX;
 
 impl Table {
     fn lookup(&self, key: &str) -> Option<&Entry> {
         self.index
             .get(key)
             .and_then(|&slot| self.entries[slot].as_ref())
+    }
+
+    /// The wakers watching `slot`, latest first.
+    fn watchers_of(&self, slot: usize) -> impl Iterator<Item = &Waker> {
+        let mut next = self.first_watcher.get(slot).copied().unwrap_or(NO_WATCHER);
+        std::iter::from_fn(move || {
+            let (waker, after) = self.watchers.get(next as usize)?;
+            next = *after;
+            Some(waker)
+        })
     }
 
     fn intern(&mut self, key: &str) -> usize {
@@ -77,10 +101,13 @@ impl Table {
         slot
     }
 
+    /// Stores `entry` in `slot` and wakes the slot's watchers: the one
+    /// path every write takes.
     fn write(&mut self, slot: usize, entry: Entry) {
         if self.entries[slot].replace(entry).is_none() {
             self.live += 1;
         }
+        self.watchers_of(slot).for_each(Waker::wake_by_ref);
     }
 
     /// Every present entry with its key, sorted by key.
@@ -213,6 +240,57 @@ impl ProcessStore {
                 .and_then(Option::as_ref)
                 .is_none_or(|e| e.version > since)
         })
+    }
+
+    /// Registers `waker` on each of `slots`: every later write to one of
+    /// them — [`set`](ProcessStore::set), [`set_at`](ProcessStore::set_at)
+    /// or a pair [`set_all`](ProcessStore::set_all) does not skip — wakes
+    /// it, under the store's lock. A waker is registered on a slot once,
+    /// however often it is passed ([`Waker::will_wake`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot was not issued by this store or one of its clones.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sgcr_kvstore::{ProcessStore, Value};
+    /// use std::sync::atomic::{AtomicUsize, Ordering};
+    /// use std::sync::Arc;
+    /// use std::task::{Wake, Waker};
+    ///
+    /// struct Count(AtomicUsize);
+    /// impl Wake for Count {
+    ///     fn wake(self: Arc<Self>) {
+    ///         self.0.fetch_add(1, Ordering::Relaxed);
+    ///     }
+    /// }
+    ///
+    /// let store = ProcessStore::new();
+    /// let a = store.slot("a");
+    /// let count = Arc::new(Count(AtomicUsize::new(0)));
+    /// store.watch(&[a, a], &Waker::from(count.clone()));
+    /// store.set_at(a, 1.0);
+    /// store.set_all([(a, Value::Float(1.0))]); // skipped: no write, no wake
+    /// store.set("b", 2.0); // not watched
+    /// assert_eq!(count.0.load(Ordering::Relaxed), 1);
+    /// ```
+    pub fn watch(&self, slots: &[Slot], waker: &Waker) {
+        let mut table = self.inner.table.write();
+        for slot in slots {
+            assert!(slot.0 < table.entries.len(), "slot from another store");
+            if table.watchers_of(slot.0).any(|w| w.will_wake(waker)) {
+                continue;
+            }
+            if table.first_watcher.len() <= slot.0 {
+                table.first_watcher.resize(slot.0 + 1, NO_WATCHER);
+            }
+            let next = table.first_watcher[slot.0];
+            let index = u32::try_from(table.watchers.len()).expect("fewer than 2^32 watchers");
+            table.watchers.push((waker.clone(), next));
+            table.first_watcher[slot.0] = index;
+        }
     }
 
     /// Reads the current value for `key`.

@@ -5,6 +5,7 @@ use crate::frame::EthernetFrame;
 use crate::host::ConnId;
 use crate::sim::{Network, NodeId};
 use crate::time::{SimDuration, SimTime};
+use std::task::Waker;
 
 /// The simulation plane an application's wall time is attributed to by
 /// per-step profiling (`step.plane.*` histograms).
@@ -71,6 +72,10 @@ pub trait SocketApp: Send {
 
     /// A timer set via [`HostCtx::set_timer`] fired.
     fn on_timer(&mut self, ctx: &mut HostCtx<'_>, token: u64) {}
+
+    /// The host's tick, armed via [`HostCtx::arm_tick`] or woken from
+    /// [`HostCtx::park_tick`], fired.
+    fn on_tick(&mut self, ctx: &mut HostCtx<'_>) {}
 
     /// A UDP datagram arrived on a bound port.
     fn on_udp(&mut self, ctx: &mut HostCtx<'_>, src: (Ipv4Addr, u16), dst_port: u16, data: &[u8]) {}
@@ -170,6 +175,40 @@ impl<'a> HostCtx<'a> {
     /// Schedules [`SocketApp::on_timer`] with `token` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.net.host_set_timer(self.node, delay, token);
+    }
+
+    /// Arms the host's tick to fire [`SocketApp::on_tick`] after `delay`.
+    ///
+    /// A host has one tick, so arming it again or parking it replaces the
+    /// pending one. At one instant, every host's tick runs before any other
+    /// event, in node order.
+    pub fn arm_tick(&mut self, delay: SimDuration) {
+        self.net.host_arm_tick(self.node, delay);
+    }
+
+    /// Parks the host's tick on the grid of `period` through its latest
+    /// tick instead of arming it: it fires again only after a wake of
+    /// [`tick_waker`](HostCtx::tick_waker), at the first grid instant
+    /// strictly after the wake. A crash of the host arms it the same way
+    /// ([`Network::set_host_enabled`]).
+    pub fn park_tick(&mut self, period: SimDuration) {
+        self.net.host_park_tick(self.node, period);
+    }
+
+    /// A new waker of the host's tick: waking it arms a parked tick (see
+    /// [`park_tick`](HostCtx::park_tick)) and does nothing otherwise. The
+    /// waker may be woken from anywhere; the network arms the tick before
+    /// it dispatches its next event. The network keeps every waker it hands
+    /// out, so an app takes one when it starts and keeps it.
+    pub fn tick_waker(&mut self) -> Waker {
+        self.net.host_tick_waker(self.node)
+    }
+
+    /// The instant of the host's latest tick at or before now: the last one
+    /// dispatched, or while parked the latest instant of its grid — the
+    /// tick that would have run had it not parked.
+    pub fn last_tick(&self) -> SimTime {
+        self.net.host_last_tick(self.node)
     }
 
     /// Enables or disables transit-IP delivery (the MITM hook).

@@ -55,5 +55,5 @@ pub use frame::{
     UdpDatagram,
 };
 pub use host::{ConnId, SocketEvent, TcpState, TCP_MSS};
-pub use sim::{CapturedFrame, LinkSpec, Network, NodeId};
+pub use sim::{CapturedFrame, Dispatched, LinkSpec, Network, NodeId};
 pub use time::{SimDuration, SimTime};

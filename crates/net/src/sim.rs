@@ -12,6 +12,9 @@ use sgcr_obs::{
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::task::{Wake, Waker};
 
 /// Identifier of a node (host or switch) in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,6 +99,80 @@ struct HostNode {
     /// False while the simulated device is crashed: incoming frames are
     /// dropped and app/TCP timers are deferred until restart.
     enabled: bool,
+    tick: Tick,
+}
+
+/// A host's tick: the one timer of its app that can park (see
+/// [`HostCtx::arm_tick`](crate::HostCtx::arm_tick)).
+#[derive(Default)]
+struct Tick {
+    /// The instant of the latest tick: the last one dispatched, or the last
+    /// instant of the parked grid a wake or a crash stepped past.
+    last: SimTime,
+    state: TickState,
+}
+
+#[derive(Default, Clone, Copy, PartialEq)]
+enum TickState {
+    /// Never armed, or running now.
+    #[default]
+    Idle,
+    /// Fires at this instant. A queued tick of another instant was
+    /// replaced and is skipped.
+    Armed(SimTime),
+    /// Fires again only when woken, on the grid of `last` plus every
+    /// multiple of this period.
+    Parked(SimDuration),
+}
+
+impl Tick {
+    /// The latest instant of the tick's grid at or before `now`: `last`,
+    /// unless parked.
+    fn latest(&self, now: SimTime) -> SimTime {
+        match self.state {
+            TickState::Parked(period) if period > SimDuration::ZERO => {
+                let periods = now.saturating_sub(self.last).as_nanos() / period.as_nanos();
+                self.last + SimDuration::from_nanos(periods * period.as_nanos())
+            }
+            _ => self.last,
+        }
+    }
+}
+
+/// The waker of one host's tick. A wake is two stores, so a writer that
+/// wakes a tick that is not parked pays next to nothing.
+struct TickWaker {
+    node: NodeId,
+    /// Set by a wake, cleared by the loop when it takes the wake.
+    woken: AtomicBool,
+    /// Shared by every waker of the network: whether any was woken since
+    /// the loop last looked. Stored with `Release` after `woken`; the
+    /// loop's `AcqRel` swap that reads it sees that `woken`.
+    pending: Arc<AtomicBool>,
+}
+
+impl Wake for TickWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.woken.store(true, Ordering::Relaxed);
+        self.pending.store(true, Ordering::Release);
+    }
+}
+
+/// How many events a [`Network`] has dispatched, by kind (see
+/// [`Network::dispatched`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Dispatched {
+    /// App timers and ticks, including those deferred while their host was
+    /// down.
+    pub app_timers: u64,
+    /// TCP retransmission timers.
+    pub tcp_timers: u64,
+    /// Frame arrivals, one per link traversal (switch hops included).
+    pub frames: u64,
 }
 
 struct SwitchNode {
@@ -171,6 +248,12 @@ const CRASH_RETRY: SimDuration = SimDuration::from_millis(10);
 /// The emulated network: a deterministic discrete-event simulator hosting
 /// switches, hosts, and the applications attached to them.
 ///
+/// Events at one instant run in a fixed order: first every host's tick
+/// ([`HostCtx::arm_tick`](crate::HostCtx::arm_tick)), by node id, then every
+/// other event in the order it was scheduled. A parked tick holds no place
+/// in that order until a wake arms it again, so ticks are ordered by node,
+/// not by when they were armed.
+///
 /// # Examples
 ///
 /// ```
@@ -190,6 +273,14 @@ pub struct Network {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Reverse<Scheduled>>,
+    /// Armed ticks by `(time, node)`: at one instant they run before every
+    /// event in `queue`, in node order.
+    ticks: BinaryHeap<Reverse<(SimTime, NodeId)>>,
+    /// Whether a tick waker was woken since the loop last looked.
+    pending_wakes: Arc<AtomicBool>,
+    /// Every tick waker handed out, read when `pending_wakes` is set.
+    tick_wakers: Vec<Arc<TickWaker>>,
+    dispatched: Dispatched,
     nodes: Vec<Node>,
     links: Vec<Link>,
     mac_counter: u64,
@@ -324,6 +415,7 @@ impl Network {
                 meters: HostMeters::default(),
                 plane: AppPlane::Other,
                 enabled: true,
+                tick: Tick::default(),
             })),
         );
         self.resolve_host_meters(id);
@@ -434,13 +526,18 @@ impl Network {
 
     /// Crashes or restarts a simulated device. While disabled, frames
     /// addressed to the host are dropped (`host-down`) and its application
-    /// and TCP timers are deferred; re-enabling lets the deferred timers
-    /// resume, so periodic apps pick their duty cycle back up within the
-    /// 10 ms crash-retry interval. Returns `false` if `node` is not a host.
+    /// and TCP timers and its tick are deferred; re-enabling lets the
+    /// deferred timers resume, so periodic apps pick their duty cycle back
+    /// up within the 10 ms crash-retry interval. A crash arms a parked tick
+    /// at its next grid instant, so the tick is deferred exactly as if it
+    /// had never parked. Returns `false` if `node` is not a host.
     pub fn set_host_enabled(&mut self, node: NodeId, enabled: bool) -> bool {
         match &mut self.nodes[node.index()].kind {
             NodeKind::Host(h) => {
                 h.enabled = enabled;
+                if !enabled {
+                    self.unpark(node);
+                }
                 true
             }
             NodeKind::Switch(_) => false,
@@ -475,6 +572,13 @@ impl Network {
             NodeKind::Switch(_) => panic!("cannot attach an app to a switch"),
         }
         self.schedule(SimDuration::ZERO, Event::AppStart { node });
+    }
+
+    /// How many events the loop has dispatched so far, by kind. App starts
+    /// are not counted; a tick or timer deferred while its host is down
+    /// counts each time it comes due.
+    pub fn dispatched(&self) -> Dispatched {
+        self.dispatched
     }
 
     /// Takes (returns and resets) the nanoseconds of app execution
@@ -614,6 +718,67 @@ impl Network {
 
     pub(crate) fn host_set_deliver_transit(&mut self, node: NodeId, on: bool) {
         self.host_mut(node).state.deliver_transit = on;
+    }
+
+    pub(crate) fn host_arm_tick(&mut self, node: NodeId, delay: SimDuration) {
+        let at = self.now + delay;
+        self.host_mut(node).tick.state = TickState::Armed(at);
+        self.ticks.push(Reverse((at, node)));
+    }
+
+    pub(crate) fn host_park_tick(&mut self, node: NodeId, period: SimDuration) {
+        self.host_mut(node).tick.state = TickState::Parked(period);
+    }
+
+    pub(crate) fn host_last_tick(&self, node: NodeId) -> SimTime {
+        self.host(node).tick.latest(self.now)
+    }
+
+    pub(crate) fn host_tick_waker(&mut self, node: NodeId) -> Waker {
+        let waker = Arc::new(TickWaker {
+            node,
+            woken: AtomicBool::new(false),
+            pending: self.pending_wakes.clone(),
+        });
+        self.tick_wakers.push(waker.clone());
+        Waker::from(waker)
+    }
+
+    /// Arms `node`'s tick at the first instant of its grid after now, if
+    /// it is parked; the grid instants it passed count as ticks that ran.
+    fn unpark(&mut self, node: NodeId) {
+        let now = self.now;
+        let NodeKind::Host(h) = &mut self.nodes[node.index()].kind else {
+            return;
+        };
+        let tick = &mut h.tick;
+        let TickState::Parked(period) = tick.state else {
+            return;
+        };
+        tick.last = tick.latest(now);
+        // The first grid instant strictly after now, as one at now has run
+        // (a zero period degenerates to now).
+        let at = (tick.last + period).max(now);
+        tick.state = TickState::Armed(at);
+        self.ticks.push(Reverse((at, node)));
+    }
+
+    /// Arms every tick woken since the last call. One atomic load when
+    /// nothing was woken. A wake that lands while the wakers are read
+    /// stores `pending` again, so the next call takes it.
+    fn take_wakes(&mut self) {
+        if !self.pending_wakes.load(Ordering::Relaxed)
+            || !self.pending_wakes.swap(false, Ordering::AcqRel)
+        {
+            return;
+        }
+        for i in 0..self.tick_wakers.len() {
+            let waker = &self.tick_wakers[i];
+            if waker.woken.load(Ordering::Relaxed) && waker.woken.swap(false, Ordering::Acquire) {
+                let node = waker.node;
+                self.unpark(node);
+            }
+        }
     }
 
     // ----- IP / frame transmission ----------------------------------------
@@ -794,17 +959,51 @@ impl Network {
     // ----- event loop ------------------------------------------------------
 
     /// Runs the simulation until `t` (inclusive of events at `t`), then sets
-    /// the clock to `t`.
+    /// the clock to `t`. Ticks woken before or during the run are armed
+    /// before the loop looks at its next event.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.time > t {
-                break;
+        loop {
+            self.take_wakes();
+            let tick = self.ticks.peek().map(|Reverse((time, _))| *time);
+            let event = self.queue.peek().map(|Reverse(head)| head.time);
+            match (tick, event) {
+                (Some(tick), event) if tick <= t && event.is_none_or(|e| tick <= e) => {
+                    let Reverse((time, node)) = self.ticks.pop().expect("peeked");
+                    self.now = time;
+                    self.fire_tick(node);
+                }
+                (_, Some(event)) if event <= t => {
+                    let Reverse(scheduled) = self.queue.pop().expect("peeked");
+                    self.now = scheduled.time;
+                    self.process(scheduled.event);
+                }
+                _ => break,
             }
-            let Reverse(scheduled) = self.queue.pop().expect("peeked");
-            self.now = scheduled.time;
-            self.process(scheduled.event);
         }
         self.now = t;
+    }
+
+    /// Runs `node`'s tick if it is still the armed one, deferring it while
+    /// the host is down.
+    fn fire_tick(&mut self, node: NodeId) {
+        let now = self.now;
+        let NodeKind::Host(host) = &mut self.nodes[node.index()].kind else {
+            return;
+        };
+        if host.tick.state != TickState::Armed(now) {
+            return;
+        }
+        self.dispatched.app_timers += 1;
+        if !host.enabled {
+            let at = now + CRASH_RETRY;
+            host.tick.state = TickState::Armed(at);
+            self.ticks.push(Reverse((at, node)));
+            return;
+        }
+        host.tick.state = TickState::Idle;
+        host.tick.last = now;
+        self.with_app(node, |app, ctx| app.on_tick(ctx));
+        self.ambient_ctx = None;
     }
 
     /// Runs the simulation for `d` beyond the current time.
@@ -814,6 +1013,12 @@ impl Network {
     }
 
     fn process(&mut self, event: Event) {
+        match &event {
+            Event::Frame { .. } => self.dispatched.frames += 1,
+            Event::AppTimer { .. } => self.dispatched.app_timers += 1,
+            Event::TcpTimer { .. } => self.dispatched.tcp_timers += 1,
+            Event::AppStart { .. } => {}
+        }
         let for_down_host = match &event {
             Event::Frame { node, .. }
             | Event::AppStart { node }
@@ -1533,6 +1738,102 @@ mod tests {
             |r| matches!(&r.event, ObsEvent::PacketDropped { reason, .. } if reason == "host-down")
         ));
         assert!(!net.set_host_enabled(net.node_by_name("sw0").unwrap(), false));
+    }
+
+    /// Ticks every 10 ms and parks after each tick once `park` is set,
+    /// logging `(host, time)` of every tick and timer.
+    struct Ticker10 {
+        log: Arc<Mutex<Vec<(String, SimTime)>>>,
+        waker: Arc<Mutex<Option<std::task::Waker>>>,
+        park: bool,
+    }
+
+    impl SocketApp for Ticker10 {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+            *self.waker.lock() = Some(ctx.tick_waker());
+            ctx.arm_tick(SimDuration::from_millis(10));
+            ctx.set_timer(SimDuration::from_millis(10), 0);
+        }
+        fn on_tick(&mut self, ctx: &mut HostCtx<'_>) {
+            self.log
+                .lock()
+                .push((format!("{} tick", ctx.name()), ctx.now()));
+            if self.park {
+                ctx.park_tick(SimDuration::from_millis(10));
+            } else {
+                ctx.arm_tick(SimDuration::from_millis(10));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+            self.log
+                .lock()
+                .push((format!("{} timer", ctx.name()), ctx.now()));
+        }
+    }
+
+    #[test]
+    fn ticks_run_first_at_an_instant_in_node_order() {
+        let (mut net, hosts) = star(2);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // Attached in reverse node order: h1 arms its tick and timer first.
+        for &host in hosts.iter().rev() {
+            let app = Ticker10 {
+                log: log.clone(),
+                waker: Arc::default(),
+                park: false,
+            };
+            net.attach_app(host, Box::new(app));
+        }
+        net.run_until(SimTime::from_millis(10));
+        let order: Vec<String> = log.lock().iter().map(|(what, _)| what.clone()).collect();
+        assert_eq!(order, ["h0 tick", "h1 tick", "h1 timer", "h0 timer"]);
+        let dispatched = net.dispatched();
+        assert_eq!((dispatched.app_timers, dispatched.tcp_timers), (4, 0));
+    }
+
+    #[test]
+    fn a_parked_tick_runs_on_its_grid_after_a_wake_or_a_crash() {
+        let (mut net, hosts) = star(1);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let waker = Arc::new(Mutex::new(None));
+        let app = Ticker10 {
+            log: log.clone(),
+            waker: waker.clone(),
+            park: true,
+        };
+        net.attach_app(hosts[0], Box::new(app));
+        let ticks = || -> Vec<u64> {
+            let log = log.lock();
+            let ticks = log.iter().filter(|(what, _)| what.ends_with("tick"));
+            ticks.map(|(_, t)| t.as_millis()).collect()
+        };
+        let wake = || waker.lock().as_ref().expect("started").wake_by_ref();
+        let last_tick = |net: &Network| net.host(hosts[0]).tick.latest(net.now()).as_millis();
+
+        net.run_until(SimTime::from_millis(35));
+        assert_eq!(ticks(), [10], "parked after its first tick");
+        assert_eq!(last_tick(&net), 30, "the grid runs on while parked");
+        // A wake at 35 ms runs the tick at the grid's next instant; two
+        // wakes before it runs arm it once.
+        wake();
+        net.run_until(SimTime::from_millis(45));
+        wake();
+        wake();
+        net.run_until(SimTime::from_millis(100));
+        assert_eq!(ticks(), [10, 40, 50]);
+        // A wake exactly on the grid: the tick of that instant has run.
+        wake();
+        net.run_until(SimTime::from_millis(115));
+        assert_eq!(ticks(), [10, 40, 50, 110]);
+        // A crash arms the parked tick, which is deferred until restart.
+        assert!(net.set_host_enabled(hosts[0], false));
+        net.run_until(SimTime::from_millis(135));
+        assert!(net.set_host_enabled(hosts[0], true));
+        net.run_until(SimTime::from_millis(200));
+        assert_eq!(ticks(), [10, 40, 50, 110, 140]);
+        // Ticks at 10, 40, 50, 110, 120 (deferred), 130 (deferred), 140;
+        // the one timer at 10.
+        assert_eq!(net.dispatched().app_timers, 8);
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub struct BundleNames {
     pub subnetworks: BTreeSet<String>,
     /// IED names.
     pub ieds: BTreeSet<String>,
+    /// The keys each IED samples, by IED name — its measurement keys and
+    /// relay input keys: the keys a `sensor` stage may fault.
+    pub sampled_keys: BTreeMap<String, BTreeSet<String>>,
     /// Scoped switch names (`Substation/Name`).
     pub switches: BTreeSet<String>,
     /// Scoped line names.
@@ -42,8 +45,8 @@ pub struct BundleNames {
 impl BundleNames {
     /// The names of a compiled model: the planned hosts and their
     /// addresses, the switches (the `wan` switch of a multi-substation
-    /// model included), the instantiated IEDs, the power elements, and the
-    /// SCADA points.
+    /// model included), the instantiated IEDs and the keys they sample, the
+    /// power elements, and the SCADA points.
     pub fn from_model(model: &CompiledModel) -> BundleNames {
         fn names<'a>(items: impl Iterator<Item = &'a String>) -> BTreeSet<String> {
             items.cloned().collect()
@@ -54,6 +57,9 @@ impl BundleNames {
             ips: plan.hosts.iter().map(|h| (h.ip, h.name.clone())).collect(),
             subnetworks: names(plan.switches.iter().map(|s| &s.name)),
             ieds: names(model.ieds.iter().map(|i| &i.name)),
+            sampled_keys: (model.ieds.iter())
+                .map(|i| (i.name.clone(), i.sampled_keys().map(String::from).collect()))
+                .collect(),
             switches: names(power.switch.iter().map(|s| &s.name)),
             lines: names(power.line.iter().map(|l| &l.name)),
             gens: names(
@@ -87,7 +93,8 @@ pub enum FindingKind {
     DuplicateId,
     /// A `linkFault` or `crash` stage names an unknown host or endpoint.
     UnknownFaultTarget,
-    /// A `sensor` stage names an unknown IED.
+    /// A `sensor` stage names an unknown IED, or a key the IED does not
+    /// sample.
     UnknownFaultIed,
     /// A `linkFault` probability lies outside [0, 1].
     BadFaultProbability,
@@ -258,9 +265,13 @@ pub fn check(scenario: &Scenario, names: &BundleNames) -> Vec<Finding> {
                     find(K::UnknownFaultTarget, pos, unknown("host", host));
                 }
             }
-            StageAction::Sensor { ied, .. } => {
+            StageAction::Sensor { ied, key, .. } => {
                 if !names.ieds.contains(ied) {
                     find(K::UnknownFaultIed, pos, unknown("IED", ied));
+                } else if !names.sampled_keys.get(ied).is_some_and(|k| k.contains(key)) {
+                    let message =
+                        format!("stage {id:?} faults key {key:?}, which {ied} does not sample");
+                    find(K::UnknownFaultIed, pos, message);
                 }
             }
         }

@@ -149,8 +149,10 @@ codes! {
     /// the bundle does not define.
     SCENARIO_UNKNOWN_FAULT_TARGET =
         ("SG5005", "fault stage references a host or link endpoint the bundle does not define");
-    /// A `sensor` fault stage names an IED the bundle does not define.
-    SCENARIO_UNKNOWN_FAULT_IED = ("SG5006", "sensor fault stage references an undefined IED");
+    /// A `sensor` fault stage names an IED the bundle does not define, or
+    /// a key that IED does not sample.
+    SCENARIO_UNKNOWN_FAULT_IED =
+        ("SG5006", "sensor fault stage references an undefined IED or an unsampled key");
     /// A `linkFault` probability (loss/corrupt/duplicate) is outside [0, 1].
     SCENARIO_BAD_FAULT_PROBABILITY =
         ("SG5007", "link fault probability is outside the [0, 1] range");

@@ -1,12 +1,14 @@
 //! Deterministic cost guards: the live heap a fresh tenant adds when it is
-//! instantiated from an already compiled model, and the allocations a step
-//! makes. Counts do not drift with the host the way timings do, so a bound
-//! here catches a tenant that grows what its compiled model should share,
-//! or a step that allocates what it could reuse.
+//! instantiated from an already compiled model, the allocations a step
+//! makes, and the events a quiescent step dispatches. Counts do not drift
+//! with the host the way timings do, so a bound here catches a tenant that
+//! grows what its compiled model should share, a step that allocates what
+//! it could reuse, or a device that runs while nothing it reads changed.
 //!
-//! Both are measured by a counting global allocator. Its counts are
-//! thread-local, so tests running in parallel threads do not mix, and a
-//! single-threaded range is measured whole.
+//! The heap and the allocations are measured by a counting global
+//! allocator, the events by the network's own counter. The allocator's
+//! counts are thread-local, so tests running in parallel threads do not
+//! mix, and a single-threaded range is measured whole.
 //!
 //! A change that lowers a count tightens its bound in the same change; one
 //! that raises a bound says why.
@@ -115,11 +117,14 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
 /// A fresh paper-profile tenant (5 substations, 104 IEDs). It added
 /// 2,628 KiB while every tenant built its own IED attribute trees; with the
 /// trees shared per compiled model a debug build measures 615 KiB
-/// (630,205 B). The bound leaves 10% headroom.
+/// (630,205 B), and 629 KiB (644,520 B) since each host keeps a tick
+/// that can park and each IED a degradation watcher list. The bound leaves
+/// 7% headroom.
 const PAPER_TENANT_BOUND: isize = 676 * 1024;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
-/// shared. The bound leaves 10% headroom.
+/// shared, 54 KiB (55,402 B) with parkable ticks. The bound leaves 7%
+/// headroom.
 const EPIC_TENANT_BOUND: isize = 58 * 1024;
 
 #[test]
@@ -206,5 +211,28 @@ fn a_paper_command_step_allocates_within_its_bound() {
         allocs <= PAPER_COMMAND_STEP_ALLOCS,
         "the paper step applying a breaker command makes {allocs} allocations \
          (bound {PAPER_COMMAND_STEP_ALLOCS})"
+    );
+}
+
+/// App-timer events a quiescent paper step dispatches, steps 100–200: 106.5
+/// while every IED's sample timer fired each period, 2.5 since a quiet IED
+/// parks its tick until something it reads changes. The bound leaves 10%
+/// headroom.
+const PAPER_QUIESCENT_STEP_APP_TIMERS: f64 = 2.75;
+
+#[test]
+fn a_quiescent_paper_step_wakes_no_quiet_ied() {
+    let mut range = paper_tenant();
+    step_to(&mut range, 100);
+    let before = range.net.dispatched();
+    for _ in 0..100 {
+        range.step();
+    }
+    let after = range.net.dispatched();
+    let per_step = (after.app_timers - before.app_timers) as f64 / 100.0;
+    assert!(
+        per_step <= PAPER_QUIESCENT_STEP_APP_TIMERS,
+        "a quiescent paper step dispatches {per_step} app timers \
+         (bound {PAPER_QUIESCENT_STEP_APP_TIMERS})"
     );
 }

@@ -1,10 +1,12 @@
 //! Failure injection on the generated range: infeasible power flow, PLC
-//! program faults, link failures, and hostile/garbage traffic — the range
-//! must degrade gracefully, never panic.
+//! program faults, link failures, hostile/garbage traffic and commands or
+//! faults aimed at nothing — the range must degrade gracefully, never
+//! panic.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test/example code may panic
 
 use sg_cyber_range::core::{CompiledModel, CyberRange, PlcConfig, PlcLogic, SgmlBundle};
+use sg_cyber_range::faults::SensorFault;
 use sg_cyber_range::models::epic_bundle;
 use sg_cyber_range::net::{HostCtx, Ipv4Addr, SimDuration, SocketApp};
 
@@ -154,6 +156,9 @@ fn breaker_command_for_unknown_target_is_ignored() {
     range
         .store
         .set("cmd/garbage", sg_cyber_range::kvstore::Value::Bool(true));
+    // A sensor fault on a key GIED1 does not sample (a case typo of its CT
+    // current's key) is refused, not engaged on nothing.
+    assert!(!range.set_sensor_fault("GIED1", "meas/EPIC/branch/LGen/i_kA", SensorFault::Stuck));
     range.run_for(SimDuration::from_secs(1));
     assert!((range.solve_errors_total() == 0));
     // Real breakers untouched.

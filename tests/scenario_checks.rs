@@ -103,6 +103,12 @@ fn names_from_the_model() -> Vec<(&'static str, SgmlBundle, bool, &'static str)>
             false,
             r#"<Scenario name="t" durationMs="100"><Host name="box" ip="10.0.1.11" switch="GenBus"/></Scenario>"#,
         ),
+        (
+            "sensor fault on a key GIED1 does not sample",
+            epic_bundle(),
+            false,
+            r#"<Scenario name="t" durationMs="100"><Stage id="a" kind="sensor" ied="GIED1" key="meas/EPIC/branch/LGen/i_kA" mode="stuck"/></Scenario>"#,
+        ),
     ]
 }
 
