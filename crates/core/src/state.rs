@@ -86,8 +86,8 @@ pub struct RangeState {
     degradation_signals: Vec<DegradationSignal>,
     /// `steps_total` at the moment the current hold began, if holding.
     held_since_step: Option<u64>,
-    /// Crashed hosts due to come back: `(node, host name, restart at ms)`.
-    restart_plans: Vec<(NodeId, String, u64)>,
+    /// Crashed hosts due to come back: `(node, restart at ms)`.
+    restart_plans: Vec<(NodeId, u64)>,
     telemetry: Telemetry,
     steps_counter: Counter,
     step_seconds_hist: Histogram,
@@ -396,12 +396,12 @@ impl RangeState {
             let now_ms = t1.as_millis();
             let mut i = 0;
             while i < self.restart_plans.len() {
-                if self.restart_plans[i].2 <= now_ms {
-                    let (node, host, _) = self.restart_plans.swap_remove(i);
+                if self.restart_plans[i].1 <= now_ms {
+                    let (node, _) = self.restart_plans.swap_remove(i);
                     self.net.set_host_enabled(node, true);
                     self.telemetry
                         .record(t1.as_nanos(), || ObsEvent::DeviceRestarted {
-                            host: host.clone(),
+                            host: self.net.node_name(node).clone(),
                         });
                 } else {
                     i += 1;
@@ -785,11 +785,10 @@ impl RangeState {
         let now = self.net.now();
         self.telemetry
             .record(now.as_nanos(), || ObsEvent::DeviceCrashed {
-                host: host.to_string(),
+                host: self.net.node_name(node).clone(),
             });
         if let Some(after) = restart_after_ms {
-            self.restart_plans
-                .push((node, host.to_string(), now.as_millis() + after));
+            self.restart_plans.push((node, now.as_millis() + after));
         }
         true
     }
@@ -803,10 +802,10 @@ impl RangeState {
         if !self.net.set_host_enabled(node, true) {
             return false;
         }
-        self.restart_plans.retain(|(n, _, _)| *n != node);
+        self.restart_plans.retain(|(n, _)| *n != node);
         self.telemetry
             .record(self.net.now().as_nanos(), || ObsEvent::DeviceRestarted {
-                host: host.to_string(),
+                host: self.net.node_name(node).clone(),
             });
         true
     }

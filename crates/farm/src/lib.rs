@@ -303,8 +303,8 @@ pub struct FarmReport {
     pub rss_peak_bytes: u64,
     /// Bytes of per-tenant journal/metrics sink files written.
     pub journal_bytes_written: u64,
-    /// Wall-clock seconds workers spent blocked writing sink files — the
-    /// JSONL writer backpressure signal.
+    /// Wall-clock seconds workers spent rendering and writing sink files —
+    /// the JSONL writer backpressure signal.
     pub journal_write_seconds: f64,
     /// One-line inventory of the shared compiled model.
     pub model_summary: String,
@@ -1552,9 +1552,10 @@ fn persist_checkpoint(config: &FarmConfig, tenant: usize, cp: &Checkpoint, share
 
 /// Streams one finished tenant's journal and metrics to the output
 /// directory; returns the journal path written (if any). Write volume and
-/// blocked time feed the farm's sink-backpressure instruments. Persistent
-/// write failures (after retry with backoff) raise the farm's degradation
-/// signal and are journaled — the tenant is *not* failed over durability.
+/// the time spent rendering and writing feed the farm's sink-backpressure
+/// instruments. Persistent write failures (after retry with backoff) raise
+/// the farm's degradation signal and are journaled — the tenant is *not*
+/// failed over durability.
 fn write_tenant_sinks(
     config: &FarmConfig,
     tenant: usize,
@@ -1562,10 +1563,10 @@ fn write_tenant_sinks(
     shared: &FarmShared,
 ) -> Option<String> {
     let dir = config.out_dir.as_ref()?;
+    let write_start = std::time::Instant::now();
     let journal_text = telemetry.journal_jsonl();
     let metrics_text = telemetry.snapshot().to_json();
     let bytes = (journal_text.len() + metrics_text.len()) as u64;
-    let write_start = std::time::Instant::now();
     let journal = dir.join(format!("tenant-{tenant:04}.journal.jsonl"));
     if let Err(e) = write_with_retry(&journal, &journal_text) {
         shared.sink_degraded(tenant, &format!("journal sink: {e}"));

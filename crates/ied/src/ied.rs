@@ -16,7 +16,7 @@ use sgcr_kvstore::{ProcessStore, Slot, Value};
 use sgcr_net::{
     ethertype, AppPlane, ConnId, EthernetFrame, HostCtx, Ipv4Addr, MacAddr, SimTime, SocketApp,
 };
-use sgcr_obs::{Counter, Event as ObsEvent, Plane, Telemetry, TimeNs, TraceCtx};
+use sgcr_obs::{Counter, Event as ObsEvent, Name, Plane, Telemetry, TimeNs, TraceCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -304,6 +304,9 @@ pub struct VirtualIedApp {
     /// The IED this app runs: its spec, leaf handles and item ids, shared
     /// with every app built from the same model.
     ied: Arc<IedModel>,
+    /// The IED's name for its journal events: this tenant's own, so no
+    /// reference count is shared with apps of the same model elsewhere.
+    name: Name,
     store: ProcessStore,
     mms: MmsServerApp,
     model: SharedModel,
@@ -393,6 +396,7 @@ impl VirtualIedApp {
         let events: Arc<Mutex<Vec<IedEvent>>> = Arc::default();
         let permits = Arc::new(Mutex::new(vec![false; spec.breakers.len()]));
         let now_ms = Arc::new(AtomicU64::new(0));
+        let name = Name::from(spec.name.as_str());
 
         let measurements: Vec<Slot> = spec
             .measurements
@@ -418,6 +422,7 @@ impl VirtualIedApp {
         // the interlock permits maintained by the protection scan.
         {
             let ied = ied.clone();
+            let name = name.clone();
             let store = store.clone();
             let events = events.clone();
             let permits = permits.clone();
@@ -451,7 +456,7 @@ impl VirtualIedApp {
                             detail: detail.clone(),
                         });
                         obs.record(TimeNs::from_millis(time_ms), || ObsEvent::ControlRejected {
-                            ied: ied.spec.name.clone(),
+                            ied: name.clone(),
                             detail,
                         });
                         return ControlDecision::Reject;
@@ -466,7 +471,7 @@ impl VirtualIedApp {
                     detail: detail.clone(),
                 });
                 obs.record(TimeNs::from_millis(time_ms), || ObsEvent::ControlExecuted {
-                    ied: ied.spec.name.clone(),
+                    ied: name.clone(),
                     detail,
                 });
                 ControlDecision::Accept
@@ -581,6 +586,7 @@ impl VirtualIedApp {
         let full_samples = Arc::new(AtomicU64::new(0));
         let app = VirtualIedApp {
             ied: ied.clone(),
+            name,
             store,
             mms: MmsServerApp::new(server),
             model: model.clone(),
@@ -665,7 +671,7 @@ impl VirtualIedApp {
         self.trips_counter.inc();
         self.telemetry
             .record(now.as_nanos(), || ObsEvent::ProtectionTrip {
-                ied: ied.spec.name.clone(),
+                ied: self.name.clone(),
                 detail: format!("{ln} tripped {breaker_name}"),
             });
         // Spontaneous reporting: push an InformationReport to every
@@ -733,7 +739,7 @@ impl VirtualIedApp {
                     self.remote_changed = true;
                     self.telemetry
                         .record(now.as_nanos(), || ObsEvent::GooseExpired {
-                            ied: self.ied.spec.name.clone(),
+                            ied: self.name.clone(),
                             publisher: gocb.clone(),
                         });
                 }
@@ -964,7 +970,7 @@ impl VirtualIedApp {
         self.goose_counter.inc();
         self.telemetry
             .record(now.as_nanos(), || ObsEvent::GooseSent {
-                ied: self.ied.spec.name.clone(),
+                ied: self.name.clone(),
             });
         ctx.send_frame(frame);
         span.end(now);

@@ -8,7 +8,7 @@ use crate::host::{ConnId, HostState, SocketEvent, TcpOut};
 use crate::time::{SimDuration, SimTime};
 use sgcr_faults::{FaultRng, LinkFault};
 use sgcr_obs::{
-    buckets, Counter, Event as ObsEvent, Histogram, Plane, Telemetry, TraceCtx, Tracer,
+    buckets, Counter, Event as ObsEvent, Histogram, Name, Plane, Telemetry, TraceCtx, Tracer,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -185,7 +185,8 @@ enum NodeKind {
 }
 
 struct Node {
-    name: String,
+    /// Shared with the node index and every event that names the node.
+    name: Name,
     kind: NodeKind,
     /// Port index → link index.
     ports: Vec<usize>,
@@ -285,7 +286,7 @@ pub struct Network {
     links: Vec<Link>,
     mac_counter: u64,
     tcp_timer_armed: HashSet<(NodeId, ConnId)>,
-    names: HashMap<String, NodeId>,
+    names: HashMap<Name, NodeId>,
     telemetry: Telemetry,
     tracer: Tracer,
     /// The causal context of the event currently being dispatched. Set from
@@ -428,13 +429,14 @@ impl Network {
             "duplicate node name {name:?}"
         );
         let id = NodeId(self.nodes.len());
+        let name = Name::from(name);
+        self.names.insert(name.clone(), id);
         self.nodes.push(Node {
-            name: name.to_string(),
+            name,
             kind,
             ports: Vec::new(),
             capture: None,
         });
-        self.names.insert(name.to_string(), id);
         id
     }
 
@@ -597,13 +599,13 @@ impl Network {
     }
 
     /// A node's name.
-    pub fn node_name(&self, node: NodeId) -> &str {
+    pub fn node_name(&self, node: NodeId) -> &Name {
         &self.nodes[node.index()].name
     }
 
     /// Names of all nodes, in creation order.
     pub fn node_names(&self) -> Vec<&str> {
-        self.nodes.iter().map(|n| n.name.as_str()).collect()
+        self.nodes.iter().map(|n| &*n.name).collect()
     }
 
     /// Whether a node is a host.
@@ -902,8 +904,8 @@ impl Network {
                 .tracer
                 .open("net.link", Plane::Net, Some(parent), self.now);
             if span.is_recording() {
-                span.attr("from", self.nodes[node.index()].name.as_str());
-                span.attr("to", self.nodes[peer.0.index()].name.as_str());
+                span.attr("from", &*self.nodes[node.index()].name);
+                span.attr("to", &*self.nodes[peer.0.index()].name);
             }
             let ctx = span.ctx();
             span.end(arrival);

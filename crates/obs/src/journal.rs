@@ -5,33 +5,111 @@
 //! experiment can be reconstructed after the fact. The buffer is bounded:
 //! when full, the oldest records are evicted and counted in
 //! [`crate::Telemetry::events_dropped`].
+//!
+//! A record is a 24-byte slot: its time and either one of the hot events
+//! (`PacketSent`, `PacketDelivered`, `GooseSent`, `SolveCompleted`) inline,
+//! which allocates nothing, or any other event boxed. Sequence numbers are
+//! not stored: every record ever journaled is either retained or evicted,
+//! so the first retained record's `seq` is the evicted count.
 
-use crate::json::{number as json_f64, quote as json_str};
+use crate::json::{push_number, push_quoted};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// An immutable name of a range element, allocated once when the tenant
+/// builds what it names. A clone shares the text and bumps a count, so an
+/// event that carries a name allocates nothing; the handle is one pointer
+/// wide, which keeps a journal slot at 24 bytes. It hashes and compares as
+/// its text, so a map keyed by `Name` is looked up with a `&str`.
+///
+/// # Examples
+///
+/// ```
+/// use sgcr_obs::Name;
+///
+/// let name = Name::from("TIED2");
+/// let shared = name.clone(); // the same text, one more count
+/// assert!(&shared == "TIED2");
+/// assert_eq!(shared.len(), 5); // reads as a `&str`
+/// assert_eq!(format!("{name} {shared:?}"), "TIED2 \"TIED2\"");
+/// ```
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Name(Arc<String>);
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Name {
+    fn from(name: &str) -> Name {
+        Name(Arc::new(name.to_owned()))
+    }
+}
+
+impl From<String> for Name {
+    fn from(name: String) -> Name {
+        Name(Arc::new(name))
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.0.as_str() == other
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.0.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0.as_str(), f)
+    }
+}
 
 /// A typed simulation event.
+///
+/// Text fields follow one rule: a field that names a host or an IED of the
+/// range (`host`, `ied`) is a [`Name`], which the producer holds for the
+/// tenant's life and clones into each event; every other text field is a
+/// `String`, whether it is built per event (`detail`, `message`, `reason`)
+/// or names something else (a point, a tag, a stage).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A host handed a frame to its link.
     PacketSent {
         /// Sending host name.
-        host: String,
+        host: Name,
         /// Frame length on the wire, in bytes.
         bytes: u64,
     },
     /// A frame arrived at the host it was addressed to.
     PacketDelivered {
         /// Receiving host name.
-        host: String,
+        host: Name,
         /// Frame length on the wire, in bytes.
         bytes: u64,
     },
     /// A frame was discarded before delivery.
     PacketDropped {
         /// Host that attempted the send.
-        host: String,
+        host: Name,
         /// Frame length on the wire, in bytes.
         bytes: u64,
         /// Why it was dropped (`link-down`, `no-link`).
@@ -52,28 +130,28 @@ pub enum Event {
     /// A protection element operated and tripped its breaker.
     ProtectionTrip {
         /// The IED that tripped.
-        ied: String,
+        ied: Name,
         /// LN and breaker detail.
         detail: String,
     },
     /// An MMS control was executed by an IED.
     ControlExecuted {
         /// The IED executing the control.
-        ied: String,
+        ied: Name,
         /// Command detail.
         detail: String,
     },
     /// An MMS control was rejected (e.g. interlock).
     ControlRejected {
         /// The IED rejecting the control.
-        ied: String,
+        ied: Name,
         /// Rejection detail.
         detail: String,
     },
     /// An IED published a GOOSE message.
     GooseSent {
         /// The publishing IED.
-        ied: String,
+        ied: Name,
     },
     /// The SCADA HMI raised an alarm.
     ScadaAlarm {
@@ -158,12 +236,12 @@ pub enum Event {
     /// A simulated device (IED/PLC host) crashed and went silent.
     DeviceCrashed {
         /// The crashed host.
-        host: String,
+        host: Name,
     },
     /// A crashed device came back after its restart delay.
     DeviceRestarted {
         /// The restarted host.
-        host: String,
+        host: Name,
     },
     /// The power flow failed to converge; the range is serving the
     /// last-good solution and has flipped measurement quality to invalid.
@@ -189,7 +267,7 @@ pub enum Event {
     /// stopped trusting the last frame.
     GooseExpired {
         /// The subscribing IED.
-        ied: String,
+        ied: Name,
         /// The silent publisher.
         publisher: String,
     },
@@ -300,183 +378,294 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Serializes the record as one JSON object (one JSONL journal line).
+    /// Serializes the record as one JSON object: its line of
+    /// [`crate::Telemetry::journal_jsonl`], without the newline.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"t_ns\":{},\"type\":{}",
-            self.seq,
-            self.t_ns,
-            json_str(self.event.kind())
-        );
-        match &self.event {
+        let mut out = String::new();
+        write_record(&mut out, self.seq, self.t_ns, self.event.kind(), |m| {
+            self.event.write_members(m);
+        });
+        out
+    }
+}
+
+/// Appends one record as a JSON object, `seq`, `t_ns` and `type` first,
+/// then the event's members: the journal's one writer.
+fn write_record(
+    out: &mut String,
+    seq: u64,
+    t_ns: u64,
+    kind: &str,
+    members: impl FnOnce(&mut Members<'_>),
+) {
+    let _ = write!(out, "{{\"seq\":{seq},\"t_ns\":{t_ns},\"type\":\"{kind}\"");
+    members(&mut Members(out));
+    out.push('}');
+}
+
+/// Appends `,"key":value` members to the JSON object being written.
+struct Members<'a>(&'a mut String);
+
+impl Members<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        self.0.push_str(",\"");
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self.0
+    }
+
+    fn text(&mut self, key: &str, value: &str) -> &mut Self {
+        push_quoted(self.key(key), value);
+        self
+    }
+
+    fn int(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    fn float(&mut self, key: &str, value: f64) -> &mut Self {
+        push_number(self.key(key), value);
+        self
+    }
+
+    fn flag(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    // The members of the events a slot can hold inline, written one way for
+    // both forms.
+
+    fn packet(&mut self, host: &str, bytes: u64) -> &mut Self {
+        self.text("host", host).int("bytes", bytes)
+    }
+
+    fn solve(&mut self, iters: u64, seconds: f64) -> &mut Self {
+        self.int("iters", iters).float("seconds", seconds)
+    }
+}
+
+impl Event {
+    /// Writes the event's own members (everything after `type`).
+    fn write_members(&self, m: &mut Members<'_>) {
+        match self {
             Event::PacketSent { host, bytes } | Event::PacketDelivered { host, bytes } => {
-                let _ = write!(out, ",\"host\":{},\"bytes\":{bytes}", json_str(host));
+                m.packet(host, *bytes);
             }
             Event::PacketDropped {
                 host,
                 bytes,
                 reason,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"host\":{},\"bytes\":{bytes},\"reason\":{}",
-                    json_str(host),
-                    json_str(reason)
-                );
+                m.packet(host, *bytes).text("reason", reason);
             }
             Event::SolveCompleted { iters, seconds } => {
-                let _ = write!(out, ",\"iters\":{iters},\"seconds\":{}", json_f64(*seconds));
+                m.solve(*iters, *seconds);
             }
-            Event::SolveFailed { detail } => {
-                let _ = write!(out, ",\"detail\":{}", json_str(detail));
+            Event::SolveFailed { detail } | Event::MeasurementsHeld { detail } => {
+                m.text("detail", detail);
             }
             Event::ProtectionTrip { ied, detail }
             | Event::ControlExecuted { ied, detail }
             | Event::ControlRejected { ied, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"ied\":{},\"detail\":{}",
-                    json_str(ied),
-                    json_str(detail)
-                );
+                m.text("ied", ied).text("detail", detail);
             }
             Event::GooseSent { ied } => {
-                let _ = write!(out, ",\"ied\":{}", json_str(ied));
+                m.text("ied", ied);
             }
             Event::ScadaAlarm { point, message } | Event::ScadaAlarmCleared { point, message } => {
-                let _ = write!(
-                    out,
-                    ",\"point\":{},\"message\":{}",
-                    json_str(point),
-                    json_str(message)
-                );
+                m.text("point", point).text("message", message);
             }
             Event::ScadaCommand { tag, value } => {
-                let _ = write!(
-                    out,
-                    ",\"tag\":{},\"value\":{}",
-                    json_str(tag),
-                    json_f64(*value)
-                );
+                m.text("tag", tag).float("value", *value);
             }
             Event::PlcControl { variable, value } => {
-                let _ = write!(
-                    out,
-                    ",\"variable\":{},\"value\":{value}",
-                    json_str(variable)
-                );
+                m.text("variable", variable).flag("value", *value);
             }
             Event::StepOverrun { step, ratio } => {
-                let _ = write!(out, ",\"step\":{step},\"ratio\":{}", json_f64(*ratio));
+                m.int("step", *step).float("ratio", *ratio);
             }
-            Event::StageStarted { stage } | Event::StageEnded { stage } => {
-                let _ = write!(out, ",\"stage\":{}", json_str(stage));
+            Event::StageStarted { stage }
+            | Event::StageEnded { stage }
+            | Event::AdversaryActionStarted { stage } => {
+                m.text("stage", stage);
             }
             Event::ObjectiveResolved { objective, passed } => {
-                let _ = write!(
-                    out,
-                    ",\"objective\":{},\"passed\":{passed}",
-                    json_str(objective)
-                );
+                m.text("objective", objective).flag("passed", *passed);
             }
             Event::AdversaryPlanned { goal, seed, stages } => {
-                let _ = write!(
-                    out,
-                    ",\"goal\":{},\"seed\":{seed},\"stages\":{stages}",
-                    json_str(goal)
-                );
-            }
-            Event::AdversaryActionStarted { stage } => {
-                let _ = write!(out, ",\"stage\":{}", json_str(stage));
+                m.text("goal", goal)
+                    .int("seed", *seed)
+                    .int("stages", *stages);
             }
             Event::AdversaryGoalReached { objective } => {
-                let _ = write!(out, ",\"objective\":{}", json_str(objective));
+                m.text("objective", objective);
             }
             Event::FaultInjected { target, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"target\":{},\"detail\":{}",
-                    json_str(target),
-                    json_str(detail)
-                );
+                m.text("target", target).text("detail", detail);
             }
             Event::DeviceCrashed { host } | Event::DeviceRestarted { host } => {
-                let _ = write!(out, ",\"host\":{}", json_str(host));
-            }
-            Event::MeasurementsHeld { detail } => {
-                let _ = write!(out, ",\"detail\":{}", json_str(detail));
+                m.text("host", host);
             }
             Event::MeasurementsRecovered { held_steps } => {
-                let _ = write!(out, ",\"held_steps\":{held_steps}");
+                m.int("held_steps", *held_steps);
             }
             Event::TagStale { tag, age_ms } => {
-                let _ = write!(out, ",\"tag\":{},\"age_ms\":{age_ms}", json_str(tag));
+                m.text("tag", tag).int("age_ms", *age_ms);
             }
             Event::GooseExpired { ied, publisher } => {
-                let _ = write!(
-                    out,
-                    ",\"ied\":{},\"publisher\":{}",
-                    json_str(ied),
-                    json_str(publisher)
-                );
+                m.text("ied", ied).text("publisher", publisher);
             }
             Event::FarmStarted {
                 tenants,
                 threads,
                 sim_seconds,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"tenants\":{tenants},\"threads\":{threads},\"sim_seconds\":{sim_seconds}"
-                );
+                m.int("tenants", *tenants)
+                    .int("threads", *threads)
+                    .int("sim_seconds", *sim_seconds);
             }
             Event::FarmFinished {
                 tenants_completed,
                 tenants_halted,
                 tenants_failed,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"tenants_completed\":{tenants_completed},\"tenants_halted\":{tenants_halted},\"tenants_failed\":{tenants_failed}"
-                );
+                m.int("tenants_completed", *tenants_completed)
+                    .int("tenants_halted", *tenants_halted)
+                    .int("tenants_failed", *tenants_failed);
             }
             Event::TenantCheckpointed { tenant, steps } => {
-                let _ = write!(out, ",\"tenant\":{tenant},\"steps\":{steps}");
+                m.int("tenant", *tenant).int("steps", *steps);
             }
             Event::TenantRestarted {
                 tenant,
                 restarts,
                 from_steps,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"tenant\":{tenant},\"restarts\":{restarts},\"from_steps\":{from_steps}"
-                );
+                m.int("tenant", *tenant)
+                    .int("restarts", *restarts)
+                    .int("from_steps", *from_steps);
             }
             Event::TenantGivenUp { tenant, restarts } => {
-                let _ = write!(out, ",\"tenant\":{tenant},\"restarts\":{restarts}");
+                m.int("tenant", *tenant).int("restarts", *restarts);
             }
             Event::Custom { name, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"name\":{},\"detail\":{}",
-                    json_str(name),
-                    json_str(detail)
-                );
+                m.text("name", name).text("detail", detail);
             }
         }
-        out.push('}');
-        out
     }
 }
 
+/// One journaled record: its time and its event, inline when it is one of
+/// the hot events and its count fits a `u32`, boxed otherwise.
+#[derive(Debug)]
+struct Slot {
+    t_ns: u64,
+    body: Body,
+}
+
+#[derive(Debug)]
+enum Body {
+    PacketSent { host: Name, bytes: u32 },
+    PacketDelivered { host: Name, bytes: u32 },
+    GooseSent { ied: Name },
+    SolveCompleted { iters: u32, seconds: f64 },
+    Boxed(Box<Event>),
+}
+
+/// What bounds the journal's memory: 24 bytes per record of capacity, plus
+/// the boxes of the rare events.
+const _: () = assert!(std::mem::size_of::<Slot>() == 24);
+
+impl Slot {
+    fn new(t_ns: u64, event: Event) -> Slot {
+        const INLINE_MAX: u64 = u32::MAX as u64;
+        let body = match event {
+            Event::PacketSent { host, bytes } if bytes <= INLINE_MAX => Body::PacketSent {
+                host,
+                bytes: bytes as u32,
+            },
+            Event::PacketDelivered { host, bytes } if bytes <= INLINE_MAX => {
+                Body::PacketDelivered {
+                    host,
+                    bytes: bytes as u32,
+                }
+            }
+            Event::GooseSent { ied } => Body::GooseSent { ied },
+            Event::SolveCompleted { iters, seconds } if iters <= INLINE_MAX => {
+                Body::SolveCompleted {
+                    iters: iters as u32,
+                    seconds,
+                }
+            }
+            event => Body::Boxed(Box::new(event)),
+        };
+        Slot { t_ns, body }
+    }
+
+    fn event(&self) -> Event {
+        match &self.body {
+            Body::PacketSent { host, bytes } => Event::PacketSent {
+                host: host.clone(),
+                bytes: u64::from(*bytes),
+            },
+            Body::PacketDelivered { host, bytes } => Event::PacketDelivered {
+                host: host.clone(),
+                bytes: u64::from(*bytes),
+            },
+            Body::GooseSent { ied } => Event::GooseSent { ied: ied.clone() },
+            Body::SolveCompleted { iters, seconds } => Event::SolveCompleted {
+                iters: u64::from(*iters),
+                seconds: *seconds,
+            },
+            Body::Boxed(event) => (**event).clone(),
+        }
+    }
+
+    fn kind(&self) -> &'static str {
+        match &self.body {
+            Body::PacketSent { .. } => "PacketSent",
+            Body::PacketDelivered { .. } => "PacketDelivered",
+            Body::GooseSent { .. } => "GooseSent",
+            Body::SolveCompleted { .. } => "SolveCompleted",
+            Body::Boxed(event) => event.kind(),
+        }
+    }
+
+    fn write_members(&self, m: &mut Members<'_>) {
+        match &self.body {
+            Body::PacketSent { host, bytes } | Body::PacketDelivered { host, bytes } => {
+                m.packet(host, u64::from(*bytes));
+            }
+            Body::GooseSent { ied } => {
+                m.text("ied", ied);
+            }
+            Body::SolveCompleted { iters, seconds } => {
+                m.solve(u64::from(*iters), *seconds);
+            }
+            Body::Boxed(event) => event.write_members(m),
+        }
+    }
+}
+
+/// Bytes to reserve per record when sizing the JSON Lines export: an EPIC
+/// journal averages 81 bytes a line, and the margin covers longer names and
+/// larger numbers so the buffer is sized once.
+const JSONL_BYTES_PER_RECORD: usize = 96;
+
 #[derive(Debug, Default)]
 struct JournalState {
-    events: VecDeque<EventRecord>,
+    slots: VecDeque<Slot>,
+    /// Records ever journaled: the next record's `seq`.
     next_seq: u64,
-    dropped: u64,
+}
+
+impl JournalState {
+    /// The evicted count, which is also the first retained record's `seq`.
+    fn evicted(&self) -> u64 {
+        self.next_seq - self.slots.len() as u64
+    }
 }
 
 /// The bounded ring buffer behind an enabled [`crate::Telemetry`].
@@ -495,21 +684,40 @@ impl Journal {
     }
 
     pub(crate) fn push(&self, t_ns: u64, event: Event) {
+        let slot = Slot::new(t_ns, event);
         let mut state = self.state.lock();
-        let seq = state.next_seq;
         state.next_seq += 1;
-        if state.events.len() == self.capacity {
-            state.events.pop_front();
-            state.dropped += 1;
+        if state.slots.len() == self.capacity {
+            state.slots.pop_front();
         }
-        state.events.push_back(EventRecord { seq, t_ns, event });
+        state.slots.push_back(slot);
     }
 
-    pub(crate) fn snapshot(&self) -> Vec<EventRecord> {
-        self.state.lock().events.iter().cloned().collect()
+    pub(crate) fn records(&self) -> Vec<EventRecord> {
+        let state = self.state.lock();
+        (state.evicted()..)
+            .zip(&state.slots)
+            .map(|(seq, slot)| EventRecord {
+                seq,
+                t_ns: slot.t_ns,
+                event: slot.event(),
+            })
+            .collect()
+    }
+
+    pub(crate) fn jsonl(&self) -> String {
+        let state = self.state.lock();
+        let mut out = String::with_capacity(state.slots.len() * JSONL_BYTES_PER_RECORD);
+        for (seq, slot) in (state.evicted()..).zip(&state.slots) {
+            write_record(&mut out, seq, slot.t_ns, slot.kind(), |m| {
+                slot.write_members(m);
+            });
+            out.push('\n');
+        }
+        out
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        self.state.lock().dropped
+        self.state.lock().evicted()
     }
 }

@@ -21,22 +21,35 @@ use std::fmt::Write as _;
 /// ```
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_quoted(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as [`quote`] renders it, without a temporary.
+pub(crate) fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    // Every byte that needs an escape is ASCII, so each run between two of
+    // them is whole UTF-8 and is copied in one step.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Formats an `f64` as a JSON value.
@@ -53,14 +66,21 @@ pub fn quote(s: &str) -> String {
 /// assert_eq!(sgcr_obs::json::number(f64::NAN), "\"NaN\"");
 /// ```
 pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    push_number(&mut out, v);
+    out
+}
+
+/// Appends `v` to `out` as [`number`] renders it, without a temporary.
+pub(crate) fn push_number(out: &mut String, v: f64) {
+    let start = out.len();
     if v.is_finite() {
-        let mut s = format!("{v}");
-        if !s.contains('.') && !s.contains('e') {
-            s.push_str(".0");
+        let _ = write!(out, "{v}");
+        if !out[start..].contains(['.', 'e']) {
+            out.push_str(".0");
         }
-        s
     } else {
-        quote(&format!("{v}"))
+        let _ = write!(out, "\"{v}\"");
     }
 }
 

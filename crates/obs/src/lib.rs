@@ -46,7 +46,7 @@ mod snapshot;
 mod trace;
 
 pub use agg::FarmAggregator;
-pub use journal::{Event, EventRecord};
+pub use journal::{Event, EventRecord, Name};
 pub use metric::{buckets, Counter, Gauge, Histogram};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use trace::{OpenSpan, Plane, SpanRecord, TimeNs, TraceCtx, Tracer, DEFAULT_SPAN_CAPACITY};
@@ -229,7 +229,7 @@ impl Telemetry {
     pub fn events(&self) -> Vec<EventRecord> {
         self.inner
             .as_ref()
-            .map(|i| i.journal.snapshot())
+            .map(|i| i.journal.records())
             .unwrap_or_default()
     }
 
@@ -239,14 +239,13 @@ impl Telemetry {
     }
 
     /// The journal rendered as JSON Lines (one [`EventRecord`] object per
-    /// line) — the `--journal` file format of the CLI.
+    /// line) — the `--journal` file format of the CLI. The records are
+    /// written straight from the journal into one buffer.
     pub fn journal_jsonl(&self) -> String {
-        let mut out = String::new();
-        for record in self.events() {
-            out.push_str(&record.to_json());
-            out.push('\n');
-        }
-        out
+        self.inner
+            .as_ref()
+            .map(|i| i.journal.jsonl())
+            .unwrap_or_default()
     }
 
     /// A point-in-time copy of every registered instrument.
@@ -359,17 +358,48 @@ mod tests {
 
     #[test]
     fn journal_is_bounded_and_counts_evictions() {
+        // The records that outlive the bound: each takes a different path
+        // through the journal's slots.
+        let escaped = "I\"E\\D\u{1}";
+        let retained = [
+            // Boxed.
+            Event::ProtectionTrip {
+                ied: "TIED2".into(),
+                detail: "PTOC1 tripped CB2".into(),
+            },
+            // Too large for an inline slot: boxed without loss.
+            Event::PacketSent {
+                host: "h1".into(),
+                bytes: u64::from(u32::MAX) + 1,
+            },
+            // Inline, with a name that needs JSON escapes.
+            Event::GooseSent {
+                ied: escaped.into(),
+            },
+        ];
         let t = Telemetry::with_journal_capacity(3);
-        for i in 0..5u64 {
+        for i in 0..2u64 {
             t.record(i, || Event::GooseSent {
-                ied: format!("ied{i}"),
+                ied: format!("ied{i}").into(),
             });
         }
+        for (i, event) in (2u64..).zip(&retained) {
+            t.record(i, || event.clone());
+        }
         let events = t.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].seq, 2, "oldest two evicted");
+        let seqs: Vec<u64> = events.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [2, 3, 4], "oldest two evicted");
+        let kept: Vec<&Event> = events.iter().map(|r| &r.event).collect();
+        assert_eq!(kept, retained.iter().collect::<Vec<_>>());
         assert_eq!(t.events_dropped(), 2);
         assert_eq!(t.snapshot().journal_dropped, 2);
+
+        let lines: String = events.iter().map(|r| r.to_json() + "\n").collect();
+        assert_eq!(t.journal_jsonl(), lines);
+        assert!(lines.contains(",\"bytes\":4294967296}"));
+        // As `json::quote` has always escaped it.
+        let quoted = r#","ied":"I\"E\\D\u0001"}"#;
+        assert!(lines.contains(quoted), "{quoted} in {lines}");
     }
 
     #[test]

@@ -561,10 +561,11 @@ impl Sinks {
             eprintln!("metrics snapshot written to {path}");
         }
         if let Some(path) = &self.journal {
-            write_file(path, "journal", telemetry.journal_jsonl())?;
+            let journal = telemetry.journal_jsonl();
+            let events = journal.lines().count();
+            write_file(path, "journal", journal)?;
             eprintln!(
-                "event journal written to {path} ({} events, {} evicted)",
-                telemetry.events().len(),
+                "event journal written to {path} ({events} events, {} evicted)",
                 telemetry.events_dropped()
             );
         }

@@ -1,9 +1,10 @@
 //! Deterministic cost guards: the live heap a fresh tenant adds when it is
 //! instantiated from an already compiled model, the allocations a step
-//! makes, and the events a quiescent step dispatches. Counts do not drift
-//! with the host the way timings do, so a bound here catches a tenant that
-//! grows what its compiled model should share, a step that allocates what
-//! it could reuse, or a device that runs while nothing it reads changed.
+//! makes, the events a quiescent step dispatches, and what a tenant's event
+//! journal holds and costs to render. Counts do not drift with the host the
+//! way timings do, so a bound here catches a tenant that grows what its
+//! compiled model should share, a step that allocates what it could reuse,
+//! or a device that runs while nothing it reads changed.
 //!
 //! The heap and the allocations are measured by a counting global
 //! allocator, the events by the network's own counter. The allocator's
@@ -18,9 +19,11 @@
 use sg_cyber_range::core::{breaker_cmd_key, CompiledModel, CyberRange, RangeBuilder};
 use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
+use sg_cyber_range::obs::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::time::Duration;
 
 struct Counting;
 
@@ -117,14 +120,15 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
 /// A fresh paper-profile tenant (5 substations, 104 IEDs). It added
 /// 2,628 KiB while every tenant built its own IED attribute trees; with the
 /// trees shared per compiled model a debug build measures 615 KiB
-/// (630,205 B), and 629 KiB (644,520 B) since each host keeps a tick
-/// that can park and each IED a degradation watcher list. The bound leaves
-/// 7% headroom.
+/// (630,205 B), 629 KiB (644,520 B) since each host keeps a tick that can
+/// park and each IED a degradation watcher list, and 635 KiB (650,655 B)
+/// since each IED app keeps its own name for journal events. The bound
+/// leaves 6% headroom.
 const PAPER_TENANT_BOUND: isize = 676 * 1024;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
-/// shared, 54 KiB (55,402 B) with parkable ticks. The bound leaves 7%
-/// headroom.
+/// shared, 54 KiB (55,402 B) with parkable ticks, 54 KiB (55,671 B) with
+/// per-app IED names. The bound leaves 7% headroom.
 const EPIC_TENANT_BOUND: isize = 58 * 1024;
 
 #[test]
@@ -234,5 +238,51 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
         per_step <= PAPER_QUIESCENT_STEP_APP_TIMERS,
         "a quiescent paper step dispatches {per_step} app timers \
          (bound {PAPER_QUIESCENT_STEP_APP_TIMERS})"
+    );
+}
+
+/// An EPIC tenant with `Telemetry::new()`, whose journal holds every packet
+/// it sends and delivers: 42,338 records at step 1,200. While each record was
+/// a 72-byte event with its own copy of a host name, a debug build measured
+/// 4,878 KiB (4,994,847 B) of live heap there and 395.8 allocations per step
+/// over steps 200–1,200, and rendering the journal as JSON Lines made
+/// 169,366 allocations (4.0 per record). With 24-byte slots and shared names
+/// it measures 1,622 KiB (1,660,996 B) and 361.8 per step (361.9 with
+/// telemetry off), and the render makes one allocation. Each bound leaves
+/// 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_785 * 1024;
+const EPIC_JOURNALED_STEP_ALLOCS: f64 = 398.0;
+const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
+
+#[test]
+fn a_journaled_epic_tenant_stays_within_its_bounds() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
+    let before = live_bytes();
+    let telemetry = Telemetry::new();
+    let mut range = RangeBuilder::from_model(model)
+        .telemetry(telemetry.clone())
+        .build()
+        .expect("range instantiates");
+    // No step overruns it, so no wall-clock event joins the journal.
+    range.set_step_budget(Duration::from_secs(3600));
+    step_to(&mut range, 200);
+    let per_step = allocations(|| step_to(&mut range, 1_200)) as f64 / 1_000.0;
+    let heap = live_bytes() - before;
+    let mut jsonl = String::new();
+    let export = allocations(|| jsonl = telemetry.journal_jsonl());
+    let records = jsonl.lines().count();
+    let per_record = export as f64 / records as f64;
+    assert!(
+        heap <= EPIC_JOURNALED_HEAP,
+        "a journaled EPIC tenant holds {heap} B at step 1,200 (bound {EPIC_JOURNALED_HEAP} B)"
+    );
+    assert!(
+        per_step <= EPIC_JOURNALED_STEP_ALLOCS,
+        "a journaled EPIC step makes {per_step} allocations (bound {EPIC_JOURNALED_STEP_ALLOCS})"
+    );
+    assert!(
+        per_record <= EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD,
+        "rendering {records} records makes {per_record} allocations per record \
+         (bound {EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD})"
     );
 }

@@ -97,6 +97,9 @@ fn tenants_are_deterministic_per_seed_across_farm_runs() {
         tenants: 4,
         sim_seconds: 1,
         base_fault_seed: 11,
+        // A budget no step overruns: a wall-clock `StepOverrun` on a busy
+        // host would differ between the two runs.
+        step_budget_ms: Some(3_600_000),
         ..FarmConfig::default()
     };
 
