@@ -97,7 +97,7 @@ fn bench_solve(c: &mut Criterion) {
         solver.solve(&net, &options).expect("converges");
         let before = solver.stats();
         group.bench_function(&format!("unchanged/{shape}"), |b| {
-            b.iter(|| solver.solve(&net, &options).expect("converges"));
+            b.iter(|| solver.solve(&net, &options).expect("converges").iterations);
         });
         let after = solver.stats();
         let served = after.reused - before.reused;
@@ -111,7 +111,7 @@ fn bench_solve(c: &mut Criterion) {
             b.iter(|| {
                 step += 1;
                 net.load[0].p_mw = base * (1.0 + 0.01 * f64::from(step % 2));
-                solver.solve(&net, &options).expect("converges")
+                solver.solve(&net, &options).expect("converges").iterations
             });
         });
         assert_eq!(

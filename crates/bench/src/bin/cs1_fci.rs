@@ -30,7 +30,7 @@ fn main() {
         let cb = range.power.switch_by_name("EPIC/CB_GEN").unwrap();
         rows.push(vec![
             format!("{second}"),
-            format!("{:+.5}", range.last_result.line[0].p_from_mw),
+            format!("{:+.5}", range.last_result().line[0].p_from_mw),
             format!("{}", range.power.switch[cb.index()].closed),
             format!("{:?}", range.scada.as_ref().unwrap().tag_value("CB_GEN_fb")),
         ]);

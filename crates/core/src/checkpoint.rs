@@ -134,7 +134,7 @@ pub struct Checkpoint {
 /// Bit-exact digest of a power solution: FNV-1a over its debug rendering,
 /// which prints every float with shortest-round-trip precision.
 fn power_digest(state: &RangeState) -> u64 {
-    fnv1a_64(format!("{:?}", state.last_result).as_bytes())
+    fnv1a_64(format!("{:?}", state.last_result()).as_bytes())
 }
 
 impl Checkpoint {

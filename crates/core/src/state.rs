@@ -61,11 +61,10 @@ pub struct RangeState {
     pub plcs: HashMap<String, PlcHandle>,
     /// Handle to the SCADA HMI, when configured.
     pub scada: Option<ScadaHandle>,
-    /// The latest power-flow solution.
-    pub last_result: PowerFlowResult,
     /// This tenant's power-flow solver: keeps the symbolic work of the
-    /// current topology, warm-starts each step from the last solution, and
-    /// answers a step whose network did not change from its record.
+    /// current topology, warm-starts each step from the last solution,
+    /// answers a step whose network did not change from its record, and
+    /// holds the tenant's one copy of the latest solution.
     solver: Solver,
     /// The store slot of every published measurement: the model's shared
     /// publish keys, resolved in `store`.
@@ -81,9 +80,9 @@ pub struct RangeState {
     overruns: u64,
     /// Lifetime worst step wall time, in seconds.
     max_step_seconds: f64,
-    /// Degradation flags shared with every virtual IED and the SCADA HMI;
-    /// raised while `last_result` is a held (stale) solution.
-    degradation_signals: Vec<DegradationSignal>,
+    /// The degradation flag shared by every virtual IED and the SCADA HMI;
+    /// raised while the latest solution is a held (stale) one.
+    degradation: DegradationSignal,
     /// `steps_total` at the moment the current hold began, if holding.
     held_since_step: Option<u64>,
     /// Crashed hosts due to come back: `(node, restart at ms)`.
@@ -96,8 +95,12 @@ pub struct RangeState {
     /// Per-plane wall-time attribution histograms (`step.plane.*`); all
     /// detached no-ops when telemetry is off.
     plane_hists: PlaneHists,
+    /// The store version when the latest step (or instantiation) ended,
+    /// after its publish if it solved: commands written since are applied
+    /// at the next step. A replayed solve follows a step that solved and
+    /// published, so while the version still reads this, every published
+    /// value is in the store as that step wrote it.
     cmd_cursor: u64,
-    node_by_name: HashMap<String, NodeId>,
     /// Simulation time of the next due power-flow step.
     next_step_at: SimTime,
     /// Simulation time of the previous power-flow step (profile window start).
@@ -159,7 +162,6 @@ impl RangeState {
         if let Some(seed) = settings.fault_seed {
             net.set_fault_seed(seed);
         }
-        let mut node_by_name: HashMap<String, NodeId> = HashMap::new();
         let mut switch_by_name: HashMap<String, NodeId> = HashMap::new();
         let mut wan: Option<NodeId> = None;
         for sw in &model.plan.switches {
@@ -182,23 +184,32 @@ impl RangeState {
                 None => net.add_host(&host.name, host.ip),
             };
             net.connect(id, switch_by_name[&host.switch], LinkSpec::default());
-            node_by_name.insert(host.name.clone(), id);
         }
 
         let store = ProcessStore::new();
         let interval = settings.interval.unwrap_or(model.interval);
+        // One degradation flag for the whole range: it is raised while the
+        // range holds a stale solution, IEDs stamp measurement quality
+        // `invalid`, SCADA degrades incoming tag quality.
+        let degradation = DegradationSignal::new();
 
         // --- Virtual IEDs from compiled models -----------------------------
         let mut ieds = HashMap::new();
         for ied in &model.ied_models {
             let name = &ied.spec().name;
-            let Some(&node) = node_by_name.get(name) else {
+            let Some(node) = host_node(&net, name) else {
                 return Err(RangeError::UnknownHost {
                     host: name.clone(),
                     referenced_by: "IED Config XML",
                 });
             };
-            let (app, handle) = VirtualIedApp::instantiate(ied, store.clone(), telemetry.clone());
+            let (app, handle) = VirtualIedApp::instantiate(
+                ied,
+                net.node_name(node).clone(),
+                store.clone(),
+                degradation.clone(),
+                telemetry.clone(),
+            );
             net.attach_app(node, Box::new(app));
             ieds.insert(name.clone(), handle);
         }
@@ -206,7 +217,7 @@ impl RangeState {
         // --- Virtual PLCs from compiled programs ---------------------------
         let mut plcs = HashMap::new();
         for def in &model.plcs {
-            let Some(&node) = node_by_name.get(&def.name) else {
+            let Some(node) = host_node(&net, &def.name) else {
                 return Err(RangeError::UnknownHost {
                     host: def.name.clone(),
                     referenced_by: "PLC Config XML",
@@ -237,27 +248,22 @@ impl RangeState {
         // --- SCADA HMI ------------------------------------------------------
         let mut scada = None;
         if let Some(blueprint) = &model.scada {
-            let Some(&node) = node_by_name.get(&blueprint.host) else {
+            let Some(node) = host_node(&net, &blueprint.host) else {
                 return Err(RangeError::UnknownHost {
                     host: blueprint.host.clone(),
                     referenced_by: "SCADA Config XML",
                 });
             };
-            let (app, handle) =
-                ScadaApp::with_telemetry(blueprint.config.clone(), telemetry.clone());
+            let (app, handle) = ScadaApp::with_telemetry(
+                blueprint.config.clone(),
+                degradation.clone(),
+                telemetry.clone(),
+            );
             net.attach_app(node, Box::new(app));
             scada = Some(handle);
         }
 
         // --- Initial physical state ----------------------------------------
-        // Share one degradation flag per consumer: the range raises them all
-        // while it is holding a stale solution, IEDs stamp measurement
-        // quality `invalid`, SCADA degrades incoming tag quality.
-        let mut degradation_signals: Vec<DegradationSignal> =
-            ieds.values().map(IedHandle::degradation).collect();
-        if let Some(scada) = &scada {
-            degradation_signals.push(scada.degradation());
-        }
         let publish_slots = model.publish_keys.slots(&store);
         let mut state = RangeState {
             net,
@@ -268,7 +274,6 @@ impl RangeState {
             ieds,
             plcs,
             scada,
-            last_result: PowerFlowResult::default(),
             solver: Solver::new(),
             publish_slots,
             steps_total: 0,
@@ -276,7 +281,7 @@ impl RangeState {
             step_budget: None,
             overruns: 0,
             max_step_seconds: 0.0,
-            degradation_signals,
+            degradation,
             held_since_step: None,
             restart_plans: Vec::new(),
             steps_counter: telemetry.counter("range.steps"),
@@ -286,7 +291,6 @@ impl RangeState {
             plane_hists: PlaneHists::resolve(&telemetry),
             telemetry,
             cmd_cursor: 0,
-            node_by_name,
             next_step_at: SimTime::ZERO + interval,
             last_step_ms: 0,
         };
@@ -302,21 +306,29 @@ impl RangeState {
             0,
             init_span.ctx(),
         );
-        let result = result.map_err(RangeError::PowerFlow)?;
+        result.map_err(RangeError::PowerFlow)?;
         if let Some(solve_ctx) = solve_ctx {
             // Device samples taken before the first step trace to this solve.
             tracer.set_provenance(solve_ctx);
         }
         init_span.end(0u64);
-        state.publish_measurements(&result);
-        state.last_result = result;
+        state.publish_measurements();
         state.cmd_cursor = state.store.version();
         Ok(state)
     }
 
-    /// The node id of a generated host (for captures, link failures, …).
+    /// The node id of a host — generated or added with
+    /// [`add_host`](RangeState::add_host) — for captures, link failures, …;
+    /// `None` for a switch or an unknown name.
     pub fn node(&self, name: &str) -> Option<NodeId> {
-        self.node_by_name.get(name).copied()
+        host_node(&self.net, name)
+    }
+
+    /// The latest power-flow solution: the solver's latest converged one,
+    /// held while re-solves fail (see
+    /// [`measurements_held`](RangeState::measurements_held)).
+    pub fn last_result(&self) -> &PowerFlowResult {
+        self.solver.last_result()
     }
 
     /// Adds an extra host (e.g. an attacker machine) to a named switch.
@@ -331,7 +343,6 @@ impl RangeState {
             .unwrap_or_else(|| panic!("no such switch {switch:?}"));
         let id = self.net.add_host(name, ip);
         self.net.connect(id, switch_id, LinkSpec::default());
-        self.node_by_name.insert(name.to_string(), id);
         id
     }
 
@@ -422,6 +433,7 @@ impl RangeState {
 
         // Solve and publish.
         let solve_start = std::time::Instant::now();
+        let reused = self.solver.stats().reused;
         let (solved, solve_ctx) = solve_traced(
             &mut self.solver,
             &self.power,
@@ -431,20 +443,25 @@ impl RangeState {
             step_span.ctx(),
         );
         match solved {
-            Ok(result) => {
+            Ok(_) => {
                 if let Some(solve_ctx) = solve_ctx {
                     // Until the next solve, IED samples are caused by this
                     // one: they read the measurements it publishes.
                     tracer.set_provenance(solve_ctx);
                 }
-                self.publish_switch_states();
-                self.publish_measurements(&result);
-                self.last_result = result;
+                if self.solver.stats().reused > reused && self.store.version() == self.cmd_cursor {
+                    // The network is the one the latest publish solved, and
+                    // nothing was written since: a full publish would write
+                    // only the step counter.
+                    let step = Value::Int(self.steps_total as i64);
+                    self.store.set_all([(self.publish_slots.sim_step, step)]);
+                } else {
+                    self.publish_switch_states();
+                    self.publish_measurements();
+                }
                 if let Some(since) = self.held_since_step.take() {
                     // Recovered: fresh measurements flow again.
-                    for signal in &self.degradation_signals {
-                        signal.set(false);
-                    }
+                    self.degradation.set(false);
                     let held_steps = self.steps_total - since;
                     self.telemetry
                         .record(t1.as_nanos(), || ObsEvent::MeasurementsRecovered {
@@ -458,9 +475,7 @@ impl RangeState {
                     // Graceful degradation: keep serving the last-good
                     // solution, but tell every consumer it is stale.
                     self.held_since_step = Some(self.steps_total);
-                    for signal in &self.degradation_signals {
-                        signal.set(true);
-                    }
+                    self.degradation.set(true);
                     self.telemetry
                         .record(t1.as_nanos(), || ObsEvent::MeasurementsHeld {
                             detail: e.to_string(),
@@ -571,10 +586,11 @@ impl RangeState {
             .set_all(states.map(|(switch, &(slot, _))| (slot, Value::Bool(switch.closed))));
     }
 
-    /// Writes every measurement of `result` to the store, in one batch.
-    fn publish_measurements(&mut self, result: &PowerFlowResult) {
+    /// Writes every measurement of the latest solution to the store, in one
+    /// batch.
+    fn publish_measurements(&mut self) {
         self.refresh_publish_slots();
-        let slots = &self.publish_slots;
+        let (result, slots) = (self.solver.last_result(), &self.publish_slots);
         let float = |slot: Slot, value: f64| (slot, Value::Float(value));
         let bus = result
             .bus
@@ -710,7 +726,7 @@ impl RangeState {
     /// or `None` if the connectivity-node path is unknown.
     pub fn bus_voltage_pu(&self, path: &str) -> Option<f64> {
         let id = self.power.bus_by_name(path)?;
-        self.last_result.bus.get(id.index()).map(|b| b.vm_pu)
+        self.last_result().bus.get(id.index()).map(|b| b.vm_pu)
     }
 
     /// Whether the SCADA HMI currently shows an active alarm on `point`.
@@ -840,4 +856,9 @@ impl RangeState {
             None => false,
         }
     }
+}
+
+/// The node of the host named `name`: `None` for a switch or an unknown name.
+fn host_node(net: &Network, name: &str) -> Option<NodeId> {
+    net.node_by_name(name).filter(|&node| net.is_host(node))
 }

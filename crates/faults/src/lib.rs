@@ -252,10 +252,7 @@ impl DegradationSignal {
 
     /// Registers `waker` to be woken at every flip of the flag.
     pub fn watch(&self, waker: &Waker) {
-        let mut watchers = self.watchers();
-        // A signal mostly has one watcher: grow the list one at a time.
-        watchers.reserve_exact(1);
-        watchers.push(waker.clone());
+        self.watchers().push(waker.clone());
     }
 
     fn watchers(&self) -> std::sync::MutexGuard<'_, Vec<Waker>> {

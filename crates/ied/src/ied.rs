@@ -131,7 +131,8 @@ impl IedHandle {
 
     /// The degradation signal this IED watches: raising it flips the
     /// quality of every published measurement to `invalid` at the next
-    /// sample. The range shares one logical signal across the planes.
+    /// sample. In a range it is the range's one signal, which every IED and
+    /// the SCADA HMI share; a standalone IED has its own.
     pub fn degradation(&self) -> DegradationSignal {
         self.degradation.clone()
     }
@@ -369,8 +370,15 @@ impl VirtualIedApp {
     /// Panics if an item of the spec's data model is not an object
     /// reference; [`IedModel::build`] reports that as an error instead.
     pub fn new(spec: IedSpec, store: ProcessStore) -> (VirtualIedApp, IedHandle) {
+        let name = Name::from(spec.name.as_str());
         let ied = IedModel::build(spec).unwrap_or_else(|e| panic!("{e}"));
-        VirtualIedApp::instantiate(&Arc::new(ied), store, Telemetry::disabled())
+        VirtualIedApp::instantiate(
+            &Arc::new(ied),
+            name,
+            store,
+            DegradationSignal::new(),
+            Telemetry::disabled(),
+        )
     }
 
     /// Builds the application of a built IED model over a process store,
@@ -381,22 +389,27 @@ impl VirtualIedApp {
     /// journal [`ProtectionTrip`](sgcr_obs::Event::ProtectionTrip),
     /// [`ControlExecuted`](sgcr_obs::Event::ControlExecuted),
     /// [`ControlRejected`](sgcr_obs::Event::ControlRejected), and
-    /// [`GooseSent`](sgcr_obs::Event::GooseSent) events tagged with this
-    /// IED's name.
+    /// [`GooseSent`](sgcr_obs::Event::GooseSent) events tagged with `name`,
+    /// the IED's name: a range passes its host node's, so the two share one
+    /// allocation. The app watches `degradation` and stamps its
+    /// measurements `invalid` while it is raised; a range hands every
+    /// device the same signal.
     ///
     /// Every store key the sample path reads is resolved to a slot here, so
     /// sampling does no string lookups.
     pub fn instantiate(
         ied: &Arc<IedModel>,
+        name: Name,
         store: ProcessStore,
+        degradation: DegradationSignal,
         telemetry: Telemetry,
     ) -> (VirtualIedApp, IedHandle) {
         let spec = &ied.spec;
+        debug_assert_eq!(&*name, spec.name.as_str(), "an IED journals its own name");
         let model = SharedModel::new(ied.model.clone());
         let events: Arc<Mutex<Vec<IedEvent>>> = Arc::default();
         let permits = Arc::new(Mutex::new(vec![false; spec.breakers.len()]));
         let now_ms = Arc::new(AtomicU64::new(0));
-        let name = Name::from(spec.name.as_str());
 
         let measurements: Vec<Slot> = spec
             .measurements
@@ -582,7 +595,6 @@ impl VirtualIedApp {
             .chain(rsv_current)
             .collect();
         let sensors: Arc<Mutex<Sensors>> = Arc::default();
-        let degradation = DegradationSignal::new();
         let full_samples = Arc::new(AtomicU64::new(0));
         let app = VirtualIedApp {
             ied: ied.clone(),
@@ -1360,9 +1372,10 @@ impl IedModel {
     /// # Examples
     ///
     /// ```
+    /// use sgcr_faults::DegradationSignal;
     /// use sgcr_ied::{IedModel, IedSpec, MeasurementMap, VirtualIedApp};
     /// use sgcr_kvstore::ProcessStore;
-    /// use sgcr_obs::Telemetry;
+    /// use sgcr_obs::{Name, Telemetry};
     /// use std::sync::Arc;
     ///
     /// let mut spec = IedSpec::new("GIED1", "S1");
@@ -1372,8 +1385,12 @@ impl IedModel {
     /// });
     /// let ied = Arc::new(IedModel::build(spec).unwrap());
     /// // Two ranges of one model: each app owns its values.
-    /// let (_a, a) = VirtualIedApp::instantiate(&ied, ProcessStore::new(), Telemetry::disabled());
-    /// let (_b, b) = VirtualIedApp::instantiate(&ied, ProcessStore::new(), Telemetry::disabled());
+    /// let app = || {
+    ///     let name = Name::from("GIED1");
+    ///     let (store, degradation) = (ProcessStore::new(), DegradationSignal::new());
+    ///     VirtualIedApp::instantiate(&ied, name, store, degradation, Telemetry::disabled())
+    /// };
+    /// let ((_a, a), (_b, b)) = (app(), app());
     /// let item = "GIED1LD0/MMXU1$MX$TotW$mag$f";
     /// assert!(a.model.write(item, sgcr_iec61850::DataValue::Float(1.0)));
     /// assert_ne!(a.model.read(item), b.model.read(item));

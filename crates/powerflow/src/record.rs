@@ -1,5 +1,6 @@
-//! A solver's record of its previous call: the network and options it was
-//! given, and the result if that call converged.
+//! A solver's record of its previous call — the network and options it was
+//! given — and of the latest converged result, which a call with the same
+//! inputs returns again.
 //!
 //! Inputs compare bit for bit — floats by bit pattern, so `-0.0` differs from
 //! `0.0` and a NaN equals the same NaN — because a call answered from the
@@ -121,28 +122,29 @@ fn mirror_network(copy: &mut PowerNetwork, source: &PowerNetwork) -> bool {
         & mirror_table(switch, &source.switch)
 }
 
-/// The inputs of a solver's previous call, and its result if it converged.
-/// Both are updated in place: a changed call clones only the elements that
-/// differ and copies the result into the buffers the record already has.
+/// The inputs of a solver's previous call, and the latest converged result:
+/// the solver's one copy of it. The inputs are updated in place, so a
+/// changed call clones only the elements that differ.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Record {
     /// `None` until the first call.
     inputs: Option<(PowerNetwork, SolveOptions)>,
-    /// The latest converged result as a warm re-solve of it reports it.
+    /// The latest converged result, exactly as the call that answered with
+    /// it returned it; the default result before the first.
     result: PowerFlowResult,
+    /// The iteration count a warm re-solve of `result` takes: what a call
+    /// answered from the record reports.
+    replay_iterations: usize,
     /// Whether `result` is the previous call's.
     converged: bool,
 }
 
 impl Record {
     /// Records `net` and `options` as the latest call's inputs, updating
-    /// only the elements that changed. Returns the previous call's result
-    /// if its inputs were the same bit for bit and it converged.
-    pub(crate) fn replay(
-        &mut self,
-        net: &PowerNetwork,
-        options: &SolveOptions,
-    ) -> Option<PowerFlowResult> {
+    /// only the elements that changed. Returns whether the previous call's
+    /// inputs were the same bit for bit and it converged: then
+    /// [`result`](Record::result) answers this call too.
+    pub(crate) fn replay(&mut self, net: &PowerNetwork, options: &SolveOptions) -> bool {
         let unchanged = match &mut self.inputs {
             Some((copy, copy_options)) => mirror(copy_options, options) & mirror_network(copy, net),
             None => {
@@ -151,28 +153,22 @@ impl Record {
             }
         };
         self.converged &= unchanged;
-        self.converged.then(|| self.result.clone())
+        if self.converged {
+            self.result.iterations = self.replay_iterations;
+        }
+        self.converged
     }
 
-    /// Keeps `result` of the latest call, reporting `iterations` — the
-    /// count a warm re-solve of it takes — when it is replayed.
-    pub(crate) fn converged(&mut self, result: &PowerFlowResult, iterations: usize) {
-        let PowerFlowResult {
-            bus,
-            line,
-            trafo,
-            ext_grid,
-            gen,
-            iterations: kept_iterations,
-            total_losses_mw,
-        } = &mut self.result;
-        bus.clone_from(&result.bus);
-        line.clone_from(&result.line);
-        trafo.clone_from(&result.trafo);
-        ext_grid.clone_from(&result.ext_grid);
-        gen.clone_from(&result.gen);
-        *kept_iterations = iterations;
-        *total_losses_mw = result.total_losses_mw;
+    /// Keeps `result` of the latest call, and `replay_iterations` — the
+    /// count a warm re-solve of it takes — to report when it is replayed.
+    pub(crate) fn converged(&mut self, result: PowerFlowResult, replay_iterations: usize) {
+        self.result = result;
+        self.replay_iterations = replay_iterations;
         self.converged = true;
+    }
+
+    /// The latest converged result. A failed call leaves it as it was.
+    pub(crate) fn result(&self) -> &PowerFlowResult {
+        &self.result
     }
 }

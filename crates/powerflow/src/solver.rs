@@ -87,15 +87,15 @@ pub fn solve_with(
 /// # Errors
 ///
 /// See [`solve`].
-pub fn solve_traced(
-    solver: &mut Solver,
+pub fn solve_traced<'s>(
+    solver: &'s mut Solver,
     net: &PowerNetwork,
     options: &SolveOptions,
     telemetry: &sgcr_obs::Telemetry,
     t_ns: u64,
     parent: Option<sgcr_obs::TraceCtx>,
 ) -> (
-    Result<PowerFlowResult, PowerFlowError>,
+    Result<&'s PowerFlowResult, PowerFlowError>,
     Option<sgcr_obs::TraceCtx>,
 ) {
     if !telemetry.is_enabled() {
@@ -176,12 +176,15 @@ pub struct SolverStats {
 /// change it starts flat. A warm start that fails is retried once from a
 /// flat start, and a failed solve never becomes the next warm start.
 ///
-/// The solver also records its previous call: the network and options, and
-/// the result if it converged. A call whose network and options match that
-/// record bit for bit (floats by bit pattern) returns the recorded result
-/// without solving — exactly what the warm re-solve would return, with
+/// The solver also records its previous call — the network and options —
+/// and keeps the one copy of its latest converged result, which
+/// [`solve`](Solver::solve) returns by reference and
+/// [`last_result`](Solver::last_result) reads. A call whose network and
+/// options match the previous call's bit for bit (floats by bit pattern),
+/// when that call converged, returns the kept result without solving or
+/// copying it — exactly what the warm re-solve would return, with
 /// `iterations` 1 when any energized island has more than one node, else 0.
-/// A failed call is never reused, and any other call replaces the record.
+/// A failed call is never reused and leaves the kept result as it was.
 ///
 /// ```
 /// use sgcr_powerflow::{PowerNetwork, SolveOptions, Solver};
@@ -195,14 +198,15 @@ pub struct SolverStats {
 ///
 /// let mut solver = Solver::new();
 /// let options = SolveOptions::default();
-/// let cold = solver.solve(&net, &options)?;
+/// let cold = solver.solve(&net, &options)?.clone();
 /// // A new load value is read on the next solve; the topology is unchanged,
 /// // so that solve reuses the analysis and starts from `cold`'s voltages.
 /// net.load[load.index()].p_mw = 2.1;
-/// let warm = solver.solve(&net, &options)?;
+/// let warm = solver.solve(&net, &options)?.clone();
 /// assert!(warm.bus[b2.index()].vm_pu < cold.bus[b2.index()].vm_pu);
 /// // Nothing changed since: answered from the record, without solving.
 /// assert_eq!(solver.solve(&net, &options)?.bus, warm.bus);
+/// assert_eq!(solver.last_result().bus, warm.bus);
 /// assert_eq!(solver.stats().reused, 1);
 /// assert_eq!(solver.stats().analyses, 1);
 /// assert_eq!(solver.stats().warm_starts, 2);
@@ -232,6 +236,8 @@ impl Solver {
     /// Solves the AC power flow of `net`, answering from the record of the
     /// previous call when nothing changed since, and otherwise reusing this
     /// solver's symbolic work and warm start where the topology allows.
+    /// Returns the solver's latest converged result, which a later call
+    /// replaces.
     ///
     /// # Errors
     ///
@@ -240,22 +246,27 @@ impl Solver {
         &mut self,
         net: &PowerNetwork,
         options: &SolveOptions,
-    ) -> Result<PowerFlowResult, PowerFlowError> {
-        if let Some(result) = self.record.replay(net, options) {
+    ) -> Result<&PowerFlowResult, PowerFlowError> {
+        if self.record.replay(net, options) {
             self.stats.solves += 1;
             self.stats.warm_starts += 1;
             self.stats.reused += 1;
-            return Ok(result);
-        }
-        let outcome = self.compute(net, options);
-        if let Ok(result) = &outcome {
+        } else {
+            let result = self.compute(net, options)?;
             // A warm re-solve of a converged state converges on its first
             // mismatch evaluation; a one-node island needs none.
             let mut islands = self.plan.iter().flat_map(|plan| &plan.islands);
             let multi_node = islands.any(|island| island.nodes.len() > 1);
             self.record.converged(result, usize::from(multi_node));
         }
-        outcome
+        Ok(self.record.result())
+    }
+
+    /// The latest converged result, as the call that answered with it
+    /// returned it: the default (empty) result before the first, and
+    /// unchanged by a failed call.
+    pub fn last_result(&self) -> &PowerFlowResult {
+        self.record.result()
     }
 
     /// Solves `net` without consulting or updating the record.
@@ -1537,10 +1548,10 @@ mod tests {
         let net = multisub(5, 21);
         let options = SolveOptions::default();
         let mut solver = Solver::new();
-        let first = solver.solve(&net, &options).unwrap();
+        let first = solver.solve(&net, &options).unwrap().clone();
         assert_eq!(first.iterations, 4);
         let before = solver.stats();
-        let again = solver.solve(&net, &options).unwrap();
+        let again = solver.solve(&net, &options).unwrap().clone();
         let after = solver.stats();
         assert_eq!(again.iterations, 1);
         assert_eq!(after.factorizations, before.factorizations);
@@ -1629,19 +1640,19 @@ mod tests {
         let mut net = with_pv();
         let options = SolveOptions::default();
         let mut solver = Solver::new();
-        let cold = solver.solve(&net, &options).unwrap();
+        let cold = solver.solve(&net, &options).unwrap().clone();
         // New injections: no re-analysis, fewer iterations.
         net.load[0].p_mw *= 1.01;
         let warm = solver.solve(&net, &options).unwrap();
         assert!(warm.iterations < cold.iterations);
-        assert_agree(&warm, &solve(&net).unwrap(), "load");
+        assert_agree(warm, &solve(&net).unwrap(), "load");
         // New set-points: the warm start re-applies them.
         net.gen[0].vm_pu = 1.03;
         net.ext_grid[0].vm_pu = 1.02;
         let warm = solver.solve(&net, &options).unwrap();
         assert!((warm.bus[2].vm_pu - 1.03).abs() < 1e-12);
         assert!((warm.bus[0].vm_pu - 1.02).abs() < 1e-12);
-        assert_agree(&warm, &solve(&net).unwrap(), "set-points");
+        assert_agree(warm, &solve(&net).unwrap(), "set-points");
         assert_eq!(solver.stats().analyses, 1);
         assert_eq!(solver.stats().warm_starts, 2);
     }
@@ -1667,7 +1678,7 @@ mod tests {
             net.set_switch(name, closed);
             let persistent = solver.solve(&net, &options).unwrap();
             let fresh = solve(&net).unwrap();
-            assert_agree(&persistent, &fresh, name);
+            assert_agree(persistent, &fresh, name);
             assert_eq!(
                 persistent.iterations, fresh.iterations,
                 "{name}: flat start after the event"
@@ -1679,13 +1690,13 @@ mod tests {
         // Taking a load out of service changes no topology: warm again.
         net.load[7].in_service = false;
         let persistent = solver.solve(&net, &options).unwrap();
-        assert_agree(&persistent, &solve(&net).unwrap(), "load out");
+        assert_agree(persistent, &solve(&net).unwrap(), "load out");
         assert_eq!(solver.stats().warm_starts, 1);
         // A generator going in service turns its node PV: re-analysed.
         let s1 = net.bus_by_name("s1f3").unwrap();
         net.add_gen("g", s1, 0.5, 1.0);
         let persistent = solver.solve(&net, &options).unwrap();
-        assert_agree(&persistent, &solve(&net).unwrap(), "gen in");
+        assert_agree(persistent, &solve(&net).unwrap(), "gen in");
         assert_eq!(solver.stats().analyses, 6);
     }
 
@@ -1694,7 +1705,7 @@ mod tests {
         let mut net = two_bus();
         let options = SolveOptions::default();
         let mut solver = Solver::new();
-        let good = solver.solve(&net, &options).unwrap();
+        let good = solver.solve(&net, &options).unwrap().clone();
         net.load[0].p_mw = f64::NAN;
         match solver.solve(&net, &options) {
             Err(PowerFlowError::DidNotConverge { max_mismatch, .. }) => {
@@ -1707,7 +1718,7 @@ mod tests {
         let again = solver.solve(&net, &options).unwrap();
         // Warm-started from the last *converged* voltages: already solved.
         assert_eq!(again.iterations, 1);
-        assert_eq!(tables(&again), tables(&good));
+        assert_eq!(tables(again), tables(&good));
     }
 
     #[test]
@@ -1727,7 +1738,7 @@ mod tests {
             max_iterations: 1,
             ..SolveOptions::default()
         };
-        let res = solver.solve(&net, &one).unwrap();
+        let res = solver.solve(&net, &one).unwrap().clone();
         assert_eq!(res.iterations, 1);
         assert_eq!(solver.stats().flat_retries, 1);
         assert!((res.bus[5].vm_pu - 1.0).abs() < 1e-12);

@@ -77,7 +77,7 @@ pub(crate) fn stale_key(tag: &str) -> String {
 
 /// The operator's handle to a running HMI: read tags, watch alarms, issue
 /// commands. Shared with the experiment harness.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ScadaHandle {
     shared: Arc<Mutex<HmiShared>>,
     degradation: DegradationSignal,
@@ -157,7 +157,8 @@ impl ScadaHandle {
     /// The degradation signal this HMI consults: while raised, freshly
     /// polled tag values are stored with [`Quality::Invalid`] instead of
     /// [`Quality::Good`]. The range raises it when the power solver stops
-    /// converging. Cloning shares the underlying flag.
+    /// converging; in a range it is the one signal every IED shares too.
+    /// Cloning shares the underlying flag.
     pub fn degradation(&self) -> DegradationSignal {
         self.degradation.clone()
     }
@@ -201,19 +202,28 @@ pub struct ScadaApp {
 }
 
 impl ScadaApp {
-    /// Builds the app from a parsed configuration, with telemetry disabled.
+    /// Builds the app from a parsed configuration, with its own degradation
+    /// signal and telemetry disabled.
     pub fn new(config: ScadaConfig) -> (ScadaApp, ScadaHandle) {
-        ScadaApp::with_telemetry(config, Telemetry::disabled())
+        ScadaApp::with_telemetry(config, DegradationSignal::new(), Telemetry::disabled())
     }
 
-    /// Builds the app with a telemetry handle. Alarm raises feed the
+    /// Builds the app over the degradation signal it consults (a range
+    /// passes its one signal) with a telemetry handle. Alarm raises feed the
     /// `scada.alarms` counter and journal
     /// [`ScadaAlarm`](sgcr_obs::Event::ScadaAlarm) /
     /// [`ScadaAlarmCleared`](sgcr_obs::Event::ScadaAlarmCleared) events;
     /// executed operator commands feed `scada.commands` and journal
     /// [`ScadaCommand`](sgcr_obs::Event::ScadaCommand).
-    pub fn with_telemetry(config: ScadaConfig, telemetry: Telemetry) -> (ScadaApp, ScadaHandle) {
-        let handle = ScadaHandle::default();
+    pub fn with_telemetry(
+        config: ScadaConfig,
+        degradation: DegradationSignal,
+        telemetry: Telemetry,
+    ) -> (ScadaApp, ScadaHandle) {
+        let handle = ScadaHandle {
+            shared: Arc::default(),
+            degradation,
+        };
         {
             // Pre-register all tags as uninitialized.
             let mut shared = handle.shared.lock();

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let home = range.power.bus_by_name("EPIC/LV/HomeBay/CN_HOME").unwrap();
         println!(
             "  smart-home bus energized: {}\n",
-            range.last_result.bus[home.index()].energized
+            range.last_result().bus[home.index()].energized
         );
     }
 

@@ -22,7 +22,7 @@ fn epic_range() -> CyberRange {
 fn fci_attack_opens_breaker_and_changes_power_flow() {
     let mut range = epic_range();
     range.run_for(SimDuration::from_secs(1));
-    let before = range.last_result.line[0].p_from_mw.abs();
+    let before = range.last_result().line[0].p_from_mw.abs();
     assert!(before > 1e-6, "LGen carries power before the attack");
 
     // Compromised node on the generation segment's switch.
@@ -46,7 +46,7 @@ fn fci_attack_opens_breaker_and_changes_power_flow() {
         "recon listed the victim's model"
     );
     // Physical impact: the generation feeder is de-energized.
-    assert!(!range.last_result.line[0].in_service);
+    assert!(!range.last_result().line[0].in_service);
     let cb = range.power.switch_by_name("EPIC/CB_GEN").unwrap();
     assert!(!range.power.switch[cb.index()].closed);
     // SCADA sees the consequence through the PLC-mediated feedback.

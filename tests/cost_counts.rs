@@ -20,6 +20,7 @@ use sg_cyber_range::core::{breaker_cmd_key, CompiledModel, CyberRange, RangeBuil
 use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sg_cyber_range::obs::Telemetry;
+use sg_cyber_range::powerflow::{SolveOptions, Solver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -122,14 +123,18 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
 /// trees shared per compiled model a debug build measures 615 KiB
 /// (630,205 B), 629 KiB (644,520 B) since each host keeps a tick that can
 /// park and each IED a degradation watcher list, and 635 KiB (650,655 B)
-/// since each IED app keeps its own name for journal events. The bound
+/// since each IED app keeps its own name for journal events. It measures
+/// 603 KiB (617,036 B) since the range hands every device one degradation
+/// signal and each IED its host node's name, finds hosts through the
+/// network's index, and keeps one copy of the latest solution. The bound
 /// leaves 6% headroom.
-const PAPER_TENANT_BOUND: isize = 676 * 1024;
+const PAPER_TENANT_BOUND: isize = 639 * 1024;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
 /// shared, 54 KiB (55,402 B) with parkable ticks, 54 KiB (55,671 B) with
-/// per-app IED names. The bound leaves 7% headroom.
-const EPIC_TENANT_BOUND: isize = 58 * 1024;
+/// per-app IED names, 52 KiB (53,478 B) with the shared signal, names and
+/// solution. The bound leaves 7% headroom.
+const EPIC_TENANT_BOUND: isize = 56 * 1024;
 
 #[test]
 fn a_fresh_paper_tenant_shares_its_ied_models() {
@@ -162,11 +167,13 @@ fn allocations_per_step(range: &mut CyberRange) -> f64 {
 }
 
 /// A quiescent paper step, steps 100–200, telemetry off: a debug build
-/// measures 48.2 allocations per step. Each bound here leaves 10% headroom.
-const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 53.0;
+/// measured 48.2 allocations per step while the replayed solve cloned its
+/// result, and measures 45.2. Each bound here leaves 10% headroom.
+const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 49.7;
 
-/// An EPIC step from step 1,200, telemetry off: 361.9 per step.
-const EPIC_STEP_ALLOCS: f64 = 398.0;
+/// An EPIC step from step 1,200, telemetry off: 361.9 per step while a
+/// replay cloned its result, 358.9 since.
+const EPIC_STEP_ALLOCS: f64 = 395.0;
 
 /// The paper step that applies a breaker command written through the store
 /// at step 100: 888 allocations, most of them the re-solve of the new
@@ -188,6 +195,24 @@ fn a_quiescent_paper_step_allocates_within_its_bound() {
         per_step <= PAPER_QUIESCENT_STEP_ALLOCS,
         "a quiescent paper step makes {per_step} allocations (bound {PAPER_QUIESCENT_STEP_ALLOCS})"
     );
+}
+
+/// A solve answered from the solver's record: 3 allocations while a replay
+/// cloned the kept result (its bus, line and ext-grid tables), none since it
+/// returns the solver's one copy by reference.
+#[test]
+fn a_replayed_solve_allocates_nothing() {
+    let range = paper_tenant();
+    let (net, options) = (range.power.clone(), SolveOptions::default());
+    let mut solver = Solver::new();
+    solver.solve(&net, &options).expect("converges");
+    let allocs = allocations(|| {
+        for _ in 0..100 {
+            solver.solve(&net, &options).expect("replays");
+        }
+    });
+    assert_eq!(solver.stats().reused, 100, "every call replayed");
+    assert_eq!(allocs, 0, "100 replayed solves allocate");
 }
 
 #[test]
@@ -248,10 +273,11 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// over steps 200–1,200, and rendering the journal as JSON Lines made
 /// 169,366 allocations (4.0 per record). With 24-byte slots and shared names
 /// it measures 1,622 KiB (1,660,996 B) and 361.8 per step (361.9 with
-/// telemetry off), and the render makes one allocation. Each bound leaves
-/// 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_785 * 1024;
-const EPIC_JOURNALED_STEP_ALLOCS: f64 = 398.0;
+/// telemetry off), and the render makes one allocation. Since a replayed
+/// solve copies nothing it measures 1,620 KiB (1,658,803 B) and 358.8 per
+/// step. Each bound leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_782 * 1024;
+const EPIC_JOURNALED_STEP_ALLOCS: f64 = 395.0;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 
 #[test]

@@ -48,7 +48,7 @@ fn generates_with_expected_inventory() {
 fn initial_power_flow_is_healthy() {
     let range = epic_range();
     for (i, bus) in range.power.bus.iter().enumerate() {
-        let r = &range.last_result.bus[i];
+        let r = &range.last_result().bus[i];
         assert!(r.energized, "bus {} must be energized", bus.name);
         assert!(
             (0.9..=1.1).contains(&r.vm_pu),
@@ -58,7 +58,7 @@ fn initial_power_flow_is_healthy() {
         );
     }
     // Generation covers the load.
-    let supplied: f64 = range.last_result.gen.iter().map(|g| g.p_mw).sum();
+    let supplied: f64 = range.last_result().gen.iter().map(|g| g.p_mw).sum();
     assert!(supplied > 0.0);
 }
 
@@ -101,7 +101,7 @@ fn measurements_flow_to_ied_models_and_scada() {
 fn operator_command_travels_scada_plc_ied_power() {
     let mut range = epic_range();
     range.run_for(SimDuration::from_secs(2));
-    let before = range.last_result.line[0].p_from_mw.abs();
+    let before = range.last_result().line[0].p_from_mw.abs();
     assert!(before > 1e-6, "generation feeder initially carries power");
 
     // Operator opens CB_GEN from the HMI: coil → CPLC program → MMS Oper →
@@ -113,7 +113,7 @@ fn operator_command_travels_scada_plc_ied_power() {
 
     // The generation segment is disconnected: LGen is out of service.
     assert!(
-        !range.last_result.line[0].in_service,
+        !range.last_result().line[0].in_service,
         "generation feeder de-energized after operator open"
     );
     let gied1_events =
@@ -147,7 +147,7 @@ fn ptoc_trips_on_simulated_overload() {
     let cb = range.power.switch_by_name("EPIC/CB_HOME").unwrap();
     assert!(!range.power.switch[cb.index()].closed);
     let home_bus = range.power.bus_by_name("EPIC/LV/HomeBay/CN_HOME").unwrap();
-    assert!(!range.last_result.bus[home_bus.index()].energized);
+    assert!(!range.last_result().bus[home_bus.index()].energized);
 }
 
 #[test]

@@ -30,7 +30,7 @@ fn consolidated_model_energizes_all_substations() {
     assert_eq!(range.power.ext_grid.len(), 1);
     for (i, bus) in range.power.bus.iter().enumerate() {
         assert!(
-            range.last_result.bus[i].energized,
+            range.last_result().bus[i].energized,
             "bus {} must be energized through the tie chain",
             bus.name
         );
@@ -57,8 +57,8 @@ fn tie_outage_darkens_downstream_substations() {
 
     let s1_bus = range.power.bus_by_name("S1/MV/Main/CNMAIN").unwrap();
     let s3_bus = range.power.bus_by_name("S3/MV/Main/CNMAIN").unwrap();
-    assert!(range.last_result.bus[s1_bus.index()].energized);
-    assert!(!range.last_result.bus[s3_bus.index()].energized);
+    assert!(range.last_result().bus[s1_bus.index()].energized);
+    assert!(!range.last_result().bus[s3_bus.index()].energized);
 
     // S3's IEDs observe dead feeders through their measurements.
     let s3ied = &range.ieds["S3IED1"];

@@ -167,7 +167,7 @@ fn stepped_ranges_satisfy_kirchhoff_through_a_breaker_cycle() {
         let mut range: CyberRange = RangeBuilder::from_model(Arc::new(model)).build().unwrap();
         range.step();
         range.step();
-        assert_balanced(&range.power, &range.last_result, what);
+        assert_balanced(&range.power, range.last_result(), what);
         for closed in [false, true] {
             range
                 .store
@@ -175,9 +175,9 @@ fn stepped_ranges_satisfy_kirchhoff_through_a_breaker_cycle() {
             range.step();
             assert_eq!(range.switch_is_closed(&breaker), Some(closed), "{what}");
             let label = format!("{what}, {breaker} closed={closed}");
-            assert_balanced(&range.power, &range.last_result, &label);
+            assert_balanced(&range.power, range.last_result(), &label);
             range.step();
-            assert_balanced(&range.power, &range.last_result, &label);
+            assert_balanced(&range.power, range.last_result(), &label);
         }
         let stats = range.solver_stats();
         assert!(stats.warm_starts > 0, "{what}: {stats:?}");

@@ -21,10 +21,12 @@ use sg_cyber_range::core::{
 use sg_cyber_range::faults::SensorFault;
 use sg_cyber_range::iec61850::DataValue;
 use sg_cyber_range::ied::{quality_item, IedEventKind, IedHandle, RsvSpec};
-use sg_cyber_range::kvstore::Value;
+use sg_cyber_range::kvstore::{ProcessStore, Value};
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
-use sg_cyber_range::net::Ipv4Addr;
+use sg_cyber_range::net::{HostCtx, Ipv4Addr, SimDuration, SocketApp};
 use sg_cyber_range::powerflow::{solve, PowerFlowResult, SolveOptions};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn range(bundle: &SgmlBundle) -> CyberRange {
     CyberRange::instantiate(CompiledModel::shared(bundle).unwrap()).unwrap()
@@ -65,7 +67,7 @@ fn assert_solves_again(range: &mut CyberRange, what: &str) {
     range.step();
     assert_eq!(range.solver_stats().reused, reused, "{what}: solved again");
     let fresh = solve(&range.power).expect("converges");
-    assert_agree(&range.last_result, &fresh, range.power.sn_mva_base, what);
+    assert_agree(range.last_result(), &fresh, range.power.sn_mva_base, what);
     range.step();
     assert_eq!(
         range.solver_stats().reused,
@@ -79,11 +81,11 @@ fn paper_steps_replay_the_first_solve() {
     let mut range = paper_range();
     range.step();
     // What a warm re-solve of a converged network reports.
-    assert_eq!(range.last_result.iterations, 1);
-    let first = format!("{:?}", range.last_result);
+    assert_eq!(range.last_result().iterations, 1);
+    let first = format!("{:?}", range.last_result());
     for step in 2..=200 {
         range.step();
-        assert_eq!(format!("{:?}", range.last_result), first, "step {step}");
+        assert_eq!(format!("{:?}", range.last_result()), first, "step {step}");
     }
     let stats = range.solver_stats();
     assert_eq!((stats.solves, stats.reused), (201, 200), "{stats:?}");
@@ -118,7 +120,7 @@ fn every_input_path_solves_again() {
     );
     paper.power.ext_grid[0].va_degree = -0.0;
     assert_solves_again(&mut paper, "slack angle -0.0");
-    let va = paper.last_result.bus[slack].va_degree;
+    let va = paper.last_result().bus[slack].va_degree;
     assert_eq!(va.to_bits(), (-0.0f64).to_bits(), "slack angle {va:?}");
 
     // EPIC's load and solar profiles move every 60 s. The first step
@@ -142,7 +144,7 @@ fn every_input_path_solves_again() {
     );
     let fresh = solve(&epic.power).expect("converges");
     assert_agree(
-        &epic.last_result,
+        epic.last_result(),
         &fresh,
         epic.power.sn_mva_base,
         "profile point",
@@ -211,6 +213,74 @@ fn a_quiescent_step_writes_only_the_step_counter() {
     let solved = range.store.get(&key).expect("published");
     range.store.set(&key, Value::Float(-1.0));
     range.step();
+    assert_eq!(range.store.get(&key), Some(solved));
+}
+
+/// Writes -1.0 under `key` once, `after` its start: a cyber-side writer
+/// that acts in the middle of a step.
+struct MidStepWriter {
+    store: ProcessStore,
+    key: String,
+    after: SimDuration,
+    wrote: Arc<AtomicBool>,
+}
+
+impl SocketApp for MidStepWriter {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.set_timer(self.after, 0);
+    }
+
+    fn on_timer(&mut self, _ctx: &mut HostCtx<'_>, _token: u64) {
+        self.store.set(&self.key, Value::Float(-1.0));
+        self.wrote.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A write to a published measurement from the cyber half of a quiet step
+/// is overwritten by that same step's publish: the solve replays, but the
+/// store moved since the range's last publish.
+#[test]
+fn a_write_during_a_quiet_step_is_overwritten_by_its_publish() {
+    let mut range = paper_range();
+    settle(&mut range);
+    let key = branch_p_key("S3/LF7");
+    let solved = range.store.get(&key).expect("published");
+    let plan = range.plan();
+    let switch = plan
+        .switches
+        .iter()
+        .find(|s| !s.is_wan)
+        .unwrap()
+        .name
+        .clone();
+    range.add_host("writer", Ipv4Addr::new(10, 250, 0, 1), &switch);
+    let wrote = Arc::new(AtomicBool::new(false));
+    let writer = MidStepWriter {
+        store: range.store.clone(),
+        key: key.clone(),
+        after: SimDuration::from_millis(range.interval.as_millis() / 2),
+        wrote: wrote.clone(),
+    };
+    range.attach_app("writer", Box::new(writer));
+
+    let reused = range.solver_stats().reused;
+    range.step();
+    assert!(
+        wrote.load(Ordering::Relaxed),
+        "the write landed in the step"
+    );
+    assert_eq!(
+        range.solver_stats().reused,
+        reused + 1,
+        "the solve replayed"
+    );
+    assert_eq!(range.store.get(&key), Some(solved.clone()));
+
+    // Nothing moves in the next step: it writes only the step counter.
+    let version = range.store.version();
+    range.step();
+    assert_eq!(range.solver_stats().reused, reused + 2);
+    assert_eq!(range.store.version(), version + 1);
     assert_eq!(range.store.get(&key), Some(solved));
 }
 

@@ -58,7 +58,7 @@ fn commands_written_through_the_store_reach_the_power_model() {
     assert_eq!(power.gen[gen].p_mw, 0.018, "Gen1 set-point");
     assert_eq!(
         published(source_p_key("EPIC/Gen1")),
-        Value::Float(range.last_result.gen[gen].p_mw)
+        Value::Float(range.last_result().gen[gen].p_mw)
     );
 
     let pv = &power.sgen[power.sgen_by_name("EPIC/PV1").unwrap().index()];

@@ -107,8 +107,8 @@ fn transformer_substation_compiles_and_solves() {
     // Base case: MV voltage sags below the HV set-point under 18 MW load.
     let hv = range.power.bus_by_name("HVMV/HV/Feed/CNHV").unwrap();
     let mv = range.power.bus_by_name("HVMV/MV/Dist/CNF").unwrap();
-    let hv_v = range.last_result.bus[hv.index()].vm_pu;
-    let mv_v = range.last_result.bus[mv.index()].vm_pu;
+    let hv_v = range.last_result().bus[hv.index()].vm_pu;
+    let mv_v = range.last_result().bus[mv.index()].vm_pu;
     assert!(
         (hv_v - 1.02).abs() < 1e-6,
         "slack holds set-point, got {hv_v}"
@@ -117,7 +117,7 @@ fn transformer_substation_compiles_and_solves() {
     assert!(mv_v > 0.9, "but stays healthy: {mv_v}");
 
     // Transformer flow ≈ load + losses; loading vs 40 MVA rating.
-    let flow = &range.last_result.trafo[0];
+    let flow = &range.last_result().trafo[0];
     assert!(
         flow.p_from_mw > 18.0 && flow.p_from_mw < 19.5,
         "{}",
@@ -156,5 +156,5 @@ fn overcurrent_on_mv_feeder_trips_and_unloads_the_transformer() {
         range.ieds["TRIED1"].events()
     );
     // Breaker CBF opened → transformer unloaded.
-    assert!(range.last_result.trafo[0].p_from_mw.abs() < 0.5);
+    assert!(range.last_result().trafo[0].p_from_mw.abs() < 0.5);
 }
