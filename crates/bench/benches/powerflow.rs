@@ -4,7 +4,7 @@
 //! one persistent solver as a range re-solves every step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sgcr_powerflow::{solve, PowerNetwork, SolveOptions, Solver};
+use sgcr_powerflow::{solve, PowerNetwork, SolveOptions, Solver, TrackedNetwork};
 
 /// A radial feeder network with `n` load buses.
 fn feeder(n: usize) -> PowerNetwork {
@@ -85,14 +85,15 @@ fn bench_solve(c: &mut Criterion) {
     }
     group.finish();
 
-    // One persistent solver, as each range step uses it: re-solving an
-    // unchanged network (answered from the solver's record of its last
-    // call), and re-solving after one load moved by 1% (a warm start).
+    // One persistent solver, as each range step uses it: re-solving a
+    // network not written since (answered from the solver's kept result of
+    // its last call), and re-solving after one load moved by 1% (a warm
+    // start).
     let options = SolveOptions::default();
     let mut group = c.benchmark_group("nr_resolve_warm");
     for (subs, feeders) in [(5usize, 21usize), (32, 21)] {
         let shape = format!("{subs}x{feeders}");
-        let mut net = multisub_shape(subs, feeders);
+        let mut net = TrackedNetwork::new(multisub_shape(subs, feeders));
         let mut solver = Solver::new();
         solver.solve(&net, &options).expect("converges");
         let before = solver.stats();

@@ -171,11 +171,6 @@ impl Checkpoint {
         self.sim_time_ns
     }
 
-    /// Fingerprint of the compiled model the checkpoint was captured against.
-    pub fn model_fingerprint(&self) -> u64 {
-        self.model_fingerprint
-    }
-
     /// Resumes the checkpoint against the shared compiled model: validates
     /// the format version and model fingerprint, re-instantiates a fresh
     /// range with the recorded settings, deterministically re-executes the

@@ -18,8 +18,8 @@ use sgcr_net::{AppPlane, Ipv4Addr, LinkSpec, Network, NodeId, SimDuration, SimTi
 use sgcr_obs::{buckets, Counter, Event as ObsEvent, Gauge, Histogram, Plane, Telemetry};
 use sgcr_plc::{PlcApp, PlcHandle, PlcRuntime};
 use sgcr_powerflow::{
-    solve_traced, PowerFlowResult, PowerNetwork, SimulationSchedule, SolveOptions, Solver,
-    SolverStats,
+    solve_traced, PowerFlowResult, SimulationSchedule, SolveOptions, Solver, SolverStats,
+    TrackedNetwork,
 };
 use sgcr_scada::{ScadaApp, ScadaHandle};
 use std::collections::HashMap;
@@ -49,8 +49,10 @@ pub struct RangeState {
     pub net: Network,
     /// The cyber↔physical process cache.
     pub store: ProcessStore,
-    /// This tenant's physical model (cloned from the compiled model).
-    pub power: PowerNetwork,
+    /// This tenant's physical model (cloned from the compiled model). Any
+    /// mutable access counts as a write, and the next step solves again
+    /// (see [`TrackedNetwork`]); reads leave it as it was.
+    pub power: TrackedNetwork,
     /// This tenant's simulation schedule (profiles advance per tenant).
     pub schedule: SimulationSchedule,
     /// Power-flow step interval.
@@ -63,8 +65,8 @@ pub struct RangeState {
     pub scada: Option<ScadaHandle>,
     /// This tenant's power-flow solver: keeps the symbolic work of the
     /// current topology, warm-starts each step from the last solution,
-    /// answers a step whose network did not change from its record, and
-    /// holds the tenant's one copy of the latest solution.
+    /// replays that solution when `power` was not written since, and holds
+    /// the tenant's one copy of it.
     solver: Solver,
     /// The store slot of every published measurement: the model's shared
     /// publish keys, resolved in `store`.
@@ -268,7 +270,7 @@ impl RangeState {
         let mut state = RangeState {
             net,
             store,
-            power: model.power.clone(),
+            power: TrackedNetwork::new(model.power.clone()),
             schedule: model.schedule.clone(),
             interval,
             ieds,
@@ -548,25 +550,39 @@ impl RangeState {
     }
 
     /// Applies to its element every command slot written after
-    /// `cmd_cursor`, by element index.
+    /// `cmd_cursor`, by element index. An element is written only when the
+    /// command's bits differ from its own, so a command that repeats an
+    /// element's state leaves the step's solve to replay.
     fn apply_commands(&mut self) {
         let (store, since) = (&self.store, self.cmd_cursor);
         let written = |cmd: &Option<Slot>| {
             let entry = store.entry_at((*cmd)?)?;
             (entry.version > since).then_some(entry.value)
         };
+        let set_point = |cmd: &Option<Slot>, p_mw: f64| {
+            let p = written(cmd)?.as_float()?;
+            (p.to_bits() != p_mw.to_bits()).then_some(p)
+        };
         let (power, slots) = (&mut self.power, &self.publish_slots);
-        for (switch, (_, cmd)) in power.switch.iter_mut().zip(&slots.switch) {
-            if let Some(closed) = written(cmd).and_then(|v| v.as_bool()) {
-                switch.closed = closed;
+        for (i, (_, cmd)) in slots.switch.iter().enumerate() {
+            let closed = written(cmd).and_then(|v| v.as_bool());
+            if let Some(closed) = closed.filter(|&c| c != power.switch[i].closed) {
+                power.switch[i].closed = closed;
             }
         }
-        let load = power.load.iter_mut().map(|l| &mut l.p_mw).zip(&slots.load);
-        let gen = power.gen.iter_mut().map(|g| &mut g.p_mw).zip(&slots.gen);
-        let sgen = power.sgen.iter_mut().map(|s| &mut s.p_mw).zip(&slots.sgen);
-        for (p_mw, (_, cmd)) in load.chain(gen).chain(sgen) {
-            if let Some(p) = written(cmd).and_then(|v| v.as_float()) {
-                *p_mw = p;
+        for (i, (_, cmd)) in slots.load.iter().enumerate() {
+            if let Some(p) = set_point(cmd, power.load[i].p_mw) {
+                power.load[i].p_mw = p;
+            }
+        }
+        for (i, (_, cmd)) in slots.gen.iter().enumerate() {
+            if let Some(p) = set_point(cmd, power.gen[i].p_mw) {
+                power.gen[i].p_mw = p;
+            }
+        }
+        for (i, (_, cmd)) in slots.sgen.iter().enumerate() {
+            if let Some(p) = set_point(cmd, power.sgen[i].p_mw) {
+                power.sgen[i].p_mw = p;
             }
         }
     }
@@ -697,8 +713,8 @@ impl RangeState {
     }
 
     /// The work this tenant's power-flow solver has done: solves, warm
-    /// starts, solves answered from its record, Newton–Raphson iterations,
-    /// factorizations and analyses.
+    /// starts, solves answered from its kept result, Newton–Raphson
+    /// iterations, factorizations and analyses.
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
     }

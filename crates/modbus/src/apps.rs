@@ -18,36 +18,22 @@ pub const MODBUS_PORT: u16 = 502;
 /// server answers SCADA/master requests against it.
 pub struct ModbusServerApp {
     registers: SharedRegisters,
-    port: u16,
     decoders: HashMap<ConnId, StreamDecoder>,
-    requests_served: u64,
 }
 
 impl ModbusServerApp {
     /// Creates a server on the standard port.
     pub fn new(registers: SharedRegisters) -> Self {
-        Self::on_port(registers, MODBUS_PORT)
-    }
-
-    /// Creates a server on a custom port.
-    pub fn on_port(registers: SharedRegisters, port: u16) -> Self {
         ModbusServerApp {
             registers,
-            port,
             decoders: HashMap::new(),
-            requests_served: 0,
         }
-    }
-
-    /// Number of requests served so far.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
     }
 }
 
 impl SocketApp for ModbusServerApp {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        ctx.tcp_listen(self.port);
+        ctx.tcp_listen(MODBUS_PORT);
     }
 
     fn on_tcp_accepted(&mut self, _ctx: &mut HostCtx<'_>, conn: ConnId, _peer: (Ipv4Addr, u16)) {
@@ -60,7 +46,6 @@ impl SocketApp for ModbusServerApp {
             None => return,
         };
         for adu in adus {
-            self.requests_served += 1;
             let reply_pdu = match decode_request(&adu.pdu) {
                 Some(req) => {
                     let fc = FunctionCode::from_u8(adu.pdu[0]).expect("decoded request");

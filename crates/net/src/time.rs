@@ -8,9 +8,9 @@ use std::ops::{Add, AddAssign, Sub};
 /// # Examples
 ///
 /// ```
-/// use sgcr_net::SimTime;
+/// use sgcr_net::{SimDuration, SimTime};
 ///
-/// let t = SimTime::from_millis(100) + SimTime::from_micros(50).as_duration();
+/// let t = SimTime::from_millis(100) + SimDuration::from_micros(50);
 /// assert_eq!(t.as_micros(), 100_050);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -62,11 +62,6 @@ impl SimTime {
     /// Seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Interprets this time as a duration since time zero.
-    pub fn as_duration(self) -> SimDuration {
-        SimDuration(self.0)
     }
 
     /// Saturating difference.

@@ -12,6 +12,12 @@
 //! [`solve`] produces bus voltages and branch flows that virtual IEDs sample
 //! as measurements.
 //!
+//! A range keeps its network in a [`TrackedNetwork`], which counts its own
+//! writes, and re-runs it through one [`Solver`] per tenant. The solver
+//! keeps its per-topology work and warm start between calls, and a call on
+//! a network not written since its last converged call, with the same
+//! [`SolveOptions`], replays that call's result without solving.
+//!
 //! The element model follows pandapower's tables (`bus`, `line`, `trafo`,
 //! `load`, `sgen`, `gen`, `ext_grid`, `shunt`, `switch`) with the same
 //! parameter names and units, so power models compiled from IEC 61850 SSD
@@ -37,7 +43,6 @@
 mod complex;
 mod error;
 mod network;
-mod record;
 mod results;
 mod solver;
 mod sparse;
@@ -48,9 +53,9 @@ pub use complex::Complex;
 pub use error::PowerFlowError;
 pub use network::{
     Bus, BusId, ExtGrid, ExtGridId, Gen, GenId, Line, LineId, Load, LoadId, PowerNetwork, Sgen,
-    SgenId, Shunt, ShuntId, Switch, SwitchId, SwitchTarget, Trafo, TrafoId,
+    SgenId, Shunt, ShuntId, Switch, SwitchId, SwitchTarget, TrackedNetwork, Trafo, TrafoId,
 };
 pub use results::{BranchResult, BusResult, ExtGridResult, GenResult, PowerFlowResult};
-pub use solver::{solve, solve_traced, solve_with, SolveOptions, Solver, SolverStats};
+pub use solver::{solve, solve_traced, SolveOptions, Solver, SolverStats};
 pub use timeseries::{Profile, ProfileTarget, ScenarioAction, ScenarioEvent, SimulationSchedule};
 pub use topology::{Island, SlackSource, Topology};

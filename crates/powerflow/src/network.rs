@@ -4,8 +4,14 @@
 //! them. Parameter names and units deliberately mirror pandapower's so that
 //! models generated from IEC 61850 SSD files read the same in both systems:
 //! `vn_kv`, `r_ohm_per_km`, `sn_mva`, `vk_percent`, `p_mw`, …
+//!
+//! A [`TrackedNetwork`] wraps one and counts its writes, so a
+//! [`Solver`](crate::Solver) can tell that nothing changed since its last
+//! solve without comparing the network.
 
 use serde::{Deserialize, Serialize};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! element_id {
     ($(#[$doc:meta])* $name:ident) => {
@@ -519,9 +525,101 @@ impl PowerNetwork {
     }
 }
 
+/// The source of write generations: every value it hands out is new.
+static GENERATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// A generation no network has had before. It only has to be unique, so
+/// the counter needs no ordering with other memory.
+fn fresh_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A [`PowerNetwork`] that counts its own writes.
+///
+/// Reads go through [`Deref`]. Every mutable access, through [`DerefMut`],
+/// stamps the network with a generation no network has had before, whether
+/// or not the bits change. A [`Solver`](crate::Solver) answers a call whose
+/// generation and options equal those of its last converged call from that
+/// call's result, so a writer that does not mean to change the network
+/// reads first and writes only what differs. A clone keeps the generation,
+/// since its content is what was solved; a write to either copy then gives
+/// that copy a generation of its own.
+#[derive(Debug, Clone)]
+pub struct TrackedNetwork {
+    net: PowerNetwork,
+    generation: u64,
+}
+
+impl TrackedNetwork {
+    /// Wraps `net` with a fresh generation.
+    pub fn new(net: PowerNetwork) -> TrackedNetwork {
+        TrackedNetwork {
+            net,
+            generation: fresh_generation(),
+        }
+    }
+
+    /// The generation of the latest write (or of the wrapping).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+}
+
+impl Deref for TrackedNetwork {
+    type Target = PowerNetwork;
+
+    fn deref(&self) -> &PowerNetwork {
+        &self.net
+    }
+}
+
+impl DerefMut for TrackedNetwork {
+    fn deref_mut(&mut self) -> &mut PowerNetwork {
+        self.generation = fresh_generation();
+        &mut self.net
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tracked_network_counts_its_writes() {
+        let mut net = TrackedNetwork::new(PowerNetwork::new("t"));
+        let b = net.add_bus("b", 20.0);
+        net.add_load("ld", b, 10.0, 0.0);
+        let written = net.generation();
+        // Reads keep the generation.
+        assert_eq!(net.load[0].p_mw, 10.0);
+        assert_eq!(net.load_by_name("ld").map(LoadId::index), Some(0));
+        assert_eq!(net.total_load_mw(), 10.0);
+        let _: &PowerNetwork = &net;
+        assert_eq!(net.generation(), written);
+
+        // A clone keeps it until either side is written.
+        let mut copy = net.clone();
+        assert_eq!(copy.generation(), written);
+        let mut seen = vec![written];
+        copy.load[0].p_mw = 10.0;
+        seen.push(copy.generation());
+        assert_eq!(net.generation(), written);
+        net.load[0].scaling = 1.0;
+        seen.push(net.generation());
+        assert_eq!(copy.generation(), seen[1]);
+
+        // Any mutable access is a write, even one that changes no bit; each
+        // gets a generation no network had, and so does a new network.
+        let _: &mut PowerNetwork = &mut net;
+        seen.push(net.generation());
+        net.set_switch("none", true);
+        seen.push(net.generation());
+        seen.push(TrackedNetwork::new(PowerNetwork::new("u")).generation());
+        let mut unique = seen.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), seen.len(), "{seen:?}");
+    }
 
     #[test]
     fn build_and_lookup() {

@@ -5,14 +5,13 @@
 //! unknowns form one 2×2 block, and the blocks are eliminated in
 //! minimum-degree order (see [`crate::sparse`]). A [`Solver`] keeps that
 //! per-topology work between solves, warm-starts each re-solve on the
-//! same topology from its last converged voltages, and answers a call whose
-//! inputs match its previous one bit for bit from that call's result (see
-//! [`crate::record`]).
+//! same topology from its last converged voltages, and answers a call on a
+//! network not written since its last converged call from that call's
+//! result (see [`TrackedNetwork`]).
 
 use crate::complex::Complex;
 use crate::error::PowerFlowError;
-use crate::network::{BusId, PowerNetwork, SwitchTarget};
-use crate::record::Record;
+use crate::network::{BusId, PowerNetwork, SwitchTarget, TrackedNetwork};
 use crate::results::{BranchResult, BusResult, ExtGridResult, GenResult, PowerFlowResult};
 use crate::sparse::{BlockLu, Slot};
 use crate::topology::{SlackSource, Topology};
@@ -47,21 +46,7 @@ impl Default for SolveOptions {
 /// is singular. De-energized islands are reported with zero voltage, not as
 /// errors.
 pub fn solve(net: &PowerNetwork) -> Result<PowerFlowResult, PowerFlowError> {
-    solve_with(net, &SolveOptions::default())
-}
-
-/// Solves the AC power flow with explicit [`SolveOptions`], from a flat
-/// start with a fresh [`Solver`].
-///
-/// # Errors
-///
-/// See [`solve`].
-pub fn solve_with(
-    net: &PowerNetwork,
-    options: &SolveOptions,
-) -> Result<PowerFlowResult, PowerFlowError> {
-    // One call on a fresh solver: keeping its record would be pure cost.
-    Solver::new().compute(net, options)
+    Solver::new().compute(net, &SolveOptions::default())
 }
 
 /// Solves the AC power flow with `solver`, records the outcome into
@@ -89,7 +74,7 @@ pub fn solve_with(
 /// See [`solve`].
 pub fn solve_traced<'s>(
     solver: &'s mut Solver,
-    net: &PowerNetwork,
+    net: &TrackedNetwork,
     options: &SolveOptions,
     telemetry: &sgcr_obs::Telemetry,
     t_ns: u64,
@@ -143,14 +128,16 @@ pub fn solve_traced<'s>(
 /// Lifetime counters of the work a [`Solver`] has done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
-    /// Solves of a valid network, including those answered from the record.
+    /// Solves of a valid network, including those answered from the kept
+    /// result.
     pub solves: u64,
     /// Solves that started from the previous converged voltages, including
-    /// those answered from the record (each replaces a warm start).
+    /// those answered from the kept result (each replaces a warm start).
     pub warm_starts: u64,
-    /// Solves answered from the record of the previous call, whose network
-    /// and options they matched bit for bit: no iteration, factorization or
-    /// analysis.
+    /// Solves answered from the kept result of the last converged call:
+    /// the network was not written since that call and the options are
+    /// equal, so no iteration, factorization or analysis ran. A write that
+    /// left every bit as it was still solves again.
     pub reused: u64,
     /// Warm starts that failed and were repeated from a flat start.
     pub flat_retries: u64,
@@ -176,20 +163,21 @@ pub struct SolverStats {
 /// change it starts flat. A warm start that fails is retried once from a
 /// flat start, and a failed solve never becomes the next warm start.
 ///
-/// The solver also records its previous call — the network and options —
-/// and keeps the one copy of its latest converged result, which
+/// The solver keeps the one copy of its latest converged result, which
 /// [`solve`](Solver::solve) returns by reference and
-/// [`last_result`](Solver::last_result) reads. A call whose network and
-/// options match the previous call's bit for bit (floats by bit pattern),
-/// when that call converged, returns the kept result without solving or
-/// copying it — exactly what the warm re-solve would return, with
-/// `iterations` 1 when any energized island has more than one node, else 0.
-/// A failed call is never reused and leaves the kept result as it was.
+/// [`last_result`](Solver::last_result) reads. A call whose network has the
+/// generation of the last converged call's — nothing took it mutably since
+/// (see [`TrackedNetwork`]) — and whose options equal that call's returns
+/// the kept result without solving or copying it: exactly what the warm
+/// re-solve would return, with `iterations` 1 when any energized island has
+/// more than one node, else 0. A failed call is never reused, leaves the
+/// kept result as it was, and until the next converged call nothing
+/// replays.
 ///
 /// ```
-/// use sgcr_powerflow::{PowerNetwork, SolveOptions, Solver};
+/// use sgcr_powerflow::{PowerNetwork, SolveOptions, Solver, TrackedNetwork};
 ///
-/// let mut net = PowerNetwork::new("feeder");
+/// let mut net = TrackedNetwork::new(PowerNetwork::new("feeder"));
 /// let b1 = net.add_bus("b1", 20.0);
 /// let b2 = net.add_bus("b2", 20.0);
 /// net.add_ext_grid("grid", b1, 1.0, 0.0);
@@ -204,7 +192,8 @@ pub struct SolverStats {
 /// net.load[load.index()].p_mw = 2.1;
 /// let warm = solver.solve(&net, &options)?.clone();
 /// assert!(warm.bus[b2.index()].vm_pu < cold.bus[b2.index()].vm_pu);
-/// // Nothing changed since: answered from the record, without solving.
+/// // Only read since: answered from the kept result, without solving.
+/// assert_eq!(net.load[load.index()].p_mw, 2.1);
 /// assert_eq!(solver.solve(&net, &options)?.bus, warm.bus);
 /// assert_eq!(solver.last_result().bus, warm.bus);
 /// assert_eq!(solver.stats().reused, 1);
@@ -218,7 +207,15 @@ pub struct Solver {
     /// Whether every island of `plan` holds the voltages of the last
     /// converged solve.
     warm: bool,
-    record: Record,
+    /// The network generation and options of the last call, if it
+    /// converged: a call with both the same replays `result`.
+    solved: Option<(u64, SolveOptions)>,
+    /// The latest converged result, as the call that solved it returned it;
+    /// the default result before the first.
+    result: PowerFlowResult,
+    /// The iteration count a warm re-solve of `result` takes: what a
+    /// replayed call reports.
+    replay_iterations: usize,
     stats: SolverStats,
 }
 
@@ -233,43 +230,46 @@ impl Solver {
         self.stats
     }
 
-    /// Solves the AC power flow of `net`, answering from the record of the
-    /// previous call when nothing changed since, and otherwise reusing this
-    /// solver's symbolic work and warm start where the topology allows.
-    /// Returns the solver's latest converged result, which a later call
-    /// replaces.
+    /// Solves the AC power flow of `net`, answering from the kept result
+    /// when `net` was not written since the last converged call and the
+    /// options are the same, and otherwise reusing this solver's symbolic
+    /// work and warm start where the topology allows. Returns the solver's
+    /// latest converged result, which a later call replaces.
     ///
     /// # Errors
     ///
     /// See [`solve`].
     pub fn solve(
         &mut self,
-        net: &PowerNetwork,
+        net: &TrackedNetwork,
         options: &SolveOptions,
     ) -> Result<&PowerFlowResult, PowerFlowError> {
-        if self.record.replay(net, options) {
+        let generation = net.generation();
+        if matches!(&self.solved, Some((g, o)) if *g == generation && o == options) {
             self.stats.solves += 1;
             self.stats.warm_starts += 1;
             self.stats.reused += 1;
+            self.result.iterations = self.replay_iterations;
         } else {
-            let result = self.compute(net, options)?;
+            self.solved = None;
+            self.result = self.compute(net, options)?;
             // A warm re-solve of a converged state converges on its first
             // mismatch evaluation; a one-node island needs none.
             let mut islands = self.plan.iter().flat_map(|plan| &plan.islands);
-            let multi_node = islands.any(|island| island.nodes.len() > 1);
-            self.record.converged(result, usize::from(multi_node));
+            self.replay_iterations = usize::from(islands.any(|island| island.nodes.len() > 1));
+            self.solved = Some((generation, options.clone()));
         }
-        Ok(self.record.result())
+        Ok(&self.result)
     }
 
     /// The latest converged result, as the call that answered with it
     /// returned it: the default (empty) result before the first, and
     /// unchanged by a failed call.
     pub fn last_result(&self) -> &PowerFlowResult {
-        self.record.result()
+        &self.result
     }
 
-    /// Solves `net` without consulting or updating the record.
+    /// Solves `net`, neither replaying nor keeping the result.
     fn compute(
         &mut self,
         net: &PowerNetwork,
@@ -1523,7 +1523,7 @@ mod tests {
             max_iterations: 2,
             ..SolveOptions::default()
         };
-        let sparse = solve_with(&tight, &capped);
+        let sparse = Solver::new().compute(&tight, &capped);
         assert!(matches!(
             sparse,
             Err(PowerFlowError::DidNotConverge { iterations: 2, .. })
@@ -1545,7 +1545,7 @@ mod tests {
 
     #[test]
     fn unchanged_network_resolves_in_one_iteration_without_factorizing() {
-        let net = multisub(5, 21);
+        let net = TrackedNetwork::new(multisub(5, 21));
         let options = SolveOptions::default();
         let mut solver = Solver::new();
         let first = solver.solve(&net, &options).unwrap().clone();
@@ -1560,18 +1560,21 @@ mod tests {
         assert_eq!(tables(&again), tables(&first));
     }
 
-    /// Drives a solver that answers from its record and one that always
+    /// Drives a solver that replays its kept result and one that always
     /// solves through one script: every answer, iteration count and error
-    /// included, is the same, and the record serves exactly the calls whose
-    /// inputs did not change since a converged call.
+    /// included, is the same, and the kept result serves exactly the calls
+    /// on a network not written since a converged call with equal options.
     #[test]
     fn recorded_calls_match_solving_again_bit_for_bit() {
-        type Change = fn(&mut PowerNetwork, &mut SolveOptions);
+        type Change = fn(&mut TrackedNetwork, &mut SolveOptions);
         let same: Change = |_, _| {};
-        let script: [(&str, Change); 15] = [
+        let script: [(&str, Change); 16] = [
             ("first", same),
             ("unchanged", same),
             ("unchanged again", same),
+            ("same bits written", |net, _| {
+                net.load[0].p_mw = f64::from_bits(net.load[0].p_mw.to_bits())
+            }),
             ("load moved", |net, _| net.load[3].p_mw *= 1.01),
             ("unchanged after the move", same),
             ("reverted to the first", |net, _| net.load[3].p_mw = 0.1),
@@ -1591,7 +1594,7 @@ mod tests {
             }),
             ("unchanged with every line out", same),
         ];
-        let mut net = multisub(5, 21);
+        let mut net = TrackedNetwork::new(multisub(5, 21));
         let s2 = net.bus_by_name("s2main").unwrap();
         let tie = net.line_by_name("tie3").unwrap();
         net.add_switch("cb-tie3", s2, SwitchTarget::Line(tie), true);
@@ -1622,6 +1625,7 @@ mod tests {
         );
         let answer = |what: &str| &answers.iter().find(|(w, _)| *w == what).unwrap().1;
         assert!(answer("unchanged").contains("iterations: 1,"));
+        assert_eq!(answer("same bits written"), answer("unchanged again"));
         assert!(answer("NaN load again").starts_with("Err(DidNotConverge"));
         assert!(answer("slack at -0.0 degrees").contains("va_degree: -0.0,"));
         assert!(answer("every line out").contains("iterations: 0,"));
@@ -1637,7 +1641,7 @@ mod tests {
 
     #[test]
     fn warm_start_follows_parameter_changes() {
-        let mut net = with_pv();
+        let mut net = TrackedNetwork::new(with_pv());
         let options = SolveOptions::default();
         let mut solver = Solver::new();
         let cold = solver.solve(&net, &options).unwrap().clone();
@@ -1659,7 +1663,7 @@ mod tests {
 
     #[test]
     fn switch_events_re_analyse_and_match_a_fresh_solve() {
-        let mut net = multisub(5, 21);
+        let mut net = TrackedNetwork::new(multisub(5, 21));
         let s2 = net.bus_by_name("s2main").unwrap();
         let tie = net.line_by_name("tie3").unwrap();
         net.add_switch("cb-tie3", s2, SwitchTarget::Line(tie), true);
@@ -1702,7 +1706,7 @@ mod tests {
 
     #[test]
     fn failed_solve_is_not_the_next_warm_start() {
-        let mut net = two_bus();
+        let mut net = TrackedNetwork::new(two_bus());
         let options = SolveOptions::default();
         let mut solver = Solver::new();
         let good = solver.solve(&net, &options).unwrap().clone();
@@ -1723,7 +1727,7 @@ mod tests {
 
     #[test]
     fn failed_warm_start_is_retried_flat() {
-        let mut net = feeder(5);
+        let mut net = TrackedNetwork::new(feeder(5));
         for load in &mut net.load {
             load.p_mw = 12.0;
         }

@@ -5,9 +5,9 @@
 //! simulation model. The power system simulator in the cyber range reads
 //! these parameters at each step of the simulation." This module is that
 //! execution engine: a [`SimulationSchedule`] applies profile points and
-//! scenario events to a [`PowerNetwork`] at each step.
+//! scenario events to a [`TrackedNetwork`] at each step.
 
-use crate::network::PowerNetwork;
+use crate::network::TrackedNetwork;
 use serde::{Deserialize, Serialize};
 
 /// The element a profile drives.
@@ -87,9 +87,11 @@ impl SimulationSchedule {
 
     /// Applies every profile value and every event in `(prev_ms, now_ms]`
     /// to the network. Call once per simulation step with advancing times.
+    /// A profile writes only a value that moved, and an event writes once,
+    /// so a step with neither leaves the network's generation as it was.
     ///
     /// Returns the names of elements touched (for logging/diagnostics).
-    pub fn apply(&self, net: &mut PowerNetwork, prev_ms: u64, now_ms: u64) -> Vec<String> {
+    pub fn apply(&self, net: &mut TrackedNetwork, prev_ms: u64, now_ms: u64) -> Vec<String> {
         let mut touched = Vec::new();
         for profile in &self.profiles {
             let Some(value) = profile.value_at(now_ms) else {
@@ -182,6 +184,7 @@ impl SimulationSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::PowerNetwork;
     use crate::solve;
 
     fn demo_net() -> PowerNetwork {
@@ -213,7 +216,7 @@ mod tests {
 
     #[test]
     fn load_profile_drives_solution() {
-        let mut net = demo_net();
+        let mut net = TrackedNetwork::new(demo_net());
         let schedule = SimulationSchedule {
             profiles: vec![Profile {
                 target: ProfileTarget::LoadScaling("city".into()),
@@ -230,7 +233,7 @@ mod tests {
 
     #[test]
     fn events_fire_once_in_window() {
-        let mut net = demo_net();
+        let mut net = TrackedNetwork::new(demo_net());
         let schedule = SimulationSchedule {
             profiles: vec![],
             events: vec![ScenarioEvent {
@@ -248,7 +251,7 @@ mod tests {
 
     #[test]
     fn generator_loss_event() {
-        let mut net = demo_net();
+        let mut net = TrackedNetwork::new(demo_net());
         let b2 = net.bus_by_name("b2").unwrap();
         net.add_sgen("pv", b2, 8.0, 0.0);
         let before = solve(&net).unwrap().total_ext_grid_p_mw();
@@ -266,7 +269,7 @@ mod tests {
 
     #[test]
     fn breaker_event_deenergizes() {
-        let mut net = demo_net();
+        let mut net = TrackedNetwork::new(demo_net());
         let b1 = net.bus_by_name("b1").unwrap();
         net.add_switch(
             "cb1",

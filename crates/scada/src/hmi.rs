@@ -149,11 +149,6 @@ impl ScadaHandle {
         self.shared.lock().stale_window_ms = window;
     }
 
-    /// The currently configured stale-tag window, if any.
-    pub fn stale_window_ms(&self) -> Option<u64> {
-        self.shared.lock().stale_window_ms
-    }
-
     /// The degradation signal this HMI consults: while raised, freshly
     /// polled tag values are stored with [`Quality::Invalid`] instead of
     /// [`Quality::Good`]. The range raises it when the power solver stops

@@ -58,11 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for event in scada.events() {
         println!("  [{:>6} ms] {}", event.time_ms, event.message);
     }
-    println!(
-        "\nPLC CPLC: {} scans, fault: {:?}",
-        range.plcs["CPLC"].lock().scans,
-        range.plcs["CPLC"].lock().fault
-    );
+    // One guard: a second `lock()` in the same statement would deadlock.
+    let plc = range.plcs["CPLC"].lock();
+    println!("\nPLC CPLC: {} scans, fault: {:?}", plc.scans, plc.fault);
     println!("done.");
     Ok(())
 }

@@ -126,15 +126,17 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
 /// since each IED app keeps its own name for journal events. It measures
 /// 603 KiB (617,036 B) since the range hands every device one degradation
 /// signal and each IED its host node's name, finds hosts through the
-/// network's index, and keeps one copy of the latest solution. The bound
-/// leaves 6% headroom.
-const PAPER_TENANT_BOUND: isize = 639 * 1024;
+/// network's index, and keeps one copy of the latest solution. It measures
+/// 568 KiB (581,139 B) since the solver keeps no copy of the network; the
+/// bound, 639 KiB before, leaves 10% headroom.
+const PAPER_TENANT_BOUND: isize = 625 * 1024;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
 /// shared, 54 KiB (55,402 B) with parkable ticks, 54 KiB (55,671 B) with
 /// per-app IED names, 52 KiB (53,478 B) with the shared signal, names and
-/// solution. The bound leaves 7% headroom.
-const EPIC_TENANT_BOUND: isize = 56 * 1024;
+/// solution, 51 KiB (52,010 B) without the solver's copy of the network.
+/// The bound, 56 KiB before, leaves 8% headroom: 10% rounds up to 56 KiB.
+const EPIC_TENANT_BOUND: isize = 55 * 1024;
 
 #[test]
 fn a_fresh_paper_tenant_shares_its_ied_models() {
@@ -177,8 +179,9 @@ const EPIC_STEP_ALLOCS: f64 = 395.0;
 
 /// The paper step that applies a breaker command written through the store
 /// at step 100: 888 allocations, most of them the re-solve of the new
-/// topology and the IEDs that sample it.
-const PAPER_COMMAND_STEP_ALLOCS: u64 = 976;
+/// topology and the IEDs that sample it; 887 since the solver no longer
+/// copies the changed breaker into a record (the bound was 976).
+const PAPER_COMMAND_STEP_ALLOCS: u64 = 975;
 
 fn paper_tenant() -> CyberRange {
     let bundle = multisub_bundle(&MultiSubParams::paper_profile());
@@ -197,9 +200,10 @@ fn a_quiescent_paper_step_allocates_within_its_bound() {
     );
 }
 
-/// A solve answered from the solver's record: 3 allocations while a replay
-/// cloned the kept result (its bus, line and ext-grid tables), none since it
-/// returns the solver's one copy by reference.
+/// A replayed solve, on a network not written since the last converged
+/// one: 3 allocations while a replay cloned the kept result (its bus, line
+/// and ext-grid tables), none since it returns the solver's one copy by
+/// reference.
 #[test]
 fn a_replayed_solve_allocates_nothing() {
     let range = paper_tenant();
@@ -275,8 +279,9 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// it measures 1,622 KiB (1,660,996 B) and 361.8 per step (361.9 with
 /// telemetry off), and the render makes one allocation. Since a replayed
 /// solve copies nothing it measures 1,620 KiB (1,658,803 B) and 358.8 per
-/// step. Each bound leaves 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_782 * 1024;
+/// step, and 1,618 KiB (1,657,335 B) since the solver keeps no copy of the
+/// network (the bound was 1,782 KiB). Each bound leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_781 * 1024;
 const EPIC_JOURNALED_STEP_ALLOCS: f64 = 395.0;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 

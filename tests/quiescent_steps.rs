@@ -1,10 +1,12 @@
-//! A quiescent step touches nothing. A step whose power network did not
-//! change since the last converged solve is answered from the solver's
-//! record: the paper profile has no load schedule, so it solves once and
-//! replays every step after. Each path by which a range's inputs change — a
-//! direct write to `range.power`, a breaker command through the store, a
-//! profile point, a set-point's sign bit — makes that step solve again and
-//! agree with a one-shot solve, and the next quiescent step replays again.
+//! A quiescent step touches nothing. A step whose power network was not
+//! written since the last converged solve replays that solve's result: the
+//! paper profile has no load schedule, so it solves once and replays every
+//! step after. Each path by which a range's inputs change — a direct write
+//! to `range.power`, a breaker command through the store, a profile point,
+//! a set-point's sign bit — makes that step solve again and agree with a
+//! one-shot solve, and the next quiescent step replays again. A write that
+//! leaves every bit as it was also solves again, with the replay's answer;
+//! a command that repeats an element's state and a read are no write.
 //!
 //! The publish then writes only the measurements whose value changed, and
 //! an IED none of whose inputs changed skips its sample. Each way an IED's
@@ -155,6 +157,65 @@ fn every_input_path_solves_again() {
         reused + 1,
         "profile point: next step replays"
     );
+}
+
+#[test]
+fn a_write_of_the_same_bits_solves_again() {
+    let mut paper = paper_range();
+    paper.step();
+    let replayed = format!("{:?}", paper.last_result());
+    paper.power.load[0].p_mw = f64::from_bits(paper.power.load[0].p_mw.to_bits());
+    let reused = paper.solver_stats().reused;
+    paper.step();
+    assert_eq!(paper.solver_stats().reused, reused, "solved again");
+    assert_eq!(format!("{:?}", paper.last_result()), replayed);
+    paper.step();
+    assert_eq!(
+        paper.solver_stats().reused,
+        reused + 1,
+        "the next step replays"
+    );
+}
+
+#[test]
+fn a_command_that_repeats_a_breakers_state_replays() {
+    let mut paper = paper_range();
+    paper.step();
+    let breaker = paper
+        .power
+        .switch
+        .iter()
+        .find(|s| s.closed)
+        .map(|s| s.name.clone())
+        .expect("a closed breaker");
+    paper
+        .store
+        .set(&breaker_cmd_key(&breaker), Value::Bool(true));
+    let reused = paper.solver_stats().reused;
+    paper.step();
+    assert_eq!(paper.solver_stats().reused, reused + 1, "replayed");
+    assert_eq!(paper.switch_is_closed(&breaker), Some(true));
+}
+
+#[test]
+fn reading_the_network_between_steps_replays() {
+    let mut paper = paper_range();
+    paper.step();
+    let breaker = paper.power.switch[0].name.clone();
+    let bus = paper.power.bus[0].name.clone();
+    for step in 0..3 {
+        let reused = paper.solver_stats().reused;
+        assert!(paper.switch_is_closed(&breaker).is_some());
+        assert!(paper.bus_voltage_pu(&bus).is_some_and(|vm| vm > 0.0));
+        let closed = paper.power.switch.iter().filter(|s| s.closed).count();
+        assert!(closed > 0, "{closed} closed switches");
+        paper.step();
+        assert_eq!(
+            paper.solver_stats().reused,
+            reused + 1,
+            "read before step {step}"
+        );
+    }
 }
 
 /// Steps `range` past its start-up: the first sample of every IED is full,
