@@ -1,10 +1,12 @@
 //! The application trait hosted on emulated nodes and its context API.
 
 use crate::addr::{Ipv4Addr, MacAddr};
-use crate::frame::EthernetFrame;
-use crate::host::ConnId;
-use crate::sim::{Network, NodeId};
+use crate::frame::{ipproto, EthernetFrame, UdpDatagram};
+use crate::host::{ConnId, HostState};
+use crate::sim::{Event, Network, NodeId, TickState, TickWaker};
 use crate::time::{SimDuration, SimTime};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::task::Waker;
 
 /// The simulation plane an application's wall time is attributed to by
@@ -103,13 +105,18 @@ pub trait SocketApp: Send {
     fn on_transit_ip(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {}
 }
 
-/// Handle given to applications for interacting with their host and network.
+/// Handle given to applications for interacting with their host and network:
+/// each method acts on the network directly.
 pub struct HostCtx<'a> {
     pub(crate) net: &'a mut Network,
     pub(crate) node: NodeId,
 }
 
 impl<'a> HostCtx<'a> {
+    fn state(&mut self) -> &mut HostState {
+        &mut self.net.host_mut(self.node).state
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.net.now()
@@ -137,44 +144,60 @@ impl<'a> HostCtx<'a> {
 
     /// Binds a UDP port so datagrams to it are delivered to the app.
     pub fn bind_udp(&mut self, port: u16) {
-        self.net.host_bind_udp(self.node, port);
+        let bound = &mut self.state().udp_bound;
+        if !bound.contains(&port) {
+            bound.push(port);
+        }
     }
 
     /// Sends a UDP datagram (ARP resolution happens automatically).
     pub fn send_udp(&mut self, dst: Ipv4Addr, dst_port: u16, src_port: u16, data: &[u8]) {
-        self.net
-            .host_send_udp(self.node, dst, dst_port, src_port, data);
+        let payload = UdpDatagram {
+            src_port,
+            dst_port,
+            payload: bytes::Bytes::copy_from_slice(data),
+        }
+        .encode();
+        self.net.send_ip(self.node, dst, ipproto::UDP, payload);
     }
 
     /// Starts listening for TCP connections on a port.
     pub fn tcp_listen(&mut self, port: u16) {
-        self.net.host_tcp_listen(self.node, port);
+        let listening = &mut self.state().tcp_listen;
+        if !listening.contains(&port) {
+            listening.push(port);
+        }
     }
 
     /// Opens a TCP connection; completion is signalled via
     /// [`SocketApp::on_tcp_connected`].
     pub fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> ConnId {
-        self.net.host_tcp_connect(self.node, dst, dst_port)
+        let (conn, syn) = self.state().tcp_connect(dst, dst_port);
+        self.net.send_tcp(self.node, [syn], Some(conn));
+        conn
     }
 
     /// Sends bytes on an established connection.
     pub fn tcp_send(&mut self, conn: ConnId, data: &[u8]) {
-        self.net.host_tcp_send(self.node, conn, data);
+        let outs = self.state().tcp_send(conn, data);
+        self.net.send_tcp(self.node, outs, Some(conn));
     }
 
     /// Closes a connection (orderly FIN).
     pub fn tcp_close(&mut self, conn: ConnId) {
-        self.net.host_tcp_close(self.node, conn);
+        let outs = self.state().tcp_close(conn);
+        self.net.send_tcp(self.node, outs, Some(conn));
     }
 
     /// Transmits a raw Ethernet frame out of the host's port.
     pub fn send_frame(&mut self, frame: EthernetFrame) {
-        self.net.host_send_frame(self.node, frame);
+        self.net.transmit(self.node, 0, frame);
     }
 
     /// Schedules [`SocketApp::on_timer`] with `token` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.net.host_set_timer(self.node, delay, token);
+        let node = self.node;
+        self.net.schedule(delay, Event::AppTimer { node, token });
     }
 
     /// Arms the host's tick to fire [`SocketApp::on_tick`] after `delay`.
@@ -183,7 +206,8 @@ impl<'a> HostCtx<'a> {
     /// pending one. At one instant, every host's tick runs before any other
     /// event, in node order.
     pub fn arm_tick(&mut self, delay: SimDuration) {
-        self.net.host_arm_tick(self.node, delay);
+        let at = self.net.now() + delay;
+        self.net.arm_tick(self.node, at);
     }
 
     /// Parks the host's tick on the grid of `period` through its latest
@@ -192,7 +216,7 @@ impl<'a> HostCtx<'a> {
     /// strictly after the wake. A crash of the host arms it the same way
     /// ([`Network::set_host_enabled`]).
     pub fn park_tick(&mut self, period: SimDuration) {
-        self.net.host_park_tick(self.node, period);
+        self.net.host_mut(self.node).tick.state = TickState::Parked(period);
     }
 
     /// A new waker of the host's tick: waking it arms a parked tick (see
@@ -201,19 +225,25 @@ impl<'a> HostCtx<'a> {
     /// it dispatches its next event. The network keeps every waker it hands
     /// out, so an app takes one when it starts and keeps it.
     pub fn tick_waker(&mut self) -> Waker {
-        self.net.host_tick_waker(self.node)
+        let waker = Arc::new(TickWaker {
+            node: self.node,
+            woken: AtomicBool::new(false),
+            pending: self.net.pending_wakes.clone(),
+        });
+        self.net.tick_wakers.push(waker.clone());
+        Waker::from(waker)
     }
 
     /// The instant of the host's latest tick at or before now: the last one
     /// dispatched, or while parked the latest instant of its grid — the
     /// tick that would have run had it not parked.
     pub fn last_tick(&self) -> SimTime {
-        self.net.host_last_tick(self.node)
+        self.net.host(self.node).tick.latest(self.net.now())
     }
 
     /// Enables or disables transit-IP delivery (the MITM hook).
     pub fn set_deliver_transit(&mut self, on: bool) {
-        self.net.host_set_deliver_transit(self.node, on);
+        self.state().deliver_transit = on;
     }
 
     /// The trace context that caused the event currently being dispatched,

@@ -41,26 +41,38 @@ pub enum TcpState {
 
 /// One TCP connection's state.
 #[derive(Debug, Clone)]
-pub struct TcpConn {
+pub(crate) struct TcpConn {
     /// Current state.
-    pub state: TcpState,
+    state: TcpState,
     /// Local port.
-    pub local_port: u16,
+    local_port: u16,
     /// Remote endpoint.
-    pub remote: (Ipv4Addr, u16),
+    remote: (Ipv4Addr, u16),
     /// Oldest unacknowledged sequence number.
-    pub snd_una: u32,
+    snd_una: u32,
     /// Next sequence number to send.
-    pub snd_nxt: u32,
+    snd_nxt: u32,
     /// Next sequence number expected from the peer.
-    pub rcv_nxt: u32,
+    rcv_nxt: u32,
     /// Bytes from `snd_una` onward (unacked + unsent).
-    pub send_buf: VecDeque<u8>,
+    send_buf: VecDeque<u8>,
     /// Whether our FIN has been queued after the send buffer.
-    pub fin_queued: bool,
+    fin_queued: bool,
     /// Whether our FIN has been sent (occupies one sequence number).
-    pub fin_sent: bool,
+    fin_sent: bool,
+    /// Whether the connection's retransmission timer is in the network's
+    /// queue.
+    timer_armed: bool,
 }
+
+/// The flags of a bare ACK, the base of every other segment's flags.
+const ACK: TcpFlags = TcpFlags {
+    syn: false,
+    ack: true,
+    fin: false,
+    rst: false,
+    psh: false,
+};
 
 impl TcpConn {
     fn new(state: TcpState, local_port: u16, remote: (Ipv4Addr, u16), iss: u32) -> TcpConn {
@@ -74,6 +86,48 @@ impl TcpConn {
             send_buf: VecDeque::new(),
             fin_queued: false,
             fin_sent: false,
+            timer_armed: false,
+        }
+    }
+
+    /// A segment to the peer at `seq`, acknowledging `rcv_nxt`.
+    fn segment(&self, seq: u32, flags: TcpFlags, payload: Bytes) -> TcpOut {
+        TcpOut {
+            dst: self.remote.0,
+            segment: TcpSegment {
+                src_port: self.local_port,
+                dst_port: self.remote.1,
+                seq,
+                ack: self.rcv_nxt,
+                flags,
+                window: 65535,
+                payload,
+            },
+        }
+    }
+
+    /// Emits any segments the connection can send: unsent data, then FIN.
+    fn output(&mut self, out: &mut Vec<TcpOut>) {
+        // Unsent data begins at offset (snd_nxt - snd_una) within send_buf.
+        loop {
+            let sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
+            if sent >= self.send_buf.len() {
+                break;
+            }
+            let chunk: Vec<u8> = self.send_buf.range(sent..).take(TCP_MSS).copied().collect();
+            let len = chunk.len() as u32;
+            out.push(self.segment(
+                self.snd_nxt,
+                TcpFlags { psh: true, ..ACK },
+                Bytes::from(chunk),
+            ));
+            self.snd_nxt = self.snd_nxt.wrapping_add(len);
+        }
+        // FIN once all data is out.
+        if self.fin_queued && !self.fin_sent {
+            out.push(self.segment(self.snd_nxt, TcpFlags { fin: true, ..ACK }, Bytes::new()));
+            self.snd_nxt = self.snd_nxt.wrapping_add(1);
+            self.fin_sent = true;
         }
     }
 }
@@ -102,45 +156,44 @@ pub enum SocketEvent {
 
 /// A TCP segment plus the peer it must be routed to.
 #[derive(Debug, Clone)]
-pub struct TcpOut {
+pub(crate) struct TcpOut {
     /// Destination IP.
-    pub dst: Ipv4Addr,
+    pub(crate) dst: Ipv4Addr,
     /// The segment.
-    pub segment: TcpSegment,
+    pub(crate) segment: TcpSegment,
 }
 
 /// Host protocol state (one per emulated host).
 #[derive(Debug)]
-pub struct HostState {
+pub(crate) struct HostState {
     /// The host's MAC address.
-    pub mac: MacAddr,
+    pub(crate) mac: MacAddr,
     /// The host's IPv4 address.
-    pub ip: Ipv4Addr,
+    pub(crate) ip: Ipv4Addr,
     /// ARP cache: IP → MAC. Updated by *any* received ARP packet, including
     /// unsolicited replies — the behaviour ARP spoofing exploits.
-    pub arp_cache: HashMap<Ipv4Addr, MacAddr>,
+    pub(crate) arp_cache: HashMap<Ipv4Addr, MacAddr>,
     /// IP packets queued waiting for ARP resolution, per destination.
-    pub arp_pending: HashMap<Ipv4Addr, Vec<(u8, Vec<u8>)>>,
+    pub(crate) arp_pending: HashMap<Ipv4Addr, Vec<(u8, Vec<u8>)>>,
     /// Bound UDP ports.
-    pub udp_bound: Vec<u16>,
+    pub(crate) udp_bound: Vec<u16>,
     /// Listening TCP ports.
-    pub tcp_listen: Vec<u16>,
-    /// Active TCP connections.
-    pub conns: HashMap<ConnId, TcpConn>,
-    /// Next connection id.
-    next_conn: u64,
+    pub(crate) tcp_listen: Vec<u16>,
+    /// Every connection the host opened or accepted, closed ones included:
+    /// `ConnId(n)` is entry `n - 1`.
+    conns: Vec<TcpConn>,
     /// Next ephemeral port.
     next_port: u16,
     /// Next initial sequence number (deterministic).
     next_iss: u32,
     /// Surface IP packets addressed to our MAC but a foreign IP to the app
     /// (the man-in-the-middle forwarding point).
-    pub deliver_transit: bool,
+    pub(crate) deliver_transit: bool,
 }
 
 impl HostState {
     /// Creates a fresh host stack.
-    pub fn new(mac: MacAddr, ip: Ipv4Addr) -> HostState {
+    pub(crate) fn new(mac: MacAddr, ip: Ipv4Addr) -> HostState {
         HostState {
             mac,
             ip,
@@ -148,8 +201,7 @@ impl HostState {
             arp_pending: HashMap::new(),
             udp_bound: Vec::new(),
             tcp_listen: Vec::new(),
-            conns: HashMap::new(),
-            next_conn: 1,
+            conns: Vec::new(),
             next_port: 49152,
             next_iss: 1000,
             deliver_transit: false,
@@ -157,16 +209,10 @@ impl HostState {
     }
 
     /// Allocates an ephemeral port.
-    pub fn alloc_port(&mut self) -> u16 {
+    fn alloc_port(&mut self) -> u16 {
         let p = self.next_port;
         self.next_port = self.next_port.checked_add(1).unwrap_or(49152);
         p
-    }
-
-    fn alloc_conn(&mut self) -> ConnId {
-        let id = ConnId(self.next_conn);
-        self.next_conn += 1;
-        id
     }
 
     fn alloc_iss(&mut self) -> u32 {
@@ -175,359 +221,231 @@ impl HostState {
         iss
     }
 
+    /// Adds a connection; ids run 1, 2, 3, … in the order they are added.
+    fn add_conn(&mut self, conn: TcpConn) -> ConnId {
+        self.conns.push(conn);
+        ConnId(self.conns.len() as u64)
+    }
+
+    /// The connection `id` names, if the host has one.
+    fn conn(&self, id: ConnId) -> Option<&TcpConn> {
+        self.conns.get(usize::try_from(id.0.checked_sub(1)?).ok()?)
+    }
+
+    fn conn_mut(&mut self, id: ConnId) -> Option<&mut TcpConn> {
+        self.conns
+            .get_mut(usize::try_from(id.0.checked_sub(1)?).ok()?)
+    }
+
     /// Initiates an outbound connection; returns the id and the SYN to send.
-    pub fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> (ConnId, TcpOut) {
+    pub(crate) fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> (ConnId, TcpOut) {
         let local_port = self.alloc_port();
         let iss = self.alloc_iss();
-        let id = self.alloc_conn();
         let mut conn = TcpConn::new(TcpState::SynSent, local_port, (dst, dst_port), iss);
+        let syn = conn.segment(iss, TcpFlags::SYN, Bytes::new());
         conn.snd_nxt = iss.wrapping_add(1); // SYN consumes one sequence number
-        let syn = TcpSegment {
-            src_port: local_port,
-            dst_port,
-            seq: iss,
-            ack: 0,
-            flags: TcpFlags::SYN,
-            window: 65535,
-            payload: Bytes::new(),
-        };
-        self.conns.insert(id, conn);
-        (id, TcpOut { dst, segment: syn })
+        (self.add_conn(conn), syn)
     }
 
     /// Queues application data for sending; returns segments ready to go.
-    pub fn tcp_send(&mut self, id: ConnId, data: &[u8]) -> Vec<TcpOut> {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return Vec::new();
-        };
-        if !matches!(conn.state, TcpState::Established | TcpState::CloseWait) {
-            return Vec::new();
-        }
-        conn.send_buf.extend(data.iter().copied());
-        Self::tcp_output(conn)
-    }
-
-    /// Begins an orderly close; returns segments (possibly a FIN).
-    pub fn tcp_close(&mut self, id: ConnId) -> Vec<TcpOut> {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return Vec::new();
-        };
-        match conn.state {
-            TcpState::Established => {
-                conn.fin_queued = true;
-                conn.state = TcpState::FinWait;
-            }
-            TcpState::CloseWait => {
-                conn.fin_queued = true;
-                conn.state = TcpState::LastAck;
-            }
-            _ => return Vec::new(),
-        }
-        Self::tcp_output(conn)
-    }
-
-    /// Emits any segments the connection can send: unsent data, then FIN.
-    fn tcp_output(conn: &mut TcpConn) -> Vec<TcpOut> {
+    pub(crate) fn tcp_send(&mut self, id: ConnId, data: &[u8]) -> Vec<TcpOut> {
         let mut out = Vec::new();
-        // Unsent data begins at offset (snd_nxt - snd_una) within send_buf.
-        loop {
-            let sent = conn.snd_nxt.wrapping_sub(conn.snd_una) as usize;
-            if sent >= conn.send_buf.len() {
-                break;
+        if let Some(conn) = self.conn_mut(id) {
+            if matches!(conn.state, TcpState::Established | TcpState::CloseWait) {
+                conn.send_buf.extend(data.iter().copied());
+                conn.output(&mut out);
             }
-            let chunk: Vec<u8> = conn
-                .send_buf
-                .iter()
-                .skip(sent)
-                .take(TCP_MSS)
-                .copied()
-                .collect();
-            let seg = TcpSegment {
-                src_port: conn.local_port,
-                dst_port: conn.remote.1,
-                seq: conn.snd_nxt,
-                ack: conn.rcv_nxt,
-                flags: TcpFlags {
-                    ack: true,
-                    psh: true,
-                    ..TcpFlags::default()
-                },
-                window: 65535,
-                payload: Bytes::from(chunk.clone()),
-            };
-            conn.snd_nxt = conn.snd_nxt.wrapping_add(chunk.len() as u32);
-            out.push(TcpOut {
-                dst: conn.remote.0,
-                segment: seg,
-            });
-        }
-        // FIN once all data is out.
-        let all_sent = conn.snd_nxt.wrapping_sub(conn.snd_una) as usize >= conn.send_buf.len();
-        if conn.fin_queued && !conn.fin_sent && all_sent {
-            let seg = TcpSegment {
-                src_port: conn.local_port,
-                dst_port: conn.remote.1,
-                seq: conn.snd_nxt,
-                ack: conn.rcv_nxt,
-                flags: TcpFlags {
-                    fin: true,
-                    ack: true,
-                    ..TcpFlags::default()
-                },
-                window: 65535,
-                payload: Bytes::new(),
-            };
-            conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
-            conn.fin_sent = true;
-            out.push(TcpOut {
-                dst: conn.remote.0,
-                segment: seg,
-            });
         }
         out
     }
 
-    /// Segments to retransmit on timer expiry (go-back-N from `snd_una`).
-    pub fn tcp_retransmit(&mut self, id: ConnId) -> Vec<TcpOut> {
-        let Some(conn) = self.conns.get_mut(&id) else {
+    /// Begins an orderly close; returns segments (possibly a FIN).
+    pub(crate) fn tcp_close(&mut self, id: ConnId) -> Vec<TcpOut> {
+        let mut out = Vec::new();
+        let Some(conn) = self.conn_mut(id) else {
+            return out;
+        };
+        conn.state = match conn.state {
+            TcpState::Established => TcpState::FinWait,
+            TcpState::CloseWait => TcpState::LastAck,
+            _ => return out,
+        };
+        conn.fin_queued = true;
+        conn.output(&mut out);
+        out
+    }
+
+    /// Segments to retransmit when the connection's timer expires
+    /// (go-back-N from `snd_una`); the timer is no longer armed.
+    pub(crate) fn tcp_retransmit(&mut self, id: ConnId) -> Vec<TcpOut> {
+        let Some(conn) = self.conn_mut(id) else {
             return Vec::new();
         };
-        if conn.state == TcpState::Closed {
+        conn.timer_armed = false;
+        if conn.state == TcpState::Closed || conn.snd_nxt == conn.snd_una {
             return Vec::new();
         }
-        let unacked = conn.snd_nxt.wrapping_sub(conn.snd_una) as usize;
-        if unacked == 0 {
-            return Vec::new();
-        }
-        if conn.state == TcpState::SynSent {
-            // Re-send the SYN.
-            return vec![TcpOut {
-                dst: conn.remote.0,
-                segment: TcpSegment {
-                    src_port: conn.local_port,
-                    dst_port: conn.remote.1,
-                    seq: conn.snd_una,
-                    ack: 0,
-                    flags: TcpFlags::SYN,
-                    window: 65535,
-                    payload: Bytes::new(),
-                },
-            }];
-        }
-        // Re-send the first unacked chunk.
-        let chunk: Vec<u8> = conn.send_buf.iter().take(TCP_MSS).copied().collect();
-        let fin_only = chunk.is_empty() && conn.fin_sent;
-        let seg = TcpSegment {
-            src_port: conn.local_port,
-            dst_port: conn.remote.1,
-            seq: conn.snd_una,
-            ack: conn.rcv_nxt,
-            flags: TcpFlags {
-                ack: true,
-                psh: !chunk.is_empty(),
-                fin: fin_only,
-                ..TcpFlags::default()
-            },
-            window: 65535,
-            payload: Bytes::from(chunk),
+        let seq = conn.snd_una;
+        // The handshake re-sends its own segment: the SYN, or the SYN+ACK
+        // answering the peer's SYN (RFC 793).
+        let segment = match conn.state {
+            TcpState::SynSent => conn.segment(seq, TcpFlags::SYN, Bytes::new()),
+            TcpState::SynRcvd => conn.segment(seq, TcpFlags { syn: true, ..ACK }, Bytes::new()),
+            _ => {
+                // Re-send the first unacked chunk.
+                let chunk: Vec<u8> = conn.send_buf.iter().take(TCP_MSS).copied().collect();
+                let flags = TcpFlags {
+                    psh: !chunk.is_empty(),
+                    fin: chunk.is_empty() && conn.fin_sent,
+                    ..ACK
+                };
+                conn.segment(seq, flags, Bytes::from(chunk))
+            }
         };
-        vec![TcpOut {
-            dst: conn.remote.0,
-            segment: seg,
-        }]
+        vec![segment]
     }
 
     /// Whether the connection has unacknowledged data (needs a live timer).
-    pub fn tcp_needs_timer(&self, id: ConnId) -> bool {
-        self.conns
-            .get(&id)
-            .map(|c| c.snd_nxt != c.snd_una && c.state != TcpState::Closed)
-            .unwrap_or(false)
+    pub(crate) fn tcp_needs_timer(&self, id: ConnId) -> bool {
+        self.conn(id)
+            .is_some_and(|c| c.snd_nxt != c.snd_una && c.state != TcpState::Closed)
+    }
+
+    /// Marks the connection's retransmission timer armed if it needs one
+    /// and has none; the caller then schedules it.
+    pub(crate) fn tcp_arm_timer(&mut self, id: ConnId) -> bool {
+        self.tcp_needs_timer(id)
+            && self
+                .conn_mut(id)
+                .is_some_and(|c| !std::mem::replace(&mut c.timer_armed, true))
     }
 
     /// Processes an incoming TCP segment addressed to this host.
     ///
-    /// Returns `(segments to send, events for the app)`.
-    pub fn tcp_input(
+    /// Returns the segments to send, the events for the app, and the
+    /// connection the segment touched: the one it matched, or the one its
+    /// SYN opened on a listener.
+    pub(crate) fn tcp_input(
         &mut self,
         src_ip: Ipv4Addr,
         seg: &TcpSegment,
-    ) -> (Vec<TcpOut>, Vec<SocketEvent>) {
+    ) -> (Vec<TcpOut>, Vec<SocketEvent>, Option<ConnId>) {
         let mut out = Vec::new();
         let mut events = Vec::new();
 
         // Find the connection this segment belongs to.
-        let existing = self
-            .conns
-            .iter()
-            .find(|(_, c)| {
-                c.local_port == seg.dst_port
-                    && c.remote == (src_ip, seg.src_port)
-                    && c.state != TcpState::Closed
-            })
-            .map(|(&id, _)| id);
-
-        match existing {
-            None => {
-                // New inbound SYN on a listener?
-                if seg.flags.syn && !seg.flags.ack && self.tcp_listen.contains(&seg.dst_port) {
-                    let iss = self.alloc_iss();
-                    let id = self.alloc_conn();
-                    let mut conn =
-                        TcpConn::new(TcpState::SynRcvd, seg.dst_port, (src_ip, seg.src_port), iss);
-                    conn.rcv_nxt = seg.seq.wrapping_add(1);
-                    conn.snd_nxt = iss.wrapping_add(1);
-                    let synack = TcpSegment {
+        let existing = self.conns.iter().position(|c| {
+            c.local_port == seg.dst_port
+                && c.remote == (src_ip, seg.src_port)
+                && c.state != TcpState::Closed
+        });
+        let Some(index) = existing else {
+            // New inbound SYN on a listener?
+            if seg.flags.syn && !seg.flags.ack && self.tcp_listen.contains(&seg.dst_port) {
+                let iss = self.alloc_iss();
+                let mut conn =
+                    TcpConn::new(TcpState::SynRcvd, seg.dst_port, (src_ip, seg.src_port), iss);
+                conn.rcv_nxt = seg.seq.wrapping_add(1);
+                out.push(conn.segment(iss, TcpFlags { syn: true, ..ACK }, Bytes::new()));
+                conn.snd_nxt = iss.wrapping_add(1);
+                return (out, events, Some(self.add_conn(conn)));
+            }
+            if !seg.flags.rst {
+                // No matching socket: refuse.
+                out.push(TcpOut {
+                    dst: src_ip,
+                    segment: TcpSegment {
                         src_port: seg.dst_port,
                         dst_port: seg.src_port,
-                        seq: iss,
-                        ack: conn.rcv_nxt,
-                        flags: TcpFlags {
-                            syn: true,
-                            ack: true,
-                            ..TcpFlags::default()
-                        },
-                        window: 65535,
+                        seq: seg.ack,
+                        ack: seg.seq.wrapping_add(1),
+                        flags: TcpFlags { rst: true, ..ACK },
+                        window: 0,
                         payload: Bytes::new(),
-                    };
-                    self.conns.insert(id, conn);
-                    out.push(TcpOut {
-                        dst: src_ip,
-                        segment: synack,
-                    });
-                } else if !seg.flags.rst {
-                    // No matching socket: refuse.
-                    out.push(TcpOut {
-                        dst: src_ip,
-                        segment: TcpSegment {
-                            src_port: seg.dst_port,
-                            dst_port: seg.src_port,
-                            seq: seg.ack,
-                            ack: seg.seq.wrapping_add(1),
-                            flags: TcpFlags {
-                                rst: true,
-                                ack: true,
-                                ..TcpFlags::default()
-                            },
-                            window: 0,
-                            payload: Bytes::new(),
-                        },
-                    });
-                }
-                return (out, events);
+                    },
+                });
             }
-            Some(id) => {
-                let conn = self.conns.get_mut(&id).expect("conn exists");
+            return (out, events, None);
+        };
+        let id = ConnId(index as u64 + 1);
+        let conn = &mut self.conns[index];
 
-                if seg.flags.rst {
+        if seg.flags.rst {
+            conn.state = TcpState::Closed;
+            events.push(SocketEvent::TcpClosed(id));
+            return (out, events, Some(id));
+        }
+
+        // Handshake transitions.
+        match conn.state {
+            TcpState::SynSent if seg.flags.syn && seg.flags.ack => {
+                conn.rcv_nxt = seg.seq.wrapping_add(1);
+                conn.snd_una = seg.ack;
+                conn.state = TcpState::Established;
+                out.push(conn.segment(conn.snd_nxt, ACK, Bytes::new()));
+                events.push(SocketEvent::TcpConnected(id));
+                return (out, events, Some(id));
+            }
+            // Until the peer's SYN arrives, nothing else is acceptable.
+            TcpState::SynSent if !seg.flags.syn => return (out, events, Some(id)),
+            TcpState::SynRcvd if seg.flags.ack && !seg.flags.syn => {
+                conn.snd_una = seg.ack;
+                conn.state = TcpState::Established;
+                events.push(SocketEvent::TcpAccepted(id, conn.remote));
+                // Fall through: the ACK may carry data.
+            }
+            _ => {}
+        }
+
+        // ACK processing: drop acked bytes from the send buffer.
+        if seg.flags.ack {
+            let acked = seg.ack.wrapping_sub(conn.snd_una);
+            let outstanding = conn.snd_nxt.wrapping_sub(conn.snd_una);
+            if acked > 0 && acked <= outstanding {
+                // FIN consumes a sequence number not present in buf.
+                let data_acked = (acked as usize).min(conn.send_buf.len());
+                conn.send_buf.drain(..data_acked);
+                conn.snd_una = seg.ack;
+                if conn.state == TcpState::LastAck && conn.fin_sent && conn.snd_una == conn.snd_nxt
+                {
                     conn.state = TcpState::Closed;
                     events.push(SocketEvent::TcpClosed(id));
-                    return (out, events);
+                    return (out, events, Some(id));
                 }
-
-                // Handshake transitions.
-                match conn.state {
-                    TcpState::SynSent if seg.flags.syn && seg.flags.ack => {
-                        conn.rcv_nxt = seg.seq.wrapping_add(1);
-                        conn.snd_una = seg.ack;
-                        conn.state = TcpState::Established;
-                        out.push(TcpOut {
-                            dst: src_ip,
-                            segment: TcpSegment {
-                                src_port: conn.local_port,
-                                dst_port: conn.remote.1,
-                                seq: conn.snd_nxt,
-                                ack: conn.rcv_nxt,
-                                flags: TcpFlags {
-                                    ack: true,
-                                    ..TcpFlags::default()
-                                },
-                                window: 65535,
-                                payload: Bytes::new(),
-                            },
-                        });
-                        events.push(SocketEvent::TcpConnected(id));
-                        return (out, events);
-                    }
-                    TcpState::SynRcvd if seg.flags.ack && !seg.flags.syn => {
-                        conn.snd_una = seg.ack;
-                        conn.state = TcpState::Established;
-                        events.push(SocketEvent::TcpAccepted(id, conn.remote));
-                        // Fall through: the ACK may carry data.
-                    }
-                    _ => {}
-                }
-
-                // ACK processing: drop acked bytes from the send buffer.
-                if seg.flags.ack {
-                    let acked = seg.ack.wrapping_sub(conn.snd_una);
-                    let outstanding = conn.snd_nxt.wrapping_sub(conn.snd_una);
-                    if acked > 0 && acked <= outstanding {
-                        // FIN consumes a sequence number not present in buf.
-                        let data_acked = (acked as usize).min(conn.send_buf.len());
-                        conn.send_buf.drain(..data_acked);
-                        conn.snd_una = seg.ack;
-                        if conn.state == TcpState::LastAck
-                            && conn.fin_sent
-                            && conn.snd_una == conn.snd_nxt
-                        {
-                            conn.state = TcpState::Closed;
-                            events.push(SocketEvent::TcpClosed(id));
-                            return (out, events);
-                        }
-                        // More queued data may now flow.
-                        out.extend(Self::tcp_output(conn));
-                    }
-                }
-
-                // In-order data delivery.
-                let mut should_ack = false;
-                if !seg.payload.is_empty() {
-                    if seg.seq == conn.rcv_nxt {
-                        conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                        events.push(SocketEvent::TcpData(id, seg.payload.clone()));
-                    }
-                    // Out-of-order or duplicate: just re-ACK rcv_nxt.
-                    should_ack = true;
-                }
-
-                // Peer FIN.
-                if seg.flags.fin && seg.seq == conn.rcv_nxt {
-                    conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
-                    should_ack = true;
-                    match conn.state {
-                        TcpState::Established => {
-                            conn.state = TcpState::CloseWait;
-                        }
-                        TcpState::FinWait => {
-                            conn.state = TcpState::Closed;
-                            events.push(SocketEvent::TcpClosed(id));
-                        }
-                        _ => {}
-                    }
-                }
-
-                if should_ack {
-                    let conn = self.conns.get_mut(&id).expect("conn exists");
-                    out.push(TcpOut {
-                        dst: src_ip,
-                        segment: TcpSegment {
-                            src_port: conn.local_port,
-                            dst_port: conn.remote.1,
-                            seq: conn.snd_nxt,
-                            ack: conn.rcv_nxt,
-                            flags: TcpFlags {
-                                ack: true,
-                                ..TcpFlags::default()
-                            },
-                            window: 65535,
-                            payload: Bytes::new(),
-                        },
-                    });
-                }
+                // More queued data may now flow.
+                conn.output(&mut out);
             }
         }
-        (out, events)
+
+        // In-order data delivery.
+        let mut should_ack = false;
+        if !seg.payload.is_empty() {
+            if seg.seq == conn.rcv_nxt {
+                conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
+                events.push(SocketEvent::TcpData(id, seg.payload.clone()));
+            }
+            // Out-of-order or duplicate: just re-ACK rcv_nxt.
+            should_ack = true;
+        }
+
+        // Peer FIN.
+        if seg.flags.fin && seg.seq == conn.rcv_nxt {
+            conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
+            should_ack = true;
+            match conn.state {
+                TcpState::Established => conn.state = TcpState::CloseWait,
+                TcpState::FinWait => {
+                    conn.state = TcpState::Closed;
+                    events.push(SocketEvent::TcpClosed(id));
+                }
+                _ => {}
+            }
+        }
+
+        if should_ack {
+            out.push(conn.segment(conn.snd_nxt, ACK, Bytes::new()));
+        }
+        (out, events, Some(id))
     }
 }
 
@@ -556,13 +474,13 @@ mod tests {
             }
             let mut next_from_b = Vec::new();
             for out in from_a.drain(..) {
-                let (outs, evs) = b.tcp_input(a.ip, &out.segment);
+                let (outs, evs, _) = b.tcp_input(a.ip, &out.segment);
                 next_from_b.extend(outs);
                 ev_b.extend(evs);
             }
             let mut next_from_a = Vec::new();
             for out in from_b.drain(..) {
-                let (outs, evs) = a.tcp_input(b.ip, &out.segment);
+                let (outs, evs, _) = a.tcp_input(b.ip, &out.segment);
                 next_from_a.extend(outs);
                 ev_a.extend(evs);
             }
@@ -640,7 +558,7 @@ mod tests {
         // a closes; b sees CloseWait (no event yet), then b closes too.
         let fin = a.tcp_close(conn_a);
         exchange(&mut a, &mut b, fin);
-        assert_eq!(b.conns[&conn_b].state, TcpState::CloseWait);
+        assert_eq!(b.conn(conn_b).unwrap().state, TcpState::CloseWait);
         let fin_b = b.tcp_close(conn_b);
         let (ev_a2, ev_b2) = exchange(&mut b, &mut a, fin_b);
         assert!(ev_a2.contains(&SocketEvent::TcpClosed(conn_b)));
@@ -651,10 +569,10 @@ mod tests {
     fn syn_to_closed_port_gets_rst() {
         let (mut a, mut b) = pair();
         let (conn_a, syn) = a.tcp_connect(b.ip, 9999);
-        let (outs, _) = b.tcp_input(a.ip, &syn.segment);
+        let (outs, _, _) = b.tcp_input(a.ip, &syn.segment);
         assert_eq!(outs.len(), 1);
         assert!(outs[0].segment.flags.rst);
-        let (_, evs) = a.tcp_input(b.ip, &outs[0].segment);
+        let (_, evs, _) = a.tcp_input(b.ip, &outs[0].segment);
         assert!(evs.contains(&SocketEvent::TcpClosed(conn_a)));
     }
 
@@ -687,8 +605,8 @@ mod tests {
         exchange(&mut a, &mut b, vec![syn]);
         let outs = a.tcp_send(conn_a, b"once");
         let seg = outs[0].clone();
-        let (_, ev1) = b.tcp_input(a.ip, &seg.segment);
-        let (_, ev2) = b.tcp_input(a.ip, &seg.segment);
+        let (_, ev1, _) = b.tcp_input(a.ip, &seg.segment);
+        let (_, ev2, _) = b.tcp_input(a.ip, &seg.segment);
         let datas = |evs: &[SocketEvent]| {
             evs.iter()
                 .filter(|e| matches!(e, SocketEvent::TcpData(..)))

@@ -11,10 +11,10 @@ use sgcr_obs::{
     buckets, Counter, Event as ObsEvent, Histogram, Name, Plane, Telemetry, TraceCtx, Tracer,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::{Wake, Waker};
+use std::task::Wake;
 
 /// Identifier of a node (host or switch) in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -89,8 +89,8 @@ struct HostMeters {
     dropped: Counter,
 }
 
-struct HostNode {
-    state: HostState,
+pub(crate) struct HostNode {
+    pub(crate) state: HostState,
     app: Option<Box<dyn SocketApp>>,
     meters: HostMeters,
     /// The attached app's plane, cached at [`Network::attach_app`] so the
@@ -99,21 +99,21 @@ struct HostNode {
     /// False while the simulated device is crashed: incoming frames are
     /// dropped and app/TCP timers are deferred until restart.
     enabled: bool,
-    tick: Tick,
+    pub(crate) tick: Tick,
 }
 
 /// A host's tick: the one timer of its app that can park (see
 /// [`HostCtx::arm_tick`](crate::HostCtx::arm_tick)).
 #[derive(Default)]
-struct Tick {
+pub(crate) struct Tick {
     /// The instant of the latest tick: the last one dispatched, or the last
     /// instant of the parked grid a wake or a crash stepped past.
     last: SimTime,
-    state: TickState,
+    pub(crate) state: TickState,
 }
 
 #[derive(Default, Clone, Copy, PartialEq)]
-enum TickState {
+pub(crate) enum TickState {
     /// Never armed, or running now.
     #[default]
     Idle,
@@ -128,7 +128,7 @@ enum TickState {
 impl Tick {
     /// The latest instant of the tick's grid at or before `now`: `last`,
     /// unless parked.
-    fn latest(&self, now: SimTime) -> SimTime {
+    pub(crate) fn latest(&self, now: SimTime) -> SimTime {
         match self.state {
             TickState::Parked(period) if period > SimDuration::ZERO => {
                 let periods = now.saturating_sub(self.last).as_nanos() / period.as_nanos();
@@ -141,14 +141,14 @@ impl Tick {
 
 /// The waker of one host's tick. A wake is two stores, so a writer that
 /// wakes a tick that is not parked pays next to nothing.
-struct TickWaker {
-    node: NodeId,
+pub(crate) struct TickWaker {
+    pub(crate) node: NodeId,
     /// Set by a wake, cleared by the loop when it takes the wake.
-    woken: AtomicBool,
+    pub(crate) woken: AtomicBool,
     /// Shared by every waker of the network: whether any was woken since
     /// the loop last looked. Stored with `Release` after `woken`; the
     /// loop's `AcqRel` swap that reads it sees that `woken`.
-    pending: Arc<AtomicBool>,
+    pub(crate) pending: Arc<AtomicBool>,
 }
 
 impl Wake for TickWaker {
@@ -194,7 +194,12 @@ struct Node {
 }
 
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
+    /// A host's tick: at one instant ticks run before every other event,
+    /// in node order.
+    Tick {
+        node: NodeId,
+    },
     Frame {
         node: NodeId,
         port: usize,
@@ -216,15 +221,24 @@ enum Event {
     },
 }
 
+/// A queued event, ordered by `(time, lane, id)`: lane 0 is a tick, whose
+/// id is its node, and lane 1 any other event, whose id is its `seq`.
 struct Scheduled {
     time: SimTime,
-    seq: u64,
+    id: u64,
     event: Event,
+}
+
+impl Scheduled {
+    fn key(&self) -> (SimTime, u8, u64) {
+        let lane = u8::from(!matches!(self.event, Event::Tick { .. }));
+        (self.time, lane, self.id)
+    }
 }
 
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for Scheduled {}
@@ -235,7 +249,7 @@ impl PartialOrd for Scheduled {
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -249,11 +263,11 @@ const CRASH_RETRY: SimDuration = SimDuration::from_millis(10);
 /// The emulated network: a deterministic discrete-event simulator hosting
 /// switches, hosts, and the applications attached to them.
 ///
-/// Events at one instant run in a fixed order: first every host's tick
-/// ([`HostCtx::arm_tick`](crate::HostCtx::arm_tick)), by node id, then every
-/// other event in the order it was scheduled. A parked tick holds no place
-/// in that order until a wake arms it again, so ticks are ordered by node,
-/// not by when they were armed.
+/// Every event waits in one queue, ordered by time and then by lane: at one
+/// instant every host's tick ([`HostCtx::arm_tick`](crate::HostCtx::arm_tick))
+/// runs first, by node id, then every other event in the order it was
+/// scheduled. A parked tick holds no place in the queue until a wake arms it
+/// again, so ticks are ordered by node, not by when they were armed.
 ///
 /// # Examples
 ///
@@ -274,18 +288,14 @@ pub struct Network {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Reverse<Scheduled>>,
-    /// Armed ticks by `(time, node)`: at one instant they run before every
-    /// event in `queue`, in node order.
-    ticks: BinaryHeap<Reverse<(SimTime, NodeId)>>,
     /// Whether a tick waker was woken since the loop last looked.
-    pending_wakes: Arc<AtomicBool>,
+    pub(crate) pending_wakes: Arc<AtomicBool>,
     /// Every tick waker handed out, read when `pending_wakes` is set.
-    tick_wakers: Vec<Arc<TickWaker>>,
+    pub(crate) tick_wakers: Vec<Arc<TickWaker>>,
     dispatched: Dispatched,
     nodes: Vec<Node>,
     links: Vec<Link>,
     mac_counter: u64,
-    tcp_timer_armed: HashSet<(NodeId, ConnId)>,
     names: HashMap<Name, NodeId>,
     telemetry: Telemetry,
     tracer: Tracer,
@@ -458,17 +468,22 @@ impl Network {
         });
     }
 
+    /// The index of the first link between two nodes, either way round.
+    fn link_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        self.links.iter().position(|link| {
+            let ends = (link.a.0, link.b.0);
+            ends == (a, b) || ends == (b, a)
+        })
+    }
+
     /// Takes a link between two nodes up or down (failure injection).
     /// Returns `false` if no direct link exists.
     pub fn set_link_state(&mut self, a: NodeId, b: NodeId, up: bool) -> bool {
-        for link in &mut self.links {
-            let ends = (link.a.0, link.b.0);
-            if ends == (a, b) || ends == (b, a) {
-                link.up = up;
-                return true;
-            }
-        }
-        false
+        let Some(link) = self.link_between(a, b) else {
+            return false;
+        };
+        self.links[link].up = up;
+        true
     }
 
     /// Changes the propagation latency of the link between two nodes
@@ -476,14 +491,11 @@ impl Network {
     /// already in flight keep the latency they departed with.
     /// Returns `false` if no direct link exists.
     pub fn set_link_latency(&mut self, a: NodeId, b: NodeId, latency: SimDuration) -> bool {
-        for link in &mut self.links {
-            let ends = (link.a.0, link.b.0);
-            if ends == (a, b) || ends == (b, a) {
-                link.spec.latency = latency;
-                return true;
-            }
-        }
-        false
+        let Some(link) = self.link_between(a, b) else {
+            return false;
+        };
+        self.links[link].spec.latency = latency;
+        true
     }
 
     /// Seeds the fault-decision stream. Identical seeds (with identical
@@ -504,26 +516,16 @@ impl Network {
     /// Installs (or, with a no-op profile, clears) an impairment profile on
     /// the link between two nodes. Returns `false` if no direct link exists.
     pub fn set_link_fault(&mut self, a: NodeId, b: NodeId, fault: LinkFault) -> bool {
-        for link in &mut self.links {
-            let ends = (link.a.0, link.b.0);
-            if ends == (a, b) || ends == (b, a) {
-                link.fault = if fault.is_noop() { None } else { Some(fault) };
-                return true;
-            }
-        }
-        false
+        let Some(link) = self.link_between(a, b) else {
+            return false;
+        };
+        self.links[link].fault = (!fault.is_noop()).then_some(fault);
+        true
     }
 
     /// The impairment profile on the link between two nodes, if any.
     pub fn link_fault(&self, a: NodeId, b: NodeId) -> Option<LinkFault> {
-        self.links.iter().find_map(|link| {
-            let ends = (link.a.0, link.b.0);
-            if ends == (a, b) || ends == (b, a) {
-                link.fault
-            } else {
-                None
-            }
-        })
+        self.links[self.link_between(a, b)?].fault
     }
 
     /// Crashes or restarts a simulated device. While disabled, frames
@@ -627,14 +629,14 @@ impl Network {
 
     // ----- host accessors used by HostCtx --------------------------------
 
-    fn host(&self, node: NodeId) -> &HostNode {
+    pub(crate) fn host(&self, node: NodeId) -> &HostNode {
         match &self.nodes[node.index()].kind {
             NodeKind::Host(h) => h,
             NodeKind::Switch(_) => panic!("node {node:?} is not a host"),
         }
     }
 
-    fn host_mut(&mut self, node: NodeId) -> &mut HostNode {
+    pub(crate) fn host_mut(&mut self, node: NodeId) -> &mut HostNode {
         match &mut self.nodes[node.index()].kind {
             NodeKind::Host(h) => h,
             NodeKind::Switch(_) => panic!("node {node:?} is not a host"),
@@ -651,99 +653,14 @@ impl Network {
         self.host(node).state.mac
     }
 
-    pub(crate) fn host_bind_udp(&mut self, node: NodeId, port: u16) {
-        let s = &mut self.host_mut(node).state;
-        if !s.udp_bound.contains(&port) {
-            s.udp_bound.push(port);
-        }
-    }
-
-    pub(crate) fn host_tcp_listen(&mut self, node: NodeId, port: u16) {
-        let s = &mut self.host_mut(node).state;
-        if !s.tcp_listen.contains(&port) {
-            s.tcp_listen.push(port);
-        }
-    }
-
-    pub(crate) fn host_tcp_connect(
-        &mut self,
-        node: NodeId,
-        dst: Ipv4Addr,
-        dst_port: u16,
-    ) -> ConnId {
-        let (id, out) = self.host_mut(node).state.tcp_connect(dst, dst_port);
-        self.send_tcp_out(node, out);
-        self.arm_tcp_timer(node, id);
-        id
-    }
-
-    pub(crate) fn host_tcp_send(&mut self, node: NodeId, conn: ConnId, data: &[u8]) {
-        let outs = self.host_mut(node).state.tcp_send(conn, data);
-        for out in outs {
-            self.send_tcp_out(node, out);
-        }
-        self.arm_tcp_timer(node, conn);
-    }
-
-    pub(crate) fn host_tcp_close(&mut self, node: NodeId, conn: ConnId) {
-        let outs = self.host_mut(node).state.tcp_close(conn);
-        for out in outs {
-            self.send_tcp_out(node, out);
-        }
-        self.arm_tcp_timer(node, conn);
-    }
-
-    pub(crate) fn host_send_udp(
-        &mut self,
-        node: NodeId,
-        dst: Ipv4Addr,
-        dst_port: u16,
-        src_port: u16,
-        data: &[u8],
-    ) {
-        let payload = UdpDatagram {
-            src_port,
-            dst_port,
-            payload: bytes::Bytes::copy_from_slice(data),
-        }
-        .encode();
-        self.host_send_ip(node, dst, ipproto::UDP, payload);
-    }
-
-    pub(crate) fn host_send_frame(&mut self, node: NodeId, frame: EthernetFrame) {
-        self.transmit(node, 0, frame);
-    }
-
-    pub(crate) fn host_set_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        self.schedule(delay, Event::AppTimer { node, token });
-    }
-
-    pub(crate) fn host_set_deliver_transit(&mut self, node: NodeId, on: bool) {
-        self.host_mut(node).state.deliver_transit = on;
-    }
-
-    pub(crate) fn host_arm_tick(&mut self, node: NodeId, delay: SimDuration) {
-        let at = self.now + delay;
+    /// Arms `node`'s tick at `at`, replacing any tick queued before.
+    pub(crate) fn arm_tick(&mut self, node: NodeId, at: SimTime) {
         self.host_mut(node).tick.state = TickState::Armed(at);
-        self.ticks.push(Reverse((at, node)));
-    }
-
-    pub(crate) fn host_park_tick(&mut self, node: NodeId, period: SimDuration) {
-        self.host_mut(node).tick.state = TickState::Parked(period);
-    }
-
-    pub(crate) fn host_last_tick(&self, node: NodeId) -> SimTime {
-        self.host(node).tick.latest(self.now)
-    }
-
-    pub(crate) fn host_tick_waker(&mut self, node: NodeId) -> Waker {
-        let waker = Arc::new(TickWaker {
-            node,
-            woken: AtomicBool::new(false),
-            pending: self.pending_wakes.clone(),
-        });
-        self.tick_wakers.push(waker.clone());
-        Waker::from(waker)
+        self.queue.push(Reverse(Scheduled {
+            time: at,
+            id: node.index() as u64,
+            event: Event::Tick { node },
+        }));
     }
 
     /// Arms `node`'s tick at the first instant of its grid after now, if
@@ -761,8 +678,7 @@ impl Network {
         // The first grid instant strictly after now, as one at now has run
         // (a zero period degenerates to now).
         let at = (tick.last + period).max(now);
-        tick.state = TickState::Armed(at);
-        self.ticks.push(Reverse((at, node)));
+        self.arm_tick(node, at);
     }
 
     /// Arms every tick woken since the last call. One atomic load when
@@ -785,11 +701,26 @@ impl Network {
 
     // ----- IP / frame transmission ----------------------------------------
 
-    fn send_tcp_out(&mut self, node: NodeId, out: TcpOut) {
-        self.host_send_ip(node, out.dst, ipproto::TCP, out.segment.encode());
+    /// Sends TCP segments from `node`, then arms `conn`'s retransmission
+    /// timer if it needs one and has none.
+    pub(crate) fn send_tcp(
+        &mut self,
+        node: NodeId,
+        outs: impl IntoIterator<Item = TcpOut>,
+        conn: Option<ConnId>,
+    ) {
+        for out in outs {
+            self.send_ip(node, out.dst, ipproto::TCP, out.segment.encode());
+        }
+        let Some(conn) = conn else {
+            return;
+        };
+        if self.host_mut(node).state.tcp_arm_timer(conn) {
+            self.schedule(TCP_RTO, Event::TcpTimer { node, conn });
+        }
     }
 
-    fn host_send_ip(&mut self, node: NodeId, dst: Ipv4Addr, proto: u8, transport: Vec<u8>) {
+    pub(crate) fn send_ip(&mut self, node: NodeId, dst: Ipv4Addr, proto: u8, transport: Vec<u8>) {
         let state = &mut self.host_mut(node).state;
         let src_ip = state.ip;
         match state.arp_cache.get(&dst).copied() {
@@ -812,18 +743,9 @@ impl Network {
         }
     }
 
-    fn arm_tcp_timer(&mut self, node: NodeId, conn: ConnId) {
-        if !self.host(node).state.tcp_needs_timer(conn) {
-            return;
-        }
-        if self.tcp_timer_armed.insert((node, conn)) {
-            self.schedule(TCP_RTO, Event::TcpTimer { node, conn });
-        }
-    }
-
     /// Transmits a frame out of `node`'s `port`, modelling serialization
     /// delay, link propagation latency, and FIFO queueing per direction.
-    fn transmit(&mut self, node: NodeId, port: usize, frame: EthernetFrame) {
+    pub(crate) fn transmit(&mut self, node: NodeId, port: usize, frame: EthernetFrame) {
         let wire_bytes = frame.wire_len() as u64;
         let Some(&link_id) = self.nodes[node.index()].ports.get(port) else {
             // Unconnected port: frame vanishes.
@@ -949,11 +871,12 @@ impl Network {
         }
     }
 
-    fn schedule(&mut self, delay: SimDuration, event: Event) {
+    /// Queues an event other than a tick `delay` after now.
+    pub(crate) fn schedule(&mut self, delay: SimDuration, event: Event) {
         self.seq += 1;
         self.queue.push(Reverse(Scheduled {
             time: self.now + delay,
-            seq: self.seq,
+            id: self.seq,
             event,
         }));
     }
@@ -966,21 +889,12 @@ impl Network {
     pub fn run_until(&mut self, t: SimTime) {
         loop {
             self.take_wakes();
-            let tick = self.ticks.peek().map(|Reverse((time, _))| *time);
-            let event = self.queue.peek().map(|Reverse(head)| head.time);
-            match (tick, event) {
-                (Some(tick), event) if tick <= t && event.is_none_or(|e| tick <= e) => {
-                    let Reverse((time, node)) = self.ticks.pop().expect("peeked");
-                    self.now = time;
-                    self.fire_tick(node);
-                }
-                (_, Some(event)) if event <= t => {
-                    let Reverse(scheduled) = self.queue.pop().expect("peeked");
-                    self.now = scheduled.time;
-                    self.process(scheduled.event);
-                }
-                _ => break,
+            if self.queue.peek().is_none_or(|Reverse(head)| head.time > t) {
+                break;
             }
+            let Reverse(head) = self.queue.pop().expect("peeked");
+            self.now = head.time;
+            self.process(head.event);
         }
         self.now = t;
     }
@@ -997,9 +911,7 @@ impl Network {
         }
         self.dispatched.app_timers += 1;
         if !host.enabled {
-            let at = now + CRASH_RETRY;
-            host.tick.state = TickState::Armed(at);
-            self.ticks.push(Reverse((at, node)));
+            self.arm_tick(node, now + CRASH_RETRY);
             return;
         }
         host.tick.state = TickState::Idle;
@@ -1015,22 +927,26 @@ impl Network {
     }
 
     fn process(&mut self, event: Event) {
-        match &event {
-            Event::Frame { .. } => self.dispatched.frames += 1,
-            Event::AppTimer { .. } => self.dispatched.app_timers += 1,
-            Event::TcpTimer { .. } => self.dispatched.tcp_timers += 1,
-            Event::AppStart { .. } => {}
-        }
-        let for_down_host = match &event {
-            Event::Frame { node, .. }
-            | Event::AppStart { node }
-            | Event::AppTimer { node, .. }
-            | Event::TcpTimer { node, .. } => self.host_is_down(*node),
+        let node = match &event {
+            Event::Tick { node } => return self.fire_tick(*node),
+            Event::Frame { node, .. } => {
+                self.dispatched.frames += 1;
+                *node
+            }
+            Event::AppTimer { node, .. } => {
+                self.dispatched.app_timers += 1;
+                *node
+            }
+            Event::TcpTimer { node, .. } => {
+                self.dispatched.tcp_timers += 1;
+                *node
+            }
+            Event::AppStart { node } => *node,
         };
-        if for_down_host {
+        if self.host_is_down(node) {
             match event {
                 // A crashed NIC answers nothing; the frame is gone.
-                Event::Frame { node, frame, .. } => {
+                Event::Frame { frame, .. } => {
                     self.note_drop(node, frame.wire_len() as u64, "host-down");
                 }
                 // Timers are deferred, not dropped, so a restarted device
@@ -1041,10 +957,7 @@ impl Network {
         }
         match event {
             Event::Frame {
-                node,
-                port,
-                frame,
-                ctx,
+                port, frame, ctx, ..
             } => {
                 // The frame's context becomes ambient for everything this
                 // delivery triggers — stack processing, app callbacks, and
@@ -1053,23 +966,16 @@ impl Network {
                 self.ambient_ctx = ctx;
                 self.process_frame(node, port, frame);
             }
-            Event::AppStart { node } => {
-                self.with_app(node, |app, ctx| app.on_start(ctx));
-            }
-            Event::AppTimer { node, token } => {
+            Event::AppStart { .. } => self.with_app(node, |app, ctx| app.on_start(ctx)),
+            Event::AppTimer { token, .. } => {
                 self.with_app(node, |app, ctx| app.on_timer(ctx, token));
             }
-            Event::TcpTimer { node, conn } => {
-                self.tcp_timer_armed.remove(&(node, conn));
-                if !self.is_host(node) {
-                    return;
-                }
+            Event::TcpTimer { conn, .. } => {
                 let outs = self.host_mut(node).state.tcp_retransmit(conn);
-                for out in outs {
-                    self.send_tcp_out(node, out);
-                }
-                self.arm_tcp_timer(node, conn);
+                self.send_tcp(node, outs, Some(conn));
             }
+            // Dispatched above.
+            Event::Tick { .. } => {}
         }
         // An app may have overridden the ambient context mid-dispatch
         // (set_trace_parent); never let it leak into the next event.
@@ -1085,28 +991,26 @@ impl Network {
         }
         match &mut self.nodes[node.index()].kind {
             NodeKind::Switch(sw) => {
-                // Learn the source, then forward.
+                // Learn the source, then forward: to the port the
+                // destination was learned on, else out of every other port.
                 if !frame.src.is_multicast() {
                     sw.mac_table.insert(frame.src, port);
                 }
-                let out_ports: Vec<usize> = if frame.dst.is_multicast() || frame.dst.is_broadcast()
-                {
-                    (0..self.nodes[node.index()].ports.len())
-                        .filter(|&p| p != port)
-                        .collect()
-                } else if let Some(&p) = sw.mac_table.get(&frame.dst) {
-                    if p == port {
-                        Vec::new()
-                    } else {
-                        vec![p]
-                    }
+                let learned = if frame.dst.is_multicast() || frame.dst.is_broadcast() {
+                    None
                 } else {
-                    (0..self.nodes[node.index()].ports.len())
-                        .filter(|&p| p != port)
-                        .collect()
+                    sw.mac_table.get(&frame.dst).copied()
                 };
-                for p in out_ports {
-                    self.transmit(node, p, frame.clone());
+                match learned {
+                    Some(p) if p != port => self.transmit(node, p, frame),
+                    Some(_) => {}
+                    None => {
+                        for p in 0..self.nodes[node.index()].ports.len() {
+                            if p != port {
+                                self.transmit(node, p, frame.clone());
+                            }
+                        }
+                    }
                 }
             }
             NodeKind::Host(host) => {
@@ -1138,10 +1042,9 @@ impl Network {
                 }
                 // Raw delivery (after stack, so ARP replies are already
                 // usable from within on_raw_frame).
-                let frame_clone = frame.clone();
-                self.with_app(node, |app, ctx| app.on_raw_frame(ctx, &frame_clone));
+                self.with_app(node, |app, ctx| app.on_raw_frame(ctx, &frame));
                 if transit {
-                    self.with_app(node, |app, ctx| app.on_transit_ip(ctx, &frame_clone));
+                    self.with_app(node, |app, ctx| app.on_transit_ip(ctx, &frame));
                 }
                 for ev in events {
                     self.deliver_socket_event(node, ev);
@@ -1173,7 +1076,7 @@ impl Network {
             .remove(&arp.sender_ip)
             .unwrap_or_default();
         for (proto, transport) in pending {
-            self.host_send_ip(node, arp.sender_ip, proto, transport);
+            self.send_ip(node, arp.sender_ip, proto, transport);
         }
         // Answer requests for our address.
         if arp.operation == ArpPacket::REQUEST && arp.target_ip == our_ip {
@@ -1211,14 +1114,8 @@ impl Network {
             }
             ipproto::TCP => {
                 if let Some(seg) = TcpSegment::decode(&packet.payload) {
-                    let (outs, evs) = self.host_mut(node).state.tcp_input(packet.src, &seg);
-                    let conns: Vec<ConnId> = self.host(node).state.conns.keys().copied().collect();
-                    for out in outs {
-                        self.send_tcp_out(node, out);
-                    }
-                    for c in conns {
-                        self.arm_tcp_timer(node, c);
-                    }
+                    let (outs, evs, conn) = self.host_mut(node).state.tcp_input(packet.src, &seg);
+                    self.send_tcp(node, outs, conn);
                     events.extend(evs);
                 }
             }

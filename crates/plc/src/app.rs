@@ -192,9 +192,8 @@ impl PlcApp {
 
         // Poll IED reads. Grouped in a BTreeMap so the request order (and
         // with it frame timing and trace-ID assignment) is deterministic.
-        let reads = self.reads.clone();
         let mut per_server: BTreeMap<Ipv4Addr, Vec<String>> = BTreeMap::new();
-        for r in &reads {
+        for r in &self.reads {
             per_server.entry(r.server).or_default().push(r.item.clone());
         }
         for (server, items) in per_server {
@@ -210,8 +209,7 @@ impl PlcApp {
         // Issue controls for changed output variables. The first observation
         // of a variable only records its value: controls are edge-triggered,
         // so startup defaults never emit a spurious open/close.
-        let writes = self.writes.clone();
-        for w in &writes {
+        for w in &self.writes {
             let Some(value) = self.runtime.get(&w.variable).and_then(StValue::as_bool) else {
                 continue;
             };

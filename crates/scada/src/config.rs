@@ -248,65 +248,6 @@ impl ScadaConfig {
         Ok(config)
     }
 
-    /// Serializes back to SCADA Config XML.
-    pub fn to_xml(&self) -> String {
-        let mut doc = Document::new("ScadaConfig");
-        let root = doc.root_id();
-        doc.set_attr(root, "name", &self.name);
-        for source in &self.sources {
-            let s = doc.add_element(root, "DataSource");
-            doc.set_attr(s, "name", &source.name);
-            match &source.protocol {
-                SourceProtocol::Modbus { unit } => {
-                    doc.set_attr(s, "type", "MODBUS");
-                    doc.set_attr(s, "unit", &unit.to_string());
-                }
-                SourceProtocol::Mms => doc.set_attr(s, "type", "MMS"),
-            }
-            doc.set_attr(s, "ip", &source.ip);
-            doc.set_attr(s, "port", &source.port.to_string());
-            doc.set_attr(s, "pollMs", &source.poll_ms.to_string());
-            for point in &source.points {
-                let p = doc.add_element(s, "Point");
-                doc.set_attr(p, "name", &point.name);
-                match &point.address {
-                    PointAddress::Modbus { kind, address } => {
-                        doc.set_attr(p, "kind", kind.name());
-                        doc.set_attr(p, "address", &address.to_string());
-                    }
-                    PointAddress::Mms { item } => doc.set_attr(p, "item", item),
-                }
-                if point.scale != 1.0 {
-                    doc.set_attr(p, "scale", &point.scale.to_string());
-                }
-                if point.deadband != 0.0 {
-                    doc.set_attr(p, "deadband", &point.deadband.to_string());
-                }
-                if point.writable {
-                    doc.set_attr(p, "writable", "true");
-                }
-            }
-        }
-        for alarm in &self.alarms {
-            let a = doc.add_element(root, "Alarm");
-            doc.set_attr(a, "point", &alarm.point);
-            match alarm.kind {
-                AlarmKind::High(limit) => {
-                    doc.set_attr(a, "kind", "high");
-                    doc.set_attr(a, "limit", &limit.to_string());
-                }
-                AlarmKind::Low(limit) => {
-                    doc.set_attr(a, "kind", "low");
-                    doc.set_attr(a, "limit", &limit.to_string());
-                }
-                AlarmKind::StateTrue => doc.set_attr(a, "kind", "true"),
-                AlarmKind::StateFalse => doc.set_attr(a, "kind", "false"),
-            }
-            doc.set_attr(a, "message", &alarm.message);
-        }
-        doc.to_xml()
-    }
-
     /// Translates to the ScadaBR-style import JSON the paper's script emits
     /// (`dataSources` + `dataPoints` arrays).
     pub fn to_scadabr_json(&self) -> String {
@@ -422,14 +363,6 @@ mod tests {
         assert_eq!(config.sources[1].port, 102);
         assert_eq!(config.alarms.len(), 2);
         assert_eq!(config.alarms[0].kind, AlarmKind::High(50.0));
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let config = ScadaConfig::parse(SAMPLE).unwrap();
-        let text = config.to_xml();
-        let reparsed = ScadaConfig::parse(&text).unwrap();
-        assert_eq!(reparsed, config);
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl ScadaApp {
     }
 
     fn poll_source(&mut self, ctx: &mut HostCtx<'_>, index: usize) {
-        let source = self.config.sources[index].clone();
+        let source = &self.config.sources[index];
         match &mut self.links[index] {
             SourceLink::Modbus { client, conn, unit } => {
                 if let Some(conn) = *conn {

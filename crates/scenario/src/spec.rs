@@ -2,7 +2,7 @@
 //!
 //! Styled after the Power System Extra Config schema
 //! (`crates/core/src/sgml/power_extra.rs`): a flat XML document, camelCase
-//! attributes, parsed with `sgcr-xml` and writable back out losslessly.
+//! attributes, parsed with `sgcr-xml`.
 //! Every parsed element keeps its source position so `sgcr-lint` can anchor
 //! findings to real `file:line:column` spans.
 //!
@@ -468,42 +468,6 @@ impl Scenario {
         }
         Ok(scenario)
     }
-
-    /// Serializes back to XML (the inverse of [`Scenario::parse`]).
-    pub fn to_xml(&self) -> String {
-        let mut doc = Document::new("Scenario");
-        let root = doc.root_id();
-        doc.set_attr(root, "name", &self.name);
-        if !self.description.is_empty() {
-            doc.set_attr(root, "description", &self.description);
-        }
-        doc.set_attr(root, "durationMs", &self.duration_ms.to_string());
-        if let Some(seed) = self.fault_seed {
-            doc.set_attr(root, "faultSeed", &seed.to_string());
-        }
-        if let Some(stale) = self.stale_ms {
-            doc.set_attr(root, "staleMs", &stale.to_string());
-        }
-        for host in &self.hosts {
-            let e = doc.add_element(root, "Host");
-            doc.set_attr(e, "name", &host.name);
-            doc.set_attr(e, "ip", &host.ip.to_string());
-            doc.set_attr(e, "switch", &host.switch);
-        }
-        if let Some(adv) = &self.adversary {
-            let e = doc.add_element(root, "Adversary");
-            doc.set_attr(e, "goal", &adv.goal);
-            doc.set_attr(e, "budget", &adv.budget.to_string());
-            doc.set_attr(e, "seed", &adv.seed.to_string());
-        }
-        for stage in &self.stages {
-            write_stage(&mut doc, root, stage);
-        }
-        for objective in &self.objectives {
-            write_objective(&mut doc, root, objective);
-        }
-        doc.to_xml()
-    }
 }
 
 fn attr_req(el: &ElementRef<'_>, element: &str, name: &str) -> Result<String, ScenarioError> {
@@ -735,213 +699,6 @@ fn parse_objective(el: &ElementRef<'_>) -> Result<Objective, ScenarioError> {
     })
 }
 
-fn write_stage(doc: &mut Document, root: sgcr_xml::NodeId, stage: &Stage) {
-    let e = doc.add_element(root, "Stage");
-    doc.set_attr(e, "id", &stage.id);
-    match &stage.start {
-        StageStart::At(t) => doc.set_attr(e, "t", &t.to_string()),
-        StageStart::After { stage, delay_ms } => {
-            doc.set_attr(e, "after", stage);
-            if *delay_ms != 0 {
-                doc.set_attr(e, "delayMs", &delay_ms.to_string());
-            }
-        }
-    }
-    doc.set_attr(e, "kind", stage.action.kind());
-    match &stage.action {
-        StageAction::Power(action) => {
-            let (name, target, value) = match action {
-                ScenarioAction::OpenSwitch(t) => ("openSwitch", t, None),
-                ScenarioAction::CloseSwitch(t) => ("closeSwitch", t, None),
-                ScenarioAction::LineOutage(t) => ("lineOutage", t, None),
-                ScenarioAction::LineRestore(t) => ("lineRestore", t, None),
-                ScenarioAction::GenLoss(t) => ("genLoss", t, None),
-                ScenarioAction::GenRestore(t) => ("genRestore", t, None),
-                ScenarioAction::SetLoadP(t, v) => ("setLoad", t, Some(*v)),
-            };
-            doc.set_attr(e, "action", name);
-            doc.set_attr(e, "target", target);
-            if let Some(v) = value {
-                doc.set_attr(e, "value", &v.to_string());
-            }
-        }
-        StageAction::Fci {
-            host,
-            victim,
-            item,
-            value,
-            interrogate,
-        } => {
-            doc.set_attr(e, "host", host);
-            doc.set_attr(e, "victim", victim);
-            doc.set_attr(e, "item", item);
-            doc.set_attr(e, "value", &value.to_string());
-            doc.set_attr(e, "interrogate", &interrogate.to_string());
-        }
-        StageAction::Mitm {
-            host,
-            victim_a,
-            victim_b,
-            duration_ms,
-            transform,
-        } => {
-            doc.set_attr(e, "host", host);
-            doc.set_attr(e, "victimA", victim_a);
-            doc.set_attr(e, "victimB", victim_b);
-            if *duration_ms != 0 {
-                doc.set_attr(e, "durationMs", &duration_ms.to_string());
-            }
-            match transform {
-                TransformSpec::PassThrough => doc.set_attr(e, "transform", "passThrough"),
-                TransformSpec::ScaleModbusRegisters(f) => {
-                    doc.set_attr(e, "transform", "scaleModbusRegisters");
-                    doc.set_attr(e, "factor", &f.to_string());
-                }
-                TransformSpec::SetModbusRegisters(v) => {
-                    doc.set_attr(e, "transform", "setModbusRegisters");
-                    doc.set_attr(e, "value", &v.to_string());
-                }
-                TransformSpec::ScaleMmsFloats(f) => {
-                    doc.set_attr(e, "transform", "scaleMmsFloats");
-                    doc.set_attr(e, "factor", &f.to_string());
-                }
-                TransformSpec::Drop => doc.set_attr(e, "transform", "drop"),
-            }
-        }
-        StageAction::Scan {
-            host,
-            first,
-            last,
-            ports,
-        } => {
-            doc.set_attr(e, "host", host);
-            doc.set_attr(e, "first", &first.to_string());
-            doc.set_attr(e, "last", &last.to_string());
-            let ports: Vec<String> = ports.iter().map(u16::to_string).collect();
-            doc.set_attr(e, "ports", &ports.join(","));
-        }
-        StageAction::Link { a, b, effect } => {
-            doc.set_attr(e, "a", a);
-            doc.set_attr(e, "b", b);
-            match effect {
-                LinkEffect::Down => doc.set_attr(e, "action", "down"),
-                LinkEffect::Up => doc.set_attr(e, "action", "up"),
-                LinkEffect::Delay { latency_ms } => {
-                    doc.set_attr(e, "action", "delay");
-                    doc.set_attr(e, "latencyMs", &latency_ms.to_string());
-                }
-            }
-        }
-        StageAction::LinkFault { a, b, fault } => {
-            doc.set_attr(e, "a", a);
-            doc.set_attr(e, "b", b);
-            if fault.loss > 0.0 {
-                doc.set_attr(e, "loss", &fault.loss.to_string());
-            }
-            if fault.corrupt > 0.0 {
-                doc.set_attr(e, "corrupt", &fault.corrupt.to_string());
-            }
-            if fault.duplicate > 0.0 {
-                doc.set_attr(e, "duplicate", &fault.duplicate.to_string());
-            }
-            if fault.jitter_ns > 0 {
-                doc.set_attr(e, "jitterMs", &(fault.jitter_ns / 1_000_000).to_string());
-            }
-            if fault.flap_period_ns > 0 {
-                doc.set_attr(
-                    e,
-                    "flapPeriodMs",
-                    &(fault.flap_period_ns / 1_000_000).to_string(),
-                );
-            }
-            if fault.flap_down_ns > 0 {
-                doc.set_attr(
-                    e,
-                    "flapDownMs",
-                    &(fault.flap_down_ns / 1_000_000).to_string(),
-                );
-            }
-        }
-        StageAction::Crash {
-            host,
-            restart_after_ms,
-        } => {
-            doc.set_attr(e, "host", host);
-            if let Some(ms) = restart_after_ms {
-                doc.set_attr(e, "restartAfterMs", &ms.to_string());
-            }
-        }
-        StageAction::Sensor { ied, key, fault } => {
-            doc.set_attr(e, "ied", ied);
-            doc.set_attr(e, "key", key);
-            match fault {
-                Some(SensorFault::Stuck) => doc.set_attr(e, "mode", "stuck"),
-                Some(SensorFault::Drift { per_sec }) => {
-                    doc.set_attr(e, "mode", "drift");
-                    doc.set_attr(e, "perSec", &per_sec.to_string());
-                }
-                None => doc.set_attr(e, "mode", "clear"),
-            }
-        }
-    }
-}
-
-fn write_objective(doc: &mut Document, root: sgcr_xml::NodeId, objective: &Objective) {
-    let e = doc.add_element(root, "Objective");
-    doc.set_attr(e, "id", &objective.id);
-    match &objective.check {
-        Check::BreakerOpen { switch } => {
-            doc.set_attr(e, "kind", "breakerOpen");
-            doc.set_attr(e, "target", switch);
-        }
-        Check::BreakerClosed { switch } => {
-            doc.set_attr(e, "kind", "breakerClosed");
-            doc.set_attr(e, "target", switch);
-        }
-        Check::ScadaAlarm { point } => {
-            doc.set_attr(e, "kind", "scadaAlarm");
-            doc.set_attr(e, "point", point);
-        }
-        Check::IedTrip { ied } => {
-            doc.set_attr(e, "kind", "iedTrip");
-            doc.set_attr(e, "ied", ied);
-        }
-        Check::TagAbove { point, value } => {
-            doc.set_attr(e, "kind", "tagAbove");
-            doc.set_attr(e, "point", point);
-            doc.set_attr(e, "value", &value.to_string());
-        }
-        Check::TagBelow { point, value } => {
-            doc.set_attr(e, "kind", "tagBelow");
-            doc.set_attr(e, "point", point);
-            doc.set_attr(e, "value", &value.to_string());
-        }
-        Check::VoltageBand {
-            bus,
-            min_pu,
-            max_pu,
-            from_ms,
-            to_ms,
-        } => {
-            doc.set_attr(e, "kind", "voltageBand");
-            doc.set_attr(e, "bus", bus);
-            doc.set_attr(e, "min", &min_pu.to_string());
-            doc.set_attr(e, "max", &max_pu.to_string());
-            doc.set_attr(e, "fromMs", &from_ms.to_string());
-            doc.set_attr(e, "toMs", &to_ms.to_string());
-        }
-    }
-    if let Some(stage) = &objective.after {
-        doc.set_attr(e, "after", stage);
-    }
-    if !matches!(objective.check, Check::VoltageBand { .. }) {
-        doc.set_attr(e, "withinMs", &objective.within_ms.to_string());
-    }
-    if objective.points != 1 {
-        doc.set_attr(e, "points", &objective.points.to_string());
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -1029,31 +786,6 @@ mod tests {
         // Positions recorded for lint spans.
         assert!(s.stages[0].pos.line > 0);
         assert!(s.objectives[0].pos.line > 0);
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let s = Scenario::parse(SAMPLE).unwrap();
-        let text = s.to_xml();
-        let reparsed = Scenario::parse(&text).unwrap();
-        // Positions differ between the hand-written and generated XML;
-        // compare with positions cleared.
-        let strip = |mut s: Scenario| {
-            for h in &mut s.hosts {
-                h.pos = Pos::default();
-            }
-            if let Some(a) = &mut s.adversary {
-                a.pos = Pos::default();
-            }
-            for st in &mut s.stages {
-                st.pos = Pos::default();
-            }
-            for o in &mut s.objectives {
-                o.pos = Pos::default();
-            }
-            s
-        };
-        assert_eq!(strip(reparsed), strip(s));
     }
 
     #[test]

@@ -127,15 +127,18 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
 /// 603 KiB (617,036 B) since the range hands every device one degradation
 /// signal and each IED its host node's name, finds hosts through the
 /// network's index, and keeps one copy of the latest solution. It measures
-/// 568 KiB (581,139 B) since the solver keeps no copy of the network; the
-/// bound, 639 KiB before, leaves 10% headroom.
-const PAPER_TENANT_BOUND: isize = 625 * 1024;
+/// 568 KiB (581,139 B) since the solver keeps no copy of the network, and
+/// 564 KiB (577,779 B) since each host keeps its connections in a table
+/// indexed by id and the network keeps no set of armed TCP timers and no
+/// second queue for ticks. The bound, 625 KiB before, leaves 10% headroom.
+const PAPER_TENANT_BOUND: isize = 621 * 1024;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
 /// shared, 54 KiB (55,402 B) with parkable ticks, 54 KiB (55,671 B) with
 /// per-app IED names, 52 KiB (53,478 B) with the shared signal, names and
-/// solution, 51 KiB (52,010 B) without the solver's copy of the network.
-/// The bound, 56 KiB before, leaves 8% headroom: 10% rounds up to 56 KiB.
+/// solution, 51 KiB (52,010 B) without the solver's copy of the network,
+/// 50 KiB (51,674 B; 51,994 B before, measured alike) with the connection
+/// table. The bound stays 55 KiB, 9% headroom: 10% rounds up to 56 KiB.
 const EPIC_TENANT_BOUND: isize = 55 * 1024;
 
 #[test]
@@ -170,18 +173,24 @@ fn allocations_per_step(range: &mut CyberRange) -> f64 {
 
 /// A quiescent paper step, steps 100–200, telemetry off: a debug build
 /// measured 48.2 allocations per step while the replayed solve cloned its
-/// result, and measures 45.2. Each bound here leaves 10% headroom.
-const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 49.7;
+/// result, and 45.2 until the network stopped collecting per event (a
+/// switch's out-ports, every connection id per TCP segment) and the SCADA
+/// poll stopped cloning its data source: 37.0 with the network change
+/// alone, 34.5 with both. Each bound here leaves 10% headroom (49.7 before).
+const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 37.9;
 
 /// An EPIC step from step 1,200, telemetry off: 361.9 per step while a
-/// replay cloned its result, 358.9 since.
-const EPIC_STEP_ALLOCS: f64 = 395.0;
+/// replay cloned its result, 358.9 until the network stopped collecting per
+/// event, 298.9 since, and 284.3 since the PLC scan and the SCADA poll stop
+/// cloning their configuration (the bound was 395).
+const EPIC_STEP_ALLOCS: f64 = 313.0;
 
 /// The paper step that applies a breaker command written through the store
 /// at step 100: 888 allocations, most of them the re-solve of the new
 /// topology and the IEDs that sample it; 887 since the solver no longer
-/// copies the changed breaker into a record (the bound was 976).
-const PAPER_COMMAND_STEP_ALLOCS: u64 = 975;
+/// copies the changed breaker into a record, and 810 since the network
+/// collects nothing per event (the bound was 975).
+const PAPER_COMMAND_STEP_ALLOCS: u64 = 891;
 
 fn paper_tenant() -> CyberRange {
     let bundle = multisub_bundle(&MultiSubParams::paper_profile());
@@ -280,9 +289,12 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// telemetry off), and the render makes one allocation. Since a replayed
 /// solve copies nothing it measures 1,620 KiB (1,658,803 B) and 358.8 per
 /// step, and 1,618 KiB (1,657,335 B) since the solver keeps no copy of the
-/// network (the bound was 1,782 KiB). Each bound leaves 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_781 * 1024;
-const EPIC_JOURNALED_STEP_ALLOCS: f64 = 395.0;
+/// network. Since the network collects nothing per event and the device
+/// apps clone no configuration it measures 1,617 KiB (1,656,271 B) and
+/// 284.2 per step (358.8 before; the bounds were 1,781 KiB and 395). Each
+/// bound leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_780 * 1024;
+const EPIC_JOURNALED_STEP_ALLOCS: f64 = 313.0;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 
 #[test]

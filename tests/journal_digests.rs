@@ -13,6 +13,7 @@
 
 use sg_cyber_range::core::{fnv1a_64, CompiledModel, CyberRange, RangeBuilder, SgmlBundle};
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
+use sg_cyber_range::net::{pcap, Dispatched, SimDuration};
 use sg_cyber_range::obs::Telemetry;
 use sg_cyber_range::scenario::{run_exercise, Scenario};
 use std::time::Duration;
@@ -134,5 +135,59 @@ fn epic_mitm_exercise() {
     assert_eq!(
         exercise("epic_mitm.scenario.xml"),
         ((4_848, 0x71c7b6647fccb383), 0xc2ee3ffb4819d800)
+    );
+}
+
+/// The wire, pinned: journals record packet sizes, not packet bytes, so the
+/// length and digest of the pcap that `examples/capture_traffic.rs` writes
+/// (EPIC, 5 s, taps on SCADA and GIED1, telemetry off) guard every byte.
+#[test]
+fn epic_capture_pcap() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("the bundle compiles");
+    let mut range = CyberRange::instantiate(model).expect("the range instantiates");
+    let scada = range.node("SCADA").expect("SCADA host");
+    let gied1 = range.node("GIED1").expect("GIED1 host");
+    range.net.enable_capture(scada);
+    range.net.enable_capture(gied1);
+    range.run_for(SimDuration::from_secs(5));
+    let pcap_of = |node| {
+        let pcap = pcap::to_pcap(range.net.captured(node));
+        (pcap.len(), fnv1a_64(&pcap))
+    };
+    assert_eq!(
+        (pcap_of(scada), pcap_of(gied1)),
+        ((15_893, 0xe499747efcab79f2), (16_058, 0x682195df6c9fce3b))
+    );
+}
+
+/// The events the network dispatched, by kind, telemetry off.
+fn dispatched_at(bundle: &SgmlBundle, steps: u64) -> Dispatched {
+    let model = CompiledModel::shared(bundle).expect("the bundle compiles");
+    let mut range = CyberRange::instantiate(model).expect("the range instantiates");
+    step_to(&mut range, steps);
+    range.net.dispatched()
+}
+
+#[test]
+fn epic_dispatched_to_step_1200() {
+    assert_eq!(
+        dispatched_at(&epic_bundle(), 1_200),
+        Dispatched {
+            app_timers: 5_812,
+            tcp_timers: 3_358,
+            frames: 69_121,
+        }
+    );
+}
+
+#[test]
+fn paper_dispatched_to_step_1000() {
+    assert_eq!(
+        dispatched_at(&multisub_bundle(&MultiSubParams::paper_profile()), 1_000),
+        Dispatched {
+            app_timers: 2_708,
+            tcp_timers: 1_000,
+            frames: 7_822,
+        }
     );
 }
