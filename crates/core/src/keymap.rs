@@ -97,42 +97,75 @@ pub fn gen_cmd_key(name: &str) -> String {
 /// Key of the range's step counter.
 pub const SIM_STEP_KEY: &str = "sim/step";
 
-/// Every key the power stepper publishes or reads for one power model.
-/// Built once per [`CompiledModel`](crate::CompiledModel) and shared by all
-/// its tenants; each tenant resolves it to store slots once
-/// ([`Publish::slots`]), so a step formats and hashes no keys.
-pub(crate) type PublishKeys = Publish<String>;
-
-/// [`PublishKeys`] resolved against one tenant's store.
-pub(crate) type PublishSlots = Publish<Slot>;
-
-/// One entry per published measurement of a power model, indexed like the
-/// model's element tables. A controllable element pairs its measurement
+/// The store slot of every measurement the power stepper publishes, and of
+/// every command it reads, for one power model: one entry per element,
+/// indexed like the model's element tables. Built once per
+/// [`CompiledModel`](crate::CompiledModel) against its template store and
+/// shared by every tenant, whose store is a fork of that template, so a
+/// tenant resolves no key. A controllable element pairs its measurement
 /// with its command, which is `None` when an earlier element has the same
 /// command key: a key commands the first element that has it, a gen before
 /// an sgen.
-#[derive(Debug, Clone)]
-pub(crate) struct Publish<K> {
+#[derive(Debug)]
+pub(crate) struct Publish {
     /// Per switch: position feedback, close command.
-    pub(crate) switch: Vec<(K, Option<K>)>,
+    pub(crate) switch: Vec<(Slot, Option<Slot>)>,
     /// Per bus: voltage magnitude, angle.
-    pub(crate) bus: Vec<[K; 2]>,
+    pub(crate) bus: Vec<[Slot; 2]>,
     /// Per line, then per trafo: active power, reactive power, current,
     /// loading.
-    pub(crate) line: Vec<[K; 4]>,
-    pub(crate) trafo: Vec<[K; 4]>,
+    pub(crate) line: Vec<[Slot; 4]>,
+    pub(crate) trafo: Vec<[Slot; 4]>,
     /// Per ext grid: supplied active power.
-    pub(crate) ext_grid: Vec<K>,
+    pub(crate) ext_grid: Vec<Slot>,
     /// Per gen, sgen: supplied active power, set-point command.
-    pub(crate) gen: Vec<(K, Option<K>)>,
-    pub(crate) sgen: Vec<(K, Option<K>)>,
+    pub(crate) gen: Vec<(Slot, Option<Slot>)>,
+    pub(crate) sgen: Vec<(Slot, Option<Slot>)>,
     /// Per load: actual demand, set-point command.
-    pub(crate) load: Vec<(K, Option<K>)>,
+    pub(crate) load: Vec<(Slot, Option<Slot>)>,
     /// The step counter.
-    pub(crate) sim_step: K,
+    pub(crate) sim_step: Slot,
 }
 
-impl<K> Publish<K> {
+impl Publish {
+    /// Resolves the keys of every element of `power` to their slots in
+    /// `store`, interning the keys `store` lacks.
+    pub(crate) fn new(power: &PowerNetwork, store: &ProcessStore) -> Publish {
+        let slot = |key: String| store.slot(&key);
+        let branch = |name: &str| {
+            let keys = [branch_p_key, branch_q_key, branch_i_key, branch_loading_key];
+            keys.map(|key| slot(key(name)))
+        };
+        let mut commanded = HashSet::new();
+        let mut controlled = |meas: String, cmd: String| {
+            let (meas, cmd) = (slot(meas), slot(cmd));
+            (meas, commanded.insert(cmd).then_some(cmd))
+        };
+        Publish {
+            switch: (power.switch.iter())
+                .map(|s| controlled(breaker_state_key(&s.name), breaker_cmd_key(&s.name)))
+                .collect(),
+            bus: (power.bus.iter())
+                .map(|b| [bus_vm_key(&b.name), bus_va_key(&b.name)].map(slot))
+                .collect(),
+            line: power.line.iter().map(|l| branch(&l.name)).collect(),
+            trafo: power.trafo.iter().map(|t| branch(&t.name)).collect(),
+            ext_grid: (power.ext_grid.iter())
+                .map(|e| slot(source_p_key(&e.name)))
+                .collect(),
+            gen: (power.gen.iter())
+                .map(|g| controlled(source_p_key(&g.name), gen_cmd_key(&g.name)))
+                .collect(),
+            sgen: (power.sgen.iter())
+                .map(|s| controlled(source_p_key(&s.name), gen_cmd_key(&s.name)))
+                .collect(),
+            load: (power.load.iter())
+                .map(|l| controlled(load_p_key(&l.name), load_cmd_key(&l.name)))
+                .collect(),
+            sim_step: store.slot(SIM_STEP_KEY),
+        }
+    }
+
     /// Whether this table has one entry per element of `power`.
     pub(crate) fn fits(&self, power: &PowerNetwork) -> bool {
         self.switch.len() == power.switch.len()
@@ -143,91 +176,6 @@ impl<K> Publish<K> {
             && self.gen.len() == power.gen.len()
             && self.sgen.len() == power.sgen.len()
             && self.load.len() == power.load.len()
-    }
-}
-
-impl PublishKeys {
-    pub(crate) fn new(power: &PowerNetwork) -> PublishKeys {
-        let branch = |name: &str| {
-            [
-                branch_p_key(name),
-                branch_q_key(name),
-                branch_i_key(name),
-                branch_loading_key(name),
-            ]
-        };
-        let mut commanded = HashSet::new();
-        let mut command = |key: String| commanded.insert(key.clone()).then_some(key);
-        Publish {
-            switch: power
-                .switch
-                .iter()
-                .map(|s| {
-                    (
-                        breaker_state_key(&s.name),
-                        command(breaker_cmd_key(&s.name)),
-                    )
-                })
-                .collect(),
-            bus: power
-                .bus
-                .iter()
-                .map(|b| [bus_vm_key(&b.name), bus_va_key(&b.name)])
-                .collect(),
-            line: power.line.iter().map(|l| branch(&l.name)).collect(),
-            trafo: power.trafo.iter().map(|t| branch(&t.name)).collect(),
-            ext_grid: power
-                .ext_grid
-                .iter()
-                .map(|e| source_p_key(&e.name))
-                .collect(),
-            gen: power
-                .gen
-                .iter()
-                .map(|g| (source_p_key(&g.name), command(gen_cmd_key(&g.name))))
-                .collect(),
-            sgen: power
-                .sgen
-                .iter()
-                .map(|s| (source_p_key(&s.name), command(gen_cmd_key(&s.name))))
-                .collect(),
-            load: power
-                .load
-                .iter()
-                .map(|l| (load_p_key(&l.name), command(load_cmd_key(&l.name))))
-                .collect(),
-            sim_step: SIM_STEP_KEY.to_string(),
-        }
-    }
-
-    /// Resolves every key to its slot in `store`.
-    pub(crate) fn slots(&self, store: &ProcessStore) -> PublishSlots {
-        let slot = |key: &String| store.slot(key);
-        let controlled =
-            |(meas, cmd): &(String, Option<String>)| (slot(meas), cmd.as_ref().map(slot));
-        Publish {
-            switch: self.switch.iter().map(controlled).collect(),
-            bus: self
-                .bus
-                .iter()
-                .map(|keys| keys.each_ref().map(slot))
-                .collect(),
-            line: self
-                .line
-                .iter()
-                .map(|keys| keys.each_ref().map(slot))
-                .collect(),
-            trafo: self
-                .trafo
-                .iter()
-                .map(|keys| keys.each_ref().map(slot))
-                .collect(),
-            ext_grid: self.ext_grid.iter().map(slot).collect(),
-            gen: self.gen.iter().map(controlled).collect(),
-            sgen: self.sgen.iter().map(controlled).collect(),
-            load: self.load.iter().map(controlled).collect(),
-            sim_step: slot(&self.sim_step),
-        }
     }
 }
 
@@ -259,13 +207,18 @@ mod tests {
         power.add_load("S1/L", bus, 2.0, 0.0);
         power.add_sgen("S1/G", bus, 1.0, 0.0);
         power.add_gen("S1/G", bus, 1.0, 1.0);
-        let keys = PublishKeys::new(&power);
-        let commands = |table: &[(String, Option<String>)]| {
-            table.iter().map(|(_, cmd)| cmd.clone()).collect::<Vec<_>>()
-        };
-        let load = load_cmd_key("S1/L");
-        assert_eq!(commands(&keys.load), [Some(load), None]);
-        assert_eq!(commands(&keys.gen), [Some(gen_cmd_key("S1/G"))]);
-        assert_eq!(commands(&keys.sgen), [None], "a gen comes before an sgen");
+        let store = ProcessStore::new();
+        let publish = Publish::new(&power, &store);
+        let commands =
+            |table: &[(Slot, Option<Slot>)]| table.iter().map(|&(_, cmd)| cmd).collect::<Vec<_>>();
+        let load = store.slot(&load_cmd_key("S1/L"));
+        assert_eq!(commands(&publish.load), [Some(load), None]);
+        let gen = store.slot(&gen_cmd_key("S1/G"));
+        assert_eq!(commands(&publish.gen), [Some(gen)]);
+        assert_eq!(
+            commands(&publish.sgen),
+            [None],
+            "a gen comes before an sgen"
+        );
     }
 }

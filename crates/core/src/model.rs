@@ -10,7 +10,9 @@
 //! clones the pristine power model and stamps out fresh virtual devices
 //! from the compiled blueprints. Each IED's IEC 61850 data model is built
 //! here too: its attribute tree is shared by every tenant, which owns only
-//! the leaf values.
+//! the leaf values. So is the process store's key index: every key a tenant
+//! reads or writes is resolved to its slot here, in a template store, and
+//! each tenant's store is a fork of it.
 //!
 //! This is the model/state split behind the multi-tenant range farm: the
 //! compiled model is the paper's "generated cyber range" as a reusable
@@ -22,10 +24,11 @@ use crate::compile::ied::compile_ied;
 use crate::compile::network::{compile_network, NetworkPlan};
 use crate::compile::power::compile_power;
 use crate::fingerprint::Fingerprint;
-use crate::keymap::PublishKeys;
+use crate::keymap::Publish;
 use crate::parsed::ParsedBundle;
 use crate::range::{RangeError, SgmlBundle};
 use sgcr_ied::{IedModel, IedSpec};
+use sgcr_kvstore::ProcessStore;
 use sgcr_net::SimDuration;
 use sgcr_plc::{GooseBinding, MmsReadBinding, MmsWriteBinding, Program};
 use sgcr_powerflow::{PowerNetwork, SimulationSchedule};
@@ -95,8 +98,8 @@ pub struct CompiledModel {
     pub ieds: Vec<IedSpec>,
     /// The IED models built from `ieds` when the model compiled, in the
     /// same order. Every tenant's IED apps run these: they share each
-    /// model's attribute tree, spec and leaf handles, and copy only its
-    /// leaf values.
+    /// model's attribute tree, spec, leaf handles and store slots, and copy
+    /// only its leaf values.
     pub(crate) ied_models: Vec<Arc<IedModel>>,
     /// Compiled virtual PLCs, in config order.
     pub plcs: Vec<CompiledPlc>,
@@ -105,8 +108,12 @@ pub struct CompiledModel {
     /// All diagnostics accumulated while compiling (warnings only — an
     /// error-severity diagnostic fails compilation).
     pub diagnostics: Vec<Diagnostic>,
-    /// The store keys of every measurement of `power`, shared by tenants.
-    pub(crate) publish_keys: Arc<PublishKeys>,
+    /// The template store: every key the IED models and `publish` resolved,
+    /// and no entry. Each tenant's store is a fork of it.
+    pub(crate) store: ProcessStore,
+    /// The store slots of every measurement and command of `power`, shared
+    /// by every tenant whose power model keeps its shape.
+    pub(crate) publish: Arc<Publish>,
 }
 
 impl CompiledModel {
@@ -197,12 +204,13 @@ impl CompiledModel {
             ieds.push(spec);
         }
 
-        // Each IED's data model, built once for every tenant. The bundle
-        // rules checked every item above; a caller that skipped them gets
-        // the first bad item as an error.
+        // Each IED's data model and store slots, built once for every
+        // tenant. The bundle rules checked every item above; a caller that
+        // skipped them gets the first bad item as an error.
+        let store = ProcessStore::new();
         let ied_models = ieds
             .iter()
-            .map(|spec| IedModel::build(spec.clone()).map(Arc::new))
+            .map(|spec| IedModel::build(spec.clone(), &store).map(Arc::new))
             .collect::<Result<_, _>>()
             .map_err(|detail| RangeError::Model {
                 what: "IED data model",
@@ -262,7 +270,8 @@ impl CompiledModel {
         });
 
         Ok(CompiledModel {
-            publish_keys: Arc::new(PublishKeys::new(&power)),
+            publish: Arc::new(Publish::new(&power, &store)),
+            store,
             power,
             plan,
             schedule,

@@ -5,10 +5,11 @@
 //! tenant's clone of the power model, step counters, fault plans —
 //! while everything derived from the model files stays in the shared
 //! immutable [`CompiledModel`](crate::CompiledModel). Instantiation clones
-//! the pristine power model and stamps out fresh device instances from the
-//! compiled blueprints; no XML or Structured Text is ever re-parsed.
+//! the pristine power model, forks the model's template store and stamps
+//! out fresh device instances from the compiled blueprints; no XML or
+//! Structured Text is ever re-parsed, and no store key is resolved.
 
-use crate::keymap::{PublishKeys, PublishSlots};
+use crate::keymap::Publish;
 use crate::model::CompiledModel;
 use crate::range::RangeError;
 use sgcr_faults::{DegradationSignal, LinkFault, SensorFault};
@@ -23,6 +24,7 @@ use sgcr_powerflow::{
 };
 use sgcr_scada::{ScadaApp, ScadaHandle};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-tenant instantiation settings — everything about a range that is
@@ -47,7 +49,8 @@ pub struct RangeSettings {
 pub struct RangeState {
     /// The emulated network (attach attacker tools, capture traffic, …).
     pub net: Network,
-    /// The cyber↔physical process cache.
+    /// The cyber↔physical process cache: a fork of the compiled model's
+    /// template store, so every slot the model resolved is valid in it.
     pub store: ProcessStore,
     /// This tenant's physical model (cloned from the compiled model). Any
     /// mutable access counts as a write, and the next step solves again
@@ -68,9 +71,9 @@ pub struct RangeState {
     /// replays that solution when `power` was not written since, and holds
     /// the tenant's one copy of it.
     solver: Solver,
-    /// The store slot of every published measurement: the model's shared
-    /// publish keys, resolved in `store`.
-    publish_slots: PublishSlots,
+    /// The store slot of every published measurement and read command: the
+    /// model's, until `power` changes shape and the tenant resolves its own.
+    publish: Arc<Publish>,
     /// Lifetime number of power-flow steps executed.
     steps_total: u64,
     /// Lifetime number of failed re-solves (the range keeps running on the
@@ -188,7 +191,7 @@ impl RangeState {
             net.connect(id, switch_by_name[&host.switch], LinkSpec::default());
         }
 
-        let store = ProcessStore::new();
+        let store = model.store.fork();
         let interval = settings.interval.unwrap_or(model.interval);
         // One degradation flag for the whole range: it is raised while the
         // range holds a stale solution, IEDs stamp measurement quality
@@ -266,7 +269,6 @@ impl RangeState {
         }
 
         // --- Initial physical state ----------------------------------------
-        let publish_slots = model.publish_keys.slots(&store);
         let mut state = RangeState {
             net,
             store,
@@ -277,7 +279,7 @@ impl RangeState {
             plcs,
             scada,
             solver: Solver::new(),
-            publish_slots,
+            publish: model.publish.clone(),
             steps_total: 0,
             solve_errors_total: 0,
             step_budget: None,
@@ -428,7 +430,7 @@ impl RangeState {
         // Commands written by the cyber side since the last step. The cursor
         // moves past this step's own publishes below, so the next step does
         // not read them back.
-        self.refresh_publish_slots();
+        self.refresh_publish();
         if self.store.version() > self.cmd_cursor {
             self.apply_commands();
         }
@@ -456,7 +458,7 @@ impl RangeState {
                     // nothing was written since: a full publish would write
                     // only the step counter.
                     let step = Value::Int(self.steps_total as i64);
-                    self.store.set_all([(self.publish_slots.sim_step, step)]);
+                    self.store.set_all([(self.publish.sim_step, step)]);
                 } else {
                     self.publish_switch_states();
                     self.publish_measurements();
@@ -563,7 +565,7 @@ impl RangeState {
             let p = written(cmd)?.as_float()?;
             (p.to_bits() != p_mw.to_bits()).then_some(p)
         };
-        let (power, slots) = (&mut self.power, &self.publish_slots);
+        let (power, slots) = (&mut self.power, &*self.publish);
         for (i, (_, cmd)) in slots.switch.iter().enumerate() {
             let closed = written(cmd).and_then(|v| v.as_bool());
             if let Some(closed) = closed.filter(|&c| c != power.switch[i].closed) {
@@ -587,17 +589,18 @@ impl RangeState {
         }
     }
 
-    /// Re-resolves the publish slots from this tenant's own power model if
-    /// it no longer has the compiled model's shape.
-    fn refresh_publish_slots(&mut self) {
-        if !self.publish_slots.fits(&self.power) {
-            self.publish_slots = PublishKeys::new(&self.power).slots(&self.store);
+    /// Resolves the publish slots of this tenant's own power model in its
+    /// store if the model no longer has the shape of the one they were
+    /// resolved for: the one path on which a tenant resolves keys. Each
+    /// step runs it before it reads a command or publishes.
+    fn refresh_publish(&mut self) {
+        if !self.publish.fits(&self.power) {
+            self.publish = Arc::new(Publish::new(&self.power, &self.store));
         }
     }
 
     fn publish_switch_states(&mut self) {
-        self.refresh_publish_slots();
-        let states = self.power.switch.iter().zip(&self.publish_slots.switch);
+        let states = self.power.switch.iter().zip(&self.publish.switch);
         self.store
             .set_all(states.map(|(switch, &(slot, _))| (slot, Value::Bool(switch.closed))));
     }
@@ -605,8 +608,7 @@ impl RangeState {
     /// Writes every measurement of the latest solution to the store, in one
     /// batch.
     fn publish_measurements(&mut self) {
-        self.refresh_publish_slots();
-        let (result, slots) = (self.solver.last_result(), &self.publish_slots);
+        let (result, slots) = (self.solver.last_result(), &*self.publish);
         let float = |slot: Slot, value: f64| (slot, Value::Float(value));
         let bus = result
             .bus
@@ -627,32 +629,14 @@ impl RangeState {
         let ext_grid = ext_grid.map(|(r, &slot)| float(slot, r.p_mw));
         let gen = result.gen.iter().zip(&slots.gen);
         let gen = gen.map(|(r, &(slot, _))| float(slot, r.p_mw));
-        let sgen = self
-            .power
-            .sgen
-            .iter()
-            .zip(&slots.sgen)
-            .map(|(sgen, &(slot, _))| {
-                let p = if sgen.in_service {
-                    sgen.p_mw * sgen.scaling
-                } else {
-                    0.0
-                };
-                float(slot, p)
-            });
-        let load = self
-            .power
-            .load
-            .iter()
-            .zip(&slots.load)
-            .map(|(load, &(slot, _))| {
-                let p = if load.in_service {
-                    load.p_mw * load.scaling
-                } else {
-                    0.0
-                };
-                float(slot, p)
-            });
+        // An out-of-service sgen supplies, and a load draws, nothing.
+        let scaled = |in_service: bool, p: f64| if in_service { p } else { 0.0 };
+        let sgen = self.power.sgen.iter().zip(&slots.sgen);
+        let sgen =
+            sgen.map(|(s, &(slot, _))| float(slot, scaled(s.in_service, s.p_mw * s.scaling)));
+        let load = self.power.load.iter().zip(&slots.load);
+        let load =
+            load.map(|(l, &(slot, _))| float(slot, scaled(l.in_service, l.p_mw * l.scaling)));
         let step = (slots.sim_step, Value::Int(self.steps_total as i64));
         self.store.set_all(
             bus.chain(branches)

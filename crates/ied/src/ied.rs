@@ -213,9 +213,9 @@ impl Relay {
 /// The live state of one protection function, parallel to
 /// [`IedSpec::protections`].
 enum Function {
-    /// A relay sampling one process value: the spec's input key, resolved
-    /// to its slot.
-    Relay { slot: Slot, relay: Relay },
+    /// A relay sampling one process value: the spec's input key, whose slot
+    /// the IED model holds.
+    Relay(Relay),
     /// An interlock on remote breaker states received over (R-)GOOSE.
     Cilo(Interlock),
 }
@@ -223,23 +223,17 @@ enum Function {
 impl Function {
     fn has_operated(&self) -> bool {
         match self {
-            Function::Relay { relay, .. } => relay.has_operated(),
+            Function::Relay(relay) => relay.has_operated(),
             Function::Cilo(_) => false,
         }
     }
 
     fn is_timing(&self) -> bool {
         match self {
-            Function::Relay { relay, .. } => relay.is_timing(),
+            Function::Relay(relay) => relay.is_timing(),
             Function::Cilo(_) => false,
         }
     }
-}
-
-/// A breaker's process slots.
-struct BreakerSlots {
-    state: Slot,
-    cmd: Slot,
 }
 
 /// Where one entry of the IED's own GOOSE dataset comes from.
@@ -273,8 +267,9 @@ fn breaker_named(breakers: &[BreakerMap], name: &str) -> Option<usize> {
 /// in which case a full sample would change nothing and is skipped:
 ///
 /// - it has taken a full sample before, and none of its input slots
-///   (measurements, breaker states, relay inputs, the R-SV current) was
-///   written since that sample began ([`ProcessStore::written_since`]);
+///   (measurements, breaker states, relay inputs, the R-SV current, all
+///   resolved by the model) was written since that sample began
+///   ([`ProcessStore::written_since`]);
 /// - no relay is timing;
 /// - since that sample no GOOSE or R-SV receipt reached an interlock or a
 ///   differential element, and no GOOSE stream newly expired;
@@ -311,18 +306,11 @@ pub struct VirtualIedApp {
     store: ProcessStore,
     mms: MmsServerApp,
     model: SharedModel,
-    /// The slot each measurement samples (indexed like
-    /// [`IedSpec::measurements`]).
-    measurements: Vec<Slot>,
-    /// Indexed like [`IedSpec::breakers`].
-    breakers: Vec<BreakerSlots>,
     /// Indexed like [`IedSpec::protections`].
     protections: Vec<Function>,
     goose_pub: Option<GoosePublisher>,
     goose_subs: Vec<GooseSubscriber>,
     rsv_pub: Option<SvPublisher>,
-    /// Slot of the current the R-SV stream publishes.
-    rsv_current: Option<Slot>,
     rsv_sub: Option<SvSubscriber>,
     session_tx: SessionSender,
     session_rx: HashMap<Ipv4Addr, SessionReceiver>,
@@ -341,9 +329,6 @@ pub struct VirtualIedApp {
     q_invalid: bool,
     /// GOOSE subscriptions whose TAL has already been journaled as expired.
     tal_expired: HashSet<String>,
-    /// Every store slot a sample reads: the measurements, the breaker
-    /// states, the relay inputs and the R-SV current.
-    inputs: Vec<Slot>,
     /// The store version when the last full sample began; `None` until the
     /// first.
     sampled_at: Option<u64>,
@@ -362,8 +347,8 @@ pub struct VirtualIedApp {
 }
 
 impl VirtualIedApp {
-    /// Builds the data model a spec implies and the application over it,
-    /// with telemetry disabled.
+    /// Builds the data model a spec implies, against `store`, and the
+    /// application over it, with telemetry disabled.
     ///
     /// # Panics
     ///
@@ -371,7 +356,7 @@ impl VirtualIedApp {
     /// reference; [`IedModel::build`] reports that as an error instead.
     pub fn new(spec: IedSpec, store: ProcessStore) -> (VirtualIedApp, IedHandle) {
         let name = Name::from(spec.name.as_str());
-        let ied = IedModel::build(spec).unwrap_or_else(|e| panic!("{e}"));
+        let ied = IedModel::build(spec, &store).unwrap_or_else(|e| panic!("{e}"));
         VirtualIedApp::instantiate(
             &Arc::new(ied),
             name,
@@ -383,10 +368,10 @@ impl VirtualIedApp {
 
     /// Builds the application of a built IED model over a process store,
     /// with a telemetry handle. The app gets its own copy of the model's
-    /// leaf values and shares its tree, spec and leaf handles, so apps of one
-    /// model in different ranges change only their own values. Trips,
-    /// controls, and GOOSE publications feed the `ied.*` counters and
-    /// journal [`ProtectionTrip`](sgcr_obs::Event::ProtectionTrip),
+    /// leaf values and shares its tree, spec, leaf handles and store slots,
+    /// so apps of one model in different ranges change only their own
+    /// values. Trips, controls, and GOOSE publications feed the `ied.*`
+    /// counters and journal [`ProtectionTrip`](sgcr_obs::Event::ProtectionTrip),
     /// [`ControlExecuted`](sgcr_obs::Event::ControlExecuted),
     /// [`ControlRejected`](sgcr_obs::Event::ControlRejected), and
     /// [`GooseSent`](sgcr_obs::Event::GooseSent) events tagged with `name`,
@@ -395,8 +380,10 @@ impl VirtualIedApp {
     /// measurements `invalid` while it is raised; a range hands every
     /// device the same signal.
     ///
-    /// Every store key the sample path reads is resolved to a slot here, so
-    /// sampling does no string lookups.
+    /// `store` must be the store the model was built against, one of its
+    /// clones, or a fork of it ([`ProcessStore::fork`]): the app reads and
+    /// writes through the model's slots and resolves no key. Debug builds
+    /// check that every key the model resolved has its slot in `store`.
     pub fn instantiate(
         ied: &Arc<IedModel>,
         name: Name,
@@ -406,24 +393,15 @@ impl VirtualIedApp {
     ) -> (VirtualIedApp, IedHandle) {
         let spec = &ied.spec;
         debug_assert_eq!(&*name, spec.name.as_str(), "an IED journals its own name");
+        debug_assert!(
+            ied.resolves_in(&store),
+            "IED {}: the store is not the one its model was built against, nor a fork of it",
+            spec.name
+        );
         let model = SharedModel::new(ied.model.clone());
         let events: Arc<Mutex<Vec<IedEvent>>> = Arc::default();
         let permits = Arc::new(Mutex::new(vec![false; spec.breakers.len()]));
         let now_ms = Arc::new(AtomicU64::new(0));
-
-        let measurements: Vec<Slot> = spec
-            .measurements
-            .iter()
-            .map(|m| store.slot(&m.kv_key))
-            .collect();
-        let breakers: Vec<BreakerSlots> = spec
-            .breakers
-            .iter()
-            .map(|b| BreakerSlots {
-                state: store.slot(&b.state_key),
-                cmd: store.slot(&b.cmd_key),
-            })
-            .collect();
 
         let mut server = MmsServer::new(model.clone());
         server.identity = (
@@ -440,7 +418,6 @@ impl VirtualIedApp {
             let events = events.clone();
             let permits = permits.clone();
             let now_ms = now_ms.clone();
-            let cmd_slots: Vec<Slot> = breakers.iter().map(|b| b.cmd).collect();
             let obs = telemetry.clone();
             let controls_counter = telemetry.counter("ied.controls");
             server.set_control_handler(Box::new(move |object_ref, value| {
@@ -475,7 +452,7 @@ impl VirtualIedApp {
                         return ControlDecision::Reject;
                     }
                 }
-                store.set_at(cmd_slots[index], Value::Bool(close));
+                store.set_at(ied.positions[index].cmd, Value::Bool(close));
                 controls_counter.inc();
                 let detail = format!("{} {}", if close { "close" } else { "open" }, breaker.name);
                 events.lock().push(IedEvent {
@@ -491,61 +468,40 @@ impl VirtualIedApp {
             }));
         }
 
-        let delay = sgcr_net::SimDuration::from_millis;
+        let delay = |ms: &u64| sgcr_net::SimDuration::from_millis(*ms);
         let protections: Vec<Function> = spec
             .protections
             .iter()
             .map(|p| {
-                let relay = |key: &str, relay: Relay| Function::Relay {
-                    slot: store.slot(key),
-                    relay,
-                };
-                match p {
+                Function::Relay(match p {
                     ProtectionSpec::Ptoc {
-                        measurement_key,
-                        pickup,
-                        delay_ms,
-                        ..
-                    } => relay(
-                        measurement_key,
-                        Relay::Overcurrent(OvercurrentRelay::new(
-                            *pickup,
-                            OvercurrentCurve::DefiniteTime {
-                                delay: delay(*delay_ms),
-                            },
-                        )),
-                    ),
+                        pickup, delay_ms, ..
+                    } => {
+                        let curve = OvercurrentCurve::DefiniteTime {
+                            delay: delay(delay_ms),
+                        };
+                        Relay::Overcurrent(OvercurrentRelay::new(*pickup, curve))
+                    }
                     ProtectionSpec::Ptov {
-                        voltage_key,
-                        threshold_pu,
+                        threshold_pu: t,
                         delay_ms,
                         ..
-                    } => relay(
-                        voltage_key,
-                        Relay::Voltage(VoltageRelay::over(*threshold_pu, delay(*delay_ms))),
-                    ),
+                    } => Relay::Voltage(VoltageRelay::over(*t, delay(delay_ms))),
                     ProtectionSpec::Ptuv {
-                        voltage_key,
-                        threshold_pu,
+                        threshold_pu: t,
                         delay_ms,
                         ..
-                    } => relay(
-                        voltage_key,
-                        Relay::Voltage(VoltageRelay::under(*threshold_pu, delay(*delay_ms))),
-                    ),
+                    } => Relay::Voltage(VoltageRelay::under(*t, delay(delay_ms))),
                     ProtectionSpec::Pdif {
-                        local_current_key,
-                        threshold,
+                        threshold: t,
                         delay_ms,
                         ..
-                    } => relay(
-                        local_current_key,
-                        Relay::Differential(DifferentialRelay::new(*threshold, delay(*delay_ms))),
-                    ),
-                    ProtectionSpec::Cilo { monitored, .. } => Function::Cilo(Interlock::new(
-                        monitored.iter().map(|m| m.reference.clone()).collect(),
-                    )),
-                }
+                    } => Relay::Differential(DifferentialRelay::new(*t, delay(delay_ms))),
+                    ProtectionSpec::Cilo { monitored, .. } => {
+                        let references = monitored.iter().map(|m| m.reference.clone());
+                        return Function::Cilo(Interlock::new(references.collect()));
+                    }
+                })
             })
             .collect();
 
@@ -576,24 +532,12 @@ impl VirtualIedApp {
             .rsv
             .as_ref()
             .map(|r| SvPublisher::new(&r.sv_id, 0x4000, spec.sample_period));
-        let rsv_current = spec.rsv.as_ref().map(|r| store.slot(&r.current_key));
         let rsv_sub = spec
             .rsv
             .as_ref()
             .and_then(|r| r.subscribe_sv_id.as_ref())
             .map(|id| SvSubscriber::new(id));
 
-        let relay_inputs = protections.iter().filter_map(|p| match p {
-            Function::Relay { slot, .. } => Some(*slot),
-            Function::Cilo(_) => None,
-        });
-        let inputs = measurements
-            .iter()
-            .copied()
-            .chain(breakers.iter().map(|b| b.state))
-            .chain(relay_inputs)
-            .chain(rsv_current)
-            .collect();
         let sensors: Arc<Mutex<Sensors>> = Arc::default();
         let full_samples = Arc::new(AtomicU64::new(0));
         let app = VirtualIedApp {
@@ -602,13 +546,10 @@ impl VirtualIedApp {
             store,
             mms: MmsServerApp::new(server),
             model: model.clone(),
-            measurements,
-            breakers,
             protections,
             goose_pub,
             goose_subs,
             rsv_pub,
-            rsv_current,
             rsv_sub,
             session_tx: SessionSender::new(),
             session_rx: HashMap::new(),
@@ -619,7 +560,6 @@ impl VirtualIedApp {
             degradation: degradation.clone(),
             q_invalid: false,
             tal_expired: HashSet::new(),
-            inputs,
             sampled_at: None,
             remote_changed: false,
             faulted_at_sample: false,
@@ -673,7 +613,7 @@ impl VirtualIedApp {
         }
         let trip_ctx = span.ctx();
         self.store
-            .set_at(self.breakers[breaker].cmd, Value::Bool(false));
+            .set_at(ied.positions[breaker].cmd, Value::Bool(false));
         self.model.set(protection.leaf, DataValue::Bool(true));
         self.record(
             now,
@@ -804,7 +744,7 @@ impl VirtualIedApp {
             && !self.protections.iter().any(Function::is_timing)
             && self
                 .sampled_at
-                .is_some_and(|since| !self.store.written_since(&self.inputs, since));
+                .is_some_and(|since| !self.store.written_since(&self.ied.inputs, since));
         if quiescent {
             sample_span.end(now);
             let period = self.ied.spec.sample_period;
@@ -823,21 +763,21 @@ impl VirtualIedApp {
         let ied = &*self.ied;
         self.model.with(|model| {
             let leaves = ied.spec.measurements.iter().zip(&ied.measurements);
-            for ((m, [value, _]), &slot) in leaves.zip(&self.measurements) {
+            for (m, &([value, _], slot)) in leaves {
                 if let Some(v) = store.get_at(slot).and_then(|v| v.as_float()) {
                     let v = apply_sensor_fault(faults, &m.kv_key, v, now_ms);
-                    model.set(*value, DataValue::Float(v as f32));
+                    model.set(value, DataValue::Float(v as f32));
                 }
             }
             if requalify {
                 let q = if degraded { "invalid" } else { "good" };
-                for &[_, quality] in &ied.measurements {
+                for &([_, quality], _) in &ied.measurements {
                     model.set(quality, DataValue::Str(q.to_string()));
                 }
             }
             // 2. Breaker positions.
-            for (b, position) in self.breakers.iter().zip(&ied.positions) {
-                let closed = store.get_at(b.state).and_then(|v| v.as_bool());
+            for position in &ied.positions {
+                let closed = store.get_at(position.state).and_then(|v| v.as_bool());
                 let pos = if closed.unwrap_or(false) {
                     DataValue::dbpos_on()
                 } else {
@@ -853,8 +793,10 @@ impl VirtualIedApp {
         let functions = self.protections.iter_mut().zip(&ied.spec.protections);
         for (index, (function, spec)) in functions.enumerate() {
             match function {
-                Function::Relay { slot, relay } => {
-                    let value = store.get_at(*slot).and_then(|v| v.as_float());
+                Function::Relay(relay) => {
+                    let input = ied.protections[index].input;
+                    let value = input.and_then(|slot| store.get_at(slot));
+                    let value = value.and_then(|v| v.as_float());
                     let (Some(value), Some(key)) = (value, spec.input_key()) else {
                         continue;
                     };
@@ -907,7 +849,7 @@ impl VirtualIedApp {
                 .map(|source| {
                     DataValue::Bool(match source {
                         GooseSource::Breaker(breaker) => breaker
-                            .and_then(|b| self.store.get_at(self.breakers[b].state))
+                            .and_then(|b| self.store.get_at(self.ied.positions[b].state))
                             .and_then(|v| v.as_bool())
                             .unwrap_or(false),
                         GooseSource::Protection(indices) => {
@@ -930,6 +872,7 @@ impl VirtualIedApp {
         // 5. R-SV publication.
         if let (Some(rsv), Some(publisher)) = (&self.ied.spec.rsv, &mut self.rsv_pub) {
             let current = self
+                .ied
                 .rsv_current
                 .and_then(|slot| self.store.get_at(slot))
                 .and_then(|v| v.as_float())
@@ -1037,7 +980,7 @@ impl SocketApp for VirtualIedApp {
         self.mms.on_start(ctx);
         ctx.bind_udp(RGOOSE_PORT);
         let waker = ctx.tick_waker();
-        self.store.watch(&self.inputs, &waker);
+        self.store.watch(&self.ied.inputs, &waker);
         self.degradation.watch(&waker);
         self.sensors.lock().tick = Some(waker);
         ctx.arm_tick(self.ied.spec.sample_period);
@@ -1109,11 +1052,7 @@ impl SocketApp for VirtualIedApp {
                         self.remote_changed = true;
                         let remote = sub.samples.first().copied().unwrap_or(0.0) as f64;
                         for p in &mut self.protections {
-                            if let Function::Relay {
-                                relay: Relay::Differential(relay),
-                                ..
-                            } = p
-                            {
+                            if let Function::Relay(Relay::Differential(relay)) = p {
                                 relay.update_remote(now, remote);
                             }
                         }
@@ -1313,16 +1252,20 @@ pub fn check_model(spec: &IedSpec) -> Result<(), String> {
     result
 }
 
-/// A breaker's position leaves.
+/// A breaker's position leaves and process slots.
 #[derive(Debug)]
 struct PositionLeaves {
     /// XCBR and CSWI `Pos$stVal`.
     leaves: [LeafId; 2],
     /// The XCBR position's item id, quoted in trip reports.
     xcbr_item: String,
+    /// The slots of its position feedback, which a sample reads, and of its
+    /// command, which a trip or a control writes.
+    state: Slot,
+    cmd: Slot,
 }
 
-/// A protection function's leaf and breaker.
+/// A protection function's leaf, breaker and input.
 #[derive(Debug)]
 struct ProtectionLeaf {
     /// The leaf it rewrites: `Op$general` for relays, `EnaCls$stVal` for
@@ -1333,27 +1276,37 @@ struct ProtectionLeaf {
     /// Index in [`IedSpec::breakers`] of the breaker it trips (relays) or
     /// gates (CILO), if the IED maps it.
     breaker: Option<usize>,
+    /// The slot of the value a relay samples; `None` for CILO.
+    input: Option<Slot>,
 }
 
 /// A virtual IED as the model compiler builds it: its spec, the IEC 61850
 /// data model the spec implies — attribute tree and initial leaf values —
 /// and what the runtime derives from the spec alone: the handle of every
-/// leaf a sample rewrites, the item ids trip reports quote, and the sources
-/// of the GOOSE dataset.
+/// leaf a sample rewrites, the item ids trip reports quote, the sources of
+/// the GOOSE dataset, and the slot of every process-store key a sample
+/// reads or a trip or control writes.
 ///
 /// None of it changes while the IED runs, so one model behind an [`Arc`]
 /// serves every range stamped from a compiled model: each
 /// [`VirtualIedApp::instantiate`] copies the leaf values and shares the tree
-/// (see [`DataModel`]) and the rest. The vectors run parallel to the spec's
-/// measurements, breakers and protection functions.
+/// (see [`DataModel`]) and the rest. Its slots are valid in the store the
+/// model was built against and in that store's forks, which is what every
+/// tenant runs. The vectors run parallel to the spec's measurements,
+/// breakers and protection functions.
 #[derive(Debug)]
 pub struct IedModel {
     spec: IedSpec,
     model: DataModel,
-    /// Per measurement: the value and quality leaves.
-    measurements: Vec<[LeafId; 2]>,
+    /// Per measurement: the value and quality leaves, and the slot sampled.
+    measurements: Vec<([LeafId; 2], Slot)>,
     positions: Vec<PositionLeaves>,
     protections: Vec<ProtectionLeaf>,
+    /// The slot of the current the R-SV stream publishes.
+    rsv_current: Option<Slot>,
+    /// Every slot a sample reads: the measurements, the breaker states, the
+    /// relay inputs and the R-SV current.
+    inputs: Vec<Slot>,
     /// Where each entry of the IED's own GOOSE dataset comes from.
     goose_sources: Vec<GooseSource>,
     /// The buffered report control block named in trip reports.
@@ -1367,7 +1320,9 @@ pub struct IedModel {
 impl IedModel {
     /// Builds the IEC 61850 data model implied by a spec — LLN0/LPHD plus
     /// the LNs for measurements, breakers, and protection functions —
-    /// recording the handle of every leaf the runtime rewrites.
+    /// recording the handle of every leaf the runtime rewrites, and
+    /// resolves every process-store key the runtime reads or writes to its
+    /// slot in `store`, interning the keys it lacks.
     ///
     /// # Examples
     ///
@@ -1383,11 +1338,13 @@ impl IedModel {
     ///     kv_key: "meas/S1/branch/l1/p_mw".into(),
     ///     item: "MMXU1$MX$TotW$mag$f".into(),
     /// });
-    /// let ied = Arc::new(IedModel::build(spec).unwrap());
-    /// // Two ranges of one model: each app owns its values.
+    /// let template = ProcessStore::new();
+    /// let ied = Arc::new(IedModel::build(spec, &template).unwrap());
+    /// // Two ranges of one model: each app owns its values and its store,
+    /// // a fork of the template.
     /// let app = || {
     ///     let name = Name::from("GIED1");
-    ///     let (store, degradation) = (ProcessStore::new(), DegradationSignal::new());
+    ///     let (store, degradation) = (template.fork(), DegradationSignal::new());
     ///     VirtualIedApp::instantiate(&ied, name, store, degradation, Telemetry::disabled())
     /// };
     /// let ((_a, a), (_b, b)) = (app(), app());
@@ -1400,7 +1357,7 @@ impl IedModel {
     ///
     /// Returns [`check_model`]'s message when an item of the model is not an
     /// object reference.
-    pub fn build(spec: IedSpec) -> Result<IedModel, String> {
+    pub fn build(spec: IedSpec, store: &ProcessStore) -> Result<IedModel, String> {
         check_model(&spec)?;
         let mut model = DataModel::new(&spec.name);
         let (mut values, mut qualities, mut xcbr, mut cswi, mut protections) =
@@ -1418,15 +1375,24 @@ impl IedModel {
                 Role::Protection => protections.push((leaf, item.to_string())),
             }
         });
-        let positions = xcbr
+        let measurements: Vec<([LeafId; 2], Slot)> = values
+            .into_iter()
+            .zip(qualities)
+            .zip(&spec.measurements)
+            .map(|((value, quality), m)| ([value, quality], store.slot(&m.kv_key)))
+            .collect();
+        let positions: Vec<PositionLeaves> = xcbr
             .into_iter()
             .zip(cswi)
-            .map(|((x, xcbr_item), c)| PositionLeaves {
+            .zip(&spec.breakers)
+            .map(|(((x, xcbr_item), c), b)| PositionLeaves {
                 leaves: [x, c],
                 xcbr_item,
+                state: store.slot(&b.state_key),
+                cmd: store.slot(&b.cmd_key),
             })
             .collect();
-        let protections = spec
+        let protections: Vec<ProtectionLeaf> = spec
             .protections
             .iter()
             .zip(protections)
@@ -1434,7 +1400,16 @@ impl IedModel {
                 leaf,
                 item,
                 breaker: breaker_named(&spec.breakers, p.breaker()),
+                input: p.input_key().map(|key| store.slot(key)),
             })
+            .collect();
+        let rsv_current = spec.rsv.as_ref().map(|r| store.slot(&r.current_key));
+        let inputs = measurements
+            .iter()
+            .map(|&(_, slot)| slot)
+            .chain(positions.iter().map(|p| p.state))
+            .chain(protections.iter().filter_map(|p| p.input))
+            .chain(rsv_current)
             .collect();
         let goose_sources = spec
             .goose
@@ -1455,13 +1430,11 @@ impl IedModel {
             })
             .collect();
         Ok(IedModel {
-            measurements: values
-                .into_iter()
-                .zip(qualities)
-                .map(<[_; 2]>::from)
-                .collect(),
+            measurements,
             positions,
             protections,
+            rsv_current,
+            inputs,
             goose_sources,
             report_name: spec.item("LLN0$BR$brcb01"),
             client_writable,
@@ -1474,5 +1447,23 @@ impl IedModel {
     /// runs.
     pub fn spec(&self) -> &IedSpec {
         &self.spec
+    }
+
+    /// Whether every key the model resolved has its slot in `store`: true
+    /// in the store it was built against, that store's clones and forks.
+    fn resolves_in(&self, store: &ProcessStore) -> bool {
+        let spec = &self.spec;
+        let inputs = spec.measurements.iter().map(|m| &*m.kv_key);
+        let inputs = inputs.chain(spec.breakers.iter().map(|b| &*b.state_key));
+        let inputs = inputs.chain(
+            spec.protections
+                .iter()
+                .filter_map(ProtectionSpec::input_key),
+        );
+        let inputs = inputs.chain(spec.rsv.iter().map(|r| &*r.current_key));
+        let cmds = spec.breakers.iter().map(|b| &*b.cmd_key);
+        let cmds = cmds.zip(self.positions.iter().map(|p| p.cmd));
+        { inputs.zip(self.inputs.iter().copied()).chain(cmds) }
+            .all(|(key, slot)| store.interned(key) == Some(slot))
     }
 }

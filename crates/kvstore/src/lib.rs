@@ -29,6 +29,13 @@
 //! [`std::task::Waker`] on its slots with [`ProcessStore::watch`]: every
 //! write to one of them wakes it.
 //!
+//! A range resolves its slots once per compiled model, in a template store
+//! that holds keys and no entries, and gives each tenant a
+//! [`ProcessStore::fork`] of it: an empty store at version 0 that shares
+//! the template's key index, so every slot the template issued names the
+//! same key in every fork. A slot is valid in the store that issued it,
+//! that store's clones and its forks.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,6 +51,12 @@
 //! assert!(store.written_since(&[trip], seen));
 //! assert!(!store.written_since(&[flow], seen));
 //! assert_eq!(store.get_at(trip), Some(Value::Bool(false)));
+//!
+//! // A fork keeps the slots and none of the entries.
+//! let tenant = store.fork();
+//! tenant.set_at(flow, 3.0);
+//! assert_eq!((tenant.version(), tenant.get("cb1/close")), (1, None));
+//! assert_eq!(store.get_at(flow), Some(Value::Float(12.5)));
 //! ```
 
 mod store;

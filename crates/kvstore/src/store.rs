@@ -3,6 +3,7 @@
 use crate::value::Value;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
@@ -20,10 +21,11 @@ pub struct Entry {
 /// [`ProcessStore::slot`].
 ///
 /// Reading and writing through a slot ([`get_at`](ProcessStore::get_at),
-/// [`set_at`](ProcessStore::set_at)) skips hashing the key, so a component
-/// that touches the same keys every step resolves them once and keeps the
-/// slots. A slot is meaningful only to the store that issued it and that
-/// store's clones.
+/// [`set_at`](ProcessStore::set_at)) skips hashing the key. A range resolves
+/// every key once per compiled model, in a template store, and each tenant
+/// runs a [`fork`](ProcessStore::fork) of that template, so no tenant
+/// resolves a key. A slot is valid in the store that issued it, that
+/// store's clones and its forks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Slot(usize);
 
@@ -32,7 +34,8 @@ pub struct Slot(usize);
 /// Cloning is cheap: clones share the same underlying table (the store is
 /// the single "database host" of the cyber range; every virtual device holds
 /// a handle to it, exactly as every virtual IED in the paper connects to the
-/// single MySQL instance).
+/// single MySQL instance). A [`fork`](ProcessStore::fork) is a new, empty
+/// store that shares only the key index.
 ///
 /// The store knows no key schema. Every key it has seen owns one slot in a
 /// table: [`get`](ProcessStore::get) and [`set`](ProcessStore::set) look the
@@ -42,12 +45,12 @@ pub struct Slot(usize);
 /// A reader that waits for its slots to move registers a [`Waker`] on them
 /// with [`watch`](ProcessStore::watch); every write to a watched slot wakes
 /// it.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct ProcessStore {
     inner: Arc<Inner>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Inner {
     table: RwLock<Table>,
     version: AtomicU64,
@@ -56,10 +59,11 @@ struct Inner {
 /// The slot table. A slot is created when a key is first interned and never
 /// freed, so slots stay valid; its entry is `None` until the key is first
 /// written. An interned key without an entry is absent from every query.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Table {
-    /// Key → slot index; the only copy of each key.
-    index: HashMap<String, usize>,
+    /// Key → slot index, one per entry: the only copy of each key, shared
+    /// with the store's forks until one of them interns a key.
+    index: Arc<HashMap<String, usize>>,
     entries: Vec<Option<Entry>>,
     /// Number of slots holding an entry.
     live: usize,
@@ -91,13 +95,15 @@ impl Table {
         })
     }
 
+    /// The slot of `key`, interned if new. A new key copies a shared index
+    /// first.
     fn intern(&mut self, key: &str) -> usize {
         if let Some(&slot) = self.index.get(key) {
             return slot;
         }
         let slot = self.entries.len();
         self.entries.push(None);
-        self.index.insert(key.to_string(), slot);
+        Arc::make_mut(&mut self.index).insert(key.to_string(), slot);
         slot
     }
 
@@ -119,6 +125,19 @@ impl Table {
             .collect();
         present.sort_unstable_by(|a, b| a.0.cmp(b.0));
         present
+    }
+}
+
+/// Prints the version, the number of slots and the number of entries: the
+/// same text for two stores that interned and wrote alike.
+impl fmt::Debug for ProcessStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let table = self.inner.table.read();
+        f.debug_struct("ProcessStore")
+            .field("version", &self.version())
+            .field("slots", &table.entries.len())
+            .field("entries", &table.live)
+            .finish()
     }
 }
 
@@ -154,7 +173,34 @@ impl ProcessStore {
     /// assert_eq!(store.get("pump/running"), Some(Value::Bool(true)));
     /// ```
     pub fn slot(&self, key: &str) -> Slot {
-        Slot(self.inner.table.write().intern(key))
+        self.interned(key)
+            .unwrap_or_else(|| Slot(self.inner.table.write().intern(key)))
+    }
+
+    /// The slot of `key` if this store has interned it, under the read
+    /// lock; interns nothing.
+    pub fn interned(&self, key: &str) -> Option<Slot> {
+        self.inner.table.read().index.get(key).copied().map(Slot)
+    }
+
+    /// A new store at version 0 with no entries and no watchers that keeps
+    /// this store's slots: every slot issued here so far names the same key
+    /// in the fork. The fork shares the key index; interning a key the fork
+    /// lacks copies the index once, and leaves this store and its other
+    /// forks as they are (see the crate docs for an example).
+    pub fn fork(&self) -> ProcessStore {
+        let table = self.inner.table.read();
+        let table = Table {
+            index: table.index.clone(),
+            entries: vec![None; table.entries.len()],
+            ..Table::default()
+        };
+        ProcessStore {
+            inner: Arc::new(Inner {
+                table: RwLock::new(table),
+                version: AtomicU64::new(0),
+            }),
+        }
     }
 
     /// Reads the current value through a slot.
@@ -162,8 +208,8 @@ impl ProcessStore {
         self.entry_at(slot).map(|e| e.value)
     }
 
-    /// Reads the full entry (value + version) through a slot. A slot not
-    /// issued by this store reads as absent.
+    /// Reads the full entry (value + version) through a slot. A slot past
+    /// the end of this store's table reads as absent.
     pub fn entry_at(&self, slot: Slot) -> Option<Entry> {
         let table = self.inner.table.read();
         table.entries.get(slot.0)?.clone()
@@ -174,7 +220,7 @@ impl ProcessStore {
     ///
     /// # Panics
     ///
-    /// Panics if `slot` was not issued by this store or one of its clones.
+    /// Panics if `slot` is not valid in this store (see [`Slot`]).
     pub fn set_at(&self, slot: Slot, value: impl Into<Value>) -> u64 {
         let value = value.into();
         let mut table = self.inner.table.write();
@@ -195,8 +241,8 @@ impl ProcessStore {
     ///
     /// # Panics
     ///
-    /// Panics if a slot was not issued by this store or one of its clones;
-    /// the writes before it are kept.
+    /// Panics if a slot is not valid in this store (see [`Slot`]); the
+    /// writes before it are kept.
     pub fn set_all(&self, writes: impl IntoIterator<Item = (Slot, Value)>) -> u64 {
         let mut table = self.inner.table.write();
         for (slot, value) in writes {
@@ -213,8 +259,9 @@ impl ProcessStore {
 
     /// Whether any of `slots` was written after global version `since`,
     /// read under one lock. An absent entry counts as written, so a reader
-    /// whose slot has no value yet keeps looking. A slot not issued by this
-    /// store reads as absent, as [`get_at`](ProcessStore::get_at) does.
+    /// whose slot has no value yet keeps looking. A slot past the end of
+    /// this store's table reads as absent, as [`get_at`](ProcessStore::get_at)
+    /// does.
     ///
     /// # Examples
     ///
@@ -250,7 +297,7 @@ impl ProcessStore {
     ///
     /// # Panics
     ///
-    /// Panics if a slot was not issued by this store or one of its clones.
+    /// Panics if a slot is not valid in this store (see [`Slot`]).
     ///
     /// # Examples
     ///
@@ -492,6 +539,74 @@ mod tests {
         s2.set_at(slot, 7i64);
         assert_eq!(s.get_at(slot), Some(Value::Int(7)));
         assert_eq!(s.get("k"), Some(Value::Int(7)));
+    }
+
+    /// Counts its wakes.
+    struct Count(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_template_slot_names_its_key_in_every_fork() {
+        let template = ProcessStore::new();
+        let [a, b] = ["a", "b"].map(|key| template.slot(key));
+        template.set_at(b, 1i64);
+        let forks = [template.fork(), template.fork()];
+        for fork in &forks {
+            assert_eq!((fork.version(), fork.len(), fork.get_at(b)), (0, 0, None));
+            assert_eq!([fork.slot("a"), fork.slot("b")], [a, b]);
+        }
+        forks[0].set_at(a, 2i64);
+        forks[1].set("a", 3i64);
+        assert_eq!(forks[0].get("a"), Some(Value::Int(2)));
+        assert_eq!(forks[1].get_at(a), Some(Value::Int(3)));
+        assert_eq!(template.get_at(a), None);
+    }
+
+    #[test]
+    fn a_fork_has_its_own_writes_versions_and_watchers() {
+        let template = ProcessStore::new();
+        let a = template.slot("a");
+        let (one, two) = (template.fork(), template.fork());
+        let count = Arc::new(Count(Default::default()));
+        one.watch(&[a], &Waker::from(count.clone()));
+        template.set_at(a, 1i64);
+        two.set_at(a, 1i64);
+        two.set_at(a, 2i64);
+        assert_eq!(count.0.load(Ordering::Relaxed), 0, "no write to `one`");
+        assert_eq!(
+            (template.version(), one.version(), two.version()),
+            (1, 0, 2)
+        );
+        assert_eq!(one.set_at(a, 5i64), 1);
+        assert_eq!(count.0.load(Ordering::Relaxed), 1);
+        assert!(one.written_since(&[a], 0) && !one.written_since(&[a], 1));
+        assert_eq!(two.entry_at(a).map(|e| e.version), Some(2));
+        assert_eq!(template.fork().len(), 0, "a fork copies no entry");
+    }
+
+    #[test]
+    fn interning_in_a_fork_changes_no_other_store() {
+        let template = ProcessStore::new();
+        let a = template.slot("a");
+        let (one, two) = (template.fork(), template.fork());
+        let x = one.slot("x");
+        one.set_at(x, 1i64);
+        one.set("y", 2i64);
+        assert_eq!(one.slot("a"), a, "the template's slots stay valid");
+        one.set_at(a, 3i64);
+        assert_eq!(one.get("a"), Some(Value::Int(3)));
+        assert_eq!((one.len(), one.version()), (3, 3));
+        for other in [&template, &two, &template.fork()] {
+            assert_eq!((other.interned("x"), other.interned("y")), (None, None));
+            assert_eq!((other.interned("a"), other.get("x")), (Some(a), None));
+            assert_eq!(format!("{other:?}").matches("slots: 1,").count(), 1);
+        }
+        assert_eq!(two.slot("z"), x, "a sibling numbers its own keys");
     }
 
     #[test]

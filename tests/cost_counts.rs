@@ -1,10 +1,11 @@
-//! Deterministic cost guards: the live heap a fresh tenant adds when it is
-//! instantiated from an already compiled model, the allocations a step
-//! makes, the events a quiescent step dispatches, and what a tenant's event
-//! journal holds and costs to render. Counts do not drift with the host the
-//! way timings do, so a bound here catches a tenant that grows what its
-//! compiled model should share, a step that allocates what it could reuse,
-//! or a device that runs while nothing it reads changed.
+//! Deterministic cost guards: the live heap a fresh tenant adds, and the
+//! allocations it makes, when it is instantiated from an already compiled
+//! model, the allocations a step makes, the events a quiescent step
+//! dispatches, and what a tenant's event journal holds and costs to render.
+//! Counts do not drift with the host the way timings do, so a bound here
+//! catches a tenant that grows what its compiled model should share, a
+//! step that allocates what it could reuse, or a device that runs while
+//! nothing it reads changed.
 //!
 //! The heap and the allocations are measured by a counting global
 //! allocator, the events by the network's own counter. The allocator's
@@ -94,26 +95,37 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 /// Instantiates a tenant of `model`, telemetry off, and returns it with the
-/// live heap it added.
-fn instantiate(model: &Arc<CompiledModel>) -> (CyberRange, isize) {
+/// live heap it added and the allocations it made.
+fn instantiate(model: &Arc<CompiledModel>) -> (CyberRange, isize, u64) {
     let before = live_bytes();
-    let range = RangeBuilder::from_model(model.clone())
-        .build()
-        .expect("range instantiates");
-    (range, live_bytes() - before)
+    let mut range = None;
+    let allocs = allocations(|| {
+        range = Some(
+            RangeBuilder::from_model(model.clone())
+                .build()
+                .expect("range instantiates"),
+        );
+    });
+    (range.expect("built"), live_bytes() - before, allocs)
 }
 
-/// Checks that a fresh tenant of `model` adds at most `bound` bytes of live
-/// heap, and that a second tenant of the same model adds what the first did.
-fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
-    let (_first, first) = instantiate(model);
-    let (_second, second) = instantiate(model);
+/// Checks that a fresh tenant of `model` adds at most `heap` bytes of live
+/// heap and makes at most `allocs` allocations, and that a second tenant of
+/// the same model costs what the first did.
+fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, heap: isize, allocs: u64) {
+    let (_first, first, first_allocs) = instantiate(model);
+    let (_second, second, second_allocs) = instantiate(model);
     assert!(
-        first <= bound,
-        "a fresh {name} tenant adds {first} B of live heap (bound {bound} B)"
+        first <= heap,
+        "a fresh {name} tenant adds {first} B of live heap (bound {heap} B)"
+    );
+    assert!(
+        first_allocs <= allocs,
+        "instantiating one {name} tenant makes {first_allocs} allocations (bound {allocs})"
     );
     assert_eq!(
-        second, first,
+        (second, second_allocs),
+        (first, first_allocs),
         "a second {name} tenant of the same model costs what the first did"
     );
 }
@@ -130,28 +142,39 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, bound: isize) {
 /// 568 KiB (581,139 B) since the solver keeps no copy of the network, and
 /// 564 KiB (577,779 B) since each host keeps its connections in a table
 /// indexed by id and the network keeps no set of armed TCP timers and no
-/// second queue for ticks. The bound, 625 KiB before, leaves 10% headroom.
-const PAPER_TENANT_BOUND: isize = 621 * 1024;
+/// second queue for ticks. It measures 411 KiB (421,101 B; 577,779 B →
+/// 421,101 B) since the tenant's store is a fork of the compiled model's
+/// template, sharing its key index, and the IEDs and the publish table keep
+/// their slots in the compiled model: the tenant copies no key and resolves
+/// none. Its instantiation made 5,750 allocations while the tenant interned
+/// every key and resolved its own slots, and makes 4,035 since (5,750 →
+/// 4,035); a tenant that interns its keys again fails the allocation bound.
+/// Each bound leaves 10% headroom (the heap bound was 621 KiB).
+const PAPER_TENANT_BOUND: isize = 453 * 1024;
+const PAPER_TENANT_ALLOCS: u64 = 4_439;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
 /// shared, 54 KiB (55,402 B) with parkable ticks, 54 KiB (55,671 B) with
 /// per-app IED names, 52 KiB (53,478 B) with the shared signal, names and
 /// solution, 51 KiB (52,010 B) without the solver's copy of the network,
 /// 50 KiB (51,674 B; 51,994 B before, measured alike) with the connection
-/// table. The bound stays 55 KiB, 9% headroom: 10% rounds up to 56 KiB.
-const EPIC_TENANT_BOUND: isize = 55 * 1024;
+/// table, and 45 KiB (51,674 B → 45,651 B) with a forked store; its
+/// instantiation makes 622 → 531 allocations. Each bound leaves 10%
+/// headroom (the heap bound was 55 KiB).
+const EPIC_TENANT_BOUND: isize = 50 * 1024;
+const EPIC_TENANT_ALLOCS: u64 = 585;
 
 #[test]
 fn a_fresh_paper_tenant_shares_its_ied_models() {
     let bundle = multisub_bundle(&MultiSubParams::paper_profile());
     let model = CompiledModel::shared(&bundle).expect("paper bundle must compile");
-    check_fresh_tenant("paper", &model, PAPER_TENANT_BOUND);
+    check_fresh_tenant("paper", &model, PAPER_TENANT_BOUND, PAPER_TENANT_ALLOCS);
 }
 
 #[test]
 fn a_fresh_epic_tenant_shares_its_ied_models() {
     let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
-    check_fresh_tenant("EPIC", &model, EPIC_TENANT_BOUND);
+    check_fresh_tenant("EPIC", &model, EPIC_TENANT_BOUND, EPIC_TENANT_ALLOCS);
 }
 
 /// Steps `range` until it has taken `steps` steps in all.
@@ -291,9 +314,10 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// step, and 1,618 KiB (1,657,335 B) since the solver keeps no copy of the
 /// network. Since the network collects nothing per event and the device
 /// apps clone no configuration it measures 1,617 KiB (1,656,271 B) and
-/// 284.2 per step (358.8 before; the bounds were 1,781 KiB and 395). Each
-/// bound leaves 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_780 * 1024;
+/// 284.2 per step (358.8 before; the bounds were 1,781 KiB and 395), and
+/// 1,612 KiB (1,656,271 B → 1,650,248 B) with a forked store (the bound was
+/// 1,780 KiB). Each bound leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_773 * 1024;
 const EPIC_JOURNALED_STEP_ALLOCS: f64 = 313.0;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 
