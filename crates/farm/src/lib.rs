@@ -84,18 +84,17 @@ use sgcr_core::{Checkpoint, CompiledModel, CyberRange, RangeBuilder};
 use sgcr_faults::DegradationSignal;
 use sgcr_net::{SimDuration, SimTime};
 use sgcr_obs::agg::{histogram_quantile, rss_bytes};
+use sgcr_obs::json::{self, Members};
 use sgcr_obs::{
-    json, prom, Counter, Event as ObsEvent, FarmAggregator, Gauge, Histogram, HistogramSnapshot,
-    Telemetry,
+    prom, Counter, Event as ObsEvent, FarmAggregator, Gauge, Histogram, HistogramSnapshot,
+    MetricsSnapshot, Telemetry,
 };
 use sgcr_scenario::{run_exercise, Scenario};
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The aggregator key the farm's own telemetry (lifecycle counters, RSS
@@ -199,16 +198,17 @@ impl Default for FarmConfig {
 impl FarmConfig {
     /// The collector/checkpoint cadence with the default applied.
     fn collect_interval(&self) -> Duration {
-        Duration::from_millis(if self.collect_interval_ms == 0 {
-            250
-        } else {
-            self.collect_interval_ms
-        })
+        millis_or(self.collect_interval_ms, 250)
     }
 }
 
+/// `ms` milliseconds, or `default` milliseconds when `ms` is 0.
+fn millis_or(ms: u64, default: u64) -> Duration {
+    Duration::from_millis(if ms == 0 { default } else { ms })
+}
+
 /// One tenant's outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantReport {
     /// Tenant index (also its journal file number and fault-seed offset).
     pub tenant: usize,
@@ -250,7 +250,7 @@ pub struct TenantReport {
 
 /// The farm-level after-action report: throughput and latency aggregates
 /// over every tenant, plus per-tenant detail.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FarmReport {
     /// Tenants initially requested (dynamically admitted tenants appear in
     /// [`FarmReport::per_tenant`] beyond this count).
@@ -361,117 +361,64 @@ impl FarmReport {
 
     /// JSON form (stable key order), as `serve --report` writes it.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"tenants\":{},", self.tenants));
-        out.push_str(&format!("\"threads\":{},", self.threads));
-        out.push_str(&format!("\"sim_seconds\":{},", self.sim_seconds));
-        out.push_str(&format!(
-            "\"wall_seconds\":{},",
-            json::number(self.wall_seconds)
-        ));
-        out.push_str(&format!(
-            "\"ranges_per_sec\":{},",
-            json::number(self.ranges_per_sec)
-        ));
-        out.push_str(&format!("\"steps_total\":{},", self.steps_total));
-        out.push_str(&format!(
-            "\"steps_per_sec\":{},",
-            json::number(self.steps_per_sec)
-        ));
-        out.push_str(&format!(
-            "\"p50_step_seconds\":{},",
-            json::number(self.p50_step_seconds)
-        ));
-        out.push_str(&format!(
-            "\"p99_step_seconds\":{},",
-            json::number(self.p99_step_seconds)
-        ));
-        out.push_str(&format!(
-            "\"max_step_seconds\":{},",
-            json::number(self.max_step_seconds)
-        ));
-        out.push_str(&format!(
-            "\"checkpoint_p50_seconds\":{},",
-            json::number(self.checkpoint_p50_seconds)
-        ));
-        out.push_str(&format!(
-            "\"checkpoint_p99_seconds\":{},",
-            json::number(self.checkpoint_p99_seconds)
-        ));
-        match self.step_budget_ms {
-            Some(budget) => out.push_str(&format!("\"step_budget_ms\":{budget},")),
-            None => out.push_str("\"step_budget_ms\":null,"),
-        }
-        out.push_str(&format!("\"budget_overruns\":{},", self.budget_overruns));
-        out.push_str(&format!("\"tenants_halted\":{},", self.tenants_halted));
-        out.push_str(&format!("\"tenants_failed\":{},", self.tenants_failed));
-        out.push_str(&format!("\"tenants_given_up\":{},", self.tenants_given_up));
-        out.push_str(&format!("\"tenants_drained\":{},", self.tenants_drained));
-        out.push_str(&format!("\"restarts_total\":{},", self.restarts_total));
-        out.push_str(&format!("\"journal_dropped\":{},", self.journal_dropped));
-        out.push_str(&format!("\"spans_dropped\":{},", self.spans_dropped));
-        out.push_str(&format!("\"rss_peak_bytes\":{},", self.rss_peak_bytes));
-        out.push_str(&format!(
-            "\"journal_bytes_written\":{},",
-            self.journal_bytes_written
-        ));
-        out.push_str(&format!(
-            "\"journal_write_seconds\":{},",
-            json::number(self.journal_write_seconds)
-        ));
-        out.push_str(&format!(
-            "\"model_summary\":{},",
-            json::quote(&self.model_summary)
-        ));
-        out.push_str("\"per_tenant\":[");
-        for (i, t) in self.per_tenant.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str(&format!("\"tenant\":{},", t.tenant));
-            out.push_str(&format!("\"steps\":{},", t.steps));
-            out.push_str(&format!(
-                "\"wall_seconds\":{},",
-                json::number(t.wall_seconds)
-            ));
-            out.push_str(&format!(
-                "\"p50_step_seconds\":{},",
-                json::number(t.p50_step_seconds)
-            ));
-            out.push_str(&format!(
-                "\"p99_step_seconds\":{},",
-                json::number(t.p99_step_seconds)
-            ));
-            out.push_str(&format!(
-                "\"max_step_seconds\":{},",
-                json::number(t.max_step_seconds)
-            ));
-            out.push_str(&format!("\"budget_overruns\":{},", t.budget_overruns));
-            out.push_str(&format!("\"halted\":{},", t.halted));
-            out.push_str(&format!("\"solve_errors\":{},", t.solve_errors));
-            out.push_str(&format!("\"restarts\":{},", t.restarts));
-            out.push_str(&format!("\"given_up\":{},", t.given_up));
-            out.push_str(&format!("\"drained\":{},", t.drained));
-            match t.score {
-                Some((earned, total)) => out.push_str(&format!(
-                    "\"score\":{{\"earned\":{earned},\"total\":{total}}},"
-                )),
-                None => out.push_str("\"score\":null,"),
-            }
-            match &t.journal_path {
-                Some(path) => out.push_str(&format!("\"journal\":{},", json::quote(path))),
-                None => out.push_str("\"journal\":null,"),
-            }
-            match &t.error {
-                Some(error) => out.push_str(&format!("\"error\":{}", json::quote(error))),
-                None => out.push_str("\"error\":null"),
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
+        let mut out = String::new();
+        json::object(&mut out, |m| {
+            m.int("tenants", self.tenants as u64)
+                .int("threads", self.threads as u64)
+                .int("sim_seconds", self.sim_seconds)
+                .float("wall_seconds", self.wall_seconds)
+                .float("ranges_per_sec", self.ranges_per_sec)
+                .int("steps_total", self.steps_total)
+                .float("steps_per_sec", self.steps_per_sec)
+                .float("p50_step_seconds", self.p50_step_seconds)
+                .float("p99_step_seconds", self.p99_step_seconds)
+                .float("max_step_seconds", self.max_step_seconds)
+                .float("checkpoint_p50_seconds", self.checkpoint_p50_seconds)
+                .float("checkpoint_p99_seconds", self.checkpoint_p99_seconds)
+                .or_null("step_budget_ms", self.step_budget_ms, Members::int)
+                .int("budget_overruns", self.budget_overruns)
+                .int("tenants_halted", self.tenants_halted as u64)
+                .int("tenants_failed", self.tenants_failed as u64)
+                .int("tenants_given_up", self.tenants_given_up as u64)
+                .int("tenants_drained", self.tenants_drained as u64)
+                .int("restarts_total", self.restarts_total)
+                .int("journal_dropped", self.journal_dropped)
+                .int("spans_dropped", self.spans_dropped)
+                .int("rss_peak_bytes", self.rss_peak_bytes)
+                .int("journal_bytes_written", self.journal_bytes_written)
+                .float("journal_write_seconds", self.journal_write_seconds)
+                .text("model_summary", &self.model_summary)
+                .objects("per_tenant", &self.per_tenant, |m, t| {
+                    m.int("tenant", t.tenant as u64)
+                        .int("steps", t.steps)
+                        .float("wall_seconds", t.wall_seconds)
+                        .float("p50_step_seconds", t.p50_step_seconds)
+                        .float("p99_step_seconds", t.p99_step_seconds)
+                        .float("max_step_seconds", t.max_step_seconds)
+                        .int("budget_overruns", t.budget_overruns)
+                        .flag("halted", t.halted)
+                        .int("solve_errors", t.solve_errors)
+                        .int("restarts", t.restarts)
+                        .flag("given_up", t.given_up)
+                        .flag("drained", t.drained)
+                        .or_null("score", t.score, score)
+                        .or_null("journal", t.journal_path.as_deref(), Members::text)
+                        .or_null("error", t.error.as_deref(), Members::text);
+                });
+        });
         out
     }
+}
+
+/// An exercise score member, `{"earned":…,"total":…}`.
+fn score<'m, 'a>(
+    m: &'m mut Members<'a>,
+    key: &str,
+    (earned, total): (u32, u32),
+) -> &'m mut Members<'a> {
+    m.object(key, |m| {
+        m.int("earned", earned.into()).int("total", total.into());
+    })
 }
 
 /// A tenant's live lifecycle state, as reported on `/status`.
@@ -518,8 +465,29 @@ impl TenantState {
     }
 }
 
-/// Lock-free per-tenant live counters behind `/status`, plus the tenant's
-/// supervision state (drain flag, last checkpoint).
+/// The states the farm counts, each with the name of its count on
+/// `/status` and, as `farm.<name>`, of its gauge on `/metrics`.
+const COUNTED: [(TenantState, &str); 6] = [
+    (TenantState::Running, "tenants_running"),
+    (TenantState::Completed, "tenants_completed"),
+    (TenantState::Halted, "tenants_halted"),
+    (TenantState::Failed, "tenants_failed"),
+    (TenantState::GivenUp, "tenants_given_up"),
+    (TenantState::Drained, "tenants_drained"),
+];
+
+/// How many tenants of `registry` are in each state, indexed by the state.
+fn counts(registry: &[Arc<TenantLive>]) -> [usize; 7] {
+    let mut counts = [0; 7];
+    for live in registry {
+        counts[live.state() as usize] += 1;
+    }
+    counts
+}
+
+/// A tenant's one record: the lock-free live counters behind `/status`,
+/// its supervision state (drain flag, last checkpoint), and its running
+/// attempt's telemetry.
 #[derive(Default)]
 struct TenantLive {
     state: AtomicU8,
@@ -530,14 +498,26 @@ struct TenantLive {
     /// Raised by `DELETE /tenants/<id>`; the soak loop drains at the next
     /// step boundary.
     drain: AtomicBool,
-    /// Exercise score packed as `PRESENT | earned << 32 | total` (0 = none).
-    score: AtomicU64,
+    /// The exercise score, published with the terminal state (scenario
+    /// mode only).
+    score: OnceLock<(u32, u32)>,
     /// The tenant's most recent supervisor checkpoint — what a restart
     /// resumes from and what a drain persists.
     checkpoint: Mutex<Option<Checkpoint>>,
+    /// The running attempt's telemetry: the collector folds it into the
+    /// aggregate while the attempt runs, and the attempt's end takes it.
+    telemetry: Mutex<Option<Telemetry>>,
 }
 
-const SCORE_PRESENT: u64 = 1 << 63;
+impl TenantLive {
+    fn state(&self) -> TenantState {
+        TenantState::from_u8(self.state.load(Ordering::Relaxed))
+    }
+
+    fn set_state(&self, state: TenantState) {
+        self.state.store(state as u8, Ordering::Relaxed);
+    }
+}
 
 /// One unit of work: run tenant `tenant` (from its last checkpoint, if any)
 /// no earlier than `not_before`.
@@ -565,28 +545,12 @@ pub(crate) enum AdmitRejected {
     AtCapacity,
 }
 
-/// Live tenant-state counts, one slot per [`TenantState`].
-#[derive(Clone, Copy, Default)]
-struct StateCounts {
-    running: usize,
-    completed: usize,
-    halted: usize,
-    failed: usize,
-    given_up: usize,
-    drained: usize,
-}
-
 /// State shared between the workers, the collector thread, and the status
 /// endpoint for one farm run.
 pub(crate) struct FarmShared {
-    initial_tenants: usize,
+    /// The configuration the farm was built from.
+    config: FarmConfig,
     threads: usize,
-    sim_seconds: u64,
-    step_budget_ms: Option<u64>,
-    scenario: bool,
-    admit_max: usize,
-    restart_backoff: Duration,
-    live: Mutex<BTreeMap<usize, Telemetry>>,
     aggregator: FarmAggregator,
     per_tenant: Mutex<Vec<Arc<TenantLive>>>,
     queue: Mutex<WorkQueue>,
@@ -596,12 +560,8 @@ pub(crate) struct FarmShared {
     farm_telemetry: Telemetry,
     ranges_total: Counter,
     restarts_total: Counter,
-    running_gauge: Gauge,
-    completed_gauge: Gauge,
-    halted_gauge: Gauge,
-    failed_gauge: Gauge,
-    given_up_gauge: Gauge,
-    drained_gauge: Gauge,
+    /// One gauge per [`COUNTED`] state, in its order.
+    state_gauges: [Gauge; 6],
     sink_degraded_gauge: Gauge,
     rss_gauge: Gauge,
     rss_peak_gauge: Gauge,
@@ -615,24 +575,10 @@ impl FarmShared {
         let farm_telemetry = Telemetry::new();
         let now = Instant::now();
         FarmShared {
-            initial_tenants: config.tenants,
+            config: config.clone(),
             threads,
-            sim_seconds: config.sim_seconds,
-            step_budget_ms: config.step_budget_ms,
-            scenario: config.scenario.is_some(),
-            admit_max: config.admit_max,
-            restart_backoff: Duration::from_millis(if config.restart_backoff_ms == 0 {
-                100
-            } else {
-                config.restart_backoff_ms
-            }),
-            live: Mutex::new(BTreeMap::new()),
             aggregator: FarmAggregator::new(),
-            per_tenant: Mutex::new(
-                (0..config.tenants)
-                    .map(|_| Arc::new(TenantLive::default()))
-                    .collect(),
-            ),
+            per_tenant: Mutex::new((0..config.tenants).map(|_| Arc::default()).collect()),
             queue: Mutex::new(WorkQueue {
                 jobs: (0..config.tenants)
                     .map(|tenant| Job {
@@ -649,12 +595,7 @@ impl FarmShared {
             sink_signal: DegradationSignal::new(),
             ranges_total: farm_telemetry.counter("farm.ranges_total"),
             restarts_total: farm_telemetry.counter("farm.restarts_total"),
-            running_gauge: farm_telemetry.gauge("farm.tenants_running"),
-            completed_gauge: farm_telemetry.gauge("farm.tenants_completed"),
-            halted_gauge: farm_telemetry.gauge("farm.tenants_halted"),
-            failed_gauge: farm_telemetry.gauge("farm.tenants_failed"),
-            given_up_gauge: farm_telemetry.gauge("farm.tenants_given_up"),
-            drained_gauge: farm_telemetry.gauge("farm.tenants_drained"),
+            state_gauges: COUNTED.map(|(_, name)| farm_telemetry.gauge(&format!("farm.{name}"))),
             sink_degraded_gauge: farm_telemetry.gauge("farm.sink_degraded"),
             rss_gauge: farm_telemetry.gauge("farm.rss_bytes"),
             rss_peak_gauge: farm_telemetry.gauge("farm.rss_peak_bytes"),
@@ -674,6 +615,11 @@ impl FarmShared {
     /// The live record of `tenant`, if it was ever admitted.
     fn live_of(&self, tenant: usize) -> Option<Arc<TenantLive>> {
         self.per_tenant.lock().get(tenant).cloned()
+    }
+
+    /// Every admitted tenant's record, by index.
+    fn registry(&self) -> Vec<Arc<TenantLive>> {
+        self.per_tenant.lock().clone()
     }
 
     /// Blocks until a runnable job is available; `None` means the farm's
@@ -722,14 +668,15 @@ impl FarmShared {
         }
     }
 
-    /// Requeues the worker's current job for a supervised restart after
-    /// `backoff`.
-    fn requeue(&self, job: Job, backoff: Duration) {
+    /// Requeues the worker's current job as restart number `restarts` of
+    /// `tenant`, due after `backoff`.
+    fn requeue(&self, tenant: usize, restarts: u64, backoff: Duration) {
         let mut q = self.queue.lock();
         q.outstanding = q.outstanding.saturating_sub(1);
         q.jobs.push_back(Job {
+            tenant,
+            restarts,
             not_before: Instant::now() + backoff,
-            ..job
         });
     }
 
@@ -737,7 +684,7 @@ impl FarmShared {
     /// `restarts` (1-based), capped at [`RESTART_BACKOFF_CAP`].
     fn backoff_for(&self, restarts: u64) -> Duration {
         let shift = u32::try_from(restarts.saturating_sub(1).min(6)).unwrap_or(6);
-        self.restart_backoff
+        millis_or(self.config.restart_backoff_ms, 100)
             .saturating_mul(1u32 << shift)
             .min(RESTART_BACKOFF_CAP)
     }
@@ -752,11 +699,11 @@ impl FarmShared {
             return Err(AdmitRejected::Closed);
         }
         let mut registry = self.per_tenant.lock();
-        if registry.len() >= self.initial_tenants.saturating_add(self.admit_max) {
+        if registry.len() >= self.config.tenants.saturating_add(self.config.admit_max) {
             return Err(AdmitRejected::AtCapacity);
         }
         let tenant = registry.len();
-        registry.push(Arc::new(TenantLive::default()));
+        registry.push(Arc::default());
         drop(registry);
         q.jobs.push_back(Job {
             tenant,
@@ -772,17 +719,11 @@ impl FarmShared {
         let Some(live) = self.live_of(tenant) else {
             return false;
         };
-        if !TenantState::from_u8(live.state.load(Ordering::Relaxed)).is_live() {
+        if !live.state().is_live() {
             return false;
         }
         live.drain.store(true, Ordering::Relaxed);
         true
-    }
-
-    fn tenant_started(&self, live: &TenantLive, tenant: usize, telemetry: &Telemetry) {
-        live.state
-            .store(TenantState::Running as u8, Ordering::Relaxed);
-        self.live.lock().insert(tenant, telemetry.clone());
     }
 
     fn tenant_progress(&self, live: &TenantLive, steps: u64, overruns: u64) {
@@ -807,52 +748,171 @@ impl FarmShared {
         *live.checkpoint.lock() = Some(checkpoint);
     }
 
-    /// Records a terminal tenant outcome: folds the final snapshot into the
-    /// aggregate (or evicts it, for drained tenants) and publishes the
-    /// final state.
-    #[allow(clippy::too_many_arguments)]
+    /// Ends one attempt at the pool boundary and returns the report of a
+    /// tenant that ended. A caught panic ends the attempt failed, with what
+    /// its record holds: its telemetry and its last progress. With
+    /// supervision on, a halted or panicked attempt is restarted from the
+    /// last checkpoint with backoff until the restart budget is spent, and
+    /// then the circuit breaker gives the tenant up; every other end is
+    /// terminal.
+    fn end_attempt(
+        &self,
+        job: Job,
+        live: &TenantLive,
+        attempt: std::thread::Result<(TenantReport, TenantState)>,
+    ) -> Option<TenantReport> {
+        let tenant = job.tenant;
+        let (mut report, mut state, restartable) = match attempt {
+            Ok((report, state)) => (report, state, state == TenantState::Halted),
+            Err(panic) => {
+                let report = TenantReport {
+                    tenant,
+                    steps: live.steps.load(Ordering::Relaxed),
+                    budget_overruns: live.overruns.load(Ordering::Relaxed),
+                    restarts: job.restarts,
+                    error: Some(format!("worker panic: {}", panic_message(panic.as_ref()))),
+                    ..TenantReport::default()
+                };
+                (report, TenantState::Failed, true)
+            }
+        };
+        if restartable && self.config.restart_max > 0 {
+            let (t_ns, from_steps) = live
+                .checkpoint
+                .lock()
+                .as_ref()
+                .map_or((0, 0), |c| (c.sim_time_ns(), c.steps()));
+            if job.restarts < self.config.restart_max {
+                // The attempt's snapshot stays in the aggregate until the
+                // next attempt's replaces it.
+                let restarts = job.restarts + 1;
+                if let Some(telemetry) = live.telemetry.lock().take() {
+                    self.aggregator.submit(tenant, telemetry.snapshot());
+                }
+                live.set_state(TenantState::Pending);
+                live.restarts.store(restarts, Ordering::Relaxed);
+                self.restarts_total.inc();
+                self.farm_telemetry
+                    .record(t_ns, || ObsEvent::TenantRestarted {
+                        tenant: tenant as u64,
+                        restarts,
+                        from_steps,
+                    });
+                self.requeue(tenant, restarts, self.backoff_for(restarts));
+                return None;
+            }
+            // Circuit breaker: the final attempt's sinks are the tenant's
+            // record; earlier attempts wrote none.
+            self.farm_telemetry
+                .record(t_ns, || ObsEvent::TenantGivenUp {
+                    tenant: tenant as u64,
+                    restarts: job.restarts,
+                });
+            report.given_up = true;
+            state = TenantState::GivenUp;
+        }
+        let report = self.tenant_finished(live, report, state);
+        self.complete_job();
+        Some(report)
+    }
+
+    /// Publishes a tenant's terminal state: the one way a tenant ends.
+    ///
+    /// One snapshot of the final attempt's telemetry (none for a tenant
+    /// drained before its attempt ran) gives the report its step quantiles,
+    /// becomes the tenant's metrics sink beside its journal unless the
+    /// tenant failed, and stays its contribution to the aggregate. A drained
+    /// tenant persists its last checkpoint and is evicted from the
+    /// aggregate instead. The live counters then take the report's values,
+    /// and `farm.ranges_total` counts every end but a failure or a give-up.
     fn tenant_finished(
         &self,
         live: &TenantLive,
-        tenant: usize,
-        telemetry: &Telemetry,
+        mut report: TenantReport,
         state: TenantState,
-        report: &TenantReport,
-    ) {
-        self.live.lock().remove(&tenant);
+    ) -> TenantReport {
+        let tenant = report.tenant;
+        if state == TenantState::Drained {
+            if let Some(checkpoint) = live.checkpoint.lock().as_ref() {
+                self.persist_checkpoint(tenant, checkpoint);
+            }
+        }
+        let telemetry = live.telemetry.lock().take();
+        if let Some(telemetry) = telemetry {
+            // The range's true max clamps the interpolated quantile
+            // estimates so p50 ≤ p99 ≤ max always holds.
+            let snapshot = telemetry.snapshot();
+            (report.p50_step_seconds, report.p99_step_seconds) = clamped_step_quantiles(
+                snapshot.histogram("range.step_seconds"),
+                report.max_step_seconds,
+            );
+            if state != TenantState::Failed {
+                report.journal_path = self.write_sinks(tenant, &telemetry, &snapshot);
+            }
+            self.aggregator.submit(tenant, snapshot);
+        }
         if state == TenantState::Drained {
             // Drained tenants leave the live population entirely: their
             // contribution is evicted so `/metrics` and aggregator memory
             // stay bounded under dynamic churn.
             self.aggregator.evict(tenant);
-        } else {
-            self.aggregator.submit(tenant, telemetry.snapshot());
         }
-        live.steps.store(report.steps, Ordering::Relaxed);
-        live.overruns
-            .store(report.budget_overruns, Ordering::Relaxed);
+        self.tenant_progress(live, report.steps, report.budget_overruns);
         live.solve_errors
             .store(report.solve_errors, Ordering::Relaxed);
-        if let Some((earned, total)) = report.score {
-            live.score.store(
-                SCORE_PRESENT | u64::from(earned) << 32 | u64::from(total),
-                Ordering::Relaxed,
-            );
+        if let Some(score) = report.score {
+            let _ = live.score.set(score);
         }
-        live.state.store(state as u8, Ordering::Relaxed);
-        if state != TenantState::Failed {
+        live.set_state(state);
+        if !matches!(state, TenantState::Failed | TenantState::GivenUp) {
             self.ranges_total.inc();
         }
+        report
     }
 
-    /// Records a non-terminal interruption (halt/panic pending supervision):
-    /// the tenant leaves the live map and its cumulative snapshot is kept in
-    /// the aggregate, but no terminal state is published yet.
-    fn tenant_suspended(&self, live: &TenantLive, tenant: usize, telemetry: &Telemetry) {
-        self.live.lock().remove(&tenant);
-        self.aggregator.submit(tenant, telemetry.snapshot());
-        live.state
-            .store(TenantState::Pending as u8, Ordering::Relaxed);
+    /// Streams one finished tenant's journal and metrics to the output
+    /// directory; returns the journal path written (if any). Write volume and
+    /// the time spent rendering and writing feed the farm's sink-backpressure
+    /// instruments. Persistent write failures (after retry with backoff) raise
+    /// the farm's degradation signal and are journaled — the tenant is *not*
+    /// failed over durability.
+    fn write_sinks(
+        &self,
+        tenant: usize,
+        telemetry: &Telemetry,
+        metrics: &MetricsSnapshot,
+    ) -> Option<String> {
+        let dir = self.config.out_dir.as_ref()?;
+        let write_start = Instant::now();
+        let journal_text = telemetry.journal_jsonl();
+        let metrics_text = metrics.to_json();
+        let bytes = (journal_text.len() + metrics_text.len()) as u64;
+        let journal = dir.join(format!("tenant-{tenant:04}.journal.jsonl"));
+        if let Err(e) = write_with_retry(&journal, &journal_text) {
+            self.sink_degraded(tenant, &format!("journal sink: {e}"));
+            return None;
+        }
+        let metrics = dir.join(format!("tenant-{tenant:04}.metrics.json"));
+        if let Err(e) = write_with_retry(&metrics, &metrics_text) {
+            self.sink_degraded(tenant, &format!("metrics sink: {e}"));
+            return Some(journal.to_string_lossy().into_owned());
+        }
+        self.journal_bytes.add(bytes);
+        self.journal_write_hist
+            .observe(write_start.elapsed().as_secs_f64());
+        Some(journal.to_string_lossy().into_owned())
+    }
+
+    /// Persists a drained tenant's final checkpoint next to its journal sinks
+    /// (`tenant-NNNN.checkpoint.json`). Failures degrade, never fail the drain.
+    fn persist_checkpoint(&self, tenant: usize, checkpoint: &Checkpoint) {
+        let Some(dir) = &self.config.out_dir else {
+            return;
+        };
+        let path = dir.join(format!("tenant-{tenant:04}.checkpoint.json"));
+        if let Err(e) = write_with_retry(&path, &checkpoint.to_json()) {
+            self.sink_degraded(tenant, &format!("checkpoint sink: {e}"));
+        }
     }
 
     /// Journals persistent sink-write failure and raises the degradation
@@ -867,48 +927,28 @@ impl FarmShared {
         });
     }
 
-    /// One collector pass: folds every live tenant's snapshot plus the
+    /// One collector pass: folds every running attempt's snapshot plus the
     /// farm's own instruments into the aggregator, and samples RSS.
     pub(crate) fn collect(&self) {
-        let live: Vec<(usize, Telemetry)> = self
-            .live
-            .lock()
-            .iter()
-            .map(|(t, tel)| (*t, tel.clone()))
-            .collect();
-        for (tenant, telemetry) in live {
-            self.aggregator.submit(tenant, telemetry.snapshot());
+        let registry = self.registry();
+        for (tenant, live) in registry.iter().enumerate() {
+            // Under the record's lock, so an attempt's end, which takes the
+            // telemetry, is never overwritten by an older snapshot.
+            if let Some(telemetry) = live.telemetry.lock().as_ref() {
+                self.aggregator.submit(tenant, telemetry.snapshot());
+            }
         }
         if let Some(rss) = rss_bytes() {
             self.rss_gauge.set(rss as f64);
             let peak = self.rss_peak.fetch_max(rss, Ordering::Relaxed).max(rss);
             self.rss_peak_gauge.set(peak as f64);
         }
-        let counts = self.counts();
-        self.running_gauge.set(counts.running as f64);
-        self.completed_gauge.set(counts.completed as f64);
-        self.halted_gauge.set(counts.halted as f64);
-        self.failed_gauge.set(counts.failed as f64);
-        self.given_up_gauge.set(counts.given_up as f64);
-        self.drained_gauge.set(counts.drained as f64);
+        let counts = counts(&registry);
+        for ((state, _), gauge) in COUNTED.iter().zip(&self.state_gauges) {
+            gauge.set(counts[*state as usize] as f64);
+        }
         self.aggregator
             .submit(FARM_SELF, self.farm_telemetry.snapshot());
-    }
-
-    fn counts(&self) -> StateCounts {
-        let mut counts = StateCounts::default();
-        for live in self.per_tenant.lock().iter() {
-            match TenantState::from_u8(live.state.load(Ordering::Relaxed)) {
-                TenantState::Running => counts.running += 1,
-                TenantState::Completed => counts.completed += 1,
-                TenantState::Halted => counts.halted += 1,
-                TenantState::Failed => counts.failed += 1,
-                TenantState::GivenUp => counts.given_up += 1,
-                TenantState::Drained => counts.drained += 1,
-                TenantState::Pending => {}
-            }
-        }
-        counts
     }
 
     fn finish(&self) {
@@ -930,62 +970,39 @@ impl FarmShared {
     /// The `/status` body: deterministic-key JSON of farm and per-tenant
     /// live state.
     pub(crate) fn status_json(&self) -> String {
-        let counts = self.counts();
-        let registry: Vec<Arc<TenantLive>> = self.per_tenant.lock().clone();
+        let registry = self.registry();
+        let counts = counts(&registry);
+        let config = &self.config;
         let mut out = String::with_capacity(256 + registry.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"tenants\":{},\"threads\":{},\"sim_seconds\":{},\"scenario\":{},",
-            registry.len(),
-            self.threads,
-            self.sim_seconds,
-            self.scenario
-        );
-        match self.step_budget_ms {
-            Some(budget) => {
-                let _ = write!(out, "\"step_budget_ms\":{budget},");
+        json::object(&mut out, |m| {
+            m.int("tenants", registry.len() as u64)
+                .int("threads", self.threads as u64)
+                .int("sim_seconds", config.sim_seconds)
+                .flag("scenario", config.scenario.is_some())
+                .or_null("step_budget_ms", config.step_budget_ms, Members::int)
+                .int("admit_max", config.admit_max as u64);
+            for (state, name) in COUNTED {
+                m.int(name, counts[state as usize] as u64);
             }
-            None => out.push_str("\"step_budget_ms\":null,"),
-        }
-        let _ = write!(
-            out,
-            "\"admit_max\":{},\"tenants_running\":{},\"tenants_completed\":{},\"tenants_halted\":{},\"tenants_failed\":{},\"tenants_given_up\":{},\"tenants_drained\":{},\"per_tenant\":[",
-            self.admit_max,
-            counts.running,
-            counts.completed,
-            counts.halted,
-            counts.failed,
-            counts.given_up,
-            counts.drained
-        );
-        for (tenant, live) in registry.iter().enumerate() {
-            if tenant > 0 {
-                out.push(',');
-            }
-            let state = TenantState::from_u8(live.state.load(Ordering::Relaxed));
-            let _ = write!(
-                out,
-                "{{\"tenant\":{tenant},\"state\":{},\"steps\":{},\"budget_overruns\":{},\"solve_errors\":{},\"restarts\":{},\"draining\":{},",
-                json::quote(state.name()),
-                live.steps.load(Ordering::Relaxed),
-                live.overruns.load(Ordering::Relaxed),
-                live.solve_errors.load(Ordering::Relaxed),
-                live.restarts.load(Ordering::Relaxed),
-                live.drain.load(Ordering::Relaxed) && state.is_live()
+            m.objects(
+                "per_tenant",
+                registry.iter().enumerate(),
+                |m, (tenant, live)| {
+                    let state = live.state();
+                    m.int("tenant", tenant as u64)
+                        .text("state", state.name())
+                        .int("steps", live.steps.load(Ordering::Relaxed))
+                        .int("budget_overruns", live.overruns.load(Ordering::Relaxed))
+                        .int("solve_errors", live.solve_errors.load(Ordering::Relaxed))
+                        .int("restarts", live.restarts.load(Ordering::Relaxed))
+                        .flag(
+                            "draining",
+                            live.drain.load(Ordering::Relaxed) && state.is_live(),
+                        )
+                        .or_null("score", live.score.get().copied(), score);
+                },
             );
-            let score = live.score.load(Ordering::Relaxed);
-            if score & SCORE_PRESENT != 0 {
-                let _ = write!(
-                    out,
-                    "\"score\":{{\"earned\":{},\"total\":{}}}}}",
-                    (score >> 32) & 0x7fff_ffff,
-                    score & 0xffff_ffff
-                );
-            } else {
-                out.push_str("\"score\":null}");
-            }
-        }
-        out.push_str("]}");
+        });
         out
     }
 }
@@ -1001,6 +1018,27 @@ fn effective_threads(config: &FarmConfig) -> usize {
     .min(config.tenants.saturating_add(config.admit_max).max(1))
 }
 
+/// The report of a farm that could not start: every tenant failed with
+/// `error`.
+fn refused(model: &CompiledModel, config: &FarmConfig, error: &str) -> FarmReport {
+    FarmReport {
+        tenants: config.tenants,
+        threads: effective_threads(config),
+        sim_seconds: config.sim_seconds,
+        step_budget_ms: config.step_budget_ms,
+        tenants_failed: config.tenants,
+        model_summary: model.summary(),
+        per_tenant: (0..config.tenants)
+            .map(|tenant| TenantReport {
+                tenant,
+                error: Some(error.to_string()),
+                ..TenantReport::default()
+            })
+            .collect(),
+        ..FarmReport::default()
+    }
+}
+
 /// Runs `config.tenants` independent ranges from one shared compiled model
 /// across a worker pool and aggregates the farm report.
 ///
@@ -1014,15 +1052,8 @@ pub fn run_farm(model: Arc<CompiledModel>, config: &FarmConfig) -> FarmReport {
         Some(addr) => match StatusServer::bind(addr) {
             Ok(server) => Some(server),
             Err(e) => {
-                let threads = effective_threads(config);
-                let mut report = empty_report(&model, config, threads);
-                report.tenants_failed = config.tenants;
-                report.per_tenant = (0..config.tenants)
-                    .map(|tenant| {
-                        failed_tenant(tenant, format!("cannot bind status endpoint {addr}: {e}"))
-                    })
-                    .collect();
-                return report;
+                let error = format!("cannot bind status endpoint {addr}: {e}");
+                return refused(&model, config, &error);
             }
         },
         None => None,
@@ -1044,30 +1075,21 @@ pub fn run_farm_with_status(
     if let Some(dir) = &config.out_dir {
         // Creating the sink directory up front keeps workers fs-race-free.
         if let Err(e) = std::fs::create_dir_all(dir) {
-            let mut report = empty_report(&model, config, threads);
-            report.tenants_failed = config.tenants;
-            report.per_tenant = (0..config.tenants)
-                .map(|tenant| failed_tenant(tenant, format!("cannot create out dir: {e}")))
-                .collect();
-            return report;
+            return refused(&model, config, &format!("cannot create out dir: {e}"));
         }
     }
 
     let shared = FarmShared::new(config, threads);
-    {
-        let (tenants, sim_seconds) = (config.tenants as u64, config.sim_seconds);
-        let threads = threads as u64;
-        shared
-            .farm_telemetry
-            .record(0u64, || ObsEvent::FarmStarted {
-                tenants,
-                threads,
-                sim_seconds,
-            });
-    }
+    shared
+        .farm_telemetry
+        .record(0u64, || ObsEvent::FarmStarted {
+            tenants: config.tenants as u64,
+            threads: threads as u64,
+            sim_seconds: config.sim_seconds,
+        });
     let collect_interval = config.collect_interval();
 
-    let wall_start = std::time::Instant::now();
+    let wall_start = Instant::now();
     let (tx, rx) = mpsc::channel::<TenantReport>();
 
     let mut per_tenant: Vec<TenantReport> = Vec::new();
@@ -1094,7 +1116,7 @@ pub fn run_farm_with_status(
             let model = &model;
             scope.spawn(move || {
                 while let Some(job) = shared.next_job() {
-                    run_job(model, config, job, shared, &tx);
+                    run_job(model, job, shared, &tx);
                 }
             });
         }
@@ -1106,30 +1128,14 @@ pub fn run_farm_with_status(
     per_tenant.sort_by_key(|t| t.tenant);
     let wall_seconds = wall_start.elapsed().as_secs_f64();
 
-    let mut steps_total = 0u64;
-    let mut budget_overruns = 0u64;
-    let mut tenants_halted = 0usize;
-    let mut tenants_failed = 0usize;
-    let mut tenants_given_up = 0usize;
-    let mut tenants_drained = 0usize;
-    let mut max_step_seconds = 0.0f64;
-    for t in &per_tenant {
-        steps_total += t.steps;
-        budget_overruns += t.budget_overruns;
-        max_step_seconds = max_step_seconds.max(t.max_step_seconds);
-        if t.halted {
-            tenants_halted += 1;
-        }
-        if t.error.is_some() {
-            tenants_failed += 1;
-        }
-        if t.given_up {
-            tenants_given_up += 1;
-        }
-        if t.drained {
-            tenants_drained += 1;
-        }
-    }
+    let count = |keep: fn(&TenantReport) -> bool| per_tenant.iter().filter(|t| keep(t)).count();
+    let tenants_halted = count(|t| t.halted);
+    let tenants_failed = count(|t| t.error.is_some());
+    let steps_total = per_tenant.iter().map(|t| t.steps).sum();
+    let max_step_seconds = per_tenant
+        .iter()
+        .map(|t| t.max_step_seconds)
+        .fold(0.0, f64::max);
 
     // Farm-level latency percentiles from the bucket-merged histogram of
     // every tenant's `range.step_seconds` — O(buckets × tenants) memory,
@@ -1143,24 +1149,14 @@ pub fn run_farm_with_status(
             (histogram_quantile(h, 0.50), histogram_quantile(h, 0.99))
         });
 
-    {
-        let (completed_n, halted_n, failed_n) = (
-            per_tenant
-                .iter()
-                .filter(|t| t.error.is_none() && !t.halted)
-                .count() as u64,
-            tenants_halted as u64,
-            tenants_failed as u64,
-        );
-        let t_end = config.sim_seconds.saturating_mul(1_000_000_000);
-        shared
-            .farm_telemetry
-            .record(t_end, || ObsEvent::FarmFinished {
-                tenants_completed: completed_n,
-                tenants_halted: halted_n,
-                tenants_failed: failed_n,
-            });
-    }
+    let t_end = config.sim_seconds.saturating_mul(1_000_000_000);
+    shared
+        .farm_telemetry
+        .record(t_end, || ObsEvent::FarmFinished {
+            tenants_completed: count(|t| t.error.is_none() && !t.halted) as u64,
+            tenants_halted: tenants_halted as u64,
+            tenants_failed: tenants_failed as u64,
+        });
     if let Some(dir) = &config.out_dir {
         let _ = std::fs::write(
             dir.join("farm.journal.jsonl"),
@@ -1168,34 +1164,32 @@ pub fn run_farm_with_status(
         );
     }
 
-    let completed = per_tenant.iter().filter(|t| t.error.is_none()).count();
+    let per_second = |n: f64| {
+        if wall_seconds > 0.0 {
+            n / wall_seconds
+        } else {
+            0.0
+        }
+    };
     FarmReport {
         tenants: config.tenants,
         threads,
         sim_seconds: config.sim_seconds,
         wall_seconds,
-        ranges_per_sec: if wall_seconds > 0.0 {
-            completed as f64 / wall_seconds
-        } else {
-            0.0
-        },
+        ranges_per_sec: per_second(count(|t| t.error.is_none()) as f64),
         steps_total,
-        steps_per_sec: if wall_seconds > 0.0 {
-            steps_total as f64 / wall_seconds
-        } else {
-            0.0
-        },
+        steps_per_sec: per_second(steps_total as f64),
         p50_step_seconds: p50,
         p99_step_seconds: p99,
         max_step_seconds,
         checkpoint_p50_seconds: checkpoint_p50,
         checkpoint_p99_seconds: checkpoint_p99,
         step_budget_ms: config.step_budget_ms,
-        budget_overruns,
+        budget_overruns: per_tenant.iter().map(|t| t.budget_overruns).sum(),
         tenants_halted,
         tenants_failed,
-        tenants_given_up,
-        tenants_drained,
+        tenants_given_up: count(|t| t.given_up),
+        tenants_drained: count(|t| t.drained),
         restarts_total: shared.restarts_total.get(),
         journal_dropped: merged.journal_dropped,
         spans_dropped: merged.spans_dropped,
@@ -1207,28 +1201,15 @@ pub fn run_farm_with_status(
     }
 }
 
-/// One tenant attempt's result, before the supervisor's verdict.
-enum Attempt {
-    /// Terminal: the report is final and the tenant state is published.
-    Done(TenantReport),
-    /// Restart-eligible interruption (budget halt). The report is what the
-    /// tenant reports if the supervisor gives up right now, and the
-    /// telemetry (none after a worker panic) holds the sinks it then writes.
-    Interrupted(TenantReport, Option<Telemetry>),
-}
-
 /// Runs one queued job at the pool boundary: executes the tenant attempt
-/// with panics caught, then applies the supervisor's restart policy —
-/// requeue with backoff, give up (circuit breaker), or report terminally.
+/// with panics caught, then ends it under the supervisor's restart policy.
 fn run_job(
     model: &Arc<CompiledModel>,
-    config: &FarmConfig,
     job: Job,
     shared: &FarmShared,
     tx: &mpsc::Sender<TenantReport>,
 ) {
-    let tenant = job.tenant;
-    let Some(live) = shared.live_of(tenant) else {
+    let Some(live) = shared.live_of(job.tenant) else {
         // Registry and queue are updated under one lock; an unknown tenant
         // here is unreachable, but a supervisor must not crash on it.
         shared.complete_job();
@@ -1236,91 +1217,12 @@ fn run_job(
     };
     live.restarts.store(job.restarts, Ordering::Relaxed);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_tenant_attempt(model, config, &job, shared, &live)
+        run_tenant_attempt(model, &job, shared, &live)
     }));
-    let attempt = match attempt {
-        Ok(attempt) => attempt,
-        Err(panic) => {
-            // Worker panic caught at the pool boundary: the tenant's attempt
-            // state is lost, but its last checkpoint survives — treat it
-            // exactly like a halt and let the restart policy decide.
-            let detail = panic_message(panic.as_ref());
-            shared.tenant_suspended(&live, tenant, &Telemetry::new());
-            let mut report = failed_tenant(tenant, format!("worker panic: {detail}"));
-            report.restarts = job.restarts;
-            report.steps = live.steps.load(Ordering::Relaxed);
-            Attempt::Interrupted(report, None)
-        }
-    };
-    match attempt {
-        Attempt::Done(report) => {
-            // A send only fails if the receiver is gone, i.e. the farm is
-            // already being torn down — nothing left to report to.
-            let _ = tx.send(report);
-            shared.complete_job();
-        }
-        Attempt::Interrupted(mut report, telemetry) => {
-            if config.restart_max > 0 && job.restarts < config.restart_max {
-                let restarts = job.restarts + 1;
-                let (t_ns, from_steps) = live
-                    .checkpoint
-                    .lock()
-                    .as_ref()
-                    .map_or((0, 0), |c| (c.sim_time_ns(), c.steps()));
-                shared.restarts_total.inc();
-                live.restarts.store(restarts, Ordering::Relaxed);
-                shared
-                    .farm_telemetry
-                    .record(t_ns, || ObsEvent::TenantRestarted {
-                        tenant: tenant as u64,
-                        restarts,
-                        from_steps,
-                    });
-                let backoff = shared.backoff_for(restarts);
-                shared.requeue(
-                    Job {
-                        tenant,
-                        restarts,
-                        not_before: Instant::now(),
-                    },
-                    backoff,
-                );
-            } else if config.restart_max > 0 {
-                // Circuit breaker: restart budget exhausted. The final
-                // attempt's sinks are the tenant's record; earlier attempts
-                // wrote none.
-                report.journal_path = telemetry
-                    .and_then(|telemetry| write_tenant_sinks(config, tenant, &telemetry, shared));
-                let restarts = job.restarts;
-                let t_ns = live
-                    .checkpoint
-                    .lock()
-                    .as_ref()
-                    .map_or(0, sgcr_core::Checkpoint::sim_time_ns);
-                shared
-                    .farm_telemetry
-                    .record(t_ns, || ObsEvent::TenantGivenUp {
-                        tenant: tenant as u64,
-                        restarts,
-                    });
-                report.given_up = true;
-                live.state
-                    .store(TenantState::GivenUp as u8, Ordering::Relaxed);
-                let _ = tx.send(report);
-                shared.complete_job();
-            } else {
-                // Supervision off: the pre-supervision behavior — a halted
-                // tenant stays halted (or a panicked one stays failed).
-                let state = if report.error.is_some() {
-                    TenantState::Failed
-                } else {
-                    TenantState::Halted
-                };
-                live.state.store(state as u8, Ordering::Relaxed);
-                let _ = tx.send(report);
-                shared.complete_job();
-            }
-        }
+    if let Some(report) = shared.end_attempt(job, &live, attempt) {
+        // A send only fails if the receiver is gone, i.e. the farm is
+        // already being torn down — nothing left to report to.
+        let _ = tx.send(report);
     }
 }
 
@@ -1336,51 +1238,47 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one tenant attempt (fresh, or resumed from its last checkpoint) and
-/// measures it. Never panics by design; failures land on the report's
-/// `error` field, and a budget halt returns [`Attempt::Interrupted`] for
-/// the supervisor to decide on.
+/// measures it; returns its report and the state it ended in. Never panics
+/// by design; failures land on the report's `error` field.
 fn run_tenant_attempt(
     model: &Arc<CompiledModel>,
-    config: &FarmConfig,
     job: &Job,
     shared: &FarmShared,
     live: &TenantLive,
-) -> Attempt {
+) -> (TenantReport, TenantState) {
+    let config = &shared.config;
     let tenant = job.tenant;
-    let telemetry = Telemetry::new();
-    shared.tenant_started(live, tenant, &telemetry);
+    let mut report = TenantReport {
+        tenant,
+        restarts: job.restarts,
+        ..TenantReport::default()
+    };
+    live.set_state(TenantState::Running);
 
     // Drained while still queued (e.g. during restart backoff): honor the
     // drain without re-running anything. The last checkpoint — the exact
     // state the tenant would resume from — is what gets persisted.
     if live.drain.load(Ordering::Relaxed) {
-        let checkpoint = live.checkpoint.lock().clone();
-        let steps = checkpoint.as_ref().map_or(0, sgcr_core::Checkpoint::steps);
-        if let Some(cp) = &checkpoint {
-            persist_checkpoint(config, tenant, cp, shared);
-        }
-        let mut report = failed_tenant(tenant, String::new());
-        report.error = None;
-        report.steps = steps;
-        report.restarts = job.restarts;
+        report.steps = live.checkpoint.lock().as_ref().map_or(0, Checkpoint::steps);
         report.drained = true;
-        shared.tenant_finished(live, tenant, &telemetry, TenantState::Drained, &report);
-        return Attempt::Done(report);
+        return (report, TenantState::Drained);
     }
 
+    let telemetry = Telemetry::new();
+    *live.telemetry.lock() = Some(telemetry.clone());
     let resume_from = live.checkpoint.lock().clone();
-    let wall_start = std::time::Instant::now();
+    let wall_start = Instant::now();
     let built = match &resume_from {
         // Resume replays deterministically from step 0 into this fresh
         // telemetry handle, so the journal repeats a run that never paused
         // except in wall-clock events: the replay judges its steps against
         // the interval, as the farm's budget is set only after it.
         Some(checkpoint) => checkpoint
-            .resume(model.clone(), telemetry.clone())
+            .resume(model.clone(), telemetry)
             .map_err(|e| e.to_string()),
         None => {
             let mut builder = RangeBuilder::from_model(model.clone())
-                .telemetry(telemetry.clone())
+                .telemetry(telemetry)
                 .fault_seed(config.base_fault_seed + tenant as u64);
             if let Some(interval) = config.interval {
                 builder = builder.interval(interval);
@@ -1391,10 +1289,8 @@ fn run_tenant_attempt(
     let mut range = match built {
         Ok(range) => range,
         Err(e) => {
-            let mut report = failed_tenant(tenant, e);
-            report.restarts = job.restarts;
-            shared.tenant_finished(live, tenant, &telemetry, TenantState::Failed, &report);
-            return Attempt::Done(report);
+            report.error = Some(e);
+            return (report, TenantState::Failed);
         }
     };
 
@@ -1407,29 +1303,22 @@ fn run_tenant_attempt(
     });
     let budget_overruns =
         |range: &CyberRange| counted_from.map_or(0, |from| range.overruns() - from);
-    let mut halted = false;
-    let mut drained = false;
-    let mut score = None;
 
     match &config.scenario {
-        Some(scenario) => {
-            // The exercise engine owns the step loop, and the supervisor
-            // does not interpose (no halt, no checkpoints, no drain).
-            match run_exercise(&mut range, scenario) {
-                Ok(report) => {
-                    let s = report.score();
-                    score = Some((s.earned, s.total));
-                }
-                Err(e) => {
-                    let mut report = failed_tenant(tenant, format!("exercise: {e}"));
-                    report.steps = range.steps_total();
-                    report.solve_errors = range.solve_errors_total();
-                    report.restarts = job.restarts;
-                    shared.tenant_finished(live, tenant, &telemetry, TenantState::Failed, &report);
-                    return Attempt::Done(report);
-                }
+        // The exercise engine owns the step loop, and the supervisor does
+        // not interpose (no halt, no checkpoints, no drain).
+        Some(scenario) => match run_exercise(&mut range, scenario) {
+            Ok(exercise) => {
+                let s = exercise.score();
+                report.score = Some((s.earned, s.total));
             }
-        }
+            Err(e) => {
+                report.error = Some(format!("exercise: {e}"));
+                report.steps = range.steps_total();
+                report.solve_errors = range.solve_errors_total();
+                return (report, TenantState::Failed);
+            }
+        },
         None => {
             // Plain soak: drive the step loop directly so the budget can
             // halt a runaway tenant live, a drain request lands on a step
@@ -1441,14 +1330,14 @@ fn run_tenant_attempt(
             let mut last_checkpoint = Instant::now();
             while range.now() < end {
                 if live.drain.load(Ordering::Relaxed) {
-                    drained = true;
+                    report.drained = true;
                     break;
                 }
                 range.step();
                 let overruns = budget_overruns(&range);
                 shared.tenant_progress(live, range.steps_total(), overruns);
                 if config.max_overruns > 0 && overruns >= config.max_overruns {
-                    halted = true;
+                    report.halted = true;
                     break;
                 }
                 if last_checkpoint.elapsed() >= checkpoint_every {
@@ -1456,59 +1345,18 @@ fn run_tenant_attempt(
                     last_checkpoint = Instant::now();
                 }
             }
-            if halted || drained {
+            if report.halted || report.drained {
                 // Anchor the restart (or the drain file) at the exact
                 // interruption boundary — no completed step is lost.
                 shared.capture_checkpoint(live, tenant, &range);
             }
         }
     }
-    let wall_seconds = wall_start.elapsed().as_secs_f64();
-
-    // Latency stats from the tenant's own step-seconds histogram — bounded
-    // by the bucket count, not the step count. The range's true max clamps
-    // the interpolated quantile estimates so p50 ≤ p99 ≤ max always holds.
-    let max_step_seconds = range.max_step_seconds();
-    let snapshot = telemetry.snapshot();
-    let (p50, p99) =
-        clamped_step_quantiles(snapshot.histogram("range.step_seconds"), max_step_seconds);
-
-    let report = TenantReport {
-        tenant,
-        steps: range.steps_total(),
-        wall_seconds,
-        p50_step_seconds: p50,
-        p99_step_seconds: p99,
-        max_step_seconds,
-        budget_overruns: budget_overruns(&range),
-        halted,
-        solve_errors: range.solve_errors_total(),
-        restarts: job.restarts,
-        given_up: false,
-        drained,
-        score,
-        journal_path: None,
-        error: None,
-    };
-
-    if halted && config.restart_max > 0 {
-        // Restart-eligible: hand the verdict to the supervisor. The
-        // cumulative snapshot stays in the aggregate; the supervisor writes
-        // the sinks only if it gives the tenant up.
-        shared.tenant_suspended(live, tenant, &telemetry);
-        return Attempt::Interrupted(report, Some(telemetry));
-    }
-
-    if drained {
-        if let Some(cp) = live.checkpoint.lock().as_ref() {
-            persist_checkpoint(config, tenant, cp, shared);
-        }
-    }
-    let journal_path = write_tenant_sinks(config, tenant, &telemetry, shared);
-    let report = TenantReport {
-        journal_path,
-        ..report
-    };
+    report.wall_seconds = wall_start.elapsed().as_secs_f64();
+    report.steps = range.steps_total();
+    report.max_step_seconds = range.max_step_seconds();
+    report.budget_overruns = budget_overruns(&range);
+    report.solve_errors = range.solve_errors_total();
     let state = if report.drained {
         TenantState::Drained
     } else if report.halted {
@@ -1516,8 +1364,7 @@ fn run_tenant_attempt(
     } else {
         TenantState::Completed
     };
-    shared.tenant_finished(live, tenant, &telemetry, state, &report);
-    Attempt::Done(report)
+    (report, state)
 }
 
 /// Writes `contents` to `path`, retrying transient failures with a short
@@ -1536,103 +1383,6 @@ fn write_with_retry(path: &Path, contents: &str) -> std::io::Result<()> {
         }
     }
     Err(last_err.unwrap_or_else(|| std::io::Error::other("write failed")))
-}
-
-/// Persists a drained tenant's final checkpoint next to its journal sinks
-/// (`tenant-NNNN.checkpoint.json`). Failures degrade, never fail the drain.
-fn persist_checkpoint(config: &FarmConfig, tenant: usize, cp: &Checkpoint, shared: &FarmShared) {
-    let Some(dir) = &config.out_dir else {
-        return;
-    };
-    let path = dir.join(format!("tenant-{tenant:04}.checkpoint.json"));
-    if let Err(e) = write_with_retry(&path, &cp.to_json()) {
-        shared.sink_degraded(tenant, &format!("checkpoint sink: {e}"));
-    }
-}
-
-/// Streams one finished tenant's journal and metrics to the output
-/// directory; returns the journal path written (if any). Write volume and
-/// the time spent rendering and writing feed the farm's sink-backpressure
-/// instruments. Persistent write failures (after retry with backoff) raise
-/// the farm's degradation signal and are journaled — the tenant is *not*
-/// failed over durability.
-fn write_tenant_sinks(
-    config: &FarmConfig,
-    tenant: usize,
-    telemetry: &Telemetry,
-    shared: &FarmShared,
-) -> Option<String> {
-    let dir = config.out_dir.as_ref()?;
-    let write_start = std::time::Instant::now();
-    let journal_text = telemetry.journal_jsonl();
-    let metrics_text = telemetry.snapshot().to_json();
-    let bytes = (journal_text.len() + metrics_text.len()) as u64;
-    let journal = dir.join(format!("tenant-{tenant:04}.journal.jsonl"));
-    if let Err(e) = write_with_retry(&journal, &journal_text) {
-        shared.sink_degraded(tenant, &format!("journal sink: {e}"));
-        return None;
-    }
-    let metrics = dir.join(format!("tenant-{tenant:04}.metrics.json"));
-    if let Err(e) = write_with_retry(&metrics, &metrics_text) {
-        shared.sink_degraded(tenant, &format!("metrics sink: {e}"));
-        return Some(journal.to_string_lossy().into_owned());
-    }
-    shared.journal_bytes.add(bytes);
-    shared
-        .journal_write_hist
-        .observe(write_start.elapsed().as_secs_f64());
-    Some(journal.to_string_lossy().into_owned())
-}
-
-fn failed_tenant(tenant: usize, error: String) -> TenantReport {
-    TenantReport {
-        tenant,
-        steps: 0,
-        wall_seconds: 0.0,
-        p50_step_seconds: 0.0,
-        p99_step_seconds: 0.0,
-        max_step_seconds: 0.0,
-        budget_overruns: 0,
-        halted: false,
-        solve_errors: 0,
-        restarts: 0,
-        given_up: false,
-        drained: false,
-        score: None,
-        journal_path: None,
-        error: Some(error),
-    }
-}
-
-fn empty_report(model: &CompiledModel, config: &FarmConfig, threads: usize) -> FarmReport {
-    FarmReport {
-        tenants: config.tenants,
-        threads,
-        sim_seconds: config.sim_seconds,
-        wall_seconds: 0.0,
-        ranges_per_sec: 0.0,
-        steps_total: 0,
-        steps_per_sec: 0.0,
-        p50_step_seconds: 0.0,
-        p99_step_seconds: 0.0,
-        max_step_seconds: 0.0,
-        checkpoint_p50_seconds: 0.0,
-        checkpoint_p99_seconds: 0.0,
-        step_budget_ms: config.step_budget_ms,
-        budget_overruns: 0,
-        tenants_halted: 0,
-        tenants_failed: 0,
-        tenants_given_up: 0,
-        tenants_drained: 0,
-        restarts_total: 0,
-        journal_dropped: 0,
-        spans_dropped: 0,
-        rss_peak_bytes: 0,
-        journal_bytes_written: 0,
-        journal_write_seconds: 0.0,
-        model_summary: model.summary(),
-        per_tenant: Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -1717,9 +1467,7 @@ mod tests {
         );
         assert!(shared.drain(0), "pending tenant is drainable");
         assert!(!shared.drain(7), "unknown tenant");
-        let live = shared.live_of(0).unwrap();
-        live.state
-            .store(TenantState::Completed as u8, Ordering::Relaxed);
+        shared.live_of(0).unwrap().set_state(TenantState::Completed);
         assert!(!shared.drain(0), "terminal tenant is not drainable");
     }
 
@@ -1737,5 +1485,85 @@ mod tests {
         shared.complete_job();
         assert!(shared.next_job().is_none(), "queue closes after last job");
         assert!(shared.queue.lock().closed);
+    }
+
+    /// An attempt of tenant 0 that has counted `frames` frames and then
+    /// panicked, ended the way the pool boundary ends it.
+    fn panicked_attempt(shared: &FarmShared, frames: u64) -> Option<TenantReport> {
+        let live = shared.live_of(0).unwrap();
+        let telemetry = Telemetry::new();
+        telemetry.counter("net.frames_delivered").add(frames);
+        *live.telemetry.lock() = Some(telemetry);
+        let job = shared.next_job().expect("the tenant's job");
+        shared.end_attempt(job, &live, Err(Box::new("injected")))
+    }
+
+    /// A caught panic keeps the attempt's telemetry: its counters stay the
+    /// tenant's contribution to the aggregate while the supervisor restarts
+    /// it, and when the supervisor gives it up, its snapshot is the
+    /// tenant's metrics sink.
+    #[test]
+    fn a_panicked_attempt_keeps_its_telemetry() {
+        let dir = std::env::temp_dir().join(format!("sgcr-farm-panic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let shared = FarmShared::new(
+            &FarmConfig {
+                restart_max: 1,
+                restart_backoff_ms: 1,
+                out_dir: Some(dir.clone()),
+                ..FarmConfig::default()
+            },
+            1,
+        );
+        let frames = |shared: &FarmShared| {
+            let latest = shared.aggregator.latest(0).expect("a snapshot of tenant 0");
+            latest.counter("net.frames_delivered")
+        };
+
+        assert!(panicked_attempt(&shared, 7).is_none(), "restarted");
+        assert_eq!(frames(&shared), Some(7));
+        assert_eq!(shared.live_of(0).unwrap().state(), TenantState::Pending);
+
+        let report = panicked_attempt(&shared, 9).expect("given up");
+        assert!(report.given_up);
+        assert_eq!(report.error.as_deref(), Some("worker panic: injected"));
+        assert_eq!(frames(&shared), Some(9));
+        let sink = std::fs::read_to_string(dir.join("tenant-0000.metrics.json")).unwrap();
+        let sink = json::parse(&sink).unwrap();
+        let delivered = sink
+            .get("counters")
+            .and_then(|c| c.get("net.frames_delivered"));
+        assert_eq!(delivered.and_then(json::Value::as_u64), Some(9));
+        assert!(report.journal_path.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A tenant given up after its last halt publishes its final report's
+    /// counters on `/status`, its solve errors included.
+    #[test]
+    fn a_given_up_tenant_publishes_its_solve_errors() {
+        let shared = FarmShared::new(
+            &FarmConfig {
+                restart_max: 1,
+                ..FarmConfig::default()
+            },
+            1,
+        );
+        let live = shared.live_of(0).unwrap();
+        let job = Job {
+            restarts: 1,
+            ..shared.next_job().expect("the tenant's job")
+        };
+        let halted = TenantReport {
+            steps: 5,
+            solve_errors: 3,
+            halted: true,
+            ..TenantReport::default()
+        };
+        let report = shared.end_attempt(job, &live, Ok((halted, TenantState::Halted)));
+        assert!(report.expect("given up").given_up);
+        assert_eq!(live.state(), TenantState::GivenUp);
+        assert_eq!(live.steps.load(Ordering::Relaxed), 5);
+        assert_eq!(live.solve_errors.load(Ordering::Relaxed), 3);
     }
 }

@@ -6,7 +6,7 @@
 //! `DELETE /tenants/<id>` (graceful drain).
 //!
 //! The server is deliberately tiny: one thread, blocking per-request I/O
-//! with short timeouts, `Connection: close` semantics. It exists so a
+//! with short deadlines, `Connection: close` semantics. It exists so a
 //! running `sgml_processor serve --status-addr …` can be scraped by
 //! Prometheus, watched by `sgml_processor watch`, and administered while
 //! thousands of tenants soak — not to be a general web server. Hostile or
@@ -17,10 +17,11 @@
 use crate::{AdmitRejected, FarmShared};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long one request may take to arrive / be answered before the
-/// connection is abandoned. Keeps a stuck client from wedging the endpoint.
+/// How long a request head may take to arrive, counted from accept, and a
+/// response to be written before the connection is abandoned. Keeps a
+/// stuck or dripping client from wedging the endpoint.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// How often the accept loop re-checks the farm's shutdown flag.
@@ -87,19 +88,19 @@ enum RequestHead {
     Complete(String),
     /// The head exceeded [`MAX_REQUEST_HEAD`] without terminating.
     Oversized,
-    /// The client sent something but hung up (or timed out) mid-head.
+    /// The client sent something but hung up, or ran out of time, mid-head.
     Truncated,
     /// The client connected and went away without sending a byte.
     Empty,
 }
 
 fn handle(mut stream: TcpStream, shared: &FarmShared) {
+    let deadline = Instant::now() + IO_TIMEOUT;
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let head = match read_request_head(&mut stream) {
+    let head = match read_request_head(&mut stream, deadline) {
         RequestHead::Complete(head) => head,
         RequestHead::Oversized => {
             respond(
@@ -208,12 +209,18 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
     let _ = stream.flush();
 }
 
-/// Reads one request head off the connection, classifying malformed input
-/// instead of guessing at it.
-fn read_request_head(stream: &mut TcpStream) -> RequestHead {
+/// Reads one request head off the connection by `deadline`, classifying
+/// malformed input instead of guessing at it.
+fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> RequestHead {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        // Each read waits only for what is left of the one deadline, so a
+        // client that drips its head cannot hold the endpoint past it.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {

@@ -54,6 +54,6 @@ pub use mms::{
     tpkt_frame, ControlDecision, ControlHandler, DataAccessError, MmsClient, MmsPdu, MmsRequest,
     MmsResponse, MmsServer, SharedModel, TpktDecoder, ERROR_PDU_SIZE, MMS_PORT, TPKT_MAX_PAYLOAD,
 };
-pub use model::{DataModel, DataValue, Fc, LeafId, ObjectRef};
+pub use model::{DataModel, DataValue, Fc, LeafId, ObjectRef, MAX_DATA_DEPTH};
 pub use rgoose::{SessionPacket, SessionPayloadType, SessionReceiver, SessionSender, RGOOSE_PORT};
 pub use sv::{SvAsdu, SvPdu, SvPublisher, SvSubscriber};

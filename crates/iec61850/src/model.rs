@@ -51,6 +51,13 @@ impl fmt::Display for Fc {
     }
 }
 
+/// How deep [`DataValue::decode`] lets MMS structures nest before it
+/// refuses the value. The deepest value the shipped models encode is a whole
+/// measurement object such as `MMXU1$MX$PhV` (`PhV` → `phsA` → `cVal` →
+/// `mag`, 4 levels); a peer's value nested past the limit is an error, not
+/// a stack overflow.
+pub const MAX_DATA_DEPTH: usize = 32;
+
 /// A value of an IEC 61850 data attribute — the MMS `Data` choice subset
 /// exchanged by the cyber range.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,12 +195,26 @@ impl DataValue {
     }
 
     /// Decodes one MMS `Data` element.
+    ///
+    /// # Errors
+    ///
+    /// A [`BerError`] when the element is malformed, including a structure
+    /// nested more than [`MAX_DATA_DEPTH`] deep.
     pub fn decode(el: &Element<'_>) -> Result<DataValue, BerError> {
+        DataValue::decode_in(el, 0)
+    }
+
+    /// Decodes `el`, which `depth` structures enclose: one call per level,
+    /// so the depth limit bounds the stack a hostile value can take.
+    fn decode_in(el: &Element<'_>, depth: usize) -> Result<DataValue, BerError> {
         match el.tag {
             t if t == Tag::context_constructed(2) => {
+                if depth == MAX_DATA_DEPTH {
+                    return Err(BerError::BadContent("structure nested too deep"));
+                }
                 let mut fields = Vec::new();
                 for child in el.children()? {
-                    fields.push(DataValue::decode(&child)?);
+                    fields.push(DataValue::decode_in(&child, depth + 1)?);
                 }
                 Ok(DataValue::Struct(fields))
             }

@@ -12,7 +12,7 @@
 //! not stored: every record ever journaled is either retained or evicted,
 //! so the first retained record's `seq` is the evicted count.
 
-use crate::json::{push_number, push_quoted};
+use crate::json::Members;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
@@ -403,37 +403,7 @@ fn write_record(
     out.push('}');
 }
 
-/// Appends `,"key":value` members to the JSON object being written.
-struct Members<'a>(&'a mut String);
-
 impl Members<'_> {
-    fn key(&mut self, key: &str) -> &mut String {
-        self.0.push_str(",\"");
-        self.0.push_str(key);
-        self.0.push_str("\":");
-        self.0
-    }
-
-    fn text(&mut self, key: &str, value: &str) -> &mut Self {
-        push_quoted(self.key(key), value);
-        self
-    }
-
-    fn int(&mut self, key: &str, value: u64) -> &mut Self {
-        let _ = write!(self.key(key), "{value}");
-        self
-    }
-
-    fn float(&mut self, key: &str, value: f64) -> &mut Self {
-        push_number(self.key(key), value);
-        self
-    }
-
-    fn flag(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key).push_str(if value { "true" } else { "false" });
-        self
-    }
-
     // The members of the events a slot can hold inline, written one way for
     // both forms.
 

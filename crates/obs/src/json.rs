@@ -3,10 +3,11 @@
 //! so string escaping exists exactly once.
 //!
 //! This is intentionally *not* a general JSON library: the two primitives a
-//! writer needs — quoting a string and formatting a float — plus one small,
-//! depth-bounded recursive-descent [`parse`] that every in-tree reader
-//! shares: checkpoint resume, the `watch` dashboard over `/status`, and
-//! lint's report decoder and incremental cache.
+//! writer needs — quoting a string and formatting a float — the one member
+//! writer ([`Members`]) that the journal and the farm's documents use, plus
+//! one small, depth-bounded recursive-descent [`parse`] that every in-tree
+//! reader shares: checkpoint resume, the `watch` dashboard over `/status`,
+//! and lint's report decoder and incremental cache.
 
 use std::fmt::Write as _;
 
@@ -81,6 +82,111 @@ pub(crate) fn push_number(out: &mut String, v: f64) {
         }
     } else {
         let _ = write!(out, "\"{v}\"");
+    }
+}
+
+/// Writes one JSON object onto `out`: `{`, the members `write` adds, `}`.
+///
+/// # Examples
+///
+/// ```
+/// use sgcr_obs::json::{self, Members};
+///
+/// let mut out = String::new();
+/// json::object(&mut out, |m| {
+///     m.int("steps", 3).or_null("error", None::<&str>, Members::text);
+///     m.objects("tenants", [1, 2], |m, tenant| {
+///         m.int("tenant", tenant);
+///     });
+/// });
+/// assert_eq!(out, r#"{"steps":3,"error":null,"tenants":[{"tenant":1},{"tenant":2}]}"#);
+/// ```
+pub fn object(out: &mut String, write: impl FnOnce(&mut Members<'_>)) {
+    out.push('{');
+    write(&mut Members(out));
+    out.push('}');
+}
+
+/// The members of the JSON object being written onto a string, each
+/// `"key":value`, with a comma before every member but the first.
+pub struct Members<'a>(pub(crate) &'a mut String);
+
+impl Members<'_> {
+    /// Starts member `key` and returns the string its value goes onto.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.0.ends_with('{') {
+            self.0.push(',');
+        }
+        self.0.push('"');
+        self.0.push_str(key);
+        self.0.push_str("\":");
+        self.0
+    }
+
+    /// A string member, quoted as [`quote`] does.
+    pub fn text(&mut self, key: &str, value: &str) -> &mut Self {
+        push_quoted(self.key(key), value);
+        self
+    }
+
+    /// An integer member.
+    pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{value}");
+        self
+    }
+
+    /// A float member, formatted as [`number`] does.
+    pub fn float(&mut self, key: &str, value: f64) -> &mut Self {
+        push_number(self.key(key), value);
+        self
+    }
+
+    /// A `true`/`false` member.
+    pub fn flag(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    /// Member `key` as `write` writes `value`, or `null` without a value.
+    pub fn or_null<T>(
+        &mut self,
+        key: &str,
+        value: Option<T>,
+        write: impl for<'m> FnOnce(&'m mut Self, &str, T) -> &'m mut Self,
+    ) -> &mut Self {
+        match value {
+            Some(value) => write(self, key, value),
+            None => {
+                self.key(key).push_str("null");
+                self
+            }
+        }
+    }
+
+    /// An object member, of the members `write` adds.
+    pub fn object(&mut self, key: &str, write: impl FnOnce(&mut Members<'_>)) -> &mut Self {
+        object(self.key(key), write);
+        self
+    }
+
+    /// An array member of one object per item, of the members `write` adds
+    /// for it.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(&mut Members<'_>, T),
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            object(out, |m| write(m, item));
+        }
+        out.push(']');
+        self
     }
 }
 

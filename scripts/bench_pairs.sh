@@ -16,6 +16,9 @@
 #
 # The record's stamp names the tree's commit (`tree:<fnv64>` of its crates/
 # when the tree is not a git checkout), host, CPUs, rustc, date and seed.
+# rangebench stamps a git checkout with its HEAD commit, uncommitted edits
+# and all, so a tree that git reports changes in is refused before any run:
+# copy such a tree without its .git instead.
 #
 # Usage:
 #   scripts/bench_pairs.sh <parent-tree> <change-tree> <workload> <pairs> [seconds]
@@ -23,7 +26,8 @@
 # seconds defaults to 15, the run length BENCHMARK.json sets. SEED (default
 # 0) and TRACE (0 or 1, default 0) pass through to rangebench; LEDGER names
 # another output file. Exits 1 if any run failed or its sim_digest did not
-# match; every record is appended either way.
+# match; every record is appended either way. Exits 2 on a usage error, an
+# unbuilt tree or a tree with uncommitted changes.
 set -euo pipefail
 
 if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
@@ -42,6 +46,11 @@ LEDGER="${LEDGER:-$(cd "$(dirname "$0")/.." && pwd)/BENCH_range.jsonl}"
 for tree in "$PARENT" "$CHANGE"; do
   if [ ! -x "$tree/rangebench/target/release/rangebench" ]; then
     echo "bench_pairs: $tree has no built rangebench/target/release/rangebench" >&2
+    exit 2
+  fi
+  if [ -n "$(git -C "$tree" status --porcelain 2>/dev/null)" ]; then
+    echo "bench_pairs: $tree is a git checkout with uncommitted changes, which" \
+      "rangebench would stamp as its HEAD commit; copy the tree without .git" >&2
     exit 2
   fi
 done

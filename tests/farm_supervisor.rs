@@ -247,7 +247,9 @@ fn status_endpoint_survives_hostile_input() {
     let config = FarmConfig {
         tenants: 1,
         threads: 1,
-        sim_seconds: 600,
+        // A day: longer than the test runs, drip included, in any build;
+        // the drain ends it.
+        sim_seconds: 86_400,
         interval: Some(SimDuration::from_millis(1)),
         ..FarmConfig::default()
     };
@@ -278,6 +280,28 @@ fn status_endpoint_survives_hostile_input() {
         raw_request(&addr, b"GARBAGE\r\n\r\n", true).contains(" 400 "),
         "malformed request line must be rejected"
     );
+
+    // A client that drips its head a byte every 300 ms, sooner than any one
+    // read times out: the head's one deadline cuts it off, so `/healthz`,
+    // which connects after it, answers while the drip still runs.
+    let mut stream = TcpStream::connect(&addr).expect("endpoint connects");
+    stream.write_all(b"A").expect("first byte sends");
+    let drip = std::thread::spawn(move || {
+        for _ in 0..40 {
+            std::thread::sleep(Duration::from_millis(300));
+            if stream.write_all(b"A").is_err() {
+                break;
+            }
+        }
+    });
+    let start = Instant::now();
+    assert_eq!(http_get(&addr, "/healthz").unwrap(), "ok\n");
+    let waited = start.elapsed();
+    assert!(
+        waited < Duration::from_millis(1500),
+        "/healthz waited {waited:?} behind a dripping client"
+    );
+    drip.join().expect("drip thread joins");
 
     // Unknown method and unknown path.
     assert_eq!(http_request(&addr, "BREW", "/status").unwrap().0, 405);

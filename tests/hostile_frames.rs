@@ -13,13 +13,18 @@
 //! mutated, to that layer's decoder and, where it accepts them, to every
 //! decoder above it. The mutations: every truncation, every single-bit
 //! flip, and each length field set to 0 and to its maximum: about 900,000
-//! inputs, decoded in about a second in a debug build.
+//! inputs, decoded in about a second in a debug build. One more mutation
+//! deepens nesting: an MMS Write value and a GOOSE `allData` entry of
+//! structures nested past the decoder's depth limit must be refused, not
+//! recursed into until the stack overflows.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic
 
 use sg_cyber_range::core::{CompiledModel, CyberRange, IedConfig, SgmlBundle};
+use sg_cyber_range::iec61850::ber::{self, Tag};
 use sg_cyber_range::iec61850::{
-    GoosePdu, MmsPdu, SessionPacket, SessionPayloadType, SvPdu, TpktDecoder, MMS_PORT, RGOOSE_PORT,
+    DataValue, GoosePdu, MmsPdu, MmsRequest, SessionPacket, SessionPayloadType, SvPdu, TpktDecoder,
+    MAX_DATA_DEPTH, MMS_PORT, RGOOSE_PORT,
 };
 use sg_cyber_range::ied::{GooseEntry, GooseSpec, RsvSpec};
 use sg_cyber_range::modbus::{
@@ -379,4 +384,126 @@ fn every_decoder_survives_every_mutation_of_captured_frames() {
         panics[0],
         first_panic.lock().unwrap().as_deref().unwrap_or("")
     );
+}
+
+/// The BER bytes of `depth` MMS structures nested one in another, the
+/// innermost empty. Built from the inside out, as a hostile peer would,
+/// without a `DataValue` whose encoder and destructor would recurse.
+fn nested_structures(depth: usize) -> Vec<u8> {
+    let mut contents = Vec::with_capacity(depth);
+    let mut length = 0;
+    for _ in 0..depth {
+        contents.push(length);
+        let mut header = vec![Tag::context_constructed(2).0];
+        ber::write_length(&mut header, length);
+        length += header.len();
+    }
+    let mut out = Vec::with_capacity(length);
+    for &length in contents.iter().rev() {
+        out.push(Tag::context_constructed(2).0);
+        ber::write_length(&mut out, length);
+    }
+    out
+}
+
+/// `bytes`, a run of BER elements, with the `len` bytes at `at` — one
+/// whole element — replaced by `new` and every length enclosing it
+/// re-encoded.
+fn splice(bytes: &[u8], at: usize, len: usize, new: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let first = bytes[pos + 1];
+        let (start, length) = match first {
+            0..=0x7f => (pos + 2, usize::from(first)),
+            _ => {
+                let width = usize::from(first & 0x7f);
+                let field = &bytes[pos + 2..pos + 2 + width];
+                (
+                    pos + 2 + width,
+                    field.iter().fold(0, |n, &b| n << 8 | usize::from(b)),
+                )
+            }
+        };
+        let end = start + length;
+        if pos == at {
+            assert_eq!(end - pos, len, "the spliced element");
+            out.extend_from_slice(new);
+        } else if pos < at && at < end {
+            let contents = splice(&bytes[start..end], at - start, len, new);
+            out.push(bytes[pos]);
+            ber::write_length(&mut out, contents.len());
+            out.extend(contents);
+        } else {
+            out.extend_from_slice(&bytes[pos..end]);
+        }
+        pos = end;
+    }
+    out
+}
+
+/// `encoded` with the encoding of `placeholder` replaced by `value`.
+fn with_value(encoded: &[u8], placeholder: &DataValue, value: &[u8]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    placeholder.encode(&mut wire);
+    let at = encoded.windows(wire.len()).position(|w| w == wire);
+    splice(encoded, at.expect("the placeholder"), wire.len(), value)
+}
+
+#[test]
+fn values_nested_past_the_depth_limit_are_refused() {
+    let placeholder = DataValue::Str("nesting placeholder".into());
+    let write = MmsPdu::ConfirmedRequest {
+        invoke_id: 7,
+        request: MmsRequest::Write {
+            items: vec!["GIED1LD0/CSWI1$CO$Pos$Oper$ctlVal".into()],
+            values: vec![placeholder.clone()],
+        },
+    }
+    .encode();
+    let goose = GoosePdu {
+        gocb_ref: "GIED1LD0/LLN0$GO$gcb01".into(),
+        time_allowed_to_live_ms: 2000,
+        dat_set: "GIED1LD0/LLN0$ds01".into(),
+        go_id: "GIED1".into(),
+        t: 0,
+        st_num: 1,
+        sq_num: 0,
+        simulation: false,
+        conf_rev: 1,
+        nds_com: false,
+        all_data: vec![DataValue::Bool(true), placeholder.clone()],
+    }
+    .encode(0x1000);
+
+    for depth in [MAX_DATA_DEPTH, MAX_DATA_DEPTH + 1, 16_000] {
+        let value = nested_structures(depth);
+        let refused = depth > MAX_DATA_DEPTH;
+
+        let write = with_value(&write, &placeholder, &value);
+        assert_eq!(
+            MmsPdu::decode(&write).is_err(),
+            refused,
+            "MMS Write, depth {depth}"
+        );
+
+        // The APDU follows the 8-byte GOOSE header, whose length field
+        // counts the whole payload.
+        let mut payload = goose[..8].to_vec();
+        payload.extend(with_value(&goose[8..], &placeholder, &value));
+        let length = u16::try_from(payload.len()).expect("one frame");
+        payload[2..4].copy_from_slice(&length.to_be_bytes());
+        let decoded = GoosePdu::decode(&payload);
+        assert_eq!(decoded.is_err(), refused, "GOOSE allData, depth {depth}");
+
+        let datagram = SessionPacket {
+            payload_type: SessionPayloadType::Goose,
+            spdu_num: 1,
+            payload,
+        }
+        .encode();
+        let session = SessionPacket::decode(&datagram).expect("the session header decodes");
+        let decoded = GoosePdu::decode(&session.payload);
+        assert_eq!(decoded.is_err(), refused, "R-GOOSE allData, depth {depth}");
+    }
 }
