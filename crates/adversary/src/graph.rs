@@ -456,7 +456,7 @@ impl AttackGraph {
                 .map(|i| i.name.clone())
         };
         for plc in &model.plcs {
-            for read in &plc.reads {
+            for read in plc.reads.iter() {
                 if let Some(server) = host_by_ip(read.server) {
                     push_edge(
                         &mut graph.edges,
@@ -470,7 +470,7 @@ impl AttackGraph {
                     );
                 }
             }
-            for write in &plc.writes {
+            for write in plc.writes.iter() {
                 if let Some(server) = host_by_ip(write.server) {
                     push_edge(
                         &mut graph.edges,
@@ -484,7 +484,7 @@ impl AttackGraph {
                     );
                 }
             }
-            for goose in &plc.gooses {
+            for goose in plc.gooses.iter() {
                 if let Some(publisher) = goose_publisher(&goose.gocb_ref) {
                     push_edge(
                         &mut graph.edges,
@@ -524,7 +524,7 @@ impl AttackGraph {
         // --- SCADA: polling relations and the points they feed ------------
         if let Some(scada) = &model.scada {
             for source in &scada.config.sources {
-                let Some(server) = source.ip.parse::<Ipv4Addr>().ok().and_then(host_by_ip) else {
+                let Some(server) = host_by_ip(source.ip) else {
                     continue;
                 };
                 push_edge(

@@ -258,11 +258,14 @@ fn references(
         }
         // An MMS source must point at an IP some access point owns; Modbus
         // sources target PLC soft-hosts which have no AP, so they are exempt.
-        let ap_ips: BTreeSet<&str> = aps.iter().map(|(_, _, ap)| ap.ip.as_str()).collect();
+        let ap_ips: BTreeSet<u32> = aps
+            .iter()
+            .filter_map(|(_, _, ap)| parse_ipv4(&ap.ip))
+            .collect();
         if bundle.scds.iter().any(|f| f.doc.communication.is_some()) {
             for source in &file.config.sources {
                 if source.protocol == sgcr_scada::SourceProtocol::Mms
-                    && !ap_ips.contains(source.ip.as_str())
+                    && !ap_ips.contains(&u32::from(source.ip))
                 {
                     out.push(
                         Diagnostic::warning(

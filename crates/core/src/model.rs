@@ -37,7 +37,8 @@ use sgcr_scl::{consolidate_scd, consolidate_ssd, Diagnostic, Severity};
 use std::sync::Arc;
 
 /// A PLC ready to instantiate: parsed program plus fully resolved bindings
-/// (server names already mapped to IPs against the network plan).
+/// (server names already mapped to IPs against the network plan). Every
+/// tenant's PLC shares the program and the bindings.
 #[derive(Debug, Clone)]
 pub struct CompiledPlc {
     /// Host name (a ConnectedAP in the SCD).
@@ -45,13 +46,13 @@ pub struct CompiledPlc {
     /// Scan period.
     pub scan_ms: u64,
     /// The parsed IEC 61131-3 program (ST or imported PLCopen XML).
-    pub program: Program,
+    pub program: Arc<Program>,
     /// MMS read bindings with resolved server IPs.
-    pub reads: Vec<MmsReadBinding>,
+    pub reads: Arc<[MmsReadBinding]>,
     /// MMS write bindings with resolved server IPs.
-    pub writes: Vec<MmsWriteBinding>,
+    pub writes: Arc<[MmsWriteBinding]>,
     /// GOOSE subscription bindings.
-    pub gooses: Vec<GooseBinding>,
+    pub gooses: Arc<[GooseBinding]>,
 }
 
 /// The SCADA HMI blueprint: which host runs it and its tag/alarm config.
@@ -59,8 +60,8 @@ pub struct CompiledPlc {
 pub struct CompiledScada {
     /// Host name of the workstation in the SCD.
     pub host: String,
-    /// The parsed HMI configuration.
-    pub config: ScadaConfig,
+    /// The parsed HMI configuration, shared by every tenant's HMI.
+    pub config: Arc<ScadaConfig>,
 }
 
 /// The immutable output of compiling an [`SgmlBundle`] — everything the
@@ -257,7 +258,7 @@ impl CompiledModel {
             plcs.push(CompiledPlc {
                 name: def.name.clone(),
                 scan_ms: def.scan_ms,
-                program: program.clone(),
+                program: Arc::clone(program),
                 reads,
                 writes,
                 gooses,
@@ -266,7 +267,7 @@ impl CompiledModel {
 
         let scada = bundle.scada_config.as_ref().map(|file| CompiledScada {
             host: bundle.scada_host.clone(),
-            config: file.config.clone(),
+            config: Arc::new(file.config.clone()),
         });
 
         Ok(CompiledModel {

@@ -20,6 +20,7 @@ use sgcr_scl::{
     codes, parse_scl_lenient, Diagnostic, SclDocument, SclError, SourcePos, Span, Substation,
 };
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A parsed SCL file with its bundle-relative name.
 #[derive(Debug, Clone)]
@@ -97,7 +98,8 @@ pub struct ParsedBundle {
     /// as Structured Text or PLCopen XML, or `None` when it does not parse.
     /// A body that does not parse and a program the PLC runtime refuses are
     /// `SG6000` errors among the [`diagnostics`](ParsedBundle::diagnostics).
-    pub programs: Vec<Option<Program>>,
+    /// A compiled model shares each program; nothing copies it.
+    pub programs: Vec<Option<Arc<Program>>>,
     /// The Power System Extra Config, when present and parsable.
     pub power_config: Option<ConfigFile<PowerExtraConfig>>,
     /// The SCADA workstation host name (default `SCADA`).
@@ -217,7 +219,8 @@ impl ParsedBundle {
                 PlcLogic::PlcOpenXml(xml) => parse_plcopen(xml)
                     .map_err(|e| refuse(format!("PLCopen XML does not parse: {e}"), file.span(i))),
             };
-            let program = parsed.map_err(|d| self.diagnostics.push(d)).ok();
+            let program = parsed.map(Arc::new);
+            let program = program.map_err(|d| self.diagnostics.push(d)).ok();
             if let Some(Err(e)) = program.as_ref().map(check_runtime) {
                 let message = format!("the PLC runtime refuses the program: {}", e.message);
                 self.diagnostics.push(refuse(message, file.span(i)));
@@ -293,7 +296,7 @@ pub fn parse_failure(name: &str, role: FileRole, detail: &str) -> Diagnostic {
 /// Checks a parsed PLC program against the runtime the way every tenant
 /// will instantiate it: each located variable needs a supported direct
 /// address and each initializer must evaluate.
-fn check_runtime(program: &Program) -> Result<(), sgcr_plc::RuntimeError> {
+fn check_runtime(program: &Arc<Program>) -> Result<(), sgcr_plc::RuntimeError> {
     let probe_registers = sgcr_modbus::SharedRegisters::with_size(1024);
-    sgcr_plc::PlcRuntime::new(program.clone(), probe_registers).map(drop)
+    sgcr_plc::PlcRuntime::new(Arc::clone(program), probe_registers).map(drop)
 }

@@ -229,23 +229,22 @@ impl RangeState {
                 });
             };
             let registers = sgcr_modbus::SharedRegisters::with_size(1024);
-            let runtime = PlcRuntime::new(def.program.clone(), registers.clone()).map_err(|e| {
-                RangeError::Model {
-                    what: "PLC program",
-                    detail: e.message,
-                }
-            })?;
-            let (mut app, handle) = PlcApp::with_telemetry(
+            let runtime =
+                PlcRuntime::new(Arc::clone(&def.program), registers.clone()).map_err(|e| {
+                    RangeError::Model {
+                        what: "PLC program",
+                        detail: e.message,
+                    }
+                })?;
+            let (app, handle) = PlcApp::with_telemetry(
                 runtime,
                 registers,
                 SimDuration::from_millis(def.scan_ms),
-                def.reads.clone(),
-                def.writes.clone(),
+                Arc::clone(&def.reads),
+                Arc::clone(&def.writes),
+                Arc::clone(&def.gooses),
                 telemetry.clone(),
             );
-            if !def.gooses.is_empty() {
-                app.set_goose_bindings(def.gooses.clone());
-            }
             net.attach_app(node, Box::new(app));
             plcs.insert(def.name.clone(), handle);
         }
@@ -260,7 +259,7 @@ impl RangeState {
                 });
             };
             let (app, handle) = ScadaApp::with_telemetry(
-                blueprint.config.clone(),
+                Arc::clone(&blueprint.config),
                 degradation.clone(),
                 telemetry.clone(),
             );

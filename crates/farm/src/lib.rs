@@ -81,7 +81,6 @@ pub use status::{http_get, http_request, StatusServer};
 
 use parking_lot::Mutex;
 use sgcr_core::{Checkpoint, CompiledModel, CyberRange, RangeBuilder};
-use sgcr_faults::DegradationSignal;
 use sgcr_net::{SimDuration, SimTime};
 use sgcr_obs::agg::{histogram_quantile, rss_bytes};
 use sgcr_obs::json::{self, Members};
@@ -556,7 +555,6 @@ pub(crate) struct FarmShared {
     queue: Mutex<WorkQueue>,
     shutdown: AtomicBool,
     rss_peak: AtomicU64,
-    sink_signal: DegradationSignal,
     farm_telemetry: Telemetry,
     ranges_total: Counter,
     restarts_total: Counter,
@@ -592,7 +590,6 @@ impl FarmShared {
             }),
             shutdown: AtomicBool::new(false),
             rss_peak: AtomicU64::new(0),
-            sink_signal: DegradationSignal::new(),
             ranges_total: farm_telemetry.counter("farm.ranges_total"),
             restarts_total: farm_telemetry.counter("farm.restarts_total"),
             state_gauges: COUNTED.map(|(_, name)| farm_telemetry.gauge(&format!("farm.{name}"))),
@@ -915,10 +912,10 @@ impl FarmShared {
         }
     }
 
-    /// Journals persistent sink-write failure and raises the degradation
-    /// signal — the tenant keeps running; only durability is degraded.
+    /// Journals persistent sink-write failure and raises the
+    /// `farm.sink_degraded` gauge — the tenant keeps running; only
+    /// durability is degraded.
     fn sink_degraded(&self, tenant: usize, detail: &str) {
-        self.sink_signal.set(true);
         self.sink_degraded_gauge.set(1.0);
         let detail = format!("tenant {tenant}: {detail}");
         self.farm_telemetry.record(0u64, || ObsEvent::Custom {

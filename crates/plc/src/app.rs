@@ -13,7 +13,7 @@ use sgcr_net::{
     ethertype, AppPlane, ConnId, EthernetFrame, HostCtx, Ipv4Addr, SimDuration, SocketApp,
 };
 use sgcr_obs::{Counter, Event as ObsEvent, Plane, Telemetry, TraceCtx};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const TOKEN_SCAN: u64 = 1;
@@ -71,23 +71,40 @@ pub struct PlcStatus {
 /// Shared observable handle to a running PLC.
 pub type PlcHandle = Arc<Mutex<PlcStatus>>;
 
+/// One MMS session, to one IED server, resolved when the app is built.
 struct MmsLink {
+    server: Ipv4Addr,
     client: MmsClient,
+    /// The connection, from the connect on start until it closes.
     conn: Option<ConnId>,
+    /// Whether `conn` is established.
+    connected: bool,
+    /// The items one poll reads: those of the link's read bindings, in
+    /// binding order.
+    items: Vec<String>,
+    /// The read bindings (indices into `PlcApp::reads`) the items feed: a
+    /// read response's results map to them by position.
+    reads: Vec<usize>,
 }
 
-/// The virtual PLC application.
+/// The virtual PLC application. Its bindings are shared with every other
+/// tenant of the compiled PLC; the sessions, the edge memory and the
+/// runtime's variables are its own.
 pub struct PlcApp {
     runtime: PlcRuntime,
     modbus: ModbusServerApp,
     scan_period: SimDuration,
-    reads: Vec<MmsReadBinding>,
-    writes: Vec<MmsWriteBinding>,
-    gooses: Vec<GooseBinding>,
-    goose_subs: Vec<GooseSubscriber>,
-    links: HashMap<Ipv4Addr, MmsLink>,
-    conn_to_server: HashMap<ConnId, Ipv4Addr>,
-    last_written: HashMap<String, bool>,
+    reads: Arc<[MmsReadBinding]>,
+    writes: Arc<[MmsWriteBinding]>,
+    gooses: Arc<[GooseBinding]>,
+    /// One session per server a read or write names, in address order.
+    links: Vec<MmsLink>,
+    /// A subscriber per distinct control block, in reference order, with
+    /// the GOOSE bindings (indices into `gooses`) it feeds.
+    goose_subs: Vec<(GooseSubscriber, Vec<usize>)>,
+    /// The value each write binding last saw, by index: controls are
+    /// edge-triggered.
+    last_written: Vec<Option<bool>>,
     status: PlcHandle,
     telemetry: Telemetry,
     controls_counter: Counter,
@@ -101,33 +118,73 @@ pub struct PlcApp {
     image_ctx: Option<TraceCtx>,
 }
 
+/// A polled or subscribed value as a PLC variable; `scale` multiplies a
+/// float (GOOSE values pass 1).
+fn st_value(value: &DataValue, scale: f64) -> Option<StValue> {
+    Some(match value {
+        DataValue::Bool(b) => StValue::Bool(*b),
+        DataValue::Float(f) => StValue::Real(f64::from(*f) * scale),
+        DataValue::Int(i) => StValue::Int(*i),
+        DataValue::Uint(u) => StValue::Int(*u as i64),
+        other => StValue::Bool(other.as_dbpos()?),
+    })
+}
+
 impl PlcApp {
     /// Builds the app with a telemetry handle (`Telemetry::disabled()` for
     /// none). `registers` is the Modbus image shared with the embedded
-    /// server; `reads`/`writes` bind IED points to PLC variables. Issued MMS
-    /// controls feed the `plc.controls_sent` counter and journal
-    /// [`PlcControl`](sgcr_obs::Event::PlcControl) events.
+    /// server; `reads`/`writes` bind IED points to PLC variables, and the
+    /// app subscribes to each distinct control block `gooses` names on its
+    /// station bus. Issued MMS controls feed the `plc.controls_sent` counter
+    /// and journal [`PlcControl`](sgcr_obs::Event::PlcControl) events.
     pub fn with_telemetry(
         runtime: PlcRuntime,
         registers: SharedRegisters,
         scan_period: SimDuration,
-        reads: Vec<MmsReadBinding>,
-        writes: Vec<MmsWriteBinding>,
+        reads: Arc<[MmsReadBinding]>,
+        writes: Arc<[MmsWriteBinding]>,
+        gooses: Arc<[GooseBinding]>,
         telemetry: Telemetry,
     ) -> (PlcApp, PlcHandle) {
+        let servers: BTreeSet<Ipv4Addr> = (reads.iter().map(|r| r.server))
+            .chain(writes.iter().map(|w| w.server))
+            .collect();
+        let links = servers
+            .into_iter()
+            .map(|server| {
+                let polled: Vec<usize> = (0..reads.len())
+                    .filter(|&i| reads[i].server == server)
+                    .collect();
+                MmsLink {
+                    server,
+                    client: MmsClient::new(),
+                    conn: None,
+                    connected: false,
+                    items: polled.iter().map(|&i| reads[i].item.clone()).collect(),
+                    reads: polled,
+                }
+            })
+            .collect();
+        let refs: BTreeSet<&str> = gooses.iter().map(|g| g.gocb_ref.as_str()).collect();
+        let goose_subs = refs
+            .into_iter()
+            .map(|gocb_ref| {
+                let fed = (0..gooses.len()).filter(|&i| gooses[i].gocb_ref == gocb_ref);
+                (GooseSubscriber::new(gocb_ref), fed.collect())
+            })
+            .collect();
         let status: PlcHandle = Arc::default();
         (
             PlcApp {
                 runtime,
                 modbus: ModbusServerApp::new(registers.clone()),
                 scan_period,
+                last_written: vec![None; writes.len()],
                 reads,
                 writes,
-                gooses: Vec::new(),
-                goose_subs: Vec::new(),
-                links: HashMap::new(),
-                conn_to_server: HashMap::new(),
-                last_written: HashMap::new(),
+                gooses,
+                links,
+                goose_subs,
                 status: status.clone(),
                 controls_counter: telemetry.counter("plc.controls_sent"),
                 telemetry,
@@ -137,29 +194,6 @@ impl PlcApp {
             },
             status,
         )
-    }
-
-    /// Installs GOOSE dataset → PLC variable bindings; the app subscribes to
-    /// each distinct control block on its station bus.
-    pub fn set_goose_bindings(&mut self, bindings: Vec<GooseBinding>) {
-        let mut refs: Vec<String> = bindings.iter().map(|b| b.gocb_ref.clone()).collect();
-        refs.sort();
-        refs.dedup();
-        self.goose_subs = refs.iter().map(|g| GooseSubscriber::new(g)).collect();
-        self.gooses = bindings;
-    }
-
-    /// The servers this PLC needs MMS sessions to.
-    fn servers(&self) -> Vec<Ipv4Addr> {
-        let mut servers: Vec<Ipv4Addr> = self
-            .reads
-            .iter()
-            .map(|r| r.server)
-            .chain(self.writes.iter().map(|w| w.server))
-            .collect();
-        servers.sort();
-        servers.dedup();
-        servers
     }
 
     fn scan(&mut self, ctx: &mut HostCtx<'_>) {
@@ -190,76 +224,76 @@ impl PlcApp {
             status.fault = self.runtime.fault().map(|f| f.message.clone());
         }
 
-        // Poll IED reads. Grouped in a BTreeMap so the request order (and
-        // with it frame timing and trace-ID assignment) is deterministic.
-        let mut per_server: BTreeMap<Ipv4Addr, Vec<String>> = BTreeMap::new();
-        for r in &self.reads {
-            per_server.entry(r.server).or_default().push(r.item.clone());
-        }
-        for (server, items) in per_server {
-            if let Some(link) = self.links.get_mut(&server) {
-                if let Some(conn) = link.conn {
-                    if let Some((_, wire)) = link.client.request(MmsRequest::Read { items }) {
-                        ctx.tcp_send(conn, &wire);
-                    }
-                }
+        // Poll IED reads, server by server in address order, so the request
+        // order (and with it frame timing and trace-ID assignment) is
+        // deterministic.
+        for link in &mut self.links {
+            let Some(conn) = link
+                .conn
+                .filter(|_| link.connected && !link.items.is_empty())
+            else {
+                continue;
+            };
+            let items = link.items.clone();
+            if let Some((_, wire)) = link.client.request(MmsRequest::Read { items }) {
+                ctx.tcp_send(conn, &wire);
             }
         }
 
         // Issue controls for changed output variables. The first observation
         // of a variable only records its value: controls are edge-triggered,
         // so startup defaults never emit a spurious open/close.
-        for w in &self.writes {
+        for (i, w) in self.writes.iter().enumerate() {
             let Some(value) = self.runtime.get(&w.variable).and_then(StValue::as_bool) else {
                 continue;
             };
-            let changed = match self.last_written.get(&w.variable) {
+            match self.last_written[i] {
                 None => {
-                    self.last_written.insert(w.variable.clone(), value);
-                    false
+                    self.last_written[i] = Some(value);
+                    continue;
                 }
-                Some(prev) => *prev != value,
-            };
-            if !changed {
+                Some(prev) if prev == value => continue,
+                Some(_) => {}
+            }
+            let Some(link) = self.links.iter_mut().find(|l| l.server == w.server) else {
                 continue;
+            };
+            let Some(conn) = link.conn.filter(|_| link.connected) else {
+                continue;
+            };
+            let Some((_, wire)) = link.client.request(MmsRequest::Write {
+                items: vec![w.item.clone()],
+                values: vec![DataValue::Bool(value)],
+            }) else {
+                continue;
+            };
+            let mut control_span = ctx
+                .tracer()
+                .open("plc.control", Plane::Control, scan_ctx, now);
+            if control_span.is_recording() {
+                control_span.attr("variable", w.variable.as_str());
+                control_span.attr("item", w.item.as_str());
+                control_span.attr("value", if value { "true" } else { "false" });
             }
-            if let Some(link) = self.links.get_mut(&w.server) {
-                if let Some(conn) = link.conn {
-                    let Some((_, wire)) = link.client.request(MmsRequest::Write {
-                        items: vec![w.item.clone()],
-                        values: vec![DataValue::Bool(value)],
-                    }) else {
-                        continue;
-                    };
-                    let mut control_span =
-                        ctx.tracer()
-                            .open("plc.control", Plane::Control, scan_ctx, now);
-                    if control_span.is_recording() {
-                        control_span.attr("variable", w.variable.as_str());
-                        control_span.attr("item", w.item.as_str());
-                        control_span.attr("value", if value { "true" } else { "false" });
-                    }
-                    let control_ctx = control_span.ctx();
-                    if control_ctx.is_some() {
-                        ctx.set_trace_parent(control_ctx);
-                    }
-                    ctx.tcp_send(conn, &wire);
-                    control_span.end(now);
-                    if scan_ctx.is_some() {
-                        // Later sends in this scan are not caused by this
-                        // particular control.
-                        ctx.set_trace_parent(scan_ctx);
-                    }
-                    self.last_written.insert(w.variable.clone(), value);
-                    self.status.lock().controls_sent += 1;
-                    self.controls_counter.inc();
-                    self.telemetry
-                        .record(now.as_nanos(), || ObsEvent::PlcControl {
-                            variable: w.variable.clone(),
-                            value,
-                        });
-                }
+            let control_ctx = control_span.ctx();
+            if control_ctx.is_some() {
+                ctx.set_trace_parent(control_ctx);
             }
+            ctx.tcp_send(conn, &wire);
+            control_span.end(now);
+            if scan_ctx.is_some() {
+                // Later sends in this scan are not caused by this
+                // particular control.
+                ctx.set_trace_parent(scan_ctx);
+            }
+            self.last_written[i] = Some(value);
+            self.status.lock().controls_sent += 1;
+            self.controls_counter.inc();
+            self.telemetry
+                .record(now.as_nanos(), || ObsEvent::PlcControl {
+                    variable: w.variable.clone(),
+                    value,
+                });
         }
 
         scan_span.end(now);
@@ -268,17 +302,15 @@ impl PlcApp {
 
     fn handle_goose_frame(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {
         let now = ctx.now();
-        for sub in &mut self.goose_subs {
+        for (sub, fed) in &mut self.goose_subs {
             if sub.process(now, frame).is_none() {
                 continue;
             }
-            let gocb = sub.gocb_ref.clone();
-            let data = sub.data.clone();
             let mut span =
                 ctx.tracer()
                     .open("plc.goose_rx", Plane::Control, ctx.trace_parent(), now);
             if span.is_recording() {
-                span.attr("gocb", gocb.as_str());
+                span.attr("gocb", sub.gocb_ref.as_str());
             }
             let rx_ctx = span.ctx();
             span.end(now);
@@ -287,64 +319,41 @@ impl PlcApp {
                 // parented to the reception, hence to the publishing IED.
                 self.pending_cause = rx_ctx;
             }
-            for binding in &self.gooses {
-                if binding.gocb_ref != gocb {
-                    continue;
+            for &i in fed.iter() {
+                let binding = &self.gooses[i];
+                let value = sub.data.get(binding.index).and_then(|v| st_value(v, 1.0));
+                if let Some(value) = value {
+                    self.runtime.set(&binding.variable, value);
                 }
-                let Some(value) = data.get(binding.index) else {
-                    continue;
-                };
-                let st_value = match value {
-                    DataValue::Bool(v) => StValue::Bool(*v),
-                    DataValue::Float(f) => StValue::Real(f64::from(*f)),
-                    DataValue::Int(i) => StValue::Int(*i),
-                    DataValue::Uint(u) => StValue::Int(*u as i64),
-                    other => match other.as_dbpos() {
-                        Some(v) => StValue::Bool(v),
-                        None => continue,
-                    },
-                };
-                self.runtime.set(&binding.variable, st_value);
             }
         }
     }
 
-    fn handle_mms_data(&mut self, server: Ipv4Addr, data: &[u8]) {
-        let Some(link) = self.links.get_mut(&server) else {
-            return;
-        };
+    fn handle_mms_data(&mut self, link: usize, data: &[u8]) {
+        let link = &mut self.links[link];
         for reply in link.client.feed(data) {
             if let (
-                Some(MmsRequest::Read { items }),
+                Some(MmsRequest::Read { .. }),
                 MmsPdu::ConfirmedResponse {
                     response: MmsResponse::Read { results },
                     ..
                 },
             ) = reply
             {
-                for (item, result) in items.iter().zip(results) {
-                    let Ok(value) = result else { continue };
-                    let binding = self
-                        .reads
-                        .iter()
-                        .find(|r| r.server == server && r.item == *item);
-                    if let Some(binding) = binding {
-                        let st_value = match &value {
-                            DataValue::Bool(b) => StValue::Bool(*b),
-                            DataValue::Float(f) => StValue::Real(f64::from(*f) * binding.scale),
-                            DataValue::Int(i) => StValue::Int(*i),
-                            DataValue::Uint(u) => StValue::Int(*u as i64),
-                            other => match other.as_dbpos() {
-                                Some(b) => StValue::Bool(b),
-                                None => continue,
-                            },
-                        };
-                        self.runtime.set(&binding.variable, st_value);
+                for (&i, result) in link.reads.iter().zip(results) {
+                    let binding = &self.reads[i];
+                    if let Some(value) = result.ok().and_then(|v| st_value(&v, binding.scale)) {
+                        self.runtime.set(&binding.variable, value);
                         self.status.lock().reads_ok += 1;
                     }
                 }
             }
         }
+    }
+
+    /// The MMS session on `conn`, if `conn` is one.
+    fn link_of(&self, conn: ConnId) -> Option<usize> {
+        self.links.iter().position(|l| l.conn == Some(conn))
     }
 }
 
@@ -355,16 +364,8 @@ impl SocketApp for PlcApp {
 
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         self.modbus.on_start(ctx);
-        for server in self.servers() {
-            let conn = ctx.tcp_connect(server, MMS_PORT);
-            self.links.insert(
-                server,
-                MmsLink {
-                    client: MmsClient::new(),
-                    conn: None,
-                },
-            );
-            self.conn_to_server.insert(conn, server);
+        for link in &mut self.links {
+            link.conn = Some(ctx.tcp_connect(link.server, MMS_PORT));
         }
         ctx.set_timer(self.scan_period, TOKEN_SCAN);
     }
@@ -376,12 +377,11 @@ impl SocketApp for PlcApp {
     }
 
     fn on_tcp_connected(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId) {
-        if let Some(&server) = self.conn_to_server.get(&conn) {
-            if let Some(link) = self.links.get_mut(&server) {
-                link.conn = Some(conn);
-                let init = link.client.initiate();
-                ctx.tcp_send(conn, &init);
-            }
+        if let Some(i) = self.link_of(conn) {
+            let link = &mut self.links[i];
+            link.connected = true;
+            let init = link.client.initiate();
+            ctx.tcp_send(conn, &init);
         }
     }
 
@@ -390,8 +390,8 @@ impl SocketApp for PlcApp {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, data: &[u8]) {
-        if let Some(&server) = self.conn_to_server.get(&conn) {
-            self.handle_mms_data(server, data);
+        if let Some(link) = self.link_of(conn) {
+            self.handle_mms_data(link, data);
         } else {
             // Modbus traffic from SCADA. The values a poll returns were
             // produced by the scan that last changed the output image, so
@@ -410,10 +410,10 @@ impl SocketApp for PlcApp {
     }
 
     fn on_tcp_closed(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId) {
-        if let Some(server) = self.conn_to_server.remove(&conn) {
-            if let Some(link) = self.links.get_mut(&server) {
-                link.conn = None;
-            }
+        if let Some(i) = self.link_of(conn) {
+            let link = &mut self.links[i];
+            link.conn = None;
+            link.connected = false;
         } else {
             self.modbus.on_tcp_closed(ctx, conn);
         }

@@ -1,10 +1,11 @@
 //! The PLC scan-cycle runtime: located variables bound to the Modbus data
 //! tables, executed over the ST interpreter.
 
-use crate::st::ast::{Program, VarClass};
+use crate::st::ast::Program;
 use crate::st::interp::{Interpreter, RuntimeError, StValue};
 use sgcr_modbus::SharedRegisters;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed direct address (`%QX0.0`, `%IW3`, …) mapped onto the Modbus
 /// tables using the OpenPLC convention:
@@ -67,7 +68,8 @@ impl fmt::Display for IoPoint {
 /// tables on every scan.
 pub struct PlcRuntime {
     interp: Interpreter,
-    bindings: Vec<(String, IoPoint)>,
+    /// Each located variable, by its index in the program's declarations.
+    bindings: Vec<(usize, IoPoint)>,
     registers: SharedRegisters,
     fault: Option<RuntimeError>,
     scans: u64,
@@ -80,9 +82,13 @@ impl PlcRuntime {
     ///
     /// Returns [`RuntimeError`] if a variable initializer fails or a located
     /// variable has an unparsable address.
-    pub fn new(program: Program, registers: SharedRegisters) -> Result<PlcRuntime, RuntimeError> {
+    pub fn new(
+        program: impl Into<Arc<Program>>,
+        registers: SharedRegisters,
+    ) -> Result<PlcRuntime, RuntimeError> {
+        let program = program.into();
         let mut bindings = Vec::new();
-        for decl in &program.vars {
+        for (i, decl) in program.vars.iter().enumerate() {
             if let Some(address) = &decl.location {
                 let point = IoPoint::parse(address).ok_or_else(|| RuntimeError {
                     message: format!(
@@ -90,10 +96,8 @@ impl PlcRuntime {
                         decl.name
                     ),
                 })?;
-                bindings.push((decl.name.clone(), point));
+                bindings.push((i, point));
             }
-            // VAR_INPUT without an address is fed by the MMS binding.
-            let _ = decl.class == VarClass::Input;
         }
         let interp = Interpreter::new(program)?;
         Ok(PlcRuntime {
@@ -130,11 +134,6 @@ impl PlcRuntime {
         self.interp.set(name, value);
     }
 
-    /// The located-variable bindings.
-    pub fn bindings(&self) -> &[(String, IoPoint)] {
-        &self.bindings
-    }
-
     /// Executes one scan: read inputs → run program → write outputs.
     ///
     /// A faulted runtime skips execution until the fault is cleared (real
@@ -143,15 +142,16 @@ impl PlcRuntime {
         if self.fault.is_some() {
             return;
         }
+        let program = Arc::clone(self.interp.program());
         // Input image.
-        for (name, point) in &self.bindings {
+        for &(i, point) in &self.bindings {
             let value = match point {
-                IoPoint::Coil(i) => StValue::Bool(self.registers.coil(*i)),
-                IoPoint::Discrete(i) => StValue::Bool(self.registers.discrete(*i)),
-                IoPoint::Holding(i) => StValue::Int(i64::from(self.registers.holding(*i))),
-                IoPoint::Input(i) => StValue::Int(i64::from(self.registers.input(*i))),
+                IoPoint::Coil(a) => StValue::Bool(self.registers.coil(a)),
+                IoPoint::Discrete(a) => StValue::Bool(self.registers.discrete(a)),
+                IoPoint::Holding(a) => StValue::Int(i64::from(self.registers.holding(a))),
+                IoPoint::Input(a) => StValue::Int(i64::from(self.registers.input(a))),
             };
-            self.interp.set(name, value);
+            self.interp.set(&program.vars[i].name, value);
         }
         // Execute.
         if let Err(e) = self.interp.scan(now_ns) {
@@ -160,22 +160,22 @@ impl PlcRuntime {
         }
         self.scans += 1;
         // Output image.
-        for (name, point) in &self.bindings {
+        for &(i, point) in &self.bindings {
             if !point.is_output() {
                 continue;
             }
-            let Some(value) = self.interp.get(name) else {
+            let Some(value) = self.interp.get(&program.vars[i].name) else {
                 continue;
             };
             match point {
-                IoPoint::Coil(i) => {
+                IoPoint::Coil(a) => {
                     if let Some(b) = value.as_bool() {
-                        self.registers.set_coil(*i, b);
+                        self.registers.set_coil(a, b);
                     }
                 }
-                IoPoint::Holding(i) => {
+                IoPoint::Holding(a) => {
                     if let Some(v) = value.as_i64() {
-                        self.registers.set_holding(*i, v as u16);
+                        self.registers.set_holding(a, v as u16);
                     }
                 }
                 _ => unreachable!("is_output filtered"),

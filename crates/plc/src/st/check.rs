@@ -18,6 +18,7 @@
 //! read-before-write analysis.
 
 use super::ast::*;
+use super::Builtin;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Severity of a semantic finding.
@@ -862,23 +863,15 @@ impl<'a> Checker<'a> {
     }
 
     fn infer_call(&mut self, name: &str, args: &[(Ty, Pos)], pos: Pos) -> Ty {
-        // (min, max) mirror eval_builtin: a missing argument faults, an
-        // extra argument is silently ignored.
-        let (min, max): (usize, usize) = match name {
-            "ABS" | "SQRT" | "TO_INT" | "REAL_TO_INT" | "TRUNC" | "TO_DINT" | "TO_REAL"
-            | "INT_TO_REAL" | "TO_LREAL" | "BOOL_TO_INT" | "INT_TO_BOOL" | "TO_BOOL" => (1, 1),
-            "EXPT" => (2, 2),
-            "LIMIT" | "SEL" => (3, 3),
-            "MIN" | "MAX" => (1, usize::MAX),
-            other => {
-                self.error(
-                    CheckCode::BadFbCall,
-                    pos,
-                    format!("unknown function {other:?}"),
-                );
-                return Ty::Any;
-            }
+        let Some(function) = Builtin::named(name) else {
+            self.error(
+                CheckCode::BadFbCall,
+                pos,
+                format!("unknown function {name:?}"),
+            );
+            return Ty::Any;
         };
+        let (min, max) = function.arity();
         if args.len() < min {
             self.error(
                 CheckCode::BadFbCall,
@@ -906,43 +899,8 @@ impl<'a> Checker<'a> {
                 ),
             );
         }
-        let numeric_args = |checker: &mut Checker<'a>, upto: usize| {
-            for (i, (ty, apos)) in args.iter().take(upto).enumerate() {
-                if !ty.numericish() {
-                    checker.error(
-                        CheckCode::TypeMismatch,
-                        *apos,
-                        format!("{name}: argument {i} is {}, not numeric", ty.name()),
-                    );
-                }
-            }
-        };
-        match name {
-            "ABS" => {
-                numeric_args(self, 1);
-                match args[0].0 {
-                    Ty::Int => Ty::Int,
-                    Ty::Any => Ty::Any,
-                    _ => Ty::Real,
-                }
-            }
-            "SQRT" | "TO_REAL" | "INT_TO_REAL" | "TO_LREAL" => {
-                numeric_args(self, 1);
-                Ty::Real
-            }
-            "EXPT" => {
-                numeric_args(self, 2);
-                Ty::Real
-            }
-            "MIN" | "MAX" => {
-                numeric_args(self, args.len());
-                Ty::Real
-            }
-            "LIMIT" => {
-                numeric_args(self, 3);
-                Ty::Real
-            }
-            "SEL" => {
+        match function {
+            Builtin::Sel => {
                 let (gty, gpos) = args[0];
                 if !gty.boolish() {
                     self.error(
@@ -956,15 +914,7 @@ impl<'a> Checker<'a> {
                     _ => Ty::Any,
                 }
             }
-            "TO_INT" | "REAL_TO_INT" | "TRUNC" | "TO_DINT" | "INT_TO_BOOL" | "TO_BOOL" => {
-                numeric_args(self, 1);
-                if matches!(name, "INT_TO_BOOL" | "TO_BOOL") {
-                    Ty::Bool
-                } else {
-                    Ty::Int
-                }
-            }
-            "BOOL_TO_INT" => {
+            Builtin::BoolToInt => {
                 if !args[0].0.boolish() {
                     self.error(
                         CheckCode::TypeMismatch,
@@ -974,7 +924,24 @@ impl<'a> Checker<'a> {
                 }
                 Ty::Int
             }
-            _ => Ty::Any,
+            // Every other function takes numbers only.
+            _ => {
+                for (i, (ty, apos)) in args.iter().take(max).enumerate() {
+                    if !ty.numericish() {
+                        self.error(
+                            CheckCode::TypeMismatch,
+                            *apos,
+                            format!("{name}: argument {i} is {}, not numeric", ty.name()),
+                        );
+                    }
+                }
+                match (function, args[0].0) {
+                    (Builtin::Abs, ty @ (Ty::Int | Ty::Any)) => ty,
+                    (Builtin::ToInt, _) => Ty::Int,
+                    (Builtin::ToBool, _) => Ty::Bool,
+                    _ => Ty::Real,
+                }
+            }
         }
     }
 }

@@ -2,8 +2,10 @@
 //! function blocks (TON/TOF/TP, CTU/CTD, R_TRIG/F_TRIG, SR/RS).
 
 use super::ast::*;
+use super::Builtin;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A runtime value.
 #[derive(Debug, Clone, PartialEq)]
@@ -383,8 +385,10 @@ enum Flow {
 }
 
 /// The interpreter: program + variable/FB state, stepped one scan at a time.
+/// The program is shared, never copied: every runtime of one compiled PLC
+/// walks the same tree.
 pub struct Interpreter {
-    program: Program,
+    program: Arc<Program>,
     /// Variable values by name.
     pub vars: HashMap<String, StValue>,
     /// FB instances by name.
@@ -399,9 +403,10 @@ impl Interpreter {
     /// # Errors
     ///
     /// Returns [`RuntimeError`] if an initializer fails to evaluate.
-    pub fn new(program: Program) -> Result<Interpreter, RuntimeError> {
+    pub fn new(program: impl Into<Arc<Program>>) -> Result<Interpreter, RuntimeError> {
+        let program = program.into();
         let mut interp = Interpreter {
-            program: Program::default(),
+            program: Arc::clone(&program),
             vars: HashMap::new(),
             fbs: HashMap::new(),
             loop_budget: 1_000_000,
@@ -418,12 +423,11 @@ impl Interpreter {
                 .fbs
                 .insert(fb.name.clone(), FbInstance::new(fb.fb_type));
         }
-        interp.program = program;
         Ok(interp)
     }
 
     /// The program being executed.
-    pub fn program(&self) -> &Program {
+    pub fn program(&self) -> &Arc<Program> {
         &self.program
     }
 
@@ -432,9 +436,15 @@ impl Interpreter {
         self.vars.get(name)
     }
 
-    /// Writes a variable (creating it if needed — used by the I/O binding).
+    /// Writes a variable where it is, creating it only if the program does
+    /// not declare it (the I/O binding may feed such a name).
     pub fn set(&mut self, name: &str, value: StValue) {
-        self.vars.insert(name.to_string(), value);
+        match self.vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                self.vars.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Executes one scan of the program body at simulation time `now_ns`.
@@ -444,9 +454,9 @@ impl Interpreter {
     /// Returns [`RuntimeError`] on type errors, unknown identifiers,
     /// division by zero, or a runaway loop.
     pub fn scan(&mut self, now_ns: u64) -> Result<(), RuntimeError> {
-        let body = self.program.body.clone();
+        let program = Arc::clone(&self.program);
         let mut budget = self.loop_budget;
-        self.exec_block(&body, now_ns, &mut budget)?;
+        self.exec_block(&program.body, now_ns, &mut budget)?;
         Ok(())
     }
 
@@ -479,9 +489,7 @@ impl Interpreter {
             Stmt::Assign { target, value, .. } => {
                 let v = self.eval(value, now_ns)?;
                 match target {
-                    LValue::Var(name) => {
-                        self.vars.insert(name.clone(), v);
-                    }
+                    LValue::Var(name) => self.set(name, v),
                     LValue::Member(instance, _member) => {
                         // Assigning FB inputs outside a call has no effect in
                         // this implementation; flag it instead of silently
@@ -561,7 +569,7 @@ impl Interpreter {
                     if (step > 0 && i > end) || (step < 0 && i < end) {
                         break;
                     }
-                    self.vars.insert(var.clone(), StValue::Int(i));
+                    self.set(var, StValue::Int(i));
                     match self.exec_block(body, now_ns, budget)? {
                         Flow::Exit => break,
                         Flow::Return => return Ok(Flow::Return),
@@ -638,7 +646,7 @@ impl Interpreter {
                                 "function block {instance:?} has no output {member:?}"
                             ))
                         })?;
-                    self.vars.insert(target.clone(), value);
+                    self.set(target, value);
                 }
                 Ok(Flow::Normal)
             }
@@ -810,36 +818,37 @@ fn eval_builtin(name: &str, args: &[StValue]) -> Result<StValue, RuntimeError> {
             .and_then(StValue::as_f64)
             .ok_or_else(|| rt(format!("{name}: argument {i} is not numeric")))
     };
-    match name {
-        "ABS" => {
+    let Some(function) = Builtin::named(name) else {
+        return Err(rt(format!("unknown function {name:?}")));
+    };
+    match function {
+        Builtin::Abs => {
             let v = num(0)?;
             Ok(match args[0] {
                 StValue::Int(i) => StValue::Int(i.abs()),
                 _ => StValue::Real(v.abs()),
             })
         }
-        "SQRT" => Ok(StValue::Real(num(0)?.sqrt())),
-        "EXPT" => Ok(StValue::Real(num(0)?.powf(num(1)?))),
-        "MIN" => {
+        Builtin::Sqrt => Ok(StValue::Real(num(0)?.sqrt())),
+        Builtin::Expt => Ok(StValue::Real(num(0)?.powf(num(1)?))),
+        Builtin::Min | Builtin::Max => {
             let mut best = num(0)?;
             for i in 1..args.len() {
-                best = best.min(num(i)?);
+                let x = num(i)?;
+                best = if function == Builtin::Min {
+                    best.min(x)
+                } else {
+                    best.max(x)
+                };
             }
             Ok(StValue::Real(best))
         }
-        "MAX" => {
-            let mut best = num(0)?;
-            for i in 1..args.len() {
-                best = best.max(num(i)?);
-            }
-            Ok(StValue::Real(best))
-        }
-        "LIMIT" => {
+        Builtin::Limit => {
             // LIMIT(min, in, max)
             let (lo, x, hi) = (num(0)?, num(1)?, num(2)?);
             Ok(StValue::Real(x.clamp(lo, hi)))
         }
-        "SEL" => {
+        Builtin::Sel => {
             // SEL(G, IN0, IN1)
             let g = args
                 .first()
@@ -848,25 +857,24 @@ fn eval_builtin(name: &str, args: &[StValue]) -> Result<StValue, RuntimeError> {
             let v = if g { args.get(2) } else { args.get(1) };
             v.cloned().ok_or_else(|| rt("SEL: missing arguments"))
         }
-        "TO_INT" | "REAL_TO_INT" | "TRUNC" | "TO_DINT" => Ok(StValue::Int(
+        Builtin::ToInt => Ok(StValue::Int(
             args.first()
                 .and_then(StValue::as_i64)
                 .ok_or_else(|| rt(format!("{name}: not convertible")))?,
         )),
-        "TO_REAL" | "INT_TO_REAL" | "TO_LREAL" => Ok(StValue::Real(num(0)?)),
-        "BOOL_TO_INT" => Ok(StValue::Int(
+        Builtin::ToReal => Ok(StValue::Real(num(0)?)),
+        Builtin::BoolToInt => Ok(StValue::Int(
             args.first()
                 .and_then(StValue::as_bool)
                 .map(i64::from)
                 .ok_or_else(|| rt("BOOL_TO_INT: not BOOL"))?,
         )),
-        "INT_TO_BOOL" | "TO_BOOL" => Ok(StValue::Bool(
+        Builtin::ToBool => Ok(StValue::Bool(
             args.first()
                 .and_then(StValue::as_i64)
                 .map(|v| v != 0)
                 .ok_or_else(|| rt("TO_BOOL: not numeric"))?,
         )),
-        other => Err(rt(format!("unknown function {other:?}"))),
     }
 }
 

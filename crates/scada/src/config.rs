@@ -3,6 +3,7 @@
 //! plus the translation to ScadaBR-style import JSON that the paper's
 //! toolchain performs.
 
+use sgcr_net::Ipv4Addr;
 use sgcr_obs::json::quote;
 use sgcr_xml::Document;
 use std::fmt;
@@ -95,7 +96,7 @@ pub struct DataSource {
     /// Protocol.
     pub protocol: SourceProtocol,
     /// Server IP.
-    pub ip: String,
+    pub ip: Ipv4Addr,
     /// Server TCP port (502 Modbus / 102 MMS).
     pub port: u16,
     /// Poll period in milliseconds.
@@ -165,7 +166,8 @@ impl ScadaConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ScadaConfigError`] on malformed XML or missing attributes.
+    /// Returns [`ScadaConfigError`] on malformed XML, a missing attribute or
+    /// a data source `ip` that is not an IPv4 address.
     pub fn parse(text: &str) -> Result<ScadaConfig, ScadaConfigError> {
         let doc = Document::parse(text).map_err(|e| err(e.to_string()))?;
         let root = doc.root_element();
@@ -183,8 +185,10 @@ impl ScadaConfig {
             let name = source_el.attr_or("name", "").to_string();
             let ip = source_el
                 .attr("ip")
-                .ok_or_else(|| err(format!("data source {name:?} missing ip")))?
-                .to_string();
+                .ok_or_else(|| err(format!("data source {name:?} missing ip")))?;
+            let ip = ip
+                .parse()
+                .map_err(|_| err(format!("data source {name:?} has invalid ip {ip:?}")))?;
             let type_name = source_el.attr_or("type", "MODBUS").to_uppercase();
             let (protocol, default_port) = match type_name.as_str() {
                 "MODBUS" => (
@@ -265,7 +269,7 @@ impl ScadaConfig {
                 i + 1,
                 quote(&source.name),
                 type_name,
-                quote(&source.ip),
+                quote(&source.ip.to_string()),
                 source.port,
                 source.poll_ms,
                 extra,
@@ -307,16 +311,6 @@ impl ScadaConfig {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-
-    /// Finds a point and its source by tag name.
-    pub fn find_point(&self, tag: &str) -> Option<(&DataSource, &DataPoint)> {
-        for source in &self.sources {
-            if let Some(point) = source.points.iter().find(|p| p.name == tag) {
-                return Some((source, point));
-            }
-        }
-        None
     }
 
     /// Every point name an objective may watch: each configured tag, then
@@ -361,6 +355,7 @@ mod tests {
         assert!(config.sources[0].points[1].writable);
         assert_eq!(config.sources[1].protocol, SourceProtocol::Mms);
         assert_eq!(config.sources[1].port, 102);
+        assert_eq!(config.sources[1].points[0].deadband, 0.5);
         assert_eq!(config.alarms.len(), 2);
         assert_eq!(config.alarms[0].kind, AlarmKind::High(50.0));
     }
@@ -387,14 +382,9 @@ mod tests {
             r#"<ScadaConfig><DataSource name="x" type="CARRIERPIGEON" ip="1.2.3.4"/></ScadaConfig>"#
         )
         .is_err());
-    }
-
-    #[test]
-    fn find_point() {
-        let config = ScadaConfig::parse(SAMPLE).unwrap();
-        let (source, point) = config.find_point("GIED1_TotW").unwrap();
-        assert_eq!(source.name, "GIED1");
-        assert_eq!(point.deadband, 0.5);
-        assert!(config.find_point("nope").is_none());
+        let bad_ip = ScadaConfig::parse(
+            r#"<ScadaConfig><DataSource name="PLC" type="MODBUS" ip="10.0.5.666"/></ScadaConfig>"#,
+        );
+        assert!(bad_ip.unwrap_err().message.contains(r#""PLC""#));
     }
 }

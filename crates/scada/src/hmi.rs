@@ -1,12 +1,14 @@
 //! The SCADA HMI application: polls data sources, maintains the tag
 //! database, evaluates alarms, and executes operator commands.
 
-use crate::config::{AlarmKind, ModbusPointKind, PointAddress, ScadaConfig, SourceProtocol};
+use crate::config::{
+    AlarmKind, DataPoint, ModbusPointKind, PointAddress, ScadaConfig, SourceProtocol,
+};
 use parking_lot::Mutex;
 use sgcr_faults::DegradationSignal;
 use sgcr_iec61850::{DataValue, MmsClient, MmsPdu, MmsRequest, MmsResponse};
 use sgcr_modbus::{ModbusClient, Request as ModbusRequest, Response as ModbusResponse};
-use sgcr_net::{AppPlane, ConnId, HostCtx, Ipv4Addr, SimDuration, SocketApp};
+use sgcr_net::{AppPlane, ConnId, HostCtx, SimDuration, SocketApp};
 use sgcr_obs::{Counter, Event as ObsEvent, Plane, Telemetry, TimeNs, TraceCtx, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -59,13 +61,21 @@ pub enum OperatorCommand {
 
 #[derive(Debug, Default)]
 struct HmiShared {
-    tags: HashMap<String, TagValue>,
+    /// Every point's tag, by point index (sources in config order, each
+    /// source's points in order).
+    tags: Vec<TagValue>,
     events: Vec<HmiEvent>,
     active_alarms: HashMap<String, String>,
     commands: VecDeque<OperatorCommand>,
     polls_completed: u64,
     /// Stale-tag detection window (ms); `None` disables the sweep.
     stale_window_ms: Option<u64>,
+}
+
+impl HmiShared {
+    fn log(&mut self, time_ms: u64, message: String) {
+        self.events.push(HmiEvent { time_ms, message });
+    }
 }
 
 /// Key under which a tag's staleness alarm lives in `active_alarms`,
@@ -75,34 +85,39 @@ pub(crate) fn stale_key(tag: &str) -> String {
     format!("stale:{tag}")
 }
 
+/// Every point of `config`, in tag-table order.
+fn points(config: &ScadaConfig) -> impl Iterator<Item = &DataPoint> {
+    config.sources.iter().flat_map(|source| &source.points)
+}
+
 /// The operator's handle to a running HMI: read tags, watch alarms, issue
 /// commands. Shared with the experiment harness.
 #[derive(Clone)]
 pub struct ScadaHandle {
+    config: Arc<ScadaConfig>,
     shared: Arc<Mutex<HmiShared>>,
     degradation: DegradationSignal,
 }
 
 impl ScadaHandle {
-    /// Reads a tag.
+    /// Reads a tag (the first point of that name).
     pub fn tag(&self, name: &str) -> Option<TagValue> {
-        self.shared.lock().tags.get(name).cloned()
+        let index = points(&self.config).position(|p| p.name == name)?;
+        Some(self.shared.lock().tags[index].clone())
     }
 
     /// Reads a tag's numeric value if it has good quality.
     pub fn tag_value(&self, name: &str) -> Option<f64> {
-        self.shared
-            .lock()
-            .tags
-            .get(name)
+        self.tag(name)
             .filter(|t| t.quality == Quality::Good)
             .map(|t| t.value)
     }
 
     /// All tag names, sorted.
     pub fn tag_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.lock().tags.keys().cloned().collect();
+        let mut names: Vec<String> = points(&self.config).map(|p| p.name.clone()).collect();
         names.sort();
+        names.dedup();
         names
     }
 
@@ -169,27 +184,57 @@ fn modbus_read(kind: ModbusPointKind, address: u16) -> ModbusRequest {
     }
 }
 
-/// One data source's connection. Each client pairs every reply with the
-/// request it answers, and a request names the point it polls.
-enum SourceLink {
+/// A read or reported value as a tag's raw number: numbers as they are,
+/// booleans and double points as 0 or 1.
+fn raw_value(value: &DataValue) -> Option<f64> {
+    value.as_f64().or_else(|| {
+        let state = value.as_bool().or_else(|| value.as_dbpos())?;
+        Some(f64::from(u8::from(state)))
+    })
+}
+
+/// One data source's session, resolved when the app is built. A point is
+/// named by its index in the source; its tag is `first` plus that index.
+struct SourceLink {
+    /// The connection, from the connect on start.
+    conn: Option<ConnId>,
+    /// Whether `conn` is established.
+    connected: bool,
+    /// The tag index of the source's first point.
+    first: usize,
+    protocol: LinkProtocol,
+}
+
+enum LinkProtocol {
     Modbus {
         client: ModbusClient,
-        conn: Option<ConnId>,
         unit: u8,
+        /// Each Modbus-addressed point and the read that polls it. A poll
+        /// sends each distinct read once; its response feeds every point
+        /// that reads it.
+        reads: Vec<(usize, ModbusRequest)>,
     },
     Mms {
         client: MmsClient,
-        conn: Option<ConnId>,
+        /// The items a poll reads: the MMS-addressed points', in order.
+        items: Vec<String>,
+        /// The point each item feeds: a read's results map to them by
+        /// position, a report's entries by item.
+        points: Vec<usize>,
     },
 }
 
 const TOKEN_COMMANDS: u64 = 1_000_000;
 
-/// The SCADA HMI application (one per operator workstation host).
+/// The SCADA HMI application (one per operator workstation host). Its
+/// configuration is shared with every other tenant of the compiled model;
+/// the sessions and the tag table are its own.
 pub struct ScadaApp {
-    config: ScadaConfig,
+    config: Arc<ScadaConfig>,
     links: Vec<SourceLink>,
-    conn_to_source: HashMap<ConnId, usize>,
+    /// The alarm rules (indices into the config's) that watch each tag, by
+    /// tag index.
+    tag_alarms: Vec<Vec<usize>>,
     shared: ScadaHandle,
     telemetry: Telemetry,
     alarms_counter: Counter,
@@ -200,7 +245,11 @@ impl ScadaApp {
     /// Builds the app from a parsed configuration, with its own degradation
     /// signal and telemetry disabled.
     pub fn new(config: ScadaConfig) -> (ScadaApp, ScadaHandle) {
-        ScadaApp::with_telemetry(config, DegradationSignal::new(), Telemetry::disabled())
+        ScadaApp::with_telemetry(
+            Arc::new(config),
+            DegradationSignal::new(),
+            Telemetry::disabled(),
+        )
     }
 
     /// Builds the app over the degradation signal it consults (a range
@@ -211,50 +260,80 @@ impl ScadaApp {
     /// executed operator commands feed `scada.commands` and journal
     /// [`ScadaCommand`](sgcr_obs::Event::ScadaCommand).
     pub fn with_telemetry(
-        config: ScadaConfig,
+        config: Arc<ScadaConfig>,
         degradation: DegradationSignal,
         telemetry: Telemetry,
     ) -> (ScadaApp, ScadaHandle) {
-        let handle = ScadaHandle {
-            shared: Arc::default(),
-            degradation,
-        };
-        {
-            // Pre-register all tags as uninitialized.
-            let mut shared = handle.shared.lock();
-            for source in &config.sources {
-                for point in &source.points {
-                    shared.tags.insert(
-                        point.name.clone(),
-                        TagValue {
-                            value: 0.0,
-                            updated_ms: 0,
-                            quality: Quality::Uninitialized,
-                        },
-                    );
-                }
-            }
-        }
+        let mut first = 0;
         let links = config
             .sources
             .iter()
-            .map(|s| match s.protocol {
-                SourceProtocol::Modbus { unit } => SourceLink::Modbus {
-                    client: ModbusClient::new(),
+            .map(|source| {
+                let protocol = match source.protocol {
+                    SourceProtocol::Modbus { unit } => LinkProtocol::Modbus {
+                        client: ModbusClient::new(),
+                        unit,
+                        reads: (source.points.iter().enumerate())
+                            .filter_map(|(k, point)| match point.address {
+                                PointAddress::Modbus { kind, address } => {
+                                    Some((k, modbus_read(kind, address)))
+                                }
+                                PointAddress::Mms { .. } => None,
+                            })
+                            .collect(),
+                    },
+                    SourceProtocol::Mms => {
+                        let (points, items) = (source.points.iter().enumerate())
+                            .filter_map(|(k, point)| match &point.address {
+                                PointAddress::Mms { item } => Some((k, item.clone())),
+                                PointAddress::Modbus { .. } => None,
+                            })
+                            .unzip();
+                        LinkProtocol::Mms {
+                            client: MmsClient::new(),
+                            items,
+                            points,
+                        }
+                    }
+                };
+                let link = SourceLink {
                     conn: None,
-                    unit,
-                },
-                SourceProtocol::Mms => SourceLink::Mms {
-                    client: MmsClient::new(),
-                    conn: None,
-                },
+                    connected: false,
+                    first,
+                    protocol,
+                };
+                first += source.points.len();
+                link
             })
             .collect();
+        let tag_alarms = points(&config)
+            .map(|point| {
+                (0..config.alarms.len())
+                    .filter(|&r| config.alarms[r].point == point.name)
+                    .collect()
+            })
+            .collect();
+        let shared = HmiShared {
+            tags: vec![
+                TagValue {
+                    value: 0.0,
+                    updated_ms: 0,
+                    quality: Quality::Uninitialized,
+                };
+                first
+            ],
+            ..HmiShared::default()
+        };
+        let handle = ScadaHandle {
+            config: Arc::clone(&config),
+            shared: Arc::new(Mutex::new(shared)),
+            degradation,
+        };
         (
             ScadaApp {
                 config,
                 links,
-                conn_to_source: HashMap::new(),
+                tag_alarms,
                 shared: handle.clone(),
                 alarms_counter: telemetry.counter("scada.alarms"),
                 commands_counter: telemetry.counter("scada.commands"),
@@ -265,37 +344,28 @@ impl ScadaApp {
     }
 
     fn log(&self, now_ms: u64, message: String) {
-        self.shared.shared.lock().events.push(HmiEvent {
-            time_ms: now_ms,
-            message,
-        });
+        self.shared.shared.lock().log(now_ms, message);
     }
 
     fn poll_source(&mut self, ctx: &mut HostCtx<'_>, index: usize) {
-        let source = &self.config.sources[index];
-        match &mut self.links[index] {
-            SourceLink::Modbus { client, conn, unit } => {
-                if let Some(conn) = *conn {
-                    for point in &source.points {
-                        let PointAddress::Modbus { kind, address } = &point.address else {
-                            continue;
-                        };
-                        let wire = client.request(*unit, modbus_read(*kind, *address));
-                        ctx.tcp_send(conn, &wire);
+        let link = &mut self.links[index];
+        if let Some(conn) = link.conn.filter(|_| link.connected) {
+            match &mut link.protocol {
+                LinkProtocol::Modbus {
+                    client,
+                    unit,
+                    reads,
+                } => {
+                    for (i, (_, read)) in reads.iter().enumerate() {
+                        if reads[..i].iter().all(|(_, earlier)| earlier != read) {
+                            let wire = client.request(*unit, read.clone());
+                            ctx.tcp_send(conn, &wire);
+                        }
                     }
                 }
-            }
-            SourceLink::Mms { client, conn } => {
-                if let Some(conn) = *conn {
-                    let items: Vec<String> = source
-                        .points
-                        .iter()
-                        .filter_map(|p| match &p.address {
-                            PointAddress::Mms { item } => Some(item.clone()),
-                            PointAddress::Modbus { .. } => None,
-                        })
-                        .collect();
+                LinkProtocol::Mms { client, items, .. } => {
                     if !items.is_empty() {
+                        let items = items.clone();
                         if let Some((_, wire)) = client.request(MmsRequest::Read { items }) {
                             ctx.tcp_send(conn, &wire);
                         }
@@ -304,141 +374,101 @@ impl ScadaApp {
             }
         }
         self.shared.shared.lock().polls_completed += 1;
-        ctx.set_timer(SimDuration::from_millis(source.poll_ms), index as u64);
+        let poll = SimDuration::from_millis(self.config.sources[index].poll_ms);
+        ctx.set_timer(poll, index as u64);
     }
 
+    /// Stores a new raw value of point `k` of source `source`, then settles
+    /// the tag's staleness and its alarm rules, under one lock.
     fn update_tag(
         &mut self,
         now_ms: u64,
-        tag: &str,
+        (source, k): (usize, usize),
         raw: f64,
         tracer: &Tracer,
         parent: Option<TraceCtx>,
     ) {
-        let Some((_, point)) = self.config.find_point(tag) else {
-            return;
-        };
+        let point = &self.config.sources[source].points[k];
+        let tag = self.links[source].first + k;
+        let name = point.name.as_str();
         let now = TimeNs::from_millis(now_ms);
         let mut span = tracer.open("scada.update_tag", Plane::Scada, parent, now);
         if span.is_recording() {
-            span.attr("tag", tag);
+            span.attr("tag", name);
             span.attr("raw", raw.to_string());
         }
         let update_ctx = span.ctx();
         let scaled = raw * point.scale;
-        let deadband = point.deadband;
         let quality = if self.shared.degradation.is_degraded() {
             Quality::Invalid
         } else {
             Quality::Good
         };
-        let was_stale;
-        {
-            let mut shared = self.shared.shared.lock();
-            let entry = shared.tags.entry(tag.to_string()).or_insert(TagValue {
-                value: 0.0,
-                updated_ms: 0,
-                quality: Quality::Uninitialized,
-            });
-            let significant =
-                entry.quality == Quality::Uninitialized || (scaled - entry.value).abs() > deadband;
-            was_stale = entry.quality == Quality::Old;
-            entry.updated_ms = now_ms;
-            entry.quality = quality;
-            if significant {
-                entry.value = scaled;
-            }
+        let mut shared = self.shared.shared.lock();
+        let shared = &mut *shared;
+        let entry = &mut shared.tags[tag];
+        let significant = entry.quality == Quality::Uninitialized
+            || (scaled - entry.value).abs() > point.deadband;
+        let was_stale = entry.quality == Quality::Old;
+        entry.updated_ms = now_ms;
+        entry.quality = quality;
+        if significant {
+            entry.value = scaled;
         }
+        let value = entry.value;
         if was_stale {
-            let removed = self
-                .shared
-                .shared
-                .lock()
-                .active_alarms
-                .remove(&stale_key(tag));
-            if let Some(message) = removed {
-                self.log(now_ms, format!("CLEARED {tag}: {message}"));
-                self.telemetry.record(TimeNs::from_millis(now_ms), || {
-                    ObsEvent::ScadaAlarmCleared {
-                        point: tag.to_string(),
-                        message: message.clone(),
-                    }
+            if let Some(message) = shared.active_alarms.remove(&stale_key(name)) {
+                shared.log(now_ms, format!("CLEARED {name}: {message}"));
+                self.telemetry.record(now, || ObsEvent::ScadaAlarmCleared {
+                    point: name.to_string(),
+                    message: message.clone(),
                 });
             }
         }
-        self.evaluate_alarms(now_ms, tag, tracer, update_ctx);
-        span.end(now);
-    }
-
-    fn evaluate_alarms(
-        &mut self,
-        now_ms: u64,
-        tag: &str,
-        tracer: &Tracer,
-        parent: Option<TraceCtx>,
-    ) {
-        let value = match self.shared.tag_value(tag) {
-            Some(v) => v,
-            None => return,
+        // A value without good quality raises and clears no alarm.
+        let rules: &[usize] = match quality {
+            Quality::Good => &self.tag_alarms[tag],
+            _ => &[],
         };
-        let rules: Vec<_> = self
-            .config
-            .alarms
-            .iter()
-            .filter(|r| r.point == tag)
-            .cloned()
-            .collect();
-        for rule in rules {
+        for &r in rules {
+            let rule = &self.config.alarms[r];
             let in_alarm = match rule.kind {
                 AlarmKind::High(limit) => value > limit,
                 AlarmKind::Low(limit) => value < limit,
                 AlarmKind::StateTrue => value != 0.0,
                 AlarmKind::StateFalse => value == 0.0,
             };
-            let was_active = self
-                .shared
-                .shared
-                .lock()
-                .active_alarms
-                .contains_key(&rule.point);
-            if in_alarm && !was_active {
-                self.shared
-                    .shared
-                    .lock()
+            let was_active = shared.active_alarms.contains_key(&rule.point);
+            let state = if in_alarm && !was_active {
+                shared
                     .active_alarms
                     .insert(rule.point.clone(), rule.message.clone());
-                self.log(now_ms, format!("ALARM {}: {}", rule.point, rule.message));
+                shared.log(now_ms, format!("ALARM {}: {}", rule.point, rule.message));
                 self.alarms_counter.inc();
-                self.telemetry
-                    .record(TimeNs::from_millis(now_ms), || ObsEvent::ScadaAlarm {
-                        point: rule.point.clone(),
-                        message: rule.message.clone(),
-                    });
-                let now = TimeNs::from_millis(now_ms);
-                let mut span = tracer.open("scada.alarm", Plane::Scada, parent, now);
-                if span.is_recording() {
-                    span.attr("point", rule.point.as_str());
-                    span.attr("state", "raised");
-                }
-                span.end(now);
-            } else if !in_alarm && was_active {
-                self.shared.shared.lock().active_alarms.remove(&rule.point);
-                self.log(now_ms, format!("CLEARED {}: {}", rule.point, rule.message));
-                self.telemetry.record(TimeNs::from_millis(now_ms), || {
-                    ObsEvent::ScadaAlarmCleared {
-                        point: rule.point.clone(),
-                        message: rule.message.clone(),
-                    }
+                self.telemetry.record(now, || ObsEvent::ScadaAlarm {
+                    point: rule.point.clone(),
+                    message: rule.message.clone(),
                 });
-                let now = TimeNs::from_millis(now_ms);
-                let mut span = tracer.open("scada.alarm", Plane::Scada, parent, now);
-                if span.is_recording() {
-                    span.attr("point", rule.point.as_str());
-                    span.attr("state", "cleared");
-                }
-                span.end(now);
+                "raised"
+            } else if !in_alarm && was_active {
+                shared.active_alarms.remove(&rule.point);
+                shared.log(now_ms, format!("CLEARED {}: {}", rule.point, rule.message));
+                self.telemetry.record(now, || ObsEvent::ScadaAlarmCleared {
+                    point: rule.point.clone(),
+                    message: rule.message.clone(),
+                });
+                "cleared"
+            } else {
+                continue;
+            };
+            let mut alarm_span = tracer.open("scada.alarm", Plane::Scada, update_ctx, now);
+            if alarm_span.is_recording() {
+                alarm_span.attr("point", rule.point.as_str());
+                alarm_span.attr("state", state);
             }
+            alarm_span.end(now);
         }
+        span.end(now);
     }
 
     /// Flips tags that have not refreshed within the stale window to
@@ -446,43 +476,35 @@ impl ScadaApp {
     /// same 50 ms housekeeping timer as command processing; a `None` window
     /// makes this a no-op.
     fn sweep_stale(&mut self, now_ms: u64) {
-        let Some(window) = self.shared.shared.lock().stale_window_ms else {
+        let mut shared = self.shared.shared.lock();
+        let Some(window) = shared.stale_window_ms else {
             return;
         };
-        let mut newly_stale: Vec<(String, u64)> = Vec::new();
-        {
-            let mut shared = self.shared.shared.lock();
-            for (name, tag) in &mut shared.tags {
-                if tag.quality == Quality::Good && now_ms.saturating_sub(tag.updated_ms) > window {
-                    tag.quality = Quality::Old;
-                    newly_stale.push((name.clone(), now_ms - tag.updated_ms));
-                }
+        let mut newly_stale: Vec<(&str, u64)> = Vec::new();
+        for (tag, point) in shared.tags.iter_mut().zip(points(&self.config)) {
+            if tag.quality == Quality::Good && now_ms.saturating_sub(tag.updated_ms) > window {
+                tag.quality = Quality::Old;
+                newly_stale.push((&point.name, now_ms - tag.updated_ms));
             }
         }
         newly_stale.sort();
+        let now = TimeNs::from_millis(now_ms);
         for (tag, age_ms) in newly_stale {
             let message = format!("stale: no update for {age_ms} ms (window {window} ms)");
-            self.shared
-                .shared
-                .lock()
-                .active_alarms
-                .insert(stale_key(&tag), message.clone());
-            self.log(now_ms, format!("ALARM {tag}: {message}"));
+            shared.active_alarms.insert(stale_key(tag), message.clone());
+            shared.log(now_ms, format!("ALARM {tag}: {message}"));
             self.alarms_counter.inc();
-            self.telemetry
-                .record(TimeNs::from_millis(now_ms), || ObsEvent::TagStale {
-                    tag: tag.clone(),
-                    age_ms,
-                });
-            self.telemetry
-                .record(TimeNs::from_millis(now_ms), || ObsEvent::ScadaAlarm {
-                    point: tag.clone(),
-                    message: message.clone(),
-                });
+            self.telemetry.record(now, || ObsEvent::TagStale {
+                tag: tag.to_string(),
+                age_ms,
+            });
+            self.telemetry.record(now, || ObsEvent::ScadaAlarm {
+                point: tag.to_string(),
+                message: message.clone(),
+            });
         }
     }
 
-    #[allow(clippy::collapsible_match)] // the Option lives inside a matched variant
     fn process_commands(&mut self, ctx: &mut HostCtx<'_>) {
         loop {
             let command = self.shared.shared.lock().commands.pop_front();
@@ -490,7 +512,7 @@ impl ScadaApp {
                 break;
             };
             let now_ms = ctx.now().as_millis();
-            let Some((source_index, point)) = self
+            let Some((source, point)) = self
                 .config
                 .sources
                 .iter()
@@ -504,68 +526,61 @@ impl ScadaApp {
                 self.log(now_ms, format!("REJECTED command to read-only tag {tag:?}"));
                 continue;
             }
-            let address = point.address.clone();
-            match (&mut self.links[source_index], address) {
+            let link = &mut self.links[source];
+            let Some(conn) = link.conn.filter(|_| link.connected) else {
+                continue;
+            };
+            let wire = match (&mut link.protocol, &point.address) {
                 (
-                    SourceLink::Modbus {
-                        client, conn, unit, ..
-                    },
-                    PointAddress::Modbus { kind, address },
+                    LinkProtocol::Modbus { client, unit, .. },
+                    &PointAddress::Modbus { kind, address },
                 ) => {
-                    if let Some(conn) = *conn {
-                        let request = match kind {
-                            ModbusPointKind::Coil => ModbusRequest::WriteSingleCoil {
-                                address,
-                                value: value != 0.0,
-                            },
-                            ModbusPointKind::Holding => ModbusRequest::WriteSingleRegister {
-                                address,
-                                value: value as u16,
-                            },
-                            _ => {
-                                self.log(
-                                    now_ms,
-                                    format!("REJECTED write to input-only point {tag:?}"),
-                                );
-                                continue;
-                            }
-                        };
-                        let wire = client.request(*unit, request);
-                        ctx.tcp_send(conn, &wire);
-                        self.log(now_ms, format!("COMMAND {tag} := {value}"));
-                        self.commands_counter.inc();
-                        self.telemetry.record(TimeNs::from_millis(now_ms), || {
-                            ObsEvent::ScadaCommand {
-                                tag: tag.clone(),
-                                value,
-                            }
-                        });
-                    }
-                }
-                (SourceLink::Mms { client, conn, .. }, PointAddress::Mms { item }) => {
-                    if let Some(conn) = *conn {
-                        let Some((_, wire)) = client.request(MmsRequest::Write {
-                            items: vec![item],
-                            values: vec![DataValue::Bool(value != 0.0)],
-                        }) else {
-                            self.log(now_ms, format!("REJECTED write to {tag:?}: too long"));
+                    let request = match kind {
+                        ModbusPointKind::Coil => ModbusRequest::WriteSingleCoil {
+                            address,
+                            value: value != 0.0,
+                        },
+                        ModbusPointKind::Holding => ModbusRequest::WriteSingleRegister {
+                            address,
+                            value: value as u16,
+                        },
+                        _ => {
+                            self.log(
+                                now_ms,
+                                format!("REJECTED write to input-only point {tag:?}"),
+                            );
                             continue;
-                        };
-                        ctx.tcp_send(conn, &wire);
-                        self.log(now_ms, format!("COMMAND {tag} := {value}"));
-                        self.commands_counter.inc();
-                        self.telemetry.record(TimeNs::from_millis(now_ms), || {
-                            ObsEvent::ScadaCommand {
-                                tag: tag.clone(),
-                                value,
-                            }
-                        });
-                    }
+                        }
+                    };
+                    client.request(*unit, request)
                 }
-                _ => {}
-            }
+                (LinkProtocol::Mms { client, .. }, PointAddress::Mms { item }) => {
+                    let Some((_, wire)) = client.request(MmsRequest::Write {
+                        items: vec![item.clone()],
+                        values: vec![DataValue::Bool(value != 0.0)],
+                    }) else {
+                        self.log(now_ms, format!("REJECTED write to {tag:?}: too long"));
+                        continue;
+                    };
+                    wire
+                }
+                _ => continue,
+            };
+            ctx.tcp_send(conn, &wire);
+            self.log(now_ms, format!("COMMAND {tag} := {value}"));
+            self.commands_counter.inc();
+            self.telemetry
+                .record(TimeNs::from_millis(now_ms), || ObsEvent::ScadaCommand {
+                    tag: tag.clone(),
+                    value,
+                });
         }
         ctx.set_timer(SimDuration::from_millis(50), TOKEN_COMMANDS);
+    }
+
+    /// The source whose session is `conn`.
+    fn link_of(&self, conn: ConnId) -> Option<usize> {
+        self.links.iter().position(|l| l.conn == Some(conn))
     }
 }
 
@@ -575,13 +590,8 @@ impl SocketApp for ScadaApp {
     }
 
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        for (i, source) in self.config.sources.clone().iter().enumerate() {
-            let ip: Ipv4Addr = match source.ip.parse() {
-                Ok(ip) => ip,
-                Err(_) => continue,
-            };
-            let conn = ctx.tcp_connect(ip, source.port);
-            self.conn_to_source.insert(conn, i);
+        for (i, (link, source)) in self.links.iter_mut().zip(&self.config.sources).enumerate() {
+            link.conn = Some(ctx.tcp_connect(source.ip, source.port));
             ctx.set_timer(SimDuration::from_millis(source.poll_ms), i as u64);
         }
         ctx.set_timer(SimDuration::from_millis(50), TOKEN_COMMANDS);
@@ -597,23 +607,19 @@ impl SocketApp for ScadaApp {
     }
 
     fn on_tcp_connected(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId) {
-        let Some(&index) = self.conn_to_source.get(&conn) else {
+        let Some(index) = self.link_of(conn) else {
             return;
         };
-        match &mut self.links[index] {
-            SourceLink::Modbus { conn: slot, .. } => *slot = Some(conn),
-            SourceLink::Mms {
-                conn: slot, client, ..
-            } => {
-                *slot = Some(conn);
-                let init = client.initiate();
-                ctx.tcp_send(conn, &init);
-            }
+        let link = &mut self.links[index];
+        link.connected = true;
+        if let LinkProtocol::Mms { client, .. } = &mut link.protocol {
+            let init = client.initiate();
+            ctx.tcp_send(conn, &init);
         }
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, data: &[u8]) {
-        let Some(&index) = self.conn_to_source.get(&conn) else {
+        let Some(source) = self.link_of(conn) else {
             return;
         };
         let now_ms = ctx.now().as_millis();
@@ -622,105 +628,74 @@ impl SocketApp for ScadaApp {
         // IED action that emitted them.
         let tracer = ctx.tracer();
         let parent = ctx.trace_parent();
-        let mut updates: Vec<(String, f64)> = Vec::new();
-        match &mut self.links[index] {
-            SourceLink::Modbus { client, .. } => {
+        // (point, raw value) pairs, applied once every reply is read.
+        let mut updates: Vec<(usize, f64)> = Vec::new();
+        match &mut self.links[source].protocol {
+            LinkProtocol::Modbus { client, reads, .. } => {
                 for (request, response) in client.feed(data) {
                     let raw = match response {
                         ModbusResponse::Bits(bits) => bits.first().map(|b| f64::from(u8::from(*b))),
                         ModbusResponse::Registers(regs) => regs.first().map(|r| f64::from(*r)),
                         _ => None,
                     };
-                    // Map the read back to the point it polls; a write
-                    // polls none.
-                    let tag = self.config.sources[index]
-                        .points
-                        .iter()
-                        .find(|p| {
-                            matches!(p.address, PointAddress::Modbus { kind, address }
-                                if modbus_read(kind, address) == request)
-                        })
-                        .map(|p| p.name.clone());
-                    if let (Some(tag), Some(raw)) = (tag, raw) {
-                        updates.push((tag, raw));
-                    }
+                    // A write's response polls no point.
+                    let Some(raw) = raw else { continue };
+                    let polled = reads.iter().filter(|(_, read)| *read == request);
+                    updates.extend(polled.map(|&(k, _)| (k, raw)));
                 }
             }
-            SourceLink::Mms { client, .. } => {
+            LinkProtocol::Mms {
+                client,
+                items,
+                points,
+            } => {
                 for (request, pdu) in client.feed(data) {
-                    if let MmsPdu::InformationReport {
-                        report_name,
-                        entries,
-                    } = &pdu
-                    {
-                        // Spontaneous report (e.g. a protection trip): log it
-                        // and refresh any tag bound to a reported item.
-                        self.shared.shared.lock().events.push(HmiEvent {
-                            time_ms: now_ms,
-                            message: format!(
-                                "REPORT {report_name}: {}",
-                                entries
-                                    .iter()
-                                    .map(|(item, value)| format!("{item}={value:?}"))
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            ),
-                        });
-                        for (item, value) in entries {
-                            let raw = match value {
-                                DataValue::Bool(b) => Some(f64::from(u8::from(*b))),
-                                DataValue::Float(f) => Some(f64::from(*f)),
-                                other => other.as_dbpos().map(|b| f64::from(u8::from(b))),
-                            };
-                            let tag = self.config.sources[index]
-                                .points
-                                .iter()
-                                .find(|p| {
-                                    matches!(&p.address, PointAddress::Mms { item: i } if i == item)
-                                })
-                                .map(|p| p.name.clone());
-                            if let (Some(tag), Some(raw)) = (tag, raw) {
-                                updates.push((tag, raw));
+                    match (request, pdu) {
+                        (
+                            _,
+                            MmsPdu::InformationReport {
+                                report_name,
+                                entries,
+                            },
+                        ) => {
+                            // Spontaneous report (e.g. a protection trip):
+                            // log it and refresh every tag bound to a
+                            // reported item.
+                            let entries_text: Vec<String> = (entries.iter())
+                                .map(|(item, value)| format!("{item}={value:?}"))
+                                .collect();
+                            let message =
+                                format!("REPORT {report_name}: {}", entries_text.join(", "));
+                            self.shared.shared.lock().log(now_ms, message);
+                            for (item, value) in &entries {
+                                let Some(raw) = raw_value(value) else {
+                                    continue;
+                                };
+                                let fed =
+                                    items.iter().zip(points.iter()).filter(|(i, _)| *i == item);
+                                updates.extend(fed.map(|(_, &k)| (k, raw)));
                             }
                         }
-                        continue;
-                    }
-                    if let (
-                        Some(MmsRequest::Read { items }),
-                        MmsPdu::ConfirmedResponse {
-                            response: MmsResponse::Read { results },
-                            ..
-                        },
-                    ) = (request, pdu)
-                    {
-                        for (item, result) in items.iter().zip(results) {
-                            let Ok(value) = result else { continue };
-                            let raw = match &value {
-                                DataValue::Float(f) => Some(f64::from(*f)),
-                                DataValue::Bool(b) => Some(f64::from(u8::from(*b))),
-                                DataValue::Int(i) => Some(*i as f64),
-                                other => other.as_dbpos().map(|b| f64::from(u8::from(b))),
-                            };
-                            if let Some(raw) = raw {
-                                // Map back item → tag name.
-                                let tag = self.config.sources[index]
-                                    .points
-                                    .iter()
-                                    .find(|p| {
-                                        matches!(&p.address, PointAddress::Mms { item: i } if i == item)
-                                    })
-                                    .map(|p| p.name.clone());
-                                if let Some(tag) = tag {
-                                    updates.push((tag, raw));
+                        (
+                            Some(MmsRequest::Read { .. }),
+                            MmsPdu::ConfirmedResponse {
+                                response: MmsResponse::Read { results },
+                                ..
+                            },
+                        ) => {
+                            for (&k, result) in points.iter().zip(results) {
+                                if let Some(raw) = result.ok().as_ref().and_then(raw_value) {
+                                    updates.push((k, raw));
                                 }
                             }
                         }
+                        _ => {}
                     }
                 }
             }
         }
-        for (tag, raw) in updates {
-            self.update_tag(now_ms, &tag, raw, &tracer, parent);
+        for (k, raw) in updates {
+            self.update_tag(now_ms, (source, k), raw, &tracer, parent);
         }
     }
 }

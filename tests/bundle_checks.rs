@@ -223,6 +223,13 @@ fn always_rejected() -> Vec<(&'static str, SgmlBundle)> {
                 replace(plc, "shed_home := NOT gen_trip;", "shed_home := ;");
             }),
         ),
+        (
+            "a SCADA data source with an invalid IP",
+            edited(|b| {
+                let scada = b.scada_config.as_mut().unwrap();
+                replace(scada, r#"ip="10.0.5.19""#, r#"ip="10.0.5.666""#);
+            }),
+        ),
     ]
 }
 

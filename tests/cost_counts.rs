@@ -21,6 +21,7 @@ use sg_cyber_range::core::{breaker_cmd_key, CompiledModel, CyberRange, RangeBuil
 use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sg_cyber_range::obs::Telemetry;
+use sg_cyber_range::plc::Interpreter;
 use sg_cyber_range::powerflow::{SolveOptions, Solver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -149,9 +150,12 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, heap: isize, alloc
 /// none. Its instantiation made 5,750 allocations while the tenant interned
 /// every key and resolved its own slots, and makes 4,035 since (5,750 →
 /// 4,035); a tenant that interns its keys again fails the allocation bound.
-/// Each bound leaves 10% headroom (the heap bound was 621 KiB).
-const PAPER_TENANT_BOUND: isize = 453 * 1024;
-const PAPER_TENANT_ALLOCS: u64 = 4_439;
+/// Since the HMI shares its configuration and keeps its tags by point
+/// index it measures 420,774 B and makes 4,019 allocations (421,101 B →
+/// 420,774 B, 4,035 → 4,019). Each bound leaves 10% headroom (the bounds
+/// were 453 KiB and 4,439).
+const PAPER_TENANT_BOUND: isize = 452 * 1024;
+const PAPER_TENANT_ALLOCS: u64 = 4_421;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
 /// shared, 54 KiB (55,402 B) with parkable ticks, 54 KiB (55,671 B) with
@@ -159,10 +163,12 @@ const PAPER_TENANT_ALLOCS: u64 = 4_439;
 /// solution, 51 KiB (52,010 B) without the solver's copy of the network,
 /// 50 KiB (51,674 B; 51,994 B before, measured alike) with the connection
 /// table, and 45 KiB (51,674 B → 45,651 B) with a forked store; its
-/// instantiation makes 622 → 531 allocations. Each bound leaves 10%
-/// headroom (the heap bound was 55 KiB).
-const EPIC_TENANT_BOUND: isize = 50 * 1024;
-const EPIC_TENANT_ALLOCS: u64 = 585;
+/// instantiation makes 622 → 531 allocations. With the PLC program, the PLC
+/// bindings and the SCADA configuration shared, not copied, it measures
+/// 41,026 B and makes 461 allocations (45,651 B → 41,026 B, 531 → 461).
+/// Each bound leaves 10% headroom (the bounds were 50 KiB and 585).
+const EPIC_TENANT_BOUND: isize = 45_129;
+const EPIC_TENANT_ALLOCS: u64 = 507;
 
 #[test]
 fn a_fresh_paper_tenant_shares_its_ied_models() {
@@ -199,21 +205,33 @@ fn allocations_per_step(range: &mut CyberRange) -> f64 {
 /// result, and 45.2 until the network stopped collecting per event (a
 /// switch's out-ports, every connection id per TCP segment) and the SCADA
 /// poll stopped cloning its data source: 37.0 with the network change
-/// alone, 34.5 with both. Each bound here leaves 10% headroom (49.7 before).
-const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 37.9;
+/// alone, 34.5 with both. It measures 33.5 since the HMI maps a read to its
+/// points by position and an update allocates no key (34.5 → 33.5). Each
+/// bound here leaves 10% headroom (37.9 before).
+const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 36.9;
 
 /// An EPIC step from step 1,200, telemetry off: 361.9 per step while a
 /// replay cloned its result, 358.9 until the network stopped collecting per
 /// event, 298.9 since, and 284.3 since the PLC scan and the SCADA poll stop
-/// cloning their configuration (the bound was 395).
-const EPIC_STEP_ALLOCS: f64 = 313.0;
+/// cloning their configuration. It measures 242.8 since the interpreter
+/// walks its program in place and overwrites variables where they are, and
+/// the PLC and the HMI map replies to their bindings by position (284.3 →
+/// 242.8; the bound was 313).
+const EPIC_STEP_ALLOCS: f64 = 267.0;
 
 /// The paper step that applies a breaker command written through the store
 /// at step 100: 888 allocations, most of them the re-solve of the new
 /// topology and the IEDs that sample it; 887 since the solver no longer
-/// copies the changed breaker into a record, and 810 since the network
-/// collects nothing per event (the bound was 975).
-const PAPER_COMMAND_STEP_ALLOCS: u64 = 891;
+/// copies the changed breaker into a record, 810 since the network
+/// collects nothing per event, and 800 since the HMI keeps its tags by
+/// point index (810 → 800; the bound was 891).
+const PAPER_COMMAND_STEP_ALLOCS: u64 = 880;
+
+/// One scan of the EPIC CPLC program, from its second scan on: 30
+/// allocations while a scan cloned the program body and every write
+/// allocated its variable's key, 2 since (30 → 2): the argument vectors of
+/// its two `TO_INT` calls. The bound leaves 10% headroom.
+const CPLC_SCAN_ALLOCS: f64 = 2.2;
 
 fn paper_tenant() -> CyberRange {
     let bundle = multisub_bundle(&MultiSubParams::paper_profile());
@@ -260,6 +278,23 @@ fn an_epic_step_allocates_within_its_bound() {
     assert!(
         per_step <= EPIC_STEP_ALLOCS,
         "an EPIC step makes {per_step} allocations (bound {EPIC_STEP_ALLOCS})"
+    );
+}
+
+#[test]
+fn a_cplc_scan_allocates_within_its_bound() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("EPIC bundle must compile");
+    let mut interp = Interpreter::new(model.plcs[0].program.clone()).expect("CPLC instantiates");
+    interp.scan(0).expect("CPLC scans");
+    let per_scan = allocations(|| {
+        for scan in 1..=100 {
+            interp.scan(scan * 100_000_000).expect("CPLC scans");
+        }
+    }) as f64
+        / 100.0;
+    assert!(
+        per_scan <= CPLC_SCAN_ALLOCS,
+        "a CPLC scan makes {per_scan} allocations (bound {CPLC_SCAN_ALLOCS})"
     );
 }
 
@@ -316,9 +351,12 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// apps clone no configuration it measures 1,617 KiB (1,656,271 B) and
 /// 284.2 per step (358.8 before; the bounds were 1,781 KiB and 395), and
 /// 1,612 KiB (1,656,271 B → 1,650,248 B) with a forked store (the bound was
-/// 1,780 KiB). Each bound leaves 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_773 * 1024;
-const EPIC_JOURNALED_STEP_ALLOCS: f64 = 313.0;
+/// 1,780 KiB). With the PLC's and the HMI's bindings resolved once and
+/// their configuration shared it measures 1,606 KiB (1,650,248 B →
+/// 1,644,684 B) and 242.7 per step (284.2 → 242.7; the bounds were 1,773
+/// KiB and 313). Each bound leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_767 * 1024;
+const EPIC_JOURNALED_STEP_ALLOCS: f64 = 267.0;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 
 #[test]
