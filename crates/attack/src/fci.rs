@@ -50,6 +50,9 @@ pub struct FciAttackApp {
     plan: FciPlan,
     client: MmsClient,
     conn: Option<ConnId>,
+    /// The forged write's invoke id, once it is sent: an error under it
+    /// refuses the command.
+    write_invoke: Option<u32>,
     report: FciHandle,
 }
 
@@ -62,6 +65,7 @@ impl FciAttackApp {
                 plan,
                 client: MmsClient::new(),
                 conn: None,
+                write_invoke: None,
                 report: report.clone(),
             },
             report,
@@ -83,7 +87,7 @@ impl SocketApp for FciAttackApp {
                 object_class: 0,
                 domain: None,
             };
-            if let Some((_, wire)) = self.client.request(request) {
+            if let Some((_, wire)) = self.client.request(&request) {
                 ctx.tcp_send(conn, &wire);
             }
         }
@@ -102,33 +106,32 @@ impl SocketApp for FciAttackApp {
                 items: vec![self.plan.item.clone()],
                 values: vec![DataValue::Bool(self.plan.value)],
             };
-            if let Some((_, wire)) = self.client.request(request) {
+            if let Some((invoke_id, wire)) = self.client.request(&request) {
+                self.write_invoke = Some(invoke_id);
                 ctx.tcp_send(conn, &wire);
             }
         }
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        for (request, pdu) in self.client.feed(data) {
-            let accepted = match (request, pdu) {
-                (
-                    Some(MmsRequest::GetNameList { .. }),
-                    MmsPdu::ConfirmedResponse {
-                        response: MmsResponse::GetNameList { identifiers, .. },
-                        ..
-                    },
-                ) => {
+        for pdu in self.client.feed(data) {
+            let accepted = match pdu {
+                MmsPdu::ConfirmedResponse {
+                    response: MmsResponse::GetNameList { identifiers, .. },
+                    ..
+                } => {
                     self.report.lock().discovered_items = identifiers;
                     continue;
                 }
-                (
-                    Some(MmsRequest::Write { .. }),
-                    MmsPdu::ConfirmedResponse {
-                        response: MmsResponse::Write { results },
-                        ..
-                    },
-                ) => results.first().is_some_and(Result::is_ok),
-                (Some(MmsRequest::Write { .. }), MmsPdu::ConfirmedError { .. }) => false,
+                MmsPdu::ConfirmedResponse {
+                    response: MmsResponse::Write { results },
+                    ..
+                } => results.first().is_some_and(Result::is_ok),
+                MmsPdu::ConfirmedError { invoke_id, .. }
+                    if Some(invoke_id) == self.write_invoke =>
+                {
+                    false
+                }
                 _ => continue,
             };
             let mut report = self.report.lock();

@@ -1,8 +1,8 @@
-//! Micro-benchmarks of the protocol codecs: MMS, GOOSE, Modbus — the
+//! Micro-benchmarks of the protocol codecs: MMS, GOOSE, SV, Modbus — the
 //! per-message costs behind every virtual-device interaction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sgcr_iec61850::{DataValue, GoosePdu, MmsPdu, MmsRequest, MmsResponse};
+use sgcr_iec61850::{DataValue, GoosePdu, MmsPdu, MmsRequest, MmsResponse, SvAsdu, SvPdu};
 use sgcr_modbus::{decode_request, encode_request, Request};
 
 fn sample_goose() -> GoosePdu {
@@ -62,6 +62,44 @@ fn bench_codecs(c: &mut Criterion) {
     let wire = response.encode();
     c.bench_function("mms_read_response_decode", |b| {
         b.iter(|| MmsPdu::decode(&wire).expect("decodes"));
+    });
+
+    let write = MmsPdu::ConfirmedRequest {
+        invoke_id: 43,
+        request: MmsRequest::Write {
+            items: vec!["GIED1LD0/CSWI1$CO$Pos$Oper$ctlVal".into()],
+            values: vec![DataValue::Bool(false)],
+        },
+    };
+    c.bench_function("mms_write_request_encode", |b| {
+        b.iter(|| write.encode());
+    });
+    let report = MmsPdu::InformationReport {
+        report_name: "GIED1LD0/LLN0$BR$brcb01".into(),
+        entries: vec![
+            ("GIED1LD0/PTOC1$ST$Op$general".into(), DataValue::Bool(true)),
+            ("GIED1LD0/XCBR1$ST$Pos$stVal".into(), DataValue::dbpos_off()),
+        ],
+    };
+    c.bench_function("mms_information_report_encode", |b| {
+        b.iter(|| report.encode());
+    });
+
+    let sv = SvPdu {
+        asdus: vec![SvAsdu {
+            sv_id: "S1IED1-SV".into(),
+            smp_cnt: 7,
+            conf_rev: 1,
+            smp_synch: 2,
+            samples: vec![1.25, -0.5, 0.75, 230.0],
+        }],
+    };
+    c.bench_function("sv_encode", |b| {
+        b.iter(|| sv.encode(0x4001));
+    });
+    let wire = sv.encode(0x4001);
+    c.bench_function("sv_decode", |b| {
+        b.iter(|| SvPdu::decode(&wire).expect("decodes"));
     });
 
     let request = Request::ReadInputRegisters {

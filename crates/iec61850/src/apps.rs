@@ -3,7 +3,7 @@
 
 use crate::mms::{tpkt_frame, MmsPdu, MmsServer, TpktDecoder, ERROR_PDU_SIZE, MMS_PORT};
 use sgcr_net::{ConnId, HostCtx, Ipv4Addr, SocketApp};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An MMS server listening on TCP 102, answering from an [`MmsServer`].
 ///
@@ -13,8 +13,8 @@ use std::collections::HashMap;
 /// and the client stays in step.
 pub struct MmsServerApp {
     server: MmsServer,
-    port: u16,
-    decoders: HashMap<ConnId, TpktDecoder>,
+    /// The stream decoder of each associated connection.
+    decoders: BTreeMap<ConnId, TpktDecoder>,
 }
 
 impl MmsServerApp {
@@ -22,22 +22,20 @@ impl MmsServerApp {
     pub fn new(server: MmsServer) -> MmsServerApp {
         MmsServerApp {
             server,
-            port: MMS_PORT,
-            decoders: HashMap::new(),
+            decoders: BTreeMap::new(),
         }
     }
 
-    /// Connections currently associated with the server (report targets).
-    pub fn connections(&self) -> Vec<ConnId> {
-        let mut conns: Vec<ConnId> = self.decoders.keys().copied().collect();
-        conns.sort();
-        conns
+    /// Connections currently associated with the server (report targets),
+    /// in id order.
+    pub fn connections(&self) -> impl Iterator<Item = ConnId> + '_ {
+        self.decoders.keys().copied()
     }
 }
 
 impl SocketApp for MmsServerApp {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        ctx.tcp_listen(self.port);
+        ctx.tcp_listen(MMS_PORT);
     }
 
     fn on_tcp_accepted(&mut self, _ctx: &mut HostCtx<'_>, conn: ConnId, _peer: (Ipv4Addr, u16)) {

@@ -1,6 +1,8 @@
 //! BER (ASN.1 Basic Encoding Rules) TLV encoding with definite lengths —
 //! the encoding layer under MMS, GOOSE, and Sampled Values.
 
+use std::cell::RefCell;
+
 /// An ASN.1 tag: class bits + constructed flag + number, as a single byte
 /// (low-tag-number form, sufficient for IEC 61850 PDUs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,6 +78,19 @@ pub fn write_tlv(out: &mut Vec<u8>, tag: Tag, contents: &[u8]) {
     out.extend_from_slice(contents);
 }
 
+/// Appends a TLV of `tag` around the contents `contents` writes into `out`
+/// in place. The bytes equal [`write_tlv`] of the same contents.
+pub fn nest(out: &mut Vec<u8>, tag: Tag, contents: impl FnOnce(&mut Vec<u8>)) {
+    out.push(tag.0);
+    let start = out.len();
+    contents(out);
+    let end = out.len();
+    write_length(out, end - start);
+    // The length went after the contents: rotate it in front of them.
+    let width = out.len() - end;
+    out[start..].rotate_right(width);
+}
+
 /// Appends a BER definite length.
 pub fn write_length(out: &mut Vec<u8>, len: usize) {
     if len < 0x80 {
@@ -92,8 +107,26 @@ pub fn write_length(out: &mut Vec<u8>, len: usize) {
     }
 }
 
-/// Encodes a signed integer in minimal two's-complement form.
-pub fn encode_integer(value: i64) -> Vec<u8> {
+thread_local! {
+    /// The buffer [`encode_exact`] writes into. It grows to the longest
+    /// encoding its thread makes and is reused, so that an encoding
+    /// allocates only its result.
+    static BUFFER: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The bytes `write` appends to an empty buffer, in a `Vec` allocated once
+/// at their length. `write` must not call `encode_exact` itself: the buffer
+/// is borrowed while it runs.
+pub(crate) fn encode_exact(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    BUFFER.with_borrow_mut(|buffer| {
+        buffer.clear();
+        write(buffer);
+        buffer.to_vec()
+    })
+}
+
+/// Appends a signed integer TLV in minimal two's-complement form.
+pub fn write_integer(out: &mut Vec<u8>, tag: Tag, value: i64) {
     let bytes = value.to_be_bytes();
     // Strip redundant leading bytes while keeping the sign unambiguous.
     let mut start = 0;
@@ -106,7 +139,7 @@ pub fn encode_integer(value: i64) -> Vec<u8> {
             break;
         }
     }
-    bytes[start..].to_vec()
+    write_tlv(out, tag, &bytes[start..]);
 }
 
 /// Decodes a signed integer from BER contents.
@@ -122,19 +155,18 @@ pub fn decode_integer(data: &[u8]) -> Result<i64, BerError> {
     Ok(value)
 }
 
-/// Encodes an unsigned integer (prepends 0x00 when the MSB is set).
-pub fn encode_unsigned(value: u64) -> Vec<u8> {
-    let bytes = value.to_be_bytes();
-    let mut start = 0;
-    while start < 7 && bytes[start] == 0 {
+/// Appends an unsigned integer TLV (a 0x00 leads when the MSB is set).
+pub fn write_unsigned(out: &mut Vec<u8>, tag: Tag, value: u64) {
+    let mut bytes = [0; 9];
+    bytes[1..].copy_from_slice(&value.to_be_bytes());
+    let mut start = 1;
+    while start < 8 && bytes[start] == 0 {
         start += 1;
     }
-    let mut out = Vec::new();
     if bytes[start] & 0x80 != 0 {
-        out.push(0);
+        start -= 1;
     }
-    out.extend_from_slice(&bytes[start..]);
-    out
+    write_tlv(out, tag, &bytes[start..]);
 }
 
 /// Decodes an unsigned integer from BER contents.
@@ -149,13 +181,11 @@ pub fn decode_unsigned(data: &[u8]) -> Result<u64, BerError> {
     Ok(value)
 }
 
-/// Encodes an IEEE-754 single-precision float the MMS way
+/// Appends an IEEE-754 single-precision float TLV the MMS way
 /// (exponent-width byte 0x08 followed by the 4 big-endian bytes).
-pub fn encode_float32(value: f32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(5);
-    out.push(8);
-    out.extend_from_slice(&value.to_be_bytes());
-    out
+pub fn write_float32(out: &mut Vec<u8>, tag: Tag, value: f32) {
+    let [a, b, c, d] = value.to_be_bytes();
+    write_tlv(out, tag, &[8, a, b, c, d]);
 }
 
 /// Decodes an MMS float.
@@ -167,6 +197,25 @@ pub fn decode_float32(data: &[u8]) -> Result<f32, BerError> {
     } else {
         Err(BerError::BadContent("float size"))
     }
+}
+
+/// Appends an 8-byte UTC time TLV of `ns` nanoseconds since the epoch:
+/// 4-byte seconds, a 3-byte binary fraction and a quality byte.
+pub fn write_utc_time(out: &mut Vec<u8>, tag: Tag, ns: u64) {
+    let [s0, s1, s2, s3] = ((ns / 1_000_000_000) as u32).to_be_bytes();
+    let frac = (u128::from(ns % 1_000_000_000) << 24) / 1_000_000_000;
+    let [_, f0, f1, f2] = (frac as u32).to_be_bytes();
+    // Quality: clock-not-synchronised flags clear, 10 bits of accuracy.
+    write_tlv(out, tag, &[s0, s1, s2, s3, f0, f1, f2, 0x0a]);
+}
+
+/// Decodes 8-byte UTC time contents to nanoseconds since the epoch.
+pub fn decode_utc_time(data: &[u8]) -> Result<u64, BerError> {
+    let &[s0, s1, s2, s3, f0, f1, f2, _quality] = data else {
+        return Err(BerError::BadContent("utc-time size"));
+    };
+    let frac_ns = (u128::from(u32::from_be_bytes([0, f0, f1, f2])) * 1_000_000_000) >> 24;
+    Ok(u64::from(u32::from_be_bytes([s0, s1, s2, s3])) * 1_000_000_000 + frac_ns as u64)
 }
 
 /// A decoded TLV element borrowing its contents.
@@ -207,18 +256,14 @@ impl<'a> Element<'a> {
         decode_float32(self.contents)
     }
 
-    /// Parses the contents as a sequence of child TLVs.
-    pub fn children(&self) -> Result<Vec<Element<'a>>, BerError> {
-        let mut reader = Reader::new(self.contents);
-        let mut out = Vec::new();
-        while !reader.is_empty() {
-            out.push(reader.read_element()?);
-        }
-        Ok(out)
+    /// The contents as a sequence of child TLVs.
+    pub fn children(&self) -> Reader<'a> {
+        Reader::new(self.contents)
     }
 }
 
-/// A sequential reader over BER TLVs.
+/// A sequential reader over BER TLVs. As an iterator it yields each element
+/// in turn and stops after the first error.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
     data: &'a [u8],
@@ -285,6 +330,21 @@ impl<'a> Reader<'a> {
     }
 }
 
+impl<'a> Iterator for Reader<'a> {
+    type Item = Result<Element<'a>, BerError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.is_empty() {
+            return None;
+        }
+        let element = self.read_element();
+        if element.is_err() {
+            self.pos = self.data.len();
+        }
+        Some(element)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +364,31 @@ mod tests {
     }
 
     #[test]
+    fn nest_writes_what_write_tlv_writes() {
+        for len in [0usize, 127, 128, 255, 256, 65_535, 65_536, 70_000] {
+            let contents: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            // A byte ahead of the TLV: nesting starts mid-buffer.
+            let mut expected = vec![0x5a];
+            write_tlv(&mut expected, Tag::context_constructed(3), &contents);
+            let mut nested = vec![0x5a];
+            nest(&mut nested, Tag::context_constructed(3), |out| {
+                out.extend_from_slice(&contents);
+            });
+            assert_eq!(nested, expected, "contents length {len}");
+        }
+    }
+
+    /// The contents of the one TLV `write` appends to an empty buffer.
+    fn contents_of(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write(&mut wire);
+        let mut reader = Reader::new(&wire);
+        let contents = reader.read_element().unwrap().contents.to_vec();
+        assert!(reader.is_empty());
+        contents
+    }
+
+    #[test]
     fn integer_roundtrip() {
         for v in [
             0i64,
@@ -318,7 +403,7 @@ mod tests {
             i64::MAX,
             i64::MIN,
         ] {
-            let enc = encode_integer(v);
+            let enc = contents_of(|out| write_integer(out, Tag::universal(0x02), v));
             assert_eq!(decode_integer(&enc), Ok(v), "value {v}");
             // Minimal form: no redundant leading bytes.
             if enc.len() > 1 {
@@ -334,33 +419,54 @@ mod tests {
 
     #[test]
     fn unsigned_roundtrip() {
-        for v in [0u64, 1, 127, 128, 255, 256, u32::MAX as u64, u64::MAX] {
-            let enc = encode_unsigned(v);
+        for (v, len) in [
+            (0u64, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (255, 2),
+            (256, 2),
+            (u32::MAX as u64, 5),
+            (u64::MAX, 9),
+        ] {
+            let enc = contents_of(|out| write_unsigned(out, Tag::universal(0x02), v));
             assert_eq!(decode_unsigned(&enc), Ok(v), "value {v}");
+            assert_eq!(enc.len(), len, "minimal form of {v}");
         }
     }
 
     #[test]
     fn float_roundtrip() {
         for v in [0.0f32, 1.5, -3.25, f32::MAX, f32::MIN_POSITIVE] {
-            assert_eq!(decode_float32(&encode_float32(v)), Ok(v));
+            let enc = contents_of(|out| write_float32(out, Tag::context(7), v));
+            assert_eq!(decode_float32(&enc), Ok(v));
         }
     }
 
     #[test]
     fn nested_structures() {
-        let mut inner = Vec::new();
-        write_tlv(&mut inner, Tag::universal(0x02), &encode_integer(42));
-        write_tlv(&mut inner, Tag::universal(0x02), &encode_integer(-7));
         let mut outer = Vec::new();
-        write_tlv(&mut outer, Tag::SEQUENCE, &inner);
+        nest(&mut outer, Tag::SEQUENCE, |out| {
+            write_integer(out, Tag::universal(0x02), 42);
+            write_integer(out, Tag::universal(0x02), -7);
+        });
 
         let mut reader = Reader::new(&outer);
         let seq = reader.expect(Tag::SEQUENCE).unwrap();
-        let children = seq.children().unwrap();
+        let children: Vec<_> = seq.children().map(Result::unwrap).collect();
         assert_eq!(children.len(), 2);
         assert_eq!(children[0].as_integer(), Ok(42));
         assert_eq!(children[1].as_integer(), Ok(-7));
+    }
+
+    #[test]
+    fn children_stop_after_an_error() {
+        // One whole element, then one that announces more than follows.
+        let wire = [0x02, 0x01, 0x2a, 0x02, 0x05, 0x01];
+        let mut children = Reader::new(&wire);
+        assert_eq!(children.next().unwrap().unwrap().as_integer(), Ok(42));
+        assert_eq!(children.next(), Some(Err(BerError::Truncated)));
+        assert_eq!(children.next(), None);
     }
 
     #[test]

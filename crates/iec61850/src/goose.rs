@@ -36,84 +36,37 @@ pub struct GoosePdu {
 impl GoosePdu {
     /// Encodes the PDU body (the `goosePdu` APDU with its APPID header).
     pub fn encode(&self, appid: u16) -> Vec<u8> {
-        let mut body = Vec::new();
-        ber::write_tlv(&mut body, Tag::context(0), self.gocb_ref.as_bytes());
-        ber::write_tlv(
-            &mut body,
-            Tag::context(1),
-            &ber::encode_unsigned(u64::from(self.time_allowed_to_live_ms)),
-        );
-        ber::write_tlv(&mut body, Tag::context(2), self.dat_set.as_bytes());
-        ber::write_tlv(&mut body, Tag::context(3), self.go_id.as_bytes());
-        // Timestamp as 8 raw bytes (seconds + fraction), matching DataValue.
-        let mut t_field = Vec::new();
-        DataValue::Timestamp(self.t).encode(&mut t_field);
-        // Re-tag the timestamp contents as [4].
-        let mut reader = Reader::new(&t_field);
-        let el = reader.read_element().expect("just encoded");
-        ber::write_tlv(&mut body, Tag::context(4), el.contents);
-        ber::write_tlv(
-            &mut body,
-            Tag::context(5),
-            &ber::encode_unsigned(u64::from(self.st_num)),
-        );
-        ber::write_tlv(
-            &mut body,
-            Tag::context(6),
-            &ber::encode_unsigned(u64::from(self.sq_num)),
-        );
-        ber::write_tlv(&mut body, Tag::context(7), &[u8::from(self.simulation)]);
-        ber::write_tlv(
-            &mut body,
-            Tag::context(8),
-            &ber::encode_unsigned(u64::from(self.conf_rev)),
-        );
-        ber::write_tlv(&mut body, Tag::context(9), &[u8::from(self.nds_com)]);
-        ber::write_tlv(
-            &mut body,
-            Tag::context(10),
-            &ber::encode_unsigned(self.all_data.len() as u64),
-        );
-        let mut data = Vec::new();
-        for v in &self.all_data {
-            v.encode(&mut data);
-        }
-        ber::write_tlv(&mut body, Tag::context_constructed(11), &data);
-
-        let mut apdu = Vec::new();
-        ber::write_tlv(&mut apdu, Tag::application_constructed(1), &body);
-
-        // Ethernet payload: APPID, length, 2 reserved words, then the APDU.
-        let mut out = Vec::with_capacity(8 + apdu.len());
-        out.extend_from_slice(&appid.to_be_bytes());
-        out.extend_from_slice(&((8 + apdu.len()) as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0, 0, 0]);
-        out.extend_from_slice(&apdu);
-        out
+        appid_payload(appid, |out| {
+            ber::nest(out, Tag::application_constructed(1), |out| {
+                ber::write_tlv(out, Tag::context(0), self.gocb_ref.as_bytes());
+                let ttl = u64::from(self.time_allowed_to_live_ms);
+                ber::write_unsigned(out, Tag::context(1), ttl);
+                ber::write_tlv(out, Tag::context(2), self.dat_set.as_bytes());
+                ber::write_tlv(out, Tag::context(3), self.go_id.as_bytes());
+                ber::write_utc_time(out, Tag::context(4), self.t);
+                ber::write_unsigned(out, Tag::context(5), u64::from(self.st_num));
+                ber::write_unsigned(out, Tag::context(6), u64::from(self.sq_num));
+                ber::write_tlv(out, Tag::context(7), &[u8::from(self.simulation)]);
+                ber::write_unsigned(out, Tag::context(8), u64::from(self.conf_rev));
+                ber::write_tlv(out, Tag::context(9), &[u8::from(self.nds_com)]);
+                ber::write_unsigned(out, Tag::context(10), self.all_data.len() as u64);
+                ber::nest(out, Tag::context_constructed(11), |out| {
+                    for v in &self.all_data {
+                        v.encode(out);
+                    }
+                });
+            });
+        })
     }
 
     /// Decodes a GOOSE Ethernet payload; returns `(appid, pdu)`.
     pub fn decode(payload: &[u8]) -> Result<(u16, GoosePdu), BerError> {
-        if payload.len() < 8 {
-            return Err(BerError::Truncated);
-        }
-        let appid = u16::from_be_bytes([payload[0], payload[1]]);
-        let mut reader = Reader::new(&payload[8..]);
-        let apdu = reader.expect(Tag::application_constructed(1))?;
-        let mut r = Reader::new(apdu.contents);
+        let (appid, mut r) = read_appid_payload(payload, Tag::application_constructed(1))?;
         let gocb_ref = r.expect(Tag::context(0))?.as_str()?.to_string();
         let ttl = r.expect(Tag::context(1))?.as_unsigned()? as u32;
         let dat_set = r.expect(Tag::context(2))?.as_str()?.to_string();
         let go_id = r.expect(Tag::context(3))?.as_str()?.to_string();
-        let t_el = r.expect(Tag::context(4))?;
-        // Reconstruct the timestamp from raw contents.
-        let mut t_wire = Vec::new();
-        ber::write_tlv(&mut t_wire, Tag::context(17), t_el.contents);
-        let mut t_reader = Reader::new(&t_wire);
-        let t = match DataValue::decode(&t_reader.read_element()?)? {
-            DataValue::Timestamp(ns) => ns,
-            _ => return Err(BerError::BadContent("goose timestamp")),
-        };
+        let t = ber::decode_utc_time(r.expect(Tag::context(4))?.contents)?;
         let st_num = r.expect(Tag::context(5))?.as_unsigned()? as u32;
         let sq_num = r.expect(Tag::context(6))?.as_unsigned()? as u32;
         let simulation = r.expect(Tag::context(7))?.as_bool()?;
@@ -121,10 +74,8 @@ impl GoosePdu {
         let nds_com = r.expect(Tag::context(9))?.as_bool()?;
         let _num_entries = r.expect(Tag::context(10))?.as_unsigned()?;
         let data_el = r.expect(Tag::context_constructed(11))?;
-        let mut all_data = Vec::new();
-        for child in data_el.children()? {
-            all_data.push(DataValue::decode(&child)?);
-        }
+        let all_data = data_el.children().map(|child| DataValue::decode(&child?));
+        let all_data = all_data.collect::<Result<_, _>>()?;
         Ok((
             appid,
             GoosePdu {
@@ -142,6 +93,31 @@ impl GoosePdu {
             },
         ))
     }
+}
+
+/// A GOOSE or SV Ethernet payload: the 8-byte header (APPID, length, two
+/// reserved words), then the APDU `apdu` writes. The header's length counts
+/// the whole payload.
+pub(crate) fn appid_payload(appid: u16, apdu: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    ber::encode_exact(|out| {
+        out.extend_from_slice(&appid.to_be_bytes());
+        out.extend_from_slice(&[0; 6]);
+        apdu(out);
+        let len = out.len() as u16;
+        out[2..4].copy_from_slice(&len.to_be_bytes());
+    })
+}
+
+/// The APPID of a GOOSE or SV Ethernet payload, and a reader over the
+/// contents of its APDU, which must carry `tag`.
+pub(crate) fn read_appid_payload(payload: &[u8], tag: Tag) -> Result<(u16, Reader<'_>), BerError> {
+    let [hi, lo, _, _, _, _, _, _, apdu @ ..] = payload else {
+        return Err(BerError::Truncated);
+    };
+    Ok((
+        u16::from_be_bytes([*hi, *lo]),
+        Reader::new(apdu).expect(tag)?.children(),
+    ))
 }
 
 /// Publisher configuration.

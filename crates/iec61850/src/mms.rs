@@ -164,68 +164,48 @@ fn write_str(out: &mut Vec<u8>, tag: Tag, s: &str) {
     ber::write_tlv(out, tag, s.as_bytes());
 }
 
+/// Appends a confirmed PDU: `tag` around the invoke id and what `body`
+/// writes.
+fn write_confirmed(out: &mut Vec<u8>, tag: Tag, invoke_id: u32, body: impl FnOnce(&mut Vec<u8>)) {
+    ber::nest(out, tag, |out| {
+        ber::write_unsigned(out, Tag::universal(0x02), u64::from(invoke_id));
+        body(out);
+    });
+}
+
 impl MmsPdu {
     /// BER-encodes the PDU (no TPKT framing).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            MmsPdu::InitiateRequest => ber::write_tlv(&mut out, TAG_INITIATE_REQ, &[]),
-            MmsPdu::InitiateResponse => ber::write_tlv(&mut out, TAG_INITIATE_RESP, &[]),
+        ber::encode_exact(|out| match self {
+            MmsPdu::InitiateRequest => ber::nest(out, TAG_INITIATE_REQ, |_| {}),
+            MmsPdu::InitiateResponse => ber::nest(out, TAG_INITIATE_RESP, |_| {}),
             MmsPdu::ConfirmedRequest { invoke_id, request } => {
-                let mut body = Vec::new();
-                ber::write_tlv(
-                    &mut body,
-                    Tag::universal(0x02),
-                    &ber::encode_unsigned(u64::from(*invoke_id)),
-                );
-                encode_request(&mut body, request);
-                ber::write_tlv(&mut out, TAG_CONFIRMED_REQ, &body);
+                encode_request(out, *invoke_id, request)
             }
             MmsPdu::ConfirmedResponse {
                 invoke_id,
                 response,
-            } => {
-                let mut body = Vec::new();
-                ber::write_tlv(
-                    &mut body,
-                    Tag::universal(0x02),
-                    &ber::encode_unsigned(u64::from(*invoke_id)),
-                );
-                encode_response(&mut body, response);
-                ber::write_tlv(&mut out, TAG_CONFIRMED_RESP, &body);
-            }
+            } => encode_response(out, *invoke_id, response),
             MmsPdu::ConfirmedError { invoke_id, error } => {
-                let mut body = Vec::new();
-                ber::write_tlv(
-                    &mut body,
-                    Tag::universal(0x02),
-                    &ber::encode_unsigned(u64::from(*invoke_id)),
-                );
-                ber::write_tlv(
-                    &mut body,
-                    Tag::context(0),
-                    &ber::encode_unsigned(u64::from(*error)),
-                );
-                ber::write_tlv(&mut out, TAG_CONFIRMED_ERR, &body);
+                write_confirmed(out, TAG_CONFIRMED_ERR, *invoke_id, |out| {
+                    ber::write_unsigned(out, Tag::context(0), u64::from(*error));
+                });
             }
             MmsPdu::InformationReport {
                 report_name,
                 entries,
-            } => {
-                let mut body = Vec::new();
-                write_str(&mut body, Tag::context(0), report_name);
-                let mut list = Vec::new();
-                for (item, value) in entries {
-                    let mut entry = Vec::new();
-                    write_str(&mut entry, Tag::context(0), item);
-                    value.encode(&mut entry);
-                    ber::write_tlv(&mut list, Tag::SEQUENCE, &entry);
-                }
-                ber::write_tlv(&mut body, Tag::context_constructed(1), &list);
-                ber::write_tlv(&mut out, TAG_UNCONFIRMED, &body);
-            }
-        }
-        out
+            } => ber::nest(out, TAG_UNCONFIRMED, |out| {
+                write_str(out, Tag::context(0), report_name);
+                ber::nest(out, Tag::context_constructed(1), |out| {
+                    for (item, value) in entries {
+                        ber::nest(out, Tag::SEQUENCE, |out| {
+                            write_str(out, Tag::context(0), item);
+                            value.encode(out);
+                        });
+                    }
+                });
+            }),
+        })
     }
 
     /// Decodes one PDU from raw (unframed) bytes.
@@ -264,8 +244,8 @@ impl MmsPdu {
                 let report_name = inner.expect(Tag::context(0))?.as_str()?.to_string();
                 let list = inner.expect(Tag::context_constructed(1))?;
                 let mut entries = Vec::new();
-                for entry in list.children()? {
-                    let mut er = Reader::new(entry.contents);
+                for entry in list.children() {
+                    let mut er = entry?.children();
                     let item = er.expect(Tag::context(0))?.as_str()?.to_string();
                     let value = DataValue::decode(&er.read_element()?)?;
                     entries.push((item, value));
@@ -283,45 +263,53 @@ impl MmsPdu {
     }
 }
 
-fn encode_request(out: &mut Vec<u8>, request: &MmsRequest) {
-    match request {
-        MmsRequest::GetNameList {
-            object_class,
-            domain,
-        } => {
-            let mut body = Vec::new();
-            ber::write_tlv(&mut body, Tag::context(0), &[*object_class]);
-            if let Some(d) = domain {
-                write_str(&mut body, Tag::context(1), d);
-            }
-            ber::write_tlv(out, Tag::context_constructed(SVC_GET_NAME_LIST), &body);
-        }
-        MmsRequest::Identify => {
-            ber::write_tlv(out, Tag::context_constructed(SVC_IDENTIFY), &[]);
-        }
-        MmsRequest::Read { items } => {
-            let mut body = Vec::new();
-            for item in items {
-                write_str(&mut body, Tag::context(0), item);
-            }
-            ber::write_tlv(out, Tag::context_constructed(SVC_READ), &body);
-        }
-        MmsRequest::Write { items, values } => {
-            let mut body = Vec::new();
-            for (item, value) in items.iter().zip(values) {
-                let mut pair = Vec::new();
-                write_str(&mut pair, Tag::context(0), item);
-                value.encode(&mut pair);
-                ber::write_tlv(&mut body, Tag::SEQUENCE, &pair);
-            }
-            ber::write_tlv(out, Tag::context_constructed(SVC_WRITE), &body);
-        }
-        MmsRequest::GetVariableAccessAttributes { item } => {
-            let mut body = Vec::new();
-            write_str(&mut body, Tag::context(0), item);
-            ber::write_tlv(out, Tag::context_constructed(SVC_GET_VAR_ATTRS), &body);
+impl MmsRequest {
+    /// The MMS service number: the tag number of the request and of its
+    /// response.
+    fn service(&self) -> u8 {
+        match self {
+            MmsRequest::GetNameList { .. } => SVC_GET_NAME_LIST,
+            MmsRequest::Identify => SVC_IDENTIFY,
+            MmsRequest::Read { .. } => SVC_READ,
+            MmsRequest::Write { .. } => SVC_WRITE,
+            MmsRequest::GetVariableAccessAttributes { .. } => SVC_GET_VAR_ATTRS,
         }
     }
+}
+
+/// Appends a confirmed request PDU.
+fn encode_request(out: &mut Vec<u8>, invoke_id: u32, request: &MmsRequest) {
+    let tag = Tag::context_constructed(request.service());
+    write_confirmed(out, TAG_CONFIRMED_REQ, invoke_id, |out| {
+        ber::nest(out, tag, |out| match request {
+            MmsRequest::GetNameList {
+                object_class,
+                domain,
+            } => {
+                ber::write_tlv(out, Tag::context(0), &[*object_class]);
+                if let Some(d) = domain {
+                    write_str(out, Tag::context(1), d);
+                }
+            }
+            MmsRequest::Identify => {}
+            MmsRequest::Read { items } => {
+                for item in items {
+                    write_str(out, Tag::context(0), item);
+                }
+            }
+            MmsRequest::Write { items, values } => {
+                for (item, value) in items.iter().zip(values) {
+                    ber::nest(out, Tag::SEQUENCE, |out| {
+                        write_str(out, Tag::context(0), item);
+                        value.encode(out);
+                    });
+                }
+            }
+            MmsRequest::GetVariableAccessAttributes { item } => {
+                write_str(out, Tag::context(0), item);
+            }
+        })
+    });
 }
 
 fn decode_request(el: &Element<'_>) -> Result<MmsRequest, BerError> {
@@ -355,8 +343,8 @@ fn decode_request(el: &Element<'_>) -> Result<MmsRequest, BerError> {
         SVC_WRITE => {
             let mut items = Vec::new();
             let mut values = Vec::new();
-            for pair in el.children()? {
-                let mut pr = Reader::new(pair.contents);
+            for pair in el.children() {
+                let mut pr = pair?.children();
                 items.push(pr.expect(Tag::context(0))?.as_str()?.to_string());
                 values.push(DataValue::decode(&pr.read_element()?)?);
             }
@@ -371,61 +359,67 @@ fn decode_request(el: &Element<'_>) -> Result<MmsRequest, BerError> {
     }
 }
 
-fn encode_response(out: &mut Vec<u8>, response: &MmsResponse) {
-    match response {
-        MmsResponse::GetNameList {
-            identifiers,
-            more_follows,
-        } => {
-            let mut body = Vec::new();
-            let mut list = Vec::new();
-            for id in identifiers {
-                write_str(&mut list, Tag::universal(0x1a), id);
+impl MmsResponse {
+    /// The MMS service number: the tag number of the response and of the
+    /// request it answers.
+    fn service(&self) -> u8 {
+        match self {
+            MmsResponse::GetNameList { .. } => SVC_GET_NAME_LIST,
+            MmsResponse::Identify { .. } => SVC_IDENTIFY,
+            MmsResponse::Read { .. } => SVC_READ,
+            MmsResponse::Write { .. } => SVC_WRITE,
+            MmsResponse::GetVariableAccessAttributes { .. } => SVC_GET_VAR_ATTRS,
+        }
+    }
+}
+
+/// Appends a confirmed response PDU.
+fn encode_response(out: &mut Vec<u8>, invoke_id: u32, response: &MmsResponse) {
+    let tag = Tag::context_constructed(response.service());
+    write_confirmed(out, TAG_CONFIRMED_RESP, invoke_id, |out| {
+        ber::nest(out, tag, |out| match response {
+            MmsResponse::GetNameList {
+                identifiers,
+                more_follows,
+            } => {
+                ber::nest(out, Tag::context_constructed(0), |out| {
+                    for id in identifiers {
+                        write_str(out, Tag::universal(0x1a), id);
+                    }
+                });
+                ber::write_tlv(out, Tag::context(1), &[u8::from(*more_follows)]);
             }
-            ber::write_tlv(&mut body, Tag::context_constructed(0), &list);
-            ber::write_tlv(&mut body, Tag::context(1), &[u8::from(*more_follows)]);
-            ber::write_tlv(out, Tag::context_constructed(SVC_GET_NAME_LIST), &body);
-        }
-        MmsResponse::Identify {
-            vendor,
-            model,
-            revision,
-        } => {
-            let mut body = Vec::new();
-            write_str(&mut body, Tag::context(0), vendor);
-            write_str(&mut body, Tag::context(1), model);
-            write_str(&mut body, Tag::context(2), revision);
-            ber::write_tlv(out, Tag::context_constructed(SVC_IDENTIFY), &body);
-        }
-        MmsResponse::Read { results } => {
-            let mut body = Vec::new();
-            for res in results {
-                match res {
-                    Ok(value) => value.encode(&mut body),
-                    Err(code) => {
+            MmsResponse::Identify {
+                vendor,
+                model,
+                revision,
+            } => {
+                write_str(out, Tag::context(0), vendor);
+                write_str(out, Tag::context(1), model);
+                write_str(out, Tag::context(2), revision);
+            }
+            MmsResponse::Read { results } => {
+                for res in results {
+                    match res {
+                        Ok(value) => value.encode(out),
                         // data-access-error [0]
-                        ber::write_tlv(&mut body, Tag::context(0), &[*code as u8]);
+                        Err(code) => ber::write_tlv(out, Tag::context(0), &[*code as u8]),
                     }
                 }
             }
-            ber::write_tlv(out, Tag::context_constructed(SVC_READ), &body);
-        }
-        MmsResponse::Write { results } => {
-            let mut body = Vec::new();
-            for res in results {
-                match res {
-                    Ok(()) => ber::write_tlv(&mut body, Tag::context(1), &[]),
-                    Err(code) => ber::write_tlv(&mut body, Tag::context(0), &[*code as u8]),
+            MmsResponse::Write { results } => {
+                for res in results {
+                    match res {
+                        Ok(()) => ber::write_tlv(out, Tag::context(1), &[]),
+                        Err(code) => ber::write_tlv(out, Tag::context(0), &[*code as u8]),
+                    }
                 }
             }
-            ber::write_tlv(out, Tag::context_constructed(SVC_WRITE), &body);
-        }
-        MmsResponse::GetVariableAccessAttributes { exists } => {
-            let mut body = Vec::new();
-            ber::write_tlv(&mut body, Tag::context(0), &[u8::from(*exists)]);
-            ber::write_tlv(out, Tag::context_constructed(SVC_GET_VAR_ATTRS), &body);
-        }
-    }
+            MmsResponse::GetVariableAccessAttributes { exists } => {
+                ber::write_tlv(out, Tag::context(0), &[u8::from(*exists)]);
+            }
+        })
+    });
 }
 
 fn decode_response(el: &Element<'_>) -> Result<MmsResponse, BerError> {
@@ -434,8 +428,8 @@ fn decode_response(el: &Element<'_>) -> Result<MmsResponse, BerError> {
             let mut r = Reader::new(el.contents);
             let list = r.expect(Tag::context_constructed(0))?;
             let mut identifiers = Vec::new();
-            for id in list.children()? {
-                identifiers.push(id.as_str()?.to_string());
+            for id in list.children() {
+                identifiers.push(id?.as_str()?.to_string());
             }
             let more = r.expect(Tag::context(1))?;
             Ok(MmsResponse::GetNameList {
@@ -453,7 +447,8 @@ fn decode_response(el: &Element<'_>) -> Result<MmsResponse, BerError> {
         }
         SVC_READ => {
             let mut results = Vec::new();
-            for child in el.children()? {
+            for child in el.children() {
+                let child = child?;
                 if child.tag == Tag::context(0) && child.contents.len() == 1 {
                     results.push(Err(DataAccessError::from_u8(child.contents[0])));
                 } else {
@@ -464,7 +459,8 @@ fn decode_response(el: &Element<'_>) -> Result<MmsResponse, BerError> {
         }
         SVC_WRITE => {
             let mut results = Vec::new();
-            for child in el.children()? {
+            for child in el.children() {
+                let child = child?;
                 if child.tag == Tag::context(1) {
                     results.push(Ok(()));
                 } else if child.tag == Tag::context(0) && child.contents.len() == 1 {
@@ -745,12 +741,13 @@ impl MmsServer {
 // --------------------------------------------------------------------------
 
 /// Client-side bookkeeping: builds framed requests and pairs each reply
-/// with the request it answers.
+/// with the request it answers by invoke id and service.
 #[derive(Default)]
 pub struct MmsClient {
     decoder: TpktDecoder,
     next_invoke: u32,
-    pending: BTreeMap<u32, MmsRequest>,
+    /// The service of each request awaiting its answer, by invoke id.
+    pending: BTreeMap<u32, u8>,
 }
 
 impl MmsClient {
@@ -768,31 +765,39 @@ impl MmsClient {
     /// Builds a framed confirmed request; returns `(invoke_id, bytes)`, or
     /// `None` when the request is too long for one TPKT frame (nothing is
     /// then left pending).
-    pub fn request(&mut self, request: MmsRequest) -> Option<(u32, Vec<u8>)> {
+    pub fn request(&mut self, request: &MmsRequest) -> Option<(u32, Vec<u8>)> {
         let invoke_id = self.next_invoke + 1;
-        let pdu = MmsPdu::ConfirmedRequest { invoke_id, request };
-        let wire = tpkt_frame(&pdu.encode())?;
+        let pdu = ber::encode_exact(|out| encode_request(out, invoke_id, request));
+        let wire = tpkt_frame(&pdu)?;
         self.next_invoke = invoke_id;
-        if let MmsPdu::ConfirmedRequest { request, .. } = pdu {
-            self.pending.insert(invoke_id, request);
-        }
+        self.pending.insert(invoke_id, request.service());
         Some((invoke_id, wire))
     }
 
-    /// Feeds received TCP bytes; returns each decoded PDU with the pending
-    /// request it answers. A confirmed response or error takes its request
-    /// off the pending list; reports, initiate responses, and replies to no
-    /// pending request come with `None`.
-    pub fn feed(&mut self, data: &[u8]) -> Vec<(Option<MmsRequest>, MmsPdu)> {
+    /// Feeds received TCP bytes; returns each decoded report, initiate
+    /// response, and confirmed response or error that answers a pending
+    /// request. A response answers the request pending under its invoke id
+    /// when it is of that request's service; an error always does. Either
+    /// takes the request off the pending list; any other PDU is dropped.
+    pub fn feed(&mut self, data: &[u8]) -> Vec<MmsPdu> {
         let mut out = Vec::new();
         for payload in self.decoder.feed(data) {
-            if let Ok(pdu) = MmsPdu::decode(&payload) {
-                let request = match &pdu {
-                    MmsPdu::ConfirmedResponse { invoke_id, .. }
-                    | MmsPdu::ConfirmedError { invoke_id, .. } => self.pending.remove(invoke_id),
-                    _ => None,
-                };
-                out.push((request, pdu));
+            let Ok(pdu) = MmsPdu::decode(&payload) else {
+                continue;
+            };
+            let kept = match &pdu {
+                MmsPdu::ConfirmedResponse {
+                    invoke_id,
+                    response,
+                } => self.pending.remove(invoke_id) == Some(response.service()),
+                MmsPdu::ConfirmedError { invoke_id, .. } => {
+                    self.pending.remove(invoke_id).is_some()
+                }
+                MmsPdu::InformationReport { .. } | MmsPdu::InitiateResponse => true,
+                MmsPdu::InitiateRequest | MmsPdu::ConfirmedRequest { .. } => false,
+            };
+            if kept {
+                out.push(pdu);
             }
         }
         out
@@ -1004,9 +1009,9 @@ mod tests {
         let too_long = MmsRequest::Read {
             items: vec!["x".repeat(TPKT_MAX_PAYLOAD)],
         };
-        assert_eq!(client.request(too_long), None);
+        assert_eq!(client.request(&too_long), None);
         assert_eq!(client.pending_count(), 0, "nothing left pending");
-        let (id, wire) = client.request(MmsRequest::Identify).unwrap();
+        let (id, wire) = client.request(&MmsRequest::Identify).unwrap();
         assert_eq!(id, 1, "the refused request used no invoke id");
         assert_eq!(client.pending_count(), 1);
         // Simulate the server answering.
@@ -1016,25 +1021,25 @@ mod tests {
         let pdus = client.feed(&tpkt_frame(&resp.encode()).unwrap());
         assert_eq!(pdus.len(), 1);
         assert!(matches!(
-            &pdus[0].1,
+            &pdus[0],
             MmsPdu::ConfirmedResponse { invoke_id, .. } if *invoke_id == id
         ));
         assert_eq!(client.pending_count(), 0);
     }
 
     #[test]
-    fn a_confirmed_error_returns_its_request_and_clears_it() {
+    fn a_confirmed_error_answers_its_request_and_clears_it() {
         let mut client = MmsClient::new();
         let read = MmsRequest::Read {
             items: vec!["GIED1LD0/MMXU1$MX$TotW$mag$f".into()],
         };
-        let (id, _) = client.request(read.clone()).unwrap();
+        let (id, _) = client.request(&read).unwrap();
         let error = MmsPdu::ConfirmedError {
             invoke_id: id,
             error: ERROR_PDU_SIZE,
         };
         let replies = client.feed(&tpkt_frame(&error.encode()).unwrap());
-        assert_eq!(replies, [(Some(read), error.clone())]);
+        assert_eq!(replies, std::slice::from_ref(&error));
         assert_eq!(
             client.pending_count(),
             0,
@@ -1042,7 +1047,28 @@ mod tests {
         );
         // A second answer under the same invoke id answers nothing.
         let replies = client.feed(&tpkt_frame(&error.encode()).unwrap());
-        assert_eq!(replies, [(None, error)]);
+        assert_eq!(replies, []);
+    }
+
+    #[test]
+    fn a_response_of_another_service_answers_nothing() {
+        let mut client = MmsClient::new();
+        let (id, _) = client.request(&MmsRequest::Identify).unwrap();
+        let read = MmsPdu::ConfirmedResponse {
+            invoke_id: id,
+            response: MmsResponse::Read {
+                results: vec![Ok(DataValue::Float(1.0))],
+            },
+        };
+        assert_eq!(client.feed(&tpkt_frame(&read.encode()).unwrap()), []);
+        assert_eq!(client.pending_count(), 0, "the invoke id was answered");
+        // A report answers no request and always comes through.
+        let report = MmsPdu::InformationReport {
+            report_name: "rpt1".into(),
+            entries: vec![],
+        };
+        let replies = client.feed(&tpkt_frame(&report.encode()).unwrap());
+        assert_eq!(replies, [report]);
     }
 
     #[test]

@@ -152,45 +152,22 @@ impl DataValue {
     /// BER-encodes using the MMS `Data` context tags.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            DataValue::Struct(fields) => {
-                let mut inner = Vec::new();
+            DataValue::Struct(fields) => ber::nest(out, Tag::context_constructed(2), |out| {
                 for f in fields {
-                    f.encode(&mut inner);
+                    f.encode(out);
                 }
-                ber::write_tlv(out, Tag::context_constructed(2), &inner);
-            }
-            DataValue::Bool(b) => {
-                ber::write_tlv(out, Tag::context(3), &[u8::from(*b)]);
-            }
-            DataValue::BitString { bits, data } => {
-                let unused = (data.len() * 8).saturating_sub(*bits as usize) as u8;
-                let mut contents = vec![unused];
-                contents.extend_from_slice(data);
-                ber::write_tlv(out, Tag::context(4), &contents);
-            }
-            DataValue::Int(i) => {
-                ber::write_tlv(out, Tag::context(5), &ber::encode_integer(*i));
-            }
-            DataValue::Uint(u) => {
-                ber::write_tlv(out, Tag::context(6), &ber::encode_unsigned(*u));
-            }
-            DataValue::Float(f) => {
-                ber::write_tlv(out, Tag::context(7), &ber::encode_float32(*f));
-            }
-            DataValue::Str(s) => {
-                ber::write_tlv(out, Tag::context(10), s.as_bytes());
-            }
-            DataValue::Timestamp(ns) => {
-                // 8-byte UTC time: 4-byte seconds + 3-byte fraction + quality.
-                let secs = (ns / 1_000_000_000) as u32;
-                let frac_ns = ns % 1_000_000_000;
-                let frac = ((frac_ns as u128) << 24) / 1_000_000_000;
-                let mut contents = Vec::with_capacity(8);
-                contents.extend_from_slice(&secs.to_be_bytes());
-                contents.extend_from_slice(&(frac as u32).to_be_bytes()[1..4]);
-                contents.push(0x0a); // quality: clock not synchronised flags clear, 10 bits accuracy
-                ber::write_tlv(out, Tag::context(17), &contents);
-            }
+            }),
+            DataValue::Bool(b) => ber::write_tlv(out, Tag::context(3), &[u8::from(*b)]),
+            DataValue::BitString { bits, data } => ber::nest(out, Tag::context(4), |out| {
+                // The count of unused bits in the last byte leads.
+                out.push((data.len() * 8).saturating_sub(*bits as usize) as u8);
+                out.extend_from_slice(data);
+            }),
+            DataValue::Int(i) => ber::write_integer(out, Tag::context(5), *i),
+            DataValue::Uint(u) => ber::write_unsigned(out, Tag::context(6), *u),
+            DataValue::Float(f) => ber::write_float32(out, Tag::context(7), *f),
+            DataValue::Str(s) => ber::write_tlv(out, Tag::context(10), s.as_bytes()),
+            DataValue::Timestamp(ns) => ber::write_utc_time(out, Tag::context(17), *ns),
         }
     }
 
@@ -212,11 +189,10 @@ impl DataValue {
                 if depth == MAX_DATA_DEPTH {
                     return Err(BerError::BadContent("structure nested too deep"));
                 }
-                let mut fields = Vec::new();
-                for child in el.children()? {
-                    fields.push(DataValue::decode_in(&child, depth + 1)?);
-                }
-                Ok(DataValue::Struct(fields))
+                let fields = el
+                    .children()
+                    .map(|child| DataValue::decode_in(&child?, depth + 1));
+                Ok(DataValue::Struct(fields.collect::<Result<_, _>>()?))
             }
             t if t == Tag::context(3) => Ok(DataValue::Bool(el.as_bool()?)),
             t if t == Tag::context(4) => {
@@ -235,15 +211,7 @@ impl DataValue {
             t if t == Tag::context(7) => Ok(DataValue::Float(el.as_float32()?)),
             t if t == Tag::context(10) => Ok(DataValue::Str(el.as_str()?.to_string())),
             t if t == Tag::context(17) => {
-                if el.contents.len() != 8 {
-                    return Err(BerError::BadContent("utc-time size"));
-                }
-                let secs = u32::from_be_bytes(el.contents[..4].try_into().expect("4 bytes"));
-                let frac = u32::from_be_bytes([0, el.contents[4], el.contents[5], el.contents[6]]);
-                let frac_ns = ((frac as u128) * 1_000_000_000) >> 24;
-                Ok(DataValue::Timestamp(
-                    u64::from(secs) * 1_000_000_000 + frac_ns as u64,
-                ))
+                Ok(DataValue::Timestamp(ber::decode_utc_time(el.contents)?))
             }
             other => Err(BerError::UnexpectedTag {
                 expected: 0x85,

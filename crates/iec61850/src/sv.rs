@@ -5,6 +5,7 @@
 //! differential protection compares local and remote R-SV currents.
 
 use crate::ber::{self, BerError, Reader, Tag};
+use crate::goose::{appid_payload, read_appid_payload};
 use sgcr_net::{ethertype, EthernetFrame, MacAddr, SimDuration, SimTime};
 
 /// One ASDU (application service data unit) of a sampled-values message.
@@ -24,25 +25,17 @@ pub struct SvAsdu {
 
 impl SvAsdu {
     fn encode(&self, out: &mut Vec<u8>) {
-        let mut body = Vec::new();
-        ber::write_tlv(&mut body, Tag::context(0), self.sv_id.as_bytes());
-        ber::write_tlv(
-            &mut body,
-            Tag::context(1),
-            &ber::encode_unsigned(u64::from(self.smp_cnt)),
-        );
-        ber::write_tlv(
-            &mut body,
-            Tag::context(2),
-            &ber::encode_unsigned(u64::from(self.conf_rev)),
-        );
-        ber::write_tlv(&mut body, Tag::context(3), &[self.smp_synch]);
-        let mut seq = Vec::new();
-        for s in &self.samples {
-            seq.extend_from_slice(&s.to_be_bytes());
-        }
-        ber::write_tlv(&mut body, Tag::context(4), &seq);
-        ber::write_tlv(out, Tag::SEQUENCE, &body);
+        ber::nest(out, Tag::SEQUENCE, |out| {
+            ber::write_tlv(out, Tag::context(0), self.sv_id.as_bytes());
+            ber::write_unsigned(out, Tag::context(1), u64::from(self.smp_cnt));
+            ber::write_unsigned(out, Tag::context(2), u64::from(self.conf_rev));
+            ber::write_tlv(out, Tag::context(3), &[self.smp_synch]);
+            ber::nest(out, Tag::context(4), |out| {
+                for s in &self.samples {
+                    out.extend_from_slice(&s.to_be_bytes());
+                }
+            });
+        });
     }
 
     fn decode(el: &ber::Element<'_>) -> Result<SvAsdu, BerError> {
@@ -84,43 +77,25 @@ pub struct SvPdu {
 impl SvPdu {
     /// Encodes the Ethernet payload (APPID header + savPdu).
     pub fn encode(&self, appid: u16) -> Vec<u8> {
-        let mut asdu_seq = Vec::new();
-        for asdu in &self.asdus {
-            asdu.encode(&mut asdu_seq);
-        }
-        let mut body = Vec::new();
-        ber::write_tlv(
-            &mut body,
-            Tag::context(0),
-            &ber::encode_unsigned(self.asdus.len() as u64),
-        );
-        ber::write_tlv(&mut body, Tag::context_constructed(2), &asdu_seq);
-        let mut apdu = Vec::new();
-        ber::write_tlv(&mut apdu, Tag::application_constructed(0), &body);
-
-        let mut out = Vec::with_capacity(8 + apdu.len());
-        out.extend_from_slice(&appid.to_be_bytes());
-        out.extend_from_slice(&((8 + apdu.len()) as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0, 0, 0]);
-        out.extend_from_slice(&apdu);
-        out
+        appid_payload(appid, |out| {
+            ber::nest(out, Tag::application_constructed(0), |out| {
+                ber::write_unsigned(out, Tag::context(0), self.asdus.len() as u64);
+                ber::nest(out, Tag::context_constructed(2), |out| {
+                    for asdu in &self.asdus {
+                        asdu.encode(out);
+                    }
+                });
+            });
+        })
     }
 
     /// Decodes an SV Ethernet payload; returns `(appid, pdu)`.
     pub fn decode(payload: &[u8]) -> Result<(u16, SvPdu), BerError> {
-        if payload.len() < 8 {
-            return Err(BerError::Truncated);
-        }
-        let appid = u16::from_be_bytes([payload[0], payload[1]]);
-        let mut reader = Reader::new(&payload[8..]);
-        let apdu = reader.expect(Tag::application_constructed(0))?;
-        let mut r = Reader::new(apdu.contents);
+        let (appid, mut r) = read_appid_payload(payload, Tag::application_constructed(0))?;
         let _count = r.expect(Tag::context(0))?.as_unsigned()?;
         let seq = r.expect(Tag::context_constructed(2))?;
-        let mut asdus = Vec::new();
-        for child in seq.children()? {
-            asdus.push(SvAsdu::decode(&child)?);
-        }
+        let asdus = seq.children().map(|child| SvAsdu::decode(&child?));
+        let asdus = asdus.collect::<Result<_, _>>()?;
         Ok((appid, SvPdu { asdus }))
     }
 }

@@ -156,7 +156,7 @@ impl SocketApp for ControlClient {
         ctx.tcp_send(conn, &init);
         let (_, wire) = self
             .client
-            .request(MmsRequest::Write {
+            .request(&MmsRequest::Write {
                 items: vec![self.item.clone()],
                 values: vec![DataValue::Bool(self.value)],
             })
@@ -164,7 +164,7 @@ impl SocketApp for ControlClient {
         ctx.tcp_send(conn, &wire);
     }
     fn on_tcp_data(&mut self, _ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        for (_, pdu) in self.client.feed(data) {
+        for pdu in self.client.feed(data) {
             if let MmsPdu::ConfirmedResponse {
                 response: MmsResponse::Write { results },
                 ..

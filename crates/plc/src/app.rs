@@ -79,9 +79,9 @@ struct MmsLink {
     conn: Option<ConnId>,
     /// Whether `conn` is established.
     connected: bool,
-    /// The items one poll reads: those of the link's read bindings, in
+    /// The read one poll sends: the items of the link's read bindings, in
     /// binding order.
-    items: Vec<String>,
+    poll: MmsRequest,
     /// The read bindings (indices into `PlcApp::reads`) the items feed: a
     /// read response's results map to them by position.
     reads: Vec<usize>,
@@ -160,7 +160,9 @@ impl PlcApp {
                     client: MmsClient::new(),
                     conn: None,
                     connected: false,
-                    items: polled.iter().map(|&i| reads[i].item.clone()).collect(),
+                    poll: MmsRequest::Read {
+                        items: polled.iter().map(|&i| reads[i].item.clone()).collect(),
+                    },
                     reads: polled,
                 }
             })
@@ -230,12 +232,11 @@ impl PlcApp {
         for link in &mut self.links {
             let Some(conn) = link
                 .conn
-                .filter(|_| link.connected && !link.items.is_empty())
+                .filter(|_| link.connected && !link.reads.is_empty())
             else {
                 continue;
             };
-            let items = link.items.clone();
-            if let Some((_, wire)) = link.client.request(MmsRequest::Read { items }) {
+            if let Some((_, wire)) = link.client.request(&link.poll) {
                 ctx.tcp_send(conn, &wire);
             }
         }
@@ -261,7 +262,7 @@ impl PlcApp {
             let Some(conn) = link.conn.filter(|_| link.connected) else {
                 continue;
             };
-            let Some((_, wire)) = link.client.request(MmsRequest::Write {
+            let Some((_, wire)) = link.client.request(&MmsRequest::Write {
                 items: vec![w.item.clone()],
                 values: vec![DataValue::Bool(value)],
             }) else {
@@ -332,13 +333,10 @@ impl PlcApp {
     fn handle_mms_data(&mut self, link: usize, data: &[u8]) {
         let link = &mut self.links[link];
         for reply in link.client.feed(data) {
-            if let (
-                Some(MmsRequest::Read { .. }),
-                MmsPdu::ConfirmedResponse {
-                    response: MmsResponse::Read { results },
-                    ..
-                },
-            ) = reply
+            if let MmsPdu::ConfirmedResponse {
+                response: MmsResponse::Read { results },
+                ..
+            } = reply
             {
                 for (&i, result) in link.reads.iter().zip(results) {
                     let binding = &self.reads[i];

@@ -226,18 +226,35 @@ impl FbInstance {
         }
     }
 
-    /// Invokes the block with named inputs at simulation time `now_ns`.
-    fn call(&mut self, now_ns: u64, inputs: &HashMap<String, StValue>) -> Result<(), RuntimeError> {
+    /// The block's input parameters (four at most): a call passes the value
+    /// of input `inputs()[i]`, if given, as `args[i]`.
+    fn inputs(&self) -> &'static [&'static str] {
+        match self {
+            FbInstance::Ton { .. } | FbInstance::Tof { .. } | FbInstance::Tp { .. } => {
+                &["IN", "PT"]
+            }
+            FbInstance::Ctu { .. } => &["CU", "R", "PV"],
+            FbInstance::Ctd { .. } => &["CD", "LD", "PV"],
+            FbInstance::RTrig { .. } | FbInstance::FTrig { .. } => &["CLK"],
+            FbInstance::Sr { .. } | FbInstance::Rs { .. } => &["S", "S1", "R", "R1"],
+        }
+    }
+
+    /// Invokes the block with its input arguments at simulation time
+    /// `now_ns`.
+    fn call(&mut self, now_ns: u64, args: &[Option<StValue>; 4]) -> Result<(), RuntimeError> {
+        let inputs = self.inputs();
+        let arg = |name: &str| args[inputs.iter().position(|&input| input == name)?].as_ref();
         let get_bool =
-            |name: &str| -> bool { inputs.get(name).and_then(StValue::as_bool).unwrap_or(false) };
+            |name: &str| -> bool { arg(name).and_then(StValue::as_bool).unwrap_or(false) };
         let get_time = |name: &str| -> Option<u64> {
-            match inputs.get(name) {
+            match arg(name) {
                 Some(StValue::Time(t)) => Some(*t),
                 Some(StValue::Int(i)) if *i >= 0 => Some(*i as u64 * 1_000_000),
                 _ => None,
             }
         };
-        let get_int = |name: &str| -> Option<i64> { inputs.get(name).and_then(StValue::as_i64) };
+        let get_int = |name: &str| -> Option<i64> { arg(name).and_then(StValue::as_i64) };
 
         match self {
             FbInstance::Ton { q, et, pt, start } => {
@@ -351,30 +368,24 @@ impl FbInstance {
         Ok(())
     }
 
-    /// Reads an output member (`Q`, `ET`, `CV`).
+    /// Reads an output member (`Q`, `ET`, `CV`, `Q1`), in any letter case.
     fn output(&self, name: &str) -> Option<StValue> {
-        let upper = name.to_uppercase();
-        match self {
+        let (q, other) = match *self {
             FbInstance::Ton { q, et, .. }
             | FbInstance::Tof { q, et, .. }
-            | FbInstance::Tp { q, et, .. } => match upper.as_str() {
-                "Q" => Some(StValue::Bool(*q)),
-                "ET" => Some(StValue::Time(*et)),
-                _ => None,
-            },
-            FbInstance::Ctu { cv, q, .. } | FbInstance::Ctd { cv, q, .. } => match upper.as_str() {
-                "Q" => Some(StValue::Bool(*q)),
-                "CV" => Some(StValue::Int(*cv)),
-                _ => None,
-            },
+            | FbInstance::Tp { q, et, .. } => (q, ("ET", StValue::Time(et))),
+            FbInstance::Ctu { cv, q, .. } | FbInstance::Ctd { cv, q, .. } => {
+                (q, ("CV", StValue::Int(cv)))
+            }
             FbInstance::RTrig { q, .. }
             | FbInstance::FTrig { q, .. }
             | FbInstance::Sr { q }
-            | FbInstance::Rs { q } => match upper.as_str() {
-                "Q" | "Q1" => Some(StValue::Bool(*q)),
-                _ => None,
-            },
-        }
+            | FbInstance::Rs { q } => (q, ("Q1", StValue::Bool(q))),
+        };
+        [("Q", StValue::Bool(q)), other]
+            .into_iter()
+            .find(|(member, _)| name.eq_ignore_ascii_case(member))
+            .map(|(_, value)| value)
     }
 }
 
@@ -627,15 +638,21 @@ impl Interpreter {
                 outputs,
                 ..
             } => {
-                let mut evaluated = HashMap::new();
+                // Every input is evaluated; one the block does not take is
+                // ignored, and the last of duplicates wins.
+                let params = self.fbs.get(instance).map_or(&[][..], FbInstance::inputs);
+                let mut args: [Option<StValue>; 4] = Default::default();
                 for (name, expr) in inputs {
-                    evaluated.insert(name.to_uppercase(), self.eval(expr, now_ns)?);
+                    let value = self.eval(expr, now_ns)?;
+                    if let Some(i) = params.iter().position(|p| p.eq_ignore_ascii_case(name)) {
+                        args[i] = Some(value);
+                    }
                 }
                 let fb = self
                     .fbs
                     .get_mut(instance)
                     .ok_or_else(|| rt(format!("unknown function block {instance:?}")))?;
-                fb.call(now_ns, &evaluated)?;
+                fb.call(now_ns, &args)?;
                 for (member, target) in outputs {
                     let value = self
                         .fbs
@@ -964,6 +981,21 @@ mod tests {
         interp.set("run", StValue::Bool(false));
         interp.scan(700_000_000).unwrap();
         assert_eq!(interp.get("done"), Some(&StValue::Bool(false)));
+    }
+
+    #[test]
+    fn fb_inputs_and_members_match_in_any_case_and_the_last_duplicate_wins() {
+        // `bogus` is no TON input: it is evaluated and ignored.
+        let src = "PROGRAM p VAR done : BOOL; et : TIME; t1 : TON; END_VAR \
+                   t1(in := FALSE, pt := T#100ms, bogus := 1, In := TRUE); \
+                   done := t1.q; et := t1.Et; END_PROGRAM";
+        let interp = run(src, &[(0, &[]), (150, &[])]);
+        assert_eq!(interp.get("done"), Some(&StValue::Bool(true)));
+        assert_eq!(interp.get("et"), Some(&StValue::Time(100_000_000)));
+        // An input that fails to evaluate faults the scan, ignored or not.
+        let src = "PROGRAM p VAR t1 : TON; END_VAR t1(bogus := nope); END_PROGRAM";
+        let mut interp = Interpreter::new(parse_program(src).unwrap()).unwrap();
+        assert!(interp.scan(0).is_err());
     }
 
     #[test]

@@ -216,8 +216,8 @@ enum LinkProtocol {
     },
     Mms {
         client: MmsClient,
-        /// The items a poll reads: the MMS-addressed points', in order.
-        items: Vec<String>,
+        /// The read a poll sends: the MMS-addressed points' items, in order.
+        read: MmsRequest,
         /// The point each item feeds: a read's results map to them by
         /// position, a report's entries by item.
         points: Vec<usize>,
@@ -291,7 +291,7 @@ impl ScadaApp {
                             .unzip();
                         LinkProtocol::Mms {
                             client: MmsClient::new(),
-                            items,
+                            read: MmsRequest::Read { items },
                             points,
                         }
                     }
@@ -363,10 +363,13 @@ impl ScadaApp {
                         }
                     }
                 }
-                LinkProtocol::Mms { client, items, .. } => {
-                    if !items.is_empty() {
-                        let items = items.clone();
-                        if let Some((_, wire)) = client.request(MmsRequest::Read { items }) {
+                LinkProtocol::Mms {
+                    client,
+                    read,
+                    points,
+                } => {
+                    if !points.is_empty() {
+                        if let Some((_, wire)) = client.request(read) {
                             ctx.tcp_send(conn, &wire);
                         }
                     }
@@ -555,7 +558,7 @@ impl ScadaApp {
                     client.request(*unit, request)
                 }
                 (LinkProtocol::Mms { client, .. }, PointAddress::Mms { item }) => {
-                    let Some((_, wire)) = client.request(MmsRequest::Write {
+                    let Some((_, wire)) = client.request(&MmsRequest::Write {
                         items: vec![item.clone()],
                         values: vec![DataValue::Bool(value != 0.0)],
                     }) else {
@@ -644,20 +647,14 @@ impl SocketApp for ScadaApp {
                     updates.extend(polled.map(|&(k, _)| (k, raw)));
                 }
             }
-            LinkProtocol::Mms {
-                client,
-                items,
-                points,
-            } => {
-                for (request, pdu) in client.feed(data) {
-                    match (request, pdu) {
-                        (
-                            _,
-                            MmsPdu::InformationReport {
-                                report_name,
-                                entries,
-                            },
-                        ) => {
+            LinkProtocol::Mms { client, points, .. } => {
+                let source_points = &self.config.sources[source].points;
+                for pdu in client.feed(data) {
+                    match pdu {
+                        MmsPdu::InformationReport {
+                            report_name,
+                            entries,
+                        } => {
                             // Spontaneous report (e.g. a protection trip):
                             // log it and refresh every tag bound to a
                             // reported item.
@@ -671,18 +668,18 @@ impl SocketApp for ScadaApp {
                                 let Some(raw) = raw_value(value) else {
                                     continue;
                                 };
-                                let fed =
-                                    items.iter().zip(points.iter()).filter(|(i, _)| *i == item);
-                                updates.extend(fed.map(|(_, &k)| (k, raw)));
+                                let fed = points.iter().filter(|&&k| {
+                                    let address = &source_points[k].address;
+                                    matches!(address, PointAddress::Mms { item: i } if i == item)
+                                });
+                                updates.extend(fed.map(|&k| (k, raw)));
                             }
                         }
-                        (
-                            Some(MmsRequest::Read { .. }),
-                            MmsPdu::ConfirmedResponse {
-                                response: MmsResponse::Read { results },
-                                ..
-                            },
-                        ) => {
+                        // A read's response: a write's answers no point.
+                        MmsPdu::ConfirmedResponse {
+                            response: MmsResponse::Read { results },
+                            ..
+                        } => {
                             for (&k, result) in points.iter().zip(results) {
                                 if let Some(raw) = result.ok().as_ref().and_then(raw_value) {
                                     updates.push((k, raw));

@@ -21,7 +21,7 @@ use sg_cyber_range::core::{breaker_cmd_key, CompiledModel, CyberRange, RangeBuil
 use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
 use sg_cyber_range::obs::Telemetry;
-use sg_cyber_range::plc::Interpreter;
+use sg_cyber_range::plc::{parse_program, Interpreter, StValue};
 use sg_cyber_range::powerflow::{SolveOptions, Solver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,9 +152,10 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, heap: isize, alloc
 /// 4,035); a tenant that interns its keys again fails the allocation bound.
 /// Since the HMI shares its configuration and keeps its tags by point
 /// index it measures 420,774 B and makes 4,019 allocations (421,101 B →
-/// 420,774 B, 4,035 → 4,019). Each bound leaves 10% headroom (the bounds
-/// were 453 KiB and 4,439).
-const PAPER_TENANT_BOUND: isize = 452 * 1024;
+/// 420,774 B, 4,035 → 4,019), and 417,526 B since each MMS server keeps its
+/// sessions in a `BTreeMap` and no port (420,774 B → 417,526 B). Each bound
+/// leaves 10% headroom (the bounds were 453 and 452 KiB and 4,439).
+const PAPER_TENANT_BOUND: isize = 449 * 1024;
 const PAPER_TENANT_ALLOCS: u64 = 4_421;
 
 /// A fresh EPIC tenant: 191 KiB with per-tenant trees, 53 KiB (54,219 B)
@@ -165,9 +166,11 @@ const PAPER_TENANT_ALLOCS: u64 = 4_421;
 /// table, and 45 KiB (51,674 B → 45,651 B) with a forked store; its
 /// instantiation makes 622 → 531 allocations. With the PLC program, the PLC
 /// bindings and the SCADA configuration shared, not copied, it measures
-/// 41,026 B and makes 461 allocations (45,651 B → 41,026 B, 531 → 461).
-/// Each bound leaves 10% headroom (the bounds were 50 KiB and 585).
-const EPIC_TENANT_BOUND: isize = 45_129;
+/// 41,026 B and makes 461 allocations (45,651 B → 41,026 B, 531 → 461), and
+/// 40,866 B since each MMS server keeps its sessions in a `BTreeMap` and no
+/// port (41,026 B → 40,866 B). Each bound leaves 10% headroom (the bounds
+/// were 50 KiB, 45,129 B and 585).
+const EPIC_TENANT_BOUND: isize = 44_953;
 const EPIC_TENANT_ALLOCS: u64 = 507;
 
 #[test]
@@ -206,9 +209,11 @@ fn allocations_per_step(range: &mut CyberRange) -> f64 {
 /// switch's out-ports, every connection id per TCP segment) and the SCADA
 /// poll stopped cloning its data source: 37.0 with the network change
 /// alone, 34.5 with both. It measures 33.5 since the HMI maps a read to its
-/// points by position and an update allocates no key (34.5 → 33.5). Each
-/// bound here leaves 10% headroom (37.9 before).
-const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 36.9;
+/// points by position and an update allocates no key (34.5 → 33.5), and 26.0
+/// since the BER encoders write each PDU into one buffer and an MMS poll
+/// copies no item (33.5 → 26.0). Each bound here leaves 10% headroom (36.9
+/// before).
+const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 28.6;
 
 /// An EPIC step from step 1,200, telemetry off: 361.9 per step while a
 /// replay cloned its result, 358.9 until the network stopped collecting per
@@ -216,16 +221,19 @@ const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 36.9;
 /// cloning their configuration. It measures 242.8 since the interpreter
 /// walks its program in place and overwrites variables where they are, and
 /// the PLC and the HMI map replies to their bindings by position (284.3 →
-/// 242.8; the bound was 313).
-const EPIC_STEP_ALLOCS: f64 = 267.0;
+/// 242.8; the bound was 313). It measures 196.0 since the BER encoders
+/// nest each TLV in place, writing each PDU into one buffer, and the MMS
+/// client keeps no copy of a request (242.8 → 196.0; the bound was 267).
+const EPIC_STEP_ALLOCS: f64 = 215.6;
 
 /// The paper step that applies a breaker command written through the store
 /// at step 100: 888 allocations, most of them the re-solve of the new
 /// topology and the IEDs that sample it; 887 since the solver no longer
 /// copies the changed breaker into a record, 810 since the network
 /// collects nothing per event, and 800 since the HMI keeps its tags by
-/// point index (810 → 800; the bound was 891).
-const PAPER_COMMAND_STEP_ALLOCS: u64 = 880;
+/// point index (810 → 800; the bound was 891), and 765 since the BER
+/// encoders write each PDU into one buffer (800 → 765; the bound was 880).
+const PAPER_COMMAND_STEP_ALLOCS: u64 = 842;
 
 /// One scan of the EPIC CPLC program, from its second scan on: 30
 /// allocations while a scan cloned the program body and every write
@@ -298,6 +306,31 @@ fn a_cplc_scan_allocates_within_its_bound() {
     );
 }
 
+/// One scan of `t1(IN := run, PT := T#500ms); done := t1.Q;`, from its
+/// second scan on: 4 allocations while a call collected its inputs into a
+/// map keyed by upper-cased copies of their names and reading a member
+/// upper-cased its name, none since.
+#[test]
+fn a_function_block_call_allocates_nothing() {
+    let program = parse_program(
+        "PROGRAM timer\n\
+         VAR run : BOOL := TRUE; done : BOOL; t1 : TON; END_VAR\n\
+         t1(IN := run, PT := T#500ms);\n\
+         done := t1.Q;\n\
+         END_PROGRAM",
+    )
+    .expect("the program parses");
+    let mut interp = Interpreter::new(program).expect("the program instantiates");
+    interp.scan(0).expect("the program scans");
+    let allocs = allocations(|| {
+        for scan in 1..=100 {
+            interp.scan(scan * 100_000_000).expect("the program scans");
+        }
+    });
+    assert_eq!(interp.get("done"), Some(&StValue::Bool(true)), "t1 ran");
+    assert_eq!(allocs, 0, "100 scans of a TON call allocate");
+}
+
 #[test]
 fn a_paper_command_step_allocates_within_its_bound() {
     let mut range = paper_tenant();
@@ -354,9 +387,12 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// 1,780 KiB). With the PLC's and the HMI's bindings resolved once and
 /// their configuration shared it measures 1,606 KiB (1,650,248 B →
 /// 1,644,684 B) and 242.7 per step (284.2 → 242.7; the bounds were 1,773
-/// KiB and 313). Each bound leaves 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_767 * 1024;
-const EPIC_JOURNALED_STEP_ALLOCS: f64 = 267.0;
+/// KiB and 313). With one BER buffer per PDU and no request copied by the
+/// MMS client it measures 1,605 KiB (1,644,684 B → 1,643,079 B) and 195.9
+/// per step (242.7 → 195.9; the bounds were 1,767 KiB and 267). Each bound
+/// leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_766 * 1024;
+const EPIC_JOURNALED_STEP_ALLOCS: f64 = 215.5;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 
 #[test]

@@ -20,7 +20,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic
 
-use sg_cyber_range::core::{CompiledModel, CyberRange, IedConfig, SgmlBundle};
+use sg_cyber_range::core::{fnv1a_64, CompiledModel, CyberRange, IedConfig, SgmlBundle};
 use sg_cyber_range::iec61850::ber::{self, Tag};
 use sg_cyber_range::iec61850::{
     DataValue, GoosePdu, MmsPdu, MmsRequest, SessionPacket, SessionPayloadType, SvPdu, TpktDecoder,
@@ -113,20 +113,36 @@ fn cross_substation_bundle() -> SgmlBundle {
     bundle
 }
 
-/// The corpus: EPIC at SCADA and GIED1 for 5 s, and the R-GOOSE/R-SV
-/// datagrams between the two substations of a multisub run for 2 s.
-fn corpus() -> Vec<Vec<u8>> {
-    let epic = CyberRange::instantiate(CompiledModel::shared(&epic_bundle()).unwrap()).unwrap();
-    let mut frames = capture(epic, &["SCADA", "GIED1"], 5);
+/// The frames carrying the R-GOOSE/R-SV datagrams between the two
+/// substations of a multisub run for 2 s.
+fn session_frames() -> Vec<Vec<u8>> {
     let multisub = CompiledModel::shared(&cross_substation_bundle()).unwrap();
     let multisub = CyberRange::instantiate(multisub).unwrap();
-    let sessions = capture(multisub, &["S1IED1", "S2IED1"], 2).into_iter();
-    let sessions = sessions.filter(|bytes| {
+    let frames = capture(multisub, &["S1IED1", "S2IED1"], 2).into_iter();
+    let sessions = frames.filter(|bytes| {
         let mut layers = layers(bytes).into_iter();
         layers.any(|(layer, _)| layer == Layer::Session)
     });
-    frames.extend(sessions);
+    sessions.collect()
+}
+
+/// The corpus: EPIC at SCADA and GIED1 for 5 s, and the session frames.
+fn corpus() -> Vec<Vec<u8>> {
+    let epic = CyberRange::instantiate(CompiledModel::shared(&epic_bundle()).unwrap()).unwrap();
+    let mut frames = capture(epic, &["SCADA", "GIED1"], 5);
+    frames.extend(session_frames());
     frames
+}
+
+/// The session frames' count and the FNV-1a digest of their bytes, one
+/// after another. No journal records these bytes and EPIC sends no SV, so
+/// this pins the GOOSE and SV encoders' output inside R-GOOSE and R-SV.
+const SESSION_FRAMES: (usize, u64) = (72, 0x57bfafafa2f478e3);
+
+#[test]
+fn session_frames_are_byte_identical() {
+    let frames = session_frames();
+    assert_eq!((frames.len(), fnv1a_64(&frames.concat())), SESSION_FRAMES);
 }
 
 /// The layer an Ethernet payload is by its ethertype.

@@ -87,14 +87,13 @@ impl SocketApp for Requester {
     fn on_tcp_connected(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId) {
         ctx.tcp_send(conn, &self.client.initiate());
         for request in self.requests.drain(..) {
-            let (_, wire) = self.client.request(request).expect("requests are short");
+            let (_, wire) = self.client.request(&request).expect("requests are short");
             ctx.tcp_send(conn, &wire);
         }
     }
 
     fn on_tcp_data(&mut self, _ctx: &mut HostCtx<'_>, _conn: ConnId, data: &[u8]) {
-        let replies = self.client.feed(data).into_iter().map(|(_, pdu)| pdu);
-        self.answers.lock().unwrap().extend(replies);
+        self.answers.lock().unwrap().extend(self.client.feed(data));
     }
 }
 
