@@ -57,7 +57,7 @@ pub fn classify(frame: &EthernetFrame) -> ProtocolClass {
                 return ProtocolClass::Other;
             };
             match packet.protocol {
-                ipproto::TCP => match TcpSegment::decode(&packet.payload) {
+                ipproto::TCP => match TcpSegment::decode(packet.payload) {
                     Some(segment) => {
                         if segment.src_port == 102 || segment.dst_port == 102 {
                             ProtocolClass::Mms
@@ -69,7 +69,7 @@ pub fn classify(frame: &EthernetFrame) -> ProtocolClass {
                     }
                     None => ProtocolClass::OtherTcp,
                 },
-                ipproto::UDP => match UdpDatagram::decode(&packet.payload) {
+                ipproto::UDP => match UdpDatagram::decode(packet.payload) {
                     Some(dgram) if dgram.src_port == 102 || dgram.dst_port == 102 => {
                         ProtocolClass::RGoose
                     }
@@ -132,19 +132,20 @@ mod tests {
             ack: 0,
             flags: Default::default(),
             window: 1000,
-            payload: bytes::Bytes::new(),
+            payload: &[],
         };
-        let packet = Ipv4Packet::new(
-            "10.0.0.1".parse().unwrap(),
-            "10.0.0.2".parse().unwrap(),
-            ipproto::TCP,
-            segment.encode(),
-        );
+        let packet = Ipv4Packet {
+            src: "10.0.0.1".parse().unwrap(),
+            dst: "10.0.0.2".parse().unwrap(),
+            protocol: ipproto::TCP,
+            ttl: 64,
+            payload: &segment.header(),
+        };
         EthernetFrame::new(
             MacAddr::from_index(1),
             MacAddr::from_index(2),
             ethertype::IPV4,
-            packet.encode(),
+            [&packet.header()[..], packet.payload].concat(),
         )
     }
 

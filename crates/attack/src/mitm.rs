@@ -9,9 +9,12 @@
 //! [`MitmApp`] resolves the two victims' real MAC addresses, poisons both
 //! caches with unsolicited ARP replies, transparently forwards the
 //! redirected traffic, and applies a length-preserving payload transform
-//! (e.g. scaling measurement registers) while the attack window is open.
-//! On stop it repairs the caches (re-ARP) and goes quiet.
+//! (e.g. scaling measurement registers) while the attack window is open: a
+//! rewritten packet is one copy of the received bytes, changed in place,
+//! which keeps its headers valid (the emulated TCP checksum is zero). On
+//! stop it repairs the caches (re-ARP) and goes quiet.
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use sgcr_net::{
     ethertype, ipproto, ArpPacket, EthernetFrame, HostCtx, Ipv4Addr, Ipv4Packet, MacAddr,
@@ -135,40 +138,37 @@ impl MitmApp {
         ));
     }
 
-    fn transform_payload(&self, packet: &Ipv4Packet) -> Option<Vec<u8>> {
+    /// A copy of `bytes`, the IPv4 `packet`, with its TCP payload rewritten
+    /// in place by the transform, or `None` when it rewrites nothing.
+    fn transform_payload(&self, bytes: &[u8], packet: &Ipv4Packet<'_>) -> Option<Vec<u8>> {
         // Only TCP payloads are rewritten; everything else passes through.
         if packet.protocol != ipproto::TCP {
             return None;
         }
-        let segment = TcpSegment::decode(&packet.payload)?;
+        let segment = TcpSegment::decode(packet.payload)?;
         if segment.payload.is_empty() {
             return None;
         }
-        let rewritten = match &self.plan.transform {
-            Transform::PassThrough | Transform::Drop => return None,
-            Transform::ScaleModbusRegisters(factor) => {
-                rewrite_modbus_registers(&segment.payload, |reg| {
-                    ((f64::from(reg) * factor).clamp(0.0, 65535.0)) as u16
-                })?
-            }
-            Transform::SetModbusRegisters(value) => {
-                rewrite_modbus_registers(&segment.payload, |_| *value)?
-            }
-            Transform::ScaleMmsFloats(factor) => rewrite_mms_floats(&segment.payload, *factor)?,
+        // The payload runs to the segment's end, somewhere inside `bytes`.
+        let start = segment.payload.as_ptr() as usize - bytes.as_ptr() as usize;
+        let mut out = bytes.to_vec();
+        let stream = &mut out[start..start + segment.payload.len()];
+        let touched = match &self.plan.transform {
+            Transform::PassThrough | Transform::Drop => false,
+            Transform::ScaleModbusRegisters(factor) => rewrite_modbus_registers(stream, |reg| {
+                ((f64::from(reg) * factor).clamp(0.0, 65535.0)) as u16
+            }),
+            Transform::SetModbusRegisters(value) => rewrite_modbus_registers(stream, |_| *value),
+            Transform::ScaleMmsFloats(factor) => rewrite_mms_floats(stream, *factor),
         };
-        let mut new_segment = segment.clone();
-        new_segment.payload = rewritten.into();
-        let mut new_packet = packet.clone();
-        new_packet.payload = new_segment.encode().into();
-        Some(new_packet.encode())
+        touched.then_some(out)
     }
 }
 
 /// Rewrites register words in Modbus read-response ADUs within a TCP stream
-/// chunk. Returns `None` when the chunk is not a rewritable response.
-fn rewrite_modbus_registers(stream: &[u8], f: impl Fn(u16) -> u16) -> Option<Vec<u8>> {
+/// chunk, in place. Returns whether the chunk held a rewritable response.
+fn rewrite_modbus_registers(out: &mut [u8], f: impl Fn(u16) -> u16) -> bool {
     // A chunk may contain several ADUs back to back.
-    let mut out = stream.to_vec();
     let mut offset = 0usize;
     let mut touched = false;
     while offset + 9 <= out.len() {
@@ -195,13 +195,13 @@ fn rewrite_modbus_registers(stream: &[u8], f: impl Fn(u16) -> u16) -> Option<Vec
         }
         offset += 6 + length;
     }
-    touched.then_some(out)
+    touched
 }
 
 /// Rewrites MMS `Float` TLVs (tag 0x87, length 5, exponent byte 8) inside a
-/// TPKT/MMS stream chunk — length-preserving.
-fn rewrite_mms_floats(stream: &[u8], factor: f32) -> Option<Vec<u8>> {
-    let mut out = stream.to_vec();
+/// TPKT/MMS stream chunk in place — length-preserving. Returns whether it
+/// found one.
+fn rewrite_mms_floats(out: &mut [u8], factor: f32) -> bool {
     let mut touched = false;
     let mut i = 0usize;
     while i + 7 <= out.len() {
@@ -215,7 +215,7 @@ fn rewrite_mms_floats(stream: &[u8], factor: f32) -> Option<Vec<u8>> {
             i += 1;
         }
     }
-    touched.then_some(out)
+    touched
 }
 
 impl SocketApp for MitmApp {
@@ -299,15 +299,13 @@ impl SocketApp for MitmApp {
             self.report.lock().dropped += 1;
             return;
         }
-        let payload = if self.active {
-            self.transform_payload(&packet)
+        let rewritten = if self.active {
+            self.transform_payload(&frame.payload, &packet)
         } else {
             None
         };
-        let (bytes, modified) = match payload {
-            Some(rewritten) => (rewritten, true),
-            None => (frame.payload.to_vec(), false),
-        };
+        let modified = rewritten.is_some();
+        let bytes = rewritten.map_or_else(|| frame.payload.clone(), Bytes::from);
         let out = EthernetFrame::new(dst_mac, ctx.mac(), ethertype::IPV4, bytes);
         ctx.send_frame(out);
         let mut report = self.report.lock();
@@ -335,13 +333,15 @@ mod tests {
         adu.push(4);
         adu.extend_from_slice(&100u16.to_be_bytes());
         adu.extend_from_slice(&200u16.to_be_bytes());
-        let rewritten = rewrite_modbus_registers(&adu, |r| r * 3).unwrap();
-        assert_eq!(u16::from_be_bytes([rewritten[9], rewritten[10]]), 300);
-        assert_eq!(u16::from_be_bytes([rewritten[11], rewritten[12]]), 600);
-        // A write response (fc=6) is left alone.
         let mut write_adu = adu.clone();
+        assert!(rewrite_modbus_registers(&mut adu, |r| r * 3));
+        assert_eq!(u16::from_be_bytes([adu[9], adu[10]]), 300);
+        assert_eq!(u16::from_be_bytes([adu[11], adu[12]]), 600);
+        // A write response (fc=6) is left alone.
         write_adu[7] = 6;
-        assert!(rewrite_modbus_registers(&write_adu, |r| r * 3).is_none());
+        let original = write_adu.clone();
+        assert!(!rewrite_modbus_registers(&mut write_adu, |r| r * 3));
+        assert_eq!(write_adu, original);
     }
 
     #[test]
@@ -351,16 +351,17 @@ mod tests {
         stream.push(0x05);
         stream.push(0x08);
         stream.extend_from_slice(&2.5f32.to_be_bytes());
-        let original_len = stream.len();
-        let rewritten = rewrite_mms_floats(&stream, 2.0).unwrap();
-        assert_eq!(rewritten.len(), original_len);
-        let value = f32::from_be_bytes([rewritten[7], rewritten[8], rewritten[9], rewritten[10]]);
+        assert!(rewrite_mms_floats(&mut stream, 2.0));
+        let value = f32::from_be_bytes([stream[7], stream[8], stream[9], stream[10]]);
         assert_eq!(value, 5.0);
     }
 
     #[test]
     fn no_floats_no_rewrite() {
-        assert!(rewrite_mms_floats(&[0xa1, 0x03, 0x02, 0x01, 0x05], 2.0).is_none());
-        assert!(rewrite_modbus_registers(&[1, 2, 3], |r| r).is_none());
+        assert!(!rewrite_mms_floats(
+            &mut [0xa1, 0x03, 0x02, 0x01, 0x05],
+            2.0
+        ));
+        assert!(!rewrite_modbus_registers(&mut [1, 2, 3], |r| r));
     }
 }

@@ -43,31 +43,27 @@ impl SocketApp for MmsServerApp {
     }
 
     fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, data: &[u8]) {
-        let payloads = match self.decoders.get_mut(&conn) {
-            Some(dec) => dec.feed(data),
-            None => return,
+        let Some(decoder) = self.decoders.get_mut(&conn) else {
+            return;
         };
-        for payload in payloads {
-            let Ok(pdu) = MmsPdu::decode(&payload) else {
-                continue;
+        decoder.feed(data, |payload| {
+            let Ok(pdu) = MmsPdu::decode(payload) else {
+                return;
             };
             let Some(reply) = self.server.handle(&pdu) else {
-                continue;
+                return;
             };
-            let wire = tpkt_frame(&reply.encode()).or_else(|| match reply {
-                MmsPdu::ConfirmedResponse { invoke_id, .. } => tpkt_frame(
-                    &MmsPdu::ConfirmedError {
-                        invoke_id,
-                        error: ERROR_PDU_SIZE,
-                    }
-                    .encode(),
-                ),
+            let wire = tpkt_frame(|out| reply.write(out)).or_else(|| match reply {
+                MmsPdu::ConfirmedResponse { invoke_id, .. } => {
+                    let error = ERROR_PDU_SIZE;
+                    tpkt_frame(|out| MmsPdu::ConfirmedError { invoke_id, error }.write(out))
+                }
                 _ => None,
             });
             if let Some(wire) = wire {
                 ctx.tcp_send(conn, &wire);
             }
-        }
+        });
     }
 
     fn on_tcp_closed(&mut self, _ctx: &mut HostCtx<'_>, conn: ConnId) {

@@ -152,11 +152,6 @@ impl GooseConfig {
             max_time: SimDuration::from_millis(1000),
         }
     }
-
-    /// The destination multicast MAC for this APPID.
-    pub fn multicast_mac(&self) -> MacAddr {
-        MacAddr::goose_multicast(self.appid)
-    }
 }
 
 /// Publisher state machine implementing the standard retransmission curve:
@@ -164,11 +159,13 @@ impl GooseConfig {
 /// steady heartbeat at `max_time`.
 #[derive(Debug)]
 pub struct GoosePublisher {
-    /// The static configuration.
-    pub config: GooseConfig,
-    data: Vec<DataValue>,
-    st_num: u32,
-    sq_num: u32,
+    /// The PDU of the current state — the configuration's names and
+    /// revision, the dataset and its counters — which every
+    /// (re)transmission encodes.
+    pdu: GoosePdu,
+    appid: u16,
+    min_time: SimDuration,
+    max_time: SimDuration,
     t_change: u64,
     next_interval: SimDuration,
 }
@@ -176,91 +173,104 @@ pub struct GoosePublisher {
 impl GoosePublisher {
     /// Creates a publisher with initial dataset values.
     pub fn new(config: GooseConfig, initial_data: Vec<DataValue>) -> GoosePublisher {
-        let min_time = config.min_time;
-        GoosePublisher {
-            config,
-            data: initial_data,
+        let GooseConfig {
+            gocb_ref,
+            dat_set,
+            go_id,
+            appid,
+            conf_rev,
+            min_time,
+            max_time,
+        } = config;
+        let pdu = GoosePdu {
+            gocb_ref,
+            time_allowed_to_live_ms: 0,
+            dat_set,
+            go_id,
+            t: 0,
             st_num: 1,
             sq_num: 0,
+            simulation: false,
+            conf_rev,
+            nds_com: false,
+            all_data: initial_data,
+        };
+        GoosePublisher {
+            pdu,
+            appid,
+            min_time,
+            max_time,
             t_change: 0,
             next_interval: min_time,
         }
     }
 
+    /// The control block reference the publisher sends under.
+    pub fn gocb_ref(&self) -> &str {
+        &self.pdu.gocb_ref
+    }
+
     /// Current dataset values.
     pub fn data(&self) -> &[DataValue] {
-        &self.data
+        &self.pdu.all_data
     }
 
     /// Current state number.
     pub fn st_num(&self) -> u32 {
-        self.st_num
+        self.pdu.st_num
     }
 
     /// Updates the dataset. If the values changed, the state number bumps,
     /// the sequence resets, and the retransmission curve restarts.
     /// Returns `true` if a change was detected.
     pub fn update(&mut self, now: SimTime, data: Vec<DataValue>) -> bool {
-        if data == self.data {
+        if data == self.pdu.all_data {
             return false;
         }
-        self.data = data;
-        self.st_num = self.st_num.wrapping_add(1);
-        self.sq_num = 0;
+        self.pdu.all_data = data;
+        self.pdu.st_num = self.pdu.st_num.wrapping_add(1);
+        self.pdu.sq_num = 0;
         self.t_change = now.as_nanos();
-        self.next_interval = self.config.min_time;
+        self.next_interval = self.min_time;
         true
     }
 
     /// Builds the frame for the current (re)transmission and advances the
     /// sequence/backoff state. Call at each scheduled transmission time.
     pub fn emit(&mut self, now: SimTime, src_mac: MacAddr) -> (EthernetFrame, SimDuration) {
-        let ttl_ms = (self.next_interval.as_millis() * 2).max(10) as u32;
-        let pdu = GoosePdu {
-            gocb_ref: self.config.gocb_ref.clone(),
-            time_allowed_to_live_ms: ttl_ms,
-            dat_set: self.config.dat_set.clone(),
-            go_id: self.config.go_id.clone(),
-            t: if self.t_change == 0 {
-                now.as_nanos()
-            } else {
-                self.t_change
-            },
-            st_num: self.st_num,
-            sq_num: self.sq_num,
-            simulation: false,
-            conf_rev: self.config.conf_rev,
-            nds_com: false,
-            all_data: self.data.clone(),
+        let pdu = &mut self.pdu;
+        pdu.time_allowed_to_live_ms = (self.next_interval.as_millis() * 2).max(10) as u32;
+        pdu.t = match self.t_change {
+            0 => now.as_nanos(),
+            t_change => t_change,
         };
-        self.sq_num = self.sq_num.wrapping_add(1);
+        let payload = pdu.encode(self.appid);
+        pdu.sq_num = pdu.sq_num.wrapping_add(1);
         let wait = self.next_interval;
         // Double toward the heartbeat interval.
         let doubled = SimDuration::from_nanos(self.next_interval.as_nanos().saturating_mul(2));
-        self.next_interval = doubled.min(self.config.max_time);
+        self.next_interval = doubled.min(self.max_time);
 
         let mut frame = EthernetFrame::new(
-            self.config.multicast_mac(),
+            MacAddr::goose_multicast(self.appid),
             src_mac,
             ethertype::GOOSE,
-            pdu.encode(self.config.appid),
+            payload,
         );
         frame.vlan = Some(0);
         (frame, wait)
     }
 }
 
-/// What a subscriber concluded about a received GOOSE frame.
-#[derive(Debug, Clone, PartialEq)]
+/// What a subscriber concluded about a received GOOSE PDU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GooseObservation {
     /// New state (data changed): act on it.
-    StateChange(GoosePdu),
+    StateChange,
     /// Retransmission of the current state.
-    Retransmission(GoosePdu),
+    Retransmission,
     /// Stale or replayed message (stNum went backwards).
     OutOfOrder {
-        /// The stale PDU.
-        pdu: GoosePdu,
         /// The highest stNum seen so far.
         expected_st_num: u32,
     },
@@ -290,32 +300,25 @@ impl GooseSubscriber {
         }
     }
 
-    /// Processes a received GOOSE frame; `None` if it is not ours.
-    pub fn process(&mut self, now: SimTime, frame: &EthernetFrame) -> Option<GooseObservation> {
-        if frame.ethertype != ethertype::GOOSE {
-            return None;
-        }
-        let (_appid, pdu) = GoosePdu::decode(&frame.payload).ok()?;
+    /// Processes a received GOOSE PDU; `None` if it is not ours.
+    pub fn process(&mut self, now: SimTime, pdu: &GoosePdu) -> Option<GooseObservation> {
         if pdu.gocb_ref != self.gocb_ref {
             return None;
         }
         self.last_rx = Some(now);
         self.last_ttl = SimDuration::from_millis(u64::from(pdu.time_allowed_to_live_ms));
-        match self.last_st_num {
-            Some(last) if pdu.st_num == last => {
-                self.data = pdu.all_data.clone();
-                Some(GooseObservation::Retransmission(pdu))
+        let observation = match self.last_st_num {
+            Some(last) if pdu.st_num == last => GooseObservation::Retransmission,
+            Some(last) if pdu.st_num < last => {
+                return Some(GooseObservation::OutOfOrder {
+                    expected_st_num: last,
+                })
             }
-            Some(last) if pdu.st_num < last => Some(GooseObservation::OutOfOrder {
-                pdu,
-                expected_st_num: last,
-            }),
-            _ => {
-                self.last_st_num = Some(pdu.st_num);
-                self.data = pdu.all_data.clone();
-                Some(GooseObservation::StateChange(pdu))
-            }
-        }
+            _ => GooseObservation::StateChange,
+        };
+        self.last_st_num = Some(pdu.st_num);
+        self.data.clone_from(&pdu.all_data);
+        Some(observation)
     }
 
     /// Whether the stream's TTL has expired (publisher presumed dead).
@@ -421,27 +424,31 @@ mod tests {
         let src = MacAddr::from_index(1);
         let t = SimTime::from_millis(5);
 
-        let (f1, _) = publisher.emit(t, src);
-        assert!(matches!(
-            subscriber.process(t, &f1),
-            Some(GooseObservation::StateChange(_))
-        ));
-        let (f2, _) = publisher.emit(t, src);
-        assert!(matches!(
-            subscriber.process(t, &f2),
-            Some(GooseObservation::Retransmission(_))
-        ));
+        let emit = |publisher: &mut GoosePublisher| {
+            let (frame, _) = publisher.emit(t, src);
+            GoosePdu::decode(&frame.payload).unwrap().1
+        };
+        let p1 = emit(&mut publisher);
+        assert_eq!(
+            subscriber.process(t, &p1),
+            Some(GooseObservation::StateChange)
+        );
+        let p2 = emit(&mut publisher);
+        assert_eq!(
+            subscriber.process(t, &p2),
+            Some(GooseObservation::Retransmission)
+        );
         // Replay of the first frame after a state change → out of order.
         publisher.update(t, vec![DataValue::Bool(true)]);
-        let (f3, _) = publisher.emit(t, src);
-        assert!(matches!(
-            subscriber.process(t, &f3),
-            Some(GooseObservation::StateChange(_))
-        ));
-        assert!(matches!(
-            subscriber.process(t, &f1),
-            Some(GooseObservation::OutOfOrder { .. })
-        ));
+        let p3 = emit(&mut publisher);
+        assert_eq!(
+            subscriber.process(t, &p3),
+            Some(GooseObservation::StateChange)
+        );
+        assert_eq!(
+            subscriber.process(t, &p1),
+            Some(GooseObservation::OutOfOrder { expected_st_num: 2 })
+        );
         assert_eq!(subscriber.data, vec![DataValue::Bool(true)]);
     }
 
@@ -451,7 +458,8 @@ mod tests {
         let mut publisher = GoosePublisher::new(config, vec![]);
         let mut subscriber = GooseSubscriber::new("my-gcb");
         let (frame, _) = publisher.emit(SimTime::ZERO, MacAddr::from_index(1));
-        assert_eq!(subscriber.process(SimTime::ZERO, &frame), None);
+        let (_, pdu) = GoosePdu::decode(&frame.payload).unwrap();
+        assert_eq!(subscriber.process(SimTime::ZERO, &pdu), None);
     }
 
     #[test]
@@ -460,7 +468,8 @@ mod tests {
         let mut publisher = GoosePublisher::new(config, vec![DataValue::Bool(true)]);
         let mut subscriber = GooseSubscriber::new("gcb");
         let (frame, _) = publisher.emit(SimTime::from_millis(0), MacAddr::from_index(1));
-        subscriber.process(SimTime::from_millis(0), &frame);
+        let (_, pdu) = GoosePdu::decode(&frame.payload).unwrap();
+        subscriber.process(SimTime::from_millis(0), &pdu);
         assert!(!subscriber.is_expired(SimTime::from_millis(10)));
         // TTL was ~10 ms (2x min interval); far future must be expired.
         assert!(subscriber.is_expired(SimTime::from_secs(30)));

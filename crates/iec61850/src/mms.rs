@@ -176,7 +176,13 @@ fn write_confirmed(out: &mut Vec<u8>, tag: Tag, invoke_id: u32, body: impl FnOnc
 impl MmsPdu {
     /// BER-encodes the PDU (no TPKT framing).
     pub fn encode(&self) -> Vec<u8> {
-        ber::encode_exact(|out| match self {
+        ber::encode_exact(|out| self.write(out))
+    }
+
+    /// Appends the PDU's BER encoding to `out`, as into a
+    /// [`tpkt_frame`].
+    pub fn write(&self, out: &mut Vec<u8>) {
+        match self {
             MmsPdu::InitiateRequest => ber::nest(out, TAG_INITIATE_REQ, |_| {}),
             MmsPdu::InitiateResponse => ber::nest(out, TAG_INITIATE_RESP, |_| {}),
             MmsPdu::ConfirmedRequest { invoke_id, request } => {
@@ -205,7 +211,7 @@ impl MmsPdu {
                     }
                 });
             }),
-        })
+        }
     }
 
     /// Decodes one PDU from raw (unframed) bytes.
@@ -494,17 +500,22 @@ pub const TPKT_MAX_PAYLOAD: usize = u16::MAX as usize - 4;
 /// frame: the MMS service error `pdu-size`.
 pub const ERROR_PDU_SIZE: u32 = 3;
 
-/// Wraps an encoded PDU in a TPKT frame for the TCP stream, or `None` when
-/// the PDU is longer than [`TPKT_MAX_PAYLOAD`] bytes and no length field
-/// can state it.
-pub fn tpkt_frame(pdu: &[u8]) -> Option<Vec<u8>> {
-    let total = u16::try_from(pdu.len() + 4).ok()?;
-    let mut out = Vec::with_capacity(usize::from(total));
-    out.push(0x03);
-    out.push(0x00);
-    out.extend_from_slice(&total.to_be_bytes());
-    out.extend_from_slice(pdu);
-    Some(out)
+/// A TPKT frame for the TCP stream: the 4-byte header, then the PDU
+/// `pdu` appends, written into one buffer allocated once at the frame's
+/// length; `None` when the PDU is longer than [`TPKT_MAX_PAYLOAD`] bytes
+/// and no length field can state it. `pdu` must not call
+/// [`MmsPdu::encode`] or another encoder that returns a `Vec`.
+pub fn tpkt_frame(pdu: impl FnOnce(&mut Vec<u8>)) -> Option<Vec<u8>> {
+    let frame = ber::encode_exact(|out| {
+        out.extend_from_slice(&[0x03, 0x00, 0, 0]);
+        pdu(out);
+        match u16::try_from(out.len()) {
+            Ok(total) => out[2..4].copy_from_slice(&total.to_be_bytes()),
+            // No frame: an empty buffer, which no frame is.
+            Err(_) => out.clear(),
+        }
+    });
+    (!frame.is_empty()).then_some(frame)
 }
 
 /// Reassembles TPKT frames from TCP stream bytes.
@@ -519,15 +530,15 @@ impl TpktDecoder {
         Self::default()
     }
 
-    /// Feeds stream bytes; returns complete TPKT payloads.
+    /// Feeds stream bytes and lends `payload` each TPKT payload they
+    /// complete, in order, from the decoder's own buffer.
     ///
     /// Bytes that cannot start a frame — anything before the next `0x03`
     /// version byte, or a header whose length is below its own 4 bytes —
     /// are skipped, so the decoder resynchronizes on any input in time
     /// linear in its length.
-    pub fn feed(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
+    pub fn feed(&mut self, data: &[u8], mut payload: impl FnMut(&[u8])) {
         self.buf.extend_from_slice(data);
-        let mut out = Vec::new();
         let mut at = 0;
         loop {
             let Some(skip) = self.buf[at..].iter().position(|&b| b == 0x03) else {
@@ -548,11 +559,10 @@ impl TpktDecoder {
             if rest.len() < len {
                 break;
             }
-            out.push(rest[4..len].to_vec());
+            payload(&rest[4..len]);
             at += len;
         }
         self.buf.drain(..at);
-        out
     }
 }
 
@@ -759,7 +769,7 @@ impl MmsClient {
     /// Builds a framed initiate request (send right after connecting).
     pub fn initiate(&mut self) -> Vec<u8> {
         // A few bytes: always fits a frame.
-        tpkt_frame(&MmsPdu::InitiateRequest.encode()).unwrap_or_default()
+        tpkt_frame(|out| MmsPdu::InitiateRequest.write(out)).unwrap_or_default()
     }
 
     /// Builds a framed confirmed request; returns `(invoke_id, bytes)`, or
@@ -767,8 +777,7 @@ impl MmsClient {
     /// then left pending).
     pub fn request(&mut self, request: &MmsRequest) -> Option<(u32, Vec<u8>)> {
         let invoke_id = self.next_invoke + 1;
-        let pdu = ber::encode_exact(|out| encode_request(out, invoke_id, request));
-        let wire = tpkt_frame(&pdu)?;
+        let wire = tpkt_frame(|out| encode_request(out, invoke_id, request))?;
         self.next_invoke = invoke_id;
         self.pending.insert(invoke_id, request.service());
         Some((invoke_id, wire))
@@ -781,9 +790,9 @@ impl MmsClient {
     /// takes the request off the pending list; any other PDU is dropped.
     pub fn feed(&mut self, data: &[u8]) -> Vec<MmsPdu> {
         let mut out = Vec::new();
-        for payload in self.decoder.feed(data) {
-            let Ok(pdu) = MmsPdu::decode(&payload) else {
-                continue;
+        self.decoder.feed(data, |payload| {
+            let Ok(pdu) = MmsPdu::decode(payload) else {
+                return;
             };
             let kept = match &pdu {
                 MmsPdu::ConfirmedResponse {
@@ -799,7 +808,7 @@ impl MmsClient {
             if kept {
                 out.push(pdu);
             }
-        }
+        });
         out
     }
 
@@ -885,13 +894,13 @@ mod tests {
     fn tpkt_reassembly() {
         let payload1 = MmsPdu::InitiateRequest.encode();
         let payload2 = MmsPdu::InitiateResponse.encode();
-        let mut stream = tpkt_frame(&payload1).unwrap();
-        stream.extend(tpkt_frame(&payload2).unwrap());
+        let mut stream = tpkt_frame(|out| MmsPdu::InitiateRequest.write(out)).unwrap();
+        stream.extend(tpkt_frame(|out| MmsPdu::InitiateResponse.write(out)).unwrap());
         let mut dec = TpktDecoder::new();
         // Byte-by-byte feeding must still produce both frames.
         let mut frames = Vec::new();
         for b in stream {
-            frames.extend(dec.feed(&[b]));
+            dec.feed(&[b], |payload| frames.push(payload.to_vec()));
         }
         assert_eq!(frames, vec![payload1, payload2]);
     }
@@ -1016,9 +1025,10 @@ mod tests {
         assert_eq!(client.pending_count(), 1);
         // Simulate the server answering.
         let mut server = MmsServer::new(sample_model());
-        let req = MmsPdu::decode(&TpktDecoder::new().feed(&wire)[0]).unwrap();
-        let resp = server.handle(&req).unwrap();
-        let pdus = client.feed(&tpkt_frame(&resp.encode()).unwrap());
+        let mut req = None;
+        TpktDecoder::new().feed(&wire, |payload| req = MmsPdu::decode(payload).ok());
+        let resp = server.handle(&req.unwrap()).unwrap();
+        let pdus = client.feed(&tpkt_frame(|out| resp.write(out)).unwrap());
         assert_eq!(pdus.len(), 1);
         assert!(matches!(
             &pdus[0],
@@ -1038,7 +1048,7 @@ mod tests {
             invoke_id: id,
             error: ERROR_PDU_SIZE,
         };
-        let replies = client.feed(&tpkt_frame(&error.encode()).unwrap());
+        let replies = client.feed(&tpkt_frame(|out| error.write(out)).unwrap());
         assert_eq!(replies, std::slice::from_ref(&error));
         assert_eq!(
             client.pending_count(),
@@ -1046,7 +1056,7 @@ mod tests {
             "an errored read leaves nothing pending"
         );
         // A second answer under the same invoke id answers nothing.
-        let replies = client.feed(&tpkt_frame(&error.encode()).unwrap());
+        let replies = client.feed(&tpkt_frame(|out| error.write(out)).unwrap());
         assert_eq!(replies, []);
     }
 
@@ -1060,14 +1070,14 @@ mod tests {
                 results: vec![Ok(DataValue::Float(1.0))],
             },
         };
-        assert_eq!(client.feed(&tpkt_frame(&read.encode()).unwrap()), []);
+        assert_eq!(client.feed(&tpkt_frame(|out| read.write(out)).unwrap()), []);
         assert_eq!(client.pending_count(), 0, "the invoke id was answered");
         // A report answers no request and always comes through.
         let report = MmsPdu::InformationReport {
             report_name: "rpt1".into(),
             entries: vec![],
         };
-        let replies = client.feed(&tpkt_frame(&report.encode()).unwrap());
+        let replies = client.feed(&tpkt_frame(|out| report.write(out)).unwrap());
         assert_eq!(replies, [report]);
     }
 
@@ -1077,6 +1087,6 @@ mod tests {
             let _ = MmsPdu::decode(garbage);
         }
         let mut dec = TpktDecoder::new();
-        let _ = dec.feed(&[0x99, 0x03, 0x00, 0x00]);
+        dec.feed(&[0x99, 0x03, 0x00, 0x00], |_| {});
     }
 }

@@ -33,19 +33,21 @@ impl SessionPayloadType {
     }
 }
 
-/// A routable session packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionPacket {
+/// A routable session packet, viewed in the bytes it was decoded from or
+/// lent by its sender.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionPacket<'a> {
     /// What the payload is.
     pub payload_type: SessionPayloadType,
     /// Monotonic SPDU number for replay detection.
     pub spdu_num: u32,
     /// The embedded GOOSE/SV payload (APPID header + APDU).
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl SessionPacket {
-    /// Serializes to UDP payload bytes.
+impl<'a> SessionPacket<'a> {
+    /// Serializes to UDP payload bytes: the header, then the payload, in
+    /// one buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(10 + self.payload.len());
         out.push(0x01); // LI: parameter length
@@ -54,19 +56,19 @@ impl SessionPacket {
         out.push(0x01); // session version
         out.extend_from_slice(&self.spdu_num.to_be_bytes());
         out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        out.extend_from_slice(self.payload);
         out
     }
 
     /// Parses from UDP payload bytes.
-    pub fn decode(data: &[u8]) -> Option<SessionPacket> {
+    pub fn decode(data: &'a [u8]) -> Option<SessionPacket<'a>> {
         if data.len() < 10 || data[0] != 0x01 || data[1] != 0x40 {
             return None;
         }
         let payload_type = SessionPayloadType::from_u8(data[2])?;
         let spdu_num = u32::from_be_bytes([data[4], data[5], data[6], data[7]]);
         let len = u16::from_be_bytes([data[8], data[9]]) as usize;
-        let payload = data.get(10..10 + len)?.to_vec();
+        let payload = data.get(10..10 + len)?;
         Some(SessionPacket {
             payload_type,
             spdu_num,
@@ -88,10 +90,10 @@ impl SessionSender {
     }
 
     /// Wraps a GOOSE/SV payload into the next session packet.
-    pub fn wrap(&mut self, payload_type: SessionPayloadType, payload: Vec<u8>) -> SessionPacket {
+    pub fn wrap<'a>(&mut self, kind: SessionPayloadType, payload: &'a [u8]) -> SessionPacket<'a> {
         self.next_spdu = self.next_spdu.wrapping_add(1);
         SessionPacket {
-            payload_type,
+            payload_type: kind,
             spdu_num: self.next_spdu,
             payload,
         }
@@ -114,21 +116,18 @@ impl SessionReceiver {
         SessionReceiver::default()
     }
 
-    /// Validates a packet; returns the payload if it is fresh.
-    pub fn accept<'a>(
-        &mut self,
-        now: SimTime,
-        packet: &'a SessionPacket,
-    ) -> Option<&'a SessionPacket> {
+    /// Validates a packet: whether it is fresh. A replayed or stale SPDU
+    /// is counted and refused.
+    pub fn accept(&mut self, now: SimTime, packet: &SessionPacket<'_>) -> bool {
         if let Some(highest) = self.highest_spdu {
             if packet.spdu_num <= highest {
                 self.replays_dropped += 1;
-                return None;
+                return false;
             }
         }
         self.highest_spdu = Some(packet.spdu_num);
         self.last_rx = Some(now);
-        Some(packet)
+        true
     }
 }
 
@@ -141,7 +140,7 @@ mod tests {
         let packet = SessionPacket {
             payload_type: SessionPayloadType::Goose,
             spdu_num: 77,
-            payload: vec![1, 2, 3, 4, 5],
+            payload: &[1, 2, 3, 4, 5],
         };
         assert_eq!(SessionPacket::decode(&packet.encode()), Some(packet));
     }
@@ -157,7 +156,7 @@ mod tests {
         let packet = SessionPacket {
             payload_type: SessionPayloadType::Sv,
             spdu_num: 1,
-            payload: vec![9; 20],
+            payload: &[9; 20],
         };
         let wire = packet.encode();
         assert_eq!(SessionPacket::decode(&wire[..wire.len() - 1]), None);
@@ -168,12 +167,12 @@ mod tests {
         let mut sender = SessionSender::new();
         let mut receiver = SessionReceiver::new();
         let now = SimTime::from_millis(1);
-        let p1 = sender.wrap(SessionPayloadType::Goose, vec![1]);
-        let p2 = sender.wrap(SessionPayloadType::Goose, vec![2]);
-        assert!(receiver.accept(now, &p1).is_some());
-        assert!(receiver.accept(now, &p2).is_some());
+        let p1 = sender.wrap(SessionPayloadType::Goose, &[1]);
+        let p2 = sender.wrap(SessionPayloadType::Goose, &[2]);
+        assert!(receiver.accept(now, &p1));
+        assert!(receiver.accept(now, &p2));
         // Replay of p1 is dropped.
-        assert!(receiver.accept(now, &p1).is_none());
+        assert!(!receiver.accept(now, &p1));
         assert_eq!(receiver.replays_dropped, 1);
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::ber::{self, BerError, Reader, Tag};
 use crate::goose::{appid_payload, read_appid_payload};
-use sgcr_net::{ethertype, EthernetFrame, MacAddr, SimDuration, SimTime};
+use sgcr_net::{SimDuration, SimTime};
 
 /// One ASDU (application service data unit) of a sampled-values message.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +105,7 @@ impl SvPdu {
 pub struct SvPublisher {
     /// Stream id.
     pub sv_id: String,
-    /// APPID (multicast MAC selector).
+    /// APPID, in each payload's header.
     pub appid: u16,
     /// Publication interval.
     pub interval: SimDuration,
@@ -127,8 +127,9 @@ impl SvPublisher {
         }
     }
 
-    /// Builds the next frame carrying `samples`.
-    pub fn emit(&mut self, _now: SimTime, src_mac: MacAddr, samples: Vec<f32>) -> EthernetFrame {
+    /// Builds the next payload (APPID header and savPdu) carrying
+    /// `samples`: the bytes an SV frame or an R-SV session packet carries.
+    pub fn emit(&mut self, samples: Vec<f32>) -> Vec<u8> {
         let pdu = SvPdu {
             asdus: vec![SvAsdu {
                 sv_id: self.sv_id.clone(),
@@ -139,12 +140,7 @@ impl SvPublisher {
             }],
         };
         self.smp_cnt = (self.smp_cnt + 1) % self.samples_per_second;
-        EthernetFrame::new(
-            MacAddr::sv_multicast(self.appid),
-            src_mac,
-            ethertype::SV,
-            pdu.encode(self.appid),
-        )
+        pdu.encode(self.appid)
     }
 }
 
@@ -174,16 +170,11 @@ impl SvSubscriber {
         }
     }
 
-    /// Processes a frame; returns `true` if it carried our stream.
-    pub fn process(&mut self, now: SimTime, frame: &EthernetFrame) -> bool {
-        if frame.ethertype != ethertype::SV {
-            return false;
-        }
-        let Ok((_, pdu)) = SvPdu::decode(&frame.payload) else {
-            return false;
-        };
+    /// Processes a received SV PDU; returns `true` if it carried our
+    /// stream.
+    pub fn process(&mut self, now: SimTime, pdu: &SvPdu) -> bool {
         let mut matched = false;
-        for asdu in pdu.asdus {
+        for asdu in &pdu.asdus {
             if asdu.sv_id != self.sv_id {
                 continue;
             }
@@ -194,7 +185,7 @@ impl SvSubscriber {
                 }
             }
             self.last_cnt = Some(asdu.smp_cnt);
-            self.samples = asdu.samples;
+            self.samples.clone_from(&asdu.samples);
             self.last_rx = Some(now);
             matched = true;
         }
@@ -226,12 +217,10 @@ mod tests {
     #[test]
     fn publisher_counts_and_wraps() {
         let mut publisher = SvPublisher::new("s1", 1, SimDuration::from_millis(100));
-        let src = MacAddr::from_index(1);
         // 10 samples/second → smpCnt wraps at 10.
         let mut counts = Vec::new();
         for _ in 0..12 {
-            let frame = publisher.emit(SimTime::ZERO, src, vec![1.0]);
-            let (_, pdu) = SvPdu::decode(&frame.payload).unwrap();
+            let (_, pdu) = SvPdu::decode(&publisher.emit(vec![1.0])).unwrap();
             counts.push(pdu.asdus[0].smp_cnt);
         }
         assert_eq!(counts, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 1]);
@@ -241,10 +230,8 @@ mod tests {
     fn subscriber_tracks_latest_and_gaps() {
         let mut publisher = SvPublisher::new("s1", 1, SimDuration::from_millis(100));
         let mut subscriber = SvSubscriber::new("s1");
-        let src = MacAddr::from_index(1);
-        let f1 = publisher.emit(SimTime::from_millis(0), src, vec![1.0]);
-        let f2 = publisher.emit(SimTime::from_millis(100), src, vec![2.0]);
-        let f3 = publisher.emit(SimTime::from_millis(200), src, vec![3.0]);
+        let mut emit = |value| SvPdu::decode(&publisher.emit(vec![value])).unwrap().1;
+        let (f1, f2, f3) = (emit(1.0), emit(2.0), emit(3.0));
         assert!(subscriber.process(SimTime::from_millis(0), &f1));
         // Drop f2; deliver f3: gap detected, latest value taken.
         assert!(subscriber.process(SimTime::from_millis(200), &f3));
@@ -259,8 +246,8 @@ mod tests {
     fn subscriber_ignores_foreign_streams() {
         let mut publisher = SvPublisher::new("other", 1, SimDuration::from_millis(100));
         let mut subscriber = SvSubscriber::new("mine");
-        let frame = publisher.emit(SimTime::ZERO, MacAddr::from_index(1), vec![9.0]);
-        assert!(!subscriber.process(SimTime::ZERO, &frame));
+        let (_, pdu) = SvPdu::decode(&publisher.emit(vec![9.0])).unwrap();
+        assert!(!subscriber.process(SimTime::ZERO, &pdu));
         assert!(subscriber.samples.is_empty());
     }
 }

@@ -200,9 +200,10 @@ proptest! {
         let packet = SessionPacket {
             payload_type: sgcr_iec61850::SessionPayloadType::Goose,
             spdu_num: spdu,
-            payload,
+            payload: &payload,
         };
-        prop_assert_eq!(SessionPacket::decode(&packet.encode()), Some(packet));
+        let wire = packet.encode();
+        prop_assert_eq!(SessionPacket::decode(&wire), Some(packet));
     }
 
     #[test]

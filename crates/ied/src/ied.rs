@@ -8,14 +8,12 @@ use crate::spec::{BreakerMap, GooseEntry, IedSpec, ProtectionSpec};
 use parking_lot::Mutex;
 use sgcr_faults::{DegradationSignal, SensorFault};
 use sgcr_iec61850::{
-    ControlDecision, DataModel, DataValue, GooseConfig, GoosePublisher, GooseSubscriber, LeafId,
-    MmsServer, MmsServerApp, ObjectRef, SessionPacket, SessionPayloadType, SessionReceiver,
-    SessionSender, SharedModel, SvPublisher, SvSubscriber, RGOOSE_PORT,
+    ControlDecision, DataModel, DataValue, GooseConfig, GoosePdu, GoosePublisher, GooseSubscriber,
+    LeafId, MmsServer, MmsServerApp, ObjectRef, SessionPacket, SessionPayloadType, SessionReceiver,
+    SessionSender, SharedModel, SvPdu, SvPublisher, SvSubscriber, RGOOSE_PORT,
 };
 use sgcr_kvstore::{ProcessStore, Slot, Value};
-use sgcr_net::{
-    ethertype, AppPlane, ConnId, EthernetFrame, HostCtx, Ipv4Addr, MacAddr, SimTime, SocketApp,
-};
+use sgcr_net::{ethertype, AppPlane, ConnId, EthernetFrame, HostCtx, Ipv4Addr, SimTime, SocketApp};
 use sgcr_obs::{Counter, Event as ObsEvent, Name, Plane, Telemetry, TimeNs, TraceCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -646,7 +644,7 @@ impl VirtualIedApp {
         }
         // A report too long for one TPKT frame (item ids past 64 KiB) is
         // not sent; clients still see the trip at their next read.
-        if let Some(wire) = sgcr_iec61850::tpkt_frame(&report.encode()) {
+        if let Some(wire) = sgcr_iec61850::tpkt_frame(|out| report.write(out)) {
             for conn in self.mms.connections() {
                 ctx.tcp_send(conn, &wire);
             }
@@ -877,12 +875,13 @@ impl VirtualIedApp {
                 .and_then(|slot| self.store.get_at(slot))
                 .and_then(|v| v.as_float())
                 .unwrap_or(0.0) as f32;
-            let frame = publisher.emit(now, ctx.mac(), vec![current]);
-            let packet = self
+            let payload = publisher.emit(vec![current]);
+            let wire = self
                 .session_tx
-                .wrap(SessionPayloadType::Sv, frame.payload.to_vec());
+                .wrap(SessionPayloadType::Sv, &payload)
+                .encode();
             for peer in &rsv.peers {
-                ctx.send_udp(*peer, RGOOSE_PORT, RGOOSE_PORT, &packet.encode());
+                ctx.send_udp(*peer, RGOOSE_PORT, RGOOSE_PORT, &wire);
             }
         }
 
@@ -901,7 +900,7 @@ impl VirtualIedApp {
         };
         if span.is_recording() {
             span.attr("ied", self.ied.spec.name.as_str());
-            span.attr("gocb", publisher.config.gocb_ref.as_str());
+            span.attr("gocb", publisher.gocb_ref());
         }
         let pub_ctx = span.ctx();
         if pub_ctx.is_some() {
@@ -913,10 +912,10 @@ impl VirtualIedApp {
         // R-GOOSE to inter-substation peers.
         if let Some(goose_spec) = &self.ied.spec.goose {
             if !goose_spec.rgoose_peers.is_empty() {
-                let packet = self
+                let wire = self
                     .session_tx
-                    .wrap(SessionPayloadType::Goose, frame.payload.to_vec());
-                let wire = packet.encode();
+                    .wrap(SessionPayloadType::Goose, &frame.payload)
+                    .encode();
                 for peer in &goose_spec.rgoose_peers {
                     ctx.send_udp(*peer, RGOOSE_PORT, RGOOSE_PORT, &wire);
                 }
@@ -933,19 +932,24 @@ impl VirtualIedApp {
         ctx.set_timer(wait, 0);
     }
 
-    fn handle_goose_payload(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {
+    /// Hands a received GOOSE payload, decoded once, to every subscriber.
+    fn handle_goose_payload(&mut self, ctx: &mut HostCtx<'_>, payload: &[u8]) {
+        if self.goose_subs.is_empty() {
+            return;
+        }
         let now = ctx.now();
+        let Ok((_, pdu)) = GoosePdu::decode(payload) else {
+            return;
+        };
         for sub in &mut self.goose_subs {
-            if sub.process(now, frame).is_some() {
+            if sub.process(now, &pdu).is_some() {
                 self.remote_changed = true;
-                let gocb = sub.gocb_ref.clone();
-                let data = sub.data.clone();
                 let mut span =
                     ctx.tracer()
                         .open("ied.goose_rx", Plane::Control, ctx.trace_parent(), now);
                 if span.is_recording() {
                     span.attr("ied", self.ied.spec.name.as_str());
-                    span.attr("gocb", gocb.as_str());
+                    span.attr("gocb", sub.gocb_ref.as_str());
                 }
                 span.end(now);
                 for (p, spec) in self.protections.iter_mut().zip(&self.ied.spec.protections) {
@@ -953,10 +957,10 @@ impl VirtualIedApp {
                         (p, spec)
                     {
                         for m in monitored {
-                            if m.gocb_ref != gocb {
+                            if m.gocb_ref != sub.gocb_ref {
                                 continue;
                             }
-                            let closed = data.get(m.dataset_index).and_then(|v| match v {
+                            let closed = sub.data.get(m.dataset_index).and_then(|v| match v {
                                 DataValue::Bool(b) => Some(*b),
                                 other => other.as_dbpos(),
                             });
@@ -1013,7 +1017,7 @@ impl SocketApp for VirtualIedApp {
 
     fn on_raw_frame(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {
         if frame.ethertype == ethertype::GOOSE {
-            self.handle_goose_payload(ctx, frame);
+            self.handle_goose_payload(ctx, &frame.payload);
         }
     }
 
@@ -1026,29 +1030,17 @@ impl SocketApp for VirtualIedApp {
         };
         let now = ctx.now();
         let receiver = self.session_rx.entry(src.0).or_default();
-        if receiver.accept(now, &packet).is_none() {
+        if !receiver.accept(now, &packet) {
             return;
         }
         match packet.payload_type {
-            SessionPayloadType::Goose => {
-                // Re-frame so the L2 subscriber machinery can process it.
-                let frame = EthernetFrame::new(
-                    MacAddr::goose_multicast(0),
-                    MacAddr::ZERO,
-                    ethertype::GOOSE,
-                    packet.payload.clone(),
-                );
-                self.handle_goose_payload(ctx, &frame);
-            }
+            SessionPayloadType::Goose => self.handle_goose_payload(ctx, packet.payload),
             SessionPayloadType::Sv => {
-                let frame = EthernetFrame::new(
-                    MacAddr::sv_multicast(0),
-                    MacAddr::ZERO,
-                    ethertype::SV,
-                    packet.payload.clone(),
-                );
+                let Ok((_, pdu)) = SvPdu::decode(packet.payload) else {
+                    return;
+                };
                 if let Some(sub) = &mut self.rsv_sub {
-                    if sub.process(now, &frame) {
+                    if sub.process(now, &pdu) {
                         self.remote_changed = true;
                         let remote = sub.samples.first().copied().unwrap_or(0.0) as f64;
                         for p in &mut self.protections {

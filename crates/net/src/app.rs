@@ -1,7 +1,7 @@
 //! The application trait hosted on emulated nodes and its context API.
 
 use crate::addr::{Ipv4Addr, MacAddr};
-use crate::frame::{ipproto, EthernetFrame, UdpDatagram};
+use crate::frame::{ipproto, ipv4_packet, EthernetFrame, UdpDatagram};
 use crate::host::{ConnId, HostState};
 use crate::sim::{Event, Network, NodeId, TickState, TickWaker};
 use crate::time::{SimDuration, SimTime};
@@ -152,13 +152,13 @@ impl<'a> HostCtx<'a> {
 
     /// Sends a UDP datagram (ARP resolution happens automatically).
     pub fn send_udp(&mut self, dst: Ipv4Addr, dst_port: u16, src_port: u16, data: &[u8]) {
-        let payload = UdpDatagram {
+        let datagram = UdpDatagram {
             src_port,
             dst_port,
-            payload: bytes::Bytes::copy_from_slice(data),
-        }
-        .encode();
-        self.net.send_ip(self.node, dst, ipproto::UDP, payload);
+            payload: data,
+        };
+        let packet = ipv4_packet(self.ip(), dst, ipproto::UDP, &datagram.header(), data);
+        self.net.send_packet(self.node, dst, packet);
     }
 
     /// Starts listening for TCP connections on a port.
@@ -172,21 +172,21 @@ impl<'a> HostCtx<'a> {
     /// Opens a TCP connection; completion is signalled via
     /// [`SocketApp::on_tcp_connected`].
     pub fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> ConnId {
-        let (conn, syn) = self.state().tcp_connect(dst, dst_port);
-        self.net.send_tcp(self.node, [syn], Some(conn));
+        let conn = self.state().tcp_connect(dst, dst_port);
+        self.net.send_tcp(self.node, conn);
         conn
     }
 
     /// Sends bytes on an established connection.
     pub fn tcp_send(&mut self, conn: ConnId, data: &[u8]) {
-        let outs = self.state().tcp_send(conn, data);
-        self.net.send_tcp(self.node, outs, Some(conn));
+        self.state().tcp_send(conn, data);
+        self.net.send_tcp(self.node, conn);
     }
 
     /// Closes a connection (orderly FIN).
     pub fn tcp_close(&mut self, conn: ConnId) {
-        let outs = self.state().tcp_close(conn);
-        self.net.send_tcp(self.node, outs, Some(conn));
+        self.state().tcp_close(conn);
+        self.net.send_tcp(self.node, conn);
     }
 
     /// Transmits a raw Ethernet frame out of the host's port.

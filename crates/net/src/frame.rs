@@ -3,9 +3,16 @@
 //! Headers follow the real wire formats (byte-for-byte for ARP/IPv4/UDP/TCP
 //! fixed parts), so captures taken in the emulator look like real traffic and
 //! attack tools can manipulate protocol fields the way real tools do.
+//!
+//! A frame's bytes live in one buffer, its `payload`. [`Ipv4Packet`],
+//! [`UdpDatagram`] and [`TcpSegment`] are views whose `payload` borrows the
+//! bytes they were decoded from, so reading a frame copies nothing; each
+//! one's `header` writes its layer's header for its payload, and a send
+//! writes every header and the payload once, into one buffer.
 
 use crate::addr::{ethertype, Ipv4Addr, MacAddr};
 use bytes::Bytes;
+use std::cell::RefCell;
 
 /// An Ethernet II frame (optionally 802.1Q tagged).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,17 +137,17 @@ impl ArpPacket {
     }
 
     /// Serializes to the 28-byte wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28);
-        out.extend_from_slice(&1u16.to_be_bytes()); // htype: ethernet
-        out.extend_from_slice(&(ethertype::IPV4).to_be_bytes()); // ptype
-        out.push(6); // hlen
-        out.push(4); // plen
-        out.extend_from_slice(&self.operation.to_be_bytes());
-        out.extend_from_slice(&self.sender_mac.octets());
-        out.extend_from_slice(&self.sender_ip.octets());
-        out.extend_from_slice(&self.target_mac.octets());
-        out.extend_from_slice(&self.target_ip.octets());
+    pub fn encode(&self) -> [u8; 28] {
+        let mut out = [0; 28];
+        out[..2].copy_from_slice(&1u16.to_be_bytes()); // htype: ethernet
+        out[2..4].copy_from_slice(&ethertype::IPV4.to_be_bytes()); // ptype
+        out[4] = 6; // hlen
+        out[5] = 4; // plen
+        out[6..8].copy_from_slice(&self.operation.to_be_bytes());
+        out[8..14].copy_from_slice(&self.sender_mac.octets());
+        out[14..18].copy_from_slice(&self.sender_ip.octets());
+        out[18..24].copy_from_slice(&self.target_mac.octets());
+        out[24..].copy_from_slice(&self.target_ip.octets());
         out
     }
 
@@ -175,9 +182,10 @@ pub mod ipproto {
     pub const UDP: u8 = 17;
 }
 
-/// An IPv4 packet (no options, no fragmentation).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ipv4Packet {
+/// An IPv4 packet (no options, no fragmentation), viewed in the bytes it
+/// was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ipv4Packet<'a> {
     /// Source address.
     pub src: Ipv4Addr,
     /// Destination address.
@@ -187,43 +195,29 @@ pub struct Ipv4Packet {
     /// Time to live.
     pub ttl: u8,
     /// Transport payload.
-    pub payload: Bytes,
+    pub payload: &'a [u8],
 }
 
-impl Ipv4Packet {
-    /// Creates a packet with the default TTL of 64.
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, payload: impl Into<Bytes>) -> Self {
-        Ipv4Packet {
-            src,
-            dst,
-            protocol,
-            ttl: 64,
-            payload: payload.into(),
-        }
-    }
-
-    /// Serializes with a correct header checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let total_len = 20 + self.payload.len();
-        let mut out = Vec::with_capacity(total_len);
-        out.push(0x45); // version 4, IHL 5
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&(total_len as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // identification
-        out.extend_from_slice(&[0x40, 0]); // flags: DF, fragment offset 0
-        out.push(self.ttl);
-        out.push(self.protocol);
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        let csum = internet_checksum(&out[..20]);
+impl<'a> Ipv4Packet<'a> {
+    /// The 20-byte header that goes in front of the payload on the wire:
+    /// its total length counts the payload, and its checksum is correct.
+    pub fn header(&self) -> [u8; 20] {
+        let total_len = (20 + self.payload.len()) as u16;
+        let mut out = [0; 20];
+        out[0] = 0x45; // version 4, IHL 5
+        out[2..4].copy_from_slice(&total_len.to_be_bytes());
+        out[6] = 0x40; // flags: DF, fragment offset 0
+        out[8] = self.ttl;
+        out[9] = self.protocol;
+        out[12..16].copy_from_slice(&self.src.octets());
+        out[16..].copy_from_slice(&self.dst.octets());
+        let csum = internet_checksum(&out);
         out[10..12].copy_from_slice(&csum.to_be_bytes());
-        out.extend_from_slice(&self.payload);
         out
     }
 
     /// Parses from wire bytes, verifying version and header checksum.
-    pub fn decode(data: &[u8]) -> Option<Ipv4Packet> {
+    pub fn decode(data: &'a [u8]) -> Option<Ipv4Packet<'a>> {
         if data.len() < 20 || data[0] >> 4 != 4 {
             return None;
         }
@@ -243,9 +237,44 @@ impl Ipv4Packet {
             dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
             protocol: data[9],
             ttl: data[8],
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+            payload: &data[ihl..total_len],
         })
     }
+}
+
+thread_local! {
+    /// The buffer [`ipv4_packet`] writes into. It grows to the longest
+    /// packet its thread sends and is reused, so that a packet allocates
+    /// only its bytes.
+    static PACKET: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An IPv4 packet from `src` to `dst` with a TTL of 64: its header, the
+/// transport header `transport`, then `payload`, each written once into
+/// the thread's packet buffer, which is copied out at its exact length.
+pub(crate) fn ipv4_packet(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: u8,
+    transport: &[u8],
+    payload: &[u8],
+) -> Bytes {
+    PACKET.with_borrow_mut(|buffer| {
+        buffer.clear();
+        buffer.extend_from_slice(&[0; 20]);
+        buffer.extend_from_slice(transport);
+        buffer.extend_from_slice(payload);
+        let (header, payload) = buffer.split_at_mut(20);
+        let packet = Ipv4Packet {
+            src,
+            dst,
+            protocol,
+            ttl: 64,
+            payload,
+        };
+        header.copy_from_slice(&packet.header());
+        Bytes::copy_from_slice(buffer)
+    })
 }
 
 /// Computes the 16-bit one's-complement internet checksum.
@@ -264,32 +293,31 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// A UDP datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// A UDP datagram, viewed in the bytes it was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UdpDatagram<'a> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
     /// Application payload.
-    pub payload: Bytes,
+    pub payload: &'a [u8],
 }
 
-impl UdpDatagram {
-    /// Serializes (checksum omitted: 0, legal for IPv4 UDP).
-    pub fn encode(&self) -> Vec<u8> {
-        let len = 8 + self.payload.len();
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&(len as u16).to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        out.extend_from_slice(&self.payload);
+impl<'a> UdpDatagram<'a> {
+    /// The 8-byte header that goes in front of the payload on the wire
+    /// (checksum omitted: 0, legal for IPv4 UDP).
+    pub fn header(&self) -> [u8; 8] {
+        let len = (8 + self.payload.len()) as u16;
+        let mut out = [0; 8];
+        out[..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..6].copy_from_slice(&len.to_be_bytes());
         out
     }
 
     /// Parses from wire bytes.
-    pub fn decode(data: &[u8]) -> Option<UdpDatagram> {
+    pub fn decode(data: &'a [u8]) -> Option<UdpDatagram<'a>> {
         if data.len() < 8 {
             return None;
         }
@@ -300,7 +328,7 @@ impl UdpDatagram {
         Some(UdpDatagram {
             src_port: u16::from_be_bytes([data[0], data[1]]),
             dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: Bytes::copy_from_slice(&data[8..len]),
+            payload: &data[8..len],
         })
     }
 }
@@ -349,9 +377,10 @@ impl TcpFlags {
     }
 }
 
-/// A TCP segment (fixed 20-byte header, no options).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpSegment {
+/// A TCP segment (fixed 20-byte header, no options), viewed in the bytes it
+/// was decoded from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TcpSegment<'a> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
@@ -365,28 +394,27 @@ pub struct TcpSegment {
     /// Advertised window.
     pub window: u16,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub payload: &'a [u8],
 }
 
-impl TcpSegment {
-    /// Serializes (checksum left zero: the emulator's links are reliable and
-    /// the pseudo-header checksum is not needed for correctness here).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(20 + self.payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(5 << 4); // data offset 5 words
-        out.push(self.flags.encode());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-        out.extend_from_slice(&self.payload);
+impl<'a> TcpSegment<'a> {
+    /// The 20-byte header that goes in front of the payload on the wire
+    /// (checksum left zero: the emulator's links are reliable and the
+    /// pseudo-header checksum is not needed for correctness here).
+    pub fn header(&self) -> [u8; 20] {
+        let mut out = [0; 20];
+        out[..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        out[12] = 5 << 4; // data offset 5 words
+        out[13] = self.flags.encode();
+        out[14..16].copy_from_slice(&self.window.to_be_bytes());
         out
     }
 
     /// Parses from wire bytes.
-    pub fn decode(data: &[u8]) -> Option<TcpSegment> {
+    pub fn decode(data: &'a [u8]) -> Option<TcpSegment<'a>> {
         if data.len() < 20 {
             return None;
         }
@@ -401,7 +429,7 @@ impl TcpSegment {
             ack: u32::from_be_bytes([data[8], data[9], data[10], data[11]]),
             flags: TcpFlags::decode(data[13]),
             window: u16::from_be_bytes([data[14], data[15]]),
-            payload: Bytes::copy_from_slice(&data[offset..]),
+            payload: &data[offset..],
         })
     }
 }
@@ -459,13 +487,14 @@ mod tests {
 
     #[test]
     fn ipv4_roundtrip_and_checksum() {
-        let p = Ipv4Packet::new(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-            ipproto::UDP,
-            vec![5; 12],
-        );
-        let wire = p.encode();
+        let p = Ipv4Packet {
+            src: Ipv4Addr::new(10, 0, 0, 1),
+            dst: Ipv4Addr::new(10, 0, 0, 2),
+            protocol: ipproto::UDP,
+            ttl: 64,
+            payload: &[5; 12],
+        };
+        let wire = [&p.header()[..], p.payload].concat();
         assert_eq!(Ipv4Packet::decode(&wire), Some(p));
         // Corrupt a header byte: checksum must reject it.
         let mut bad = wire.clone();
@@ -478,9 +507,10 @@ mod tests {
         let d = UdpDatagram {
             src_port: 1234,
             dst_port: 102,
-            payload: Bytes::from_static(b"hello"),
+            payload: b"hello",
         };
-        assert_eq!(UdpDatagram::decode(&d.encode()), Some(d));
+        let wire = [&d.header()[..], d.payload].concat();
+        assert_eq!(UdpDatagram::decode(&wire), Some(d));
     }
 
     #[test]
@@ -496,22 +526,41 @@ mod tests {
                 ..TcpFlags::default()
             },
             window: 65535,
-            payload: Bytes::from_static(b"data"),
+            payload: b"data",
         };
-        assert_eq!(TcpSegment::decode(&s.encode()), Some(s));
+        let wire = [&s.header()[..], s.payload].concat();
+        assert_eq!(TcpSegment::decode(&wire), Some(s));
+    }
+
+    #[test]
+    fn a_sent_packet_is_each_layers_header_then_the_payload() {
+        let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let d = UdpDatagram {
+            src_port: 1234,
+            dst_port: 102,
+            payload: b"hello",
+        };
+        let packet = ipv4_packet(src, dst, ipproto::UDP, &d.header(), d.payload);
+        let ip = Ipv4Packet::decode(&packet).unwrap();
+        assert_eq!(
+            (ip.src, ip.dst, ip.protocol, ip.ttl),
+            (src, dst, ipproto::UDP, 64)
+        );
+        assert_eq!(UdpDatagram::decode(ip.payload), Some(d));
+        assert_eq!(&packet[..20], ip.header());
     }
 
     #[test]
     fn checksum_known_vector() {
         // RFC 1071 example-style check: checksum of data with its own
         // checksum embedded is zero.
-        let p = Ipv4Packet::new(
-            Ipv4Addr::new(192, 168, 0, 1),
-            Ipv4Addr::new(192, 168, 0, 99),
-            ipproto::TCP,
-            vec![],
-        );
-        let wire = p.encode();
-        assert_eq!(internet_checksum(&wire[..20]), 0);
+        let p = Ipv4Packet {
+            src: Ipv4Addr::new(192, 168, 0, 1),
+            dst: Ipv4Addr::new(192, 168, 0, 99),
+            protocol: ipproto::TCP,
+            ttl: 64,
+            payload: &[],
+        };
+        assert_eq!(internet_checksum(&p.header()), 0);
     }
 }

@@ -1,17 +1,18 @@
 //! Per-host protocol state: ARP cache, UDP bindings, and the TCP-lite
 //! state machine.
 //!
-//! The functions here are pure state transitions over [`HostState`]: they
-//! consume an input (a segment, an application call) and return the segments
-//! to transmit plus the events to surface to the application. The simulator
-//! core ([`crate::Network`]) performs the actual framing, ARP resolution,
-//! and scheduling.
+//! The functions here are state transitions over [`HostState`]: an input (a
+//! segment, an application call) changes a connection's state, and what the
+//! connection then has to send — its handshake segment, unsent data, a FIN,
+//! a due ACK — is taken one finished IPv4 packet at a time with
+//! [`HostState::tcp_output`], each segment written straight from the
+//! connection's send buffer. The simulator core ([`crate::Network`])
+//! frames the packets, resolves ARP and schedules them.
 
 use crate::addr::{Ipv4Addr, MacAddr};
+use crate::frame::{ipproto, ipv4_packet, TcpFlags, TcpSegment};
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
-
-use crate::frame::{TcpFlags, TcpSegment};
+use std::collections::HashMap;
 
 /// Identifier of a TCP connection within one host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,11 +56,13 @@ pub(crate) struct TcpConn {
     /// Next sequence number expected from the peer.
     rcv_nxt: u32,
     /// Bytes from `snd_una` onward (unacked + unsent).
-    send_buf: VecDeque<u8>,
+    send_buf: Vec<u8>,
     /// Whether our FIN has been queued after the send buffer.
     fin_queued: bool,
     /// Whether our FIN has been sent (occupies one sequence number).
     fin_sent: bool,
+    /// Whether an ACK of `rcv_nxt` is due after whatever else is sent.
+    ack_due: bool,
     /// Whether the connection's retransmission timer is in the network's
     /// queue.
     timer_armed: bool,
@@ -75,6 +78,7 @@ const ACK: TcpFlags = TcpFlags {
 };
 
 impl TcpConn {
+    /// A connection in `state` that has sent nothing from `iss` yet.
     fn new(state: TcpState, local_port: u16, remote: (Ipv4Addr, u16), iss: u32) -> TcpConn {
         TcpConn {
             state,
@@ -83,84 +87,96 @@ impl TcpConn {
             snd_una: iss,
             snd_nxt: iss,
             rcv_nxt: 0,
-            send_buf: VecDeque::new(),
+            send_buf: Vec::new(),
             fin_queued: false,
             fin_sent: false,
+            ack_due: false,
             timer_armed: false,
         }
     }
 
     /// A segment to the peer at `seq`, acknowledging `rcv_nxt`.
-    fn segment(&self, seq: u32, flags: TcpFlags, payload: Bytes) -> TcpOut {
-        TcpOut {
-            dst: self.remote.0,
-            segment: TcpSegment {
-                src_port: self.local_port,
-                dst_port: self.remote.1,
-                seq,
-                ack: self.rcv_nxt,
-                flags,
-                window: 65535,
-                payload,
-            },
+    fn segment<'a>(&self, seq: u32, flags: TcpFlags, payload: &'a [u8]) -> TcpSegment<'a> {
+        TcpSegment {
+            src_port: self.local_port,
+            dst_port: self.remote.1,
+            seq,
+            ack: self.rcv_nxt,
+            flags,
+            window: 65535,
+            payload,
         }
     }
 
-    /// Emits any segments the connection can send: unsent data, then FIN.
-    fn output(&mut self, out: &mut Vec<TcpOut>) {
-        // Unsent data begins at offset (snd_nxt - snd_una) within send_buf.
-        loop {
-            let sent = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
-            if sent >= self.send_buf.len() {
-                break;
+    /// The segment at `snd_una`: during the handshake its own segment —
+    /// the SYN, or the SYN+ACK answering the peer's SYN (RFC 793) — and
+    /// after it the first unacknowledged chunk, or the FIN.
+    fn first(&self) -> TcpSegment<'_> {
+        let seq = self.snd_una;
+        match self.state {
+            TcpState::SynSent => self.segment(seq, TcpFlags::SYN, &[]),
+            TcpState::SynRcvd => self.segment(seq, TcpFlags { syn: true, ..ACK }, &[]),
+            _ => {
+                let chunk = &self.send_buf[..self.send_buf.len().min(TCP_MSS)];
+                let flags = TcpFlags {
+                    psh: !chunk.is_empty(),
+                    fin: chunk.is_empty() && self.fin_sent,
+                    ..ACK
+                };
+                self.segment(seq, flags, chunk)
             }
-            let chunk: Vec<u8> = self.send_buf.range(sent..).take(TCP_MSS).copied().collect();
-            let len = chunk.len() as u32;
-            out.push(self.segment(
-                self.snd_nxt,
-                TcpFlags { psh: true, ..ACK },
-                Bytes::from(chunk),
-            ));
-            self.snd_nxt = self.snd_nxt.wrapping_add(len);
         }
-        // FIN once all data is out.
-        if self.fin_queued && !self.fin_sent {
-            out.push(self.segment(self.snd_nxt, TcpFlags { fin: true, ..ACK }, Bytes::new()));
-            self.snd_nxt = self.snd_nxt.wrapping_add(1);
+    }
+
+    /// The next segment the connection sends, past which `snd_nxt`
+    /// advances: the handshake segment not yet sent, then unsent data, the
+    /// FIN once all data is out, and a due ACK.
+    fn output(&mut self) -> Option<TcpSegment<'_>> {
+        let seq = self.snd_nxt;
+        // Unsent data begins at offset (snd_nxt - snd_una) within send_buf.
+        let sent = seq.wrapping_sub(self.snd_una) as usize;
+        if sent == 0 && matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
+            // SYN consumes one sequence number.
+            self.snd_nxt = seq.wrapping_add(1);
+            Some(self.first())
+        } else if sent < self.send_buf.len() {
+            let end = self.send_buf.len().min(sent + TCP_MSS);
+            self.snd_nxt = seq.wrapping_add((end - sent) as u32);
+            let flags = TcpFlags { psh: true, ..ACK };
+            Some(self.segment(seq, flags, &self.send_buf[sent..end]))
+        } else if self.fin_queued && !self.fin_sent {
+            self.snd_nxt = seq.wrapping_add(1);
             self.fin_sent = true;
+            Some(self.segment(seq, TcpFlags { fin: true, ..ACK }, &[]))
+        } else if std::mem::take(&mut self.ack_due) {
+            Some(self.segment(seq, ACK, &[]))
+        } else {
+            None
         }
     }
 }
 
-/// An event surfaced to the host's application.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SocketEvent {
-    /// An outbound connection completed its handshake.
-    TcpConnected(ConnId),
-    /// An inbound connection was accepted on a listening port.
-    TcpAccepted(ConnId, (Ipv4Addr, u16)),
-    /// In-order data arrived.
-    TcpData(ConnId, Bytes),
-    /// The connection fully closed (FIN exchange or RST).
-    TcpClosed(ConnId),
-    /// A UDP datagram arrived on a bound port.
-    Udp {
-        /// Remote source.
-        src: (Ipv4Addr, u16),
-        /// Local destination port.
-        dst_port: u16,
-        /// Payload.
-        data: Bytes,
-    },
+/// `segment` from `src` to `dst` as a finished IPv4 packet, with its
+/// destination.
+fn packet(src: Ipv4Addr, dst: Ipv4Addr, segment: &TcpSegment<'_>) -> (Ipv4Addr, Bytes) {
+    let header = segment.header();
+    let packet = ipv4_packet(src, dst, ipproto::TCP, &header, segment.payload);
+    (dst, packet)
 }
 
-/// A TCP segment plus the peer it must be routed to.
-#[derive(Debug, Clone)]
-pub(crate) struct TcpOut {
-    /// Destination IP.
-    pub(crate) dst: Ipv4Addr,
-    /// The segment.
-    pub(crate) segment: TcpSegment,
+/// What a TCP segment did to the connection it reached, as its app hears
+/// of it: the connection completed, accepted, got in-order data (the
+/// segment's payload) and closed, each in that order when set.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TcpInput {
+    /// An outbound connection completed its handshake.
+    pub(crate) connected: bool,
+    /// An inbound connection was accepted from this peer.
+    pub(crate) accepted: Option<(Ipv4Addr, u16)>,
+    /// The segment's payload arrived in order.
+    pub(crate) data: bool,
+    /// The connection fully closed (FIN exchange or RST).
+    pub(crate) closed: bool,
 }
 
 /// Host protocol state (one per emulated host).
@@ -173,8 +189,8 @@ pub(crate) struct HostState {
     /// ARP cache: IP → MAC. Updated by *any* received ARP packet, including
     /// unsolicited replies — the behaviour ARP spoofing exploits.
     pub(crate) arp_cache: HashMap<Ipv4Addr, MacAddr>,
-    /// IP packets queued waiting for ARP resolution, per destination.
-    pub(crate) arp_pending: HashMap<Ipv4Addr, Vec<(u8, Vec<u8>)>>,
+    /// IPv4 packets queued waiting for ARP resolution, per destination.
+    pub(crate) arp_pending: HashMap<Ipv4Addr, Vec<Bytes>>,
     /// Bound UDP ports.
     pub(crate) udp_bound: Vec<u16>,
     /// Listening TCP ports.
@@ -228,111 +244,104 @@ impl HostState {
     }
 
     /// The connection `id` names, if the host has one.
-    fn conn(&self, id: ConnId) -> Option<&TcpConn> {
-        self.conns.get(usize::try_from(id.0.checked_sub(1)?).ok()?)
-    }
-
     fn conn_mut(&mut self, id: ConnId) -> Option<&mut TcpConn> {
         self.conns
             .get_mut(usize::try_from(id.0.checked_sub(1)?).ok()?)
     }
 
-    /// Initiates an outbound connection; returns the id and the SYN to send.
-    pub(crate) fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> (ConnId, TcpOut) {
+    /// Initiates an outbound connection; its SYN is its first output.
+    pub(crate) fn tcp_connect(&mut self, dst: Ipv4Addr, dst_port: u16) -> ConnId {
         let local_port = self.alloc_port();
         let iss = self.alloc_iss();
-        let mut conn = TcpConn::new(TcpState::SynSent, local_port, (dst, dst_port), iss);
-        let syn = conn.segment(iss, TcpFlags::SYN, Bytes::new());
-        conn.snd_nxt = iss.wrapping_add(1); // SYN consumes one sequence number
-        (self.add_conn(conn), syn)
+        let conn = TcpConn::new(TcpState::SynSent, local_port, (dst, dst_port), iss);
+        self.add_conn(conn)
     }
 
-    /// Queues application data for sending; returns segments ready to go.
-    pub(crate) fn tcp_send(&mut self, id: ConnId, data: &[u8]) -> Vec<TcpOut> {
-        let mut out = Vec::new();
+    /// Queues application data for sending.
+    pub(crate) fn tcp_send(&mut self, id: ConnId, data: &[u8]) {
         if let Some(conn) = self.conn_mut(id) {
             if matches!(conn.state, TcpState::Established | TcpState::CloseWait) {
-                conn.send_buf.extend(data.iter().copied());
-                conn.output(&mut out);
+                conn.send_buf.extend_from_slice(data);
             }
         }
-        out
     }
 
-    /// Begins an orderly close; returns segments (possibly a FIN).
-    pub(crate) fn tcp_close(&mut self, id: ConnId) -> Vec<TcpOut> {
-        let mut out = Vec::new();
+    /// Begins an orderly close: a FIN follows the queued data.
+    pub(crate) fn tcp_close(&mut self, id: ConnId) {
         let Some(conn) = self.conn_mut(id) else {
-            return out;
+            return;
         };
         conn.state = match conn.state {
             TcpState::Established => TcpState::FinWait,
             TcpState::CloseWait => TcpState::LastAck,
-            _ => return out,
+            _ => return,
         };
         conn.fin_queued = true;
-        conn.output(&mut out);
-        out
     }
 
-    /// Segments to retransmit when the connection's timer expires
+    /// The next packet connection `id` sends and its destination, or
+    /// `None` once it has sent all it has ready.
+    pub(crate) fn tcp_output(&mut self, id: ConnId) -> Option<(Ipv4Addr, Bytes)> {
+        let src = self.ip;
+        let conn = self.conn_mut(id)?;
+        let dst = conn.remote.0;
+        Some(packet(src, dst, &conn.output()?))
+    }
+
+    /// The packet to retransmit when the connection's timer expires
     /// (go-back-N from `snd_una`); the timer is no longer armed.
-    pub(crate) fn tcp_retransmit(&mut self, id: ConnId) -> Vec<TcpOut> {
-        let Some(conn) = self.conn_mut(id) else {
-            return Vec::new();
-        };
+    pub(crate) fn tcp_retransmit(&mut self, id: ConnId) -> Option<(Ipv4Addr, Bytes)> {
+        let src = self.ip;
+        let conn = self.conn_mut(id)?;
         conn.timer_armed = false;
         if conn.state == TcpState::Closed || conn.snd_nxt == conn.snd_una {
-            return Vec::new();
+            return None;
         }
-        let seq = conn.snd_una;
-        // The handshake re-sends its own segment: the SYN, or the SYN+ACK
-        // answering the peer's SYN (RFC 793).
-        let segment = match conn.state {
-            TcpState::SynSent => conn.segment(seq, TcpFlags::SYN, Bytes::new()),
-            TcpState::SynRcvd => conn.segment(seq, TcpFlags { syn: true, ..ACK }, Bytes::new()),
-            _ => {
-                // Re-send the first unacked chunk.
-                let chunk: Vec<u8> = conn.send_buf.iter().take(TCP_MSS).copied().collect();
-                let flags = TcpFlags {
-                    psh: !chunk.is_empty(),
-                    fin: chunk.is_empty() && conn.fin_sent,
-                    ..ACK
-                };
-                conn.segment(seq, flags, Bytes::from(chunk))
-            }
-        };
-        vec![segment]
+        Some(packet(src, conn.remote.0, &conn.first()))
     }
 
-    /// Whether the connection has unacknowledged data (needs a live timer).
-    pub(crate) fn tcp_needs_timer(&self, id: ConnId) -> bool {
-        self.conn(id)
-            .is_some_and(|c| c.snd_nxt != c.snd_una && c.state != TcpState::Closed)
-    }
-
-    /// Marks the connection's retransmission timer armed if it needs one
-    /// and has none; the caller then schedules it.
+    /// Marks the connection's retransmission timer armed if it needs one —
+    /// it has unacknowledged data — and has none; the caller then schedules
+    /// it.
     pub(crate) fn tcp_arm_timer(&mut self, id: ConnId) -> bool {
-        self.tcp_needs_timer(id)
-            && self
-                .conn_mut(id)
-                .is_some_and(|c| !std::mem::replace(&mut c.timer_armed, true))
+        self.conn_mut(id).is_some_and(|c| {
+            c.snd_nxt != c.snd_una
+                && c.state != TcpState::Closed
+                && !std::mem::replace(&mut c.timer_armed, true)
+        })
+    }
+
+    /// The RST answering `seg` from `src_ip` when no connection takes it,
+    /// unless `seg` is itself a RST.
+    pub(crate) fn tcp_refusal(
+        &self,
+        src_ip: Ipv4Addr,
+        seg: &TcpSegment<'_>,
+    ) -> Option<(Ipv4Addr, Bytes)> {
+        let rst = TcpSegment {
+            src_port: seg.dst_port,
+            dst_port: seg.src_port,
+            seq: seg.ack,
+            ack: seg.seq.wrapping_add(1),
+            flags: TcpFlags { rst: true, ..ACK },
+            window: 0,
+            payload: &[],
+        };
+        (!seg.flags.rst).then(|| packet(self.ip, src_ip, &rst))
     }
 
     /// Processes an incoming TCP segment addressed to this host.
     ///
-    /// Returns the segments to send, the events for the app, and the
-    /// connection the segment touched: the one it matched, or the one its
-    /// SYN opened on a listener.
+    /// Returns the connection the segment touched — the one it matched, or
+    /// the one its SYN opened on a listener — and what it did there; the
+    /// connection's output then holds what it answers. `None` when no
+    /// connection takes the segment (see [`HostState::tcp_refusal`]).
     pub(crate) fn tcp_input(
         &mut self,
         src_ip: Ipv4Addr,
-        seg: &TcpSegment,
-    ) -> (Vec<TcpOut>, Vec<SocketEvent>, Option<ConnId>) {
-        let mut out = Vec::new();
-        let mut events = Vec::new();
-
+        seg: &TcpSegment<'_>,
+    ) -> Option<(ConnId, TcpInput)> {
+        let mut input = TcpInput::default();
         // Find the connection this segment belongs to.
         let existing = self.conns.iter().position(|c| {
             c.local_port == seg.dst_port
@@ -340,40 +349,23 @@ impl HostState {
                 && c.state != TcpState::Closed
         });
         let Some(index) = existing else {
-            // New inbound SYN on a listener?
+            // New inbound SYN on a listener? Its SYN+ACK is its first output.
             if seg.flags.syn && !seg.flags.ack && self.tcp_listen.contains(&seg.dst_port) {
                 let iss = self.alloc_iss();
                 let mut conn =
                     TcpConn::new(TcpState::SynRcvd, seg.dst_port, (src_ip, seg.src_port), iss);
                 conn.rcv_nxt = seg.seq.wrapping_add(1);
-                out.push(conn.segment(iss, TcpFlags { syn: true, ..ACK }, Bytes::new()));
-                conn.snd_nxt = iss.wrapping_add(1);
-                return (out, events, Some(self.add_conn(conn)));
+                return Some((self.add_conn(conn), input));
             }
-            if !seg.flags.rst {
-                // No matching socket: refuse.
-                out.push(TcpOut {
-                    dst: src_ip,
-                    segment: TcpSegment {
-                        src_port: seg.dst_port,
-                        dst_port: seg.src_port,
-                        seq: seg.ack,
-                        ack: seg.seq.wrapping_add(1),
-                        flags: TcpFlags { rst: true, ..ACK },
-                        window: 0,
-                        payload: Bytes::new(),
-                    },
-                });
-            }
-            return (out, events, None);
+            return None;
         };
         let id = ConnId(index as u64 + 1);
         let conn = &mut self.conns[index];
 
         if seg.flags.rst {
             conn.state = TcpState::Closed;
-            events.push(SocketEvent::TcpClosed(id));
-            return (out, events, Some(id));
+            input.closed = true;
+            return Some((id, input));
         }
 
         // Handshake transitions.
@@ -382,16 +374,16 @@ impl HostState {
                 conn.rcv_nxt = seg.seq.wrapping_add(1);
                 conn.snd_una = seg.ack;
                 conn.state = TcpState::Established;
-                out.push(conn.segment(conn.snd_nxt, ACK, Bytes::new()));
-                events.push(SocketEvent::TcpConnected(id));
-                return (out, events, Some(id));
+                conn.ack_due = true;
+                input.connected = true;
+                return Some((id, input));
             }
             // Until the peer's SYN arrives, nothing else is acceptable.
-            TcpState::SynSent if !seg.flags.syn => return (out, events, Some(id)),
+            TcpState::SynSent if !seg.flags.syn => return Some((id, input)),
             TcpState::SynRcvd if seg.flags.ack && !seg.flags.syn => {
                 conn.snd_una = seg.ack;
                 conn.state = TcpState::Established;
-                events.push(SocketEvent::TcpAccepted(id, conn.remote));
+                input.accepted = Some(conn.remote);
                 // Fall through: the ACK may carry data.
             }
             _ => {}
@@ -409,49 +401,52 @@ impl HostState {
                 if conn.state == TcpState::LastAck && conn.fin_sent && conn.snd_una == conn.snd_nxt
                 {
                     conn.state = TcpState::Closed;
-                    events.push(SocketEvent::TcpClosed(id));
-                    return (out, events, Some(id));
+                    input.closed = true;
+                    return Some((id, input));
                 }
-                // More queued data may now flow.
-                conn.output(&mut out);
             }
         }
 
         // In-order data delivery.
-        let mut should_ack = false;
         if !seg.payload.is_empty() {
             if seg.seq == conn.rcv_nxt {
                 conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
-                events.push(SocketEvent::TcpData(id, seg.payload.clone()));
+                input.data = true;
             }
             // Out-of-order or duplicate: just re-ACK rcv_nxt.
-            should_ack = true;
+            conn.ack_due = true;
         }
 
         // Peer FIN.
         if seg.flags.fin && seg.seq == conn.rcv_nxt {
             conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
-            should_ack = true;
+            conn.ack_due = true;
             match conn.state {
                 TcpState::Established => conn.state = TcpState::CloseWait,
                 TcpState::FinWait => {
                     conn.state = TcpState::Closed;
-                    events.push(SocketEvent::TcpClosed(id));
+                    input.closed = true;
                 }
                 _ => {}
             }
         }
-
-        if should_ack {
-            out.push(conn.segment(conn.snd_nxt, ACK, Bytes::new()));
-        }
-        (out, events, Some(id))
+        Some((id, input))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Ipv4Packet;
+
+    /// What an app hears of a segment.
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        Connected(ConnId),
+        Accepted(ConnId),
+        Data(ConnId, Vec<u8>),
+        Closed(ConnId),
+    }
 
     fn pair() -> (HostState, HostState) {
         let a = HostState::new(MacAddr::from_index(1), Ipv4Addr::new(10, 0, 0, 1));
@@ -459,28 +454,63 @@ mod tests {
         (a, b)
     }
 
-    /// Ferries segments between two host stacks until quiescent.
+    /// The TCP segment an IPv4 packet carries.
+    fn segment(packet: &[u8]) -> TcpSegment<'_> {
+        let ip = Ipv4Packet::decode(packet).expect("an IPv4 packet");
+        TcpSegment::decode(ip.payload).expect("a TCP segment")
+    }
+
+    /// Every packet `host` has ready on `conn`.
+    fn output(host: &mut HostState, conn: ConnId) -> Vec<Bytes> {
+        std::iter::from_fn(|| host.tcp_output(conn).map(|(_, packet)| packet)).collect()
+    }
+
+    /// Delivers `packet` from `from` to `host`: the events it raises and
+    /// the packets `host` answers with.
+    fn deliver(host: &mut HostState, from: Ipv4Addr, packet: &[u8]) -> (Vec<Event>, Vec<Bytes>) {
+        let seg = segment(packet);
+        let Some((id, input)) = host.tcp_input(from, &seg) else {
+            let refusal = host.tcp_refusal(from, &seg).map(|(_, packet)| packet);
+            return (Vec::new(), refusal.into_iter().collect());
+        };
+        let mut events = Vec::new();
+        if input.connected {
+            events.push(Event::Connected(id));
+        }
+        if input.accepted.is_some() {
+            events.push(Event::Accepted(id));
+        }
+        if input.data {
+            events.push(Event::Data(id, seg.payload.to_vec()));
+        }
+        if input.closed {
+            events.push(Event::Closed(id));
+        }
+        (events, output(host, id))
+    }
+
+    /// Ferries packets between two host stacks until quiescent.
     fn exchange(
         a: &mut HostState,
         b: &mut HostState,
-        mut from_a: Vec<TcpOut>,
-    ) -> (Vec<SocketEvent>, Vec<SocketEvent>) {
+        mut from_a: Vec<Bytes>,
+    ) -> (Vec<Event>, Vec<Event>) {
         let mut ev_a = Vec::new();
         let mut ev_b = Vec::new();
-        let mut from_b: Vec<TcpOut> = Vec::new();
+        let mut from_b: Vec<Bytes> = Vec::new();
         for _ in 0..64 {
             if from_a.is_empty() && from_b.is_empty() {
                 break;
             }
             let mut next_from_b = Vec::new();
-            for out in from_a.drain(..) {
-                let (outs, evs, _) = b.tcp_input(a.ip, &out.segment);
+            for packet in from_a.drain(..) {
+                let (evs, outs) = deliver(b, a.ip, &packet);
                 next_from_b.extend(outs);
                 ev_b.extend(evs);
             }
             let mut next_from_a = Vec::new();
-            for out in from_b.drain(..) {
-                let (outs, evs, _) = a.tcp_input(b.ip, &out.segment);
+            for packet in from_b.drain(..) {
+                let (evs, outs) = deliver(a, b.ip, &packet);
                 next_from_a.extend(outs);
                 ev_a.extend(evs);
             }
@@ -490,54 +520,53 @@ mod tests {
         (ev_a, ev_b)
     }
 
+    /// Opens a connection from `a` to `b`'s `port` and returns both ends.
+    fn connect(a: &mut HostState, b: &mut HostState, port: u16) -> (ConnId, ConnId) {
+        b.tcp_listen.push(port);
+        let conn_a = a.tcp_connect(b.ip, port);
+        let syn = output(a, conn_a);
+        let (ev_a, ev_b) = exchange(a, b, syn);
+        assert_eq!(ev_a, [Event::Connected(conn_a)]);
+        match ev_b[..] {
+            [Event::Accepted(conn_b)] => (conn_a, conn_b),
+            ref other => panic!("expected accept, got {other:?}"),
+        }
+    }
+
     #[test]
     fn handshake_and_data() {
         let (mut a, mut b) = pair();
-        b.tcp_listen.push(102);
-        let (conn_a, syn) = a.tcp_connect(b.ip, 102);
-        let (ev_a, ev_b) = exchange(&mut a, &mut b, vec![syn]);
-        assert!(ev_a.contains(&SocketEvent::TcpConnected(conn_a)));
-        assert!(matches!(ev_b[0], SocketEvent::TcpAccepted(..)));
-
-        let outs = a.tcp_send(conn_a, b"hello world");
+        let (conn_a, conn_b) = connect(&mut a, &mut b, 102);
+        a.tcp_send(conn_a, b"hello world");
+        let outs = output(&mut a, conn_a);
         let (_, ev_b) = exchange(&mut a, &mut b, outs);
-        assert!(ev_b
-            .iter()
-            .any(|e| matches!(e, SocketEvent::TcpData(_, d) if d.as_ref() == b"hello world")));
+        assert_eq!(ev_b, [Event::Data(conn_b, b"hello world".to_vec())]);
     }
 
     #[test]
     fn bidirectional_data() {
         let (mut a, mut b) = pair();
-        b.tcp_listen.push(502);
-        let (conn_a, syn) = a.tcp_connect(b.ip, 502);
-        let (_, ev_b) = exchange(&mut a, &mut b, vec![syn]);
-        let conn_b = match ev_b[0] {
-            SocketEvent::TcpAccepted(id, _) => id,
-            ref other => panic!("expected accept, got {other:?}"),
-        };
-        let outs = b.tcp_send(conn_b, b"response");
+        let (conn_a, conn_b) = connect(&mut a, &mut b, 502);
+        b.tcp_send(conn_b, b"response");
+        let outs = output(&mut b, conn_b);
         // Segments now flow b->a; reuse exchange with roles swapped.
         let (_, ev_a) = exchange(&mut b, &mut a, outs);
-        assert!(ev_a
-            .iter()
-            .any(|e| matches!(e, SocketEvent::TcpData(id, d) if *id == conn_a && d.as_ref() == b"response")));
+        assert_eq!(ev_a, [Event::Data(conn_a, b"response".to_vec())]);
     }
 
     #[test]
     fn large_transfer_segments_and_reassembles() {
         let (mut a, mut b) = pair();
-        b.tcp_listen.push(102);
-        let (conn_a, syn) = a.tcp_connect(b.ip, 102);
-        exchange(&mut a, &mut b, vec![syn]);
+        let (conn_a, _) = connect(&mut a, &mut b, 102);
         let big: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-        let outs = a.tcp_send(conn_a, &big);
+        a.tcp_send(conn_a, &big);
+        let outs = output(&mut a, conn_a);
         assert!(outs.len() >= 4, "payload must be segmented at MSS");
         let (_, ev_b) = exchange(&mut a, &mut b, outs);
         let received: Vec<u8> = ev_b
-            .iter()
+            .into_iter()
             .filter_map(|e| match e {
-                SocketEvent::TcpData(_, d) => Some(d.to_vec()),
+                Event::Data(_, d) => Some(d),
                 _ => None,
             })
             .flatten()
@@ -548,72 +577,57 @@ mod tests {
     #[test]
     fn orderly_close_both_sides() {
         let (mut a, mut b) = pair();
-        b.tcp_listen.push(102);
-        let (conn_a, syn) = a.tcp_connect(b.ip, 102);
-        let (_, ev_b) = exchange(&mut a, &mut b, vec![syn]);
-        let conn_b = match ev_b[0] {
-            SocketEvent::TcpAccepted(id, _) => id,
-            ref other => panic!("unexpected {other:?}"),
-        };
+        let (conn_a, conn_b) = connect(&mut a, &mut b, 102);
         // a closes; b sees CloseWait (no event yet), then b closes too.
-        let fin = a.tcp_close(conn_a);
+        a.tcp_close(conn_a);
+        let fin = output(&mut a, conn_a);
         exchange(&mut a, &mut b, fin);
-        assert_eq!(b.conn(conn_b).unwrap().state, TcpState::CloseWait);
-        let fin_b = b.tcp_close(conn_b);
+        assert_eq!(b.conn_mut(conn_b).unwrap().state, TcpState::CloseWait);
+        b.tcp_close(conn_b);
+        let fin_b = output(&mut b, conn_b);
         let (ev_a2, ev_b2) = exchange(&mut b, &mut a, fin_b);
-        assert!(ev_a2.contains(&SocketEvent::TcpClosed(conn_b)));
-        assert!(ev_b2.contains(&SocketEvent::TcpClosed(conn_a)));
+        assert!(ev_a2.contains(&Event::Closed(conn_b)));
+        assert!(ev_b2.contains(&Event::Closed(conn_a)));
     }
 
     #[test]
     fn syn_to_closed_port_gets_rst() {
         let (mut a, mut b) = pair();
-        let (conn_a, syn) = a.tcp_connect(b.ip, 9999);
-        let (outs, _, _) = b.tcp_input(a.ip, &syn.segment);
+        let conn_a = a.tcp_connect(b.ip, 9999);
+        let syn = output(&mut a, conn_a);
+        let (_, outs) = deliver(&mut b, a.ip, &syn[0]);
         assert_eq!(outs.len(), 1);
-        assert!(outs[0].segment.flags.rst);
-        let (_, evs, _) = a.tcp_input(b.ip, &outs[0].segment);
-        assert!(evs.contains(&SocketEvent::TcpClosed(conn_a)));
+        assert!(segment(&outs[0]).flags.rst);
+        let (evs, _) = deliver(&mut a, b.ip, &outs[0]);
+        assert_eq!(evs, [Event::Closed(conn_a)]);
     }
 
     #[test]
     fn retransmission_recovers_lost_segment() {
         let (mut a, mut b) = pair();
-        b.tcp_listen.push(102);
-        let (conn_a, syn) = a.tcp_connect(b.ip, 102);
-        exchange(&mut a, &mut b, vec![syn]);
+        let (conn_a, conn_b) = connect(&mut a, &mut b, 102);
         // Send data but "lose" it (never deliver).
-        let lost = a.tcp_send(conn_a, b"important");
-        assert_eq!(lost.len(), 1);
-        assert!(a.tcp_needs_timer(conn_a));
+        a.tcp_send(conn_a, b"important");
+        assert_eq!(output(&mut a, conn_a).len(), 1);
+        assert!(a.tcp_arm_timer(conn_a), "unacknowledged data needs a timer");
         // Timer fires: retransmit and deliver this time.
-        let rexmit = a.tcp_retransmit(conn_a);
-        assert_eq!(rexmit.len(), 1);
-        assert_eq!(rexmit[0].segment.payload.as_ref(), b"important");
-        let (_, ev_b) = exchange(&mut a, &mut b, rexmit);
-        assert!(ev_b
-            .iter()
-            .any(|e| matches!(e, SocketEvent::TcpData(_, d) if d.as_ref() == b"important")));
-        assert!(!a.tcp_needs_timer(conn_a));
+        let (_, rexmit) = a.tcp_retransmit(conn_a).unwrap();
+        assert_eq!(segment(&rexmit).payload, b"important");
+        let (_, ev_b) = exchange(&mut a, &mut b, vec![rexmit]);
+        assert_eq!(ev_b, [Event::Data(conn_b, b"important".to_vec())]);
+        assert!(!a.tcp_arm_timer(conn_a), "acknowledged data needs none");
     }
 
     #[test]
     fn duplicate_data_not_delivered_twice() {
         let (mut a, mut b) = pair();
-        b.tcp_listen.push(102);
-        let (conn_a, syn) = a.tcp_connect(b.ip, 102);
-        exchange(&mut a, &mut b, vec![syn]);
-        let outs = a.tcp_send(conn_a, b"once");
-        let seg = outs[0].clone();
-        let (_, ev1, _) = b.tcp_input(a.ip, &seg.segment);
-        let (_, ev2, _) = b.tcp_input(a.ip, &seg.segment);
-        let datas = |evs: &[SocketEvent]| {
-            evs.iter()
-                .filter(|e| matches!(e, SocketEvent::TcpData(..)))
-                .count()
-        };
-        assert_eq!(datas(&ev1), 1);
-        assert_eq!(datas(&ev2), 0, "duplicate must be dropped");
+        let (conn_a, conn_b) = connect(&mut a, &mut b, 102);
+        a.tcp_send(conn_a, b"once");
+        let outs = output(&mut a, conn_a);
+        let (ev1, _) = deliver(&mut b, a.ip, &outs[0]);
+        let (ev2, _) = deliver(&mut b, a.ip, &outs[0]);
+        assert_eq!(ev1, [Event::Data(conn_b, b"once".to_vec())]);
+        assert_eq!(ev2, [], "duplicate must be dropped");
     }
 
     #[test]

@@ -54,6 +54,6 @@ pub use frame::{
     internet_checksum, ipproto, ArpPacket, EthernetFrame, Ipv4Packet, TcpFlags, TcpSegment,
     UdpDatagram,
 };
-pub use host::{ConnId, SocketEvent, TcpState, TCP_MSS};
+pub use host::{ConnId, TcpState, TCP_MSS};
 pub use sim::{CapturedFrame, Dispatched, LinkSpec, Network, NodeId};
 pub use time::{SimDuration, SimTime};

@@ -4,8 +4,9 @@
 use crate::addr::{ethertype, Ipv4Addr, MacAddr};
 use crate::app::{AppPlane, HostCtx, SocketApp};
 use crate::frame::{ipproto, ArpPacket, EthernetFrame, Ipv4Packet, TcpSegment, UdpDatagram};
-use crate::host::{ConnId, HostState, SocketEvent, TcpOut};
+use crate::host::{ConnId, HostState, TcpInput};
 use crate::time::{SimDuration, SimTime};
+use bytes::Bytes;
 use sgcr_faults::{FaultRng, LinkFault};
 use sgcr_obs::{
     buckets, Counter, Event as ObsEvent, Histogram, Name, Plane, Telemetry, TraceCtx, Tracer,
@@ -219,6 +220,17 @@ pub(crate) enum Event {
         node: NodeId,
         conn: ConnId,
     },
+}
+
+/// What the stack hands a host's app from a received IPv4 frame, after its
+/// raw delivery. Payloads borrow the frame.
+enum Arrival<'f> {
+    /// A packet for another IP, with transit delivery on (the MITM hook).
+    Transit,
+    /// A datagram from this address to a bound port.
+    Udp(Ipv4Addr, UdpDatagram<'f>),
+    /// A segment of this connection: what it did there, and its payload.
+    Tcp(ConnId, TcpInput, &'f [u8]),
 }
 
 /// A queued event, ordered by `(time, lane, id)`: lane 0 is a tick, whose
@@ -701,46 +713,29 @@ impl Network {
 
     // ----- IP / frame transmission ----------------------------------------
 
-    /// Sends TCP segments from `node`, then arms `conn`'s retransmission
-    /// timer if it needs one and has none.
-    pub(crate) fn send_tcp(
-        &mut self,
-        node: NodeId,
-        outs: impl IntoIterator<Item = TcpOut>,
-        conn: Option<ConnId>,
-    ) {
-        for out in outs {
-            self.send_ip(node, out.dst, ipproto::TCP, out.segment.encode());
+    /// Sends every packet connection `conn` of `node` has ready, then arms
+    /// its retransmission timer if it needs one and has none.
+    pub(crate) fn send_tcp(&mut self, node: NodeId, conn: ConnId) {
+        while let Some((dst, packet)) = self.host_mut(node).state.tcp_output(conn) {
+            self.send_packet(node, dst, packet);
         }
-        let Some(conn) = conn else {
-            return;
-        };
         if self.host_mut(node).state.tcp_arm_timer(conn) {
             self.schedule(TCP_RTO, Event::TcpTimer { node, conn });
         }
     }
 
-    pub(crate) fn send_ip(&mut self, node: NodeId, dst: Ipv4Addr, proto: u8, transport: Vec<u8>) {
+    /// Sends an IPv4 packet from `node` to `dst`: framed to `dst`'s MAC if
+    /// the host's ARP cache has it, else queued behind an ARP request.
+    pub(crate) fn send_packet(&mut self, node: NodeId, dst: Ipv4Addr, packet: Bytes) {
         let state = &mut self.host_mut(node).state;
-        let src_ip = state.ip;
-        match state.arp_cache.get(&dst).copied() {
-            Some(dst_mac) => {
-                let packet = Ipv4Packet::new(src_ip, dst, proto, transport);
-                let frame =
-                    EthernetFrame::new(dst_mac, state.mac, ethertype::IPV4, packet.encode());
-                self.transmit(node, 0, frame);
-            }
+        let frame = match state.arp_cache.get(&dst).copied() {
+            Some(dst_mac) => EthernetFrame::new(dst_mac, state.mac, ethertype::IPV4, packet),
             None => {
-                state
-                    .arp_pending
-                    .entry(dst)
-                    .or_default()
-                    .push((proto, transport));
-                let req = ArpPacket::request(state.mac, src_ip, dst);
-                let frame = req.into_frame(MacAddr::BROADCAST);
-                self.transmit(node, 0, frame);
+                state.arp_pending.entry(dst).or_default().push(packet);
+                ArpPacket::request(state.mac, state.ip, dst).into_frame(MacAddr::BROADCAST)
             }
-        }
+        };
+        self.transmit(node, 0, frame);
     }
 
     /// Transmits a frame out of `node`'s `port`, modelling serialization
@@ -971,8 +966,10 @@ impl Network {
                 self.with_app(node, |app, ctx| app.on_timer(ctx, token));
             }
             Event::TcpTimer { conn, .. } => {
-                let outs = self.host_mut(node).state.tcp_retransmit(conn);
-                self.send_tcp(node, outs, Some(conn));
+                if let Some((dst, packet)) = self.host_mut(node).state.tcp_retransmit(conn) {
+                    self.send_packet(node, dst, packet);
+                }
+                self.send_tcp(node, conn);
             }
             // Dispatched above.
             Event::Tick { .. } => {}
@@ -1029,25 +1026,19 @@ impl Network {
                         bytes,
                     });
                 // Stack processing for frames addressed to our MAC/broadcast.
-                let mut events: Vec<SocketEvent> = Vec::new();
-                let mut transit = false;
+                let mut arrival = None;
                 if frame.dst == mac || frame.dst.is_broadcast() {
                     match frame.ethertype {
                         ethertype::ARP => self.process_arp(node, &frame),
-                        ethertype::IPV4 => {
-                            transit = self.process_ipv4(node, &frame, &mut events);
-                        }
+                        ethertype::IPV4 => arrival = self.process_ipv4(node, &frame),
                         _ => {}
                     }
                 }
                 // Raw delivery (after stack, so ARP replies are already
                 // usable from within on_raw_frame).
                 self.with_app(node, |app, ctx| app.on_raw_frame(ctx, &frame));
-                if transit {
-                    self.with_app(node, |app, ctx| app.on_transit_ip(ctx, &frame));
-                }
-                for ev in events {
-                    self.deliver_socket_event(node, ev);
+                if let Some(arrival) = arrival {
+                    self.deliver(node, &frame, arrival);
                 }
             }
         }
@@ -1057,85 +1048,77 @@ impl Network {
         let Some(arp) = ArpPacket::decode(&frame.payload) else {
             return;
         };
-        let (our_ip, our_mac) = {
-            let s = &self.host(node).state;
-            (s.ip, s.mac)
-        };
+        let state = &mut self.host_mut(node).state;
+        let (our_ip, our_mac) = (state.ip, state.mac);
         // Learn the sender unconditionally — including unsolicited replies.
         // This is standard ARP behaviour and exactly what ARP spoofing
         // (the paper's MITM case study) exploits.
-        {
-            let s = &mut self.host_mut(node).state;
-            s.arp_cache.insert(arp.sender_ip, arp.sender_mac);
-        }
-        // Flush packets that were waiting on this resolution.
-        let pending = self
-            .host_mut(node)
-            .state
-            .arp_pending
-            .remove(&arp.sender_ip)
-            .unwrap_or_default();
-        for (proto, transport) in pending {
-            self.send_ip(node, arp.sender_ip, proto, transport);
+        state.arp_cache.insert(arp.sender_ip, arp.sender_mac);
+        // Frame the packets that were waiting on this resolution.
+        let pending = state.arp_pending.remove(&arp.sender_ip);
+        for packet in pending.into_iter().flatten() {
+            let frame = EthernetFrame::new(arp.sender_mac, our_mac, ethertype::IPV4, packet);
+            self.transmit(node, 0, frame);
         }
         // Answer requests for our address.
         if arp.operation == ArpPacket::REQUEST && arp.target_ip == our_ip {
             let reply = ArpPacket::reply(our_mac, our_ip, arp.sender_mac, arp.sender_ip);
-            let frame = reply.into_frame(arp.sender_mac);
-            self.transmit(node, 0, frame);
+            self.transmit(node, 0, reply.into_frame(arp.sender_mac));
         }
     }
 
-    /// Returns `true` if the packet is transit (for the MITM hook).
-    fn process_ipv4(
-        &mut self,
-        node: NodeId,
-        frame: &EthernetFrame,
-        events: &mut Vec<SocketEvent>,
-    ) -> bool {
-        let Some(packet) = Ipv4Packet::decode(&frame.payload) else {
-            return false;
-        };
-        let our_ip = self.host(node).state.ip;
-        if packet.dst != our_ip {
-            return self.host(node).state.deliver_transit;
+    /// Runs the stack on an IPv4 frame addressed to `node`, answering a
+    /// TCP segment here, and returns what the app hears of it.
+    fn process_ipv4<'f>(&mut self, node: NodeId, frame: &'f EthernetFrame) -> Option<Arrival<'f>> {
+        let packet = Ipv4Packet::decode(&frame.payload)?;
+        let state = &mut self.host_mut(node).state;
+        if packet.dst != state.ip {
+            return state.deliver_transit.then_some(Arrival::Transit);
         }
         match packet.protocol {
             ipproto::UDP => {
-                if let Some(dgram) = UdpDatagram::decode(&packet.payload) {
-                    if self.host(node).state.udp_bound.contains(&dgram.dst_port) {
-                        events.push(SocketEvent::Udp {
-                            src: (packet.src, dgram.src_port),
-                            dst_port: dgram.dst_port,
-                            data: dgram.payload,
-                        });
-                    }
-                }
+                let datagram = UdpDatagram::decode(packet.payload)?;
+                let bound = state.udp_bound.contains(&datagram.dst_port);
+                bound.then_some(Arrival::Udp(packet.src, datagram))
             }
             ipproto::TCP => {
-                if let Some(seg) = TcpSegment::decode(&packet.payload) {
-                    let (outs, evs, conn) = self.host_mut(node).state.tcp_input(packet.src, &seg);
-                    self.send_tcp(node, outs, conn);
-                    events.extend(evs);
-                }
+                let segment = TcpSegment::decode(packet.payload)?;
+                let Some((conn, input)) = state.tcp_input(packet.src, &segment) else {
+                    if let Some((dst, rst)) = state.tcp_refusal(packet.src, &segment) {
+                        self.send_packet(node, dst, rst);
+                    }
+                    return None;
+                };
+                self.send_tcp(node, conn);
+                Some(Arrival::Tcp(conn, input, segment.payload))
             }
-            _ => {}
+            _ => None,
         }
-        false
     }
 
-    fn deliver_socket_event(&mut self, node: NodeId, ev: SocketEvent) {
-        self.with_app(node, |app, ctx| match ev {
-            SocketEvent::TcpConnected(c) => app.on_tcp_connected(ctx, c),
-            SocketEvent::TcpAccepted(c, peer) => app.on_tcp_accepted(ctx, c, peer),
-            SocketEvent::TcpData(c, data) => app.on_tcp_data(ctx, c, &data),
-            SocketEvent::TcpClosed(c) => app.on_tcp_closed(ctx, c),
-            SocketEvent::Udp {
-                src,
-                dst_port,
-                data,
-            } => app.on_udp(ctx, src, dst_port, &data),
-        });
+    /// Hands `node`'s app what the stack made of `frame`.
+    fn deliver(&mut self, node: NodeId, frame: &EthernetFrame, arrival: Arrival<'_>) {
+        match arrival {
+            Arrival::Transit => self.with_app(node, |app, ctx| app.on_transit_ip(ctx, frame)),
+            Arrival::Udp(src, datagram) => self.with_app(node, |app, ctx| {
+                let from = (src, datagram.src_port);
+                app.on_udp(ctx, from, datagram.dst_port, datagram.payload);
+            }),
+            Arrival::Tcp(conn, input, data) => {
+                if input.connected {
+                    self.with_app(node, |app, ctx| app.on_tcp_connected(ctx, conn));
+                }
+                if let Some(peer) = input.accepted {
+                    self.with_app(node, |app, ctx| app.on_tcp_accepted(ctx, conn, peer));
+                }
+                if input.data {
+                    self.with_app(node, |app, ctx| app.on_tcp_data(ctx, conn, data));
+                }
+                if input.closed {
+                    self.with_app(node, |app, ctx| app.on_tcp_closed(ctx, conn));
+                }
+            }
+        }
     }
 
     fn with_app<F>(&mut self, node: NodeId, f: F)

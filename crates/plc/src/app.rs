@@ -6,7 +6,7 @@ use crate::runtime::PlcRuntime;
 use crate::st::interp::StValue;
 use parking_lot::Mutex;
 use sgcr_iec61850::{
-    DataValue, GooseSubscriber, MmsClient, MmsPdu, MmsRequest, MmsResponse, MMS_PORT,
+    DataValue, GoosePdu, GooseSubscriber, MmsClient, MmsPdu, MmsRequest, MmsResponse, MMS_PORT,
 };
 use sgcr_modbus::{ModbusServerApp, SharedRegisters};
 use sgcr_net::{
@@ -301,10 +301,14 @@ impl PlcApp {
         ctx.set_timer(self.scan_period, TOKEN_SCAN);
     }
 
+    /// Hands a received GOOSE frame, decoded once, to every subscriber.
     fn handle_goose_frame(&mut self, ctx: &mut HostCtx<'_>, frame: &EthernetFrame) {
         let now = ctx.now();
+        let Ok((_, pdu)) = GoosePdu::decode(&frame.payload) else {
+            return;
+        };
         for (sub, fed) in &mut self.goose_subs {
-            if sub.process(now, frame).is_none() {
+            if sub.process(now, &pdu).is_none() {
                 continue;
             }
             let mut span =

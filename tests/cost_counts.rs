@@ -20,6 +20,9 @@
 use sg_cyber_range::core::{breaker_cmd_key, CompiledModel, CyberRange, RangeBuilder};
 use sg_cyber_range::kvstore::Value;
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
+use sg_cyber_range::net::{
+    ConnId, HostCtx, Ipv4Addr, LinkSpec, Network, SimDuration, SimTime, SocketApp,
+};
 use sg_cyber_range::obs::Telemetry;
 use sg_cyber_range::plc::{parse_program, Interpreter, StValue};
 use sg_cyber_range::powerflow::{SolveOptions, Solver};
@@ -153,8 +156,11 @@ fn check_fresh_tenant(name: &str, model: &Arc<CompiledModel>, heap: isize, alloc
 /// Since the HMI shares its configuration and keeps its tags by point
 /// index it measures 420,774 B and makes 4,019 allocations (421,101 B →
 /// 420,774 B, 4,035 → 4,019), and 417,526 B since each MMS server keeps its
-/// sessions in a `BTreeMap` and no port (420,774 B → 417,526 B). Each bound
-/// leaves 10% headroom (the bounds were 453 and 452 KiB and 4,439).
+/// sessions in a `BTreeMap` and no port (420,774 B → 417,526 B), and
+/// 420,022 B since each IED's GOOSE publisher keeps the PDU it retransmits
+/// in place of its configuration, 24 B more per IED (417,526 B →
+/// 420,022 B; the bound stands). Each bound leaves 10% headroom (the bounds
+/// were 453 and 452 KiB and 4,439).
 const PAPER_TENANT_BOUND: isize = 449 * 1024;
 const PAPER_TENANT_ALLOCS: u64 = 4_421;
 
@@ -168,8 +174,10 @@ const PAPER_TENANT_ALLOCS: u64 = 4_421;
 /// bindings and the SCADA configuration shared, not copied, it measures
 /// 41,026 B and makes 461 allocations (45,651 B → 41,026 B, 531 → 461), and
 /// 40,866 B since each MMS server keeps its sessions in a `BTreeMap` and no
-/// port (41,026 B → 40,866 B). Each bound leaves 10% headroom (the bounds
-/// were 50 KiB, 45,129 B and 585).
+/// port (41,026 B → 40,866 B), and 41,058 B since each GOOSE publisher keeps
+/// the PDU it retransmits (40,866 B → 41,058 B; the bound stands, 9.5%
+/// over). Each bound leaves 10% headroom (the bounds were 50 KiB, 45,129 B
+/// and 585).
 const EPIC_TENANT_BOUND: isize = 44_953;
 const EPIC_TENANT_ALLOCS: u64 = 507;
 
@@ -211,9 +219,11 @@ fn allocations_per_step(range: &mut CyberRange) -> f64 {
 /// alone, 34.5 with both. It measures 33.5 since the HMI maps a read to its
 /// points by position and an update allocates no key (34.5 → 33.5), and 26.0
 /// since the BER encoders write each PDU into one buffer and an MMS poll
-/// copies no item (33.5 → 26.0). Each bound here leaves 10% headroom (36.9
-/// before).
-const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 28.6;
+/// copies no item (33.5 → 26.0). It measures 6.0 since a send writes each
+/// frame's headers and payload into one buffer and a receive reads every
+/// layer in place (26.0 → 6.0; the bound was 28.6). Each bound here leaves
+/// 10% headroom.
+const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 6.6;
 
 /// An EPIC step from step 1,200, telemetry off: 361.9 per step while a
 /// replay cloned its result, 358.9 until the network stopped collecting per
@@ -223,17 +233,23 @@ const PAPER_QUIESCENT_STEP_ALLOCS: f64 = 28.6;
 /// the PLC and the HMI map replies to their bindings by position (284.3 →
 /// 242.8; the bound was 313). It measures 196.0 since the BER encoders
 /// nest each TLV in place, writing each PDU into one buffer, and the MMS
-/// client keeps no copy of a request (242.8 → 196.0; the bound was 267).
-const EPIC_STEP_ALLOCS: f64 = 215.6;
+/// client keeps no copy of a request (242.8 → 196.0; the bound was 267). It
+/// measures 56.6 since the network stack writes each frame it sends into
+/// one buffer and reads each frame it receives in place, the MMS peers
+/// frame each PDU once and read TPKT payloads in place, and GOOSE is
+/// decoded once per frame (196.0 → 56.6; the bound was 215.6).
+const EPIC_STEP_ALLOCS: f64 = 62.3;
 
 /// The paper step that applies a breaker command written through the store
 /// at step 100: 888 allocations, most of them the re-solve of the new
 /// topology and the IEDs that sample it; 887 since the solver no longer
 /// copies the changed breaker into a record, 810 since the network
 /// collects nothing per event, and 800 since the HMI keeps its tags by
-/// point index (810 → 800; the bound was 891), and 765 since the BER
-/// encoders write each PDU into one buffer (800 → 765; the bound was 880).
-const PAPER_COMMAND_STEP_ALLOCS: u64 = 842;
+/// point index (810 → 800; the bound was 891), 765 since the BER encoders
+/// write each PDU into one buffer (800 → 765; the bound was 880), and 600
+/// since a frame is one buffer that every layer reads in place (765 → 600;
+/// the bound was 842).
+const PAPER_COMMAND_STEP_ALLOCS: u64 = 660;
 
 /// One scan of the EPIC CPLC program, from its second scan on: 30
 /// allocations while a scan cloned the program body and every write
@@ -389,10 +405,13 @@ fn a_quiescent_paper_step_wakes_no_quiet_ied() {
 /// 1,644,684 B) and 242.7 per step (284.2 → 242.7; the bounds were 1,773
 /// KiB and 313). With one BER buffer per PDU and no request copied by the
 /// MMS client it measures 1,605 KiB (1,644,684 B → 1,643,079 B) and 195.9
-/// per step (242.7 → 195.9; the bounds were 1,767 KiB and 267). Each bound
-/// leaves 10% headroom.
-const EPIC_JOURNALED_HEAP: isize = 1_766 * 1024;
-const EPIC_JOURNALED_STEP_ALLOCS: f64 = 215.5;
+/// per step (242.7 → 195.9; the bounds were 1,767 KiB and 267). With one
+/// buffer per frame it makes 56.5 per step (195.9 → 56.5; the bound was
+/// 215.5) and holds 1,643,723 B (1,643,079 B → 1,643,723 B: the thread's
+/// reused packet buffer, and each IED's GOOSE publisher keeping the PDU it
+/// retransmits; the bound was 1,766 KiB). Each bound leaves 10% headroom.
+const EPIC_JOURNALED_HEAP: isize = 1_808_096;
+const EPIC_JOURNALED_STEP_ALLOCS: f64 = 62.2;
 const EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD: f64 = 1.1 / 42_338.0;
 
 #[test]
@@ -425,5 +444,88 @@ fn a_journaled_epic_tenant_stays_within_its_bounds() {
         per_record <= EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD,
         "rendering {records} records makes {per_record} allocations per record \
          (bound {EPIC_JOURNAL_EXPORT_ALLOCS_PER_RECORD})"
+    );
+}
+
+/// One end of a TCP and UDP exchange: every millisecond the client sends
+/// its peer a 100-byte TCP message and a 100-byte UDP datagram, and the
+/// server echoes each back. Neither allocates: they send from a fixed
+/// buffer or echo the bytes they were lent.
+struct Exchange {
+    /// The server's address, on the client.
+    server: Option<Ipv4Addr>,
+    conn: Option<ConnId>,
+}
+
+const EXCHANGE_PORT: u16 = 7000;
+
+impl SocketApp for Exchange {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        ctx.bind_udp(EXCHANGE_PORT);
+        match self.server {
+            Some(server) => {
+                ctx.tcp_connect(server, EXCHANGE_PORT);
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            None => ctx.tcp_listen(EXCHANGE_PORT),
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+        let (Some(server), Some(conn)) = (self.server, self.conn) else {
+            return;
+        };
+        ctx.tcp_send(conn, &[0x5a; 100]);
+        ctx.send_udp(server, EXCHANGE_PORT, EXCHANGE_PORT, &[0xa5; 100]);
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+
+    fn on_tcp_connected(&mut self, _ctx: &mut HostCtx<'_>, conn: ConnId) {
+        self.conn = Some(conn);
+    }
+
+    fn on_tcp_data(&mut self, ctx: &mut HostCtx<'_>, conn: ConnId, data: &[u8]) {
+        if self.server.is_none() {
+            ctx.tcp_send(conn, data);
+        }
+    }
+
+    fn on_udp(&mut self, ctx: &mut HostCtx<'_>, src: (Ipv4Addr, u16), _dst_port: u16, data: &[u8]) {
+        if self.server.is_none() {
+            ctx.send_udp(src.0, src.1, EXCHANGE_PORT, data);
+        }
+    }
+}
+
+/// Two hosts on a switch exchanging TCP data and UDP datagrams, from 100 ms
+/// on, when ARP has resolved and every buffer has grown: the network stack
+/// made about nine allocations per frame a host sent while each layer of a
+/// send encoded into a fresh buffer and each layer of a receive copied its
+/// payload out, and makes one since: the frame's payload, written once.
+#[test]
+fn a_host_sends_each_frame_with_one_allocation_and_receives_it_with_none() {
+    let mut net = Network::new();
+    let switch = net.add_switch("sw");
+    let server = Ipv4Addr::new(10, 0, 0, 1);
+    let hosts = [
+        (net.add_host("server", server), None),
+        (
+            net.add_host("client", Ipv4Addr::new(10, 0, 0, 2)),
+            Some(server),
+        ),
+    ];
+    for (host, server) in hosts {
+        net.connect(host, switch, LinkSpec::default());
+        net.attach_app(host, Box::new(Exchange { server, conn: None }));
+    }
+    net.run_until(SimTime::from_millis(100));
+    let before = net.dispatched().frames;
+    let allocs = allocations(|| net.run_until(SimTime::from_millis(200)));
+    // Each frame a host sends arrives twice: at the switch and at the peer.
+    let sent = (net.dispatched().frames - before) / 2;
+    assert!(sent >= 400, "the hosts exchanged {sent} frames");
+    assert!(
+        allocs <= sent,
+        "sending {sent} frames, and receiving them, makes {allocs} allocations"
     );
 }

@@ -206,12 +206,12 @@ fn decode(layer: Layer, bytes: &[u8], requests: &[Request]) -> Option<(Layer, Ve
                 SessionPayloadType::Goose => Layer::Goose,
                 SessionPayloadType::Sv => Layer::Sv,
             };
-            Some((next, packet.payload))
+            Some((next, packet.payload.to_vec()))
         }
         Layer::Tpkt => {
-            for pdu in TpktDecoder::new().feed(bytes) {
-                let _ = MmsPdu::decode(&pdu);
-            }
+            TpktDecoder::new().feed(bytes, |pdu| {
+                let _ = MmsPdu::decode(pdu);
+            });
             None
         }
         Layer::Modbus => {
@@ -359,10 +359,16 @@ fn every_decoder_survives_every_mutation_of_captured_frames() {
             seen.insert(layer);
             let encoded = match layer {
                 Layer::Ethernet => EthernetFrame::decode(&bytes).map(|f| f.encode()),
-                Layer::Arp => ArpPacket::decode(&bytes).map(|p| p.encode()),
-                Layer::Ipv4 => Ipv4Packet::decode(&bytes).map(|p| p.encode()),
-                Layer::Udp => UdpDatagram::decode(&bytes).map(|d| d.encode()),
-                Layer::Tcp => TcpSegment::decode(&bytes).map(|s| s.encode()),
+                Layer::Arp => ArpPacket::decode(&bytes).map(|p| p.encode().to_vec()),
+                Layer::Ipv4 => {
+                    Ipv4Packet::decode(&bytes).map(|p| [&p.header()[..], p.payload].concat())
+                }
+                Layer::Udp => {
+                    UdpDatagram::decode(&bytes).map(|d| [&d.header()[..], d.payload].concat())
+                }
+                Layer::Tcp => {
+                    TcpSegment::decode(&bytes).map(|s| [&s.header()[..], s.payload].concat())
+                }
                 _ => continue,
             };
             assert_eq!(encoded.as_ref(), Some(&bytes), "{layer:?} round trip");
@@ -515,11 +521,11 @@ fn values_nested_past_the_depth_limit_are_refused() {
         let datagram = SessionPacket {
             payload_type: SessionPayloadType::Goose,
             spdu_num: 1,
-            payload,
+            payload: &payload,
         }
         .encode();
         let session = SessionPacket::decode(&datagram).expect("the session header decodes");
-        let decoded = GoosePdu::decode(&session.payload);
+        let decoded = GoosePdu::decode(session.payload);
         assert_eq!(decoded.is_err(), refused, "R-GOOSE allData, depth {depth}");
     }
 }

@@ -11,9 +11,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic
 
+use sg_cyber_range::attack::{MitmApp, MitmPlan, Transform};
 use sg_cyber_range::core::{fnv1a_64, CompiledModel, CyberRange, RangeBuilder, SgmlBundle};
 use sg_cyber_range::models::{epic_bundle, multisub_bundle, MultiSubParams};
-use sg_cyber_range::net::{pcap, Dispatched, SimDuration};
+use sg_cyber_range::net::{pcap, Dispatched, Ipv4Addr, SimDuration};
 use sg_cyber_range::obs::Telemetry;
 use sg_cyber_range::scenario::{run_exercise, Scenario};
 use std::time::Duration;
@@ -158,6 +159,34 @@ fn epic_capture_pcap() {
         (pcap_of(scada), pcap_of(gied1)),
         ((15_893, 0xe499747efcab79f2), (16_058, 0x682195df6c9fce3b))
     );
+}
+
+/// The bytes a man in the middle forwards, pinned: the setup of
+/// `tests/attack_case_studies.rs`'s `ScaleMmsFloats` case (an attacker on
+/// the control bus between the SCADA HMI and TIED1 from 3 s, scaling every
+/// MMS float tenfold), with a tap on SCADA for all 8 s. The pcap holds the
+/// MMS replies the attacker rewrote and the frames it forwarded as they
+/// were.
+#[test]
+fn epic_mitm_capture_pcap() {
+    let model = CompiledModel::shared(&epic_bundle()).expect("the bundle compiles");
+    let mut range = CyberRange::instantiate(model).expect("the range instantiates");
+    let scada = range.node("SCADA").expect("SCADA host");
+    range.net.enable_capture(scada);
+    range.run_for(SimDuration::from_secs(2));
+    range.add_host("mitm-box", Ipv4Addr::new(10, 0, 5, 66), "ControlBus");
+    let (mitm, handle) = MitmApp::new(MitmPlan {
+        victim_a: range.plan().host_ip("SCADA").expect("SCADA address"),
+        victim_b: range.plan().host_ip("TIED1").expect("TIED1 address"),
+        start_ms: 3000,
+        stop_ms: u64::MAX,
+        transform: Transform::ScaleMmsFloats(10.0),
+    });
+    range.attach_app("mitm-box", Box::new(mitm));
+    range.run_for(SimDuration::from_secs(6));
+    assert!(handle.lock().modified > 0, "the attacker rewrote replies");
+    let pcap = pcap::to_pcap(range.net.captured(scada));
+    assert_eq!((pcap.len(), fnv1a_64(&pcap)), (23_891, 0x7ac14f4c82509a9c));
 }
 
 /// The events the network dispatched, by kind, telemetry off.

@@ -24,10 +24,22 @@ fn payloads(count: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// `payload` in a TPKT frame, if it fits one.
+fn tpkt(payload: &[u8]) -> Option<Vec<u8>> {
+    tpkt_frame(|out| out.extend_from_slice(payload))
+}
+
+/// The payloads `decoder` lends when fed `bytes`.
+fn feed(decoder: &mut TpktDecoder, bytes: &[u8]) -> Vec<Vec<u8>> {
+    let mut payloads = Vec::new();
+    decoder.feed(bytes, |payload| payloads.push(payload.to_vec()));
+    payloads
+}
+
 fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
     payloads
         .iter()
-        .flat_map(|p| tpkt_frame(p).expect("a short payload fits a frame"))
+        .flat_map(|p| tpkt(p).expect("a short payload fits a frame"))
         .collect()
 }
 
@@ -37,10 +49,13 @@ fn a_header_shorter_than_itself_does_not_wedge_the_stream() {
     let mut stream = vec![0x03, 0x00, 0x00, 0x02];
     stream.extend(framed(&frames));
     let mut decoder = TpktDecoder::new();
-    assert_eq!(decoder.feed(&stream), frames);
+    assert_eq!(feed(&mut decoder, &stream), frames);
     // The same bytes one at a time.
     let mut decoder = TpktDecoder::new();
-    let decoded: Vec<_> = stream.iter().flat_map(|b| decoder.feed(&[*b])).collect();
+    let decoded: Vec<_> = stream
+        .iter()
+        .flat_map(|b| feed(&mut decoder, &[*b]))
+        .collect();
     assert_eq!(decoded, frames);
 }
 
@@ -48,10 +63,10 @@ fn a_header_shorter_than_itself_does_not_wedge_the_stream() {
 fn a_mebibyte_of_garbage_is_skipped_in_linear_time() {
     let frame = b"after the garbage".to_vec();
     let mut stream: Vec<u8> = (0..1 << 20).map(|i| [0x00, 0xff, 0x30][i % 3]).collect();
-    stream.extend(tpkt_frame(&frame).unwrap());
+    stream.extend(tpkt(&frame).unwrap());
     let (done, finished) = mpsc::channel();
     let worker = std::thread::spawn(move || {
-        let decoded = TpktDecoder::new().feed(&stream);
+        let decoded = feed(&mut TpktDecoder::new(), &stream);
         done.send(decoded).expect("the test waits for the result");
     });
     let decoded = finished
@@ -64,10 +79,10 @@ fn a_mebibyte_of_garbage_is_skipped_in_linear_time() {
 #[test]
 fn a_pdu_past_the_length_field_has_no_frame() {
     let longest = vec![0x5a; TPKT_MAX_PAYLOAD];
-    let frame = tpkt_frame(&longest).expect("the longest PDU fits");
+    let frame = tpkt(&longest).expect("the longest PDU fits");
     assert_eq!(frame[..4], [0x03, 0x00, 0xff, 0xff]);
-    assert_eq!(TpktDecoder::new().feed(&frame), vec![longest]);
-    assert_eq!(tpkt_frame(&[0x5a; TPKT_MAX_PAYLOAD + 1]), None);
+    assert_eq!(feed(&mut TpktDecoder::new(), &frame), vec![longest]);
+    assert_eq!(tpkt(&[0x5a; TPKT_MAX_PAYLOAD + 1]), None);
 }
 
 /// An MMS client that sends its requests back to back on one connection
@@ -159,7 +174,7 @@ proptest! {
         let (mut at, mut next) = (0, 0);
         while at < stream.len() {
             let end = (at + chunks[next % chunks.len()]).min(stream.len());
-            decoded.extend(decoder.feed(&stream[at..end]));
+            decoded.extend(feed(&mut decoder, &stream[at..end]));
             (at, next) = (end, next + 1);
         }
         prop_assert_eq!(decoded, frames);
